@@ -26,6 +26,7 @@ from .sim import (
     RunMetrics,
     ScenarioConfig,
     ScenarioError,
+    has_type,
     run_scenario,
     validate_config,
 )
@@ -48,15 +49,41 @@ class ReportError(RuntimeError):
 
 def _get(section: dict, field: str, errors: list, context: str, cast=float,
          default=None, required=False):
+    """One typed field: bool and int fields take only YAML bools and ints.
+
+    A float field also takes an int, or a numeric string (YAML 1.1 reads
+    ``20e6``, written without a dot, as a string).
+    """
     if field not in section:
         if required:
             errors.append(f"{context}: missing required field {field!r}")
         return default
-    try:
-        return cast(section[field])
-    except (TypeError, ValueError):
-        errors.append(f"{context}: field {field!r} has invalid value {section[field]!r}")
+    value = section[field]
+    if cast is float and isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            pass
+    if not has_type(value, cast):
+        errors.append(f"{context}: field {field!r} has invalid value {section[field]!r} "
+                      f"(expected {cast.__name__})")
         return default
+    return cast(value)
+
+
+def _mappings(doc: dict, section: str, errors: list) -> list:
+    """The section's list entries; None stands in for each non-mapping entry."""
+    entries = doc.get(section) or []
+    if not isinstance(entries, list):
+        errors.append(f"{section}: must be a list")
+        return []
+    out = []
+    for idx, entry in enumerate(entries, start=1):
+        if not isinstance(entry, dict):
+            errors.append(f"{section}[{idx}]: must be a mapping, got {entry!r}")
+            entry = None
+        out.append(entry)
+    return out
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -69,23 +96,27 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(["document must be a mapping with sections radars/targets/links/run"])
 
     errors: list[str] = []
-    radar_docs = doc.get("radars") or []
-    if not isinstance(radar_docs, list) or not radar_docs:
+    radar_docs = _mappings(doc, "radars", errors)
+    if not radar_docs and not errors:  # a non-list is reported already
         errors.append("radars: must be a non-empty list")
-        radar_docs = []
-
-    target_docs = doc.get("targets") or []
-    link_docs = doc.get("links") or []
     run = doc.get("run") or {}
+    if not isinstance(run, dict):
+        errors.append("run: must be a mapping")
+        run = {}
 
     targets_by_radar: dict[int, list[sig.Target]] = {}
-    for ti, tdoc in enumerate(target_docs, start=1):
+    for ti, tdoc in enumerate(_mappings(doc, "targets", errors), start=1):
+        if tdoc is None:
+            continue
         ctx = f"targets[{ti}]"
         radar = _get(tdoc, "radar", errors, ctx, cast=int, required=True)
         rng_m = _get(tdoc, "range_m", errors, ctx, required=True)
         vel = _get(tdoc, "velocity_mps", errors, ctx, default=0.0)
         snr = _get(tdoc, "snr_db", errors, ctx, required=True)
         if None in (radar, rng_m, snr):
+            continue
+        if not 1 <= radar <= len(radar_docs):
+            errors.append(f"{ctx}: radar {radar} is not one of radars 1..{len(radar_docs)}")
             continue
         try:
             tgt = sig.Target(range_m=rng_m, velocity_mps=vel, snr_db=snr)
@@ -96,6 +127,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
     radars = []
     for ri, rdoc in enumerate(radar_docs, start=1):
+        if rdoc is None:
+            continue
         ctx = f"radars[{ri}]"
         pri = _get(rdoc, "pri_s", errors, ctx, required=True)
         fields = dict(
@@ -125,7 +158,9 @@ def parse_config(text: str) -> ScenarioConfig:
                                 targets=tuple(targets_by_radar.get(ri - 1, ()))))
 
     links = []
-    for li, ldoc in enumerate(link_docs, start=1):
+    for li, ldoc in enumerate(_mappings(doc, "links", errors), start=1):
+        if ldoc is None:
+            continue
         ctx = f"links[{li}]"
         victim = _get(ldoc, "victim", errors, ctx, cast=int, required=True)
         source = _get(ldoc, "source", errors, ctx, cast=int, required=True)
@@ -191,10 +226,6 @@ def render_config(config: ScenarioConfig) -> str:
         },
     }
     return yaml.safe_dump(doc, sort_keys=False)
-
-
-def bundled_config_path(name: str = "table1") -> Path:
-    return Path(__file__).parent / "data" / f"{name}.cfg"
 
 
 @dataclass

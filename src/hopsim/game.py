@@ -17,8 +17,6 @@ import numpy as np
 
 # Simplex membership tolerance for strategies and joint distributions.
 PROB_ATOL = 1e-9
-# Default tolerance (dB) for equilibrium checks.
-EQ_TOL_DB = 1e-6
 # Welfare ties below this are broken lexicographically on support sets.
 WELFARE_TIE_ATOL = 1e-9
 # Guard on the joint action space for exhaustive enumeration.
@@ -143,6 +141,27 @@ class UtilityTable:
     def utility(self, player: int, joint) -> float:
         return float(self.values[(player, *joint)])
 
+    @classmethod
+    def from_collisions(cls, weights: np.ndarray, n_subbands: int,
+                        utility) -> "UtilityTable":
+        """Table valued by who shares each player's subband.
+
+        Player i's entry at every joint action is ``utility(i, own, load)``:
+        ``own`` is i's subband and ``load`` the sum of ``weights[i, j]``
+        over the other players j on that subband, accumulated in
+        ascending j. Zero weights are skipped.
+        """
+        n = weights.shape[0]
+        grids = np.indices((n_subbands,) * n)
+        values = np.empty((n,) + (n_subbands,) * n)
+        for i in range(n):
+            load = np.zeros(grids.shape[1:])
+            for j in range(n):
+                if j != i and weights[i, j] != 0.0:
+                    load += weights[i, j] * (grids[j] == grids[i])
+            values[i] = utility(i, grids[i], load)
+        return cls(values)
+
 
 @dataclass(frozen=True)
 class JointDistribution:
@@ -212,31 +231,6 @@ def expected_utility(table: UtilityTable, profile: StrategyProfile, player: int)
     for s in profile.strategies:
         u = np.tensordot(s.probs, u, axes=(0, 0))
     return float(u)
-
-
-def deviation_utilities(table: UtilityTable, profile: StrategyProfile, player: int) -> np.ndarray:
-    """Expected utility of each pure deviation of ``player``, others fixed."""
-    _check_profile_table(profile, table)
-    u = np.moveaxis(table.values[player], player, 0)
-    for j, s in enumerate(profile.strategies):
-        if j != player:
-            u = np.tensordot(u, s.probs, axes=(1, 0))
-    return u
-
-
-def is_nash(profile: StrategyProfile, table: UtilityTable, tol: float = EQ_TOL_DB) -> bool:
-    """True iff no player has a pure deviation improving by more than tol.
-
-    Pure deviations suffice: the expectation is linear in each player's
-    own strategy.
-    """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    for i in range(table.n_players):
-        base = expected_utility(table, profile, i)
-        if deviation_utilities(table, profile, i).max() > base + tol:
-            return False
-    return True
 
 
 def enumerate_pure_nash(table: UtilityTable) -> list[StrategyProfile]:
@@ -345,18 +339,23 @@ def cce_deviation_gap(joint: JointDistribution, table: UtilityTable, player: int
     return float(np.max(dev) - base)
 
 
-def external_regret(ledger: RegretLedger, table: UtilityTable) -> float:
-    """Hindsight gap (dB x chirps) to the best fixed subband."""
+def external_regret(ledger: RegretLedger, table: UtilityTable) -> np.ndarray:
+    """Hindsight gap (dB x chirps) to the best fixed subband after every chirp.
+
+    Entry k is the regret over chirps 0..k: the best arm's cumulative
+    utility minus the realized one. The last entry covers the horizon.
+    """
     n_other = table.n_players - 1
     if ledger.opponent_actions.shape[1] != n_other:
         raise ValueError("ledger opponent actions do not match the table")
     u = np.moveaxis(table.values[ledger.player], ledger.player, 0)
     if n_other == 0:
-        per_arm = np.repeat(u[:, None], ledger.n_chirps, axis=1)
+        per_arm = np.broadcast_to(u[:, None], (u.shape[0], ledger.n_chirps))
     else:
-        idx = tuple(ledger.opponent_actions[:, j] for j in range(n_other))
-        per_arm = u[(slice(None), *idx)]  # (A, K)
-    return float((per_arm.sum(axis=1) - ledger.realized_db.sum()).max())
+        per_arm = u[(slice(None), *ledger.opponent_actions.T)]  # (A, K)
+    arm_cum = np.cumsum(per_arm, axis=1)
+    arm_cum -= np.cumsum(ledger.realized_db)
+    return arm_cum.max(axis=0)
 
 
 def empirical_joint(histories, n_subbands: int) -> JointDistribution:

@@ -31,32 +31,6 @@ DEFAULT_KAPPA = 0.04
 
 
 @dataclass(frozen=True)
-class EpisodeSchedule:
-    """Episode boundaries k_tau within one frame of K chirps."""
-
-    chirps_per_frame: int
-    n_episodes: int
-
-    def __post_init__(self):
-        if self.n_episodes < 1 or self.chirps_per_frame < 1:
-            raise ValueError("chirps_per_frame and n_episodes must be positive")
-        if self.chirps_per_frame % self.n_episodes != 0:
-            raise ValueError(
-                f"chirps per frame {self.chirps_per_frame} not divisible by "
-                f"{self.n_episodes} episodes"
-            )
-
-    @property
-    def chirps_per_episode(self) -> int:
-        return self.chirps_per_frame // self.n_episodes
-
-    @property
-    def boundaries(self) -> tuple[int, ...]:
-        step = self.chirps_per_episode
-        return tuple(step * (t + 1) for t in range(self.n_episodes))
-
-
-@dataclass(frozen=True)
 class EpisodeStats:
     """Windowed per-subband estimates for one episode at one radar.
 
@@ -115,10 +89,6 @@ def hard_threshold(p: MixedStrategy, kappa: float) -> MixedStrategy:
         raise ValueError("thresholding removed every subband")
     q = np.where(keep, p.probs, 0.0)
     return MixedStrategy(q / q.sum())
-
-
-def sample_subband(p: MixedStrategy, rng: np.random.Generator) -> int:
-    return int(rng.choice(p.n_subbands, p=p.probs))
 
 
 def sample_subbands(p: MixedStrategy, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -252,20 +222,12 @@ def init_nash_hopper(player: int, n_players: int, n_subbands: int,
 
 def estimated_table(state: NashHopperState) -> UtilityTable:
     """Utility table assembled from the exchanged per-subband estimates."""
-    n, a = state.n_players, state.n_subbands
-    grids = np.indices((a,) * n)
-    values = np.empty((n,) + (a,) * n)
     floor = state.floor_db
     snr = np.where(np.isnan(state.snr_est_db), floor, state.snr_est_db)
     hit = np.where(np.isnan(state.hit_sinr_est_db), floor, state.hit_sinr_est_db)
-    for i in range(n):
-        own = grids[i]
-        collide = np.zeros_like(own, dtype=bool)
-        for j in range(n):
-            if j != i:
-                collide |= grids[j] == own
-        values[i] = np.where(collide, hit[i][own], snr[i][own])
-    return UtilityTable(values)
+    return UtilityTable.from_collisions(
+        np.ones((state.n_players, state.n_players)), state.n_subbands,
+        lambda i, own, load: np.where(load > 0, hit[i][own], snr[i][own]))
 
 
 def nash_explore_update(state: NashHopperState, all_stats) -> NashHopperState:

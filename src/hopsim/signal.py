@@ -1,8 +1,8 @@
 """FMCW baseband physics.
 
-Chirp, echo, and cross-radar interference synthesis after dechirping,
-noise composition, interference detection, windowed SINR/SNR estimation,
-and range processing: fast-time FFT for the coarse range, then a
+Echo and cross-radar interference synthesis after dechirping,
+interference detection, windowed SINR/SNR estimation, and range
+processing: fast-time FFT for the coarse range, then a
 (velocity, fine-range) grid matched filter over slow time that exploits
 the known hopping sequence. The hop sequence is nonuniform, so the fine
 axis uses an explicit matched filter instead of an FFT.
@@ -74,13 +74,6 @@ class ChirpParams:
         """Range per FFT bin; equals coarse_bin_m when f_s*T_a is integral."""
         return (self.adc_hz / self.n_samples) * C / (2.0 * self.slope)
 
-    def subband_start_hz(self, a) -> np.ndarray | float:
-        return self.f_c + np.asarray(a) * self.subband_hz
-
-    def hop_offsets_hz(self, a) -> np.ndarray | float:
-        """Delta-b frequency shift of subband index a relative to f_c."""
-        return np.asarray(a) * self.subband_hz
-
 
 @dataclass(frozen=True)
 class Target:
@@ -93,16 +86,6 @@ class Target:
             raise ValueError("target range must be positive")
         if not np.isfinite(self.snr_db):
             raise ValueError("target SNR must be finite")
-
-
-@dataclass(frozen=True)
-class InterferenceLink:
-    source: int           # interfering radar index
-    inr_db: float         # interference-to-noise ratio at the victim on collision
-
-    def __post_init__(self):
-        if not np.isfinite(self.inr_db):
-            raise ValueError("INR must be finite")
 
 
 @dataclass(frozen=True)
@@ -143,15 +126,6 @@ class FineRangeProfile:
         return float(self.ranges_m[int(np.argmax(self.mags_db))])
 
 
-def tx_chirp_phase(params: ChirpParams, f_k: float, t) -> np.ndarray | float:
-    """Instantaneous transmit phase (rad) at fast time t within one chirp."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or np.any(t >= params.active_s):
-        raise ValueError("t outside the active sweep")
-    out = 2.0 * np.pi * (f_k * t + 0.5 * params.slope * t * t)
-    return out if out.ndim else float(out)
-
-
 def coarse_decompose(params: ChirpParams, range_m: float) -> tuple[float, float]:
     """Split a range into its coarse bin center and fine offset."""
     binw = params.coarse_bin_m
@@ -165,20 +139,6 @@ def _echo_terms(params: ChirpParams, tgt: Target, noise_power: float):
     f_d = -2.0 * tgt.velocity_mps * params.pri_s * params.f_c / C
     amp = np.sqrt(noise_power * 10.0 ** (tgt.snr_db / 10.0))
     return rbar, eps0, f_r, f_d, amp
-
-
-def dechirped_echo(params: ChirpParams, tgt: Target, k: int, db_k: float,
-                   noise_power: float = 1.0, phase0: float = 0.0) -> np.ndarray:
-    """Post-mixer echo samples of one chirp; ``db_k`` is the hop offset (Hz)."""
-    delay = (2.0 / C) * (tgt.range_m + k * tgt.velocity_mps * params.pri_s)
-    if not 0.0 <= delay < params.active_s:
-        raise ValueError("round-trip delay outside the chirp: target beyond unambiguous range")
-    rbar, eps0, f_r, f_d, amp = _echo_terms(params, tgt, noise_power)
-    t = np.arange(params.n_samples) / params.adc_hz
-    hop = -2.0 * np.pi * (2.0 * rbar / C
-                          + 2.0 * (eps0 + k * tgt.velocity_mps * params.pri_s) / C) * db_k
-    phase = -2.0 * np.pi * f_r * t + 2.0 * np.pi * f_d * k + hop + phase0
-    return amp * np.exp(1j * phase)
 
 
 def echo_frame(params: ChirpParams, tgt: Target, hops_hz: np.ndarray,
@@ -211,73 +171,28 @@ def interference_base(victim: ChirpParams, source: ChirpParams) -> np.ndarray:
     return np.exp(1j * np.pi * (victim.slope - source.slope) * t * t)
 
 
-def dechirped_interference(victim: ChirpParams, link: InterferenceLink,
-                           source: ChirpParams, k: int, collide: bool,
-                           rng: np.random.Generator,
-                           noise_power: float = 1.0) -> np.ndarray:
-    """Cross-radar interference samples for one victim chirp.
-
-    Zero when the subbands do not collide. On collision the residual
-    chirp is scaled to the configured INR with a fresh random phase.
-    """
-    if not collide:
-        return np.zeros(victim.n_samples, dtype=complex)
-    amp = np.sqrt(noise_power * 10.0 ** (link.inr_db / 10.0))
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    return amp * np.exp(1j * phi) * interference_base(victim, source)
-
-
-def compose_received(echoes, interference, noise_power: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Sum of components plus circularly-symmetric complex Gaussian noise."""
-    parts = list(echoes) + list(interference)
-    lengths = {np.asarray(p).shape for p in parts}
-    if len(lengths) > 1:
-        raise ValueError("component length mismatch")
-    if parts:
-        shape = np.asarray(parts[0]).shape
-        total = np.sum(parts, axis=0).astype(complex)
-    else:
-        shape = (0,)
-        total = np.zeros(shape, dtype=complex)
-    if noise_power < 0:
-        raise ValueError("noise power must be non-negative")
-    if noise_power > 0 and total.size:
-        sigma = np.sqrt(noise_power / 2.0)
-        total = total + sigma * (rng.standard_normal(shape)
-                                 + 1j * rng.standard_normal(shape))
-    return total
-
-
-def theoretical_sinr(signal_power: float, interference_power: float,
-                     noise_power: float) -> float:
-    """Linear SINR; reduces to the SNR when interference_power is zero."""
-    if noise_power <= 0:
-        raise ValueError("noise power must be positive")
-    if signal_power < 0 or interference_power < 0:
-        raise ValueError("powers must be non-negative")
-    return signal_power / (interference_power + noise_power)
-
-
 def detect_interference(samples: np.ndarray, noise_power: float,
                         factor: float = DEFAULT_DETECTION_FACTOR):
-    """Threshold detector splitting one chirp into clean and interference parts.
+    """Threshold detector splitting chirps into clean and interference parts.
 
-    Samples whose amplitude exceeds the matched-signal envelope plus the
-    factor-scaled noise tail are attributed to interference; the chirp is
-    flagged when more than 1% of its samples are. The envelope power is the
-    strongest FFT tone minus the median bin, so broadband interference
-    energy does not inflate it, and it enters the threshold as a coherent
-    amplitude bound: |x| > sqrt(envelope) + sqrt(factor x noise).
+    ``samples`` is one chirp (N_s,) or a block of chirps (N_s, K); each
+    column is detected on its own. Samples whose amplitude exceeds the
+    matched-signal envelope plus the factor-scaled noise tail are
+    attributed to interference; a chirp is flagged when more than 1% of its
+    samples are. The envelope power is the strongest FFT tone minus the
+    median bin, so broadband interference energy does not inflate it, and
+    it enters the threshold as a coherent amplitude bound:
+    |x| > sqrt(envelope) + sqrt(factor x noise).
     """
     if factor <= 1:
         raise ValueError("factor must exceed 1")
     x = np.asarray(samples)
-    spec2 = np.abs(np.fft.fft(x, norm="ortho")) ** 2
-    envelope = max(0.0, float(np.max(spec2) - np.median(spec2))) / x.size
+    spec2 = np.abs(np.fft.fft(x, axis=0, norm="ortho")) ** 2
+    envelope = np.clip(np.max(spec2, axis=0) - np.median(spec2, axis=0),
+                       0.0, None) / x.shape[0]
     threshold = (np.sqrt(envelope) + np.sqrt(factor * noise_power)) ** 2
     hot = np.abs(x) ** 2 > threshold
-    flag = bool(hot.mean() > 0.01)
+    flag = hot.mean(axis=0) > 0.01
     clean = np.where(hot, 0.0, x)
     return flag, clean, x - clean
 

@@ -7,6 +7,7 @@ range profiles. A run is fully deterministic given its config and seed.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,35 @@ from .hopping import (
     uniform_policy,
 )
 
-POLICIES = ("uniform", "nash", "noregret", "fixed")
+_REQUIRED = object()
+_FINITE = (lambda v, a, episodes: np.isfinite(v), "finite")
+_POSITIVE = (lambda v, a, episodes: v > 0, "> 0")
+
+# Accepted policy_params per policy: key -> (type, default, check, rule).
+# ``check(value, n_subbands, episodes)`` bounds a well-typed value and
+# ``rule`` states the bound in error messages. A default of None leaves
+# the option off.
+POLICY_PARAMS = {
+    "uniform": {},
+    "fixed": {
+        "subband": (int, _REQUIRED, lambda v, a, episodes: 0 <= v < a, "in [0, {a})"),
+    },
+    "noregret": {
+        "c_eta": (float, 1.0, *_POSITIVE),
+        "c_gamma": (float, 1.0, *_POSITIVE),
+        "kappa": (float, DEFAULT_KAPPA, lambda v, a, episodes: 0.0 <= v < 1.0 / a,
+                  "in [0, 1/{a})"),
+        "loss_clip_db": (float, DEFAULT_LOSS_CLIP_DB, *_POSITIVE),
+        "baseline_delta_db": (float, None, *_FINITE),
+    },
+    "nash": {
+        "explore_episodes": (int, 10, lambda v, a, episodes: 1 <= v <= episodes,
+                             "in [1, {episodes}] (the run's episodes)"),
+        "floor_db": (float, DEFAULT_PESSIMISTIC_FLOOR_DB, *_FINITE),
+        "solver_mode": (str, "auto", lambda v, a, episodes: v in ("auto", "pure"),
+                        "'auto' or 'pure'"),
+    },
+}
 
 
 class ScenarioError(ValueError):
@@ -107,20 +136,10 @@ def validate_config(config: ScenarioConfig) -> list[str]:
                 f"{label}: chirps per frame {ch.chirps_per_frame} not divisible by "
                 f"{config.episodes_per_frame} episodes")
         durations.append(ch.chirps_per_frame * ch.pri_s)
-        if spec.policy not in POLICIES:
+        if spec.policy not in POLICY_PARAMS:
             errors.append(f"{label}: unknown policy {spec.policy!r}")
-        if spec.policy == "noregret":
-            kappa = spec.policy_params.get("kappa", DEFAULT_KAPPA)
-            if not 0.0 <= kappa < 1.0 / ch.n_subbands:
-                errors.append(f"{label}: kappa {kappa} not in [0, 1/{ch.n_subbands})")
-        if spec.policy == "fixed":
-            a = spec.policy_params.get("subband")
-            if a is None or not 0 <= int(a) < ch.n_subbands:
-                errors.append(f"{label}: fixed policy needs subband in [0, {ch.n_subbands})")
-        if spec.policy == "nash":
-            ex = spec.policy_params.get("explore_episodes", 10)
-            if not 1 <= ex <= config.total_episodes:
-                errors.append(f"{label}: explore_episodes {ex} outside the run")
+        else:
+            errors += _policy_param_errors(spec, label, config.total_episodes)
         if not spec.targets:
             errors.append(f"{label}: needs at least one target (genie utility evaluation)")
         for tgt in spec.targets:
@@ -138,10 +157,47 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         errors.append("run: frames and episodes_per_frame must be positive")
     if config.noise_power <= 0:
         errors.append("run: noise_power must be positive")
+    if not config.genie_detection and not config.detection_factor > 1:
+        errors.append("run: detection_factor must exceed 1")
     return errors
 
 
-def _pair_overlap_geometry(victim: sig.ChirpParams, source: sig.ChirpParams,
+def has_type(value, kind) -> bool:
+    """Whether a config value is of ``kind``; a bool is never a number."""
+    abstract = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    return isinstance(value, abstract) and (kind is bool or not isinstance(value, bool))
+
+
+def _policy_param_errors(spec: RadarSpec, label: str, episodes: int) -> list[str]:
+    table = POLICY_PARAMS[spec.policy]
+    a = spec.chirp.n_subbands
+    errors = [
+        f"{label}.policy_params.{key}: not a {spec.policy} parameter "
+        f"(accepted: {', '.join(table) or 'none'})"
+        for key in spec.policy_params if key not in table
+    ]
+    for key, (kind, default, check, rule) in table.items():
+        ctx = f"{label}.policy_params.{key}"
+        rule = rule.format(a=a, episodes=episodes)
+        value = spec.policy_params.get(key, default)
+        if value is _REQUIRED:
+            errors.append(f"{ctx}: {spec.policy} policy needs {key} {rule}")
+        elif value is None and default is None:
+            continue
+        elif not has_type(value, kind):
+            errors.append(f"{ctx}: expected {kind.__name__}, got {value!r}")
+        elif not check(value, a, episodes):
+            errors.append(f"{ctx}: {value!r} not {rule}")
+    return errors
+
+
+def _resolved_params(spec: RadarSpec) -> dict:
+    """The radar's policy parameters, table defaults filled in."""
+    return {key: spec.policy_params.get(key, default)
+            for key, (_, default, _, _) in POLICY_PARAMS[spec.policy].items()}
+
+
+def overlap_geometry(victim: sig.ChirpParams, source: sig.ChirpParams,
                            n_victim: int, n_source: int):
     """Candidate source chirps and time-overlap fractions per victim chirp.
 
@@ -165,27 +221,24 @@ def _pair_overlap_geometry(victim: sig.ChirpParams, source: sig.ChirpParams,
     return cand, frac
 
 
-def collision_table(params_list, actions):
-    """Same-subband time overlaps between every victim chirp and interferers.
+def overlap_weight(geometry, victim_actions: np.ndarray,
+                   source_actions: np.ndarray) -> np.ndarray:
+    """Per victim chirp, the summed overlap fraction of same-subband source chirps.
 
-    ``actions`` holds one subband sequence per radar on the common frame
-    clock. Returns, per victim radar, a list over chirps of
-    ``(source_radar, source_chirp, overlap_fraction)`` tuples.
+    ``geometry`` is the pair's ``overlap_geometry``; a weight of 0 means the
+    chirp saw no collision from this source.
     """
-    acts = [np.asarray(a, dtype=int) for a in actions]
-    out = []
-    for i, pi in enumerate(params_list):
-        rows = [[] for _ in range(acts[i].size)]
-        for j, pj in enumerate(params_list):
-            if j == i:
-                continue
-            cand, frac = _pair_overlap_geometry(pi, pj, acts[i].size, acts[j].size)
-            same = acts[j][cand] == acts[i][:, None]
-            hit = (frac > 0.0) & same
-            for q, c in zip(*np.nonzero(hit)):
-                rows[q].append((j, int(cand[q, c]), float(frac[q, c])))
-        out.append(rows)
-    return out
+    cand, frac = geometry
+    return (frac * (source_actions[cand] == victim_actions[:, None])).sum(axis=1)
+
+
+def _link_inr_lin(config: ScenarioConfig) -> dict:
+    """Linear INR per (victim, source) pair, summed over repeated links."""
+    inr = {}
+    for link in config.links:
+        key = (link.victim, link.source)
+        inr[key] = inr.get(key, 0.0) + 10.0 ** (link.inr_db / 10.0)
+    return inr
 
 
 def genie_utility_table(config: ScenarioConfig) -> UtilityTable:
@@ -195,24 +248,17 @@ def genie_utility_table(config: ScenarioConfig) -> UtilityTable:
     full INR of every matching linked interferer; collision-free ones at
     the SNR. Never shown to agents in model-free runs.
     """
-    n, a = config.n_radars, config.n_subbands
+    n = config.n_radars
     snr_lin = np.array([
         sum(10.0 ** (t.snr_db / 10.0) for t in spec.targets)
         for spec in config.radars
     ])
-    inr = {}
-    for link in config.links:
-        key = (link.victim, link.source)
-        inr[key] = inr.get(key, 0.0) + 10.0 ** (link.inr_db / 10.0)
-    grids = np.indices((a,) * n)
-    values = np.empty((n,) + (a,) * n)
-    for i in range(n):
-        interference = np.zeros_like(grids[i], dtype=float)
-        for j in range(n):
-            if j != i and (i, j) in inr:
-                interference += inr[(i, j)] * (grids[j] == grids[i])
-        values[i] = 10.0 * np.log10(snr_lin[i] / (interference + 1.0))
-    return UtilityTable(values)
+    weights = np.zeros((n, n))
+    for (i, j), inr in _link_inr_lin(config).items():
+        weights[i, j] = inr
+    return UtilityTable.from_collisions(
+        weights, config.n_subbands,
+        lambda i, own, load: 10.0 * np.log10(snr_lin[i] / (load + 1.0)))
 
 
 class _Agent:
@@ -224,29 +270,29 @@ class _Agent:
         self.player = player
         self.needs_exchange = spec.policy == "nash"
         a = spec.chirp.n_subbands
-        params = spec.policy_params
+        params = _resolved_params(spec)
         if spec.policy == "uniform":
             self._strategy = uniform_policy(a)
         elif spec.policy == "fixed":
-            self._strategy = pure_strategy(int(params["subband"]), a)
+            self._strategy = pure_strategy(params["subband"], a)
         elif spec.policy == "noregret":
             self.state = init_noregret(
                 a,
-                eta_scale=params.get("c_eta", 1.0),
-                gamma_scale=params.get("c_gamma", 1.0),
-                kappa=params.get("kappa", DEFAULT_KAPPA),
-                loss_clip_db=params.get("loss_clip_db", DEFAULT_LOSS_CLIP_DB),
-                baseline_delta_db=params.get("baseline_delta_db"),
+                eta_scale=params["c_eta"],
+                gamma_scale=params["c_gamma"],
+                kappa=params["kappa"],
+                loss_clip_db=params["loss_clip_db"],
+                baseline_delta_db=params["baseline_delta_db"],
             )
         elif spec.policy == "nash":
-            self.explore_episodes = int(params.get("explore_episodes", 10))
+            self.explore_episodes = params["explore_episodes"]
             self.chirps_per_episode = chirps_per_episode
             self.episodes_seen = 0
             self.state = init_nash_hopper(
                 player, n_players, a,
                 explore_chirps=self.explore_episodes * chirps_per_episode,
-                floor_db=params.get("floor_db", DEFAULT_PESSIMISTIC_FLOOR_DB),
-                solver_mode=params.get("solver_mode", "auto" if n_players <= 2 else "pure"),
+                floor_db=params["floor_db"],
+                solver_mode=params["solver_mode"],
             )
         else:
             raise ValueError(f"unknown policy {spec.policy!r}")
@@ -312,16 +358,13 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     agents = [_Agent(spec, i, n_radars, k_ep[i])
               for i, spec in enumerate(config.radars)]
 
-    inr_lin = {}
-    for link in config.links:
-        key = (link.victim, link.source)
-        inr_lin[key] = inr_lin.get(key, 0.0) + 10.0 ** (link.inr_db / 10.0)
+    inr_lin = _link_inr_lin(config)
     # Episode boundaries align in time across radars, so the per-episode
     # overlap geometry is identical every episode: precompute it per pair.
     geometry = {}
     bases = {}
     for (i, j) in inr_lin:
-        geometry[(i, j)] = _pair_overlap_geometry(chirps[i], chirps[j], k_ep[i], k_ep[j])
+        geometry[(i, j)] = overlap_geometry(chirps[i], chirps[j], k_ep[i], k_ep[j])
         bases[(i, j)] = sig.interference_base(chirps[i], chirps[j])
 
     episodes = config.total_episodes
@@ -362,9 +405,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                     key = (i, j)
                     if key not in inr_lin:
                         continue
-                    cand, frac = geometry[key]
-                    same = acts[j][cand] == acts[i][:, None]
-                    weight = (frac * same).sum(axis=1)
+                    weight = overlap_weight(geometry[key], acts[i], acts[j])
                     collided += weight
                     power = inr_lin[key] * noise * weight
                     phases = rngs[i]["intf"].uniform(0.0, 2.0 * np.pi, size=k_ep[i])
@@ -380,17 +421,10 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                     p_int = np.mean(np.abs(intf) ** 2, axis=0)
                     flags = collided > 0.0
                 else:
-                    composite = echo + intf + nz
-                    spec2 = np.abs(np.fft.fft(composite, axis=0, norm="ortho")) ** 2
-                    env = np.clip(np.max(spec2, axis=0) - np.median(spec2, axis=0),
-                                  0.0, None) / ch.n_samples
-                    thr = (np.sqrt(env)
-                           + np.sqrt(config.detection_factor * noise)) ** 2
-                    hot = np.abs(composite) ** 2 > thr
-                    flags = hot.mean(axis=0) > 0.01
-                    clean = np.where(hot, 0.0, composite)
+                    flags, clean, est = sig.detect_interference(
+                        echo + intf + nz, noise, config.detection_factor)
                     p_clean = np.mean(np.abs(clean) ** 2, axis=0)
-                    p_int = np.mean(np.abs(composite - clean) ** 2, axis=0)
+                    p_int = np.mean(np.abs(est) ** 2, axis=0)
 
                 meas = sig.ChirpMeasurements(
                     subbands=acts[i], clean_power=p_clean,
@@ -419,26 +453,17 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     table = genie_utility_table(config)
     joint = empirical_joint([aligned[:, i] for i in range(n_radars)], a)
 
-    steps_per_ep = s_frame // t_ep
+    # Regret after the last aligned step of every episode.
+    bounds = np.arange(1, episodes + 1) * (s_frame // t_ep) - 1
     cumulative_regret = np.zeros((episodes, n_radars))
     ext_regret = np.zeros(n_radars)
     cce_gap = np.zeros(n_radars)
     for i in range(n_radars):
-        u = np.moveaxis(table.values[i], i, 0)
-        opp = tuple(aligned[:, j] for j in range(n_radars) if j != i)
-        if opp:
-            per_arm = u[(slice(None), *opp)]                    # (A, steps)
-        else:
-            per_arm = np.broadcast_to(u[:, None], (a, aligned.shape[0]))
-        realized = table.values[i][tuple(aligned[:, j] for j in range(n_radars))]
-        arm_cum = np.cumsum(per_arm, axis=1)
-        real_cum = np.cumsum(realized)
-        bounds = (np.arange(1, episodes + 1) * steps_per_ep) - 1
-        cumulative_regret[:, i] = (arm_cum[:, bounds] - real_cum[bounds]).max(axis=0)
-        ledger = RegretLedger(player=i, realized_db=realized,
-                              opponent_actions=np.stack(opp, axis=1)
-                              if opp else np.empty((aligned.shape[0], 0), dtype=int))
-        ext_regret[i] = external_regret(ledger, table)
+        ledger = RegretLedger(player=i, realized_db=table.values[i][tuple(aligned.T)],
+                              opponent_actions=np.delete(aligned, i, axis=1))
+        running = external_regret(ledger, table)
+        cumulative_regret[:, i] = running[bounds]
+        ext_regret[i] = running[-1]
         cce_gap[i] = cce_deviation_gap(joint, table, i)
 
     profiles = {}

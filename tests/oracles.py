@@ -1,0 +1,176 @@
+"""Reference implementations that only the tests call.
+
+The simulator synthesizes and evaluates whole blocks of chirps; these are
+the per-chirp and per-profile definitions those block operations are
+checked against, plus small helpers that no program path needs. Seeded
+tests depend on the order of each function's random draws: keep it.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+import hopsim
+from hopsim.game import (
+    MixedStrategy,
+    StrategyProfile,
+    UtilityTable,
+    _check_profile_table,
+    expected_utility,
+)
+from hopsim.signal import C, ChirpParams, Target, _echo_terms, interference_base
+
+# Default tolerance (dB) for equilibrium checks.
+EQ_TOL_DB = 1e-6
+
+
+def bundled_config_path(name: str = "table1") -> Path:
+    return Path(hopsim.__file__).parent / "data" / f"{name}.cfg"
+
+
+def subband_start_hz(params: ChirpParams, a) -> np.ndarray | float:
+    return params.f_c + np.asarray(a) * params.subband_hz
+
+
+def hop_offsets_hz(params: ChirpParams, a) -> np.ndarray | float:
+    """Delta-b frequency shift of subband index a relative to f_c."""
+    return np.asarray(a) * params.subband_hz
+
+
+@dataclass(frozen=True)
+class InterferenceLink:
+    source: int           # interfering radar index
+    inr_db: float         # interference-to-noise ratio at the victim on collision
+
+    def __post_init__(self):
+        if not np.isfinite(self.inr_db):
+            raise ValueError("INR must be finite")
+
+
+def tx_chirp_phase(params: ChirpParams, f_k: float, t) -> np.ndarray | float:
+    """Instantaneous transmit phase (rad) at fast time t within one chirp."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0) or np.any(t >= params.active_s):
+        raise ValueError("t outside the active sweep")
+    out = 2.0 * np.pi * (f_k * t + 0.5 * params.slope * t * t)
+    return out if out.ndim else float(out)
+
+
+def dechirped_echo(params: ChirpParams, tgt: Target, k: int, db_k: float,
+                   noise_power: float = 1.0, phase0: float = 0.0) -> np.ndarray:
+    """Post-mixer echo samples of one chirp; ``db_k`` is the hop offset (Hz)."""
+    delay = (2.0 / C) * (tgt.range_m + k * tgt.velocity_mps * params.pri_s)
+    if not 0.0 <= delay < params.active_s:
+        raise ValueError("round-trip delay outside the chirp: target beyond unambiguous range")
+    rbar, eps0, f_r, f_d, amp = _echo_terms(params, tgt, noise_power)
+    t = np.arange(params.n_samples) / params.adc_hz
+    hop = -2.0 * np.pi * (2.0 * rbar / C
+                          + 2.0 * (eps0 + k * tgt.velocity_mps * params.pri_s) / C) * db_k
+    phase = -2.0 * np.pi * f_r * t + 2.0 * np.pi * f_d * k + hop + phase0
+    return amp * np.exp(1j * phase)
+
+
+def dechirped_interference(victim: ChirpParams, link: InterferenceLink,
+                           source: ChirpParams, k: int, collide: bool,
+                           rng: np.random.Generator,
+                           noise_power: float = 1.0) -> np.ndarray:
+    """Cross-radar interference samples for one victim chirp.
+
+    Zero when the subbands do not collide. On collision the residual
+    chirp is scaled to the configured INR with a fresh random phase.
+    """
+    if not collide:
+        return np.zeros(victim.n_samples, dtype=complex)
+    amp = np.sqrt(noise_power * 10.0 ** (link.inr_db / 10.0))
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    return amp * np.exp(1j * phi) * interference_base(victim, source)
+
+
+def compose_received(echoes, interference, noise_power: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Sum of components plus circularly-symmetric complex Gaussian noise."""
+    parts = list(echoes) + list(interference)
+    lengths = {np.asarray(p).shape for p in parts}
+    if len(lengths) > 1:
+        raise ValueError("component length mismatch")
+    if parts:
+        shape = np.asarray(parts[0]).shape
+        total = np.sum(parts, axis=0).astype(complex)
+    else:
+        shape = (0,)
+        total = np.zeros(shape, dtype=complex)
+    if noise_power < 0:
+        raise ValueError("noise power must be non-negative")
+    if noise_power > 0 and total.size:
+        sigma = np.sqrt(noise_power / 2.0)
+        total = total + sigma * (rng.standard_normal(shape)
+                                 + 1j * rng.standard_normal(shape))
+    return total
+
+
+def theoretical_sinr(signal_power: float, interference_power: float,
+                     noise_power: float) -> float:
+    """Linear SINR; reduces to the SNR when interference_power is zero."""
+    if noise_power <= 0:
+        raise ValueError("noise power must be positive")
+    if signal_power < 0 or interference_power < 0:
+        raise ValueError("powers must be non-negative")
+    return signal_power / (interference_power + noise_power)
+
+
+@dataclass(frozen=True)
+class EpisodeSchedule:
+    """Episode boundaries k_tau within one frame of K chirps."""
+
+    chirps_per_frame: int
+    n_episodes: int
+
+    def __post_init__(self):
+        if self.n_episodes < 1 or self.chirps_per_frame < 1:
+            raise ValueError("chirps_per_frame and n_episodes must be positive")
+        if self.chirps_per_frame % self.n_episodes != 0:
+            raise ValueError(
+                f"chirps per frame {self.chirps_per_frame} not divisible by "
+                f"{self.n_episodes} episodes"
+            )
+
+    @property
+    def chirps_per_episode(self) -> int:
+        return self.chirps_per_frame // self.n_episodes
+
+    @property
+    def boundaries(self) -> tuple[int, ...]:
+        step = self.chirps_per_episode
+        return tuple(step * (t + 1) for t in range(self.n_episodes))
+
+
+def sample_subband(p: MixedStrategy, rng: np.random.Generator) -> int:
+    return int(rng.choice(p.n_subbands, p=p.probs))
+
+
+def deviation_utilities(table: UtilityTable, profile: StrategyProfile, player: int) -> np.ndarray:
+    """Expected utility of each pure deviation of ``player``, others fixed."""
+    _check_profile_table(profile, table)
+    u = np.moveaxis(table.values[player], player, 0)
+    for j, s in enumerate(profile.strategies):
+        if j != player:
+            u = np.tensordot(u, s.probs, axes=(1, 0))
+    return u
+
+
+def is_nash(profile: StrategyProfile, table: UtilityTable, tol: float = EQ_TOL_DB) -> bool:
+    """True iff no player has a pure deviation improving by more than tol.
+
+    Pure deviations suffice: the expectation is linear in each player's
+    own strategy.
+    """
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
+    for i in range(table.n_players):
+        base = expected_utility(table, profile, i)
+        if deviation_utilities(table, profile, i).max() > base + tol:
+            return False
+    return True
+

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hopsim.signal as sig
-from hopsim.cli import bundled_config_path, parse_config
+from hopsim.cli import parse_config
 from hopsim.game import (
     JointDistribution,
     UtilityTable,
@@ -20,6 +20,9 @@ from hopsim.game import (
     enumerate_pure_nash,
 )
 from hopsim.sim import RadarSpec, run_scenario
+
+import oracles
+from oracles import bundled_config_path
 
 N_SEEDS = 20
 _BASE = parse_config(bundled_config_path("table1").read_text())
@@ -110,7 +113,7 @@ def test_criterion_4_cce_gap_bounded_by_regret():
 def test_criterion_5_estimator_fidelity():
     ch = _BASE.radars[0].chirp
     tgt = sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=20.0)
-    link = sig.InterferenceLink(source=1, inr_db=30.0)
+    link = oracles.InterferenceLink(source=1, inr_db=30.0)
     rng = np.random.default_rng(0)
     k = 256
     # victim alternates subbands 1 and 4; a co-located equal-PRI radar
@@ -122,7 +125,7 @@ def test_criterion_5_estimator_fidelity():
              + 1j * rng.standard_normal((ch.n_samples, k))) / np.sqrt(2.0)
     clean = echo + noise
     intf = np.stack([
-        sig.dechirped_interference(ch, link, ch, i, subbands[i] == 1, rng)
+        oracles.dechirped_interference(ch, link, ch, i, subbands[i] == 1, rng)
         for i in range(k)], axis=1)
     meas = sig.ChirpMeasurements(
         subbands=subbands,
@@ -131,8 +134,8 @@ def test_criterion_5_estimator_fidelity():
         flagged=subbands == 1,
         noise_power=1.0)
     stats = sig.estimate_episode_sinr(meas, ch.n_subbands)
-    want_hit = 10 * np.log10(sig.theoretical_sinr(100.0, 1000.0, 1.0))
-    want_clean = 10 * np.log10(sig.theoretical_sinr(100.0, 0.0, 1.0))
+    want_hit = 10 * np.log10(oracles.theoretical_sinr(100.0, 1000.0, 1.0))
+    want_clean = 10 * np.log10(oracles.theoretical_sinr(100.0, 0.0, 1.0))
     err_hit = abs(stats.sinr_db[1] - want_hit)
     err_clean = abs(stats.sinr_db[4] - want_clean)
     err_snr = abs(stats.snr_db[4] - want_clean)

@@ -11,13 +11,14 @@ from hopsim.cli import (
     ReportError,
     RunManifest,
     _parse_seeds,
-    bundled_config_path,
     cmd_report,
     cmd_run,
     main,
     parse_config,
     render_config,
 )
+
+from oracles import bundled_config_path
 
 SMALL_CFG = """
 radars:
@@ -236,3 +237,113 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["report", str(out)]) == 0
         assert "policy" in capsys.readouterr().out
+
+
+def exit_code_and_errors(tmp_path, capsys, doc):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+class TestStrictConfig:
+    """Every config problem exits with code 2 and names its field."""
+
+    @pytest.mark.parametrize("section,field,value", [
+        ("run", "genie_detection", "false"),
+        ("run", "db_average", "true"),
+        ("run", "db_average", 1),
+        ("run", "frames", 2.7),
+        ("run", "frames", 2.0),
+        ("run", "frames", True),
+        ("run", "seed", "3"),
+        ("radars", "subbands", 6.5),
+        ("radars", "chirps_per_frame", False),
+        ("radars", "pri_s", True),
+        ("targets", "radar", 1.5),
+        ("links", "victim", "1"),
+    ])
+    def test_mistyped_field_rejected(self, tmp_path, capsys, section, field, value):
+        doc = yaml.safe_load(SMALL_CFG)
+        if section == "run":
+            doc["run"][field] = value
+            ctx = "run"
+        else:
+            doc[section][0][field] = value
+            ctx = f"{section}[1]"
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert f"{ctx}: field {field!r}" in err
+
+    def test_numeric_string_still_reads_as_float(self):
+        # YAML 1.1 reads 20e6 (no dot) as a string; float fields take it.
+        cfg = parse_config(SMALL_CFG.replace("adc_hz: 2.0e+6", "adc_hz: 2e6", 1))
+        assert cfg.radars[0].chirp.adc_hz == 2e6
+
+    @pytest.mark.parametrize("policy,key,value", [
+        ("noregret", "ceta", 0.4),
+        ("noregret", "c_eta", -1),
+        ("noregret", "c_gamma", "0.1"),
+        ("noregret", "kappa", 0.5),
+        ("noregret", "loss_clip_db", True),
+        ("nash", "explore_episodes", "abc"),
+        ("nash", "explore_episodes", 3),
+        ("nash", "solver_mode", "mixed"),
+        ("fixed", "subband", "x"),
+        ("fixed", "subband", 6),
+        ("uniform", "c_eta", 0.4),
+    ])
+    def test_bad_policy_param_rejected(self, tmp_path, capsys, policy, key, value):
+        doc = yaml.safe_load(SMALL_CFG)
+        doc["radars"][1]["policy"] = policy
+        doc["radars"][1]["policy_params"] = {key: value}
+        if policy == "fixed" and key != "subband":
+            doc["radars"][1]["policy_params"]["subband"] = 0
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert f"radars[2].policy_params.{key}:" in err
+
+    def test_missing_fixed_subband_named(self, tmp_path, capsys):
+        doc = yaml.safe_load(SMALL_CFG)
+        doc["radars"][1].update(policy="fixed", policy_params={})
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert "radars[2].policy_params.subband:" in err
+
+    @pytest.mark.parametrize("policy,params", [
+        ("noregret", {"c_eta": 0.4, "c_gamma": 0.1, "baseline_delta_db": 1.0,
+                      "kappa": 0.0, "loss_clip_db": 50}),
+        ("nash", {"explore_episodes": 2, "floor_db": -10, "solver_mode": "pure"}),
+        ("fixed", {"subband": 5}),
+        ("uniform", {}),
+    ])
+    def test_accepted_policy_params_parse(self, policy, params):
+        doc = yaml.safe_load(SMALL_CFG)
+        doc["radars"][1]["policy"] = policy
+        doc["radars"][1]["policy_params"] = params
+        cfg = parse_config(yaml.safe_dump(doc))
+        assert cfg.radars[1].policy_params == params
+
+    def test_target_for_missing_radar_rejected(self, tmp_path, capsys):
+        doc = yaml.safe_load(SMALL_CFG)
+        doc["targets"].append({"radar": 3, "range_m": 20.0, "snr_db": 20.0})
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert "targets[3]: radar 3" in err
+
+    @pytest.mark.parametrize("section", ["targets", "links", "radars"])
+    def test_non_mapping_entry_rejected(self, tmp_path, capsys, section):
+        doc = yaml.safe_load(SMALL_CFG)
+        doc[section].insert(0, 7)
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert f"{section}[1]: must be a mapping" in err
+
+    @pytest.mark.parametrize("section,value", [
+        ("targets", 7), ("links", {"victim": 1}), ("radars", "one"), ("run", [1])])
+    def test_malformed_section_rejected(self, tmp_path, capsys, section, value):
+        doc = yaml.safe_load(SMALL_CFG)
+        doc[section] = value
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert f"{section}: must be a" in err

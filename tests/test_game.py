@@ -13,16 +13,16 @@ from hopsim.game import (
     StrategyProfile,
     UtilityTable,
     cce_deviation_gap,
-    deviation_utilities,
     empirical_joint,
     enumerate_pure_nash,
     expected_utility,
     external_regret,
-    is_nash,
     pure_profile,
     pure_strategy,
     solve_nash_welfare_max,
 )
+
+from oracles import deviation_utilities, is_nash
 
 
 def anti_coordination_table(n_players, n_subbands, snr_db=20.0, sinr_db=-10.0):
@@ -320,27 +320,35 @@ class TestExternalRegret:
         opp = np.array([[1], [1], [1]])
         realized = np.array([10.0, 10.0, 10.0])  # always played subband 0
         ledger = RegretLedger(player=0, realized_db=realized, opponent_actions=opp)
-        assert external_regret(ledger, table) == pytest.approx(0.0)
+        assert external_regret(ledger, table)[-1] == pytest.approx(0.0)
 
     def test_alternating_opponent_fixed_self_ties(self):
         table = anti_coordination_table(2, 2, snr_db=10.0, sinr_db=0.0)
         opp = np.array([[0], [1]])
         realized = np.array([0.0, 10.0])  # self played subband 0 both chirps
         ledger = RegretLedger(player=0, realized_db=realized, opponent_actions=opp)
-        assert external_regret(ledger, table) == pytest.approx(0.0)
+        assert external_regret(ledger, table)[-1] == pytest.approx(0.0)
 
     def test_always_colliding_play(self):
         table = anti_coordination_table(2, 2, snr_db=10.0, sinr_db=0.0)
         opp = np.array([[0], [1]])
         realized = np.array([0.0, 0.0])  # self tracked the opponent
         ledger = RegretLedger(player=0, realized_db=realized, opponent_actions=opp)
-        assert external_regret(ledger, table) == pytest.approx(10.0)
+        assert external_regret(ledger, table)[-1] == pytest.approx(10.0)
+
+    def test_running_regret_after_every_chirp(self):
+        table = anti_coordination_table(2, 2, snr_db=10.0, sinr_db=0.0)
+        opp = np.array([[0], [1], [1]])
+        realized = np.array([0.0, 0.0, 10.0])
+        ledger = RegretLedger(player=0, realized_db=realized, opponent_actions=opp)
+        # arm 0 earns 0, 10, 10 and arm 1 earns 10, 0, 0
+        np.testing.assert_allclose(external_regret(ledger, table), [10.0, 10.0, 10.0])
 
     def test_single_player_game(self):
         table = UtilityTable(np.array([[1.0, 5.0]]))
         ledger = RegretLedger(player=0, realized_db=np.array([1.0, 1.0]),
                               opponent_actions=np.empty((2, 0), dtype=int))
-        assert external_regret(ledger, table) == pytest.approx(8.0)
+        assert external_regret(ledger, table)[-1] == pytest.approx(8.0)
 
     def test_opponent_column_mismatch_rejected(self):
         table = anti_coordination_table(3, 2)
@@ -422,4 +430,4 @@ class TestRegretGapIdentity:
             opp = np.stack([hist[j] for j in range(n) if j != i], axis=1)
             ledger = RegretLedger(player=i, realized_db=realized, opponent_actions=opp)
             gap = cce_deviation_gap(joint, table, i)
-            assert gap <= external_regret(ledger, table) / k + 1e-9
+            assert gap <= external_regret(ledger, table)[-1] / k + 1e-9

@@ -4,7 +4,6 @@ import pytest
 
 from hopsim.game import MixedStrategy, UtilityTable, pure_strategy
 from hopsim.hopping import (
-    EpisodeSchedule,
     EpisodeStats,
     NashHopperState,
     estimated_table,
@@ -14,11 +13,12 @@ from hopsim.hopping import (
     nash_commit,
     nash_explore_update,
     noregret_update,
-    sample_subband,
     sample_subbands,
     schedule_params,
     uniform_policy,
 )
+
+from oracles import EpisodeSchedule, sample_subband
 
 
 def stats_from(sinr_db, snr_db=None, hit_sinr_db=None, count=None,

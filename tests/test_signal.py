@@ -4,6 +4,8 @@ import pytest
 
 import hopsim.signal as sig
 
+import oracles
+
 
 def table1_params(pri_s=20e-6, chirps=512):
     return sig.ChirpParams(f_c=77e9, subband_hz=150e6, n_subbands=6,
@@ -39,31 +41,31 @@ class TestChirpParams:
 
     def test_hop_offsets(self):
         p = table1_params()
-        np.testing.assert_allclose(p.hop_offsets_hz(np.arange(6)),
+        np.testing.assert_allclose(oracles.hop_offsets_hz(p, np.arange(6)),
                                    np.arange(6) * 150e6)
-        assert p.subband_start_hz(0) == 77e9
+        assert oracles.subband_start_hz(p, 0) == 77e9
 
 
 class TestTxChirpPhase:
     def test_zero_at_t0(self):
-        assert sig.tx_chirp_phase(table1_params(), 77e9, 0.0) == 0.0
+        assert oracles.tx_chirp_phase(table1_params(), 77e9, 0.0) == 0.0
 
     def test_plugin_value(self):
         p = table1_params()
         t = 1e-6
         expect = 2 * np.pi * (77e9 * t + 0.5 * p.slope * t * t)
-        assert sig.tx_chirp_phase(p, 77e9, t) == pytest.approx(expect)
+        assert oracles.tx_chirp_phase(p, 77e9, t) == pytest.approx(expect)
 
     def test_monotone_in_t(self):
         p = table1_params()
         t = np.linspace(0, p.active_s * 0.99, 200)
-        phase = sig.tx_chirp_phase(p, 77e9, t)
+        phase = oracles.tx_chirp_phase(p, 77e9, t)
         assert np.all(np.diff(phase) > 0)
 
     def test_t_out_of_range(self):
         p = table1_params()
         with pytest.raises(ValueError):
-            sig.tx_chirp_phase(p, 77e9, p.active_s)
+            oracles.tx_chirp_phase(p, 77e9, p.active_s)
 
 
 class TestCoarseDecompose:
@@ -79,8 +81,8 @@ class TestDechirpedEcho:
     def test_static_target_no_hop_constant_tone(self):
         p = table1_params()
         tgt = sig.Target(range_m=20.0, velocity_mps=0.0, snr_db=20.0)
-        c0 = sig.dechirped_echo(p, tgt, 0, 0.0)
-        c5 = sig.dechirped_echo(p, tgt, 5, 0.0)
+        c0 = oracles.dechirped_echo(p, tgt, 0, 0.0)
+        c5 = oracles.dechirped_echo(p, tgt, 5, 0.0)
         np.testing.assert_allclose(c0, c5, atol=1e-12)
         # single tone at beat frequency -f_r: constant modulus
         np.testing.assert_allclose(np.abs(c0), np.abs(c0[0]), rtol=1e-12)
@@ -95,7 +97,7 @@ class TestDechirpedEcho:
         f_r = 2.0 * 20.0 * p.slope / sig.C
         assert f_r == pytest.approx(1.25e6)
         tgt = sig.Target(range_m=20.0, velocity_mps=0.0, snr_db=20.0)
-        samples = sig.dechirped_echo(p, tgt, 0, 0.0)
+        samples = oracles.dechirped_echo(p, tgt, 0, 0.0)
         # the measured tone frequency equals -f_r
         dphase = np.angle(samples[1:] * np.conj(samples[:-1]))
         measured = np.mean(dphase) * p.adc_hz / (2 * np.pi)
@@ -104,14 +106,14 @@ class TestDechirpedEcho:
     def test_amplitude_from_snr(self):
         p = table1_params()
         tgt = sig.Target(range_m=20.0, velocity_mps=0.0, snr_db=20.0)
-        samples = sig.dechirped_echo(p, tgt, 0, 0.0, noise_power=2.0)
+        samples = oracles.dechirped_echo(p, tgt, 0, 0.0, noise_power=2.0)
         assert np.mean(np.abs(samples) ** 2) == pytest.approx(200.0)
 
     def test_beyond_unambiguous_range(self):
         p = table1_params()
         tgt = sig.Target(range_m=3000.0, velocity_mps=0.0, snr_db=20.0)
         with pytest.raises(ValueError):
-            sig.dechirped_echo(p, tgt, 0, 0.0)
+            oracles.dechirped_echo(p, tgt, 0, 0.0)
 
     def test_echo_frame_matches_per_chirp(self):
         p = table1_params(chirps=8)
@@ -119,22 +121,22 @@ class TestDechirpedEcho:
         hops = np.array([0.0, 150e6, 300e6, 0.0, 750e6, 150e6, 0.0, 600e6])
         frame = sig.echo_frame(p, tgt, hops, phase0=0.3)
         for k in range(8):
-            single = sig.dechirped_echo(p, tgt, k, hops[k], phase0=0.3)
+            single = oracles.dechirped_echo(p, tgt, k, hops[k], phase0=0.3)
             np.testing.assert_allclose(frame[:, k], single, atol=1e-9)
 
 
 class TestDechirpedInterference:
     def test_no_collision_zero(self):
         p = table1_params()
-        link = sig.InterferenceLink(source=1, inr_db=30.0)
-        out = sig.dechirped_interference(p, link, p, 0, False,
+        link = oracles.InterferenceLink(source=1, inr_db=30.0)
+        out = oracles.dechirped_interference(p, link, p, 0, False,
                                          np.random.default_rng(0))
         assert np.all(out == 0)
 
     def test_equal_slopes_constant_modulus_tone(self):
         p = table1_params()
-        link = sig.InterferenceLink(source=1, inr_db=30.0)
-        out = sig.dechirped_interference(p, link, p, 0, True,
+        link = oracles.InterferenceLink(source=1, inr_db=30.0)
+        out = oracles.dechirped_interference(p, link, p, 0, True,
                                          np.random.default_rng(0))
         np.testing.assert_allclose(np.abs(out), np.abs(out[0]), rtol=1e-12)
         # zero residual slope: phase is constant
@@ -144,8 +146,8 @@ class TestDechirpedInterference:
     def test_residual_slope_quadratic_phase_fit(self):
         victim = table1_params(pri_s=20e-6, chirps=512)
         source = table1_params(pri_s=40e-6, chirps=256)
-        link = sig.InterferenceLink(source=1, inr_db=30.0)
-        out = sig.dechirped_interference(victim, link, source, 0, True,
+        link = oracles.InterferenceLink(source=1, inr_db=30.0)
+        out = oracles.dechirped_interference(victim, link, source, 0, True,
                                          np.random.default_rng(1))
         # fit only samples whose instantaneous frequency is within Nyquist
         # (the residual sweep aliases later in the chirp)
@@ -156,8 +158,8 @@ class TestDechirpedInterference:
 
     def test_inr_power_scaling(self):
         p = table1_params()
-        link = sig.InterferenceLink(source=1, inr_db=30.0)
-        out = sig.dechirped_interference(p, link, p, 0, True,
+        link = oracles.InterferenceLink(source=1, inr_db=30.0)
+        out = oracles.dechirped_interference(p, link, p, 0, True,
                                          np.random.default_rng(2),
                                          noise_power=1.0)
         assert np.mean(np.abs(out) ** 2) == pytest.approx(1000.0)
@@ -165,22 +167,22 @@ class TestDechirpedInterference:
 
 class TestComposeReceived:
     def test_empty_zero_noise(self):
-        out = sig.compose_received([], [], 0.0, np.random.default_rng(0))
+        out = oracles.compose_received([], [], 0.0, np.random.default_rng(0))
         assert out.size == 0
 
     def test_single_echo_no_noise_passthrough(self):
         echo = np.exp(1j * np.linspace(0, 6, 64))
-        out = sig.compose_received([echo], [], 0.0, np.random.default_rng(0))
+        out = oracles.compose_received([echo], [], 0.0, np.random.default_rng(0))
         np.testing.assert_allclose(out, echo)
 
     def test_noise_power_concentration(self):
         rng = np.random.default_rng(3)
-        out = sig.compose_received([np.zeros(4096, dtype=complex)], [], 2.0, rng)
+        out = oracles.compose_received([np.zeros(4096, dtype=complex)], [], 2.0, rng)
         assert np.mean(np.abs(out) ** 2) == pytest.approx(2.0, rel=0.05)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            sig.compose_received([np.zeros(4)], [np.zeros(5)], 1.0,
+            oracles.compose_received([np.zeros(4)], [np.zeros(5)], 1.0,
                                  np.random.default_rng(0))
 
     def test_power_additivity(self):
@@ -189,24 +191,24 @@ class TestComposeReceived:
         echo = np.sqrt(3.0) * np.exp(2j * np.pi * 0.17 * np.arange(n))
         intf = np.sqrt(5.0) * np.exp(2j * np.pi * 0.31 * np.arange(n)
                                      + 1j * 0.7)
-        out = sig.compose_received([echo], [intf], 2.0, rng)
+        out = oracles.compose_received([echo], [intf], 2.0, rng)
         assert np.mean(np.abs(out) ** 2) == pytest.approx(10.0, rel=0.05)
 
 
 class TestTheoreticalSinr:
     def test_reduces_to_snr(self):
-        assert sig.theoretical_sinr(100.0, 0.0, 1.0) == pytest.approx(100.0)
+        assert oracles.theoretical_sinr(100.0, 0.0, 1.0) == pytest.approx(100.0)
 
     def test_zero_db_case(self):
-        assert sig.theoretical_sinr(100.0, 90.0, 10.0) == pytest.approx(1.0)
+        assert oracles.theoretical_sinr(100.0, 90.0, 10.0) == pytest.approx(1.0)
 
     def test_monotone_in_interference(self):
-        vals = [sig.theoretical_sinr(100.0, i, 1.0) for i in (0.0, 10.0, 100.0)]
+        vals = [oracles.theoretical_sinr(100.0, i, 1.0) for i in (0.0, 10.0, 100.0)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_nonpositive_noise_rejected(self):
         with pytest.raises(ValueError):
-            sig.theoretical_sinr(1.0, 1.0, 0.0)
+            oracles.theoretical_sinr(1.0, 1.0, 0.0)
 
 
 class TestDetectInterference:
@@ -224,14 +226,14 @@ class TestDetectInterference:
         p = table1_params()
         source = table1_params(pri_s=40e-6, chirps=256)
         tgt = sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=20.0)
-        link = sig.InterferenceLink(source=1, inr_db=30.0)
+        link = oracles.InterferenceLink(source=1, inr_db=30.0)
         rng = np.random.default_rng(6)
         detected = 0
         trials = 200
         for k in range(trials):
-            echo = sig.dechirped_echo(p, tgt, 0, 0.0)
-            intf = sig.dechirped_interference(p, link, source, 0, True, rng)
-            x = sig.compose_received([echo], [intf], 1.0, rng)
+            echo = oracles.dechirped_echo(p, tgt, 0, 0.0)
+            intf = oracles.dechirped_interference(p, link, source, 0, True, rng)
+            x = oracles.compose_received([echo], [intf], 1.0, rng)
             flag, _, _ = sig.detect_interference(x, 1.0)
             detected += flag
         assert detected >= 0.99 * trials
@@ -245,6 +247,34 @@ class TestDetectInterference:
     def test_factor_validation(self):
         with pytest.raises(ValueError):
             sig.detect_interference(np.zeros(8, dtype=complex), 1.0, factor=1.0)
+
+    def test_block_equals_per_chirp_calls(self):
+        # The simulator detects a whole (N_s, K) block at once; each column
+        # must come out exactly as a call on that chirp alone would.
+        p = table1_params()
+        source = table1_params(pri_s=40e-6, chirps=256)
+        tgt = sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=20.0)
+        link = oracles.InterferenceLink(source=1, inr_db=30.0)
+        rng = np.random.default_rng(10)
+        block = np.stack([
+            oracles.compose_received(
+                [oracles.dechirped_echo(p, tgt, k, 0.0)],
+                [oracles.dechirped_interference(p, link, source, k, k % 3 == 0, rng)],
+                1.0, rng)
+            for k in range(24)], axis=1)
+        # Noise-only chirps spanning 40 dB make each column's spectral
+        # median, and so its threshold, differ from its neighbours'.
+        scales = np.logspace(0.0, 2.0, 16)
+        noise = (rng.standard_normal((p.n_samples, 16))
+                 + 1j * rng.standard_normal((p.n_samples, 16))) * scales
+        block = np.concatenate([block, noise], axis=1)
+        flags, clean, est = sig.detect_interference(block, 1.0)
+        assert flags.shape == (40,) and flags.any() and not flags.all()
+        for k in range(block.shape[1]):
+            flag_k, clean_k, est_k = sig.detect_interference(block[:, k], 1.0)
+            assert flags[k] == flag_k
+            np.testing.assert_array_equal(clean[:, k], clean_k)
+            np.testing.assert_array_equal(est[:, k], est_k)
 
 
 class TestEstimateEpisodeSinr:
@@ -302,15 +332,15 @@ class TestEstimateEpisodeSinr:
         clean_p = np.empty(n_chirps)
         intf_p = np.zeros(n_chirps)
         for k in range(n_chirps):
-            echo = sig.dechirped_echo(p, tgt, 0, 0.0)
-            x = sig.compose_received([echo], [], 1.0, rng)
+            echo = oracles.dechirped_echo(p, tgt, 0, 0.0)
+            x = oracles.compose_received([echo], [], 1.0, rng)
             clean_p[k] = np.mean(np.abs(x) ** 2)
         meas = sig.ChirpMeasurements(
             subbands=np.zeros(n_chirps, dtype=int), clean_power=clean_p,
             interference_power=intf_p, flagged=np.zeros(n_chirps, dtype=bool),
             noise_power=1.0)
         stats = sig.estimate_episode_sinr(meas, 1)
-        theory = 10.0 * np.log10(sig.theoretical_sinr(100.0, 0.0, 1.0) + 1.0)
+        theory = 10.0 * np.log10(oracles.theoretical_sinr(100.0, 0.0, 1.0) + 1.0)
         assert abs(stats.sinr_db[0] - theory) <= 1.0
 
 
@@ -318,7 +348,7 @@ class TestRangeFft:
     def test_tone_peak_bin(self):
         p = table1_params()
         tgt = sig.Target(range_m=20.0, velocity_mps=0.0, snr_db=20.0)
-        samples = sig.dechirped_echo(p, tgt, 0, 0.0)[:, None]
+        samples = oracles.dechirped_echo(p, tgt, 0, 0.0)[:, None]
         spec = sig.range_fft(samples)
         f_r = 2.0 * 20.0 * p.slope / sig.C
         assert int(np.argmax(np.abs(spec[:, 0]))) == round(f_r * p.n_samples / p.adc_hz)
@@ -326,7 +356,7 @@ class TestRangeFft:
     def test_table1_target_bin_20(self):
         p = table1_params()
         tgt = sig.Target(range_m=20.0, velocity_mps=0.0, snr_db=20.0)
-        spec = sig.range_fft(sig.dechirped_echo(p, tgt, 0, 0.0)[:, None])
+        spec = sig.range_fft(oracles.dechirped_echo(p, tgt, 0, 0.0)[:, None])
         assert int(np.argmax(np.abs(spec[:, 0]))) == 20
 
     def test_zero_input(self):

@@ -1,21 +1,23 @@
 """Scenario orchestration tests.
 
-Brute-force interval-intersection oracles check the collision geometry,
-and genie-mode runs are cross-checked against collisions recomputed
-independently from the recorded action sequences.
+A brute-force interval-intersection oracle checks the overlap weights the
+simulator computes, and genie-mode runs are cross-checked against
+collisions recomputed independently from the recorded action sequences.
 """
 
 import numpy as np
 import pytest
 
 import hopsim.signal as sig
+from hopsim.game import RegretLedger, cce_deviation_gap, external_regret
 from hopsim.sim import (
     LinkSpec,
     RadarSpec,
     ScenarioConfig,
     ScenarioError,
-    collision_table,
     genie_utility_table,
+    overlap_geometry,
+    overlap_weight,
     run_scenario,
     validate_config,
 )
@@ -93,7 +95,7 @@ class TestValidateConfig:
 
 
 def brute_force_collisions(params_list, actions):
-    """O(n^2) interval-intersection reference for collision_table."""
+    """O(n^2) interval intersection: per victim chirp, (source, chirp, fraction)."""
     out = []
     for i, pi in enumerate(params_list):
         rows = [[] for _ in range(len(actions[i]))]
@@ -118,20 +120,23 @@ class TestCollisionTable:
                   chirp(pri_us=40, active_us=32, k=8)]
         for _ in range(10):
             actions = [rng.integers(0, 3, size=16), rng.integers(0, 3, size=8)]
-            got = collision_table(params, actions)
             want = brute_force_collisions(params, actions)
-            for gi, wi in zip(got, want):
-                for grow, wrow in zip(gi, wi):
-                    assert sorted((j, m) for j, m, _ in grow) \
-                        == sorted((j, m) for j, m, _ in wrow)
-                    for (gj, gm, gf), (wj, wm, wf) in zip(
-                            sorted(grow), sorted(wrow)):
-                        assert gf == pytest.approx(wf)
+            for i, j in ((0, 1), (1, 0)):
+                geometry = overlap_geometry(params[i], params[j],
+                                            actions[i].size, actions[j].size)
+                got = overlap_weight(geometry, actions[i], actions[j])
+                for q, row in enumerate(want[i]):
+                    assert got[q] == pytest.approx(sum(f for _, _, f in row))
 
     def test_single_radar_never_collides(self):
-        params = [chirp(k=8)]
-        table = collision_table(params, [np.zeros(8, dtype=int)])
-        assert all(row == [] for row in table[0])
+        # Every chirp on one subband: a radar must not collide with itself.
+        cfg = ScenarioConfig(radars=(
+            RadarSpec(chirp=chirp(k=8), policy="fixed", policy_params={"subband": 2},
+                      targets=(target(),)),), frames=2)
+        m = run_scenario(cfg)
+        np.testing.assert_array_equal(m.interference_rate, 0.0)
+        actions = [m.aligned_actions[:8, 0]]
+        assert all(row == [] for row in brute_force_collisions([chirp(k=8)], actions)[0])
 
 
 class TestGenieUtilityTable:
@@ -174,7 +179,7 @@ class TestRunScenario:
         for frame in range(cfg.frames):
             block = m.aligned_actions[frame * s_frame:(frame + 1) * s_frame]
             actions = [block[:, 0], block[::2, 1]]
-            table = collision_table(params, actions)
+            table = brute_force_collisions(params, actions)
             for i in range(2):
                 rate = np.mean([len(r) > 0 for r in table[i]])
                 assert m.interference_rate[frame, i] == pytest.approx(rate)
@@ -225,6 +230,25 @@ class TestRunScenario:
         avg_early = m.cumulative_regret_db[9, 0] / 10
         avg_late = m.cumulative_regret_db[39, 0] / 40
         assert avg_late <= 0.7 * avg_early
+
+    def test_regret_comes_from_one_running_curve(self):
+        # external_regret_db is the curve's last entry, cumulative_regret_db
+        # its episode ends, and on the aligned clock the CCE gap of the
+        # empirical joint is exactly regret per step.
+        cfg = two_radar_config(("noregret", "uniform"), frames=3, seed=4)
+        m = run_scenario(cfg)
+        steps = m.aligned_actions.shape[0]
+        for i in range(2):
+            ledger = RegretLedger(
+                player=i,
+                realized_db=m.genie_table.values[i][tuple(m.aligned_actions.T)],
+                opponent_actions=np.delete(m.aligned_actions, i, axis=1))
+            running = external_regret(ledger, m.genie_table)
+            assert m.external_regret_db[i] == running[-1]
+            np.testing.assert_array_equal(m.cumulative_regret_db[:, i],
+                                          running[[63, 127, 191]])
+            gap = cce_deviation_gap(m.joint_distribution, m.genie_table, i)
+            assert gap == pytest.approx(m.external_regret_db[i] / steps, rel=0, abs=1e-9)
 
     def test_policies_recorded(self):
         m = run_scenario(two_radar_config(("uniform", "noregret"), frames=2))
