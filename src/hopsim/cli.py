@@ -52,7 +52,7 @@ def _get(section: dict, field: str, errors: list, context: str, cast=float,
     """One typed field: bool and int fields take only YAML bools and ints.
 
     A float field also takes an int, or a numeric string (YAML 1.1 reads
-    ``20e6``, written without a dot, as a string).
+    ``20e6``, written without a dot, as a string), and must be finite.
     """
     if field not in section:
         if required:
@@ -67,6 +67,9 @@ def _get(section: dict, field: str, errors: list, context: str, cast=float,
     if not has_type(value, cast):
         errors.append(f"{context}: field {field!r} has invalid value {section[field]!r} "
                       f"(expected {cast.__name__})")
+        return default
+    if cast is float and not np.isfinite(value):
+        errors.append(f"{context}: field {field!r} must be finite, got {section[field]!r}")
         return default
     return cast(value)
 

@@ -149,6 +149,12 @@ def echo_frame(params: ChirpParams, tgt: Target, hops_hz: np.ndarray,
     Fast time and slow time separate into a rank-1 product: the hop term
     of the dechirped echo carries no fast-time dependence.
     """
+    return np.outer(*_echo_factors(params, tgt, hops_hz, noise_power, phase0, k0))
+
+
+def _echo_factors(params: ChirpParams, tgt: Target, hops_hz: np.ndarray,
+                  noise_power: float, phase0: float, k0: int):
+    """Fast-time (N_s,) and slow-time (K,) factors of ``echo_frame``."""
     hops = np.asarray(hops_hz, dtype=float)
     ks = k0 + np.arange(hops.size)
     delays = (2.0 / C) * (tgt.range_m + ks * tgt.velocity_mps * params.pri_s)
@@ -162,13 +168,58 @@ def echo_frame(params: ChirpParams, tgt: Target, hops_hz: np.ndarray,
                                          + 2.0 * (eps0 + ks * tgt.velocity_mps * params.pri_s) / C)
                         * hops
                         + phase0))
-    return np.outer(fast, slow)
+    return fast, slow
+
+
+def _echo_energy(params: ChirpParams, targets, phases, hops_hz: np.ndarray,
+                 noise_power: float, k0: int) -> np.ndarray:
+    """Per chirp, the energy sum_n |e_k[n]|^2 of the summed target echoes, (K,).
+
+    Equals the column norms of the summed ``echo_frame`` blocks without
+    forming them: with fast factors f_t and slow factors s_t,
+    ||e_k||^2 = s_k^H G s_k for the T x T Gram matrix G_tl = f_t^H f_l.
+    """
+    fast, slow = zip(*(_echo_factors(params, tgt, hops_hz, noise_power, float(ph), k0)
+                       for tgt, ph in zip(targets, phases)))
+    fast = np.array(fast)
+    return _column_energy(np.conj(fast) @ fast.T, np.array(slow))
+
+
+def _clean_power_draw(energy: np.ndarray, n_samples: int, noise_power: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Per chirp, mean |e[n] + w[n]|^2 over N samples, drawn without the samples.
+
+    ``energy`` holds ||e_k||^2 and w is circular complex Gaussian noise of
+    power sigma^2, so 2/sigma^2 sum_n |e[n] + w[n]|^2 is noncentral
+    chi-square with 2N degrees of freedom and noncentrality
+    2||e_k||^2/sigma^2.
+    """
+    return noise_power / (2 * n_samples) * rng.noncentral_chisquare(
+        2 * n_samples, 2.0 * np.asarray(energy) / noise_power)
+
+
+def _column_energy(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Re(c_k^H gram c_k) for every column c_k of ``coeffs`` (T, K)."""
+    return np.real(np.einsum("tk,tl,lk->k", np.conj(coeffs), gram, coeffs))
 
 
 def interference_base(victim: ChirpParams, source: ChirpParams) -> np.ndarray:
     """Unit-amplitude residual chirp exp(j pi (a_v - a_s) t^2) after dechirping."""
     t = np.arange(victim.n_samples) / victim.adc_hz
     return np.exp(1j * np.pi * (victim.slope - source.slope) * t * t)
+
+
+def _interference_gram(victim: ChirpParams, sources) -> np.ndarray:
+    """Gram matrix mean_t(conj(b_j) b_l) of the sources' residual chirps, (L, L).
+
+    b_j is ``interference_base(victim, sources[j])``. With per-link
+    amplitudes a_k, chirp k's interference power mean_t |sum_j a_j b_j|^2
+    is Re(a_k^H Gram a_k). Same-slope sources share b = 1 and add
+    coherently, so the cross terms do not vanish.
+    """
+    b = np.array([interference_base(victim, src) for src in sources]).reshape(
+        len(sources), victim.n_samples)
+    return np.conj(b) @ b.T / victim.n_samples
 
 
 def detect_interference(samples: np.ndarray, noise_power: float,

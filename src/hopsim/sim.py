@@ -40,7 +40,7 @@ from .hopping import (
 
 _REQUIRED = object()
 _FINITE = (lambda v, a, episodes: np.isfinite(v), "finite")
-_POSITIVE = (lambda v, a, episodes: v > 0, "> 0")
+_POSITIVE = (lambda v, a, episodes: 0 < v < np.inf, "finite and > 0")
 
 # Accepted policy_params per policy: key -> (type, default, check, rule).
 # ``check(value, n_subbands, episodes)`` bounds a well-typed value and
@@ -140,6 +140,8 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             errors.append(f"{label}: unknown policy {spec.policy!r}")
         else:
             errors += _policy_param_errors(spec, label, config.total_episodes)
+        if spec.policy == "noregret" and ch.n_subbands < 2:
+            errors.append(f"{label}: noregret policy needs at least two subbands")
         if not spec.targets:
             errors.append(f"{label}: needs at least one target (genie utility evaluation)")
         for tgt in spec.targets:
@@ -366,6 +368,9 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     for (i, j) in inr_lin:
         geometry[(i, j)] = overlap_geometry(chirps[i], chirps[j], k_ep[i], k_ep[j])
         bases[(i, j)] = sig.interference_base(chirps[i], chirps[j])
+    sources = [[j for j in range(n_radars) if (i, j) in inr_lin] for i in range(n_radars)]
+    intf_gram = [sig._interference_gram(chirps[i], [chirps[j] for j in sources[i]])
+                 for i in range(n_radars)]
 
     episodes = config.total_episodes
     strategies = np.zeros((episodes, n_radars, a))
@@ -377,6 +382,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
 
     ep_index = 0
     for frame in range(config.frames):
+        last = frame == config.frames - 1
         target_phases = [
             rngs[i]["target"].uniform(0.0, 2.0 * np.pi, size=len(spec.targets))
             for i, spec in enumerate(config.radars)
@@ -395,36 +401,49 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                 ch = chirps[i]
                 k0 = ep * k_ep[i]
                 hops = acts[i] * ch.subband_hz
-                echo = np.zeros((ch.n_samples, k_ep[i]), dtype=complex)
-                for tgt, ph in zip(spec.targets, target_phases[i]):
-                    echo += sig.echo_frame(ch, tgt, hops, noise_power=noise,
-                                           phase0=float(ph), k0=k0)
-                intf = np.zeros_like(echo)
                 collided = np.zeros(k_ep[i])
-                for j in range(n_radars):
-                    key = (i, j)
-                    if key not in inr_lin:
-                        continue
-                    weight = overlap_weight(geometry[key], acts[i], acts[j])
+                amps = []
+                for j in sources[i]:
+                    weight = overlap_weight(geometry[(i, j)], acts[i], acts[j])
                     collided += weight
-                    power = inr_lin[key] * noise * weight
+                    power = inr_lin[(i, j)] * noise * weight
                     phases = rngs[i]["intf"].uniform(0.0, 2.0 * np.pi, size=k_ep[i])
-                    amp = np.sqrt(power) * np.exp(1j * phases)
-                    intf += np.outer(bases[key], amp)
-                sigma = np.sqrt(noise / 2.0)
-                nz = sigma * (rngs[i]["noise"].standard_normal(echo.shape)
-                              + 1j * rngs[i]["noise"].standard_normal(echo.shape))
+                    amps.append(np.sqrt(power) * np.exp(1j * phases))
 
-                if config.genie_detection:
-                    clean = echo + nz
-                    p_clean = np.mean(np.abs(clean) ** 2, axis=0)
-                    p_int = np.mean(np.abs(intf) ** 2, axis=0)
+                if config.genie_detection and not last:
+                    # Only the final frame's samples are used (range
+                    # profile), so other frames draw each chirp's measured
+                    # powers from their exact distribution instead.
+                    energy = sig._echo_energy(ch, spec.targets, target_phases[i],
+                                              hops, noise, k0)
+                    p_clean = sig._clean_power_draw(energy, ch.n_samples, noise,
+                                                    rngs[i]["noise"])
+                    p_int = sig._column_energy(
+                        intf_gram[i], np.reshape(amps, (len(amps), k_ep[i])))
                     flags = collided > 0.0
                 else:
-                    flags, clean, est = sig.detect_interference(
-                        echo + intf + nz, noise, config.detection_factor)
-                    p_clean = np.mean(np.abs(clean) ** 2, axis=0)
-                    p_int = np.mean(np.abs(est) ** 2, axis=0)
+                    echo = np.zeros((ch.n_samples, k_ep[i]), dtype=complex)
+                    for tgt, ph in zip(spec.targets, target_phases[i]):
+                        echo += sig.echo_frame(ch, tgt, hops, noise_power=noise,
+                                               phase0=float(ph), k0=k0)
+                    intf = np.zeros_like(echo)
+                    for j, amp in zip(sources[i], amps):
+                        intf += np.outer(bases[(i, j)], amp)
+                    sigma = np.sqrt(noise / 2.0)
+                    nz = sigma * (rngs[i]["noise"].standard_normal(echo.shape)
+                                  + 1j * rngs[i]["noise"].standard_normal(echo.shape))
+                    if config.genie_detection:
+                        p_clean = np.mean(np.abs(echo + nz) ** 2, axis=0)
+                        p_int = np.mean(np.abs(intf) ** 2, axis=0)
+                        flags = collided > 0.0
+                    else:
+                        flags, clean, est = sig.detect_interference(
+                            echo + intf + nz, noise, config.detection_factor)
+                        p_clean = np.mean(np.abs(clean) ** 2, axis=0)
+                        p_int = np.mean(np.abs(est) ** 2, axis=0)
+                    if last:
+                        last_frame_samples[i].append(echo + intf + nz)
+                        last_frame_hops[i].append(hops)
 
                 meas = sig.ChirpMeasurements(
                     subbands=acts[i], clean_power=p_clean,
@@ -434,10 +453,6 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                 interference_rate[ep_index, i] = float(np.mean(flags))
                 mean_sinr_db[ep_index, i] = 10.0 * np.log10(
                     np.mean(p_clean / (p_int + noise)))
-
-                if frame == config.frames - 1:
-                    last_frame_samples[i].append(echo + intf + nz)
-                    last_frame_hops[i].append(hops)
 
             for i in range(n_radars):
                 agents[i].end_episode(all_stats[i], all_stats)

@@ -110,6 +110,20 @@ def compose_received(echoes, interference, noise_power: float,
     return total
 
 
+def sampled_genie_powers(echo: np.ndarray, intf: np.ndarray, noise_power: float,
+                         rng: np.random.Generator):
+    """Genie-mode measured powers of a block of chirps, from synthesized samples.
+
+    Adds circular complex Gaussian noise to the (N_s, K) echo block and
+    returns, per chirp, mean |echo + noise|^2 and mean |intf|^2: the
+    sample-path reference for the simulator's drawn clean power and
+    Gram-form interference power.
+    """
+    sigma = np.sqrt(noise_power / 2.0)
+    nz = sigma * (rng.standard_normal(echo.shape) + 1j * rng.standard_normal(echo.shape))
+    return np.mean(np.abs(echo + nz) ** 2, axis=0), np.mean(np.abs(intf) ** 2, axis=0)
+
+
 def theoretical_sinr(signal_power: float, interference_power: float,
                      noise_power: float) -> float:
     """Linear SINR; reduces to the SNR when interference_power is zero."""

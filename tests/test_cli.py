@@ -275,6 +275,35 @@ class TestStrictConfig:
         assert code == 2
         assert f"{ctx}: field {field!r}" in err
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("links", "inr_db", float("nan")),
+        ("targets", "velocity_mps", float("nan")),
+        ("targets", "snr_db", float("-inf")),
+        ("radars", "adc_hz", float("inf")),
+        ("run", "noise_power", float("inf")),
+        ("run", "detection_factor", "nan"),
+    ])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, section, field, value):
+        doc = yaml.safe_load(SMALL_CFG)
+        if section == "run":
+            doc["run"][field] = value
+            ctx = "run"
+        else:
+            doc[section][0][field] = value
+            ctx = f"{section}[1]"
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert f"{ctx}: field {field!r} must be finite" in err
+
+    def test_noregret_needs_two_subbands(self, tmp_path, capsys):
+        doc = yaml.safe_load(SMALL_CFG)
+        for radar in doc["radars"]:
+            radar["subbands"] = 1
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert "radars[2]: noregret policy needs at least two subbands" in err
+        assert "radars[1]" not in err  # a uniform radar may use one subband
+
     def test_numeric_string_still_reads_as_float(self):
         # YAML 1.1 reads 20e6 (no dot) as a string; float fields take it.
         cfg = parse_config(SMALL_CFG.replace("adc_hz: 2.0e+6", "adc_hz: 2e6", 1))
@@ -283,6 +312,9 @@ class TestStrictConfig:
     @pytest.mark.parametrize("policy,key,value", [
         ("noregret", "ceta", 0.4),
         ("noregret", "c_eta", -1),
+        ("noregret", "c_eta", float("inf")),
+        ("noregret", "loss_clip_db", float("nan")),
+        ("nash", "floor_db", float("-inf")),
         ("noregret", "c_gamma", "0.1"),
         ("noregret", "kappa", 0.5),
         ("noregret", "loss_clip_db", True),

@@ -344,6 +344,60 @@ class TestEstimateEpisodeSinr:
         assert abs(stats.sinr_db[0] - theory) <= 1.0
 
 
+class TestGenieStatistics:
+    """The per-chirp powers genie mode draws instead of synthesizing samples."""
+
+    def test_echo_energy_equals_column_norms(self):
+        p = table1_params(chirps=64)
+        # 0.4 m apart: the fast-time tones are far from orthogonal over one chirp
+        targets = (sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=20.0),
+                   sig.Target(range_m=20.4, velocity_mps=-10.0, snr_db=14.0))
+        phases = (0.3, 2.1)
+        hops = np.random.default_rng(4).integers(0, 6, 16) * p.subband_hz
+        fast = [sig._echo_factors(p, t, hops, 2.0, ph, 5)[0] for t, ph in zip(targets, phases)]
+        assert abs(np.vdot(*fast)) > 0.5 * np.linalg.norm(fast[0]) * np.linalg.norm(fast[1])
+        block = sum(sig.echo_frame(p, t, hops, noise_power=2.0, phase0=ph, k0=5)
+                    for t, ph in zip(targets, phases))
+        energy = sig._echo_energy(p, targets, phases, hops, 2.0, 5)
+        np.testing.assert_allclose(energy, np.sum(np.abs(block) ** 2, axis=0), rtol=1e-9)
+
+    def test_interference_gram_equals_sample_mean(self):
+        victim = table1_params()
+        # two sources share the victim's slope (b = 1, coherent), one does not
+        sources = [table1_params(), table1_params(), table1_params(pri_s=40e-6)]
+        rng = np.random.default_rng(9)
+        amps = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
+        samples = sum(np.outer(sig.interference_base(victim, src), a)
+                      for src, a in zip(sources, amps))
+        power = sig._column_energy(sig._interference_gram(victim, sources), amps)
+        np.testing.assert_allclose(power, np.mean(np.abs(samples) ** 2, axis=0), rtol=1e-9)
+        link_power = np.sum(np.abs(amps) ** 2, axis=0)
+        assert np.max(np.abs(power / link_power - 1.0)) > 0.1
+
+    def test_clean_power_draw_matches_sample_path(self):
+        # N = 320 samples per chirp at 20 dB SNR, 20k chirps per path
+        p = table1_params()
+        tgt = sig.Target(range_m=20.0, velocity_mps=0.0, snr_db=20.0)
+        n, noise, draws, chunk = p.n_samples, 1.0, 20_000, 1_000
+        hops = np.zeros(chunk)
+        energy = sig._echo_energy(p, (tgt,), (0.0,), hops, noise, 0)
+        rng = np.random.default_rng(2024)
+        drawn = np.concatenate([sig._clean_power_draw(energy, n, noise, rng)
+                                for _ in range(draws // chunk)])
+        echo = sig.echo_frame(p, tgt, hops, noise_power=noise)
+        sampled = np.concatenate([
+            oracles.sampled_genie_powers(echo, np.zeros_like(echo), noise, rng)[0]
+            for _ in range(draws // chunk)])
+        q = np.linspace(1, 99, 99)
+        assert np.max(np.abs(np.percentile(drawn, q) - np.percentile(sampled, q))) < 0.1
+        e2 = energy[0]
+        mean = noise + e2 / n
+        var = (noise / (2 * n)) ** 2 * 2 * (2 * n + 4 * e2 / noise)
+        for powers in (drawn, sampled):
+            assert np.mean(powers) == pytest.approx(mean, rel=0.03)
+            assert np.var(powers) == pytest.approx(var, rel=0.03)
+
+
 class TestRangeFft:
     def test_tone_peak_bin(self):
         p = table1_params()

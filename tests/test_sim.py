@@ -157,6 +157,22 @@ class TestGenieUtilityTable:
             assert table.values[0][a] == pytest.approx(20.0)
 
 
+class CountingRng:
+    """A random generator that logs the name and output size of every draw."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self._log.append((name, np.size(out)))
+            return out
+        return draw
+
+
 class TestRunScenario:
     def test_deterministic_given_seed(self):
         cfg = two_radar_config(("noregret", "noregret"), frames=3, seed=11)
@@ -191,6 +207,38 @@ class TestRunScenario:
         np.testing.assert_array_equal(m.interference_rate, 0.0)
         np.testing.assert_allclose(m.mean_sinr_db, 20.0, atol=1.0)
         np.testing.assert_allclose(m.cumulative_regret_db, 0.0, atol=1e-9)
+
+    def test_genie_sinr_matches_snr_in_every_frame(self):
+        # Drawn powers (frames before the last) and sampled ones (the last)
+        # both read 10 log10(1 + SNR), up to the scatter of 32 chirps of
+        # 320 samples (about 0.006 dB).
+        cfg = ScenarioConfig(radars=(
+            RadarSpec(chirp=chirp(adc_hz=20e6), targets=(target(),)),),
+            frames=4, episodes_per_frame=2, seed=6)
+        m = run_scenario(cfg)
+        np.testing.assert_allclose(m.mean_sinr_db, 10.0 * np.log10(101.0), atol=0.05)
+
+    @pytest.mark.parametrize("genie", [True, False])
+    def test_noise_samples_drawn_only_for_sample_frames(self, monkeypatch, genie):
+        # Genie mode synthesizes noise only in the final frame, for the
+        # range profile; the detector needs samples in every frame.
+        log = []
+        make = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: CountingRng(make(seed), log))
+        cfg = two_radar_config(frames=3, genie_detection=genie)
+        run_scenario(cfg)
+        per_frame = sum(2 * spec.chirp.n_samples * spec.chirp.chirps_per_frame
+                        for spec in cfg.radars)
+        chirps = sum(spec.chirp.chirps_per_frame for spec in cfg.radars)
+        drawn = {name: sum(size for n, size in log if n == name)
+                 for name in ("standard_normal", "noncentral_chisquare")}
+        if genie:
+            assert drawn == {"standard_normal": per_frame,
+                             "noncentral_chisquare": (cfg.frames - 1) * chirps}
+        else:
+            assert drawn == {"standard_normal": cfg.frames * per_frame,
+                             "noncentral_chisquare": 0}
 
     def test_fixed_policies_distinct_vs_shared_subband(self):
         quiet = two_radar_config(("fixed", "fixed"), frames=2, k=(64, 64),
