@@ -391,7 +391,10 @@ def _parse_seeds(text: str) -> list[int]:
         if n <= 0:
             raise ValueError("seed count must be positive")
         return list(range(n))
-    return [int(p) for p in parts]
+    seeds = [int(p) for p in parts]
+    if any(seed < 0 for seed in seeds):
+        raise ValueError("seeds must be non-negative")
+    return seeds
 
 
 class _Parser(argparse.ArgumentParser):

@@ -21,6 +21,8 @@ PROB_ATOL = 1e-9
 WELFARE_TIE_ATOL = 1e-9
 # Guard on the joint action space for exhaustive enumeration.
 PURE_ENUM_GUARD = 10**7
+# Support pairs per batched solve; bounds the stacked systems' memory.
+_BATCH_PAIRS = 1 << 14
 
 
 class CapacityError(RuntimeError):
@@ -246,48 +248,50 @@ def enumerate_pure_nash(table: UtilityTable) -> list[StrategyProfile]:
 
 
 def _support_enumeration_2p(table: UtilityTable, br_tol: float = 1e-8) -> list[StrategyProfile]:
-    """All mixed NE of a 2-player game found by equal-size support enumeration."""
+    """All mixed NE of a 2-player game found by equal-size support enumeration.
+
+    Each support size m is solved as one batch of (sup0, sup1) pairs, in
+    ``itertools.combinations`` order, so equilibria are found in that
+    order. Player 1's strategy y makes player 0 indifferent over sup0, and
+    symmetrically for x. Augmented system: utility rows minus the common
+    value v, plus the normalization row. ``slogdet`` gives sign 0 exactly
+    where ``solve`` raises (both use LAPACK's exact-zero-pivot test), so
+    the other systems are solved in one call.
+    """
     a = table.n_subbands
     u0, u1 = table.values[0], table.values[1]
     found: dict[tuple, StrategyProfile] = {}
     for m in range(1, a + 1):
-        for sup0 in itertools.combinations(range(a), m):
-            for sup1 in itertools.combinations(range(a), m):
-                # Player 1's strategy y makes player 0 indifferent over sup0,
-                # and symmetrically for x. Augmented system: utility rows
-                # minus the common value v, plus the normalization row.
-                m0 = u0[np.ix_(sup0, sup1)]
-                m1 = u1[np.ix_(sup0, sup1)].T
-                sol = []
-                ok = True
-                for mat in (m0, m1):
-                    aug = np.zeros((m + 1, m + 1))
-                    aug[:m, :m] = mat
-                    aug[:m, m] = -1.0
-                    aug[m, :m] = 1.0
-                    rhs = np.zeros(m + 1)
-                    rhs[m] = 1.0
-                    try:
-                        x = np.linalg.solve(aug, rhs)
-                    except np.linalg.LinAlgError:
-                        ok = False
-                        break
-                    if np.any(x[:m] < -1e-9):
-                        ok = False
-                        break
-                    sol.append((np.clip(x[:m], 0.0, None), x[m]))
-                if not ok:
-                    continue
-                (y, v0), (x, v1) = sol
-                # Best-response check against all pure deviations.
-                if (u0[:, sup1] @ y).max() > v0 + br_tol:
-                    continue
-                if (x @ u1[sup0, :]).max() > v1 + br_tol:
-                    continue
+        sups = np.array(list(itertools.combinations(range(a), m)))
+        step = max(1, _BATCH_PAIRS // len(sups))
+        for lo in range(0, len(sups), step):
+            sup0 = np.repeat(sups[lo:lo + step], len(sups), axis=0)
+            sup1 = np.tile(sups, (len(sup0) // len(sups), 1))
+            aug = np.zeros((2, len(sup0), m + 1, m + 1))
+            aug[0, :, :m, :m] = u0[sup0[:, :, None], sup1[:, None, :]]
+            aug[1, :, :m, :m] = u1[sup0[:, None, :], sup1[:, :, None]]
+            aug[:, :, :m, m] = -1.0
+            aug[:, :, m, :m] = 1.0
+            ok = np.all(np.linalg.slogdet(aug)[0] != 0.0, axis=0)
+            sup0, sup1 = sup0[ok], sup1[ok]
+            rhs = np.zeros((2, len(sup0), m + 1, 1))
+            rhs[:, :, m] = 1.0
+            sol = np.linalg.solve(aug[:, ok], rhs)[..., 0]
+            ok = ~np.any(sol[:, :, :m] < -1e-9, axis=(0, 2))
+            sup0, sup1, sol = sup0[ok], sup1[ok], sol[:, ok]
+            y, x = np.clip(sol[:, :, :m], 0.0, None)
+            v0, v1 = sol[:, :, m]
+            # Best-response check against all pure deviations. Both products
+            # are vector-matrix: numpy computes (A, m) @ (m,) on the same
+            # path, so each batch item equals the per-pair value bit for bit.
+            dev0 = (y[:, None, :] @ u0.T[sup1])[:, 0].max(axis=1)
+            dev1 = (x[:, None, :] @ u1[sup0])[:, 0].max(axis=1)
+            ok = ~(dev0 > v0 + br_tol) & ~(dev1 > v1 + br_tol)
+            for s0, s1, xi, yi in zip(sup0[ok], sup1[ok], x[ok], y[ok]):
                 p0 = np.zeros(a)
-                p0[list(sup0)] = x / x.sum()
+                p0[s0] = xi / xi.sum()
                 p1 = np.zeros(a)
-                p1[list(sup1)] = y / y.sum()
+                p1[s1] = yi / yi.sum()
                 key = (tuple(np.round(p0, 9)), tuple(np.round(p1, 9)))
                 found.setdefault(
                     key, StrategyProfile((MixedStrategy(p0), MixedStrategy(p1)))

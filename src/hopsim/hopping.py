@@ -230,8 +230,15 @@ def estimated_table(state: NashHopperState) -> UtilityTable:
         lambda i, own, load: np.where(load > 0, hit[i][own], snr[i][own]))
 
 
-def nash_explore_update(state: NashHopperState, all_stats) -> NashHopperState:
-    """Fold one episode of exchanged stats and re-solve the welfare-max NE."""
+def nash_explore_update(state: NashHopperState, all_stats,
+                        solved: dict | None = None) -> NashHopperState:
+    """Fold one episode of exchanged stats and re-solve the welfare-max NE.
+
+    ``solved`` maps (table values, solver mode) to the profile already
+    solved for that key. Radars that pass the same dict for one episode
+    build the same table from the common-knowledge stats whenever their
+    floor and mode agree, and then share a single solve.
+    """
     if state.phase != "explore":
         raise RuntimeError("explore update after commit")
     if len(all_stats) != state.n_players:
@@ -246,16 +253,23 @@ def nash_explore_update(state: NashHopperState, all_stats) -> NashHopperState:
         hits = np.asarray(st.hit_count) > 0
         hit[i, hits] = np.asarray(st.hit_sinr_db)[hits]
     nxt = replace(state, snr_est_db=snr, hit_sinr_est_db=hit)
-    profile = solve_nash_welfare_max(estimated_table(nxt), mode=nxt.solver_mode)
-    return replace(nxt, profile=profile)
+    table = estimated_table(nxt)
+    key = (table.values.shape, table.values.tobytes(), nxt.solver_mode)
+    solved = {} if solved is None else solved
+    if key not in solved:
+        solved[key] = solve_nash_welfare_max(table, mode=nxt.solver_mode)
+    return replace(nxt, profile=solved[key])
 
 
 def nash_commit(state: NashHopperState, k: int) -> NashHopperState:
-    """Freeze this radar's slice of the welfare-max NE for the rest of the run."""
+    """Freeze this radar's slice of the welfare-max NE for the rest of the run.
+
+    The estimates have not changed since the explore update that folded
+    the last exploration episode, so that update's profile is the
+    welfare-max NE of ``estimated_table(state)`` and is committed as is.
+    """
     if k != state.explore_chirps:
         raise RuntimeError(
             f"commit at chirp {k}, expected end of exploration at {state.explore_chirps}"
         )
-    profile = solve_nash_welfare_max(estimated_table(state), mode=state.solver_mode)
-    return replace(state, phase="commit", profile=profile,
-                   committed=profile.strategies[state.player])
+    return replace(state, phase="commit", committed=state.profile.strategies[state.player])

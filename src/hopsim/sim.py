@@ -14,6 +14,7 @@ import numpy as np
 
 from . import signal as sig
 from .game import (
+    PURE_ENUM_GUARD,
     JointDistribution,
     MixedStrategy,
     RegretLedger,
@@ -151,12 +152,20 @@ def validate_config(config: ScenarioConfig) -> list[str]:
                 errors.append(f"{label}: target at {tgt.range_m} m beyond unambiguous range")
     if durations and max(durations) - min(durations) > 1e-12 * max(durations):
         errors.append("radars: frame durations K*PRI must agree across radars")
+    joint = first.n_subbands ** config.n_radars
+    if joint > PURE_ENUM_GUARD:
+        errors.append(
+            f"radars: {config.n_radars} radars on {first.n_subbands} subbands give "
+            f"{joint} joint actions, above the {PURE_ENUM_GUARD} the dense game "
+            "tables allow")
     for li, link in enumerate(config.links, start=1):
         n = config.n_radars
         if not (0 <= link.victim < n and 0 <= link.source < n) or link.victim == link.source:
             errors.append(f"links[{li}]: victim/source indices invalid")
     if config.frames < 1 or config.episodes_per_frame < 1:
         errors.append("run: frames and episodes_per_frame must be positive")
+    if config.seed < 0:
+        errors.append(f"run.seed: {config.seed} must be non-negative")
     if config.noise_power <= 0:
         errors.append("run: noise_power must be positive")
     if not config.genie_detection and not config.detection_factor > 1:
@@ -307,13 +316,13 @@ class _Agent:
             return self.state.current
         return self.state.strategy
 
-    def end_episode(self, own_stats, all_stats):
+    def end_episode(self, own_stats, all_stats, solved: dict):
         if self.policy == "noregret":
             self.state = noregret_update(self.state, own_stats)
         elif self.policy == "nash":
             self.episodes_seen += 1
             if self.state.phase == "explore":
-                self.state = nash_explore_update(self.state, all_stats)
+                self.state = nash_explore_update(self.state, all_stats, solved)
                 if self.episodes_seen == self.explore_episodes:
                     self.state = nash_commit(
                         self.state, self.episodes_seen * self.chirps_per_episode)
@@ -454,8 +463,9 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                 mean_sinr_db[ep_index, i] = 10.0 * np.log10(
                     np.mean(p_clean / (p_int + noise)))
 
+            solved = {}  # one Nash solve per distinct estimated table
             for i in range(n_radars):
-                agents[i].end_episode(all_stats[i], all_stats)
+                agents[i].end_episode(all_stats[i], all_stats, solved)
             ep_index += 1
 
         step_idx = [

@@ -1,12 +1,14 @@
 """Reference implementations that only the tests call.
 
-The simulator synthesizes and evaluates whole blocks of chirps; these are
-the per-chirp and per-profile definitions those block operations are
-checked against, plus small helpers that no program path needs. Seeded
-tests depend on the order of each function's random draws: keep it.
+The simulator synthesizes and evaluates whole blocks of chirps and solves
+whole batches of support pairs; these are the per-chirp, per-profile and
+per-pair definitions those block operations are checked against, plus
+small helpers that no program path needs. Seeded tests depend on the
+order of each function's random draws: keep it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,3 +190,52 @@ def is_nash(profile: StrategyProfile, table: UtilityTable, tol: float = EQ_TOL_D
             return False
     return True
 
+
+def support_enumeration_2p(table: UtilityTable, br_tol: float = 1e-8) -> list[StrategyProfile]:
+    """All mixed NE of a 2-player game found by equal-size support enumeration."""
+    a = table.n_subbands
+    u0, u1 = table.values[0], table.values[1]
+    found: dict[tuple, StrategyProfile] = {}
+    for m in range(1, a + 1):
+        for sup0 in itertools.combinations(range(a), m):
+            for sup1 in itertools.combinations(range(a), m):
+                # Player 1's strategy y makes player 0 indifferent over sup0,
+                # and symmetrically for x. Augmented system: utility rows
+                # minus the common value v, plus the normalization row.
+                m0 = u0[np.ix_(sup0, sup1)]
+                m1 = u1[np.ix_(sup0, sup1)].T
+                sol = []
+                ok = True
+                for mat in (m0, m1):
+                    aug = np.zeros((m + 1, m + 1))
+                    aug[:m, :m] = mat
+                    aug[:m, m] = -1.0
+                    aug[m, :m] = 1.0
+                    rhs = np.zeros(m + 1)
+                    rhs[m] = 1.0
+                    try:
+                        x = np.linalg.solve(aug, rhs)
+                    except np.linalg.LinAlgError:
+                        ok = False
+                        break
+                    if np.any(x[:m] < -1e-9):
+                        ok = False
+                        break
+                    sol.append((np.clip(x[:m], 0.0, None), x[m]))
+                if not ok:
+                    continue
+                (y, v0), (x, v1) = sol
+                # Best-response check against all pure deviations.
+                if (u0[:, sup1] @ y).max() > v0 + br_tol:
+                    continue
+                if (x @ u1[sup0, :]).max() > v1 + br_tol:
+                    continue
+                p0 = np.zeros(a)
+                p0[list(sup0)] = x / x.sum()
+                p1 = np.zeros(a)
+                p1[list(sup1)] = y / y.sum()
+                key = (tuple(np.round(p0, 9)), tuple(np.round(p1, 9)))
+                found.setdefault(
+                    key, StrategyProfile((MixedStrategy(p0), MixedStrategy(p1)))
+                )
+    return list(found.values())

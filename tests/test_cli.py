@@ -136,6 +136,8 @@ class TestParseSeeds:
             _parse_seeds("")
         with pytest.raises(ValueError):
             _parse_seeds("0")
+        with pytest.raises(ValueError, match="non-negative"):
+            _parse_seeds("-1,2")
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +224,14 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--seeds", "zero"]) == 1
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(SMALL_CFG)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--seeds=-1,2"]) == 1
+        assert "--seeds: seeds must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("radars: []\n")
@@ -303,6 +313,29 @@ class TestStrictConfig:
         assert code == 2
         assert "radars[2]: noregret policy needs at least two subbands" in err
         assert "radars[1]" not in err  # a uniform radar may use one subband
+
+    def test_negative_run_seed_rejected(self, tmp_path, capsys):
+        doc = yaml.safe_load(SMALL_CFG)
+        doc["run"]["seed"] = -1
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert "run.seed: -1 must be non-negative" in err
+
+    @pytest.mark.parametrize("n_radars,ok", [(8, True), (10, False)])
+    def test_joint_action_space_guard(self, n_radars, ok):
+        # 6**8 (crowd-8) fits the dense game tables; 6**10 would allocate
+        # about 4.8 GB, so it is rejected before anything runs.
+        doc = yaml.safe_load(SMALL_CFG)
+        doc["radars"] = [doc["radars"][0]] * n_radars
+        doc["targets"] = [dict(doc["targets"][0], radar=r + 1) for r in range(n_radars)]
+        if ok:
+            assert parse_config(yaml.safe_dump(doc)).n_radars == n_radars
+        else:
+            with pytest.raises(ConfigError) as err:
+                parse_config(yaml.safe_dump(doc))
+            assert err.value.messages == [
+                "radars: 10 radars on 6 subbands give 60466176 joint actions, "
+                "above the 10000000 the dense game tables allow"]
 
     def test_numeric_string_still_reads_as_float(self):
         # YAML 1.1 reads 20e6 (no dot) as a string; float fields take it.

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hopsim import game
 from hopsim.game import (
     CapacityError,
     JointDistribution,
@@ -22,7 +23,7 @@ from hopsim.game import (
     solve_nash_welfare_max,
 )
 
-from oracles import deviation_utilities, is_nash
+from oracles import deviation_utilities, is_nash, support_enumeration_2p
 
 
 def anti_coordination_table(n_players, n_subbands, snr_db=20.0, sinr_db=-10.0):
@@ -272,6 +273,56 @@ class TestSolveNashWelfareMax:
         best = solve_nash_welfare_max(table, mode="pure")
         acts = best.pure_actions
         assert acts is not None and len(set(acts)) == 3
+
+
+def random_2p_table(family, rng):
+    """A random 2-player table with 2 to 6 subbands from one test family."""
+    a = int(rng.integers(2, 7))
+    if family == "gaussian":  # at scales where a determinant cutoff would misfire
+        return UtilityTable(rng.normal(size=(2, a, a)) * 10.0 ** rng.uniform(-4, 4))
+    if family == "integer":  # ties and degenerate games
+        return UtilityTable(rng.integers(-2, 3, size=(2, a, a)).astype(float))
+    # estimated_table shape: whole-dB clean SNR off the diagonal, collision
+    # SINR on it, unobserved cells at the -10 dB floor. Repeated values make
+    # many indifference systems exactly singular.
+    snr = np.where(rng.random((2, a)) < 0.2, -10.0, rng.integers(10, 30, (2, a)))
+    hit = np.where(rng.random((2, a)) < 0.5, -10.0, rng.integers(-5, 15, (2, a)))
+    return UtilityTable.from_collisions(
+        np.ones((2, 2)), a, lambda i, own, load: np.where(load > 0, hit[i][own], snr[i][own]))
+
+
+def assert_same_profiles(got, expected):
+    """Same profiles in the same order, with bitwise-equal probabilities."""
+    assert [p.support_key() for p in got] == [p.support_key() for p in expected]
+    for p, q in zip(got, expected):
+        for s, t in zip(p.strategies, q.strategies):
+            assert s.probs.tobytes() == t.probs.tobytes()
+
+
+class TestBatchedSupportEnumeration:
+    """The batched solver against the per-pair loop kept in the oracles."""
+
+    @pytest.mark.parametrize("family,seed", [("gaussian", 0), ("integer", 1), ("estimated", 2)])
+    def test_matches_loop_oracle(self, family, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        for _ in range(334):
+            table = random_2p_table(family, rng)
+            expected = support_enumeration_2p(table)
+            assert_same_profiles(game._support_enumeration_2p(table), expected)
+            with monkeypatch.context() as mp:
+                mp.setattr(game, "_support_enumeration_2p", lambda t: expected)
+                want = solve_nash_welfare_max(table)
+            assert_same_profiles([solve_nash_welfare_max(table)], [want])
+
+    def test_small_batches_match_loop_oracle(self, monkeypatch):
+        # Support sizes with more pairs than one batch holds are split
+        # into several batches; the result must not depend on the split.
+        monkeypatch.setattr(game, "_BATCH_PAIRS", 7)
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            table = random_2p_table("integer", rng)
+            assert_same_profiles(game._support_enumeration_2p(table),
+                                 support_enumeration_2p(table))
 
 
 class TestCceDeviationGap:

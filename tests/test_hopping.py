@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from hopsim.game import MixedStrategy, UtilityTable, pure_strategy
+from hopsim.game import MixedStrategy, UtilityTable, pure_strategy, solve_nash_welfare_max
 from hopsim.hopping import (
     EpisodeStats,
     NashHopperState,
@@ -336,6 +336,25 @@ class TestNashHopper:
         state = nash_explore_update(state, [stats])
         state = nash_commit(state, 10)
         assert state.strategy.pure_action == 1
+
+    def test_commit_profile_is_fresh_solve(self):
+        # The commit takes the last explore update's profile; it must be
+        # the welfare-max NE of the estimates it commits from.
+        rng = np.random.default_rng(5)
+        for player in (0, 1):
+            state = init_nash_hopper(player, 2, 4, explore_chirps=10)
+            for _ in range(2):
+                state = nash_explore_update(state, [
+                    self._explore_stats(4, snr=rng.uniform(10, 30), collided={
+                        int(f): rng.uniform(-5, 15) for f in rng.choice(4, 2)})
+                    for _ in range(2)])
+            state = nash_commit(state, 10)
+            fresh = solve_nash_welfare_max(estimated_table(state))
+            assert state.profile.support_key() == fresh.support_key()
+            for s, t in zip(state.profile.strategies, fresh.strategies):
+                np.testing.assert_array_equal(s.probs, t.probs)
+            np.testing.assert_array_equal(state.committed.probs,
+                                          fresh.strategies[player].probs)
 
     def test_explore_update_after_commit_rejected(self):
         state = init_nash_hopper(0, 2, 6, explore_chirps=10)

@@ -5,10 +5,13 @@ simulator computes, and genie-mode runs are cross-checked against
 collisions recomputed independently from the recorded action sequences.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import hopsim.signal as sig
+from hopsim import hopping, sim
 from hopsim.game import RegretLedger, cce_deviation_gap, external_regret
 from hopsim.sim import (
     LinkSpec,
@@ -301,3 +304,44 @@ class TestRunScenario:
     def test_policies_recorded(self):
         m = run_scenario(two_radar_config(("uniform", "noregret"), frames=2))
         assert m.policies == ("uniform", "noregret")
+
+
+class TestNashSolveSharing:
+    """Nash agents share one solve per distinct estimated table per episode."""
+
+    EXPLORE = 3
+
+    def run_counting(self, monkeypatch, cfg, per_agent=False):
+        """Metrics and the number of solves through hopping's solver."""
+        calls = []
+        solve = hopping.solve_nash_welfare_max
+        with monkeypatch.context() as mp:
+            mp.setattr(hopping, "solve_nash_welfare_max",
+                       lambda table, mode="auto": calls.append(mode) or solve(table, mode))
+            if per_agent:
+                # Reference: every agent solves its own table, no sharing.
+                mp.setattr(sim, "nash_explore_update",
+                           lambda state, all_stats, solved:
+                           hopping.nash_explore_update(state, all_stats))
+            return run_scenario(cfg), len(calls)
+
+    def nash_config(self, floors):
+        return two_radar_config(
+            ("nash", "nash"), frames=self.EXPLORE + 2, seed=1,
+            params=[{"explore_episodes": self.EXPLORE, "floor_db": f} for f in floors])
+
+    def test_equal_tables_solve_once_per_episode(self, monkeypatch):
+        cfg = self.nash_config((-10.0, -10.0))
+        shared, n_shared = self.run_counting(monkeypatch, cfg)
+        alone, n_alone = self.run_counting(monkeypatch, cfg, per_agent=True)
+        assert (n_shared, n_alone) == (self.EXPLORE, 2 * self.EXPLORE)
+        np.testing.assert_array_equal(shared.strategies, alone.strategies)
+
+    def test_different_floors_solve_separately(self, monkeypatch):
+        # Without links no collision is ever observed, so each radar's
+        # collision cells keep its own floor and the two tables differ.
+        cfg = replace(self.nash_config((-10.0, -20.0)), links=())
+        shared, n_shared = self.run_counting(monkeypatch, cfg)
+        alone, n_alone = self.run_counting(monkeypatch, cfg, per_agent=True)
+        assert n_shared == n_alone == 2 * self.EXPLORE
+        np.testing.assert_array_equal(shared.strategies, alone.strategies)
