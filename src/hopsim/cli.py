@@ -262,6 +262,34 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_joint_csv(path: Path, mass: np.ndarray):
+    """``joint_dist.csv`` in ``_write_csv``'s layout, one row per joint action.
+
+    Rows run in C order (last radar fastest) and label joint actions
+    1-based, as ``"3"`` for one radar and ``"1-10-4"`` for three. The file
+    is streamed one block of the leading axis at a time: the labels of the
+    trailing axes are built once, and ``repr`` runs once per distinct mass
+    bit pattern (so ``-0.0`` and ``0.0`` keep their own text).
+    """
+    a = mass.shape[0]
+    digits = np.array([f"-{k + 1}" for k in range(a)], dtype=object)
+    tails = np.array([","], dtype=object)
+    for _ in range(mass.ndim - 1):
+        tails = (digits[:, None] + tails).ravel()
+    bits = np.ascontiguousarray(mass, dtype=np.float64).view(np.uint64).reshape(a, -1)
+    distinct = np.unique(bits)
+    texts = np.array([repr(float(v)) + "\n" for v in distinct.view(np.float64)],
+                     dtype=object)
+    row = np.empty((tails.size, 3), dtype=object)  # leading label, tail, mass
+    row[:, 1] = tails
+    with path.open("w") as f:
+        f.write("joint_action,mass\n")
+        for k in range(a):
+            row[:, 0] = str(k + 1)
+            row[:, 2] = texts[np.searchsorted(distinct, bits[k])]
+            f.write("".join(row.ravel().tolist()))
+
+
 def _emit_seed(out_dir: Path, seed: int, config: ScenarioConfig,
                metrics: RunMetrics) -> tuple[dict, dict]:
     seed_dir = out_dir / f"seed_{seed}"
@@ -285,10 +313,7 @@ def _emit_seed(out_dir: Path, seed: int, config: ScenarioConfig,
     _write_csv(seed_dir / "regret.csv",
                ["episode", "radar", "cumulative_regret_db"], rows)
 
-    mass = metrics.joint_distribution.mass
-    rows = [("-".join(str(a + 1) for a in idx), repr(float(mass[idx])))
-            for idx in np.ndindex(mass.shape)]
-    _write_csv(seed_dir / "joint_dist.csv", ["joint_action", "mass"], rows)
+    _write_joint_csv(seed_dir / "joint_dist.csv", metrics.joint_distribution.mass)
 
     widths = {}
     seen = set()
@@ -331,15 +356,16 @@ def cmd_run(config: ScenarioConfig, out_dir, seeds) -> RunManifest:
     def one(seed):
         return run_scenario(replace(config, seed=seed))
 
-    with ThreadPoolExecutor(max_workers=_worker_count(len(seeds))) as pool:
-        results = list(pool.map(one, seeds))
-
     files = {}
     summary = {}
-    for seed, metrics in zip(seeds, results):
-        seed_files, seed_summary = _emit_seed(out, seed, config, metrics)
-        files.update(seed_files)
-        summary[str(seed)] = seed_summary
+    # Emit each seed in order as soon as its run is done, then drop its
+    # metrics; a crowded scenario's utility table alone is ~100 MB.
+    with ThreadPoolExecutor(max_workers=_worker_count(len(seeds))) as pool:
+        for seed, metrics in zip(seeds, pool.map(one, seeds)):
+            seed_files, seed_summary = _emit_seed(out, seed, config, metrics)
+            del metrics
+            files.update(seed_files)
+            summary[str(seed)] = seed_summary
 
     manifest = RunManifest(out_dir=str(out), seeds=seeds, files=files,
                            summary=summary, config=yaml.safe_load(render_config(config)))

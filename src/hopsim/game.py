@@ -21,6 +21,9 @@ PROB_ATOL = 1e-9
 WELFARE_TIE_ATOL = 1e-9
 # Guard on the joint action space for exhaustive enumeration.
 PURE_ENUM_GUARD = 10**7
+# Guard on the cells of one dense (n, A, ..., A) table: n * A**n float64
+# entries, about 400 MB at the guard.
+TABLE_CELL_GUARD = 5 * 10**7
 # Support pairs per batched solve; bounds the stacked systems' memory.
 _BATCH_PAIRS = 1 << 14
 
@@ -151,13 +154,16 @@ class UtilityTable:
         Player i's entry at every joint action is ``utility(i, own, load)``:
         ``own`` is i's subband and ``load`` the sum of ``weights[i, j]``
         over the other players j on that subband, accumulated in
-        ascending j. Zero weights are skipped.
+        ascending j. Zero weights are skipped. The index grids are sparse
+        (axis j of ``grids[j]`` alone has length A), so ``own`` broadcasts
+        against ``load``, and only ``load`` and the output are full size.
         """
         n = weights.shape[0]
-        grids = np.indices((n_subbands,) * n)
-        values = np.empty((n,) + (n_subbands,) * n)
+        shape = (n_subbands,) * n
+        grids = np.indices(shape, sparse=True)
+        values = np.empty((n,) + shape)
         for i in range(n):
-            load = np.zeros(grids.shape[1:])
+            load = np.zeros(shape)
             for j in range(n):
                 if j != i and weights[i, j] != 0.0:
                     load += weights[i, j] * (grids[j] == grids[i])

@@ -15,6 +15,7 @@ import numpy as np
 from . import signal as sig
 from .game import (
     PURE_ENUM_GUARD,
+    TABLE_CELL_GUARD,
     JointDistribution,
     MixedStrategy,
     RegretLedger,
@@ -158,6 +159,11 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             f"radars: {config.n_radars} radars on {first.n_subbands} subbands give "
             f"{joint} joint actions, above the {PURE_ENUM_GUARD} the dense game "
             "tables allow")
+    elif config.n_radars * joint > TABLE_CELL_GUARD:
+        errors.append(
+            f"radars: {config.n_radars} radars on {first.n_subbands} subbands give "
+            f"dense game tables of {config.n_radars * joint} cells, above the "
+            f"{TABLE_CELL_GUARD} allowed")
     for li, link in enumerate(config.links, start=1):
         n = config.n_radars
         if not (0 <= link.victim < n and 0 <= link.source < n) or link.victim == link.source:

@@ -9,12 +9,23 @@ order of each function's random draws: keep it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import json
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 import hopsim
+from hopsim.cli import (
+    RunManifest,
+    _emit_seed,
+    _sha256,
+    _worker_count,
+    _write_csv,
+    render_config,
+)
 from hopsim.game import (
     MixedStrategy,
     StrategyProfile,
@@ -23,6 +34,7 @@ from hopsim.game import (
     expected_utility,
 )
 from hopsim.signal import C, ChirpParams, Target, _echo_terms, interference_base
+from hopsim.sim import run_scenario
 
 # Default tolerance (dB) for equilibrium checks.
 EQ_TOL_DB = 1e-6
@@ -239,3 +251,56 @@ def support_enumeration_2p(table: UtilityTable, br_tol: float = 1e-8) -> list[St
                     key, StrategyProfile((MixedStrategy(p0), MixedStrategy(p1)))
                 )
     return list(found.values())
+
+
+def from_collisions_dense(weights: np.ndarray, n_subbands: int, utility) -> UtilityTable:
+    """``UtilityTable.from_collisions`` on full ``np.indices`` grids."""
+    n = weights.shape[0]
+    grids = np.indices((n_subbands,) * n)
+    values = np.empty((n,) + (n_subbands,) * n)
+    for i in range(n):
+        load = np.zeros(grids.shape[1:])
+        for j in range(n):
+            if j != i and weights[i, j] != 0.0:
+                load += weights[i, j] * (grids[j] == grids[i])
+        values[i] = utility(i, grids[i], load)
+    return UtilityTable(values)
+
+
+def write_joint_csv_rows(path: Path, mass: np.ndarray):
+    """``joint_dist.csv`` built row by row over ``np.ndindex``."""
+    rows = [("-".join(str(a + 1) for a in idx), repr(float(mass[idx])))
+            for idx in np.ndindex(mass.shape)]
+    _write_csv(path, ["joint_action", "mass"], rows)
+
+
+def cmd_run_collect_then_emit(config, out_dir, seeds) -> RunManifest:
+    """``cli.cmd_run`` that finishes every seed's run before emitting any."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    seeds = list(seeds)
+
+    def one(seed):
+        return run_scenario(replace(config, seed=seed))
+
+    with ThreadPoolExecutor(max_workers=_worker_count(len(seeds))) as pool:
+        results = list(pool.map(one, seeds))
+
+    files = {}
+    summary = {}
+    for seed, metrics in zip(seeds, results):
+        seed_files, seed_summary = _emit_seed(out, seed, config, metrics)
+        files.update(seed_files)
+        summary[str(seed)] = seed_summary
+
+    manifest = RunManifest(out_dir=str(out), seeds=seeds, files=files,
+                           summary=summary, config=yaml.safe_load(render_config(config)))
+    (out / "manifest.json").write_text(json.dumps(
+        {"seeds": manifest.seeds, "files": manifest.files,
+         "summary": manifest.summary, "config": manifest.config},
+        indent=2, sort_keys=True) + "\n")
+    for rel, digest in manifest.files.items():
+        path = out / rel
+        if not path.is_file() or _sha256(path) != digest:
+            raise RuntimeError(f"artifact verification failed for {rel}")
+    return manifest

@@ -11,6 +11,7 @@ from hopsim.cli import (
     ReportError,
     RunManifest,
     _parse_seeds,
+    _write_joint_csv,
     cmd_report,
     cmd_run,
     main,
@@ -18,7 +19,10 @@ from hopsim.cli import (
     render_config,
 )
 
-from oracles import bundled_config_path
+from hopsim.game import JointDistribution, empirical_joint
+from hopsim.sim import run_scenario
+
+from oracles import bundled_config_path, cmd_run_collect_then_emit, write_joint_csv_rows
 
 SMALL_CFG = """
 radars:
@@ -190,6 +194,72 @@ class TestCmdRun:
         assert loaded.config == yaml.safe_load(render_config(parse_config(SMALL_CFG)))
 
 
+    def test_emitting_per_seed_keeps_the_manifest(self, tmp_path, monkeypatch):
+        # Seeds are emitted as their runs finish, on two threads, in the
+        # given (unsorted) order; the result equals emitting after all runs.
+        monkeypatch.setenv("HOPSIM_THREADS", "2")
+        config = parse_config(SMALL_CFG)
+        seeds = [2, 0, 1]
+        got = cmd_run(config, tmp_path / "streamed", seeds)
+        expected = cmd_run_collect_then_emit(config, tmp_path / "collected", seeds)
+        assert got.seeds == expected.seeds == seeds
+        assert list(got.files) == list(expected.files)
+        assert got.files == expected.files and got.summary == expected.summary
+        assert ((tmp_path / "streamed" / "manifest.json").read_bytes()
+                == (tmp_path / "collected" / "manifest.json").read_bytes())
+        for rel in got.files:
+            assert ((tmp_path / "streamed" / rel).read_bytes()
+                    == (tmp_path / "collected" / rel).read_bytes())
+
+
+class TestJointCsv:
+    """The block writer matches the per-row writer byte for byte."""
+
+    def assert_same_bytes(self, tmp_path, mass):
+        _write_joint_csv(tmp_path / "block.csv", mass)
+        write_joint_csv_rows(tmp_path / "rows.csv", mass)
+        got = (tmp_path / "block.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        return got.decode().splitlines()
+
+    @pytest.mark.parametrize("n,a", [(1, 4), (2, 6), (3, 12)])
+    def test_random_joints(self, tmp_path, n, a):
+        rng = np.random.default_rng(10 * n + a)
+        joint = empirical_joint(list(rng.integers(0, a, (n, 500))), a)
+        lines = self.assert_same_bytes(tmp_path, joint.mass)
+        assert len(lines) == 1 + a**n
+        assert lines[0] == "joint_action,mass"
+        if n == 3:
+            assert lines[1 + 9 * 144 + 0 * 12 + 11].startswith("10-1-12,")
+
+    def test_exponent_and_non_dyadic_masses(self, tmp_path):
+        mass = np.zeros((3, 3))
+        mass[0, 1] = 1e-05
+        mass[1, 0] = mass[2, 2] = 1.0 / 3.0
+        mass[0, 2] = 1.0 - mass.sum()
+        mass[2, 1] = 7e-300
+        joint = JointDistribution(mass)
+        lines = self.assert_same_bytes(tmp_path, joint.mass)
+        assert lines[2] == "1-2,1e-05"
+        assert lines[4] == "2-1,0.3333333333333333"
+        assert lines[8] == "3-2,7e-300"
+
+    def test_signed_zero_keeps_its_text(self, tmp_path):
+        mass = np.array([[0.5, -0.0], [0.0, 0.5]])
+        lines = self.assert_same_bytes(tmp_path, mass)
+        assert lines[2:4] == ["1-2,-0.0", "2-1,0.0"]
+
+    def test_real_scenario_joint(self, tmp_path):
+        doc = yaml.safe_load(SMALL_CFG)
+        doc["radars"].append(dict(doc["radars"][1]))
+        doc["targets"].append(dict(doc["targets"][1], radar=3))
+        doc["links"].append({"victim": 3, "source": 1, "inr_db": 20.0})
+        metrics = run_scenario(parse_config(yaml.safe_dump(doc)))
+        mass = metrics.joint_distribution.mass
+        assert mass.shape == (6, 6, 6) and np.count_nonzero(mass) > 6
+        self.assert_same_bytes(tmp_path, mass)
+
+
 class TestReport:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ReportError):
@@ -336,6 +406,24 @@ class TestStrictConfig:
             assert err.value.messages == [
                 "radars: 10 radars on 6 subbands give 60466176 joint actions, "
                 "above the 10000000 the dense game tables allow"]
+
+    @pytest.mark.parametrize("n_radars,subbands,ok", [
+        (8, 6, True), (21, 2, True), (22, 2, False), (23, 2, False)])
+    def test_table_cell_guard(self, tmp_path, capsys, n_radars, subbands, ok):
+        # n * A**n table cells: crowd-8 holds 1.3e7; 22 radars on 2 subbands
+        # pass the joint-action guard (2**22 < 1e7) but would hold 9.2e7.
+        doc = yaml.safe_load(SMALL_CFG)
+        doc["radars"] = [dict(doc["radars"][0], subbands=subbands)] * n_radars
+        doc["targets"] = [dict(doc["targets"][0], radar=r + 1) for r in range(n_radars)]
+        if ok:
+            assert parse_config(yaml.safe_dump(doc)).n_radars == n_radars
+            return
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        cells = n_radars * subbands**n_radars
+        assert (f"radars: {n_radars} radars on {subbands} subbands give dense game "
+                f"tables of {cells} cells, above the 50000000 allowed") in err
+        assert not (tmp_path / "o").exists()
 
     def test_numeric_string_still_reads_as_float(self):
         # YAML 1.1 reads 20e6 (no dot) as a string; float fields take it.

@@ -23,7 +23,12 @@ from hopsim.game import (
     solve_nash_welfare_max,
 )
 
-from oracles import deviation_utilities, is_nash, support_enumeration_2p
+from oracles import (
+    deviation_utilities,
+    from_collisions_dense,
+    is_nash,
+    support_enumeration_2p,
+)
 
 
 def anti_coordination_table(n_players, n_subbands, snr_db=20.0, sinr_db=-10.0):
@@ -109,6 +114,34 @@ class TestUtilityTable:
         v[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             UtilityTable(v)
+
+
+class TestFromCollisions:
+    """Sparse index grids give the same table bits as full ``np.indices``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("utility", ["genie", "estimated"])
+    def test_matches_dense_grids(self, n, utility):
+        rng = np.random.default_rng(100 + n)
+        a = 5 if n < 4 else 3
+        if utility == "genie":
+            # sim.genie_utility_table: INR weights, unlinked pairs zero
+            weights = 10.0 ** (rng.uniform(0.0, 4.0, (n, n)) / 10.0)
+            weights[rng.random((n, n)) < 0.4] = 0.0
+            snr_lin = 10.0 ** (rng.uniform(10.0, 30.0, n) / 10.0)
+            fn = lambda i, own, load: 10.0 * np.log10(snr_lin[i] / (load + 1.0))
+        else:
+            # hopping.estimated_table: weight 1, per-subband lookups by own
+            weights = np.ones((n, n))
+            if n > 2:
+                weights[0, 2] = 0.0
+            snr = np.where(rng.random((n, a)) < 0.2, -10.0, rng.integers(10, 30, (n, a)))
+            hit = np.where(rng.random((n, a)) < 0.5, -10.0, rng.integers(-5, 15, (n, a)))
+            fn = lambda i, own, load: np.where(load > 0, hit[i][own], snr[i][own])
+        got = UtilityTable.from_collisions(weights, a, fn)
+        expected = from_collisions_dense(weights, a, fn)
+        assert got.values.shape == (n,) + (a,) * n
+        assert got.values.tobytes() == expected.values.tobytes()
 
 
 class TestExpectedUtility:
