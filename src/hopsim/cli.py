@@ -20,6 +20,7 @@ import numpy as np
 import yaml
 
 from . import signal as sig
+from .game import JointDistribution
 from .sim import (
     LinkSpec,
     RadarSpec,
@@ -262,32 +263,15 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_joint_csv(path: Path, mass: np.ndarray):
-    """``joint_dist.csv`` in ``_write_csv``'s layout, one row per joint action.
+def _write_joint_csv(path: Path, joint: JointDistribution):
+    """``joint_dist.csv``: one row per support joint action, in the joint's C order.
 
-    Rows run in C order (last radar fastest) and label joint actions
-    1-based, as ``"3"`` for one radar and ``"1-10-4"`` for three. The file
-    is streamed one block of the leading axis at a time: the labels of the
-    trailing axes are built once, and ``repr`` runs once per distinct mass
-    bit pattern (so ``-0.0`` and ``0.0`` keep their own text).
+    Joint actions are labelled 1-based, as ``"3"`` for one radar and
+    ``"1-10-4"`` for three.
     """
-    a = mass.shape[0]
-    digits = np.array([f"-{k + 1}" for k in range(a)], dtype=object)
-    tails = np.array([","], dtype=object)
-    for _ in range(mass.ndim - 1):
-        tails = (digits[:, None] + tails).ravel()
-    bits = np.ascontiguousarray(mass, dtype=np.float64).view(np.uint64).reshape(a, -1)
-    distinct = np.unique(bits)
-    texts = np.array([repr(float(v)) + "\n" for v in distinct.view(np.float64)],
-                     dtype=object)
-    row = np.empty((tails.size, 3), dtype=object)  # leading label, tail, mass
-    row[:, 1] = tails
-    with path.open("w") as f:
-        f.write("joint_action,mass\n")
-        for k in range(a):
-            row[:, 0] = str(k + 1)
-            row[:, 2] = texts[np.searchsorted(distinct, bits[k])]
-            f.write("".join(row.ravel().tolist()))
+    rows = [("-".join(str(a + 1) for a in row), repr(float(m)))
+            for row, m in zip(joint.rows.tolist(), joint.mass)]
+    _write_csv(path, ["joint_action", "mass"], rows)
 
 
 def _emit_seed(out_dir: Path, seed: int, config: ScenarioConfig,
@@ -313,7 +297,7 @@ def _emit_seed(out_dir: Path, seed: int, config: ScenarioConfig,
     _write_csv(seed_dir / "regret.csv",
                ["episode", "radar", "cumulative_regret_db"], rows)
 
-    _write_joint_csv(seed_dir / "joint_dist.csv", metrics.joint_distribution.mass)
+    _write_joint_csv(seed_dir / "joint_dist.csv", metrics.joint_distribution)
 
     widths = {}
     seen = set()
@@ -359,7 +343,7 @@ def cmd_run(config: ScenarioConfig, out_dir, seeds) -> RunManifest:
     files = {}
     summary = {}
     # Emit each seed in order as soon as its run is done, then drop its
-    # metrics; a crowded scenario's utility table alone is ~100 MB.
+    # metrics, which hold every step's actions.
     with ThreadPoolExecutor(max_workers=_worker_count(len(seeds))) as pool:
         for seed, metrics in zip(seeds, pool.map(one, seeds)):
             seed_files, seed_summary = _emit_seed(out, seed, config, metrics)

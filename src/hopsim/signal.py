@@ -9,8 +9,6 @@ axis uses an explicit matched filter instead of an FFT.
 """
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +16,6 @@ import numpy as np
 from .hopping import EpisodeStats
 
 C = 3.0e8  # m/s
-
-# Binary frame dump header: magic, version, N_s, K, f_s, reserved pad.
-_FRAME_HEADER = struct.Struct("<4sHIId10x")
-_FRAME_MAGIC = b"HOPF"
-_FRAME_VERSION = 1
 
 DEFAULT_DETECTION_FACTOR = 16.0  # ~12 dB over the noise-plus-signal floor
 
@@ -417,38 +410,3 @@ def mainlobe_width(profile: FineRangeProfile, drop_db: float = 3.0) -> float:
 
     return float(cross(+1) - cross(-1))
 
-
-def write_frame(path, frame: ChirpFrame, adc_hz: float):
-    """Binary dump: 32-byte header then row-major complex64 samples.
-
-    The hop sequence goes to a ``<path>.hops.csv`` sidecar with columns
-    ``k,f_k_hz`` (absolute start frequency needs the carrier added by the
-    reader of the sidecar; offsets are stored as written).
-    """
-    path = str(path)
-    header = _FRAME_HEADER.pack(_FRAME_MAGIC, _FRAME_VERSION,
-                                frame.n_samples, frame.n_chirps, adc_hz)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(frame.samples, dtype="<c8").tobytes())
-    with open(path + ".hops.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "f_k_hz"])
-        for k, f in enumerate(frame.hops_hz):
-            writer.writerow([k, repr(float(f))])
-
-
-def read_frame(path) -> tuple[ChirpFrame, float]:
-    path = str(path)
-    with open(path, "rb") as fh:
-        raw = fh.read(_FRAME_HEADER.size)
-        magic, version, n_s, k, f_s = _FRAME_HEADER.unpack(raw)
-        if magic != _FRAME_MAGIC:
-            raise ValueError("not a frame dump (bad magic)")
-        if version != _FRAME_VERSION:
-            raise ValueError(f"unsupported frame dump version {version}")
-        samples = np.frombuffer(fh.read(), dtype="<c8").reshape(n_s, k)
-    with open(path + ".hops.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-        hops = np.array([float(r[1]) for r in rows])
-    return ChirpFrame(samples=samples.astype(complex), hops_hz=hops), f_s

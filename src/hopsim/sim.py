@@ -18,8 +18,6 @@ from .game import (
     TABLE_CELL_GUARD,
     JointDistribution,
     MixedStrategy,
-    RegretLedger,
-    UtilityTable,
     empirical_joint,
     external_regret,
     cce_deviation_gap,
@@ -153,13 +151,15 @@ def validate_config(config: ScenarioConfig) -> list[str]:
                 errors.append(f"{label}: target at {tgt.range_m} m beyond unambiguous range")
     if durations and max(durations) - min(durations) > 1e-12 * max(durations):
         errors.append("radars: frame durations K*PRI must agree across radars")
+    # Only the Nash solver builds dense (n, A, ..., A) game tables.
+    nash = any(spec.policy == "nash" for spec in config.radars)
     joint = first.n_subbands ** config.n_radars
-    if joint > PURE_ENUM_GUARD:
+    if nash and joint > PURE_ENUM_GUARD:
         errors.append(
             f"radars: {config.n_radars} radars on {first.n_subbands} subbands give "
             f"{joint} joint actions, above the {PURE_ENUM_GUARD} the dense game "
             "tables allow")
-    elif config.n_radars * joint > TABLE_CELL_GUARD:
+    elif nash and config.n_radars * joint > TABLE_CELL_GUARD:
         errors.append(
             f"radars: {config.n_radars} radars on {first.n_subbands} subbands give "
             f"dense game tables of {config.n_radars * joint} cells, above the "
@@ -170,6 +170,15 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             errors.append(f"links[{li}]: victim/source indices invalid")
     if config.frames < 1 or config.episodes_per_frame < 1:
         errors.append("run: frames and episodes_per_frame must be positive")
+    # The per-step records (aligned actions, per-subband genie utilities)
+    # hold frames * max(K) steps for every radar and subband.
+    cells = (config.frames * max(spec.chirp.chirps_per_frame for spec in config.radars)
+             * config.n_radars * first.n_subbands)
+    if cells > TABLE_CELL_GUARD:
+        errors.append(
+            f"run.frames: {config.frames} frames give {cells} per-step cells for "
+            f"{config.n_radars} radars on {first.n_subbands} subbands, above the "
+            f"{TABLE_CELL_GUARD} allowed")
     if config.seed < 0:
         errors.append(f"run.seed: {config.seed} must be non-negative")
     if config.noise_power <= 0:
@@ -258,24 +267,23 @@ def _link_inr_lin(config: ScenarioConfig) -> dict:
     return inr
 
 
-def genie_utility_table(config: ScenarioConfig) -> UtilityTable:
-    """Evaluation-side utility table from the configured SNR/INR levels.
+def genie_utility_table(config: ScenarioConfig, rows: np.ndarray,
+                        player: int) -> np.ndarray:
+    """Evaluation-side utility (dB) of each of ``player``'s subbands per row.
 
-    Colliding joint actions are valued at the theoretical SINR with the
-    full INR of every matching linked interferer; collision-free ones at
-    the SNR. Never shown to agents in model-free runs.
+    ``rows`` holds joint actions, shape (S, n); the result has shape
+    (S, A). A subband that linked sources play in that row is valued at
+    the theoretical SINR with their summed INR, added in ascending source
+    order; any other subband at the SNR. Never shown to agents in
+    model-free runs.
     """
-    n = config.n_radars
-    snr_lin = np.array([
-        sum(10.0 ** (t.snr_db / 10.0) for t in spec.targets)
-        for spec in config.radars
-    ])
-    weights = np.zeros((n, n))
-    for (i, j), inr in _link_inr_lin(config).items():
-        weights[i, j] = inr
-    return UtilityTable.from_collisions(
-        weights, config.n_subbands,
-        lambda i, own, load: 10.0 * np.log10(snr_lin[i] / (load + 1.0)))
+    snr_lin = sum(10.0 ** (t.snr_db / 10.0) for t in config.radars[player].targets)
+    inr = _link_inr_lin(config)
+    load = np.zeros((len(rows), config.n_subbands))
+    for j in range(config.n_radars):
+        if (player, j) in inr:
+            load[np.arange(len(rows)), rows[:, j]] += inr[(player, j)]
+    return 10.0 * np.log10(snr_lin / (load + 1.0))
 
 
 class _Agent:
@@ -341,12 +349,11 @@ class RunMetrics:
     strategies: np.ndarray            # (episodes, radars, subbands)
     interference_rate: np.ndarray     # (episodes, radars)
     mean_sinr_db: np.ndarray          # (episodes, radars)
-    cumulative_regret_db: np.ndarray  # (episodes, radars), genie table
+    cumulative_regret_db: np.ndarray  # (episodes, radars), genie utilities
     external_regret_db: np.ndarray    # (radars,), full horizon
     cce_gap_db: np.ndarray            # (radars,)
     joint_distribution: JointDistribution
     aligned_actions: np.ndarray       # (steps, radars), common chirp clock
-    genie_table: UtilityTable
     profiles: dict                    # radar index -> FineRangeProfile
     policies: tuple[str, ...]
 
@@ -481,8 +488,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
             [frame_actions[i][step_idx[i]] for i in range(n_radars)], axis=1))
 
     aligned = np.concatenate(aligned_frames, axis=0)  # (steps, radars)
-    table = genie_utility_table(config)
-    joint = empirical_joint([aligned[:, i] for i in range(n_radars)], a)
+    joint = empirical_joint(aligned, a)
 
     # Regret after the last aligned step of every episode.
     bounds = np.arange(1, episodes + 1) * (s_frame // t_ep) - 1
@@ -490,12 +496,11 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     ext_regret = np.zeros(n_radars)
     cce_gap = np.zeros(n_radars)
     for i in range(n_radars):
-        ledger = RegretLedger(player=i, realized_db=table.values[i][tuple(aligned.T)],
-                              opponent_actions=np.delete(aligned, i, axis=1))
-        running = external_regret(ledger, table)
+        running = external_regret(genie_utility_table(config, aligned, i), aligned[:, i])
         cumulative_regret[:, i] = running[bounds]
         ext_regret[i] = running[-1]
-        cce_gap[i] = cce_deviation_gap(joint, table, i)
+        cce_gap[i] = cce_deviation_gap(
+            joint, genie_utility_table(config, joint.rows, i), i)
 
     profiles = {}
     for i, spec in enumerate(config.radars):
@@ -522,7 +527,6 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
         cce_gap_db=cce_gap,
         joint_distribution=joint,
         aligned_actions=aligned,
-        genie_table=table,
         profiles=profiles,
         policies=tuple(spec.policy for spec in config.radars),
     )

@@ -27,6 +27,7 @@ from hopsim.cli import (
     render_config,
 )
 from hopsim.game import (
+    JointDistribution,
     MixedStrategy,
     StrategyProfile,
     UtilityTable,
@@ -34,7 +35,7 @@ from hopsim.game import (
     expected_utility,
 )
 from hopsim.signal import C, ChirpParams, Target, _echo_terms, interference_base
-from hopsim.sim import run_scenario
+from hopsim.sim import ScenarioConfig, run_scenario
 
 # Default tolerance (dB) for equilibrium checks.
 EQ_TOL_DB = 1e-6
@@ -265,6 +266,71 @@ def from_collisions_dense(weights: np.ndarray, n_subbands: int, utility) -> Util
                 load += weights[i, j] * (grids[j] == grids[i])
         values[i] = utility(i, grids[i], load)
     return UtilityTable(values)
+
+
+def dense_genie_table(config: ScenarioConfig) -> UtilityTable:
+    """The genie utilities of every radar at every joint action, as one table.
+
+    Colliding joint actions are valued at the theoretical SINR with the
+    full INR of every matching linked interferer; collision-free ones at
+    the SNR. Repeated links add their linear INRs in config order.
+    """
+    n = config.n_radars
+    snr_lin = np.array([
+        sum(10.0 ** (t.snr_db / 10.0) for t in spec.targets)
+        for spec in config.radars
+    ])
+    weights = np.zeros((n, n))
+    for link in config.links:
+        weights[link.victim, link.source] += 10.0 ** (link.inr_db / 10.0)
+    return UtilityTable.from_collisions(
+        weights, config.n_subbands,
+        lambda i, own, load: 10.0 * np.log10(snr_lin[i] / (load + 1.0)))
+
+
+def dense_arm_utilities(table: UtilityTable, rows: np.ndarray, player: int) -> np.ndarray:
+    """(S, A): ``player``'s table entry for every own subband, others as in each row."""
+    u = np.moveaxis(table.values[player], player, 0)
+    per_arm = u[(slice(None), *np.delete(rows, player, axis=1).T)]
+    return np.broadcast_to(per_arm.T, (len(rows), table.n_subbands))
+
+
+def external_regret_dense(table: UtilityTable, actions: np.ndarray, player: int) -> np.ndarray:
+    """Running external regret read from a dense table; ``actions`` is (steps, n)."""
+    realized_db = table.values[player][tuple(actions.T)]
+    opponent_actions = np.delete(actions, player, axis=1)
+    n_other = table.n_players - 1
+    u = np.moveaxis(table.values[player], player, 0)
+    if n_other == 0:
+        per_arm = np.broadcast_to(u[:, None], (u.shape[0], realized_db.size))
+    else:
+        per_arm = u[(slice(None), *opponent_actions.T)]  # (A, K)
+    arm_cum = np.cumsum(per_arm, axis=1)
+    arm_cum -= np.cumsum(realized_db)
+    return arm_cum.max(axis=0)
+
+
+def cce_deviation_gap_dense(mass: np.ndarray, table: UtilityTable, player: int) -> float:
+    """CCE deviation gap of a dense (A, ..., A) joint mass against a dense table."""
+    base = float((mass * table.values[player]).sum())
+    marginal = mass.sum(axis=player)
+    u = np.moveaxis(table.values[player], player, 0)
+    n_other = table.n_players - 1
+    dev = np.tensordot(u, marginal, axes=(list(range(1, n_other + 1)), list(range(n_other))))
+    return float(np.max(dev) - base)
+
+
+def joint_from_dense(mass: np.ndarray) -> JointDistribution:
+    """The support of a dense (A, ..., A) mass array, in C order."""
+    rows = np.argwhere(mass != 0.0)
+    return JointDistribution(rows, mass[tuple(rows.T)], mass.shape[0])
+
+
+def dense_mass(joint: JointDistribution) -> np.ndarray:
+    """The (A, ..., A) mass array of a support-listed joint distribution."""
+    mass = np.zeros((joint.n_subbands,) * joint.n_players)
+    mass[tuple(joint.rows.T)] = joint.mass
+    return mass
 
 
 def write_joint_csv_rows(path: Path, mass: np.ndarray):

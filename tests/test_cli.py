@@ -19,10 +19,16 @@ from hopsim.cli import (
     render_config,
 )
 
-from hopsim.game import JointDistribution, empirical_joint
+from hopsim.game import empirical_joint
 from hopsim.sim import run_scenario
 
-from oracles import bundled_config_path, cmd_run_collect_then_emit, write_joint_csv_rows
+from oracles import (
+    bundled_config_path,
+    cmd_run_collect_then_emit,
+    dense_mass,
+    joint_from_dense,
+    write_joint_csv_rows,
+)
 
 SMALL_CFG = """
 radars:
@@ -164,7 +170,11 @@ class TestCmdRun:
             interference = (seed_dir / "interference.csv").read_text().splitlines()
             assert len(interference) == 1 + 2 * 2
             joint = (seed_dir / "joint_dist.csv").read_text().splitlines()
-            assert len(joint) == 1 + 36
+            assert joint[0] == "joint_action,mass"
+            # support rows only (at most 6**2), in C order, each with positive mass
+            labels = [tuple(map(int, row.split(",")[0].split("-"))) for row in joint[1:]]
+            assert labels == sorted(set(labels)) and 1 <= len(labels) <= 36
+            assert all(float(row.split(",")[1]) > 0.0 for row in joint[1:])
             assert (seed_dir / "profile_uniform.csv").is_file()
             assert (seed_dir / "profile_noregret.csv").is_file()
 
@@ -213,24 +223,28 @@ class TestCmdRun:
 
 
 class TestJointCsv:
-    """The block writer matches the per-row writer byte for byte."""
+    """The support writer equals the per-row writer with zero-mass rows dropped."""
 
-    def assert_same_bytes(self, tmp_path, mass):
-        _write_joint_csv(tmp_path / "block.csv", mass)
-        write_joint_csv_rows(tmp_path / "rows.csv", mass)
-        got = (tmp_path / "block.csv").read_bytes()
-        assert got == (tmp_path / "rows.csv").read_bytes()
-        return got.decode().splitlines()
+    def assert_same_bytes(self, tmp_path, joint):
+        _write_joint_csv(tmp_path / "support.csv", joint)
+        write_joint_csv_rows(tmp_path / "rows.csv", dense_mass(joint))
+        got = (tmp_path / "support.csv").read_text()
+        dense = (tmp_path / "rows.csv").read_text().splitlines(keepends=True)
+        nonzero = [line for line in dense[1:] if float(line.split(",")[1]) != 0.0]
+        assert got == dense[0] + "".join(nonzero)
+        return got.splitlines()
 
     @pytest.mark.parametrize("n,a", [(1, 4), (2, 6), (3, 12)])
     def test_random_joints(self, tmp_path, n, a):
         rng = np.random.default_rng(10 * n + a)
-        joint = empirical_joint(list(rng.integers(0, a, (n, 500))), a)
-        lines = self.assert_same_bytes(tmp_path, joint.mass)
-        assert len(lines) == 1 + a**n
+        joint = empirical_joint(rng.integers(0, a, (n, 500)).T, a)
+        lines = self.assert_same_bytes(tmp_path, joint)
+        assert len(lines) == 1 + joint.mass.size
         assert lines[0] == "joint_action,mass"
-        if n == 3:
-            assert lines[1 + 9 * 144 + 0 * 12 + 11].startswith("10-1-12,")
+        if n == 3:  # two-digit labels such as "10-1-12"
+            assert any(max(map(int, line.split(",")[0].split("-"))) >= 10 for line in lines[1:])
+        else:
+            assert len(lines) == 1 + a**n  # 500 steps play every joint action
 
     def test_exponent_and_non_dyadic_masses(self, tmp_path):
         mass = np.zeros((3, 3))
@@ -238,26 +252,28 @@ class TestJointCsv:
         mass[1, 0] = mass[2, 2] = 1.0 / 3.0
         mass[0, 2] = 1.0 - mass.sum()
         mass[2, 1] = 7e-300
-        joint = JointDistribution(mass)
-        lines = self.assert_same_bytes(tmp_path, joint.mass)
-        assert lines[2] == "1-2,1e-05"
-        assert lines[4] == "2-1,0.3333333333333333"
-        assert lines[8] == "3-2,7e-300"
+        lines = self.assert_same_bytes(tmp_path, joint_from_dense(mass))
+        assert lines[1] == "1-2,1e-05"
+        assert lines[3] == "2-1,0.3333333333333333"
+        assert lines[4] == "3-2,7e-300"
 
     def test_signed_zero_keeps_its_text(self, tmp_path):
+        # The per-row writer prints -0.0 and 0.0 as such; both are zero
+        # mass, so neither row is in the support.
         mass = np.array([[0.5, -0.0], [0.0, 0.5]])
-        lines = self.assert_same_bytes(tmp_path, mass)
-        assert lines[2:4] == ["1-2,-0.0", "2-1,0.0"]
+        write_joint_csv_rows(tmp_path / "rows.csv", mass)
+        assert (tmp_path / "rows.csv").read_text().splitlines()[2:4] == ["1-2,-0.0", "2-1,0.0"]
+        lines = self.assert_same_bytes(tmp_path, joint_from_dense(mass))
+        assert lines[1:] == ["1-1,0.5", "2-2,0.5"]
 
     def test_real_scenario_joint(self, tmp_path):
         doc = yaml.safe_load(SMALL_CFG)
         doc["radars"].append(dict(doc["radars"][1]))
         doc["targets"].append(dict(doc["targets"][1], radar=3))
         doc["links"].append({"victim": 3, "source": 1, "inr_db": 20.0})
-        metrics = run_scenario(parse_config(yaml.safe_dump(doc)))
-        mass = metrics.joint_distribution.mass
-        assert mass.shape == (6, 6, 6) and np.count_nonzero(mass) > 6
-        self.assert_same_bytes(tmp_path, mass)
+        joint = run_scenario(parse_config(yaml.safe_dump(doc))).joint_distribution
+        assert joint.n_players == 3 and 6 < joint.mass.size < 6**3
+        self.assert_same_bytes(tmp_path, joint)
 
 
 class TestReport:
@@ -317,6 +333,17 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["report", str(out)]) == 0
         assert "policy" in capsys.readouterr().out
+
+
+def crowd_doc(n_radars, policy, subbands=6):
+    """SMALL_CFG's first radar repeated n times under one policy, no links."""
+    doc = yaml.safe_load(SMALL_CFG)
+    params = {"noregret": doc["radars"][1]["policy_params"], "nash": {"explore_episodes": 1}}
+    doc["radars"] = [dict(doc["radars"][0], subbands=subbands, policy=policy,
+                          policy_params=params[policy])] * n_radars
+    doc["targets"] = [dict(doc["targets"][0], radar=r + 1) for r in range(n_radars)]
+    del doc["links"]
+    return doc
 
 
 def exit_code_and_errors(tmp_path, capsys, doc):
@@ -393,11 +420,10 @@ class TestStrictConfig:
 
     @pytest.mark.parametrize("n_radars,ok", [(8, True), (10, False)])
     def test_joint_action_space_guard(self, n_radars, ok):
-        # 6**8 (crowd-8) fits the dense game tables; 6**10 would allocate
-        # about 4.8 GB, so it is rejected before anything runs.
-        doc = yaml.safe_load(SMALL_CFG)
-        doc["radars"] = [doc["radars"][0]] * n_radars
-        doc["targets"] = [dict(doc["targets"][0], radar=r + 1) for r in range(n_radars)]
+        # Nash radars solve dense game tables: 6**8 joint actions fit;
+        # 6**10 would allocate about 4.8 GB, so it is rejected before
+        # anything runs.
+        doc = crowd_doc(n_radars, "nash")
         if ok:
             assert parse_config(yaml.safe_dump(doc)).n_radars == n_radars
         else:
@@ -410,11 +436,10 @@ class TestStrictConfig:
     @pytest.mark.parametrize("n_radars,subbands,ok", [
         (8, 6, True), (21, 2, True), (22, 2, False), (23, 2, False)])
     def test_table_cell_guard(self, tmp_path, capsys, n_radars, subbands, ok):
-        # n * A**n table cells: crowd-8 holds 1.3e7; 22 radars on 2 subbands
-        # pass the joint-action guard (2**22 < 1e7) but would hold 9.2e7.
-        doc = yaml.safe_load(SMALL_CFG)
-        doc["radars"] = [dict(doc["radars"][0], subbands=subbands)] * n_radars
-        doc["targets"] = [dict(doc["targets"][0], radar=r + 1) for r in range(n_radars)]
+        # n * A**n table cells: 8 nash radars on 6 subbands hold 1.3e7;
+        # 22 on 2 subbands pass the joint-action guard (2**22 < 1e7) but
+        # would hold 9.2e7.
+        doc = crowd_doc(n_radars, "nash", subbands)
         if ok:
             assert parse_config(yaml.safe_dump(doc)).n_radars == n_radars
             return
@@ -423,6 +448,27 @@ class TestStrictConfig:
         cells = n_radars * subbands**n_radars
         assert (f"radars: {n_radars} radars on {subbands} subbands give dense game "
                 f"tables of {cells} cells, above the 50000000 allowed") in err
+        assert not (tmp_path / "o").exists()
+
+    def test_dense_table_guards_apply_only_with_nash(self):
+        # noregret crowds are evaluated per link and hold no dense table.
+        assert parse_config(yaml.safe_dump(crowd_doc(16, "noregret"))).n_radars == 16
+        doc = crowd_doc(16, "noregret")
+        doc["radars"][5] = crowd_doc(1, "nash")["radars"][0]
+        with pytest.raises(ConfigError) as err:
+            parse_config(yaml.safe_dump(doc))
+        assert err.value.messages == [
+            "radars: 16 radars on 6 subbands give 2821109907456 joint actions, "
+            "above the 10000000 the dense game tables allow"]
+
+    def test_frame_guard(self, tmp_path, capsys):
+        # 10**9 frames of table1 would record 6e12 per-step cells.
+        doc = yaml.safe_load(bundled_config_path("table1").read_text())
+        doc["run"]["frames"] = 10**9
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert ("run.frames: 1000000000 frames give 6144000000000 per-step cells for "
+                "2 radars on 6 subbands, above the 50000000 allowed") in err
         assert not (tmp_path / "o").exists()
 
     def test_numeric_string_still_reads_as_float(self):

@@ -9,7 +9,6 @@ from hopsim.game import (
     CapacityError,
     JointDistribution,
     MixedStrategy,
-    RegretLedger,
     SolverIncompleteError,
     StrategyProfile,
     UtilityTable,
@@ -24,9 +23,11 @@ from hopsim.game import (
 )
 
 from oracles import (
+    dense_arm_utilities,
     deviation_utilities,
     from_collisions_dense,
     is_nash,
+    joint_from_dense,
     support_enumeration_2p,
 )
 
@@ -65,13 +66,13 @@ def brute_force_pure_nash(table):
     return out
 
 
-def brute_force_cce_gap(joint, table, player):
-    """Independent oracle: explicit sums over the joint support."""
+def brute_force_cce_gap(joint_mass, table, player):
+    """Independent oracle: explicit sums over a dense joint mass."""
     n, a = table.n_players, table.n_subbands
     base = 0.0
     dev = np.zeros(a)
     for f in itertools.product(range(a), repeat=n):
-        mass = joint.mass[f]
+        mass = joint_mass[f]
         if mass == 0.0:
             continue
         base += mass * table.utility(player, f)
@@ -80,6 +81,18 @@ def brute_force_cce_gap(joint, table, player):
             alt[player] = fp
             dev[fp] += mass * table.utility(player, alt)
     return dev.max() - base
+
+
+def table_gap(mass, table, player):
+    """``cce_deviation_gap`` of a dense joint mass against a dense table."""
+    joint = joint_from_dense(mass)
+    return cce_deviation_gap(joint, dense_arm_utilities(table, joint.rows, player), player)
+
+
+def table_regret(table, actions, player=0):
+    """Running ``external_regret`` of ``player`` on (steps, n) joint actions."""
+    actions = np.asarray(actions)
+    return external_regret(dense_arm_utilities(table, actions, player), actions[:, player])
 
 
 class TestMixedStrategy:
@@ -100,6 +113,24 @@ class TestMixedStrategy:
     def test_pure_action(self):
         assert pure_strategy(2, 4).pure_action == 2
         assert MixedStrategy(np.array([0.5, 0.5])).pure_action is None
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            MixedStrategy(np.array([np.nan, 1.0]))
+
+
+class TestJointDistribution:
+    def test_support_rows_and_masses(self):
+        joint = JointDistribution(np.array([[0, 1], [1, 0]]), np.array([0.25, 0.75]), 2)
+        assert joint.n_players == 2 and joint.n_subbands == 2
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            JointDistribution(np.array([[0], [1]]), np.array([np.nan, 1.0]), 2)
+
+    def test_rows_outside_the_subbands_rejected(self):
+        with pytest.raises(ValueError):
+            JointDistribution(np.array([[0, 2]]), np.array([1.0]), 2)
 
 
 class TestUtilityTable:
@@ -364,109 +395,105 @@ class TestCceDeviationGap:
         for profile in enumerate_pure_nash(table):
             mass = np.zeros((3, 3))
             mass[profile.pure_actions] = 1.0
-            joint = JointDistribution(mass)
             for i in range(2):
-                assert cce_deviation_gap(joint, table, i) <= 1e-9
+                assert table_gap(mass, table, i) <= 1e-9
 
     def test_uniform_mixture_of_pure_nes_is_cce(self):
         table = anti_coordination_table(2, 2)
         mass = np.array([[0.0, 0.5], [0.5, 0.0]])
-        joint = JointDistribution(mass)
         for i in range(2):
-            assert cce_deviation_gap(joint, table, i) <= 1e-9
+            assert table_gap(mass, table, i) <= 1e-9
 
     def test_colliding_point_mass_gap_is_snr_minus_sinr(self):
         table = anti_coordination_table(2, 2, snr_db=20.0, sinr_db=-10.0)
         mass = np.zeros((2, 2))
         mass[0, 0] = 1.0
-        joint = JointDistribution(mass)
-        assert cce_deviation_gap(joint, table, 0) == pytest.approx(30.0)
+        assert table_gap(mass, table, 0) == pytest.approx(30.0)
 
     def test_mismatched_table_rejected(self):
-        joint = JointDistribution(np.full((2, 2), 0.25))
+        joint = joint_from_dense(np.full((2, 2), 0.25))
+        per_arm = dense_arm_utilities(anti_coordination_table(2, 3), joint.rows, 0)
         with pytest.raises(ValueError):
-            cce_deviation_gap(joint, anti_coordination_table(2, 3), 0)
+            cce_deviation_gap(joint, per_arm, 0)
 
     @pytest.mark.parametrize("n,a,seed", [(2, 2, 0), (2, 4, 1), (3, 3, 2)])
     def test_matches_brute_force(self, n, a, seed):
         rng = np.random.default_rng(seed)
         table = UtilityTable(rng.normal(size=(n,) + (a,) * n))
         mass = rng.random((a,) * n)
-        joint = JointDistribution(mass / mass.sum())
+        mass /= mass.sum()
         for i in range(n):
-            assert cce_deviation_gap(joint, table, i) == pytest.approx(
-                brute_force_cce_gap(joint, table, i))
+            assert table_gap(mass, table, i) == pytest.approx(
+                brute_force_cce_gap(mass, table, i))
 
 
 class TestExternalRegret:
     def test_hindsight_best_play_zero_regret(self):
         table = anti_coordination_table(2, 2, snr_db=10.0, sinr_db=0.0)
-        opp = np.array([[1], [1], [1]])
-        realized = np.array([10.0, 10.0, 10.0])  # always played subband 0
-        ledger = RegretLedger(player=0, realized_db=realized, opponent_actions=opp)
-        assert external_regret(ledger, table)[-1] == pytest.approx(0.0)
+        actions = [[0, 1], [0, 1], [0, 1]]  # always played subband 0, earning 10
+        assert table_regret(table, actions)[-1] == pytest.approx(0.0)
 
     def test_alternating_opponent_fixed_self_ties(self):
         table = anti_coordination_table(2, 2, snr_db=10.0, sinr_db=0.0)
-        opp = np.array([[0], [1]])
-        realized = np.array([0.0, 10.0])  # self played subband 0 both chirps
-        ledger = RegretLedger(player=0, realized_db=realized, opponent_actions=opp)
-        assert external_regret(ledger, table)[-1] == pytest.approx(0.0)
+        actions = [[0, 0], [0, 1]]  # self played subband 0 both chirps: 0, then 10
+        assert table_regret(table, actions)[-1] == pytest.approx(0.0)
 
     def test_always_colliding_play(self):
         table = anti_coordination_table(2, 2, snr_db=10.0, sinr_db=0.0)
-        opp = np.array([[0], [1]])
-        realized = np.array([0.0, 0.0])  # self tracked the opponent
-        ledger = RegretLedger(player=0, realized_db=realized, opponent_actions=opp)
-        assert external_regret(ledger, table)[-1] == pytest.approx(10.0)
+        actions = [[0, 0], [1, 1]]  # self tracked the opponent, earning 0
+        assert table_regret(table, actions)[-1] == pytest.approx(10.0)
 
     def test_running_regret_after_every_chirp(self):
         table = anti_coordination_table(2, 2, snr_db=10.0, sinr_db=0.0)
-        opp = np.array([[0], [1], [1]])
-        realized = np.array([0.0, 0.0, 10.0])
-        ledger = RegretLedger(player=0, realized_db=realized, opponent_actions=opp)
+        actions = [[0, 0], [1, 1], [0, 1]]  # self earned 0, 0, 10
         # arm 0 earns 0, 10, 10 and arm 1 earns 10, 0, 0
-        np.testing.assert_allclose(external_regret(ledger, table), [10.0, 10.0, 10.0])
+        np.testing.assert_allclose(table_regret(table, actions), [10.0, 10.0, 10.0])
 
     def test_single_player_game(self):
         table = UtilityTable(np.array([[1.0, 5.0]]))
-        ledger = RegretLedger(player=0, realized_db=np.array([1.0, 1.0]),
-                              opponent_actions=np.empty((2, 0), dtype=int))
-        assert external_regret(ledger, table)[-1] == pytest.approx(8.0)
+        assert table_regret(table, [[0], [0]])[-1] == pytest.approx(8.0)
 
     def test_opponent_column_mismatch_rejected(self):
-        table = anti_coordination_table(3, 2)
-        ledger = RegretLedger(player=0, realized_db=np.array([0.0]),
-                              opponent_actions=np.array([[1]]))
+        # The joint actions, opponents' columns included, are not own actions.
+        table = anti_coordination_table(2, 2)
+        actions = np.array([[0, 1]])
         with pytest.raises(ValueError):
-            external_regret(ledger, table)
+            external_regret(dense_arm_utilities(table, actions, 0), actions)
 
 
 class TestEmpiricalJoint:
     def test_single_chirp_point_mass(self):
-        joint = empirical_joint([np.array([1]), np.array([2])], 3)
-        assert joint.mass[1, 2] == 1.0
-        assert joint.mass.sum() == pytest.approx(1.0)
+        joint = empirical_joint(np.array([[1, 2]]), 3)
+        np.testing.assert_array_equal(joint.rows, [[1, 2]])
+        assert joint.mass.tolist() == [1.0]
 
     def test_half_half_counts(self):
-        joint = empirical_joint([np.array([0, 0, 1, 1]), np.array([1, 1, 0, 0])], 2)
-        assert joint.mass[0, 1] == pytest.approx(0.5)
-        assert joint.mass[1, 0] == pytest.approx(0.5)
+        joint = empirical_joint(np.array([[0, 1], [0, 1], [1, 0], [1, 0]]), 2)
+        np.testing.assert_array_equal(joint.rows, [[0, 1], [1, 0]])
+        np.testing.assert_allclose(joint.mass, [0.5, 0.5])
 
     def test_round_robin_uniform(self):
         a = 3
         pairs = list(itertools.product(range(a), repeat=2))
-        joint = empirical_joint(
-            [np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])], a)
-        np.testing.assert_allclose(joint.mass, np.full((a, a), 1.0 / a**2))
+        joint = empirical_joint(np.array(pairs[::-1]), a)
+        np.testing.assert_array_equal(joint.rows, pairs)  # C order
+        np.testing.assert_allclose(joint.mass, np.full(a**2, 1.0 / a**2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_unique_rows(self, n):
+        actions = np.random.default_rng(n).integers(0, 5, size=(300, n))
+        rows, counts = np.unique(actions, axis=0, return_counts=True)
+        joint = empirical_joint(actions, 5)
+        np.testing.assert_array_equal(joint.rows, rows)
+        assert joint.mass.tobytes() == (counts / 300).tobytes()
 
     def test_ragged_histories_rejected(self):
         with pytest.raises(ValueError):
-            empirical_joint([np.array([0, 1]), np.array([0])], 2)
+            empirical_joint([[0, 1], [0]], 2)
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            empirical_joint([np.array([], dtype=int)], 2)
+            empirical_joint(np.empty((0, 2), dtype=int), 2)
 
 
 class TestConstantShiftInvariance:
@@ -486,10 +513,9 @@ class TestConstantShiftInvariance:
         assert sorted(p.pure_actions for p in enumerate_pure_nash(shifted)) \
             == sorted(p.pure_actions for p in enumerate_pure_nash(table))
         mass = rng.random((3, 3))
-        joint = JointDistribution(mass / mass.sum())
+        mass /= mass.sum()
         for i in range(2):
-            assert cce_deviation_gap(joint, shifted, i) == pytest.approx(
-                cce_deviation_gap(joint, table, i))
+            assert table_gap(mass, shifted, i) == pytest.approx(table_gap(mass, table, i))
 
     def test_symmetric_shift_keeps_welfare_max_selection(self):
         rng = np.random.default_rng(9)
@@ -507,11 +533,8 @@ class TestRegretGapIdentity:
         rng = np.random.default_rng(seed)
         n, a, k = 2, 4, 200
         table = UtilityTable(rng.normal(size=(n, a, a)))
-        hist = [rng.integers(0, a, size=k) for _ in range(n)]
-        joint = empirical_joint(hist, a)
+        actions = np.stack([rng.integers(0, a, size=k) for _ in range(n)], axis=1)
+        joint = empirical_joint(actions, a)
         for i in range(n):
-            realized = table.values[i][tuple(hist)]
-            opp = np.stack([hist[j] for j in range(n) if j != i], axis=1)
-            ledger = RegretLedger(player=i, realized_db=realized, opponent_actions=opp)
-            gap = cce_deviation_gap(joint, table, i)
-            assert gap <= external_regret(ledger, table)[-1] / k + 1e-9
+            gap = cce_deviation_gap(joint, dense_arm_utilities(table, joint.rows, i), i)
+            assert gap <= table_regret(table, actions, i)[-1] / k + 1e-9

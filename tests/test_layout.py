@@ -5,6 +5,8 @@ A function or class that only the tests call belongs in ``tests/`` (see
 runs.
 """
 import ast
+import sys
+import types
 from pathlib import Path
 
 import hopsim
@@ -14,8 +16,6 @@ SRC = Path(hopsim.__file__).parent
 # Entry points reached from outside the package.
 ALLOWED = {
     ("cli", "main"),            # console script named in pyproject.toml
-    ("signal", "write_frame"),  # binary frame dump, not wired to the CLI yet
-    ("signal", "read_frame"),
 }
 
 
@@ -44,3 +44,18 @@ def test_every_definition_is_referenced_in_src():
     unused = [f"{m}.{name}" for m, name in unreferenced_definitions()
               if (m, name) not in ALLOWED]
     assert unused == [], f"defined in src/ but used only outside it: {unused}"
+
+
+def test_benchmark_trace_sites_resolve():
+    # The benchmark's tracer patches hopsim at these (module, attribute)
+    # sites; a renamed function would make ``--trace 1`` fail.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spans = types.ModuleType("spans")
+    sys.modules["spans"] = spans  # dataclasses look their module up
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+        sites = spans.lookup_sites(hopsim)
+    finally:
+        del sys.modules["spans"]
+    missing = [f"{mod.__name__}.{attr}" for mod, attr in sites if not hasattr(mod, attr)]
+    assert sites and missing == []

@@ -551,38 +551,6 @@ class TestRangeProfile:
             assert profile.mags_db[near].max() >= profile.mags_db[far & band].max() - 3.0
 
 
-class TestFrameDump:
-    def test_round_trip(self, tmp_path):
-        p = table1_params(chirps=16)
-        rng = np.random.default_rng(12)
-        samples = (rng.standard_normal((p.n_samples, 16))
-                   + 1j * rng.standard_normal((p.n_samples, 16))).astype(np.complex64)
-        hops = rng.integers(0, 6, size=16) * p.subband_hz
-        frame = sig.ChirpFrame(samples=samples.astype(complex), hops_hz=hops)
-        path = tmp_path / "frame.bin"
-        sig.write_frame(path, frame, p.adc_hz)
-        loaded, f_s = sig.read_frame(path)
-        assert f_s == p.adc_hz
-        np.testing.assert_allclose(loaded.samples, frame.samples, atol=1e-6)
-        np.testing.assert_array_equal(loaded.hops_hz, hops)
-
-    def test_header_magic_checked(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x00" * 64)
-        with pytest.raises(ValueError):
-            sig.read_frame(path)
-
-    def test_header_is_32_bytes(self, tmp_path):
-        p = table1_params(chirps=2)
-        frame = sig.ChirpFrame(samples=np.zeros((p.n_samples, 2), dtype=complex),
-                               hops_hz=np.zeros(2))
-        path = tmp_path / "frame.bin"
-        sig.write_frame(path, frame, p.adc_hz)
-        raw = path.read_bytes()
-        assert raw[:4] == b"HOPF"
-        assert len(raw) == 32 + p.n_samples * 2 * 8
-
-
 class TestMainlobeWidth:
     def test_triangular_peak_interpolated(self):
         r = np.arange(11, dtype=float)

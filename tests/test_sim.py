@@ -12,7 +12,7 @@ import pytest
 
 import hopsim.signal as sig
 from hopsim import hopping, sim
-from hopsim.game import RegretLedger, cce_deviation_gap, external_regret
+from hopsim.game import cce_deviation_gap, empirical_joint, external_regret
 from hopsim.sim import (
     LinkSpec,
     RadarSpec,
@@ -23,6 +23,14 @@ from hopsim.sim import (
     overlap_weight,
     run_scenario,
     validate_config,
+)
+
+from oracles import (
+    cce_deviation_gap_dense,
+    dense_arm_utilities,
+    dense_genie_table,
+    dense_mass,
+    external_regret_dense,
 )
 
 
@@ -145,19 +153,73 @@ class TestCollisionTable:
 class TestGenieUtilityTable:
     def test_clean_and_colliding_cells(self):
         cfg = two_radar_config()
-        table = genie_utility_table(cfg)
+        rows = np.array([[0, 1], [2, 2]])
+        u0 = genie_utility_table(cfg, rows, 0)
         # distinct subbands: pure SNR
-        assert table.values[0][0, 1] == pytest.approx(20.0)
+        assert u0[0, 0] == pytest.approx(20.0)
         # same subband at INR 30: 10*log10(100/1001) = -10.004 dB
-        assert table.values[0][2, 2] == pytest.approx(-10.004, abs=1e-3)
-        assert table.values[1][2, 2] == pytest.approx(-10.004, abs=1e-3)
+        assert u0[1, 2] == pytest.approx(-10.004, abs=1e-3)
+        assert genie_utility_table(cfg, rows, 1)[1, 2] == pytest.approx(-10.004, abs=1e-3)
 
     def test_single_radar_all_snr(self):
         cfg = ScenarioConfig(radars=(
             RadarSpec(chirp=chirp(), targets=(target(),)),))
-        table = genie_utility_table(cfg)
+        u = genie_utility_table(cfg, np.arange(6)[:, None], 0)
         for a in range(6):
-            assert table.values[0][a] == pytest.approx(20.0)
+            assert u[a] == pytest.approx(20.0)
+
+
+# Directed (victim, source, INR dB) links per radar count: unlinked pairs,
+# one-way links, and repeated links whose INRs sum. Radar 1 of four has
+# three sources whose utility changes bits if their INRs are added in
+# descending source order.
+LINK_SETS = {
+    1: (),
+    2: ((0, 1, 30.0),),
+    3: ((0, 1, 20.0), (0, 2, 25.0), (0, 2, 10.0), (2, 1, 30.0)),
+    4: ((0, 1, 27.0), (0, 2, 25.0), (0, 3, 5.0), (1, 0, 18.0), (2, 3, 22.0),
+        (2, 3, 22.0), (3, 2, 5.0), (3, 0, 27.0)),
+}
+
+
+def linked_config(n, seed=0):
+    radars = tuple(RadarSpec(chirp=chirp(k=16, subbands=4),
+                             targets=(target(snr_db=15.0 + 2.5 * i),)) for i in range(n))
+    links = tuple(LinkSpec(v, src, inr) for v, src, inr in LINK_SETS[n])
+    return ScenarioConfig(radars=radars, links=links, frames=3, seed=seed)
+
+
+class TestPerLinkEvaluation:
+    """Per-link genie evaluation against the dense game table it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_dense_table_on_random_play(self, n):
+        cfg = linked_config(n)
+        table = dense_genie_table(cfg)
+        actions = np.random.default_rng(n).integers(0, 4, size=(400, n))
+        joint = empirical_joint(actions, 4)
+        for i in range(n):
+            per_arm = genie_utility_table(cfg, actions, i)
+            assert per_arm.tobytes() == dense_arm_utilities(table, actions, i).tobytes()
+            running = external_regret(per_arm, actions[:, i])
+            assert running.tobytes() == external_regret_dense(table, actions, i).tobytes()
+            gap = cce_deviation_gap(joint, genie_utility_table(cfg, joint.rows, i), i)
+            assert gap == pytest.approx(
+                cce_deviation_gap_dense(dense_mass(joint), table, i), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_run_metrics_match_dense_table(self, n):
+        cfg = linked_config(n, seed=10 + n)
+        m = run_scenario(cfg)
+        table = dense_genie_table(cfg)
+        mass = dense_mass(m.joint_distribution)
+        assert mass.sum() == pytest.approx(1.0)
+        for i in range(n):
+            running = external_regret_dense(table, m.aligned_actions, i)
+            assert m.external_regret_db[i] == running[-1]
+            np.testing.assert_array_equal(m.cumulative_regret_db[:, i], running[15::16])
+            assert m.cce_gap_db[i] == pytest.approx(
+                cce_deviation_gap_dense(mass, table, i), rel=0, abs=1e-12)
 
 
 class CountingRng:
@@ -289,16 +351,14 @@ class TestRunScenario:
         cfg = two_radar_config(("noregret", "uniform"), frames=3, seed=4)
         m = run_scenario(cfg)
         steps = m.aligned_actions.shape[0]
+        joint = m.joint_distribution
         for i in range(2):
-            ledger = RegretLedger(
-                player=i,
-                realized_db=m.genie_table.values[i][tuple(m.aligned_actions.T)],
-                opponent_actions=np.delete(m.aligned_actions, i, axis=1))
-            running = external_regret(ledger, m.genie_table)
+            running = external_regret(genie_utility_table(cfg, m.aligned_actions, i),
+                                      m.aligned_actions[:, i])
             assert m.external_regret_db[i] == running[-1]
             np.testing.assert_array_equal(m.cumulative_regret_db[:, i],
                                           running[[63, 127, 191]])
-            gap = cce_deviation_gap(m.joint_distribution, m.genie_table, i)
+            gap = cce_deviation_gap(joint, genie_utility_table(cfg, joint.rows, i), i)
             assert gap == pytest.approx(m.external_regret_db[i] / steps, rel=0, abs=1e-9)
 
     def test_policies_recorded(self):
