@@ -234,7 +234,6 @@ def render_config(config: ScenarioConfig) -> str:
 
 @dataclass
 class RunManifest:
-    out_dir: str
     seeds: list[int]
     files: dict            # relative path -> sha256 hex digest
     summary: dict          # per-seed summary statistics
@@ -247,7 +246,7 @@ class RunManifest:
             raise ReportError(f"missing manifest: {path}")
         try:
             doc = json.loads(path.read_text())
-            return cls(out_dir=str(out_dir), seeds=doc["seeds"], files=doc["files"],
+            return cls(seeds=doc["seeds"], files=doc["files"],
                        summary=doc["summary"], config=doc["config"])
         except (json.JSONDecodeError, KeyError) as exc:
             raise ReportError(f"corrupt manifest {path}: {exc}") from exc
@@ -274,8 +273,7 @@ def _write_joint_csv(path: Path, joint: JointDistribution):
     _write_csv(path, ["joint_action", "mass"], rows)
 
 
-def _emit_seed(out_dir: Path, seed: int, config: ScenarioConfig,
-               metrics: RunMetrics) -> tuple[dict, dict]:
+def _emit_seed(out_dir: Path, seed: int, metrics: RunMetrics) -> tuple[dict, dict]:
     seed_dir = out_dir / f"seed_{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
     episodes, n_radars, n_sub = metrics.strategies.shape
@@ -326,9 +324,11 @@ def _emit_seed(out_dir: Path, seed: int, config: ScenarioConfig,
 
 
 def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("HOPSIM_THREADS")
-    cap = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(n_jobs, cap))
+    """Pool size: ``n_jobs`` capped by HOPSIM_THREADS, or else by the CPU count."""
+    cap = os.environ.get("HOPSIM_THREADS") or str(os.cpu_count() or 1)
+    if not cap.isdecimal() or int(cap) < 1:
+        raise ValueError(f"HOPSIM_THREADS must be a positive integer, got {cap!r}")
+    return max(1, min(n_jobs, int(cap)))
 
 
 def cmd_run(config: ScenarioConfig, out_dir, seeds) -> RunManifest:
@@ -346,12 +346,12 @@ def cmd_run(config: ScenarioConfig, out_dir, seeds) -> RunManifest:
     # metrics, which hold every step's actions.
     with ThreadPoolExecutor(max_workers=_worker_count(len(seeds))) as pool:
         for seed, metrics in zip(seeds, pool.map(one, seeds)):
-            seed_files, seed_summary = _emit_seed(out, seed, config, metrics)
+            seed_files, seed_summary = _emit_seed(out, seed, metrics)
             del metrics
             files.update(seed_files)
             summary[str(seed)] = seed_summary
 
-    manifest = RunManifest(out_dir=str(out), seeds=seeds, files=files,
+    manifest = RunManifest(seeds=seeds, files=files,
                            summary=summary, config=yaml.safe_load(render_config(config)))
     (out / "manifest.json").write_text(json.dumps(
         {"seeds": manifest.seeds, "files": manifest.files,
@@ -371,16 +371,24 @@ def cmd_report(run_dirs) -> str:
     per_policy: dict[str, dict[str, list[float]]] = {}
     for run_dir in run_dirs:
         manifest = RunManifest.load(run_dir)
-        for seed in manifest.seeds:
-            s = manifest.summary[str(seed)]
-            for i, policy in enumerate(s["policies"]):
-                bucket = per_policy.setdefault(policy, {
-                    "interference": [], "sinr": [], "gap": [], "width": []})
-                bucket["interference"].append(s["final_interference_rate"][i])
-                bucket["sinr"].append(s["final_mean_sinr_db"][i])
-                bucket["gap"].append(s["cce_gap_db"][i])
-            for policy, width in s["mainlobe_width_m"].items():
-                per_policy[policy]["width"].append(width)
+        path = Path(run_dir) / "manifest.json"
+        try:
+            for seed in manifest.seeds:
+                s = manifest.summary[str(seed)]
+                for i, policy in enumerate(s["policies"]):
+                    bucket = per_policy.setdefault(policy, {
+                        "interference": [], "sinr": [], "gap": [], "width": []})
+                    bucket["interference"].append(s["final_interference_rate"][i])
+                    bucket["sinr"].append(s["final_mean_sinr_db"][i])
+                    bucket["gap"].append(s["cce_gap_db"][i])
+                for policy, width in s["mainlobe_width_m"].items():
+                    if policy not in s["policies"]:
+                        raise ReportError(f"corrupt manifest {path}: seed {seed} has a "
+                                          f"mainlobe width for unrun policy {policy!r}")
+                    per_policy[policy]["width"].append(width)
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise ReportError(f"corrupt manifest {path}: missing or malformed "
+                              f"summary entry {exc}") from exc
 
     lines = [f"{'policy':<10} {'intf_rate':>10} {'mean_sinr_db':>13} "
              f"{'cce_gap_db':>11} {'mainlobe_m':>11}"]
@@ -441,6 +449,11 @@ def main(argv=None) -> int:
                 seeds = _parse_seeds(args.seeds)
             except ValueError as exc:
                 print(f"hopsim: error: --seeds: {exc}", file=sys.stderr)
+                return 1
+            try:
+                _worker_count(len(seeds))
+            except ValueError as exc:
+                print(f"hopsim: error: {exc}", file=sys.stderr)
                 return 1
             config = parse_config(Path(args.config).read_text())
             cmd_run(config, args.out, seeds)

@@ -96,14 +96,6 @@ class ChirpFrame:
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "hops_hz", h)
 
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n_chirps(self) -> int:
-        return self.samples.shape[1]
-
 
 @dataclass(frozen=True)
 class FineRangeProfile:
@@ -113,10 +105,6 @@ class FineRangeProfile:
     mags_db: np.ndarray
     coarse_bin: int       # coarse bin holding the global peak
     velocity_mps: float
-
-    @property
-    def peak_range_m(self) -> float:
-        return float(self.ranges_m[int(np.argmax(self.mags_db))])
 
 
 def coarse_decompose(params: ChirpParams, range_m: float) -> tuple[float, float]:
@@ -196,28 +184,24 @@ def _column_energy(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("tk,tl,lk->k", np.conj(coeffs), gram, coeffs))
 
 
-def interference_base(victim: ChirpParams, source: ChirpParams) -> np.ndarray:
-    """Unit-amplitude residual chirp exp(j pi (a_v - a_s) t^2) after dechirping."""
-    t = np.arange(victim.n_samples) / victim.adc_hz
-    return np.exp(1j * np.pi * (victim.slope - source.slope) * t * t)
+def interference_bases(victim: ChirpParams, sources) -> tuple[np.ndarray, np.ndarray]:
+    """The sources' residual chirps b_j, (L, N_s), and their Gram matrix, (L, L).
 
-
-def _interference_gram(victim: ChirpParams, sources) -> np.ndarray:
-    """Gram matrix mean_t(conj(b_j) b_l) of the sources' residual chirps, (L, L).
-
-    b_j is ``interference_base(victim, sources[j])``. With per-link
-    amplitudes a_k, chirp k's interference power mean_t |sum_j a_j b_j|^2
-    is Re(a_k^H Gram a_k). Same-slope sources share b = 1 and add
-    coherently, so the cross terms do not vanish.
+    b_j = exp(j pi (a_v - a_j) t^2) is source j's unit-amplitude chirp
+    after dechirping, and the Gram matrix is mean_t(conj(b_j) b_l). With
+    per-link amplitudes a_k, chirp k's interference power
+    mean_t |sum_j a_j b_j|^2 is Re(a_k^H Gram a_k). Same-slope sources
+    share b = 1 and add coherently, so the cross terms do not vanish.
     """
-    b = np.array([interference_base(victim, src) for src in sources]).reshape(
-        len(sources), victim.n_samples)
-    return np.conj(b) @ b.T / victim.n_samples
+    t = np.arange(victim.n_samples) / victim.adc_hz
+    rates = np.array([victim.slope - src.slope for src in sources]).reshape(-1, 1)
+    b = np.exp(1j * np.pi * rates * t * t)
+    return b, np.conj(b) @ b.T / victim.n_samples
 
 
 def detect_interference(samples: np.ndarray, noise_power: float,
                         factor: float = DEFAULT_DETECTION_FACTOR):
-    """Threshold detector splitting chirps into clean and interference parts.
+    """Threshold detector: per chirp, a flag and the clean and interference powers.
 
     ``samples`` is one chirp (N_s,) or a block of chirps (N_s, K); each
     column is detected on its own. Samples whose amplitude exceeds the
@@ -226,19 +210,24 @@ def detect_interference(samples: np.ndarray, noise_power: float,
     samples are. The envelope power is the strongest FFT tone minus the
     median bin, so broadband interference energy does not inflate it, and
     it enters the threshold as a coherent amplitude bound:
-    |x| > sqrt(envelope) + sqrt(factor x noise).
+    |x| > sqrt(envelope) + sqrt(factor x noise). Returns the flags and the
+    mean |x|^2 of the samples below (clean) and above (interference) the
+    threshold, each counted over all N_s samples.
     """
     if factor <= 1:
         raise ValueError("factor must exceed 1")
     x = np.asarray(samples)
+    n = x.shape[0]
     spec2 = np.abs(np.fft.fft(x, axis=0, norm="ortho")) ** 2
-    envelope = np.clip(np.max(spec2, axis=0) - np.median(spec2, axis=0),
-                       0.0, None) / x.shape[0]
+    middle = np.partition(spec2, ((n - 1) // 2, n // 2), axis=0)
+    median = (middle[(n - 1) // 2] + middle[n // 2]) / 2
+    envelope = np.clip(np.max(spec2, axis=0) - median, 0.0, None) / n
     threshold = (np.sqrt(envelope) + np.sqrt(factor * noise_power)) ** 2
-    hot = np.abs(x) ** 2 > threshold
+    power = np.abs(x) ** 2
+    hot = power > threshold
     flag = hot.mean(axis=0) > 0.01
-    clean = np.where(hot, 0.0, x)
-    return flag, clean, x - clean
+    return (flag, np.mean(np.where(hot, 0.0, power), axis=0),
+            np.mean(np.where(hot, power, 0.0), axis=0))
 
 
 @dataclass(frozen=True)
@@ -260,6 +249,48 @@ class ChirpMeasurements:
             raise ValueError("need at least one chirp")
         if self.noise_power <= 0:
             raise ValueError("noise power must be positive")
+
+
+def measure_episode(params: ChirpParams, targets, target_phases, subbands: np.ndarray,
+                    k0: int, amps: np.ndarray, bases: np.ndarray, gram: np.ndarray,
+                    noise_power: float, rng: np.random.Generator, sampled: bool,
+                    genie_flags: np.ndarray | None = None,
+                    detection_factor: float = DEFAULT_DETECTION_FACTOR):
+    """One radar's per-chirp measurements over an episode of K chirps.
+
+    ``amps`` (L, K) holds each linked source's complex amplitude per chirp
+    and ``bases``, ``gram`` are the sources' ``interference_bases``; ``k0``
+    is the first chirp's index in its frame. Genie mode (``genie_flags``
+    marks the chirps that collided) measures the clean and interference
+    powers apart, drawn from their exact distribution unless ``sampled``.
+    Detector mode splits every episode's samples with the threshold
+    detector. Returns the measurements and the samples (N_s, K) or None.
+    """
+    hops = subbands * params.subband_hz
+    flags, x = genie_flags, None
+    if flags is not None and not sampled:
+        energy = _echo_energy(params, targets, target_phases, hops, noise_power, k0)
+        clean = _clean_power_draw(energy, params.n_samples, noise_power, rng)
+        intf = _column_energy(gram, amps)
+    else:
+        echo = np.zeros((params.n_samples, hops.size), dtype=complex)
+        for tgt, ph in zip(targets, target_phases):
+            echo += echo_frame(params, tgt, hops, noise_power=noise_power,
+                               phase0=float(ph), k0=k0)
+        x = np.zeros_like(echo)  # interference, then echo + interference + noise
+        for b, a in zip(bases, amps):
+            x += np.outer(b, a)
+        sigma = np.sqrt(noise_power / 2.0)
+        nz = sigma * (rng.standard_normal(echo.shape) + 1j * rng.standard_normal(echo.shape))
+        if flags is not None:
+            clean = np.mean(np.abs(echo + nz) ** 2, axis=0)
+            intf = np.mean(np.abs(x) ** 2, axis=0)
+        x += echo
+        x += nz
+        if flags is None:
+            flags, clean, intf = detect_interference(x, noise_power, detection_factor)
+    return ChirpMeasurements(subbands=subbands, clean_power=clean, interference_power=intf,
+                             flagged=flags, noise_power=noise_power), x
 
 
 def estimate_episode_sinr(meas: ChirpMeasurements, n_subbands: int,
@@ -294,7 +325,7 @@ def estimate_episode_sinr(meas: ChirpMeasurements, n_subbands: int,
                         count=count, clean_count=clean_count, hit_count=hit_count)
 
 
-def range_fft(frame: ChirpFrame | np.ndarray, window: str = "rect") -> np.ndarray:
+def range_fft(frame: ChirpFrame | np.ndarray) -> np.ndarray:
     """Per-chirp fast-time DFT (orthonormal so energy is preserved).
 
     The dechirped echo beats at -f_r, so the transform is evaluated at
@@ -304,10 +335,6 @@ def range_fft(frame: ChirpFrame | np.ndarray, window: str = "rect") -> np.ndarra
     samples = frame.samples if isinstance(frame, ChirpFrame) else np.asarray(frame)
     if samples.shape[0] < 2:
         raise ValueError("need at least 2 fast-time samples")
-    if window == "hann":
-        samples = samples * np.hanning(samples.shape[0])[:, None]
-    elif window != "rect":
-        raise ValueError(f"unknown window {window!r}")
     return np.fft.ifft(samples, axis=0, norm="ortho")
 
 
@@ -351,10 +378,9 @@ class RangeVelocitySurface:
     range_bin_m: float
 
 
-def default_eps_grid(params: ChirpParams, points_per_bin: int | None = None) -> np.ndarray:
-    """Fine-offset grid spanning one coarse bin, 2 B/B_a points by default."""
-    if points_per_bin is None:
-        points_per_bin = 2 * params.n_subbands
+def default_eps_grid(params: ChirpParams) -> np.ndarray:
+    """Fine-offset grid spanning one coarse bin, 2 B/B_a points."""
+    points_per_bin = 2 * params.n_subbands
     binw = params.coarse_bin_m
     step = binw / points_per_bin
     return -binw / 2.0 + step * (np.arange(points_per_bin) + 0.5)
@@ -389,14 +415,14 @@ def range_profile_at_velocity(surface: RangeVelocitySurface, v: float) -> FineRa
                             coarse_bin=coarse, velocity_mps=float(v))
 
 
-def mainlobe_width(profile: FineRangeProfile, drop_db: float = 3.0) -> float:
-    """Width of the contiguous region around the peak within drop_db of it.
+def mainlobe_width(profile: FineRangeProfile) -> float:
+    """Width of the contiguous region around the peak within 3 dB of it.
 
     Crossings are linearly interpolated between grid points.
     """
     r, m = profile.ranges_m, profile.mags_db
     peak = int(np.argmax(m))
-    level = m[peak] - drop_db
+    level = m[peak] - 3.0
 
     def cross(direction):
         i = peak

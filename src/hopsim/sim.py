@@ -38,6 +38,9 @@ from .hopping import (
     uniform_policy,
 )
 
+# Largest N_s x K block a radar synthesizes per frame (64 MiB, 25x table1's).
+SAMPLE_BLOCK_GUARD = 2 ** 22
+
 _REQUIRED = object()
 _FINITE = (lambda v, a, episodes: np.isfinite(v), "finite")
 _POSITIVE = (lambda v, a, episodes: 0 < v < np.inf, "finite and > 0")
@@ -131,11 +134,16 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         if ch.f_c != first.f_c or ch.subband_hz != first.subband_hz \
                 or ch.n_subbands != first.n_subbands:
             errors.append(f"{label}: all radars must share f_c, subband width, and subband count")
-        if ch.chirps_per_frame % config.episodes_per_frame != 0:
+        if config.episodes_per_frame > 0 and ch.chirps_per_frame % config.episodes_per_frame:
             errors.append(
                 f"{label}: chirps per frame {ch.chirps_per_frame} not divisible by "
                 f"{config.episodes_per_frame} episodes")
         durations.append(ch.chirps_per_frame * ch.pri_s)
+        if ch.n_samples * ch.chirps_per_frame > SAMPLE_BLOCK_GUARD:
+            errors.append(
+                f"{label}: {ch.n_samples} samples per chirp x {ch.chirps_per_frame} chirps "
+                f"give {ch.n_samples * ch.chirps_per_frame} samples per frame, above the "
+                f"{SAMPLE_BLOCK_GUARD} allowed")
         if spec.policy not in POLICY_PARAMS:
             errors.append(f"{label}: unknown policy {spec.policy!r}")
         else:
@@ -292,8 +300,6 @@ class _Agent:
     def __init__(self, spec: RadarSpec, player: int, n_players: int,
                  chirps_per_episode: int):
         self.policy = spec.policy
-        self.player = player
-        self.needs_exchange = spec.policy == "nash"
         a = spec.chirp.n_subbands
         params = _resolved_params(spec)
         if spec.policy == "uniform":
@@ -319,8 +325,6 @@ class _Agent:
                 floor_db=params["floor_db"],
                 solver_mode=params["solver_mode"],
             )
-        else:
-            raise ValueError(f"unknown policy {spec.policy!r}")
 
     @property
     def strategy(self) -> MixedStrategy:
@@ -383,16 +387,15 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
               for i, spec in enumerate(config.radars)]
 
     inr_lin = _link_inr_lin(config)
+    sources = [[j for j in range(n_radars) if (i, j) in inr_lin] for i in range(n_radars)]
+    link_power = [noise * np.array([inr_lin[(i, j)] for j in sources[i]])
+                  for i in range(n_radars)]
+    residuals = [sig.interference_bases(chirps[i], [chirps[j] for j in sources[i]])
+                 for i in range(n_radars)]
     # Episode boundaries align in time across radars, so the per-episode
     # overlap geometry is identical every episode: precompute it per pair.
-    geometry = {}
-    bases = {}
-    for (i, j) in inr_lin:
-        geometry[(i, j)] = overlap_geometry(chirps[i], chirps[j], k_ep[i], k_ep[j])
-        bases[(i, j)] = sig.interference_base(chirps[i], chirps[j])
-    sources = [[j for j in range(n_radars) if (i, j) in inr_lin] for i in range(n_radars)]
-    intf_gram = [sig._interference_gram(chirps[i], [chirps[j] for j in sources[i]])
-                 for i in range(n_radars)]
+    geometry = {(i, j): overlap_geometry(chirps[i], chirps[j], k_ep[i], k_ep[j])
+                for (i, j) in inr_lin}
 
     episodes = config.total_episodes
     strategies = np.zeros((episodes, n_radars, a))
@@ -400,9 +403,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     mean_sinr_db = np.zeros((episodes, n_radars))
     aligned_frames = []
     last_frame_samples = [[] for _ in range(n_radars)]
-    last_frame_hops = [[] for _ in range(n_radars)]
 
-    ep_index = 0
     for frame in range(config.frames):
         last = frame == config.frames - 1
         target_phases = [
@@ -411,75 +412,36 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
         ]
         frame_actions = [np.empty(k, dtype=int) for k in k_frame]
         for ep in range(t_ep):
+            e = frame * t_ep + ep
             acts = []
             for i in range(n_radars):
                 strategy = agents[i].strategy
-                strategies[ep_index, i] = strategy.probs
+                strategies[e, i] = strategy.probs
                 acts.append(sample_subbands(strategy, rngs[i]["action"], k_ep[i]))
                 frame_actions[i][ep * k_ep[i]:(ep + 1) * k_ep[i]] = acts[i]
 
             all_stats = []
             for i, spec in enumerate(config.radars):
-                ch = chirps[i]
-                k0 = ep * k_ep[i]
-                hops = acts[i] * ch.subband_hz
-                collided = np.zeros(k_ep[i])
-                amps = []
-                for j in sources[i]:
-                    weight = overlap_weight(geometry[(i, j)], acts[i], acts[j])
-                    collided += weight
-                    power = inr_lin[(i, j)] * noise * weight
-                    phases = rngs[i]["intf"].uniform(0.0, 2.0 * np.pi, size=k_ep[i])
-                    amps.append(np.sqrt(power) * np.exp(1j * phases))
-
-                if config.genie_detection and not last:
-                    # Only the final frame's samples are used (range
-                    # profile), so other frames draw each chirp's measured
-                    # powers from their exact distribution instead.
-                    energy = sig._echo_energy(ch, spec.targets, target_phases[i],
-                                              hops, noise, k0)
-                    p_clean = sig._clean_power_draw(energy, ch.n_samples, noise,
-                                                    rngs[i]["noise"])
-                    p_int = sig._column_energy(
-                        intf_gram[i], np.reshape(amps, (len(amps), k_ep[i])))
-                    flags = collided > 0.0
-                else:
-                    echo = np.zeros((ch.n_samples, k_ep[i]), dtype=complex)
-                    for tgt, ph in zip(spec.targets, target_phases[i]):
-                        echo += sig.echo_frame(ch, tgt, hops, noise_power=noise,
-                                               phase0=float(ph), k0=k0)
-                    intf = np.zeros_like(echo)
-                    for j, amp in zip(sources[i], amps):
-                        intf += np.outer(bases[(i, j)], amp)
-                    sigma = np.sqrt(noise / 2.0)
-                    nz = sigma * (rngs[i]["noise"].standard_normal(echo.shape)
-                                  + 1j * rngs[i]["noise"].standard_normal(echo.shape))
-                    if config.genie_detection:
-                        p_clean = np.mean(np.abs(echo + nz) ** 2, axis=0)
-                        p_int = np.mean(np.abs(intf) ** 2, axis=0)
-                        flags = collided > 0.0
-                    else:
-                        flags, clean, est = sig.detect_interference(
-                            echo + intf + nz, noise, config.detection_factor)
-                        p_clean = np.mean(np.abs(clean) ** 2, axis=0)
-                        p_int = np.mean(np.abs(est) ** 2, axis=0)
-                    if last:
-                        last_frame_samples[i].append(echo + intf + nz)
-                        last_frame_hops[i].append(hops)
-
-                meas = sig.ChirpMeasurements(
-                    subbands=acts[i], clean_power=p_clean,
-                    interference_power=p_int, flagged=flags, noise_power=noise)
+                weights = np.array([overlap_weight(geometry[(i, j)], acts[i], acts[j])
+                                    for j in sources[i]]).reshape(len(sources[i]), k_ep[i])
+                phases = rngs[i]["intf"].uniform(0.0, 2.0 * np.pi, size=weights.shape)
+                amps = np.sqrt(link_power[i][:, None] * weights) * np.exp(1j * phases)
+                # Only the final frame's samples are used (range profile).
+                meas, samples = sig.measure_episode(
+                    chirps[i], spec.targets, target_phases[i], acts[i], ep * k_ep[i], amps,
+                    *residuals[i], noise, rngs[i]["noise"], sampled=last,
+                    genie_flags=(weights > 0).any(axis=0) if config.genie_detection else None,
+                    detection_factor=config.detection_factor)
+                if last:
+                    last_frame_samples[i].append(samples)
                 all_stats.append(sig.estimate_episode_sinr(meas, a, config.db_average))
-
-                interference_rate[ep_index, i] = float(np.mean(flags))
-                mean_sinr_db[ep_index, i] = 10.0 * np.log10(
-                    np.mean(p_clean / (p_int + noise)))
+                interference_rate[e, i] = float(np.mean(meas.flagged))
+                mean_sinr_db[e, i] = 10.0 * np.log10(
+                    np.mean(meas.clean_power / (meas.interference_power + noise)))
 
             solved = {}  # one Nash solve per distinct estimated table
             for i in range(n_radars):
                 agents[i].end_episode(all_stats[i], all_stats, solved)
-            ep_index += 1
 
         step_idx = [
             (np.arange(s_frame) * k_frame[i]) // s_frame for i in range(n_radars)
@@ -504,12 +466,10 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
 
     profiles = {}
     for i, spec in enumerate(config.radars):
-        if not spec.targets:
-            continue
         ch = chirps[i]
-        frame_obj = sig.ChirpFrame(
+        frame_obj = sig.ChirpFrame(  # frame_actions holds the final frame's subbands
             samples=np.concatenate(last_frame_samples[i], axis=1),
-            hops_hz=np.concatenate(last_frame_hops[i]))
+            hops_hz=frame_actions[i] * ch.subband_hz)
         rfft = sig.range_fft(frame_obj)
         v0 = spec.targets[0].velocity_mps
         eps_grid = sig.default_eps_grid(ch)

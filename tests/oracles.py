@@ -18,6 +18,7 @@ import numpy as np
 import yaml
 
 import hopsim
+import hopsim.signal as sig
 from hopsim.cli import (
     RunManifest,
     _emit_seed,
@@ -34,7 +35,7 @@ from hopsim.game import (
     _check_profile_table,
     expected_utility,
 )
-from hopsim.signal import C, ChirpParams, Target, _echo_terms, interference_base
+from hopsim.signal import C, ChirpParams, Target, _echo_terms
 from hopsim.sim import ScenarioConfig, run_scenario
 
 # Default tolerance (dB) for equilibrium checks.
@@ -100,7 +101,7 @@ def dechirped_interference(victim: ChirpParams, link: InterferenceLink,
         return np.zeros(victim.n_samples, dtype=complex)
     amp = np.sqrt(noise_power * 10.0 ** (link.inr_db / 10.0))
     phi = rng.uniform(0.0, 2.0 * np.pi)
-    return amp * np.exp(1j * phi) * interference_base(victim, source)
+    return amp * np.exp(1j * phi) * sig.interference_bases(victim, [source])[0][0]
 
 
 def compose_received(echoes, interference, noise_power: float,
@@ -137,6 +138,73 @@ def sampled_genie_powers(echo: np.ndarray, intf: np.ndarray, noise_power: float,
     sigma = np.sqrt(noise_power / 2.0)
     nz = sigma * (rng.standard_normal(echo.shape) + 1j * rng.standard_normal(echo.shape))
     return np.mean(np.abs(echo + nz) ** 2, axis=0), np.mean(np.abs(intf) ** 2, axis=0)
+
+
+def detect_interference_samples(samples: np.ndarray, noise_power: float,
+                                factor: float = sig.DEFAULT_DETECTION_FACTOR):
+    """The threshold detector as it was before it returned powers.
+
+    Returns the flags and the clean and interference sample arrays, whose
+    mean |.|^2 per chirp ``signal.detect_interference`` returns.
+    """
+    if factor <= 1:
+        raise ValueError("factor must exceed 1")
+    x = np.asarray(samples)
+    spec2 = np.abs(np.fft.fft(x, axis=0, norm="ortho")) ** 2
+    envelope = np.clip(np.max(spec2, axis=0) - np.median(spec2, axis=0),
+                       0.0, None) / x.shape[0]
+    threshold = (np.sqrt(envelope) + np.sqrt(factor * noise_power)) ** 2
+    hot = np.abs(x) ** 2 > threshold
+    flag = hot.mean(axis=0) > 0.01
+    clean = np.where(hot, 0.0, x)
+    return flag, clean, x - clean
+
+
+def measure_episode_inline(ch, targets, target_phases, hops, k0, k_ep, collided, amps,
+                           bases, intf_gram, noise, rng, genie_detection, last,
+                           detection_factor):
+    """The per-episode measurement branch ``run_scenario`` once inlined.
+
+    ``amps`` and ``bases`` list each linked source's amplitudes (K,) and
+    residual chirp (N_s,) in ascending source order, ``intf_gram`` is their
+    Gram matrix and ``collided`` the genie's summed overlap weights.
+    Returns the flags, clean and interference powers, and the received
+    samples (None when not synthesized).
+    """
+    samples = None
+    if genie_detection and not last:
+        # Only the final frame's samples are used (range
+        # profile), so other frames draw each chirp's measured
+        # powers from their exact distribution instead.
+        energy = sig._echo_energy(ch, targets, target_phases,
+                                  hops, noise, k0)
+        p_clean = sig._clean_power_draw(energy, ch.n_samples, noise,
+                                        rng)
+        p_int = sig._column_energy(
+            intf_gram, np.reshape(amps, (len(amps), k_ep)))
+        flags = collided > 0.0
+    else:
+        echo = np.zeros((ch.n_samples, k_ep), dtype=complex)
+        for tgt, ph in zip(targets, target_phases):
+            echo += sig.echo_frame(ch, tgt, hops, noise_power=noise,
+                                   phase0=float(ph), k0=k0)
+        intf = np.zeros_like(echo)
+        for base, amp in zip(bases, amps):
+            intf += np.outer(base, amp)
+        sigma = np.sqrt(noise / 2.0)
+        nz = sigma * (rng.standard_normal(echo.shape)
+                      + 1j * rng.standard_normal(echo.shape))
+        if genie_detection:
+            p_clean = np.mean(np.abs(echo + nz) ** 2, axis=0)
+            p_int = np.mean(np.abs(intf) ** 2, axis=0)
+            flags = collided > 0.0
+        else:
+            flags, clean, est = detect_interference_samples(
+                echo + intf + nz, noise, detection_factor)
+            p_clean = np.mean(np.abs(clean) ** 2, axis=0)
+            p_int = np.mean(np.abs(est) ** 2, axis=0)
+        samples = echo + intf + nz
+    return flags, p_clean, p_int, samples
 
 
 def theoretical_sinr(signal_power: float, interference_power: float,
@@ -355,11 +423,11 @@ def cmd_run_collect_then_emit(config, out_dir, seeds) -> RunManifest:
     files = {}
     summary = {}
     for seed, metrics in zip(seeds, results):
-        seed_files, seed_summary = _emit_seed(out, seed, config, metrics)
+        seed_files, seed_summary = _emit_seed(out, seed, metrics)
         files.update(seed_files)
         summary[str(seed)] = seed_summary
 
-    manifest = RunManifest(out_dir=str(out), seeds=seeds, files=files,
+    manifest = RunManifest(seeds=seeds, files=files,
                            summary=summary, config=yaml.safe_load(render_config(config)))
     (out / "manifest.json").write_text(json.dumps(
         {"seeds": manifest.seeds, "files": manifest.files,

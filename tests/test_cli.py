@@ -286,6 +286,22 @@ class TestReport:
         with pytest.raises(ReportError):
             RunManifest.load(tmp_path)
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: doc["seeds"].append(1), "missing or malformed summary entry '1'"),
+        (lambda doc: doc["summary"]["0"].pop("cce_gap_db"), "summary entry 'cce_gap_db'"),
+        (lambda doc: doc["summary"]["0"]["mainlobe_width_m"].update(ghost=1.0),
+         "seed 0 has a mainlobe width for unrun policy 'ghost'"),
+    ])
+    def test_report_rejects_inconsistent_summary(self, tmp_path, capsys, corrupt, message):
+        cmd_run(parse_config(SMALL_CFG), tmp_path, [0])
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"corrupt manifest {path}" in err and message in err
+
     def test_report_table(self, tmp_path):
         cmd_run(parse_config(SMALL_CFG), tmp_path, [0])
         text = cmd_report([tmp_path])
@@ -316,6 +332,16 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--seeds=-1,2"]) == 1
         assert "--seeds: seeds must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_count_is_usage_error(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("HOPSIM_THREADS", threads)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(SMALL_CFG)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert (f"HOPSIM_THREADS must be a positive integer, got {threads!r}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     def test_invalid_config(self, tmp_path, capsys):
@@ -469,6 +495,18 @@ class TestStrictConfig:
         assert code == 2
         assert ("run.frames: 1000000000 frames give 6144000000000 per-step cells for "
                 "2 radars on 6 subbands, above the 50000000 allowed") in err
+        assert not (tmp_path / "o").exists()
+
+    def test_sample_block_guard(self, tmp_path, capsys):
+        # At 100 GHz sampling, radar 2's 32 us chirps hold 3.2M samples:
+        # 819M per 256-chirp frame, about 13 GB of complex samples.
+        doc = yaml.safe_load(bundled_config_path("table1").read_text())
+        doc["radars"][1]["adc_hz"] = 1.0e11
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert ("radars[2]: 3200000 samples per chirp x 256 chirps give 819200000 "
+                "samples per frame, above the 4194304 allowed") in err
+        assert "radars[1]" not in err
         assert not (tmp_path / "o").exists()
 
     def test_numeric_string_still_reads_as_float(self):

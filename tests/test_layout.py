@@ -46,6 +46,40 @@ def test_every_definition_is_referenced_in_src():
     assert unused == [], f"defined in src/ but used only outside it: {unused}"
 
 
+def private_cross_references():
+    """``module:line: name`` for every use of another package module's ``_`` name.
+
+    Covers attribute access through a module imported as
+    ``from . import signal as sig`` and names imported with
+    ``from .signal import _name``.
+    """
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> package module it is bound to
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    out.append(f"{path.stem}:{node.lineno}: {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                out.append(f"{path.stem}:{node.lineno}: "
+                           f"{modules[node.value.id]}.{node.attr}")
+    return out
+
+
+def test_no_module_uses_another_modules_private_names():
+    # A private helper is its module's own business; a caller in another
+    # module means the operation belongs behind a public function there.
+    assert private_cross_references() == []
+
+
 def test_benchmark_trace_sites_resolve():
     # The benchmark's tracer patches hopsim at these (module, attribute)
     # sites; a renamed function would make ``--trace 1`` fail.

@@ -77,6 +77,12 @@ class TestValidateConfig:
             episodes_per_frame=4)
         assert any("not divisible" in m for m in validate_config(cfg))
 
+    def test_zero_episodes_per_frame(self):
+        # The divisibility check must not divide by zero first.
+        cfg = ScenarioConfig(
+            radars=(RadarSpec(chirp=chirp(), targets=(target(),)),), episodes_per_frame=0)
+        assert validate_config(cfg) == ["run: frames and episodes_per_frame must be positive"]
+
     def test_frame_duration_mismatch(self):
         r1 = RadarSpec(chirp=chirp(pri_us=20, k=64), targets=(target(),))
         r2 = RadarSpec(chirp=chirp(pri_us=40, k=64), targets=(target(),))
