@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -412,6 +413,9 @@ def _parse_seeds(text: str) -> list[int]:
     seeds = [int(p) for p in parts]
     if any(seed < 0 for seed in seeds):
         raise ValueError("seeds must be non-negative")
+    repeated = [seed for seed, n in Counter(seeds).items() if n > 1]
+    if repeated:
+        raise ValueError(f"seed {repeated[0]} is repeated")
     return seeds
 
 
@@ -455,7 +459,12 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 print(f"hopsim: error: {exc}", file=sys.stderr)
                 return 1
-            config = parse_config(Path(args.config).read_text())
+            try:
+                text = Path(args.config).read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError([f"{args.config}: not UTF-8 text "
+                                   f"({exc.reason} at byte {exc.start})"]) from None
+            config = parse_config(text)
             cmd_run(config, args.out, seeds)
             return 0
         if args.command == "report":

@@ -2,10 +2,10 @@
 
 Echo and cross-radar interference synthesis after dechirping,
 interference detection, windowed SINR/SNR estimation, and range
-processing: fast-time FFT for the coarse range, then a
-(velocity, fine-range) grid matched filter over slow time that exploits
-the known hopping sequence. The hop sequence is nonuniform, so the fine
-axis uses an explicit matched filter instead of an FFT.
+processing: fast-time FFT for the coarse range, then a matched filter
+over slow time that sums the Doppler-compensated chirps of each distinct
+hop and applies one phase per hop and (coarse bin, fine offset). Hops
+need not form a uniform grid, so this phase product replaces an FFT.
 """
 from __future__ import annotations
 
@@ -79,22 +79,6 @@ class Target:
             raise ValueError("target range must be positive")
         if not np.isfinite(self.snr_db):
             raise ValueError("target SNR must be finite")
-
-
-@dataclass(frozen=True)
-class ChirpFrame:
-    """Complex baseband samples (fast time x slow time) plus the hop sequence."""
-
-    samples: np.ndarray   # (N_s, K) complex
-    hops_hz: np.ndarray   # (K,) Delta-b offsets from f_c
-
-    def __post_init__(self):
-        s = np.asarray(self.samples)
-        h = np.asarray(self.hops_hz, dtype=float)
-        if s.ndim != 2 or h.shape != (s.shape[1],):
-            raise ValueError("samples must be (N_s, K) with one hop per chirp")
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "hops_hz", h)
 
 
 @dataclass(frozen=True)
@@ -325,51 +309,22 @@ def estimate_episode_sinr(meas: ChirpMeasurements, n_subbands: int,
                         count=count, clean_count=clean_count, hit_count=hit_count)
 
 
-def range_fft(frame: ChirpFrame | np.ndarray) -> np.ndarray:
-    """Per-chirp fast-time DFT (orthonormal so energy is preserved).
+def range_fft(samples: np.ndarray) -> np.ndarray:
+    """Per-chirp fast-time DFT of (N_s, K) samples (orthonormal, energy-preserving).
 
     The dechirped echo beats at -f_r, so the transform is evaluated at
     negative frequencies: bin b then maps to range b * range_bin_m
     directly, and slow-time phases pass through unconjugated.
     """
-    samples = frame.samples if isinstance(frame, ChirpFrame) else np.asarray(frame)
+    samples = np.asarray(samples)
     if samples.shape[0] < 2:
         raise ValueError("need at least 2 fast-time samples")
     return np.fft.ifft(samples, axis=0, norm="ortho")
 
 
-def fine_range_doppler(rfft: np.ndarray, hops_hz: np.ndarray, coarse_bin: int,
-                       v_grid: np.ndarray, eps_grid: np.ndarray,
-                       params: ChirpParams) -> np.ndarray:
-    """Matched-filter magnitude surface (velocity x fine range), in dB.
-
-    Correlates the slow-time sequence at one coarse bin against the
-    hop-compensated Doppler template for each grid point. The known
-    coarse-range hop phase is part of the template, so the surface peaks
-    at the target's true (velocity, fine offset).
-    """
-    v = np.asarray(v_grid, dtype=float)
-    eps = np.asarray(eps_grid, dtype=float)
-    lim = C / (4.0 * params.subband_hz) + 1e-9
-    if np.any(np.abs(eps) > lim):
-        raise ValueError("fine-range grid outside [-c/(4 B_a), c/(4 B_a)]")
-    hops = np.asarray(hops_hz, dtype=float)
-    z = np.asarray(rfft)[coarse_bin, :]
-    k = np.arange(z.size)
-    rbar = coarse_bin * params.range_bin_m
-    f_d = -2.0 * v * params.pri_s * params.f_c / C
-    # template phase: 2pi f_d k - 2pi (2/c)(rbar + eps + k v T_pri) db_k
-    vk = np.exp(1j * (2.0 * np.pi * np.outer(f_d, k)
-                      - 2.0 * np.pi * (2.0 / C) * params.pri_s
-                      * np.outer(v, k * hops)))
-    ek = np.exp(-2j * np.pi * (2.0 / C) * np.outer(rbar + eps, hops))
-    corr = np.einsum("vk,ek,k->ve", np.conj(vk), np.conj(ek), z)
-    return 20.0 * np.log10(np.abs(corr) + 1e-300)
-
-
 @dataclass(frozen=True)
 class RangeVelocitySurface:
-    """fine_range_doppler output stitched across coarse bins."""
+    """Matched-filter magnitudes over (coarse bin, velocity, fine offset)."""
 
     coarse_bins: np.ndarray   # (B,)
     v_grid: np.ndarray        # (V,)
@@ -388,14 +343,45 @@ def default_eps_grid(params: ChirpParams) -> np.ndarray:
 
 def sweep_coarse_bins(rfft: np.ndarray, hops_hz: np.ndarray, coarse_bins,
                       v_grid, eps_grid, params: ChirpParams) -> RangeVelocitySurface:
+    """Matched-filter magnitudes (coarse bin x velocity x fine offset), in dB.
+
+    Correlates bin b's slow-time sequence with the hop-compensated template
+    exp(j2pi f_d k - j2pi (2/c)(rbar_b + eps + k v T_pri) h_k), which peaks at
+    the true (v, eps). The range term sees chirp k only through its hop h_k:
+    a coherent sum over the chirps of each distinct hop h_a, then a phase
+    product exp(+j2pi (2/c)(rbar_b + eps) h_a) over those hops (stepped-
+    frequency processing; Wehner, High Resolution Radar, 1995, ch. 5).
+    """
+    z = np.asarray(rfft)
+    hops = np.asarray(hops_hz, dtype=float)
     bins = np.asarray(coarse_bins, dtype=int)
-    mags = np.stack([
-        fine_range_doppler(rfft, hops_hz, int(b), v_grid, eps_grid, params)
-        for b in bins
-    ])
-    return RangeVelocitySurface(coarse_bins=bins, v_grid=np.asarray(v_grid, dtype=float),
-                                eps_grid=np.asarray(eps_grid, dtype=float),
-                                mags_db=mags, range_bin_m=params.range_bin_m)
+    v = np.asarray(v_grid, dtype=float)
+    eps = np.asarray(eps_grid, dtype=float)
+    if z.ndim != 2 or hops.shape != (z.shape[1],):
+        raise ValueError(f"hops_hz of shape {hops.shape} needs one hop per column "
+                         f"of the (N_s, K) rfft, got {z.shape}")
+    if np.any((bins < 0) | (bins >= z.shape[0])):
+        raise ValueError(f"coarse_bins must lie in [0, {z.shape[0]})")
+    lim = C / (4.0 * params.subband_hz) + 1e-9
+    if np.any(np.abs(eps) > lim):
+        raise ValueError("fine-range grid outside [-c/(4 B_a), c/(4 B_a)]")
+    k = np.arange(hops.size)
+    f_d = -2.0 * v * params.pri_s * params.f_c / C
+    # Doppler part of the template: 2pi f_d k - 2pi (2/c) k v T_pri h_k
+    vk = np.exp(1j * (2.0 * np.pi * np.outer(f_d, k)
+                      - 2.0 * np.pi * (2.0 / C) * params.pri_s
+                      * np.outer(v, k * hops)))
+    distinct, group = np.unique(hops, return_inverse=True)
+    weights = np.zeros((hops.size, v.size, distinct.size), dtype=complex)
+    weights[k, :, group] = np.conj(vk).T  # chirp k's weight sits in its hop's column
+    grouped = (z[bins] @ weights.reshape(hops.size, -1)).reshape(bins.size, v.size, -1)
+    rbar = bins * params.range_bin_m
+    phase = np.exp(2j * np.pi * (2.0 / C)
+                   * ((rbar[:, None] + eps)[:, None, :] * distinct[:, None]))  # (B, H, E)
+    corr = grouped @ phase                                                   # (B, V, E)
+    return RangeVelocitySurface(coarse_bins=bins, v_grid=v, eps_grid=eps,
+                                mags_db=20.0 * np.log10(np.abs(corr) + 1e-300),
+                                range_bin_m=params.range_bin_m)
 
 
 def range_profile_at_velocity(surface: RangeVelocitySurface, v: float) -> FineRangeProfile:

@@ -467,14 +467,12 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     profiles = {}
     for i, spec in enumerate(config.radars):
         ch = chirps[i]
-        frame_obj = sig.ChirpFrame(  # frame_actions holds the final frame's subbands
-            samples=np.concatenate(last_frame_samples[i], axis=1),
-            hops_hz=frame_actions[i] * ch.subband_hz)
-        rfft = sig.range_fft(frame_obj)
+        rfft = sig.range_fft(np.concatenate(last_frame_samples[i], axis=1))
         v0 = spec.targets[0].velocity_mps
         eps_grid = sig.default_eps_grid(ch)
         bins = np.arange(ch.n_samples // 2)
-        surface = sig.sweep_coarse_bins(rfft, frame_obj.hops_hz, bins,
+        # frame_actions holds the final frame's subbands
+        surface = sig.sweep_coarse_bins(rfft, frame_actions[i] * ch.subband_hz, bins,
                                         np.array([v0]), eps_grid, ch)
         profiles[i] = sig.range_profile_at_velocity(surface, v0)
 

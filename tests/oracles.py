@@ -207,6 +207,35 @@ def measure_episode_inline(ch, targets, target_phases, hops, k0, k_ep, collided,
     return flags, p_clean, p_int, samples
 
 
+def fine_range_doppler(rfft: np.ndarray, hops_hz: np.ndarray, coarse_bin: int,
+                       v_grid: np.ndarray, eps_grid: np.ndarray,
+                       params: ChirpParams) -> np.ndarray:
+    """Matched-filter magnitude surface (velocity x fine range), in dB.
+
+    Correlates the slow-time sequence at one coarse bin against the
+    hop-compensated Doppler template for each grid point. The known
+    coarse-range hop phase is part of the template, so the surface peaks
+    at the target's true (velocity, fine offset).
+    """
+    v = np.asarray(v_grid, dtype=float)
+    eps = np.asarray(eps_grid, dtype=float)
+    lim = C / (4.0 * params.subband_hz) + 1e-9
+    if np.any(np.abs(eps) > lim):
+        raise ValueError("fine-range grid outside [-c/(4 B_a), c/(4 B_a)]")
+    hops = np.asarray(hops_hz, dtype=float)
+    z = np.asarray(rfft)[coarse_bin, :]
+    k = np.arange(z.size)
+    rbar = coarse_bin * params.range_bin_m
+    f_d = -2.0 * v * params.pri_s * params.f_c / C
+    # template phase: 2pi f_d k - 2pi (2/c)(rbar + eps + k v T_pri) db_k
+    vk = np.exp(1j * (2.0 * np.pi * np.outer(f_d, k)
+                      - 2.0 * np.pi * (2.0 / C) * params.pri_s
+                      * np.outer(v, k * hops)))
+    ek = np.exp(-2j * np.pi * (2.0 / C) * np.outer(rbar + eps, hops))
+    corr = np.einsum("vk,ek,k->ve", np.conj(vk), np.conj(ek), z)
+    return 20.0 * np.log10(np.abs(corr) + 1e-300)
+
+
 def theoretical_sinr(signal_power: float, interference_power: float,
                      noise_power: float) -> float:
     """Linear SINR; reduces to the SNR when interference_power is zero."""

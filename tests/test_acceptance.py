@@ -149,7 +149,7 @@ def _synth_frame(ch, tgt, hops_hz, rng):
     echo = sig.echo_frame(ch, tgt, hops_hz)
     noise = (rng.standard_normal((ch.n_samples, hops_hz.size))
              + 1j * rng.standard_normal((ch.n_samples, hops_hz.size))) / np.sqrt(2.0)
-    return sig.ChirpFrame(samples=echo + noise, hops_hz=hops_hz)
+    return echo + noise
 
 
 def test_criterion_6_range_recovery():
@@ -168,8 +168,8 @@ def test_criterion_6_range_recovery():
         if abs(coarse - tgt.range_m) <= ch.coarse_bin_m:
             coarse_ok += 1
         eps = sig.default_eps_grid(ch)
-        surf = sig.fine_range_doppler(rfft, hops, bin_hat,
-                                      np.array([tgt.velocity_mps]), eps, ch)
+        surf = sig.sweep_coarse_bins(rfft, hops, [bin_hat],
+                                     np.array([tgt.velocity_mps]), eps, ch).mags_db[0]
         fine = bin_hat * ch.range_bin_m + eps[int(np.argmax(surf[0]))]
         if abs(fine - tgt.range_m) <= 0.1667:
             fine_ok += 1

@@ -149,6 +149,12 @@ class TestParseSeeds:
         with pytest.raises(ValueError, match="non-negative"):
             _parse_seeds("-1,2")
 
+    def test_rejects_repeated_seed(self):
+        with pytest.raises(ValueError, match="seed 3 is repeated"):
+            _parse_seeds("3,3")
+        with pytest.raises(ValueError, match="seed 7 is repeated"):
+            _parse_seeds("7, 2, 9, 07")
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -342,6 +348,22 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert (f"HOPSIM_THREADS must be a positive integer, got {threads!r}"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_seed_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(SMALL_CFG)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--seeds", "3,3"]) == 1
+        assert "--seeds: seed 3 is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_bytes(b"\xff\xfe\x00bad")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: not UTF-8 text" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_invalid_config(self, tmp_path, capsys):

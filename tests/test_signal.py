@@ -500,7 +500,7 @@ def synth_frame(p, tgt, hops, seed=0, noise_power=1.0):
     echo = sig.echo_frame(p, tgt, hops)
     nz = np.sqrt(noise_power / 2) * (
         rng.standard_normal(echo.shape) + 1j * rng.standard_normal(echo.shape))
-    return sig.ChirpFrame(samples=echo + nz, hops_hz=np.asarray(hops, float))
+    return echo + nz
 
 
 class TestFineRangeDoppler:
@@ -511,15 +511,15 @@ class TestFineRangeDoppler:
         frame = synth_frame(p, tgt, hops, noise_power=0.0)
         rfft = sig.range_fft(frame)
         eps = sig.default_eps_grid(p)
-        surf = sig.fine_range_doppler(rfft, hops, 20, np.array([-15.0]), eps, p)
+        surf = sig.sweep_coarse_bins(rfft, hops, [20], np.array([-15.0]), eps, p).mags_db[0]
         assert np.ptp(surf[0]) < 1e-6
 
     def test_grid_bounds_enforced(self):
         p = table1_params(chirps=8)
         with pytest.raises(ValueError):
-            sig.fine_range_doppler(np.zeros((320, 8), dtype=complex),
-                                   np.zeros(8), 20, np.array([0.0]),
-                                   np.array([1.0]), p)
+            sig.sweep_coarse_bins(np.zeros((320, 8), dtype=complex),
+                                  np.zeros(8), [20], np.array([0.0]),
+                                  np.array([1.0]), p)
 
     def test_true_parameters_achieve_argmax(self):
         p = table1_params(chirps=128)
@@ -535,7 +535,7 @@ class TestFineRangeDoppler:
             rfft = sig.range_fft(frame)
             v_grid = np.linspace(-20, -10, 21)
             eps_grid = sig.default_eps_grid(p)
-            surf = sig.fine_range_doppler(rfft, hops, 20, v_grid, eps_grid, p)
+            surf = sig.sweep_coarse_bins(rfft, hops, [20], v_grid, eps_grid, p).mags_db[0]
             vi, ei = np.unravel_index(np.argmax(surf), surf.shape)
             if abs(v_grid[vi] - v_true) <= 0.5 and abs(eps_grid[ei] - eps_true) <= p.fine_bin_m / 2:
                 hits += 1
@@ -547,9 +547,80 @@ class TestFineRangeDoppler:
         hops = np.full(64, 2 * p.subband_hz)
         frame = synth_frame(p, tgt, hops, noise_power=0.0)
         rfft = sig.range_fft(frame)
-        surf = sig.fine_range_doppler(rfft, hops, 20, np.array([-15.0]),
-                                      sig.default_eps_grid(p), p)
+        surf = sig.sweep_coarse_bins(rfft, hops, [20], np.array([-15.0]),
+                                     sig.default_eps_grid(p), p).mags_db[0]
         assert np.ptp(surf[0]) < 1e-6
+
+
+class TestSweepMatchesPerBinOracle:
+    """The grouped sweep against the per-bin einsum matched filter."""
+
+    # the two table1 waveforms: K=512 / N_s=320 and K=256 / N_s=640
+    WAVEFORMS = [(20e-6, 512), (40e-6, 256)]
+
+    def _frame(self, p, hops, seed):
+        tgt = sig.Target(range_m=20.3, velocity_mps=-15.0, snr_db=15.0)
+        return sig.range_fft(synth_frame(p, tgt, hops, seed=seed))
+
+    def _check(self, p, rfft, hops, bins):
+        v_grid = np.array([-15.0, -14.0, 3.0])
+        eps = sig.default_eps_grid(p)
+        surf = sig.sweep_coarse_bins(rfft, hops, bins, v_grid, eps, p)
+        ref = np.stack([oracles.fine_range_doppler(rfft, hops, int(b), v_grid, eps, p)
+                        for b in bins])
+        assert surf.mags_db.shape == ref.shape == (len(bins), 3, eps.size)
+        assert np.max(np.abs(surf.mags_db - ref)) <= 1e-9
+        flat = surf.mags_db.reshape(len(bins), -1)
+        assert np.array_equal(np.argmax(flat, axis=1),
+                              np.argmax(ref.reshape(len(bins), -1), axis=1))
+        oracle_surf = sig.RangeVelocitySurface(
+            coarse_bins=surf.coarse_bins, v_grid=surf.v_grid, eps_grid=surf.eps_grid,
+            mags_db=ref, range_bin_m=surf.range_bin_m)
+        for v in v_grid:
+            got = sig.range_profile_at_velocity(surf, v)
+            want = sig.range_profile_at_velocity(oracle_surf, v)
+            assert got.coarse_bin == want.coarse_bin
+            assert np.argmax(got.mags_db) == np.argmax(want.mags_db)
+
+    @pytest.mark.parametrize("pri_s, chirps", WAVEFORMS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_subband_hops(self, pri_s, chirps, seed):
+        p = table1_params(pri_s=pri_s, chirps=chirps)
+        rng = np.random.default_rng(40 + seed)
+        hops = rng.integers(0, p.n_subbands, size=chirps) * p.subband_hz
+        rfft = self._frame(p, hops, seed)
+        bins = np.array([0, 5, 19, 20, 21, 33, p.n_samples // 2 - 1, p.n_samples - 1])
+        self._check(p, rfft, hops, bins)
+
+    @pytest.mark.parametrize("pri_s, chirps", WAVEFORMS)
+    def test_arbitrary_float_hops(self, pri_s, chirps):
+        # every chirp its own hop: one group per chirp
+        p = table1_params(pri_s=pri_s, chirps=chirps)
+        rng = np.random.default_rng(7)
+        hops = rng.uniform(0.0, p.total_bandwidth, size=chirps)
+        rfft = self._frame(p, hops, 3)
+        self._check(p, rfft, hops, np.array([2, 19, 20, 21, 40]))
+
+
+class TestSweepValidation:
+    def _args(self):
+        p = table1_params(chirps=8)
+        rfft = np.ones((p.n_samples, 8), dtype=complex)
+        return p, rfft, np.zeros(8)
+
+    @pytest.mark.parametrize("bad", [-1, 320, 10_000])
+    def test_coarse_bin_outside_fft_rows(self, bad):
+        p, rfft, hops = self._args()
+        with pytest.raises(ValueError, match="coarse_bins"):
+            sig.sweep_coarse_bins(rfft, hops, [3, bad], np.array([0.0]),
+                                  sig.default_eps_grid(p), p)
+
+    @pytest.mark.parametrize("n_hops", [7, 9])
+    def test_hop_count_must_match_chirps(self, n_hops):
+        p, rfft, _ = self._args()
+        with pytest.raises(ValueError, match="hops_hz"):
+            sig.sweep_coarse_bins(rfft, np.zeros(n_hops), [3], np.array([0.0]),
+                                  sig.default_eps_grid(p), p)
 
 
 class TestRangeProfile:
@@ -604,8 +675,7 @@ class TestRangeProfile:
         echo = sig.echo_frame(p, t1, hops) + sig.echo_frame(p, t2, hops)
         nz = np.sqrt(0.5) * (rng.standard_normal(echo.shape)
                              + 1j * rng.standard_normal(echo.shape))
-        frame = sig.ChirpFrame(samples=echo + nz, hops_hz=hops)
-        rfft = sig.range_fft(frame)
+        rfft = sig.range_fft(echo + nz)
         step = p.coarse_bin_m / 24  # twice default_eps_grid's density
         eps = -p.coarse_bin_m / 2.0 + step * (np.arange(24) + 0.5)
         surf = sig.sweep_coarse_bins(rfft, hops, np.arange(18, 24),
