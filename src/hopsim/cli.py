@@ -14,7 +14,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,16 +37,14 @@ DEFAULT_ADC_HZ = 20e6
 DEFAULT_ACTIVE_FRACTION = 0.8
 
 # Accepted fields of each config section; the top level takes the sections.
-# The run fields are ScenarioConfig's own, with their type and default.
+# The run fields are ScenarioConfig's own; each takes its type from its default.
 FIELDS = {
     "radars": ("carrier_hz", "subband_hz", "subbands", "pri_s", "active_s", "adc_hz",
                "chirps_per_frame", "policy", "policy_params"),
     "targets": ("radar", "range_m", "velocity_mps", "snr_db"),
     "links": ("victim", "source", "inr_db"),
-    "run": {"frames": (int, 50), "episodes_per_frame": (int, 1), "seed": (int, 0),
-            "genie_detection": (bool, True), "noise_power": (float, 1.0),
-            "detection_factor": (float, sig.DEFAULT_DETECTION_FACTOR),
-            "db_average": (bool, False)},
+    "run": {f.name: (type(f.default), f.default) for f in fields(ScenarioConfig)
+            if f.name not in ("radars", "links")},
 }
 
 
@@ -158,7 +156,7 @@ def parse_config(text: str) -> ScenarioConfig:
             continue
         ctx = f"radars[{ri}]"
         pri = _get(rdoc, "pri_s", errors, ctx, required=True)
-        fields = dict(
+        chirp_fields = dict(
             f_c=_get(rdoc, "carrier_hz", errors, ctx, required=True),
             subband_hz=_get(rdoc, "subband_hz", errors, ctx, required=True),
             n_subbands=_get(rdoc, "subbands", errors, ctx, cast=int, required=True),
@@ -169,10 +167,10 @@ def parse_config(text: str) -> ScenarioConfig:
             chirps_per_frame=_get(rdoc, "chirps_per_frame", errors, ctx,
                                   cast=int, required=True),
         )
-        if any(v is None for v in fields.values()):
+        if any(v is None for v in chirp_fields.values()):
             continue
         try:
-            chirp = sig.ChirpParams(**fields)
+            chirp = sig.ChirpParams(**chirp_fields)
         except ValueError as exc:
             errors.append(f"{ctx}: {exc}")
             continue

@@ -63,12 +63,6 @@ class MixedStrategy:
     def support(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self.probs > 0.0))
 
-    @property
-    def pure_action(self) -> int | None:
-        """Action index if this is a point mass, else None."""
-        a = int(np.argmax(self.probs))
-        return a if self.probs[a] >= 1.0 - PROB_ATOL else None
-
 
 def pure_strategy(action: int, n_subbands: int) -> MixedStrategy:
     p = np.zeros(n_subbands)
@@ -98,11 +92,6 @@ class StrategyProfile:
     @property
     def n_subbands(self) -> int:
         return self.strategies[0].n_subbands
-
-    @property
-    def pure_actions(self) -> tuple[int, ...] | None:
-        acts = tuple(s.pure_action for s in self.strategies)
-        return None if any(a is None for a in acts) else acts
 
     def support_key(self) -> tuple[tuple[int, ...], ...]:
         return tuple(s.support for s in self.strategies)

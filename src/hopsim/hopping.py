@@ -1,10 +1,11 @@
 """Per-radar subband schedulers.
 
-Three policies: a uniform baseline, an explore-then-commit equilibrium
-seeker that needs inter-radar stat exchange, and a model-free
-exponential-weights learner with importance-weighted losses. Agents are
-updated once per episode and are deterministic given their inputs and a
-seeded random source.
+Four policies: a uniform baseline, a fixed subband, an
+explore-then-commit equilibrium seeker that needs inter-radar stat
+exchange, and a model-free exponential-weights learner with
+importance-weighted losses. The first two are a fixed ``MixedStrategy``;
+the other two keep a state that is updated once per episode and is
+deterministic given its inputs and a seeded random source.
 """
 from __future__ import annotations
 
@@ -106,17 +107,17 @@ class NoRegretState:
     """Exponential-weights learner state for one radar."""
 
     loss: np.ndarray
-    current: MixedStrategy
+    strategy: MixedStrategy
     tau: int = 1
-    eta_scale: float = 1.0
-    gamma_scale: float = 1.0
+    c_eta: float = 1.0
+    c_gamma: float = 1.0
     kappa: float = DEFAULT_KAPPA
     loss_clip_db: float = DEFAULT_LOSS_CLIP_DB
     baseline_delta_db: float | None = None
 
     def __post_init__(self):
         loss = np.asarray(self.loss, dtype=float)
-        if loss.shape != (self.current.n_subbands,):
+        if loss.shape != (self.strategy.n_subbands,):
             raise ValueError("loss vector does not match the strategy length")
         if not np.all(np.isfinite(loss)):
             raise ValueError("loss entries must be finite")
@@ -125,7 +126,7 @@ class NoRegretState:
 
 def init_noregret(n_subbands: int, **kwargs) -> NoRegretState:
     return NoRegretState(loss=np.zeros(n_subbands),
-                         current=uniform_policy(n_subbands), **kwargs)
+                         strategy=uniform_policy(n_subbands), **kwargs)
 
 
 def noregret_update(state: NoRegretState, stats: EpisodeStats,
@@ -146,11 +147,11 @@ def noregret_update(state: NoRegretState, stats: EpisodeStats,
     so a subband eliminated by an unlucky estimate can re-enter while
     persistently interfered subbands still accumulate relative loss.
     """
-    n = state.current.n_subbands
+    n = state.strategy.n_subbands
     if stats.n_subbands != n:
         raise ValueError("stats do not match the strategy length")
     played = np.asarray(stats.count) > 0
-    probs = state.current.probs
+    probs = state.strategy.probs
     if np.any(played & (probs <= 0.0)):
         raise RuntimeError("subband reported as played but had probability 0")
     loss = state.loss.copy()
@@ -163,7 +164,7 @@ def noregret_update(state: NoRegretState, stats: EpisodeStats,
     inc = (base - np.asarray(stats.sinr_db)[played]) / probs[played]
     loss[played] += np.clip(inc, -state.loss_clip_db, state.loss_clip_db)
     if eta is None or gamma is None:
-        eta_s, gamma_s = schedule_params(state.tau, n, state.eta_scale, state.gamma_scale)
+        eta_s, gamma_s = schedule_params(state.tau, n, state.c_eta, state.c_gamma)
         eta = eta_s if eta is None else eta
         gamma = gamma_s if gamma is None else gamma
     z = -eta * loss
@@ -172,7 +173,7 @@ def noregret_update(state: NoRegretState, stats: EpisodeStats,
     p_tilde = w / w.sum()
     p = (1.0 - gamma) * p_tilde + gamma / n
     nxt = hard_threshold(MixedStrategy(p), state.kappa)
-    return replace(state, loss=loss, current=nxt, tau=state.tau + 1)
+    return replace(state, loss=loss, strategy=nxt, tau=state.tau + 1)
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,9 @@ class NashHopperState:
     Holds the exchanged per-subband estimates for every radar: clean-chirp
     SNR and collision-conditioned SINR, both NaN until first observed.
     The estimated utility table maps those onto joint actions; collision
-    cells with no observation yet fall back to a pessimistic floor.
+    cells with no observation yet fall back to a pessimistic floor. The
+    radar explores until ``committed`` is set, which ``nash_commit`` does
+    once ``episodes_seen`` reaches ``explore_episodes``.
     """
 
     player: int
@@ -191,33 +194,27 @@ class NashHopperState:
     snr_est_db: np.ndarray
     hit_sinr_est_db: np.ndarray
     profile: StrategyProfile
-    phase: str = "explore"
+    explore_episodes: int
+    episodes_seen: int = 0
     committed: MixedStrategy | None = None
-    explore_chirps: int = 0
     floor_db: float = DEFAULT_PESSIMISTIC_FLOOR_DB
     solver_mode: str = "auto"
 
-    def __post_init__(self):
-        if self.phase not in ("explore", "commit"):
-            raise ValueError(f"unknown phase {self.phase!r}")
-        if self.phase == "commit" and self.committed is None:
-            raise ValueError("commit phase requires a committed strategy")
-
     @property
     def strategy(self) -> MixedStrategy:
-        if self.phase == "commit":
+        if self.committed is not None:
             return self.committed
         return self.profile.strategies[self.player]
 
 
 def init_nash_hopper(player: int, n_players: int, n_subbands: int,
-                     explore_chirps: int, **kwargs) -> NashHopperState:
+                     explore_episodes: int, **kwargs) -> NashHopperState:
     uniform = StrategyProfile(tuple(uniform_policy(n_subbands) for _ in range(n_players)))
     nan = np.full((n_players, n_subbands), np.nan)
     return NashHopperState(
         player=player, n_players=n_players, n_subbands=n_subbands,
         snr_est_db=nan.copy(), hit_sinr_est_db=nan.copy(),
-        profile=uniform, explore_chirps=explore_chirps, **kwargs)
+        profile=uniform, explore_episodes=explore_episodes, **kwargs)
 
 
 def estimated_table(state: NashHopperState) -> UtilityTable:
@@ -239,7 +236,7 @@ def nash_explore_update(state: NashHopperState, all_stats,
     build the same table from the common-knowledge stats whenever their
     floor and mode agree, and then share a single solve.
     """
-    if state.phase != "explore":
+    if state.committed is not None:
         raise RuntimeError("explore update after commit")
     if len(all_stats) != state.n_players:
         raise ValueError(
@@ -252,7 +249,8 @@ def nash_explore_update(state: NashHopperState, all_stats,
         snr[i, clean] = np.asarray(st.snr_db)[clean]
         hits = np.asarray(st.hit_count) > 0
         hit[i, hits] = np.asarray(st.hit_sinr_db)[hits]
-    nxt = replace(state, snr_est_db=snr, hit_sinr_est_db=hit)
+    nxt = replace(state, snr_est_db=snr, hit_sinr_est_db=hit,
+                  episodes_seen=state.episodes_seen + 1)
     table = estimated_table(nxt)
     key = (table.values.shape, table.values.tobytes(), nxt.solver_mode)
     solved = {} if solved is None else solved
@@ -261,15 +259,16 @@ def nash_explore_update(state: NashHopperState, all_stats,
     return replace(nxt, profile=solved[key])
 
 
-def nash_commit(state: NashHopperState, k: int) -> NashHopperState:
+def nash_commit(state: NashHopperState) -> NashHopperState:
     """Freeze this radar's slice of the welfare-max NE for the rest of the run.
 
     The estimates have not changed since the explore update that folded
     the last exploration episode, so that update's profile is the
     welfare-max NE of ``estimated_table(state)`` and is committed as is.
     """
-    if k != state.explore_chirps:
+    if state.episodes_seen != state.explore_episodes:
         raise RuntimeError(
-            f"commit at chirp {k}, expected end of exploration at {state.explore_chirps}"
+            f"commit after {state.episodes_seen} exploration episodes, "
+            f"expected {state.explore_episodes}"
         )
-    return replace(state, phase="commit", committed=state.profile.strategies[state.player])
+    return replace(state, committed=state.profile.strategies[state.player])

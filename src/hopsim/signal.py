@@ -51,16 +51,8 @@ class ChirpParams:
         return int(np.floor(self.adc_hz * self.active_s))
 
     @property
-    def total_bandwidth(self) -> float:
-        return self.n_subbands * self.subband_hz
-
-    @property
     def coarse_bin_m(self) -> float:
         return C / (2.0 * self.subband_hz)
-
-    @property
-    def fine_bin_m(self) -> float:
-        return C / (2.0 * self.total_bandwidth)
 
     @property
     def range_bin_m(self) -> float:
@@ -75,8 +67,10 @@ class Target:
     snr_db: float         # per-chirp post-dechirp SNR
 
     def __post_init__(self):
-        if self.range_m <= 0:
-            raise ValueError("target range must be positive")
+        if not 0 < self.range_m < np.inf:
+            raise ValueError(f"target range_m {self.range_m!r} not finite and > 0")
+        if not np.isfinite(self.velocity_mps):
+            raise ValueError(f"target velocity_mps {self.velocity_mps!r} not finite")
         if not np.isfinite(self.snr_db):
             raise ValueError("target SNR must be finite")
 

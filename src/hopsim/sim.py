@@ -1,6 +1,6 @@
 """Scenario orchestration.
 
-Binds per-radar scheduling agents to the signal channel, runs frames and
+Binds each radar's policy state to the signal channel, runs frames and
 episodes on a common clock, and collects strategy trajectories,
 interference rates, regret curves, the empirical joint distribution, and
 range profiles. A run is fully deterministic given its config and seed.
@@ -176,6 +176,8 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         n = config.n_radars
         if not (0 <= link.victim < n and 0 <= link.source < n) or link.victim == link.source:
             errors.append(f"links[{li}]: victim/source indices invalid")
+        if not np.isfinite(link.inr_db):
+            errors.append(f"links[{li}].inr_db: {link.inr_db!r} not finite")
     if config.frames < 1 or config.episodes_per_frame < 1:
         errors.append("run: frames and episodes_per_frame must be positive")
     # The per-step records (aligned actions, per-subband genie utilities)
@@ -189,10 +191,11 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             f"{TABLE_CELL_GUARD} allowed")
     if config.seed < 0:
         errors.append(f"run.seed: {config.seed} must be non-negative")
-    if config.noise_power <= 0:
-        errors.append("run: noise_power must be positive")
-    if not config.genie_detection and not config.detection_factor > 1:
-        errors.append("run: detection_factor must exceed 1")
+    if not 0 < config.noise_power < np.inf:
+        errors.append(f"run.noise_power: {config.noise_power!r} not finite and > 0")
+    if not np.isfinite(config.detection_factor) or (
+            not config.genie_detection and not config.detection_factor > 1):
+        errors.append(f"run.detection_factor: {config.detection_factor!r} not finite and > 1")
     return errors
 
 
@@ -282,7 +285,7 @@ def genie_utility_table(config: ScenarioConfig, rows: np.ndarray,
     ``rows`` holds joint actions, shape (S, n); the result has shape
     (S, A). A subband that linked sources play in that row is valued at
     the theoretical SINR with their summed INR, added in ascending source
-    order; any other subband at the SNR. Never shown to agents in
+    order; any other subband at the SNR. Never shown to the policies in
     model-free runs.
     """
     snr_lin = sum(10.0 ** (t.snr_db / 10.0) for t in config.radars[player].targets)
@@ -294,56 +297,28 @@ def genie_utility_table(config: ScenarioConfig, rows: np.ndarray,
     return 10.0 * np.log10(snr_lin / (load + 1.0))
 
 
-class _Agent:
-    """Binds one radar's policy state to the episode update cycle."""
+def _initial_state(spec: RadarSpec, player: int, n_players: int):
+    """The radar's policy state: a fixed ``MixedStrategy``, or a learner state."""
+    a = spec.chirp.n_subbands
+    params = _resolved_params(spec)
+    if spec.policy == "fixed":
+        return pure_strategy(params["subband"], a)
+    if spec.policy == "noregret":
+        return init_noregret(a, **params)
+    if spec.policy == "nash":
+        return init_nash_hopper(player, n_players, a, **params)
+    return uniform_policy(a)
 
-    def __init__(self, spec: RadarSpec, player: int, n_players: int,
-                 chirps_per_episode: int):
-        self.policy = spec.policy
-        a = spec.chirp.n_subbands
-        params = _resolved_params(spec)
-        if spec.policy == "uniform":
-            self._strategy = uniform_policy(a)
-        elif spec.policy == "fixed":
-            self._strategy = pure_strategy(params["subband"], a)
-        elif spec.policy == "noregret":
-            self.state = init_noregret(
-                a,
-                eta_scale=params["c_eta"],
-                gamma_scale=params["c_gamma"],
-                kappa=params["kappa"],
-                loss_clip_db=params["loss_clip_db"],
-                baseline_delta_db=params["baseline_delta_db"],
-            )
-        elif spec.policy == "nash":
-            self.explore_episodes = params["explore_episodes"]
-            self.chirps_per_episode = chirps_per_episode
-            self.episodes_seen = 0
-            self.state = init_nash_hopper(
-                player, n_players, a,
-                explore_chirps=self.explore_episodes * chirps_per_episode,
-                floor_db=params["floor_db"],
-                solver_mode=params["solver_mode"],
-            )
 
-    @property
-    def strategy(self) -> MixedStrategy:
-        if self.policy in ("uniform", "fixed"):
-            return self._strategy
-        if self.policy == "noregret":
-            return self.state.current
-        return self.state.strategy
-
-    def end_episode(self, own_stats, all_stats, solved: dict):
-        if self.policy == "noregret":
-            self.state = noregret_update(self.state, own_stats)
-        elif self.policy == "nash":
-            self.episodes_seen += 1
-            if self.state.phase == "explore":
-                self.state = nash_explore_update(self.state, all_stats, solved)
-                if self.episodes_seen == self.explore_episodes:
-                    self.state = nash_commit(
-                        self.state, self.episodes_seen * self.chirps_per_episode)
+def _next_state(state, own_stats, all_stats, solved: dict):
+    """The radar's policy state after one episode; a ``MixedStrategy`` stays."""
+    if isinstance(state, NoRegretState):
+        return noregret_update(state, own_stats)
+    if isinstance(state, NashHopperState) and state.committed is None:
+        state = nash_explore_update(state, all_stats, solved)
+        if state.episodes_seen == state.explore_episodes:
+            state = nash_commit(state)
+    return state
 
 
 @dataclass
@@ -383,8 +358,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
         for seq in root.spawn(n_radars)
     ]
 
-    agents = [_Agent(spec, i, n_radars, k_ep[i])
-              for i, spec in enumerate(config.radars)]
+    states = [_initial_state(spec, i, n_radars) for i, spec in enumerate(config.radars)]
 
     inr_lin = _link_inr_lin(config)
     sources = [[j for j in range(n_radars) if (i, j) in inr_lin] for i in range(n_radars)]
@@ -417,8 +391,8 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
         for ep in range(t_ep):
             e = frame * t_ep + ep
             acts = []
-            for i in range(n_radars):
-                strategy = agents[i].strategy
+            for i, state in enumerate(states):
+                strategy = state if isinstance(state, MixedStrategy) else state.strategy
                 strategies[e, i] = strategy.probs
                 acts.append(sample_subbands(strategy, rngs[i]["action"], k_ep[i]))
                 frame_actions[i][ep * k_ep[i]:(ep + 1) * k_ep[i]] = acts[i]
@@ -443,8 +417,8 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                     np.mean(meas.clean_power / (meas.interference_power + noise)))
 
             solved = {}  # one Nash solve per distinct estimated table
-            for i in range(n_radars):
-                agents[i].end_episode(all_stats[i], all_stats, solved)
+            states = [_next_state(state, stats, all_stats, solved)
+                      for state, stats in zip(states, all_stats)]
 
         step_idx = [
             (np.arange(s_frame) * k_frame[i]) // s_frame for i in range(n_radars)

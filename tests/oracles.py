@@ -28,6 +28,7 @@ from hopsim.cli import (
     render_config,
 )
 from hopsim.game import (
+    PROB_ATOL,
     JointDistribution,
     MixedStrategy,
     StrategyProfile,
@@ -53,6 +54,27 @@ def subband_start_hz(params: ChirpParams, a) -> np.ndarray | float:
 def hop_offsets_hz(params: ChirpParams, a) -> np.ndarray | float:
     """Delta-b frequency shift of subband index a relative to f_c."""
     return np.asarray(a) * params.subband_hz
+
+
+def total_bandwidth(params: ChirpParams) -> float:
+    return params.n_subbands * params.subband_hz
+
+
+def fine_bin_m(params: ChirpParams) -> float:
+    """Range resolution of the synthetic bandwidth of all subbands."""
+    return C / (2.0 * total_bandwidth(params))
+
+
+def pure_action(p: MixedStrategy) -> int | None:
+    """Action index if the strategy is a point mass, else None."""
+    a = int(np.argmax(p.probs))
+    return a if p.probs[a] >= 1.0 - PROB_ATOL else None
+
+
+def pure_actions(profile: StrategyProfile) -> tuple[int, ...] | None:
+    """Joint action if every strategy of the profile is a point mass, else None."""
+    acts = tuple(pure_action(s) for s in profile.strategies)
+    return None if any(a is None for a in acts) else acts
 
 
 @dataclass(frozen=True)

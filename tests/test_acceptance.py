@@ -21,7 +21,7 @@ from hopsim.game import (
 from hopsim.sim import RadarSpec, run_scenario
 
 import oracles
-from oracles import bundled_config_path
+from oracles import bundled_config_path, pure_actions
 
 N_SEEDS = 20
 _BASE = parse_config(bundled_config_path("table1").read_text())
@@ -266,7 +266,7 @@ def test_criterion_9_oracle_equivalence():
     for trial in range(200):
         a = int(rng.integers(2, 5))
         table = UtilityTable(rng.uniform(-30.0, 30.0, size=(2, a, a)))
-        got = {p.pure_actions for p in enumerate_pure_nash(table)}
+        got = {pure_actions(p) for p in enumerate_pure_nash(table)}
         if got != set(brute_force_pure_nash(table)):
             mismatches += 1
             continue

@@ -5,7 +5,6 @@ import pytest
 from hopsim.game import MixedStrategy, UtilityTable, pure_strategy, solve_nash_welfare_max
 from hopsim.hopping import (
     EpisodeStats,
-    NashHopperState,
     estimated_table,
     hard_threshold,
     init_nash_hopper,
@@ -18,7 +17,7 @@ from hopsim.hopping import (
     uniform_policy,
 )
 
-from oracles import EpisodeSchedule, sample_subband
+from oracles import EpisodeSchedule, pure_action, pure_actions, sample_subband
 
 
 def stats_from(sinr_db, snr_db=None, hit_sinr_db=None, count=None,
@@ -140,7 +139,7 @@ class TestNoRegretUpdate:
     def test_no_plays_stays_uniform(self):
         state = init_noregret(4)
         nxt = noregret_update(state, stats_from(np.full(4, np.nan)))
-        np.testing.assert_allclose(nxt.current.probs, np.full(4, 0.25))
+        np.testing.assert_allclose(nxt.strategy.probs, np.full(4, 0.25))
         assert nxt.tau == 2
 
     def test_hand_evaluated_two_arm_update(self):
@@ -151,23 +150,23 @@ class TestNoRegretUpdate:
         nxt = noregret_update(state, stats, eta=0.1, gamma=0.0)
         np.testing.assert_allclose(nxt.loss, [-40.0, 0.0])
         expect = np.array([np.e**4, 1.0])
-        np.testing.assert_allclose(nxt.current.probs, expect / expect.sum(),
+        np.testing.assert_allclose(nxt.strategy.probs, expect / expect.sum(),
                                    atol=1e-12)
-        assert nxt.current.probs[0] == pytest.approx(0.982, abs=1e-3)
+        assert nxt.strategy.probs[0] == pytest.approx(0.982, abs=1e-3)
 
     def test_gamma_one_forces_uniform(self):
         state = init_noregret(3, kappa=0.0)
         stats = stats_from([30.0, np.nan, np.nan])
         nxt = noregret_update(state, stats, gamma=1.0)
-        np.testing.assert_allclose(nxt.current.probs, np.full(3, 1 / 3))
+        np.testing.assert_allclose(nxt.strategy.probs, np.full(3, 1 / 3))
 
     def test_played_zero_probability_arm_is_an_error(self):
         state = init_noregret(2, kappa=0.0)
         state = noregret_update(state, stats_from([60.0, np.nan]), eta=5.0, gamma=0.0)
         state = noregret_update(state, stats_from([60.0, np.nan]), eta=5.0, gamma=0.0)
-        assert state.current.probs[1] < 1e-12
+        assert state.strategy.probs[1] < 1e-12
         forced = MixedStrategy(np.array([0.0, 1.0]))
-        bad = type(state)(loss=state.loss, current=forced, tau=state.tau,
+        bad = type(state)(loss=state.loss, strategy=forced, tau=state.tau,
                           kappa=state.kappa)
         with pytest.raises(RuntimeError):
             noregret_update(bad, stats_from([20.0, np.nan]))
@@ -179,9 +178,9 @@ class TestNoRegretUpdate:
             sinr = np.where(rng.random(6) < 0.5, rng.uniform(-10, 25, 6), np.nan)
             played = ~np.isnan(sinr)
             # arms with zero probability cannot have been played
-            sinr = np.where(state.current.probs > 0, sinr, np.nan)
+            sinr = np.where(state.strategy.probs > 0, sinr, np.nan)
             state = noregret_update(state, stats_from(sinr))
-            p = state.current.probs
+            p = state.strategy.probs
             assert np.all(p >= 0) and p.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_exploration_floor_with_kappa_zero(self):
@@ -189,16 +188,16 @@ class TestNoRegretUpdate:
         stats = stats_from([25.0, np.nan, np.nan, np.nan])
         gamma = 0.2
         nxt = noregret_update(state, stats, gamma=gamma)
-        assert np.all(nxt.current.probs >= gamma / 4 - 1e-12)
+        assert np.all(nxt.strategy.probs >= gamma / 4 - 1e-12)
 
     def test_softmax_shift_invariance(self):
         base = init_noregret(3, kappa=0.0)
         stats = stats_from([12.0, -3.0, np.nan])
         a = noregret_update(base, stats, eta=0.3, gamma=0.1)
-        shifted = type(base)(loss=base.loss + 500.0, current=base.current,
+        shifted = type(base)(loss=base.loss + 500.0, strategy=base.strategy,
                              tau=base.tau, kappa=0.0)
         b = noregret_update(shifted, stats, eta=0.3, gamma=0.1)
-        np.testing.assert_allclose(a.current.probs, b.current.probs, atol=1e-12)
+        np.testing.assert_allclose(a.strategy.probs, b.strategy.probs, atol=1e-12)
 
     def test_loss_clip_applies_per_increment(self):
         state = init_noregret(2, kappa=0.0, loss_clip_db=50.0)
@@ -264,11 +263,11 @@ class TestNashHopper:
                             clean_count=clean_count, hit_count=hit_count)
 
     def test_initial_strategy_uniform(self):
-        state = init_nash_hopper(0, 2, 6, explore_chirps=100)
+        state = init_nash_hopper(0, 2, 6, explore_episodes=10)
         np.testing.assert_allclose(state.strategy.probs, np.full(6, 1 / 6))
 
     def test_collision_measurement_lands_in_colliding_cells(self):
-        state = init_nash_hopper(0, 2, 2, explore_chirps=10)
+        state = init_nash_hopper(0, 2, 2, explore_episodes=1)
         all_stats = [self._explore_stats(2, collided={0: 3.0}),
                      self._explore_stats(2, collided={0: 3.0})]
         state = nash_explore_update(state, all_stats)
@@ -278,7 +277,7 @@ class TestNashHopper:
         assert table.utility(0, (1, 0)) == pytest.approx(20.0)
 
     def test_all_clean_episode_fills_clean_cells(self):
-        state = init_nash_hopper(0, 2, 3, explore_chirps=10)
+        state = init_nash_hopper(0, 2, 3, explore_episodes=1)
         state = nash_explore_update(
             state, [self._explore_stats(3), self._explore_stats(3)])
         table = estimated_table(state)
@@ -288,67 +287,70 @@ class TestNashHopper:
                     assert table.utility(0, (i, j)) == pytest.approx(20.0)
 
     def test_unobserved_collisions_use_pessimistic_floor(self):
-        state = init_nash_hopper(0, 2, 2, explore_chirps=10, floor_db=-10.0)
+        state = init_nash_hopper(0, 2, 2, explore_episodes=1, floor_db=-10.0)
         state = nash_explore_update(
             state, [self._explore_stats(2), self._explore_stats(2)])
         table = estimated_table(state)
         assert table.utility(0, (0, 0)) == pytest.approx(-10.0)
 
     def test_recomputed_profile_is_distinct_pure_pair(self):
-        state = init_nash_hopper(0, 2, 6, explore_chirps=10)
+        state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         all_stats = [self._explore_stats(6), self._explore_stats(6)]
         state = nash_explore_update(state, all_stats)
-        acts = state.profile.pure_actions
+        acts = pure_actions(state.profile)
         assert acts is not None and acts[0] != acts[1]
 
     def test_missing_stats_is_communication_error(self):
-        state = init_nash_hopper(0, 2, 6, explore_chirps=10)
+        state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         with pytest.raises(ValueError):
             nash_explore_update(state, [self._explore_stats(6)])
 
     def test_commit_requires_exploration_end(self):
-        state = init_nash_hopper(0, 2, 6, explore_chirps=100)
+        state = init_nash_hopper(0, 2, 6, explore_episodes=2)
+        state = nash_explore_update(
+            state, [self._explore_stats(6), self._explore_stats(6)])
+        assert state.episodes_seen == 1
         with pytest.raises(RuntimeError):
-            nash_commit(state, 50)
+            nash_commit(state)
 
     def test_commit_freezes_own_slice(self):
-        state = init_nash_hopper(0, 2, 6, explore_chirps=10)
+        state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         state = nash_explore_update(
             state, [self._explore_stats(6), self._explore_stats(6)])
-        state = nash_commit(state, 10)
-        assert state.phase == "commit"
-        assert state.strategy.pure_action is not None
+        state = nash_commit(state)
+        assert state.committed is not None
+        assert pure_action(state.strategy) is not None
 
     def test_symmetric_tie_break_pair(self):
-        state = init_nash_hopper(0, 2, 6, explore_chirps=10)
+        state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         state = nash_explore_update(
             state, [self._explore_stats(6), self._explore_stats(6)])
-        state = nash_commit(state, 10)
-        assert state.profile.pure_actions == (0, 1)
+        state = nash_commit(state)
+        assert pure_actions(state.profile) == (0, 1)
 
     def test_single_radar_commits_to_argmax_snr(self):
-        state = init_nash_hopper(0, 1, 3, explore_chirps=10)
+        state = init_nash_hopper(0, 1, 3, explore_episodes=1)
         snr = np.array([10.0, 30.0, 20.0])
         stats = EpisodeStats(sinr_db=snr, snr_db=snr,
                              hit_sinr_db=np.full(3, np.nan),
                              count=np.full(3, 5), clean_count=np.full(3, 5),
                              hit_count=np.zeros(3, dtype=int))
         state = nash_explore_update(state, [stats])
-        state = nash_commit(state, 10)
-        assert state.strategy.pure_action == 1
+        state = nash_commit(state)
+        assert pure_action(state.strategy) == 1
 
     def test_commit_profile_is_fresh_solve(self):
         # The commit takes the last explore update's profile; it must be
         # the welfare-max NE of the estimates it commits from.
         rng = np.random.default_rng(5)
         for player in (0, 1):
-            state = init_nash_hopper(player, 2, 4, explore_chirps=10)
+            state = init_nash_hopper(player, 2, 4, explore_episodes=2)
             for _ in range(2):
                 state = nash_explore_update(state, [
                     self._explore_stats(4, snr=rng.uniform(10, 30), collided={
                         int(f): rng.uniform(-5, 15) for f in rng.choice(4, 2)})
                     for _ in range(2)])
-            state = nash_commit(state, 10)
+            state = nash_commit(state)
             fresh = solve_nash_welfare_max(estimated_table(state))
             assert state.profile.support_key() == fresh.support_key()
             for s, t in zip(state.profile.strategies, fresh.strategies):
@@ -357,20 +359,12 @@ class TestNashHopper:
                                           fresh.strategies[player].probs)
 
     def test_explore_update_after_commit_rejected(self):
-        state = init_nash_hopper(0, 2, 6, explore_chirps=10)
+        state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         state = nash_explore_update(
             state, [self._explore_stats(6), self._explore_stats(6)])
-        state = nash_commit(state, 10)
+        state = nash_commit(state)
         with pytest.raises(RuntimeError):
             nash_explore_update(state, [self._explore_stats(6)] * 2)
-
-    def test_commit_phase_requires_committed_strategy(self):
-        with pytest.raises(ValueError):
-            NashHopperState(player=0, n_players=2, n_subbands=2,
-                            snr_est_db=np.full((2, 2), np.nan),
-                            hit_sinr_est_db=np.full((2, 2), np.nan),
-                            profile=init_nash_hopper(0, 2, 2, 1).profile,
-                            phase="commit")
 
 
 class TestEpisodeStatsValidation:

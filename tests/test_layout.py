@@ -1,8 +1,8 @@
-"""Source layout: every top-level definition in the package is used by it.
+"""Source layout: every definition in the package is used by it.
 
-A function or class that only the tests call belongs in ``tests/`` (see
-``oracles.py``), so the code the tests check is the code the simulator
-runs.
+A function, class, method or property that only the tests call belongs
+in ``tests/`` (see ``oracles.py``), so the code the tests check is the
+code the simulator runs.
 """
 import ast
 import sys
@@ -16,7 +16,21 @@ SRC = Path(hopsim.__file__).parent
 # Entry points reached from outside the package.
 ALLOWED = {
     ("cli", "main"),            # console script named in pyproject.toml
+    ("cli", "_Parser.error"),   # argparse calls it on a usage error
 }
+
+
+def _definitions(tree):
+    """(qualified name, node) for each top-level function and class and for
+    each method and property of those classes; dunder methods are left out,
+    since Python calls them implicitly."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                    yield f"{node.name}.{member.name}", member
 
 
 def unreferenced_definitions():
@@ -30,13 +44,11 @@ def unreferenced_definitions():
                 used.append((node.attr, node))
     out = []
     for module, tree in trees.items():
-        for definition in tree.body:
-            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for qualname, definition in _definitions(tree):
             own = {id(node) for node in ast.walk(definition)}
             if not any(name == definition.name and id(node) not in own
                        for name, node in used):
-                out.append((module, definition.name))
+                out.append((module, qualname))
     return out
 
 

@@ -26,9 +26,9 @@ class TestChirpParams:
         p = table1_params()
         assert p.slope == pytest.approx(150e6 / 16e-6)
         assert p.n_samples == 320
-        assert p.total_bandwidth == pytest.approx(900e6)
+        assert oracles.total_bandwidth(p) == pytest.approx(900e6)
         assert p.coarse_bin_m == pytest.approx(1.0)
-        assert p.fine_bin_m == pytest.approx(1.0 / 6.0)
+        assert oracles.fine_bin_m(p) == pytest.approx(1.0 / 6.0)
         assert p.range_bin_m == pytest.approx(1.0)
 
     def test_validation(self):
@@ -44,6 +44,18 @@ class TestChirpParams:
         np.testing.assert_allclose(oracles.hop_offsets_hz(p, np.arange(6)),
                                    np.arange(6) * 150e6)
         assert oracles.subband_start_hz(p, 0) == 77e9
+
+
+class TestTargetValidation:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_range_m(self, value):
+        with pytest.raises(ValueError, match="range_m"):
+            sig.Target(range_m=value, velocity_mps=0.0, snr_db=20.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_velocity_mps(self, value):
+        with pytest.raises(ValueError, match="velocity_mps"):
+            sig.Target(range_m=20.0, velocity_mps=value, snr_db=20.0)
 
 
 class TestTxChirpPhase:
@@ -592,7 +604,8 @@ class TestFineRangeDoppler:
             eps_grid = sig.default_eps_grid(p)
             surf = sig.sweep_coarse_bins(rfft, hops, [20], v_grid, eps_grid, p).mags_db[0]
             vi, ei = np.unravel_index(np.argmax(surf), surf.shape)
-            if abs(v_grid[vi] - v_true) <= 0.5 and abs(eps_grid[ei] - eps_true) <= p.fine_bin_m / 2:
+            if abs(v_grid[vi] - v_true) <= 0.5 \
+                    and abs(eps_grid[ei] - eps_true) <= oracles.fine_bin_m(p) / 2:
                 hits += 1
         assert hits >= 0.95 * trials
 
@@ -652,7 +665,7 @@ class TestSweepMatchesPerBinOracle:
         # every chirp its own hop: one group per chirp
         p = table1_params(pri_s=pri_s, chirps=chirps)
         rng = np.random.default_rng(7)
-        hops = rng.uniform(0.0, p.total_bandwidth, size=chirps)
+        hops = rng.uniform(0.0, oracles.total_bandwidth(p), size=chirps)
         rfft = self._frame(p, hops, 3)
         self._check(p, rfft, hops, np.array([2, 19, 20, 21, 40]))
 
@@ -693,7 +706,7 @@ class TestRangeProfile:
 
     def test_table1_peak_at_truth(self):
         profile, p = self._profile(np.arange(6))
-        assert abs(profile.ranges_m[np.argmax(profile.mags_db)] - 20.0) <= p.fine_bin_m
+        assert abs(profile.ranges_m[np.argmax(profile.mags_db)] - 20.0) <= oracles.fine_bin_m(p)
 
     def test_off_grid_velocity_rejected(self):
         profile, p = self._profile(np.arange(6))
@@ -725,7 +738,7 @@ class TestRangeProfile:
         rng = np.random.default_rng(11)
         hops = rng.integers(0, 6, size=512) * p.subband_hz
         t1 = sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=25.0)
-        t2 = sig.Target(range_m=20.0 + p.fine_bin_m * 2, velocity_mps=-15.0,
+        t2 = sig.Target(range_m=20.0 + oracles.fine_bin_m(p) * 2, velocity_mps=-15.0,
                         snr_db=25.0)
         echo = sig.echo_frame(p, t1, hops) + sig.echo_frame(p, t2, hops)
         nz = np.sqrt(0.5) * (rng.standard_normal(echo.shape)
@@ -737,9 +750,9 @@ class TestRangeProfile:
                                      np.array([-15.0]), eps, p)
         profile = sig.range_profile_at_velocity(surf, -15.0)
         # both targets appear as local maxima near their true ranges
-        for r_true in (20.0, 20.0 + p.fine_bin_m * 2):
-            near = np.abs(profile.ranges_m - r_true) <= p.fine_bin_m / 2
-            far = np.abs(profile.ranges_m - r_true) > p.fine_bin_m / 2
+        for r_true in (20.0, 20.0 + oracles.fine_bin_m(p) * 2):
+            near = np.abs(profile.ranges_m - r_true) <= oracles.fine_bin_m(p) / 2
+            far = np.abs(profile.ranges_m - r_true) > oracles.fine_bin_m(p) / 2
             band = (profile.ranges_m > 19.0) & (profile.ranges_m < 21.5)
             assert profile.mags_db[near].max() >= profile.mags_db[far & band].max() - 3.0
 

@@ -105,6 +105,26 @@ class TestValidateConfig:
         msgs = validate_config(cfg)
         assert sum("links[" in m for m in msgs) == 2
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    def test_noise_power_finite_and_positive(self, value):
+        cfg = replace(two_radar_config(), noise_power=value)
+        assert validate_config(cfg) == [f"run.noise_power: {value!r} not finite and > 0"]
+
+    @pytest.mark.parametrize("genie", [True, False])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_detection_factor_finite(self, genie, value):
+        # An infinite factor would leave the detector silent; the genie
+        # mode does not read it, but the value is still rejected.
+        cfg = replace(two_radar_config(), genie_detection=genie, detection_factor=value)
+        assert validate_config(cfg) == [
+            f"run.detection_factor: {value!r} not finite and > 1"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_link_inr_finite(self, value):
+        cfg = two_radar_config()
+        cfg = replace(cfg, links=(cfg.links[0], LinkSpec(1, 0, value)))
+        assert validate_config(cfg) == [f"links[2].inr_db: {value!r} not finite"]
+
     def test_run_scenario_raises_with_messages(self):
         with pytest.raises(ScenarioError) as err:
             run_scenario(ScenarioConfig(radars=()))
@@ -411,3 +431,38 @@ class TestNashSolveSharing:
         alone, n_alone = self.run_counting(monkeypatch, cfg, per_agent=True)
         assert n_shared == n_alone == 2 * self.EXPLORE
         np.testing.assert_array_equal(shared.strategies, alone.strategies)
+
+
+class TestNashCommitTiming:
+    """A nash radar plays its explore profiles, then its committed slice."""
+
+    def played_and_profiles(self, monkeypatch, explore, frames, episodes_per_frame):
+        """Radar 0's strategy per episode and its profile after each explore update."""
+        profiles = []
+        update = sim.nash_explore_update
+
+        def recording(state, all_stats, solved):
+            nxt = update(state, all_stats, solved)
+            profiles.append(nxt.profile)
+            return nxt
+
+        monkeypatch.setattr(sim, "nash_explore_update", recording)
+        cfg = two_radar_config(("nash", "uniform"), frames=frames, seed=3,
+                               episodes_per_frame=episodes_per_frame,
+                               params=[{"explore_episodes": explore}, {}])
+        return run_scenario(cfg).strategies[:, 0], profiles
+
+    # The last case explores for every episode of the run, so the commit
+    # comes after the final episode and is never played.
+    @pytest.mark.parametrize("explore, frames, episodes_per_frame",
+                             [(3, 6, 1), (5, 4, 2), (4, 4, 1)])
+    def test_explores_then_commits(self, monkeypatch, explore, frames, episodes_per_frame):
+        played, profiles = self.played_and_profiles(
+            monkeypatch, explore, frames, episodes_per_frame)
+        assert len(profiles) == explore
+        np.testing.assert_array_equal(played[0], np.full(6, 1 / 6))
+        for e in range(1, explore):
+            np.testing.assert_array_equal(played[e], profiles[e - 1].strategies[0].probs)
+        committed = profiles[-1].strategies[0].probs
+        for e in range(explore, frames * episodes_per_frame):
+            np.testing.assert_array_equal(played[e], committed)
