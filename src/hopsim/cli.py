@@ -14,7 +14,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ import yaml
 from . import signal as sig
 from .game import JointDistribution
 from .sim import (
+    RUN_FIELDS,
     LinkSpec,
     RadarSpec,
     RunMetrics,
@@ -37,14 +38,12 @@ DEFAULT_ADC_HZ = 20e6
 DEFAULT_ACTIVE_FRACTION = 0.8
 
 # Accepted fields of each config section; the top level takes the sections.
-# The run fields are ScenarioConfig's own; each takes its type from its default.
 FIELDS = {
     "radars": ("carrier_hz", "subband_hz", "subbands", "pri_s", "active_s", "adc_hz",
                "chirps_per_frame", "policy", "policy_params"),
     "targets": ("radar", "range_m", "velocity_mps", "snr_db"),
     "links": ("victim", "source", "inr_db"),
-    "run": {f.name: (type(f.default), f.default) for f in fields(ScenarioConfig)
-            if f.name not in ("radars", "links")},
+    "run": RUN_FIELDS,
 }
 
 

@@ -33,10 +33,11 @@ class ChirpParams:
     chirps_per_frame: int
 
     def __post_init__(self):
-        if self.active_s >= self.pri_s or self.active_s <= 0:
-            raise ValueError("need 0 < active time < PRI")
-        if self.subband_hz <= 0 or self.adc_hz <= 0 or self.f_c <= 0:
-            raise ValueError("frequencies must be positive")
+        for name in ("f_c", "subband_hz", "pri_s", "active_s", "adc_hz"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"chirp {name} {getattr(self, name)!r} not finite and > 0")
+        if self.active_s >= self.pri_s:
+            raise ValueError("need active time < PRI")
         if self.n_subbands < 1 or self.chirps_per_frame < 1:
             raise ValueError("counts must be positive")
         if self.n_samples < 2:
@@ -100,48 +101,18 @@ def _echo_terms(params: ChirpParams, tgt: Target, noise_power: float):
     return rbar, eps0, f_r, f_d, amp
 
 
-def echo_frame(params: ChirpParams, tgt: Target, hops_hz: np.ndarray,
-               noise_power: float = 1.0, phase0: float = 0.0,
-               k0: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-    """Echo samples for a block of chirps, (N_s, K), written into ``out`` if given.
-
-    Fast time and slow time separate into a rank-1 product: the hop term
-    of the dechirped echo carries no fast-time dependence.
-    """
-    return np.outer(*_echo_factors(params, tgt, hops_hz, noise_power, phase0, k0), out=out)
-
-
-def _echo_factors(params: ChirpParams, tgt: Target, hops_hz: np.ndarray,
-                  noise_power: float, phase0: float, k0: int):
-    """Fast-time (N_s,) and slow-time (K,) factors of ``echo_frame``."""
-    hops = np.asarray(hops_hz, dtype=float)
+def _echo_slow(params: ChirpParams, tgt: Target, hops: np.ndarray, phase0: float, k0: int):
+    """Per-chirp phase (K,) of the target's echo: the coefficient of its fast-time tone."""
     ks = k0 + np.arange(hops.size)
     delays = (2.0 / C) * (tgt.range_m + ks * tgt.velocity_mps * params.pri_s)
     if np.any(delays < 0) or np.any(delays >= params.active_s):
         raise ValueError("round-trip delay outside the chirp: target beyond unambiguous range")
-    rbar, eps0, f_r, f_d, amp = _echo_terms(params, tgt, noise_power)
-    t = np.arange(params.n_samples) / params.adc_hz
-    fast = amp * np.exp(-2j * np.pi * f_r * t)
-    slow = np.exp(1j * (2.0 * np.pi * f_d * ks
+    rbar, eps0, _, f_d, _ = _echo_terms(params, tgt, 1.0)
+    return np.exp(1j * (2.0 * np.pi * f_d * ks
                         - 2.0 * np.pi * (2.0 * rbar / C
                                          + 2.0 * (eps0 + ks * tgt.velocity_mps * params.pri_s) / C)
                         * hops
                         + phase0))
-    return fast, slow
-
-
-def _echo_energy(params: ChirpParams, targets, phases, hops_hz: np.ndarray,
-                 noise_power: float, k0: int) -> np.ndarray:
-    """Per chirp, the energy sum_n |e_k[n]|^2 of the summed target echoes, (K,).
-
-    Equals the column norms of the summed ``echo_frame`` blocks without
-    forming them: with fast factors f_t and slow factors s_t,
-    ||e_k||^2 = s_k^H G s_k for the T x T Gram matrix G_tl = f_t^H f_l.
-    """
-    fast, slow = zip(*(_echo_factors(params, tgt, hops_hz, noise_power, float(ph), k0)
-                       for tgt, ph in zip(targets, phases)))
-    fast = np.array(fast)
-    return _column_energy(np.conj(fast) @ fast.T, np.array(slow))
 
 
 def _clean_power_draw(energy: np.ndarray, n_samples: int, noise_power: float,
@@ -158,23 +129,30 @@ def _clean_power_draw(energy: np.ndarray, n_samples: int, noise_power: float,
 
 
 def _column_energy(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Re(c_k^H gram c_k) for every column c_k of ``coeffs`` (T, K)."""
-    return np.real(np.einsum("tk,tl,lk->k", np.conj(coeffs), gram, coeffs))
+    """Re(c_k^H gram c_k) for every column c_k of ``coeffs`` (R, K)."""
+    return np.real(np.einsum("rk,rk->k", np.conj(coeffs), gram @ coeffs))
 
 
-def interference_bases(victim: ChirpParams, sources) -> tuple[np.ndarray, np.ndarray]:
-    """The sources' residual chirps b_j, (L, N_s), and their Gram matrix, (L, L).
+def noiseless_basis(victim: ChirpParams, targets, sources,
+                    noise_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fast-time rows of the victim's noiseless block, (T + L, N_s), and their Gram matrix.
 
-    b_j = exp(j pi (a_v - a_j) t^2) is source j's unit-amplitude chirp
-    after dechirping, and the Gram matrix is mean_t(conj(b_j) b_l). With
-    per-link amplitudes a_k, chirp k's interference power
-    mean_t |sum_j a_j b_j|^2 is Re(a_k^H Gram a_k). Same-slope sources
-    share b = 1 and add coherently, so the cross terms do not vanish.
+    After dechirping every noiseless term is rank-1 in (fast time, chirp):
+    target t's echo is its tone amp_t exp(-j2pi f_r t) times a per-chirp
+    phase (the hop term has no fast-time part), and source j's interference
+    is its residual chirp b_j = exp(j pi (a_v - a_j) t^2) times a per-chirp
+    amplitude. Rows hold the T tones, then the L residual chirps. For
+    per-chirp coefficients C (T + L, K) the block is rows.T @ C, and chirp
+    k's energy sum_n |x_k[n]|^2 is Re(c_k^H gram c_k) with the summed Gram
+    matrix gram = conj(rows) @ rows.T. Same-slope sources share b = 1 and
+    add coherently. Nothing here depends on the episode.
     """
     t = np.arange(victim.n_samples) / victim.adc_hz
+    tones = [amp * np.exp(-2j * np.pi * f_r * t)
+             for _, _, f_r, _, amp in (_echo_terms(victim, tgt, noise_power) for tgt in targets)]
     rates = np.array([victim.slope - src.slope for src in sources]).reshape(-1, 1)
-    b = np.exp(1j * np.pi * rates * t * t)
-    return b, np.conj(b) @ b.T / victim.n_samples
+    rows = np.concatenate([np.reshape(tones, (-1, t.size)), np.exp(1j * np.pi * rates * t * t)])
+    return rows, np.conj(rows) @ rows.T
 
 
 class SampleWorkspace:
@@ -263,54 +241,54 @@ class ChirpMeasurements:
 
 
 def measure_episode(params: ChirpParams, targets, target_phases, subbands: np.ndarray,
-                    k0: int, amps: np.ndarray, bases: np.ndarray, gram: np.ndarray,
+                    k0: int, amps: np.ndarray, rows: np.ndarray, gram: np.ndarray,
                     noise_power: float, rng: np.random.Generator, sampled: bool,
                     genie_flags: np.ndarray | None = None,
                     detection_factor: float = DEFAULT_DETECTION_FACTOR,
                     workspace: SampleWorkspace | None = None):
     """One radar's per-chirp measurements over an episode of K chirps.
 
-    ``amps`` (L, K) holds each linked source's complex amplitude per chirp
-    and ``bases``, ``gram`` are the sources' ``interference_bases``; ``k0``
-    is the first chirp's index in its frame. Genie mode (``genie_flags``
-    marks the chirps that collided) measures the clean and interference
-    powers apart, drawn from their exact distribution unless ``sampled``.
+    ``rows``, ``gram`` are the radar's ``noiseless_basis`` over ``targets``
+    and its L linked sources, ``amps`` (L, K) holds each source's complex
+    amplitude per chirp and ``k0`` is the first chirp's index in its frame.
+    The per-chirp coefficients of the rows are the targets' slow-time
+    phases, then ``amps``. Genie mode (``genie_flags`` marks the chirps that
+    collided) takes the interference power from the sources' Gram form and
+    draws the clean power from its exact distribution unless ``sampled``.
     Detector mode splits every episode's samples with the threshold
     detector. Returns the measurements and the samples (N_s, K) or None.
     Samples are built in ``workspace`` (else one made for the call); the
     next call with it overwrites them, except a ``sampled`` block, which
-    is fresh. Each target after the first adds one block-size temporary.
+    is fresh.
     """
     hops = subbands * params.subband_hz
+    n_t = len(targets)
+    slow = np.reshape([_echo_slow(params, tgt, hops, float(ph), k0)
+                       for tgt, ph in zip(targets, target_phases)], (n_t, hops.size))
     flags, x = genie_flags, None
+    intf = None if flags is None else _column_energy(gram[n_t:, n_t:], amps) / params.n_samples
     if flags is not None and not sampled:
-        energy = _echo_energy(params, targets, target_phases, hops, noise_power, k0)
-        clean = _clean_power_draw(energy, params.n_samples, noise_power, rng)
-        intf = _column_energy(gram, amps)
+        clean = _clean_power_draw(_column_energy(gram[:n_t, :n_t], slow), params.n_samples,
+                                  noise_power, rng)
     else:
         shape = (params.n_samples, hops.size)
         ws = workspace or SampleWorkspace(hops.size * params.n_samples)
         # A sampled block is the caller's to keep; a per-call workspace's x already is.
         x = np.empty(shape, dtype=complex) if sampled and workspace else _view(ws.x, shape)
         echo, power = _view(ws.scratch, shape), _view(ws.power, shape)
-        x[...] = 0  # interference, then echo + interference + noise
-        for b, a in zip(bases, amps):
-            x += np.outer(b, a, out=echo)
-        if flags is not None:
-            intf = np.mean(_abs2(x, power), axis=0)
-        echo_frame(params, targets[0], hops, noise_power, float(target_phases[0]), k0, out=echo)
-        for tgt, ph in zip(targets[1:], target_phases[1:]):
-            echo += echo_frame(params, tgt, hops, noise_power, float(ph), k0)
-        x += echo
+        # Detector: the whole noiseless block into x. Genie: the echoes alone
+        # into scratch, so the clean power is read off before the links join.
+        coeffs, noisy = (np.concatenate([slow, amps]), x) if flags is None else (slow, echo)
+        np.matmul(rows[:len(coeffs)].T, coeffs, out=noisy)
         sigma = np.sqrt(noise_power / 2.0)  # noise sigma (n_re + j n_im), a part at a time
-        for x_part, echo_part in ((x.real, echo.real), (x.imag, echo.imag)):
-            x_part += np.multiply(rng.standard_normal(out=power), sigma, out=power)
-            if flags is not None:
-                echo_part += power
+        for part in (noisy.real, noisy.imag):
+            part += np.multiply(rng.standard_normal(out=power), sigma, out=power)
         if flags is None:
             flags, clean, intf = detect_interference(x, noise_power, detection_factor, ws)
         else:
             clean = np.mean(_abs2(echo, power), axis=0)
+            np.matmul(rows[n_t:].T, amps, out=x)
+            x += echo
     return ChirpMeasurements(subbands=subbands, clean_power=clean, interference_power=intf,
                              flagged=flags, noise_power=noise_power), x
 

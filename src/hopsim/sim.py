@@ -8,7 +8,7 @@ range profiles. A run is fully deterministic given its config and seed.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -120,12 +120,20 @@ class ScenarioConfig:
         return self.frames * self.episodes_per_frame
 
 
+# The run fields: ScenarioConfig's own, each typed by its default.
+RUN_FIELDS = {f.name: (type(f.default), f.default) for f in fields(ScenarioConfig)
+              if f.name not in ("radars", "links")}
+
+
 def validate_config(config: ScenarioConfig) -> list[str]:
     """Every violated invariant, as one message each."""
     errors = []
     if not config.radars:
         errors.append("radars: list must not be empty")
         return errors
+    # A mistyped run field is reported once; checks that read it are skipped.
+    typed = {name: has_type(getattr(config, name), kind) for name, (kind, _) in RUN_FIELDS.items()}
+    episodes = config.total_episodes if typed["frames"] and typed["episodes_per_frame"] else None
     first = config.radars[0].chirp
     durations = []
     for idx, spec in enumerate(config.radars, start=1):
@@ -134,7 +142,7 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         if ch.f_c != first.f_c or ch.subband_hz != first.subband_hz \
                 or ch.n_subbands != first.n_subbands:
             errors.append(f"{label}: all radars must share f_c, subband width, and subband count")
-        if config.episodes_per_frame > 0 and ch.chirps_per_frame % config.episodes_per_frame:
+        if typed["episodes_per_frame"] and ch.chirps_per_frame % max(config.episodes_per_frame, 1):
             errors.append(
                 f"{label}: chirps per frame {ch.chirps_per_frame} not divisible by "
                 f"{config.episodes_per_frame} episodes")
@@ -147,7 +155,7 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         if spec.policy not in POLICY_PARAMS:
             errors.append(f"{label}: unknown policy {spec.policy!r}")
         else:
-            errors += _policy_param_errors(spec, label, config.total_episodes)
+            errors += _policy_param_errors(spec, label, episodes)
         if spec.policy == "noregret" and ch.n_subbands < 2:
             errors.append(f"{label}: noregret policy needs at least two subbands")
         if not spec.targets:
@@ -178,23 +186,25 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             errors.append(f"links[{li}]: victim/source indices invalid")
         if not np.isfinite(link.inr_db):
             errors.append(f"links[{li}].inr_db: {link.inr_db!r} not finite")
-    if config.frames < 1 or config.episodes_per_frame < 1:
+    errors += [f"run.{name}: expected {RUN_FIELDS[name][0].__name__}, "
+               f"got {getattr(config, name)!r}" for name, ok in typed.items() if not ok]
+    if any(typed[name] and getattr(config, name) < 1 for name in ("frames", "episodes_per_frame")):
         errors.append("run: frames and episodes_per_frame must be positive")
     # The per-step records (aligned actions, per-subband genie utilities)
     # hold frames * max(K) steps for every radar and subband.
-    cells = (config.frames * max(spec.chirp.chirps_per_frame for spec in config.radars)
-             * config.n_radars * first.n_subbands)
+    cells = typed["frames"] and config.frames * config.n_radars * first.n_subbands * max(
+        spec.chirp.chirps_per_frame for spec in config.radars)
     if cells > TABLE_CELL_GUARD:
         errors.append(
             f"run.frames: {config.frames} frames give {cells} per-step cells for "
             f"{config.n_radars} radars on {first.n_subbands} subbands, above the "
             f"{TABLE_CELL_GUARD} allowed")
-    if config.seed < 0:
+    if typed["seed"] and config.seed < 0:
         errors.append(f"run.seed: {config.seed} must be non-negative")
-    if not 0 < config.noise_power < np.inf:
+    if typed["noise_power"] and not 0 < config.noise_power < np.inf:
         errors.append(f"run.noise_power: {config.noise_power!r} not finite and > 0")
-    if not np.isfinite(config.detection_factor) or (
-            not config.genie_detection and not config.detection_factor > 1):
+    if typed["detection_factor"] and (not np.isfinite(config.detection_factor) or (
+            not config.genie_detection and not config.detection_factor > 1)):
         errors.append(f"run.detection_factor: {config.detection_factor!r} not finite and > 1")
     return errors
 
@@ -205,7 +215,7 @@ def has_type(value, kind) -> bool:
     return isinstance(value, abstract) and (kind is bool or not isinstance(value, bool))
 
 
-def _policy_param_errors(spec: RadarSpec, label: str, episodes: int) -> list[str]:
+def _policy_param_errors(spec: RadarSpec, label: str, episodes: int | None) -> list[str]:
     table = POLICY_PARAMS[spec.policy]
     a = spec.chirp.n_subbands
     errors = [
@@ -215,16 +225,18 @@ def _policy_param_errors(spec: RadarSpec, label: str, episodes: int) -> list[str
     ]
     for key, (kind, default, check, rule) in table.items():
         ctx = f"{label}.policy_params.{key}"
-        rule = rule.format(a=a, episodes=episodes)
+        text = rule.format(a=a, episodes=episodes)
         value = spec.policy_params.get(key, default)
         if value is _REQUIRED:
-            errors.append(f"{ctx}: {spec.policy} policy needs {key} {rule}")
+            errors.append(f"{ctx}: {spec.policy} policy needs {key} {text}")
         elif value is None and default is None:
             continue
         elif not has_type(value, kind):
             errors.append(f"{ctx}: expected {kind.__name__}, got {value!r}")
+        elif episodes is None and "{episodes}" in rule:
+            continue  # bounded by the run's episode count, which is mistyped
         elif not check(value, a, episodes):
-            errors.append(f"{ctx}: {value!r} not {rule}")
+            errors.append(f"{ctx}: {value!r} not {text}")
     return errors
 
 
@@ -364,8 +376,8 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     sources = [[j for j in range(n_radars) if (i, j) in inr_lin] for i in range(n_radars)]
     link_power = [noise * np.array([inr_lin[(i, j)] for j in sources[i]])
                   for i in range(n_radars)]
-    residuals = [sig.interference_bases(chirps[i], [chirps[j] for j in sources[i]])
-                 for i in range(n_radars)]
+    bases = [sig.noiseless_basis(chirps[i], spec.targets, [chirps[j] for j in sources[i]], noise)
+             for i, spec in enumerate(config.radars)]
     # Episode boundaries align in time across radars, so the per-episode
     # overlap geometry is identical every episode: precompute it per pair.
     geometry = {(i, j): overlap_geometry(chirps[i], chirps[j], k_ep[i], k_ep[j])
@@ -406,7 +418,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                 # Only the final frame's samples are used (range profile).
                 meas, samples = sig.measure_episode(
                     chirps[i], spec.targets, target_phases[i], acts[i], ep * k_ep[i], amps,
-                    *residuals[i], noise, rngs[i]["noise"], sampled=last,
+                    *bases[i], noise, rngs[i]["noise"], sampled=last,
                     genie_flags=(weights > 0).any(axis=0) if config.genie_detection else None,
                     detection_factor=config.detection_factor, workspace=workspace)
                 if last:

@@ -110,6 +110,29 @@ def dechirped_echo(params: ChirpParams, tgt: Target, k: int, db_k: float,
     return amp * np.exp(1j * phase)
 
 
+def echo_frame(params: ChirpParams, tgt: Target, hops_hz: np.ndarray,
+               noise_power: float = 1.0, phase0: float = 0.0, k0: int = 0) -> np.ndarray:
+    """Echo samples for a block of chirps, (N_s, K).
+
+    Fast time and slow time separate into a rank-1 product: the hop term
+    of the dechirped echo carries no fast-time dependence.
+    """
+    hops = np.asarray(hops_hz, dtype=float)
+    ks = k0 + np.arange(hops.size)
+    delays = (2.0 / C) * (tgt.range_m + ks * tgt.velocity_mps * params.pri_s)
+    if np.any(delays < 0) or np.any(delays >= params.active_s):
+        raise ValueError("round-trip delay outside the chirp: target beyond unambiguous range")
+    rbar, eps0, f_r, f_d, amp = _echo_terms(params, tgt, noise_power)
+    t = np.arange(params.n_samples) / params.adc_hz
+    fast = amp * np.exp(-2j * np.pi * f_r * t)
+    slow = np.exp(1j * (2.0 * np.pi * f_d * ks
+                        - 2.0 * np.pi * (2.0 * rbar / C
+                                         + 2.0 * (eps0 + ks * tgt.velocity_mps * params.pri_s) / C)
+                        * hops
+                        + phase0))
+    return np.outer(fast, slow)
+
+
 def dechirped_interference(victim: ChirpParams, link: InterferenceLink,
                            source: ChirpParams, k: int, collide: bool,
                            rng: np.random.Generator,
@@ -123,7 +146,8 @@ def dechirped_interference(victim: ChirpParams, link: InterferenceLink,
         return np.zeros(victim.n_samples, dtype=complex)
     amp = np.sqrt(noise_power * 10.0 ** (link.inr_db / 10.0))
     phi = rng.uniform(0.0, 2.0 * np.pi)
-    return amp * np.exp(1j * phi) * sig.interference_bases(victim, [source])[0][0]
+    t = np.arange(victim.n_samples) / victim.adc_hz
+    return amp * np.exp(1j * phi) * np.exp(1j * np.pi * (victim.slope - source.slope) * t * t)
 
 
 def compose_received(echoes, interference, noise_power: float,
@@ -183,33 +207,37 @@ def detect_interference_samples(samples: np.ndarray, noise_power: float,
 
 
 def measure_episode_inline(ch, targets, target_phases, hops, k0, k_ep, collided, amps,
-                           bases, intf_gram, noise, rng, genie_detection, last,
-                           detection_factor):
+                           sources, noise, rng, genie_detection, last, detection_factor):
     """The per-episode measurement branch ``run_scenario`` once inlined.
 
-    ``amps`` and ``bases`` list each linked source's amplitudes (K,) and
-    residual chirp (N_s,) in ascending source order, ``intf_gram`` is their
-    Gram matrix and ``collided`` the genie's summed overlap weights.
-    Returns the flags, clean and interference powers, and the received
-    samples (None when not synthesized).
+    ``amps`` lists each linked source's amplitudes (K,) in ascending source
+    order, ``sources`` their ``ChirpParams`` and ``collided`` the genie's
+    summed overlap weights. Echoes are summed ``echo_frame`` blocks and
+    interference is summed outer products of residual chirps and
+    amplitudes; frames that are not sampled take the clean power's draw
+    from the echo block's column norms and the interference power from a
+    3-operand Gram form. Returns the flags, clean and interference
+    powers, and the received samples (None when not synthesized).
     """
+    t = np.arange(ch.n_samples) / ch.adc_hz
+    bases = np.reshape([np.exp(1j * np.pi * (ch.slope - src.slope) * t * t) for src in sources],
+                       (len(sources), ch.n_samples))
+    echo = np.zeros((ch.n_samples, k_ep), dtype=complex)
+    for tgt, ph in zip(targets, target_phases):
+        echo += echo_frame(ch, tgt, hops, noise_power=noise, phase0=float(ph), k0=k0)
     samples = None
     if genie_detection and not last:
         # Only the final frame's samples are used (range
         # profile), so other frames draw each chirp's measured
         # powers from their exact distribution instead.
-        energy = sig._echo_energy(ch, targets, target_phases,
-                                  hops, noise, k0)
-        p_clean = sig._clean_power_draw(energy, ch.n_samples, noise,
-                                        rng)
-        p_int = sig._column_energy(
-            intf_gram, np.reshape(amps, (len(amps), k_ep)))
+        energy = np.sum(np.abs(echo) ** 2, axis=0)
+        n = ch.n_samples
+        p_clean = noise / (2 * n) * rng.noncentral_chisquare(2 * n, 2.0 * energy / noise)
+        a = np.reshape(amps, (len(amps), k_ep))
+        intf_gram = np.conj(bases) @ bases.T / n
+        p_int = np.real(np.einsum("tk,tl,lk->k", np.conj(a), intf_gram, a))
         flags = collided > 0.0
     else:
-        echo = np.zeros((ch.n_samples, k_ep), dtype=complex)
-        for tgt, ph in zip(targets, target_phases):
-            echo += sig.echo_frame(ch, tgt, hops, noise_power=noise,
-                                   phase0=float(ph), k0=k0)
         intf = np.zeros_like(echo)
         for base, amp in zip(bases, amps):
             intf += np.outer(base, amp)

@@ -119,7 +119,7 @@ def test_criterion_5_estimator_fidelity():
     # sits on subband 1, overlapping every chirp in full
     subbands = np.tile([1, 4], k // 2)
     hops = subbands * ch.subband_hz
-    echo = sig.echo_frame(ch, tgt, hops)
+    echo = oracles.echo_frame(ch, tgt, hops)
     noise = (rng.standard_normal((ch.n_samples, k))
              + 1j * rng.standard_normal((ch.n_samples, k))) / np.sqrt(2.0)
     clean = echo + noise
@@ -146,7 +146,7 @@ def test_criterion_5_estimator_fidelity():
 
 
 def _synth_frame(ch, tgt, hops_hz, rng):
-    echo = sig.echo_frame(ch, tgt, hops_hz)
+    echo = oracles.echo_frame(ch, tgt, hops_hz)
     noise = (rng.standard_normal((ch.n_samples, hops_hz.size))
              + 1j * rng.standard_normal((ch.n_samples, hops_hz.size))) / np.sqrt(2.0)
     return echo + noise

@@ -2,7 +2,7 @@
 
 A function, class, method or property that only the tests call belongs
 in ``tests/`` (see ``oracles.py``), so the code the tests check is the
-code the simulator runs.
+code the simulator runs; and every oracle there is used by a test.
 """
 import ast
 import sys
@@ -105,3 +105,25 @@ def test_benchmark_trace_sites_resolve():
         del sys.modules["spans"]
     missing = [f"{mod.__name__}.{attr}" for mod, attr in sites if not hasattr(mod, attr)]
     assert sites and missing == []
+
+
+def uncalled_oracles():
+    """Each function and class of ``oracles.py`` that no ``test_*.py`` uses."""
+    tests = Path(__file__).resolve().parent
+    tree = ast.parse((tests / "oracles.py").read_text())
+    defined = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    used = set()  # ``oracles.name`` accesses and ``from oracles import name``
+    for path in sorted(tests.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "oracles"):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                used.update(alias.name for alias in node.names)
+    return [name for name in defined if name not in used]
+
+
+def test_every_oracle_is_called_by_a_test():
+    # An oracle is a reference only while a test compares against it.
+    assert uncalled_oracles() == []

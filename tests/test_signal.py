@@ -1,4 +1,6 @@
 """Baseband physics: synthesis, detection, estimation, range processing."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ class TestChirpParams:
             sig.ChirpParams(f_c=77e9, subband_hz=150e6, n_subbands=6,
                             pri_s=20e-6, active_s=25e-6, adc_hz=20e6,
                             chirps_per_frame=512)
+
+    @pytest.mark.parametrize("name, value", [("f_c", np.nan), ("pri_s", np.inf),
+                                             ("subband_hz", np.inf), ("adc_hz", np.nan),
+                                             ("active_s", -np.inf)])
+    def test_non_finite_field_named(self, name, value):
+        with pytest.raises(ValueError, match=f"chirp {name} {value!r} not finite"):
+            replace(table1_params(), **{name: value})
 
     def test_hop_offsets(self):
         p = table1_params()
@@ -131,7 +140,7 @@ class TestDechirpedEcho:
         p = table1_params(chirps=8)
         tgt = sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=20.0)
         hops = np.array([0.0, 150e6, 300e6, 0.0, 750e6, 150e6, 0.0, 600e6])
-        frame = sig.echo_frame(p, tgt, hops, phase0=0.3)
+        frame = oracles.echo_frame(p, tgt, hops, phase0=0.3)
         for k in range(8):
             single = oracles.dechirped_echo(p, tgt, k, hops[k], phase0=0.3)
             np.testing.assert_allclose(frame[:, k], single, atol=1e-9)
@@ -381,6 +390,58 @@ class TestEstimateEpisodeSinr:
         assert abs(stats.sinr_db[0] - theory) <= 1.0
 
 
+def assert_block_close(actual, reference, rtol=1e-12):
+    """Max deviation within ``rtol`` of the block's largest magnitude.
+
+    Samples are sums of terms up to ~30x the noise; where they cancel, a
+    per-element relative bound would measure that cancellation.
+    """
+    assert actual.shape == reference.shape
+    assert np.max(np.abs(actual - reference)) <= rtol * np.max(np.abs(reference))
+
+
+class TestNoiselessBasis:
+    """The run-scoped rows against the per-chirp echo and interference oracles."""
+
+    def test_block_equals_per_chirp_oracles(self):
+        p = table1_params()
+        targets = (sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=20.0),
+                   sig.Target(range_m=35.0, velocity_mps=-10.0, snr_db=5.0))
+        # The first and last sources share the victim's slope.
+        sources = [table1_params(), table1_params(pri_s=40e-6, chirps=256), table1_params()]
+        links = [oracles.InterferenceLink(source=j, inr_db=inr)
+                 for j, inr in enumerate((30.0, 25.0, 33.0))]
+        noise, k0, k = 2.0, 96, 24
+        rng = np.random.default_rng(3)
+        phases = rng.uniform(0.0, 2.0 * np.pi, 2)
+        hops = rng.integers(0, 6, k) * p.subband_hz
+        collide = rng.random((3, k)) < 0.6
+        rows, gram = sig.noiseless_basis(p, targets, sources, noise)
+        # Summed over samples: N_s times each echo's power, N_s for each residual chirp.
+        powers = noise * 10.0 ** (np.array([20.0, 5.0]) / 10.0)
+        np.testing.assert_allclose(np.diag(gram), p.n_samples * np.r_[powers, 1.0, 1.0, 1.0],
+                                   rtol=1e-12)
+        # Each link's amplitude on chirp k, drawn as the oracle draws it.
+        drawn, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        amps = np.zeros((3, k), dtype=complex)
+        for kk in range(k):
+            for j, link in enumerate(links):
+                if collide[j, kk]:
+                    amps[j, kk] = np.sqrt(noise * 10.0 ** (link.inr_db / 10.0)) * np.exp(
+                        1j * drawn.uniform(0.0, 2.0 * np.pi))
+        slow = [sig._echo_slow(p, tgt, hops, ph, k0) for tgt, ph in zip(targets, phases)]
+        block = rows.T @ np.concatenate([slow, amps])
+        ref = np.stack([
+            sum(oracles.dechirped_echo(p, tgt, k0 + kk, hops[kk], noise, ph)
+                for tgt, ph in zip(targets, phases))
+            + sum(oracles.dechirped_interference(p, link, src, kk, collide[j, kk], ref_rng,
+                                                 noise)
+                  for j, (link, src) in enumerate(zip(links, sources)))
+            for kk in range(k)], axis=1)
+        assert_block_close(block, ref)
+        assert collide.any(axis=1).all() and not collide.all()
+
+
 class TestGenieStatistics:
     """The per-chirp powers genie mode draws instead of synthesizing samples."""
 
@@ -391,11 +452,12 @@ class TestGenieStatistics:
                    sig.Target(range_m=20.4, velocity_mps=-10.0, snr_db=14.0))
         phases = (0.3, 2.1)
         hops = np.random.default_rng(4).integers(0, 6, 16) * p.subband_hz
-        fast = [sig._echo_factors(p, t, hops, 2.0, ph, 5)[0] for t, ph in zip(targets, phases)]
-        assert abs(np.vdot(*fast)) > 0.5 * np.linalg.norm(fast[0]) * np.linalg.norm(fast[1])
-        block = sum(sig.echo_frame(p, t, hops, noise_power=2.0, phase0=ph, k0=5)
+        rows, gram = sig.noiseless_basis(p, targets, [], 2.0)
+        assert abs(gram[0, 1]) > 0.5 * np.sqrt(gram[0, 0].real * gram[1, 1].real)
+        block = sum(oracles.echo_frame(p, t, hops, noise_power=2.0, phase0=ph, k0=5)
                     for t, ph in zip(targets, phases))
-        energy = sig._echo_energy(p, targets, phases, hops, 2.0, 5)
+        slow = np.array([sig._echo_slow(p, t, hops, ph, 5) for t, ph in zip(targets, phases)])
+        energy = sig._column_energy(gram, slow)
         np.testing.assert_allclose(energy, np.sum(np.abs(block) ** 2, axis=0), rtol=1e-9)
 
     def test_interference_gram_equals_sample_mean(self):
@@ -404,9 +466,9 @@ class TestGenieStatistics:
         sources = [table1_params(), table1_params(), table1_params(pri_s=40e-6)]
         rng = np.random.default_rng(9)
         amps = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
-        bases, gram = sig.interference_bases(victim, sources)
+        bases, gram = sig.noiseless_basis(victim, (), sources, 1.0)
         samples = sum(np.outer(b, a) for b, a in zip(bases, amps))
-        power = sig._column_energy(gram, amps)
+        power = sig._column_energy(gram, amps) / victim.n_samples
         np.testing.assert_allclose(power, np.mean(np.abs(samples) ** 2, axis=0), rtol=1e-9)
         link_power = np.sum(np.abs(amps) ** 2, axis=0)
         assert np.max(np.abs(power / link_power - 1.0)) > 0.1
@@ -417,11 +479,12 @@ class TestGenieStatistics:
         tgt = sig.Target(range_m=20.0, velocity_mps=0.0, snr_db=20.0)
         n, noise, draws, chunk = p.n_samples, 1.0, 20_000, 1_000
         hops = np.zeros(chunk)
-        energy = sig._echo_energy(p, (tgt,), (0.0,), hops, noise, 0)
+        _, gram = sig.noiseless_basis(p, (tgt,), [], noise)
+        energy = sig._column_energy(gram, sig._echo_slow(p, tgt, hops, 0.0, 0)[None])
         rng = np.random.default_rng(2024)
         drawn = np.concatenate([sig._clean_power_draw(energy, n, noise, rng)
                                 for _ in range(draws // chunk)])
-        echo = sig.echo_frame(p, tgt, hops, noise_power=noise)
+        echo = oracles.echo_frame(p, tgt, hops, noise_power=noise)
         sampled = np.concatenate([
             oracles.sampled_genie_powers(echo, np.zeros_like(echo), noise, rng)[0]
             for _ in range(draws // chunk)])
@@ -455,28 +518,32 @@ class TestMeasureEpisode:
         targets = (sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=20.0),
                    sig.Target(range_m=35.0, velocity_mps=-10.0, snr_db=5.0))
         return (p, targets, rng.uniform(0.0, 2.0 * np.pi, 2), rng.integers(0, 6, self.K),
-                weights, amps, *sig.interference_bases(p, sources))
+                weights, amps, sources)
 
     @pytest.mark.parametrize("genie, last", [(True, False), (True, True),
                                              (False, False), (False, True)])
     def test_matches_inline_branch(self, genie, last):
-        p, targets, phases, subbands, weights, amps, bases, gram = self.inputs()
+        # One matmul and the Gram forms round differently from the outer
+        # products and sample means: equal to 1e-12, not bit for bit. The
+        # random draws, and so the generator state, are the same.
+        p, targets, phases, subbands, weights, amps, sources = self.inputs()
         rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
         meas, samples = sig.measure_episode(
-            p, targets, phases, subbands, self.K0, amps, bases, gram, self.NOISE, rng_new,
+            p, targets, phases, subbands, self.K0, amps,
+            *sig.noiseless_basis(p, targets, sources, self.NOISE), self.NOISE, rng_new,
             sampled=last, genie_flags=(weights > 0).any(axis=0) if genie else None)
         flags, p_clean, p_int, ref_samples = oracles.measure_episode_inline(
             p, targets, phases, subbands * p.subband_hz, self.K0, self.K,
-            sum(weights, np.zeros(self.K)), list(amps), list(bases), gram, self.NOISE,
+            sum(weights, np.zeros(self.K)), list(amps), sources, self.NOISE,
             rng_old, genie, last, sig.DEFAULT_DETECTION_FACTOR)
         np.testing.assert_array_equal(meas.subbands, subbands)
         np.testing.assert_array_equal(meas.flagged, flags)
-        np.testing.assert_array_equal(meas.clean_power, p_clean)
-        np.testing.assert_array_equal(meas.interference_power, p_int)
+        np.testing.assert_allclose(meas.clean_power, p_clean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(meas.interference_power, p_int, rtol=1e-12, atol=0)
         assert meas.noise_power == self.NOISE
         assert (samples is None) == (genie and not last)
         if samples is not None:
-            np.testing.assert_array_equal(samples, ref_samples)
+            assert_block_close(samples, ref_samples)
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
         assert flags.any() and not flags.all()
 
@@ -494,7 +561,7 @@ class TestSampleWorkspace:
         targets = (sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=20.0),
                    sig.Target(range_m=35.0, velocity_mps=-10.0, snr_db=5.0))
         return (victim, targets, rng.uniform(0.0, 2.0 * np.pi, 2), rng.integers(0, 6, k),
-                0, amps, *sig.interference_bases(victim, sources), 2.0), weights
+                0, amps, *sig.noiseless_basis(victim, targets, sources, 2.0), 2.0), weights
 
     def test_shared_workspace_equals_fresh_calls(self):
         short, long = table1_params(), table1_params(pri_s=40e-6, chirps=256)
@@ -564,7 +631,7 @@ class TestRangeFft:
 
 def synth_frame(p, tgt, hops, seed=0, noise_power=1.0):
     rng = np.random.default_rng(seed)
-    echo = sig.echo_frame(p, tgt, hops)
+    echo = oracles.echo_frame(p, tgt, hops)
     nz = np.sqrt(noise_power / 2) * (
         rng.standard_normal(echo.shape) + 1j * rng.standard_normal(echo.shape))
     return echo + nz
@@ -740,7 +807,7 @@ class TestRangeProfile:
         t1 = sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=25.0)
         t2 = sig.Target(range_m=20.0 + oracles.fine_bin_m(p) * 2, velocity_mps=-15.0,
                         snr_db=25.0)
-        echo = sig.echo_frame(p, t1, hops) + sig.echo_frame(p, t2, hops)
+        echo = oracles.echo_frame(p, t1, hops) + oracles.echo_frame(p, t2, hops)
         nz = np.sqrt(0.5) * (rng.standard_normal(echo.shape)
                              + 1j * rng.standard_normal(echo.shape))
         rfft = sig.range_fft(echo + nz)

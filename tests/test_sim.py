@@ -125,6 +125,20 @@ class TestValidateConfig:
         cfg = replace(cfg, links=(cfg.links[0], LinkSpec(1, 0, value)))
         assert validate_config(cfg) == [f"links[2].inr_db: {value!r} not finite"]
 
+    @pytest.mark.parametrize("name, value, kind", [
+        ("frames", 2.5, "int"), ("seed", 1.5, "int"), ("episodes_per_frame", 1.0, "int"),
+        ("genie_detection", 0, "bool"), ("db_average", "yes", "bool"),
+        ("noise_power", "1", "float")])
+    def test_run_field_type_named(self, name, value, kind):
+        # Only the type is reported: the field's value checks are skipped.
+        cfg = replace(two_radar_config(), **{name: value})
+        assert validate_config(cfg) == [f"run.{name}: expected {kind}, got {value!r}"]
+
+    def test_mistyped_frames_skip_the_checks_that_read_them(self):
+        # The Nash exploration bound and the per-step cell guard read frames.
+        cfg = two_radar_config(("nash", "nash"), frames="4")
+        assert validate_config(cfg) == ["run.frames: expected int, got '4'"]
+
     def test_run_scenario_raises_with_messages(self):
         with pytest.raises(ScenarioError) as err:
             run_scenario(ScenarioConfig(radars=()))
