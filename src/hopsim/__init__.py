@@ -8,7 +8,16 @@ Modules:
   cli      command-line runner and report generator
 """
 
-from . import cli, game, hopping, signal, sim
+import importlib
+
+from . import game, hopping, signal, sim
 
 __all__ = ["cli", "game", "hopping", "signal", "sim"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # ``cli`` loads on first use, so ``python -m hopsim.cli`` runs it only once.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

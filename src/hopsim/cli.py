@@ -204,9 +204,9 @@ def parse_config(text: str) -> ScenarioConfig:
     return config
 
 
-def render_config(config: ScenarioConfig) -> str:
-    """YAML document reproducing the config, defaults included."""
-    doc = {
+def config_document(config: ScenarioConfig) -> dict:
+    """The config as a plain document, defaults included; its YAML parses back to it."""
+    return {
         "radars": [
             {
                 "carrier_hz": spec.chirp.f_c,
@@ -232,7 +232,6 @@ def render_config(config: ScenarioConfig) -> str:
         ],
         "run": {key: getattr(config, key) for key in FIELDS["run"]},
     }
-    return yaml.safe_dump(doc, sort_keys=False)
 
 
 @dataclass
@@ -355,7 +354,7 @@ def cmd_run(config: ScenarioConfig, out_dir, seeds) -> RunManifest:
             summary[str(seed)] = seed_summary
 
     manifest = RunManifest(seeds=seeds, files=files,
-                           summary=summary, config=yaml.safe_load(render_config(config)))
+                           summary=summary, config=config_document(config))
     (out / "manifest.json").write_text(json.dumps(
         {"seeds": manifest.seeds, "files": manifest.files,
          "summary": manifest.summary, "config": manifest.config},

@@ -9,6 +9,7 @@ need not form a uniform grid, so this phase product replaces an FFT.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,10 @@ class ChirpParams:
                 raise ValueError(f"chirp {name} {getattr(self, name)!r} not finite and > 0")
         if self.active_s >= self.pri_s:
             raise ValueError("need active time < PRI")
-        if self.n_subbands < 1 or self.chirps_per_frame < 1:
-            raise ValueError("counts must be positive")
+        for name in ("n_subbands", "chirps_per_frame"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"chirp {name} {value!r} not an integer >= 1")
         if self.n_samples < 2:
             raise ValueError("fewer than 2 samples per chirp")
 

@@ -333,6 +333,19 @@ def _next_state(state, own_stats, all_stats, solved: dict):
     return state
 
 
+def _final_frame_profile(ch: sig.ChirpParams, v0: float, blocks,
+                         actions: np.ndarray) -> sig.FineRangeProfile:
+    """Fine-range profile at ``v0`` of one radar's final frame.
+
+    ``blocks`` are the frame's (N_s, K_ep) sample blocks in episode order
+    and ``actions`` its subbands, one per chirp.
+    """
+    rfft = sig.range_fft(blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1))
+    surface = sig.sweep_coarse_bins(rfft, actions * ch.subband_hz, np.arange(ch.n_samples // 2),
+                                    np.array([v0]), sig.default_eps_grid(ch), ch)
+    return sig.range_profile_at_velocity(surface, v0)
+
+
 @dataclass
 class RunMetrics:
     """Everything a run records; arrays are episode-indexed where noted."""
@@ -388,7 +401,8 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     interference_rate = np.zeros((episodes, n_radars))
     mean_sinr_db = np.zeros((episodes, n_radars))
     aligned_frames = []
-    last_frame_samples = [[] for _ in range(n_radars)]
+    final_blocks = [[] for _ in range(n_radars)]  # final-frame samples until profiled
+    profiles = {}
     # Detector mode synthesizes every episode: one workspace serves them all.
     workspace = None if config.genie_detection else sig.SampleWorkspace(
         max(ch.n_samples * k for ch, k in zip(chirps, k_ep)))
@@ -422,7 +436,13 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                     genie_flags=(weights > 0).any(axis=0) if config.genie_detection else None,
                     detection_factor=config.detection_factor, workspace=workspace)
                 if last:
-                    last_frame_samples[i].append(samples)
+                    final_blocks[i].append(samples)
+                    del samples  # the list alone holds the block, until it is profiled
+                    if ep == t_ep - 1:  # the radar's final frame is complete: profile it
+                        profiles[i] = _final_frame_profile(
+                            chirps[i], spec.targets[0].velocity_mps, final_blocks[i],
+                            frame_actions[i])
+                        final_blocks[i] = None
                 all_stats.append(sig.estimate_episode_sinr(meas, a, config.db_average))
                 interference_rate[e, i] = float(np.mean(meas.flagged))
                 mean_sinr_db[e, i] = 10.0 * np.log10(
@@ -453,18 +473,6 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
         ext_regret[i] = running[-1]
         cce_gap[i] = cce_deviation_gap(
             joint, genie_utility_table(config, joint.rows, i), i)
-
-    profiles = {}
-    for i, spec in enumerate(config.radars):
-        ch = chirps[i]
-        rfft = sig.range_fft(np.concatenate(last_frame_samples[i], axis=1))
-        v0 = spec.targets[0].velocity_mps
-        eps_grid = sig.default_eps_grid(ch)
-        bins = np.arange(ch.n_samples // 2)
-        # frame_actions holds the final frame's subbands
-        surface = sig.sweep_coarse_bins(rfft, frame_actions[i] * ch.subband_hz, bins,
-                                        np.array([v0]), eps_grid, ch)
-        profiles[i] = sig.range_profile_at_velocity(surface, v0)
 
     return RunMetrics(
         strategies=strategies,

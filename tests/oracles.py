@@ -25,7 +25,7 @@ from hopsim.cli import (
     _sha256,
     _worker_count,
     _write_csv,
-    render_config,
+    config_document,
 )
 from hopsim.game import (
     PROB_ATOL,
@@ -41,6 +41,11 @@ from hopsim.sim import ScenarioConfig, run_scenario
 
 # Default tolerance (dB) for equilibrium checks.
 EQ_TOL_DB = 1e-6
+
+
+def render_config(config: ScenarioConfig) -> str:
+    """YAML document reproducing the config, defaults included."""
+    return yaml.safe_dump(config_document(config), sort_keys=False)
 
 
 def bundled_config_path(name: str = "table1") -> Path:
@@ -284,6 +289,28 @@ def fine_range_doppler(rfft: np.ndarray, hops_hz: np.ndarray, coarse_bin: int,
     ek = np.exp(-2j * np.pi * (2.0 / C) * np.outer(rbar + eps, hops))
     corr = np.einsum("vk,ek,k->ve", np.conj(vk), np.conj(ek), z)
     return 20.0 * np.log10(np.abs(corr) + 1e-300)
+
+
+def final_frame_profiles(config: ScenarioConfig, last_frame_samples, frame_actions) -> dict:
+    """Every radar's fine-range profile, computed after the frame loop.
+
+    ``last_frame_samples[i]`` lists radar i's final-frame blocks in
+    episode order and ``frame_actions[i]`` its final-frame subbands. The
+    loop body is the simulator's former post-loop range processing.
+    """
+    chirps = [spec.chirp for spec in config.radars]
+    profiles = {}
+    for i, spec in enumerate(config.radars):
+        ch = chirps[i]
+        rfft = sig.range_fft(np.concatenate(last_frame_samples[i], axis=1))
+        v0 = spec.targets[0].velocity_mps
+        eps_grid = sig.default_eps_grid(ch)
+        bins = np.arange(ch.n_samples // 2)
+        # frame_actions holds the final frame's subbands
+        surface = sig.sweep_coarse_bins(rfft, frame_actions[i] * ch.subband_hz, bins,
+                                        np.array([v0]), eps_grid, ch)
+        profiles[i] = sig.range_profile_at_velocity(surface, v0)
+    return profiles
 
 
 def theoretical_sinr(signal_power: float, interference_power: float,

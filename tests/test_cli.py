@@ -1,12 +1,16 @@
 """Command-line layer tests: config parsing, artifact emission, report."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import hopsim
 from hopsim.cli import (
     FIELDS,
     ConfigError,
@@ -16,9 +20,9 @@ from hopsim.cli import (
     _write_joint_csv,
     cmd_report,
     cmd_run,
+    config_document,
     main,
     parse_config,
-    render_config,
 )
 
 from hopsim.game import empirical_joint
@@ -29,6 +33,7 @@ from oracles import (
     cmd_run_collect_then_emit,
     dense_mass,
     joint_from_dense,
+    render_config,
     write_joint_csv_rows,
 )
 
@@ -91,6 +96,16 @@ class TestParseConfig:
         cfg = parse_config(SMALL_CFG)
         again = parse_config(render_config(cfg))
         assert again == cfg
+
+    @pytest.mark.parametrize("source", ["small", "table1", "crowd-8"])
+    def test_document_matches_rendered_yaml(self, source):
+        # The manifest stores config_document; its YAML round trip is the reference.
+        crowd = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "crowd-8.yaml"
+        text = {"small": SMALL_CFG, "table1": bundled_config_path("table1").read_text(),
+                "crowd-8": crowd.read_text()}[source]
+        cfg = parse_config(text)
+        assert json.dumps(config_document(cfg), sort_keys=True) == json.dumps(
+            yaml.safe_load(render_config(cfg)), sort_keys=True)
 
     def test_bundled_table1(self):
         path = bundled_config_path("table1")
@@ -340,6 +355,14 @@ class TestReport:
 
 
 class TestMainExitCodes:
+    def test_module_run_warns_nothing(self):
+        src = str(Path(hopsim.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "hopsim.cli",
+                               "--help"], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
         assert main(["run", "--config", "x"]) == 1   # missing --out

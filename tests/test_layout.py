@@ -17,6 +17,7 @@ SRC = Path(hopsim.__file__).parent
 ALLOWED = {
     ("cli", "main"),            # console script named in pyproject.toml
     ("cli", "_Parser.error"),   # argparse calls it on a usage error
+    ("__init__", "__getattr__"),  # Python calls it to load hopsim.cli on first use
 }
 
 

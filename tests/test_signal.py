@@ -1,4 +1,5 @@
 """Baseband physics: synthesis, detection, estimation, range processing."""
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,18 @@ class TestChirpParams:
     def test_non_finite_field_named(self, name, value):
         with pytest.raises(ValueError, match=f"chirp {name} {value!r} not finite"):
             replace(table1_params(), **{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_subbands", np.nan), ("n_subbands", 6.0), ("n_subbands", True), ("n_subbands", 0),
+        ("chirps_per_frame", 2.5), ("chirps_per_frame", True), ("chirps_per_frame", -512),
+        ("chirps_per_frame", "512")])
+    def test_non_integer_count_named(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(f"chirp {name} {value!r} not an integer >= 1")):
+            replace(table1_params(), **{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        p = replace(table1_params(), n_subbands=np.int64(6), chirps_per_frame=np.int32(512))
+        assert (p.n_subbands, p.chirps_per_frame) == (6, 512)
 
     def test_hop_offsets(self):
         p = table1_params()

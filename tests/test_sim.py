@@ -5,13 +5,16 @@ simulator computes, and genie-mode runs are cross-checked against
 collisions recomputed independently from the recorded action sequences.
 """
 
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hopsim.signal as sig
 from hopsim import hopping, sim
+from hopsim.cli import parse_config
 from hopsim.game import cce_deviation_gap, empirical_joint, external_regret
 from hopsim.sim import (
     LinkSpec,
@@ -31,6 +34,7 @@ from oracles import (
     dense_genie_table,
     dense_mass,
     external_regret_dense,
+    final_frame_profiles,
 )
 
 
@@ -480,3 +484,69 @@ class TestNashCommitTiming:
         committed = profiles[-1].strategies[0].probs
         for e in range(explore, frames * episodes_per_frame):
             np.testing.assert_array_equal(played[e], committed)
+
+
+class TestFinalFrameProfiles:
+    """Each radar's final frame is range-processed as soon as it completes."""
+
+    @pytest.mark.parametrize("genie", [True, False])
+    @pytest.mark.parametrize("episodes_per_frame", [1, 4])
+    def test_matches_post_loop_oracle(self, monkeypatch, episodes_per_frame, genie):
+        cfg = two_radar_config(("noregret", "uniform"), frames=3, seed=5,
+                               episodes_per_frame=episodes_per_frame, genie_detection=genie)
+        blocks = [[] for _ in cfg.radars]
+        actions = [[] for _ in cfg.radars]
+        events = []  # (radar) per final-frame block, "fft" per range FFT
+        measure, range_fft = sig.measure_episode, sig.range_fft
+
+        def recording_measure(params, targets, target_phases, subbands, *args, sampled, **kw):
+            meas, samples = measure(params, targets, target_phases, subbands, *args,
+                                    sampled=sampled, **kw)
+            if sampled:  # radars measure in index order within an episode
+                radar = sum(map(len, blocks)) % cfg.n_radars
+                blocks[radar].append(samples.copy())
+                actions[radar].append(subbands.copy())
+                events.append(radar)
+            return meas, samples
+
+        def recording_fft(samples):
+            events.append("fft")
+            return range_fft(samples)
+
+        monkeypatch.setattr(sig, "measure_episode", recording_measure)
+        monkeypatch.setattr(sig, "range_fft", recording_fft)
+        m = run_scenario(cfg)
+        monkeypatch.undo()
+
+        # The final episode profiles each radar right after its block.
+        earlier = list(range(cfg.n_radars)) * (episodes_per_frame - 1)
+        assert events == earlier + [0, "fft", 1, "fft"]
+        expected = final_frame_profiles(cfg, blocks, [np.concatenate(a) for a in actions])
+        assert sorted(m.profiles) == sorted(expected) == [0, 1]
+        for i, want in expected.items():
+            got = m.profiles[i]
+            assert got.ranges_m.tobytes() == want.ranges_m.tobytes()
+            assert got.mags_db.tobytes() == want.mags_db.tobytes()
+            assert (got.coarse_bin, got.velocity_mps) == (want.coarse_bin, want.velocity_mps)
+
+    def test_crowd_peak_memory_does_not_grow_with_radars(self):
+        # crowd-8's blocks are 320 x 512 (or 640 x 256) complex samples each.
+        # Holding every radar's final frame until the loop ends costs about
+        # one block per extra radar; range processing each radar's frame
+        # when it completes keeps at most one alive.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "crowd-8.yaml"
+        crowd = replace(parse_config(path.read_text()), frames=3)
+        pair = replace(crowd, radars=crowd.radars[:2],
+                       links=tuple(l for l in crowd.links if l.victim < 2 and l.source < 2))
+        block = 320 * 512 * 16
+
+        def peak(cfg):
+            run_scenario(replace(cfg, frames=1))  # warm caches (FFT plans) untraced
+            tracemalloc.start()
+            try:
+                run_scenario(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(crowd) - peak(pair) < 2 * block
