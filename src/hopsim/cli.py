@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from collections import Counter
+from collections.abc import Hashable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -108,10 +109,34 @@ def _mappings(doc: dict, section: str, errors: list) -> list:
     return out
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML's safe loader, with mappings built by ``_mapping_without_repeats``."""
+
+
+def _mapping_without_repeats(loader: _Loader, node: yaml.MappingNode) -> dict:
+    """A YAML mapping; a key repeated in it is an error naming the key and its lines."""
+    lines = {}
+    for key_node, _ in node.value:
+        if key_node.tag == "tag:yaml.org,2002:merge":
+            continue  # keys a merge brings in may be overridden
+        key = loader.construct_object(key_node, deep=True)
+        if not isinstance(key, Hashable):
+            continue  # construct_mapping rejects it
+        line = key_node.start_mark.line + 1
+        if key in lines:
+            raise yaml.constructor.ConstructorError(
+                problem=f"key {key!r} on line {line} repeats line {lines[key]}")
+        lines[key] = line
+    return loader.construct_mapping(node, deep=True)
+
+
+_Loader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _mapping_without_repeats)
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a YAML scenario document, collecting every violation at once."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError([f"YAML parse error: {exc}"]) from exc
     if not isinstance(doc, dict):

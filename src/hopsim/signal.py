@@ -75,8 +75,17 @@ class Target:
             raise ValueError(f"target range_m {self.range_m!r} not finite and > 0")
         if not np.isfinite(self.velocity_mps):
             raise ValueError(f"target velocity_mps {self.velocity_mps!r} not finite")
-        if not np.isfinite(self.snr_db):
-            raise ValueError("target SNR must be finite")
+        if not 0 < db_power(self.snr_db) < np.inf:
+            raise ValueError(
+                f"target snr_db {self.snr_db!r} dB has a linear power not finite and > 0")
+
+
+def db_power(db: float) -> float:
+    """Linear power 10^(db/10); inf where that overflows a float."""
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        return np.inf
 
 
 @dataclass(frozen=True)
@@ -104,11 +113,16 @@ def _echo_terms(params: ChirpParams, tgt: Target, noise_power: float):
     return rbar, eps0, f_r, f_d, amp
 
 
+def delay_outside_chirp(params: ChirpParams, tgt: Target, ks: np.ndarray) -> np.ndarray:
+    """Per chirp index in ``ks``, whether the target's round-trip delay leaves [0, T_a)."""
+    delays = (2.0 / C) * (tgt.range_m + ks * tgt.velocity_mps * params.pri_s)
+    return (delays < 0) | (delays >= params.active_s)
+
+
 def _echo_slow(params: ChirpParams, tgt: Target, hops: np.ndarray, phase0: float, k0: int):
     """Per-chirp phase (K,) of the target's echo: the coefficient of its fast-time tone."""
     ks = k0 + np.arange(hops.size)
-    delays = (2.0 / C) * (tgt.range_m + ks * tgt.velocity_mps * params.pri_s)
-    if np.any(delays < 0) or np.any(delays >= params.active_s):
+    if delay_outside_chirp(params, tgt, ks).any():
         raise ValueError("round-trip delay outside the chirp: target beyond unambiguous range")
     rbar, eps0, _, f_d, _ = _echo_terms(params, tgt, 1.0)
     return np.exp(1j * (2.0 * np.pi * f_d * ks
@@ -161,7 +175,7 @@ def noiseless_basis(victim: ChirpParams, targets, sources,
 class SampleWorkspace:
     """Flat buffers of ``size`` samples that one thread's episodes reuse as views.
 
-    Complex ``x`` (received block) and ``scratch`` (echo, then spectrum),
+    Complex ``x`` (received block) and ``scratch`` (detector spectrum),
     float ``power`` and bool ``mask`` (detector hits).
     """
 
@@ -255,43 +269,35 @@ def measure_episode(params: ChirpParams, targets, target_phases, subbands: np.nd
     and its L linked sources, ``amps`` (L, K) holds each source's complex
     amplitude per chirp and ``k0`` is the first chirp's index in its frame.
     The per-chirp coefficients of the rows are the targets' slow-time
-    phases, then ``amps``. Genie mode (``genie_flags`` marks the chirps that
-    collided) takes the interference power from the sources' Gram form and
-    draws the clean power from its exact distribution unless ``sampled``.
-    Detector mode splits every episode's samples with the threshold
-    detector. Returns the measurements and the samples (N_s, K) or None.
-    Samples are built in ``workspace`` (else one made for the call); the
-    next call with it overwrites them, except a ``sampled`` block, which
-    is fresh.
+    phases, then ``amps``. Detector mode, and a ``sampled`` genie episode,
+    synthesize the block rows.T @ coefficients plus noise. Genie mode
+    (``genie_flags`` marks the chirps that collided) takes the
+    interference power from the sources' Gram form and draws the clean
+    power from its exact distribution, after the block's noise if any.
+    Detector mode splits the samples with the threshold detector. Returns
+    the measurements and the samples (N_s, K) or None. Samples are a view
+    of ``workspace`` (else one made for the call), which the next call
+    with it overwrites.
     """
     hops = subbands * params.subband_hz
     n_t = len(targets)
     slow = np.reshape([_echo_slow(params, tgt, hops, float(ph), k0)
                        for tgt, ph in zip(targets, target_phases)], (n_t, hops.size))
     flags, x = genie_flags, None
-    intf = None if flags is None else _column_energy(gram[n_t:, n_t:], amps) / params.n_samples
-    if flags is not None and not sampled:
-        clean = _clean_power_draw(_column_energy(gram[:n_t, :n_t], slow), params.n_samples,
-                                  noise_power, rng)
-    else:
+    if sampled or flags is None:
         shape = (params.n_samples, hops.size)
         ws = workspace or SampleWorkspace(hops.size * params.n_samples)
-        # A sampled block is the caller's to keep; a per-call workspace's x already is.
-        x = np.empty(shape, dtype=complex) if sampled and workspace else _view(ws.x, shape)
-        echo, power = _view(ws.scratch, shape), _view(ws.power, shape)
-        # Detector: the whole noiseless block into x. Genie: the echoes alone
-        # into scratch, so the clean power is read off before the links join.
-        coeffs, noisy = (np.concatenate([slow, amps]), x) if flags is None else (slow, echo)
-        np.matmul(rows[:len(coeffs)].T, coeffs, out=noisy)
+        x, power = _view(ws.x, shape), _view(ws.power, shape)
+        np.matmul(rows.T, np.concatenate([slow, amps]), out=x)
         sigma = np.sqrt(noise_power / 2.0)  # noise sigma (n_re + j n_im), a part at a time
-        for part in (noisy.real, noisy.imag):
+        for part in (x.real, x.imag):
             part += np.multiply(rng.standard_normal(out=power), sigma, out=power)
-        if flags is None:
-            flags, clean, intf = detect_interference(x, noise_power, detection_factor, ws)
-        else:
-            clean = np.mean(_abs2(echo, power), axis=0)
-            np.matmul(rows[n_t:].T, amps, out=x)
-            x += echo
+    if flags is None:
+        flags, clean, intf = detect_interference(x, noise_power, detection_factor, ws)
+    else:
+        intf = _column_energy(gram[n_t:, n_t:], amps) / params.n_samples
+        clean = _clean_power_draw(_column_energy(gram[:n_t, :n_t], slow), params.n_samples,
+                                  noise_power, rng)
     return ChirpMeasurements(subbands=subbands, clean_power=clean, interference_power=intf,
                              flagged=flags, noise_power=noise_power), x
 
@@ -328,17 +334,18 @@ def estimate_episode_sinr(meas: ChirpMeasurements, n_subbands: int,
                         count=count, clean_count=clean_count, hit_count=hit_count)
 
 
-def range_fft(samples: np.ndarray) -> np.ndarray:
+def range_fft(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-chirp fast-time DFT of (N_s, K) samples (orthonormal, energy-preserving).
 
     The dechirped echo beats at -f_r, so the transform is evaluated at
     negative frequencies: bin b then maps to range b * range_bin_m
-    directly, and slow-time phases pass through unconjugated.
+    directly, and slow-time phases pass through unconjugated. The result
+    goes to ``out`` (N_s, K) when given.
     """
     samples = np.asarray(samples)
     if samples.shape[0] < 2:
         raise ValueError("need at least 2 fast-time samples")
-    return np.fft.ifft(samples, axis=0, norm="ortho")
+    return np.fft.ifft(samples, axis=0, norm="ortho", out=out)
 
 
 @dataclass(frozen=True)

@@ -160,11 +160,14 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             errors.append(f"{label}: noregret policy needs at least two subbands")
         if not spec.targets:
             errors.append(f"{label}: needs at least one target (genie utility evaluation)")
-        for tgt in spec.targets:
-            max_delay = (2.0 / sig.C) * (
-                tgt.range_m + abs(tgt.velocity_mps) * ch.chirps_per_frame * ch.pri_s)
-            if max_delay >= ch.active_s:
-                errors.append(f"{label}: target at {tgt.range_m} m beyond unambiguous range")
+        for ti, tgt in enumerate(spec.targets, start=1):
+            outside = np.flatnonzero(
+                sig.delay_outside_chirp(ch, tgt, np.arange(ch.chirps_per_frame)))
+            if outside.size:
+                errors.append(
+                    f"{label}.targets[{ti}]: target at {tgt.range_m} m moving at "
+                    f"{tgt.velocity_mps} m/s has its round-trip delay outside [0, "
+                    f"{ch.active_s}) s from chirp {outside[0] + 1} of {ch.chirps_per_frame}")
     if durations and max(durations) - min(durations) > 1e-12 * max(durations):
         errors.append("radars: frame durations K*PRI must agree across radars")
     # Only the Nash solver builds dense (n, A, ..., A) game tables.
@@ -186,6 +189,9 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             errors.append(f"links[{li}]: victim/source indices invalid")
         if not np.isfinite(link.inr_db):
             errors.append(f"links[{li}].inr_db: {link.inr_db!r} not finite")
+        elif not 0 < sig.db_power(link.inr_db) < np.inf:
+            errors.append(f"links[{li}].inr_db: {link.inr_db!r} dB has a linear power "
+                          "not finite and > 0")
     errors += [f"run.{name}: expected {RUN_FIELDS[name][0].__name__}, "
                f"got {getattr(config, name)!r}" for name, ok in typed.items() if not ok]
     if any(typed[name] and getattr(config, name) < 1 for name in ("frames", "episodes_per_frame")):
@@ -333,14 +339,13 @@ def _next_state(state, own_stats, all_stats, solved: dict):
     return state
 
 
-def _final_frame_profile(ch: sig.ChirpParams, v0: float, blocks,
+def _final_frame_profile(ch: sig.ChirpParams, v0: float, rfft: np.ndarray,
                          actions: np.ndarray) -> sig.FineRangeProfile:
     """Fine-range profile at ``v0`` of one radar's final frame.
 
-    ``blocks`` are the frame's (N_s, K_ep) sample blocks in episode order
-    and ``actions`` its subbands, one per chirp.
+    ``rfft`` is the frame's (N_s, K) range FFT and ``actions`` its
+    subbands, one per chirp.
     """
-    rfft = sig.range_fft(blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1))
     surface = sig.sweep_coarse_bins(rfft, actions * ch.subband_hz, np.arange(ch.n_samples // 2),
                                     np.array([v0]), sig.default_eps_grid(ch), ch)
     return sig.range_profile_at_velocity(surface, v0)
@@ -401,7 +406,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     interference_rate = np.zeros((episodes, n_radars))
     mean_sinr_db = np.zeros((episodes, n_radars))
     aligned_frames = []
-    final_blocks = [[] for _ in range(n_radars)]  # final-frame samples until profiled
+    spectra = [None] * n_radars  # final-frame range FFT (K, N_s), until profiled
     profiles = {}
     # Detector mode synthesizes every episode: one workspace serves them all.
     workspace = None if config.genie_detection else sig.SampleWorkspace(
@@ -435,14 +440,16 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                     *bases[i], noise, rngs[i]["noise"], sampled=last,
                     genie_flags=(weights > 0).any(axis=0) if config.genie_detection else None,
                     detection_factor=config.detection_factor, workspace=workspace)
-                if last:
-                    final_blocks[i].append(samples)
-                    del samples  # the list alone holds the block, until it is profiled
+                if last:  # transform the block before the next call overwrites it
+                    if ep == 0:
+                        spectra[i] = np.empty((k_frame[i], chirps[i].n_samples), dtype=complex)
+                    sig.range_fft(samples, out=spectra[i][ep * k_ep[i]:(ep + 1) * k_ep[i]].T)
+                    del samples  # frees a genie per-call workspace before the next one
                     if ep == t_ep - 1:  # the radar's final frame is complete: profile it
                         profiles[i] = _final_frame_profile(
-                            chirps[i], spec.targets[0].velocity_mps, final_blocks[i],
+                            chirps[i], spec.targets[0].velocity_mps, spectra[i].T,
                             frame_actions[i])
-                        final_blocks[i] = None
+                        spectra[i] = None
                 all_stats.append(sig.estimate_episode_sinr(meas, a, config.db_average))
                 interference_rate[e, i] = float(np.mean(meas.flagged))
                 mean_sinr_db[e, i] = 10.0 * np.log10(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -680,3 +681,43 @@ class TestStrictConfig:
         assert code == 2
         accepted = ", ".join(FIELDS[where[0]] if where else FIELDS)
         assert f"{label}: unknown field (accepted: {accepted})" in err
+
+    def test_target_reaching_the_radar_within_a_frame_rejected(self, tmp_path, capsys):
+        # At 100 m/s a target 1 m away reaches the radar before table1's
+        # 512-chirp frame ends; the delay would leave the chirp mid-run.
+        doc = yaml.safe_load(bundled_config_path("table1").read_text())
+        doc["targets"][0].update(range_m=1.0, velocity_mps=-100.0)
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert "radars[1].targets[1]: target at 1.0 m moving at -100.0 m/s" in err
+        assert "from chirp 502 of 512" in err
+
+    @pytest.mark.parametrize("section,field", [("targets", "snr_db"), ("links", "inr_db")])
+    @pytest.mark.parametrize("value", [4000.0, -4000.0])
+    def test_power_beyond_float_range_rejected(self, tmp_path, capsys, section, field, value):
+        # 10^400 overflows a float and 10^-400 is 0: neither is a power.
+        doc = yaml.safe_load(SMALL_CFG)
+        doc[section][0][field] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert f"{section}[1]" in err and field in err
+        assert f"{value!r} dB has a linear power not finite and > 0" in err
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("  frames: 2\n", "  frames: 50\n  frames: 2\n", "frames"),
+        ("    subbands: 6\n", "    subbands: 6\n    subbands: 4\n", "subbands"),
+    ])
+    def test_repeated_key_rejected(self, tmp_path, capsys, old, new, key):
+        # The later copy of a key would silently replace the earlier one;
+        # radars[1] on 4 subbands would then fault radars[2] for not sharing them.
+        text = SMALL_CFG.replace(old, new, 1)
+        line = text.splitlines().index(new.splitlines()[0]) + 1
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"key {key!r} on line {line + 1} repeats line {line}" in err
+        assert "must share" not in err

@@ -6,6 +6,7 @@ collisions recomputed independently from the recorded action sequences.
 """
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from hopsim.sim import (
 )
 
 from oracles import (
+    bundled_config_path,
     cce_deviation_gap_dense,
     dense_arm_utilities,
     dense_genie_table,
@@ -128,6 +130,41 @@ class TestValidateConfig:
         cfg = two_radar_config()
         cfg = replace(cfg, links=(cfg.links[0], LinkSpec(1, 0, value)))
         assert validate_config(cfg) == [f"links[2].inr_db: {value!r} not finite"]
+
+    @pytest.mark.parametrize("value", [4000.0, -4000.0])
+    def test_link_inr_linear_power_finite_and_positive(self, value):
+        cfg = two_radar_config()
+        cfg = replace(cfg, links=(cfg.links[0], LinkSpec(1, 0, value)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_config(cfg) == [
+                f"links[2].inr_db: {value!r} dB has a linear power not finite and > 0"]
+
+    # The chirp's delay window [0, 16 us) spans ranges [0, 2400) m; by the
+    # 64th chirp a target at 100 m/s has moved 0.126 m.
+    @pytest.mark.parametrize("range_m, velocity_mps", [
+        (0.1, -100.0), (0.12599, -100.0), (0.126, -100.0), (0.2, -100.0),
+        (2399.8, 100.0), (2399.9, 100.0), (2399.99, -100.0), (2400.5, -100.0), (2500.0, 0.0),
+    ])
+    def test_target_delay_check_matches_synthesis(self, range_m, velocity_mps):
+        # Exactly the targets whose echo synthesis would fail are rejected.
+        cfg = two_radar_config()
+        tgt = sig.Target(range_m=range_m, velocity_mps=velocity_mps, snr_db=20.0)
+        cfg = replace(cfg, radars=(replace(cfg.radars[0], targets=(target(), tgt)),
+                                   *cfg.radars[1:]))
+        ch = cfg.radars[0].chirp
+        try:
+            sig.measure_episode(ch, (tgt,), [0.0], np.zeros(ch.chirps_per_frame, dtype=int), 0,
+                                np.zeros((0, ch.chirps_per_frame)),
+                                *sig.noiseless_basis(ch, (tgt,), [], 1.0), 1.0,
+                                np.random.default_rng(0), sampled=False,
+                                genie_flags=np.zeros(ch.chirps_per_frame, dtype=bool))
+            fails = False
+        except ValueError:
+            fails = True
+        errors = validate_config(cfg)
+        assert len(errors) == fails
+        assert all(e.startswith("radars[1].targets[2]: target at") for e in errors)
 
     @pytest.mark.parametrize("name, value, kind", [
         ("frames", 2.5, "int"), ("seed", 1.5, "int"), ("episodes_per_frame", 1.0, "int"),
@@ -330,7 +367,8 @@ class TestRunScenario:
     @pytest.mark.parametrize("genie", [True, False])
     def test_noise_samples_drawn_only_for_sample_frames(self, monkeypatch, genie):
         # Genie mode synthesizes noise only in the final frame, for the
-        # range profile; the detector needs samples in every frame.
+        # range profile, and draws every chirp's clean power; the detector
+        # needs samples in every frame.
         log = []
         make = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng",
@@ -344,7 +382,7 @@ class TestRunScenario:
                  for name in ("standard_normal", "noncentral_chisquare")}
         if genie:
             assert drawn == {"standard_normal": per_frame,
-                             "noncentral_chisquare": (cfg.frames - 1) * chirps}
+                             "noncentral_chisquare": cfg.frames * chirps}
         else:
             assert drawn == {"standard_normal": cfg.frames * per_frame,
                              "noncentral_chisquare": 0}
@@ -487,7 +525,8 @@ class TestNashCommitTiming:
 
 
 class TestFinalFrameProfiles:
-    """Each radar's final frame is range-processed as soon as it completes."""
+    """Each final-frame block is range-transformed as soon as it is measured,
+    and each radar's frame is profiled as soon as it completes."""
 
     @pytest.mark.parametrize("genie", [True, False])
     @pytest.mark.parametrize("episodes_per_frame", [1, 4])
@@ -496,8 +535,8 @@ class TestFinalFrameProfiles:
                                episodes_per_frame=episodes_per_frame, genie_detection=genie)
         blocks = [[] for _ in cfg.radars]
         actions = [[] for _ in cfg.radars]
-        events = []  # (radar) per final-frame block, "fft" per range FFT
-        measure, range_fft = sig.measure_episode, sig.range_fft
+        events = []  # (radar) per final-frame block, "fft" per range FFT, "profile" per sweep
+        measure, range_fft, sweep = sig.measure_episode, sig.range_fft, sig.sweep_coarse_bins
 
         def recording_measure(params, targets, target_phases, subbands, *args, sampled, **kw):
             meas, samples = measure(params, targets, target_phases, subbands, *args,
@@ -509,18 +548,24 @@ class TestFinalFrameProfiles:
                 events.append(radar)
             return meas, samples
 
-        def recording_fft(samples):
+        def recording_fft(samples, out=None):
             events.append("fft")
-            return range_fft(samples)
+            return range_fft(samples, out=out)
+
+        def recording_sweep(*args):
+            events.append("profile")
+            return sweep(*args)
 
         monkeypatch.setattr(sig, "measure_episode", recording_measure)
         monkeypatch.setattr(sig, "range_fft", recording_fft)
+        monkeypatch.setattr(sig, "sweep_coarse_bins", recording_sweep)
         m = run_scenario(cfg)
         monkeypatch.undo()
 
-        # The final episode profiles each radar right after its block.
-        earlier = list(range(cfg.n_radars)) * (episodes_per_frame - 1)
-        assert events == earlier + [0, "fft", 1, "fft"]
+        # Every block is transformed before the next is measured; the final
+        # episode profiles each radar right after its transform.
+        earlier = [0, "fft", 1, "fft"] * (episodes_per_frame - 1)
+        assert events == earlier + [0, "fft", "profile", 1, "fft", "profile"]
         expected = final_frame_profiles(cfg, blocks, [np.concatenate(a) for a in actions])
         assert sorted(m.profiles) == sorted(expected) == [0, 1]
         for i, want in expected.items():
@@ -528,6 +573,25 @@ class TestFinalFrameProfiles:
             assert got.ranges_m.tobytes() == want.ranges_m.tobytes()
             assert got.mags_db.tobytes() == want.mags_db.tobytes()
             assert (got.coarse_bin, got.velocity_mps) == (want.coarse_bin, want.velocity_mps)
+
+    def test_detector_peak_memory_under_two_blocks_above_its_workspace(self):
+        # table1's blocks are 320 x 512 complex samples. The run-scoped
+        # workspace holds the sampled block; the final frame adds its range
+        # spectrum and the profile's coarse-bin rows, not a block copy.
+        cfg = replace(parse_config(bundled_config_path("table1").read_text()),
+                      genie_detection=False, frames=3)
+        size = max(spec.chirp.n_samples * spec.chirp.chirps_per_frame for spec in cfg.radars)
+        ws = sig.SampleWorkspace(size)
+        workspace = sum(buf.nbytes for buf in (ws.x, ws.scratch, ws.power, ws.mask))
+        del ws
+        run_scenario(replace(cfg, frames=1))  # warm caches (FFT plans) untraced
+        tracemalloc.start()
+        try:
+            run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - workspace < 2 * 320 * 512 * 16
 
     def test_crowd_peak_memory_does_not_grow_with_radars(self):
         # crowd-8's blocks are 320 x 512 (or 640 x 256) complex samples each.
