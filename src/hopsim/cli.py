@@ -24,6 +24,7 @@ import yaml
 from . import signal as sig
 from .game import JointDistribution
 from .sim import (
+    POLICY_PARAMS,
     RUN_FIELDS,
     LinkSpec,
     RadarSpec,
@@ -60,23 +61,39 @@ class ReportError(RuntimeError):
     pass
 
 
+_RESOLVER = yaml.resolver.Resolver()  # the safe loader's YAML 1.1 tag rules
+
+
+def _number_text(value):
+    """``value`` as a float if it is a string that YAML 1.1 reads as text
+    but Python reads as a number; any other value unchanged.
+
+    YAML 1.1 reads ``20e6`` and ``4e-1`` (exponents without a dot) as
+    strings. A string that YAML 1.1 itself reads as a number, such as
+    ``'0.1'``, was quoted, so it stays text.
+    """
+    # resolve(..., (True, False)): the tag of the text as a plain, unquoted scalar
+    if isinstance(value, str) and _RESOLVER.resolve(
+            yaml.ScalarNode, value, (True, False)) == _RESOLVER.DEFAULT_SCALAR_TAG:
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    return value
+
+
 def _get(section: dict, field: str, errors: list, context: str, cast=float,
          default=None, required=False):
     """One typed field: bool and int fields take only YAML bools and ints.
 
-    A float field also takes an int, or a numeric string (YAML 1.1 reads
-    ``20e6``, written without a dot, as a string), and must be finite.
+    A float field also takes an int, or a ``_number_text`` string, and
+    must be finite.
     """
     if field not in section:
         if required:
             errors.append(f"{context}: missing required field {field!r}")
         return default
-    value = section[field]
-    if cast is float and isinstance(value, str):
-        try:
-            value = float(value)
-        except ValueError:
-            pass
+    value = _number_text(section[field]) if cast is float else section[field]
     if not has_type(value, cast):
         errors.append(f"{context}: field {field!r} has invalid value {section[field]!r} "
                       f"(expected {cast.__name__})")
@@ -203,7 +220,11 @@ def parse_config(text: str) -> ScenarioConfig:
         if not isinstance(pparams, dict):
             errors.append(f"{ctx}.policy_params: must be a mapping, got {pparams!r}")
             pparams = {}
-        radars.append(RadarSpec(chirp=chirp, policy=policy, policy_params=dict(pparams),
+        floats = {key for key, (kind, *_) in POLICY_PARAMS.get(policy, {}).items()
+                  if kind is float}
+        pparams = {key: _number_text(value) if key in floats else value
+                   for key, value in pparams.items()}
+        radars.append(RadarSpec(chirp=chirp, policy=policy, policy_params=pparams,
                                 targets=tuple(targets_by_radar.get(ri - 1, ()))))
 
     links = []
@@ -304,7 +325,6 @@ def _emit_seed(out_dir: Path, seed: int, metrics: RunMetrics) -> tuple[dict, dic
     seed_dir = out_dir / f"seed_{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
     episodes, n_radars, n_sub = metrics.strategies.shape
-    files = {}
 
     rows = [(e + 1, i + 1, a + 1, repr(float(metrics.strategies[e, i, a])))
             for e in range(episodes) for i in range(n_radars) for a in range(n_sub)]
@@ -325,19 +345,20 @@ def _emit_seed(out_dir: Path, seed: int, metrics: RunMetrics) -> tuple[dict, dic
     _write_joint_csv(seed_dir / "joint_dist.csv", metrics.joint_distribution)
 
     widths = {}
-    seen = set()
     for i, policy in enumerate(metrics.policies):
-        if policy in seen or i not in metrics.profiles:
+        if policy in widths or i not in metrics.profiles:
             continue
-        seen.add(policy)
         profile = metrics.profiles[i]
         rows = [(f"{r:.4f}", repr(float(m)))
                 for r, m in zip(profile.ranges_m, profile.mags_db)]
         _write_csv(seed_dir / f"profile_{policy}.csv", ["range_m", "magnitude_db"], rows)
         widths[policy] = sig.mainlobe_width(profile)
 
-    for path in sorted(seed_dir.iterdir()):
-        files[str(path.relative_to(out_dir))] = _sha256(path)
+    # The files written here only: a reused directory may hold other runs' profiles.
+    names = sorted(["strategies.csv", "interference.csv", "regret.csv", "joint_dist.csv"]
+                   + [f"profile_{policy}.csv" for policy in widths])
+    files = {str((seed_dir / name).relative_to(out_dir)): _sha256(seed_dir / name)
+             for name in names}
 
     summary = {
         "final_interference_rate": [float(v) for v in metrics.interference_rate[-1]],

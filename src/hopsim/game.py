@@ -134,9 +134,6 @@ class UtilityTable:
     def n_subbands(self) -> int:
         return self.values.shape[1]
 
-    def utility(self, player: int, joint) -> float:
-        return float(self.values[(player, *joint)])
-
     @classmethod
     def from_collisions(cls, weights: np.ndarray, n_subbands: int,
                         utility) -> "UtilityTable":

@@ -94,8 +94,6 @@ class FineRangeProfile:
 
     ranges_m: np.ndarray
     mags_db: np.ndarray
-    coarse_bin: int       # coarse bin holding the global peak
-    velocity_mps: float
 
 
 def coarse_decompose(params: ChirpParams, range_m: float) -> tuple[float, float]:
@@ -109,7 +107,7 @@ def _echo_terms(params: ChirpParams, tgt: Target, noise_power: float):
     rbar, eps0 = coarse_decompose(params, tgt.range_m)
     f_r = 2.0 * tgt.range_m * params.slope / C
     f_d = -2.0 * tgt.velocity_mps * params.pri_s * params.f_c / C
-    amp = np.sqrt(noise_power * 10.0 ** (tgt.snr_db / 10.0))
+    amp = np.sqrt(noise_power * db_power(tgt.snr_db))
     return rbar, eps0, f_r, f_d, amp
 
 
@@ -348,17 +346,6 @@ def range_fft(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.ifft(samples, axis=0, norm="ortho", out=out)
 
 
-@dataclass(frozen=True)
-class RangeVelocitySurface:
-    """Matched-filter magnitudes over (coarse bin, velocity, fine offset)."""
-
-    coarse_bins: np.ndarray   # (B,)
-    v_grid: np.ndarray        # (V,)
-    eps_grid: np.ndarray      # (E,)
-    mags_db: np.ndarray       # (B, V, E)
-    range_bin_m: float
-
-
 def default_eps_grid(params: ChirpParams) -> np.ndarray:
     """Fine-offset grid spanning one coarse bin, 2 B/B_a points."""
     points_per_bin = 2 * params.n_subbands
@@ -367,21 +354,21 @@ def default_eps_grid(params: ChirpParams) -> np.ndarray:
     return -binw / 2.0 + step * (np.arange(points_per_bin) + 0.5)
 
 
-def sweep_coarse_bins(rfft: np.ndarray, hops_hz: np.ndarray, coarse_bins,
-                      v_grid, eps_grid, params: ChirpParams) -> RangeVelocitySurface:
-    """Matched-filter magnitudes (coarse bin x velocity x fine offset), in dB.
+def range_profile_at_velocity(rfft: np.ndarray, hops_hz: np.ndarray, coarse_bins, v: float,
+                              eps_grid, params: ChirpParams) -> FineRangeProfile:
+    """Matched-filter magnitudes at velocity ``v`` over (coarse bin, fine offset), by range.
 
     Correlates bin b's slow-time sequence with the hop-compensated template
     exp(j2pi f_d k - j2pi (2/c)(rbar_b + eps + k v T_pri) h_k), which peaks at
-    the true (v, eps). The range term sees chirp k only through its hop h_k:
-    a coherent sum over the chirps of each distinct hop h_a, then a phase
-    product exp(+j2pi (2/c)(rbar_b + eps) h_a) over those hops (stepped-
-    frequency processing; Wehner, High Resolution Radar, 1995, ch. 5).
+    the true eps when v is the target's velocity. The range term sees chirp
+    k only through its hop h_k: a coherent sum over the chirps of each
+    distinct hop h_a, then a phase product exp(+j2pi (2/c)(rbar_b + eps) h_a)
+    over those hops (stepped-frequency processing; Wehner, High Resolution
+    Radar, 1995, ch. 5).
     """
     z = np.asarray(rfft)
     hops = np.asarray(hops_hz, dtype=float)
     bins = np.asarray(coarse_bins, dtype=int)
-    v = np.asarray(v_grid, dtype=float)
     eps = np.asarray(eps_grid, dtype=float)
     if z.ndim != 2 or hops.shape != (z.shape[1],):
         raise ValueError(f"hops_hz of shape {hops.shape} needs one hop per column "
@@ -394,37 +381,18 @@ def sweep_coarse_bins(rfft: np.ndarray, hops_hz: np.ndarray, coarse_bins,
     k = np.arange(hops.size)
     f_d = -2.0 * v * params.pri_s * params.f_c / C
     # Doppler part of the template: 2pi f_d k - 2pi (2/c) k v T_pri h_k
-    vk = np.exp(1j * (2.0 * np.pi * np.outer(f_d, k)
-                      - 2.0 * np.pi * (2.0 / C) * params.pri_s
-                      * np.outer(v, k * hops)))
+    vk = np.exp(1j * (2.0 * np.pi * (f_d * k)
+                      - 2.0 * np.pi * (2.0 / C) * params.pri_s * (v * (k * hops))))
     distinct, group = np.unique(hops, return_inverse=True)
-    weights = np.zeros((hops.size, v.size, distinct.size), dtype=complex)
-    weights[k, :, group] = np.conj(vk).T  # chirp k's weight sits in its hop's column
-    grouped = (z[bins] @ weights.reshape(hops.size, -1)).reshape(bins.size, v.size, -1)
-    rbar = bins * params.range_bin_m
-    phase = np.exp(2j * np.pi * (2.0 / C)
-                   * ((rbar[:, None] + eps)[:, None, :] * distinct[:, None]))  # (B, H, E)
-    corr = grouped @ phase                                                   # (B, V, E)
-    return RangeVelocitySurface(coarse_bins=bins, v_grid=v, eps_grid=eps,
-                                mags_db=20.0 * np.log10(np.abs(corr) + 1e-300),
-                                range_bin_m=params.range_bin_m)
-
-
-def range_profile_at_velocity(surface: RangeVelocitySurface, v: float) -> FineRangeProfile:
-    """Magnitude-vs-range slice of the stitched surface at one grid velocity."""
-    hits = np.flatnonzero(np.abs(surface.v_grid - v) < 1e-9)
-    if hits.size == 0:
-        raise ValueError(f"velocity {v} is not on the evaluated grid")
-    vi = int(hits[0])
-    ranges = (surface.coarse_bins[:, None] * surface.range_bin_m
-              + surface.eps_grid[None, :]).ravel()
-    mags = surface.mags_db[:, vi, :].reshape(-1)
+    weights = np.zeros((hops.size, distinct.size), dtype=complex)
+    weights[k, group] = np.conj(vk)  # chirp k's weight sits in its hop's column
+    grouped = (z[bins] @ weights).reshape(bins.size, 1, -1)                # (B, 1, H)
+    fine = bins[:, None] * params.range_bin_m + eps                          # (B, E)
+    phase = np.exp(2j * np.pi * (2.0 / C) * (fine[:, None, :] * distinct[:, None]))  # (B, H, E)
+    mags = 20.0 * np.log10(np.abs(grouped @ phase) + 1e-300).reshape(-1)
+    ranges = fine.ravel()
     order = np.argsort(ranges, kind="stable")
-    ranges, mags = ranges[order], mags[order]
-    peak = int(np.argmax(mags))
-    coarse = int(surface.coarse_bins[peak // surface.eps_grid.size])
-    return FineRangeProfile(ranges_m=ranges, mags_db=mags,
-                            coarse_bin=coarse, velocity_mps=float(v))
+    return FineRangeProfile(ranges_m=ranges[order], mags_db=mags[order])
 
 
 def mainlobe_width(profile: FineRangeProfile) -> float:

@@ -292,7 +292,7 @@ def _link_inr_lin(config: ScenarioConfig) -> dict:
     inr = {}
     for link in config.links:
         key = (link.victim, link.source)
-        inr[key] = inr.get(key, 0.0) + 10.0 ** (link.inr_db / 10.0)
+        inr[key] = inr.get(key, 0.0) + sig.db_power(link.inr_db)
     return inr
 
 
@@ -306,7 +306,7 @@ def genie_utility_table(config: ScenarioConfig, rows: np.ndarray,
     order; any other subband at the SNR. Never shown to the policies in
     model-free runs.
     """
-    snr_lin = sum(10.0 ** (t.snr_db / 10.0) for t in config.radars[player].targets)
+    snr_lin = sum(sig.db_power(t.snr_db) for t in config.radars[player].targets)
     inr = _link_inr_lin(config)
     load = np.zeros((len(rows), config.n_subbands))
     for j in range(config.n_radars):
@@ -337,18 +337,6 @@ def _next_state(state, own_stats, all_stats, solved: dict):
         if state.episodes_seen == state.explore_episodes:
             state = nash_commit(state)
     return state
-
-
-def _final_frame_profile(ch: sig.ChirpParams, v0: float, rfft: np.ndarray,
-                         actions: np.ndarray) -> sig.FineRangeProfile:
-    """Fine-range profile at ``v0`` of one radar's final frame.
-
-    ``rfft`` is the frame's (N_s, K) range FFT and ``actions`` its
-    subbands, one per chirp.
-    """
-    surface = sig.sweep_coarse_bins(rfft, actions * ch.subband_hz, np.arange(ch.n_samples // 2),
-                                    np.array([v0]), sig.default_eps_grid(ch), ch)
-    return sig.range_profile_at_velocity(surface, v0)
 
 
 @dataclass
@@ -446,9 +434,11 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                     sig.range_fft(samples, out=spectra[i][ep * k_ep[i]:(ep + 1) * k_ep[i]].T)
                     del samples  # frees a genie per-call workspace before the next one
                     if ep == t_ep - 1:  # the radar's final frame is complete: profile it
-                        profiles[i] = _final_frame_profile(
-                            chirps[i], spec.targets[0].velocity_mps, spectra[i].T,
-                            frame_actions[i])
+                        ch = chirps[i]
+                        profiles[i] = sig.range_profile_at_velocity(
+                            spectra[i].T, frame_actions[i] * ch.subband_hz,
+                            np.arange(ch.n_samples // 2), spec.targets[0].velocity_mps,
+                            sig.default_eps_grid(ch), ch)
                         spectra[i] = None
                 all_stats.append(sig.estimate_episode_sinr(meas, a, config.db_average))
                 interference_rate[e, i] = float(np.mean(meas.flagged))

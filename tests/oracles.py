@@ -307,9 +307,8 @@ def final_frame_profiles(config: ScenarioConfig, last_frame_samples, frame_actio
         eps_grid = sig.default_eps_grid(ch)
         bins = np.arange(ch.n_samples // 2)
         # frame_actions holds the final frame's subbands
-        surface = sig.sweep_coarse_bins(rfft, frame_actions[i] * ch.subband_hz, bins,
-                                        np.array([v0]), eps_grid, ch)
-        profiles[i] = sig.range_profile_at_velocity(surface, v0)
+        profiles[i] = sig.range_profile_at_velocity(rfft, frame_actions[i] * ch.subband_hz,
+                                                    bins, v0, eps_grid, ch)
     return profiles
 
 

@@ -167,10 +167,9 @@ def test_criterion_6_range_recovery():
         coarse = bin_hat * ch.range_bin_m
         if abs(coarse - tgt.range_m) <= ch.coarse_bin_m:
             coarse_ok += 1
-        eps = sig.default_eps_grid(ch)
-        surf = sig.sweep_coarse_bins(rfft, hops, [bin_hat],
-                                     np.array([tgt.velocity_mps]), eps, ch).mags_db[0]
-        fine = bin_hat * ch.range_bin_m + eps[int(np.argmax(surf[0]))]
+        profile = sig.range_profile_at_velocity(rfft, hops, [bin_hat], tgt.velocity_mps,
+                                                sig.default_eps_grid(ch), ch)
+        fine = profile.ranges_m[np.argmax(profile.mags_db)]
         if abs(fine - tgt.range_m) <= 0.1667:
             fine_ok += 1
     ok = coarse_ok >= 95 and fine_ok >= 95
@@ -193,10 +192,8 @@ def test_criterion_7_resolution_ordering():
             hops = rng.integers(0, n_bands, size=k) * ch.subband_hz
             frame = _synth_frame(ch, tgt, hops, rng)
             rfft = sig.range_fft(frame)
-            surf = sig.sweep_coarse_bins(
-                rfft, hops, np.arange(14, 27), np.array([tgt.velocity_mps]),
-                sig.default_eps_grid(ch), ch)
-            profile = sig.range_profile_at_velocity(surf, tgt.velocity_mps)
+            profile = sig.range_profile_at_velocity(
+                rfft, hops, np.arange(14, 27), tgt.velocity_mps, sig.default_eps_grid(ch), ch)
             per_seed.append(sig.mainlobe_width(profile))
         widths[name] = float(np.median(per_seed))
     r6 = widths["six"] / widths["one"]

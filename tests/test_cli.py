@@ -220,6 +220,20 @@ class TestCmdRun:
         for rel in again.files:
             assert (tmp_path / rel).read_bytes() == (out / rel).read_bytes()
 
+    def test_reused_directory_lists_only_this_runs_files(self, tmp_path):
+        # A fixed-policy run leaves profile_fixed.csv behind; the next run
+        # into the same directory has no fixed radar and must not list it.
+        doc = yaml.safe_load(SMALL_CFG)
+        doc["radars"][1].update(policy="fixed", policy_params={"subband": 0})
+        cmd_run(parse_config(yaml.safe_dump(doc)), tmp_path, [0])
+        manifest = cmd_run(parse_config(SMALL_CFG), tmp_path, [0])
+        assert (tmp_path / "seed_0" / "profile_fixed.csv").is_file()
+        assert sorted(manifest.files) == [
+            f"seed_0/{name}.csv" for name in ("interference", "joint_dist", "profile_noregret",
+                                               "profile_uniform", "regret", "strategies")]
+        listed = json.loads((tmp_path / "manifest.json").read_text())["files"]
+        assert listed == manifest.files
+
     def test_manifest_loads_back(self, run_dir):
         out, manifest = run_dir
         loaded = RunManifest.load(out)
@@ -457,6 +471,7 @@ class TestStrictConfig:
         ("radars", "subbands", 6.5),
         ("radars", "chirps_per_frame", False),
         ("radars", "pri_s", True),
+        ("radars", "pri_s", "20.0e-6"),
         ("targets", "radar", 1.5),
         ("links", "victim", "1"),
     ])
@@ -603,6 +618,24 @@ class TestStrictConfig:
         code, err = exit_code_and_errors(tmp_path, capsys, doc)
         assert code == 2
         assert f"radars[2].policy_params.{key}:" in err
+
+    def test_exponent_float_policy_param_runs_as_float(self, tmp_path, capsys):
+        # YAML 1.1 reads 4e-1 (no dot) as a string; float fields take it.
+        text = SMALL_CFG.replace("c_eta: 0.4", "c_eta: 4e-1", 1)
+        assert "c_eta: 4e-1" in text
+        assert parse_config(text) == parse_config(SMALL_CFG)
+        (tmp_path / "c.yaml").write_text(text)
+        assert main(["run", "--config", str(tmp_path / "c.yaml"), "--out",
+                     str(tmp_path / "o"), "--seeds", "1"]) == 0
+        manifest = RunManifest.load(tmp_path / "o")
+        assert manifest.config["radars"][1]["policy_params"]["c_eta"] == 0.4
+
+    def test_text_float_policy_param_rejected(self, tmp_path, capsys):
+        doc = yaml.safe_load(SMALL_CFG)
+        doc["radars"][1]["policy_params"]["c_eta"] = "abc"
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert "radars[2].policy_params.c_eta: expected float, got 'abc'" in err
 
     def test_missing_fixed_subband_named(self, tmp_path, capsys):
         doc = yaml.safe_load(SMALL_CFG)

@@ -54,11 +54,11 @@ def brute_force_pure_nash(table):
     for joint in itertools.product(range(a), repeat=n):
         ok = True
         for i in range(n):
-            base = table.utility(i, joint)
+            base = table.values[(i, *joint)]
             for dev in range(a):
                 alt = list(joint)
                 alt[i] = dev
-                if table.utility(i, alt) > base:
+                if table.values[(i, *alt)] > base:
                     ok = False
                     break
             if not ok:
@@ -77,11 +77,11 @@ def brute_force_cce_gap(joint_mass, table, player):
         mass = joint_mass[f]
         if mass == 0.0:
             continue
-        base += mass * table.utility(player, f)
+        base += mass * table.values[(player, *f)]
         for fp in range(a):
             alt = list(f)
             alt[player] = fp
-            dev[fp] += mass * table.utility(player, alt)
+            dev[fp] += mass * table.values[(player, *alt)]
     return dev.max() - base
 
 
@@ -181,7 +181,7 @@ class TestExpectedUtility:
     def test_pure_profile_selects_single_cell(self):
         table = anti_coordination_table(2, 3)
         profile = pure_profile((0, 2), 3)
-        assert expected_utility(table, profile, 0) == table.utility(0, (0, 2))
+        assert expected_utility(table, profile, 0) == table.values[0, 0, 2]
 
     def test_uniform_2x2_hand_sum(self):
         values = np.array([[[0.0, 10.0], [10.0, 0.0]],

@@ -272,9 +272,9 @@ class TestNashHopper:
                      self._explore_stats(2, collided={0: 3.0})]
         state = nash_explore_update(state, all_stats)
         table = estimated_table(state)
-        assert table.utility(0, (0, 0)) == pytest.approx(3.0)
+        assert table.values[0, 0, 0] == pytest.approx(3.0)
         # subband 1 was observed clean, so its collision-free cell holds SNR
-        assert table.utility(0, (1, 0)) == pytest.approx(20.0)
+        assert table.values[0, 1, 0] == pytest.approx(20.0)
 
     def test_all_clean_episode_fills_clean_cells(self):
         state = init_nash_hopper(0, 2, 3, explore_episodes=1)
@@ -284,14 +284,14 @@ class TestNashHopper:
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    assert table.utility(0, (i, j)) == pytest.approx(20.0)
+                    assert table.values[0, i, j] == pytest.approx(20.0)
 
     def test_unobserved_collisions_use_pessimistic_floor(self):
         state = init_nash_hopper(0, 2, 2, explore_episodes=1, floor_db=-10.0)
         state = nash_explore_update(
             state, [self._explore_stats(2), self._explore_stats(2)])
         table = estimated_table(state)
-        assert table.utility(0, (0, 0)) == pytest.approx(-10.0)
+        assert table.values[0, 0, 0] == pytest.approx(-10.0)
 
     def test_recomputed_profile_is_distinct_pure_pair(self):
         state = init_nash_hopper(0, 2, 6, explore_episodes=1)

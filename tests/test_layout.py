@@ -35,20 +35,28 @@ def _definitions(tree):
 
 
 def unreferenced_definitions():
+    """Definitions with no use in src/ outside their own body.
+
+    A function or class is used by a bare name or an attribute access; a
+    method or property only by an attribute access (``.name``), since a
+    bare name of the same spelling, such as a parameter, does not reach it.
+    """
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    used = []   # (name, node) for every name load or attribute access
+    used = []   # (name, node, is an attribute access) for every name and attribute
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.append((node.id, node))
+                used.append((node.id, node, False))
             elif isinstance(node, ast.Attribute):
-                used.append((node.attr, node))
+                used.append((node.attr, node, True))
     out = []
     for module, tree in trees.items():
         for qualname, definition in _definitions(tree):
             own = {id(node) for node in ast.walk(definition)}
+            member = "." in qualname
             if not any(name == definition.name and id(node) not in own
-                       for name, node in used):
+                       and (attribute or not member)
+                       for name, node, attribute in used):
                 out.append((module, qualname))
     return out
 

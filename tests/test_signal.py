@@ -693,15 +693,14 @@ class TestFineRangeDoppler:
         frame = synth_frame(p, tgt, hops, noise_power=0.0)
         rfft = sig.range_fft(frame)
         eps = sig.default_eps_grid(p)
-        surf = sig.sweep_coarse_bins(rfft, hops, [20], np.array([-15.0]), eps, p).mags_db[0]
-        assert np.ptp(surf[0]) < 1e-6
+        profile = sig.range_profile_at_velocity(rfft, hops, [20], -15.0, eps, p)
+        assert np.ptp(profile.mags_db) < 1e-6
 
     def test_grid_bounds_enforced(self):
         p = table1_params(chirps=8)
         with pytest.raises(ValueError):
-            sig.sweep_coarse_bins(np.zeros((320, 8), dtype=complex),
-                                  np.zeros(8), [20], np.array([0.0]),
-                                  np.array([1.0]), p)
+            sig.range_profile_at_velocity(np.zeros((320, 8), dtype=complex),
+                                          np.zeros(8), [20], 0.0, np.array([1.0]), p)
 
     def test_true_parameters_achieve_argmax(self):
         p = table1_params(chirps=128)
@@ -717,7 +716,8 @@ class TestFineRangeDoppler:
             rfft = sig.range_fft(frame)
             v_grid = np.linspace(-20, -10, 21)
             eps_grid = sig.default_eps_grid(p)
-            surf = sig.sweep_coarse_bins(rfft, hops, [20], v_grid, eps_grid, p).mags_db[0]
+            surf = np.stack([sig.range_profile_at_velocity(rfft, hops, [20], v, eps_grid,
+                                                           p).mags_db for v in v_grid])
             vi, ei = np.unravel_index(np.argmax(surf), surf.shape)
             if abs(v_grid[vi] - v_true) <= 0.5 \
                     and abs(eps_grid[ei] - eps_true) <= oracles.fine_bin_m(p) / 2:
@@ -730,13 +730,13 @@ class TestFineRangeDoppler:
         hops = np.full(64, 2 * p.subband_hz)
         frame = synth_frame(p, tgt, hops, noise_power=0.0)
         rfft = sig.range_fft(frame)
-        surf = sig.sweep_coarse_bins(rfft, hops, [20], np.array([-15.0]),
-                                     sig.default_eps_grid(p), p).mags_db[0]
-        assert np.ptp(surf[0]) < 1e-6
+        profile = sig.range_profile_at_velocity(rfft, hops, [20], -15.0,
+                                                sig.default_eps_grid(p), p)
+        assert np.ptp(profile.mags_db) < 1e-6
 
 
 class TestSweepMatchesPerBinOracle:
-    """The grouped sweep against the per-bin einsum matched filter."""
+    """The grouped filter against the per-bin einsum matched filter."""
 
     # the two table1 waveforms: K=512 / N_s=320 and K=256 / N_s=640
     WAVEFORMS = [(20e-6, 512), (40e-6, 256)]
@@ -746,24 +746,18 @@ class TestSweepMatchesPerBinOracle:
         return sig.range_fft(synth_frame(p, tgt, hops, seed=seed))
 
     def _check(self, p, rfft, hops, bins):
-        v_grid = np.array([-15.0, -14.0, 3.0])
         eps = sig.default_eps_grid(p)
-        surf = sig.sweep_coarse_bins(rfft, hops, bins, v_grid, eps, p)
-        ref = np.stack([oracles.fine_range_doppler(rfft, hops, int(b), v_grid, eps, p)
-                        for b in bins])
-        assert surf.mags_db.shape == ref.shape == (len(bins), 3, eps.size)
-        assert np.max(np.abs(surf.mags_db - ref)) <= 1e-9
-        flat = surf.mags_db.reshape(len(bins), -1)
-        assert np.array_equal(np.argmax(flat, axis=1),
-                              np.argmax(ref.reshape(len(bins), -1), axis=1))
-        oracle_surf = sig.RangeVelocitySurface(
-            coarse_bins=surf.coarse_bins, v_grid=surf.v_grid, eps_grid=surf.eps_grid,
-            mags_db=ref, range_bin_m=surf.range_bin_m)
-        for v in v_grid:
-            got = sig.range_profile_at_velocity(surf, v)
-            want = sig.range_profile_at_velocity(oracle_surf, v)
-            assert got.coarse_bin == want.coarse_bin
-            assert np.argmax(got.mags_db) == np.argmax(want.mags_db)
+        for v in (-15.0, -14.0, 3.0):
+            profile = sig.range_profile_at_velocity(rfft, hops, bins, v, eps, p)
+            # ascending bins: the profile is in (bin, offset) order
+            np.testing.assert_array_equal(
+                profile.ranges_m, (bins[:, None] * p.range_bin_m + eps).ravel())
+            got = profile.mags_db.reshape(len(bins), eps.size)
+            ref = np.stack([oracles.fine_range_doppler(rfft, hops, int(b), np.array([v]),
+                                                       eps, p)[0] for b in bins])
+            assert np.max(np.abs(got - ref)) <= 1e-9
+            assert np.array_equal(np.argmax(got, axis=1), np.argmax(ref, axis=1))
+            assert np.argmax(profile.mags_db) == np.argmax(ref)
 
     @pytest.mark.parametrize("pri_s, chirps", WAVEFORMS)
     @pytest.mark.parametrize("seed", [0, 1])
@@ -795,15 +789,15 @@ class TestSweepValidation:
     def test_coarse_bin_outside_fft_rows(self, bad):
         p, rfft, hops = self._args()
         with pytest.raises(ValueError, match="coarse_bins"):
-            sig.sweep_coarse_bins(rfft, hops, [3, bad], np.array([0.0]),
-                                  sig.default_eps_grid(p), p)
+            sig.range_profile_at_velocity(rfft, hops, [3, bad], 0.0,
+                                          sig.default_eps_grid(p), p)
 
     @pytest.mark.parametrize("n_hops", [7, 9])
     def test_hop_count_must_match_chirps(self, n_hops):
         p, rfft, _ = self._args()
         with pytest.raises(ValueError, match="hops_hz"):
-            sig.sweep_coarse_bins(rfft, np.zeros(n_hops), [3], np.array([0.0]),
-                                  sig.default_eps_grid(p), p)
+            sig.range_profile_at_velocity(rfft, np.zeros(n_hops), [3], 0.0,
+                                          sig.default_eps_grid(p), p)
 
 
 class TestRangeProfile:
@@ -815,22 +809,12 @@ class TestRangeProfile:
         tgt = sig.Target(range_m=r, velocity_mps=v, snr_db=snr)
         frame = synth_frame(p, tgt, hops, seed=seed + 1)
         rfft = sig.range_fft(frame)
-        surf = sig.sweep_coarse_bins(rfft, hops, np.arange(160),
-                                     np.array([v]), sig.default_eps_grid(p), p)
-        return sig.range_profile_at_velocity(surf, v), p
+        return sig.range_profile_at_velocity(rfft, hops, np.arange(160), v,
+                                             sig.default_eps_grid(p), p), p
 
     def test_table1_peak_at_truth(self):
         profile, p = self._profile(np.arange(6))
         assert abs(profile.ranges_m[np.argmax(profile.mags_db)] - 20.0) <= oracles.fine_bin_m(p)
-
-    def test_off_grid_velocity_rejected(self):
-        profile, p = self._profile(np.arange(6))
-        surf = sig.RangeVelocitySurface(
-            coarse_bins=np.array([20]), v_grid=np.array([-15.0]),
-            eps_grid=np.array([0.0]), mags_db=np.zeros((1, 1, 1)),
-            range_bin_m=1.0)
-        with pytest.raises(ValueError):
-            sig.range_profile_at_velocity(surf, -14.0)
 
     def test_resolution_law_subband_count(self):
         # -3 dB width shrinks with the hopped bandwidth: 1, then contiguous
@@ -861,9 +845,7 @@ class TestRangeProfile:
         rfft = sig.range_fft(echo + nz)
         step = p.coarse_bin_m / 24  # twice default_eps_grid's density
         eps = -p.coarse_bin_m / 2.0 + step * (np.arange(24) + 0.5)
-        surf = sig.sweep_coarse_bins(rfft, hops, np.arange(18, 24),
-                                     np.array([-15.0]), eps, p)
-        profile = sig.range_profile_at_velocity(surf, -15.0)
+        profile = sig.range_profile_at_velocity(rfft, hops, np.arange(18, 24), -15.0, eps, p)
         # both targets appear as local maxima near their true ranges
         for r_true in (20.0, 20.0 + oracles.fine_bin_m(p) * 2):
             near = np.abs(profile.ranges_m - r_true) <= oracles.fine_bin_m(p) / 2
@@ -876,6 +858,5 @@ class TestMainlobeWidth:
     def test_triangular_peak_interpolated(self):
         r = np.arange(11, dtype=float)
         m = -np.abs(r - 5.0) * 2.0  # 2 dB per meter slope
-        profile = sig.FineRangeProfile(ranges_m=r, mags_db=m, coarse_bin=5,
-                                       velocity_mps=0.0)
+        profile = sig.FineRangeProfile(ranges_m=r, mags_db=m)
         assert sig.mainlobe_width(profile) == pytest.approx(3.0)

@@ -535,8 +535,10 @@ class TestFinalFrameProfiles:
                                episodes_per_frame=episodes_per_frame, genie_detection=genie)
         blocks = [[] for _ in cfg.radars]
         actions = [[] for _ in cfg.radars]
-        events = []  # (radar) per final-frame block, "fft" per range FFT, "profile" per sweep
-        measure, range_fft, sweep = sig.measure_episode, sig.range_fft, sig.sweep_coarse_bins
+        # (radar) per final-frame block, "fft" per range FFT, "profile" per range profile
+        events = []
+        measure, range_fft = sig.measure_episode, sig.range_fft
+        range_profile = sig.range_profile_at_velocity
 
         def recording_measure(params, targets, target_phases, subbands, *args, sampled, **kw):
             meas, samples = measure(params, targets, target_phases, subbands, *args,
@@ -552,13 +554,13 @@ class TestFinalFrameProfiles:
             events.append("fft")
             return range_fft(samples, out=out)
 
-        def recording_sweep(*args):
+        def recording_profile(*args):
             events.append("profile")
-            return sweep(*args)
+            return range_profile(*args)
 
         monkeypatch.setattr(sig, "measure_episode", recording_measure)
         monkeypatch.setattr(sig, "range_fft", recording_fft)
-        monkeypatch.setattr(sig, "sweep_coarse_bins", recording_sweep)
+        monkeypatch.setattr(sig, "range_profile_at_velocity", recording_profile)
         m = run_scenario(cfg)
         monkeypatch.undo()
 
@@ -572,7 +574,6 @@ class TestFinalFrameProfiles:
             got = m.profiles[i]
             assert got.ranges_m.tobytes() == want.ranges_m.tobytes()
             assert got.mags_db.tobytes() == want.mags_db.tobytes()
-            assert (got.coarse_bin, got.velocity_mps) == (want.coarse_bin, want.velocity_mps)
 
     def test_detector_peak_memory_under_two_blocks_above_its_workspace(self):
         # table1's blocks are 320 x 512 complex samples. The run-scoped
