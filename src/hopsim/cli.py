@@ -38,6 +38,7 @@ from .sim import (
 
 DEFAULT_ADC_HZ = 20e6
 DEFAULT_ACTIVE_FRACTION = 0.8
+SEED_COUNT_GUARD = 10**6  # largest --seeds count; each seed is one full run
 
 # Accepted fields of each config section; the top level takes the sections.
 FIELDS = {
@@ -454,8 +455,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise ValueError("empty seed specification")
     if len(parts) == 1 and "," not in text:
         n = int(parts[0])
-        if n <= 0:
-            raise ValueError("seed count must be positive")
+        if not 0 < n <= SEED_COUNT_GUARD:
+            raise ValueError(f"seed count {n} not in [1, {SEED_COUNT_GUARD}]")
         return list(range(n))
     seeds = [int(p) for p in parts]
     if any(seed < 0 for seed in seeds):

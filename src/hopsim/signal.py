@@ -2,10 +2,10 @@
 
 Echo and cross-radar interference synthesis after dechirping,
 interference detection, windowed SINR/SNR estimation, and range
-processing: fast-time FFT for the coarse range, then a matched filter
-over slow time that sums the Doppler-compensated chirps of each distinct
-hop and applies one phase per hop and (coarse bin, fine offset). Hops
-need not form a uniform grid, so this phase product replaces an FFT.
+processing: Doppler-compensated sums of each hop's chirps (which genie
+mode draws without samples), their fast-time FFT for the coarse range,
+then one phase per hop and (coarse bin, fine offset). Hops need not form
+a uniform grid, so this phase product replaces an FFT.
 """
 from __future__ import annotations
 
@@ -257,8 +257,9 @@ class ChirpMeasurements:
 
 def measure_episode(params: ChirpParams, targets, target_phases, subbands: np.ndarray,
                     k0: int, amps: np.ndarray, rows: np.ndarray, gram: np.ndarray,
-                    noise_power: float, rng: np.random.Generator, sampled: bool,
+                    noise_power: float, rng: np.random.Generator,
                     genie_flags: np.ndarray | None = None,
+                    hop_weights: np.ndarray | None = None,
                     detection_factor: float = DEFAULT_DETECTION_FACTOR,
                     workspace: SampleWorkspace | None = None):
     """One radar's per-chirp measurements over an episode of K chirps.
@@ -266,38 +267,41 @@ def measure_episode(params: ChirpParams, targets, target_phases, subbands: np.nd
     ``rows``, ``gram`` are the radar's ``noiseless_basis`` over ``targets``
     and its L linked sources, ``amps`` (L, K) holds each source's complex
     amplitude per chirp and ``k0`` is the first chirp's index in its frame.
-    The per-chirp coefficients of the rows are the targets' slow-time
-    phases, then ``amps``. Detector mode, and a ``sampled`` genie episode,
-    synthesize the block rows.T @ coefficients plus noise. Genie mode
-    (``genie_flags`` marks the chirps that collided) takes the
-    interference power from the sources' Gram form and draws the clean
-    power from its exact distribution, after the block's noise if any.
-    Detector mode splits the samples with the threshold detector. Returns
-    the measurements and the samples (N_s, K) or None. Samples are a view
-    of ``workspace`` (else one made for the call), which the next call
-    with it overwrites.
+    The rows' per-chirp coefficients C are the targets' slow-time phases,
+    then ``amps``. Detector mode synthesizes x = rows.T @ C plus noise in
+    ``workspace`` (else one made for the call) and detects. Genie mode
+    (``genie_flags`` marks the collided chirps) takes the interference power
+    from the sources' Gram form and draws the clean power. Returns the
+    measurements and, for ``hop_weights`` W (K, H), the hop sums x @ W, which
+    genie mode draws after the clean power as rows.T @ (C @ W) plus noise.
     """
     hops = subbands * params.subband_hz
     n_t = len(targets)
     slow = np.reshape([_echo_slow(params, tgt, hops, float(ph), k0)
                        for tgt, ph in zip(targets, target_phases)], (n_t, hops.size))
-    flags, x = genie_flags, None
-    if sampled or flags is None:
+    coeffs = np.concatenate([slow, amps])
+    if genie_flags is None:
         shape = (params.n_samples, hops.size)
         ws = workspace or SampleWorkspace(hops.size * params.n_samples)
         x, power = _view(ws.x, shape), _view(ws.power, shape)
-        np.matmul(rows.T, np.concatenate([slow, amps]), out=x)
+        np.matmul(rows.T, coeffs, out=x)
         sigma = np.sqrt(noise_power / 2.0)  # noise sigma (n_re + j n_im), a part at a time
         for part in (x.real, x.imag):
             part += np.multiply(rng.standard_normal(out=power), sigma, out=power)
-    if flags is None:
         flags, clean, intf = detect_interference(x, noise_power, detection_factor, ws)
+        sums = None if hop_weights is None else x @ hop_weights
     else:
+        flags, sums = genie_flags, None
         intf = _column_energy(gram[n_t:, n_t:], amps) / params.n_samples
         clean = _clean_power_draw(_column_energy(gram[:n_t, :n_t], slow), params.n_samples,
                                   noise_power, rng)
+        if hop_weights is not None:
+            # Each chirp in one column: x @ W has noise CN(0, sigma^2 sum_k |W[k, h]|^2).
+            sums = rows.T @ (coeffs @ hop_weights)
+            sigma = np.sqrt(noise_power / 2.0 * np.sum(np.abs(hop_weights) ** 2, axis=0))
+            sums += sigma * (rng.standard_normal(sums.shape) + 1j * rng.standard_normal(sums.shape))
     return ChirpMeasurements(subbands=subbands, clean_power=clean, interference_power=intf,
-                             flagged=flags, noise_power=noise_power), x
+                             flagged=flags, noise_power=noise_power), sums
 
 
 def estimate_episode_sinr(meas: ChirpMeasurements, n_subbands: int,
@@ -332,18 +336,30 @@ def estimate_episode_sinr(meas: ChirpMeasurements, n_subbands: int,
                         count=count, clean_count=clean_count, hit_count=hit_count)
 
 
-def range_fft(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-chirp fast-time DFT of (N_s, K) samples (orthonormal, energy-preserving).
+def range_fft(samples: np.ndarray) -> np.ndarray:
+    """Per-column fast-time DFT of (N_s, H) samples (orthonormal, energy-preserving).
 
     The dechirped echo beats at -f_r, so the transform is evaluated at
     negative frequencies: bin b then maps to range b * range_bin_m
-    directly, and slow-time phases pass through unconjugated. The result
-    goes to ``out`` (N_s, K) when given.
+    directly, and slow-time phases pass through unconjugated.
     """
-    samples = np.asarray(samples)
-    if samples.shape[0] < 2:
-        raise ValueError("need at least 2 fast-time samples")
-    return np.fft.ifft(samples, axis=0, norm="ortho", out=out)
+    return np.fft.ifft(samples, axis=0, norm="ortho")
+
+
+def hop_sum_weights(params: ChirpParams, subbands: np.ndarray, v: float,
+                    k0: int = 0) -> np.ndarray:
+    """(K, A) weights that sum chirps k0, k0 + 1, ... of a frame by subband at velocity v.
+
+    Chirp k's weight, in its subband's column, is conj(v_k) for the Doppler
+    part v_k = exp(j2pi f_d k - j2pi (2/c) k v T_pri h_k) of the template.
+    """
+    k = k0 + np.arange(subbands.size)
+    f_d = -2.0 * v * params.pri_s * params.f_c / C
+    vk = np.exp(1j * (2.0 * np.pi * (f_d * k) - 2.0 * np.pi * (2.0 / C) * params.pri_s
+                      * (v * (k * (subbands * params.subband_hz)))))
+    weights = np.zeros((subbands.size, params.n_subbands), dtype=complex)
+    weights[np.arange(subbands.size), subbands] = np.conj(vk)
+    return weights
 
 
 def default_eps_grid(params: ChirpParams) -> np.ndarray:
@@ -354,45 +370,32 @@ def default_eps_grid(params: ChirpParams) -> np.ndarray:
     return -binw / 2.0 + step * (np.arange(points_per_bin) + 0.5)
 
 
-def range_profile_at_velocity(rfft: np.ndarray, hops_hz: np.ndarray, coarse_bins, v: float,
+def range_profile_at_velocity(spectrum: np.ndarray, hops_hz: np.ndarray, coarse_bins,
                               eps_grid, params: ChirpParams) -> FineRangeProfile:
-    """Matched-filter magnitudes at velocity ``v`` over (coarse bin, fine offset), by range.
+    """Matched-filter magnitudes over (coarse bin, fine offset), by range.
 
-    Correlates bin b's slow-time sequence with the hop-compensated template
-    exp(j2pi f_d k - j2pi (2/c)(rbar_b + eps + k v T_pri) h_k), which peaks at
-    the true eps when v is the target's velocity. The range term sees chirp
-    k only through its hop h_k: a coherent sum over the chirps of each
-    distinct hop h_a, then a phase product exp(+j2pi (2/c)(rbar_b + eps) h_a)
-    over those hops (stepped-frequency processing; Wehner, High Resolution
-    Radar, 1995, ch. 5).
+    ``spectrum`` (N_s, H) is the ``range_fft`` of a frame's hop sums at the
+    target's velocity (``hop_sum_weights``), column h on hop ``hops_hz[h]``.
+    The rest of the template is exp(-j2pi (2/c)(rbar_b + eps) h_k), so the
+    filter is the phase product sum_h spectrum[b, h] exp(+j2pi (2/c)(rbar_b
+    + eps) h) (stepped-frequency processing; Wehner, 1995, ch. 5).
     """
-    z = np.asarray(rfft)
+    z = np.asarray(spectrum)
     hops = np.asarray(hops_hz, dtype=float)
     bins = np.asarray(coarse_bins, dtype=int)
     eps = np.asarray(eps_grid, dtype=float)
     if z.ndim != 2 or hops.shape != (z.shape[1],):
         raise ValueError(f"hops_hz of shape {hops.shape} needs one hop per column "
-                         f"of the (N_s, K) rfft, got {z.shape}")
+                         f"of the (N_s, H) spectrum, got {z.shape}")
     if np.any((bins < 0) | (bins >= z.shape[0])):
         raise ValueError(f"coarse_bins must lie in [0, {z.shape[0]})")
-    lim = C / (4.0 * params.subband_hz) + 1e-9
-    if np.any(np.abs(eps) > lim):
+    if np.any(np.abs(eps) > C / (4.0 * params.subband_hz) + 1e-9):
         raise ValueError("fine-range grid outside [-c/(4 B_a), c/(4 B_a)]")
-    k = np.arange(hops.size)
-    f_d = -2.0 * v * params.pri_s * params.f_c / C
-    # Doppler part of the template: 2pi f_d k - 2pi (2/c) k v T_pri h_k
-    vk = np.exp(1j * (2.0 * np.pi * (f_d * k)
-                      - 2.0 * np.pi * (2.0 / C) * params.pri_s * (v * (k * hops))))
-    distinct, group = np.unique(hops, return_inverse=True)
-    weights = np.zeros((hops.size, distinct.size), dtype=complex)
-    weights[k, group] = np.conj(vk)  # chirp k's weight sits in its hop's column
-    grouped = (z[bins] @ weights).reshape(bins.size, 1, -1)                # (B, 1, H)
-    fine = bins[:, None] * params.range_bin_m + eps                          # (B, E)
-    phase = np.exp(2j * np.pi * (2.0 / C) * (fine[:, None, :] * distinct[:, None]))  # (B, H, E)
-    mags = 20.0 * np.log10(np.abs(grouped @ phase) + 1e-300).reshape(-1)
-    ranges = fine.ravel()
-    order = np.argsort(ranges, kind="stable")
-    return FineRangeProfile(ranges_m=ranges[order], mags_db=mags[order])
+    fine = bins[:, None] * params.range_bin_m + eps                       # (B, E)
+    phase = np.exp(2j * np.pi * (2.0 / C) * (fine[:, None, :] * hops[:, None]))  # (B, H, E)
+    mags = 20.0 * np.log10(np.abs(z[bins, None, :] @ phase) + 1e-300).reshape(-1)
+    order = np.argsort(fine, axis=None, kind="stable")
+    return FineRangeProfile(ranges_m=fine.ravel()[order], mags_db=mags[order])
 
 
 def mainlobe_width(profile: FineRangeProfile) -> float:

@@ -394,8 +394,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     interference_rate = np.zeros((episodes, n_radars))
     mean_sinr_db = np.zeros((episodes, n_radars))
     aligned_frames = []
-    spectra = [None] * n_radars  # final-frame range FFT (K, N_s), until profiled
-    profiles = {}
+    hop_sums = [0] * n_radars  # each radar's final-frame hop sums, (N_s, A)
     # Detector mode synthesizes every episode: one workspace serves them all.
     workspace = None if config.genie_detection else sig.SampleWorkspace(
         max(ch.n_samples * k for ch, k in zip(chirps, k_ep)))
@@ -422,24 +421,16 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                                     for j in sources[i]]).reshape(len(sources[i]), k_ep[i])
                 phases = rngs[i]["intf"].uniform(0.0, 2.0 * np.pi, size=weights.shape)
                 amps = np.sqrt(link_power[i][:, None] * weights) * np.exp(1j * phases)
-                # Only the final frame's samples are used (range profile).
-                meas, samples = sig.measure_episode(
-                    chirps[i], spec.targets, target_phases[i], acts[i], ep * k_ep[i], amps,
-                    *bases[i], noise, rngs[i]["noise"], sampled=last,
+                ch, k0 = chirps[i], ep * k_ep[i]
+                meas, sums = sig.measure_episode(
+                    ch, spec.targets, target_phases[i], acts[i], k0, amps, *bases[i], noise,
+                    rngs[i]["noise"],
                     genie_flags=(weights > 0).any(axis=0) if config.genie_detection else None,
+                    hop_weights=sig.hop_sum_weights(
+                        ch, acts[i], spec.targets[0].velocity_mps, k0) if last else None,
                     detection_factor=config.detection_factor, workspace=workspace)
-                if last:  # transform the block before the next call overwrites it
-                    if ep == 0:
-                        spectra[i] = np.empty((k_frame[i], chirps[i].n_samples), dtype=complex)
-                    sig.range_fft(samples, out=spectra[i][ep * k_ep[i]:(ep + 1) * k_ep[i]].T)
-                    del samples  # frees a genie per-call workspace before the next one
-                    if ep == t_ep - 1:  # the radar's final frame is complete: profile it
-                        ch = chirps[i]
-                        profiles[i] = sig.range_profile_at_velocity(
-                            spectra[i].T, frame_actions[i] * ch.subband_hz,
-                            np.arange(ch.n_samples // 2), spec.targets[0].velocity_mps,
-                            sig.default_eps_grid(ch), ch)
-                        spectra[i] = None
+                if last:  # the final frame feeds the range profile through its hop sums
+                    hop_sums[i] += sums
                 all_stats.append(sig.estimate_episode_sinr(meas, a, config.db_average))
                 interference_rate[e, i] = float(np.mean(meas.flagged))
                 mean_sinr_db[e, i] = 10.0 * np.log10(
@@ -456,6 +447,9 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
             [frame_actions[i][step_idx[i]] for i in range(n_radars)], axis=1))
 
     del workspace
+    profiles = {i: sig.range_profile_at_velocity(
+        sig.range_fft(hop_sums[i]), np.arange(a) * ch.subband_hz, np.arange(ch.n_samples // 2),
+        sig.default_eps_grid(ch), ch) for i, ch in enumerate(chirps)}
     aligned = np.concatenate(aligned_frames, axis=0)  # (steps, radars)
     joint = empirical_joint(aligned, a)
 

@@ -212,17 +212,18 @@ def detect_interference_samples(samples: np.ndarray, noise_power: float,
 
 
 def measure_episode_inline(ch, targets, target_phases, hops, k0, k_ep, collided, amps,
-                           sources, noise, rng, genie_detection, last, detection_factor):
+                           sources, noise, rng, genie_detection, detection_factor):
     """The per-episode measurement branch ``run_scenario`` once inlined.
 
     ``amps`` lists each linked source's amplitudes (K,) in ascending source
     order, ``sources`` their ``ChirpParams`` and ``collided`` the genie's
     summed overlap weights. Echoes are summed ``echo_frame`` blocks and
     interference is summed outer products of residual chirps and
-    amplitudes; frames that are not sampled take the clean power's draw
-    from the echo block's column norms and the interference power from a
-    3-operand Gram form. Returns the flags, clean and interference
-    powers, and the received samples (None when not synthesized).
+    amplitudes. Genie mode takes the clean power's draw from the echo
+    block's column norms and the interference power from a 3-operand Gram
+    form; detector mode adds noise and detects. Returns the flags, clean
+    and interference powers, the noiseless block and the received samples
+    (None in genie mode).
     """
     t = np.arange(ch.n_samples) / ch.adc_hz
     bases = np.reshape([np.exp(1j * np.pi * (ch.slope - src.slope) * t * t) for src in sources],
@@ -230,11 +231,11 @@ def measure_episode_inline(ch, targets, target_phases, hops, k0, k_ep, collided,
     echo = np.zeros((ch.n_samples, k_ep), dtype=complex)
     for tgt, ph in zip(targets, target_phases):
         echo += echo_frame(ch, tgt, hops, noise_power=noise, phase0=float(ph), k0=k0)
+    intf = np.zeros_like(echo)
+    for base, amp in zip(bases, amps):
+        intf += np.outer(base, amp)
     samples = None
-    if genie_detection and not last:
-        # Only the final frame's samples are used (range
-        # profile), so other frames draw each chirp's measured
-        # powers from their exact distribution instead.
+    if genie_detection:
         energy = np.sum(np.abs(echo) ** 2, axis=0)
         n = ch.n_samples
         p_clean = noise / (2 * n) * rng.noncentral_chisquare(2 * n, 2.0 * energy / noise)
@@ -243,23 +244,13 @@ def measure_episode_inline(ch, targets, target_phases, hops, k0, k_ep, collided,
         p_int = np.real(np.einsum("tk,tl,lk->k", np.conj(a), intf_gram, a))
         flags = collided > 0.0
     else:
-        intf = np.zeros_like(echo)
-        for base, amp in zip(bases, amps):
-            intf += np.outer(base, amp)
         sigma = np.sqrt(noise / 2.0)
-        nz = sigma * (rng.standard_normal(echo.shape)
-                      + 1j * rng.standard_normal(echo.shape))
-        if genie_detection:
-            p_clean = np.mean(np.abs(echo + nz) ** 2, axis=0)
-            p_int = np.mean(np.abs(intf) ** 2, axis=0)
-            flags = collided > 0.0
-        else:
-            flags, clean, est = detect_interference_samples(
-                echo + intf + nz, noise, detection_factor)
-            p_clean = np.mean(np.abs(clean) ** 2, axis=0)
-            p_int = np.mean(np.abs(est) ** 2, axis=0)
-        samples = echo + intf + nz
-    return flags, p_clean, p_int, samples
+        samples = echo + intf + sigma * (rng.standard_normal(echo.shape)
+                                         + 1j * rng.standard_normal(echo.shape))
+        flags, clean, est = detect_interference_samples(samples, noise, detection_factor)
+        p_clean = np.mean(np.abs(clean) ** 2, axis=0)
+        p_int = np.mean(np.abs(est) ** 2, axis=0)
+    return flags, p_clean, p_int, echo + intf, samples
 
 
 def fine_range_doppler(rfft: np.ndarray, hops_hz: np.ndarray, coarse_bin: int,
@@ -291,25 +282,37 @@ def fine_range_doppler(rfft: np.ndarray, hops_hz: np.ndarray, coarse_bin: int,
     return 20.0 * np.log10(np.abs(corr) + 1e-300)
 
 
-def final_frame_profiles(config: ScenarioConfig, last_frame_samples, frame_actions) -> dict:
-    """Every radar's fine-range profile, computed after the frame loop.
+def grouped_hop_sums(columns: np.ndarray, hops_hz: np.ndarray, v: float, params: ChirpParams,
+                     k0: int = 0):
+    """Doppler-compensated sums of the (N, K) ``columns`` over each distinct hop.
 
-    ``last_frame_samples[i]`` lists radar i's final-frame blocks in
-    episode order and ``frame_actions[i]`` its final-frame subbands. The
-    loop body is the simulator's former post-loop range processing.
+    Column k, chirp k0 + k of its frame, is weighted by conj(v_k) with
+    v_k = exp(j2pi f_d k - j2pi (2/c) k v T_pri h_k) and added into the
+    column of its hop among the sorted distinct hops. Exact for any hop
+    sequence. Returns the (N, H) sums and the distinct hops.
     """
-    chirps = [spec.chirp for spec in config.radars]
-    profiles = {}
-    for i, spec in enumerate(config.radars):
-        ch = chirps[i]
-        rfft = sig.range_fft(np.concatenate(last_frame_samples[i], axis=1))
-        v0 = spec.targets[0].velocity_mps
-        eps_grid = sig.default_eps_grid(ch)
-        bins = np.arange(ch.n_samples // 2)
-        # frame_actions holds the final frame's subbands
-        profiles[i] = sig.range_profile_at_velocity(rfft, frame_actions[i] * ch.subband_hz,
-                                                    bins, v0, eps_grid, ch)
-    return profiles
+    hops = np.asarray(hops_hz, dtype=float)
+    k = k0 + np.arange(hops.size)
+    f_d = -2.0 * v * params.pri_s * params.f_c / C
+    vk = np.exp(1j * (2.0 * np.pi * (f_d * k)
+                      - 2.0 * np.pi * (2.0 / C) * params.pri_s * (v * (k * hops))))
+    distinct, group = np.unique(hops, return_inverse=True)
+    weights = np.zeros((hops.size, distinct.size), dtype=complex)
+    weights[np.arange(hops.size), group] = np.conj(vk)
+    return np.asarray(columns) @ weights, distinct
+
+
+def final_frame_profile(block: np.ndarray, hops_hz: np.ndarray, coarse_bins, v: float,
+                        eps_grid, params: ChirpParams) -> sig.FineRangeProfile:
+    """A final frame's range profile from its synthesized (N_s, K) samples.
+
+    The range FFT of every chirp, then the Doppler-compensated sum over
+    each distinct hop and the phase product: the path the simulator took
+    while it still synthesized the final frame, before it summed the
+    chirps by hop ahead of a K-times smaller FFT.
+    """
+    sums, hops = grouped_hop_sums(sig.range_fft(block), hops_hz, v, params)
+    return sig.range_profile_at_velocity(sums, hops, coarse_bins, eps_grid, params)
 
 
 def theoretical_sinr(signal_power: float, interference_power: float,

@@ -396,6 +396,17 @@ class TestMainExitCodes:
         assert "--seeds: seeds must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("count", ["99999999999999999999999", "1000001"])
+    def test_seed_count_above_guard_is_usage_error(self, tmp_path, capsys, count):
+        # The count form builds its seed list; a count beyond any run is refused first.
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(SMALL_CFG)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--seeds", count]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"hopsim: error: --seeds: seed count {count} not in [1, 1000000]")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
     def test_bad_thread_count_is_usage_error(self, tmp_path, capsys, monkeypatch, threads):
         monkeypatch.setenv("HOPSIM_THREADS", threads)

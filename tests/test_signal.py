@@ -1,4 +1,5 @@
 """Baseband physics: synthesis, detection, estimation, range processing."""
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -547,19 +548,24 @@ class TestMeasureEpisode:
         return (p, targets, rng.uniform(0.0, 2.0 * np.pi, 2), rng.integers(0, 6, self.K),
                 weights, amps, sources)
 
-    def measure(self, rng, sampled, genie=True):
+    def measure(self, rng, last, genie=True):
         p, targets, phases, subbands, weights, amps, sources = self.inputs()
         return sig.measure_episode(
             p, targets, phases, subbands, self.K0, amps,
             *sig.noiseless_basis(p, targets, sources, self.NOISE), self.NOISE, rng,
-            sampled=sampled, genie_flags=(weights > 0).any(axis=0) if genie else None)
+            genie_flags=(weights > 0).any(axis=0) if genie else None,
+            hop_weights=self.hop_weights() if last else None)
 
-    def inline(self, rng, genie, last):
+    def hop_weights(self):
+        p, *_, subbands = self.inputs()[:4]
+        return sig.hop_sum_weights(p, subbands, -15.0, self.K0)
+
+    def inline(self, rng, genie):
         p, targets, phases, subbands, weights, amps, sources = self.inputs()
         return oracles.measure_episode_inline(
             p, targets, phases, subbands * p.subband_hz, self.K0, self.K,
             sum(weights, np.zeros(self.K)), list(amps), sources, self.NOISE,
-            rng, genie, last, sig.DEFAULT_DETECTION_FACTOR)
+            rng, genie, sig.DEFAULT_DETECTION_FACTOR)
 
     @pytest.mark.parametrize("genie, last", [(True, False), (True, True),
                                              (False, False), (False, True)])
@@ -569,37 +575,86 @@ class TestMeasureEpisode:
         # random draws, and so the generator state, are the same.
         subbands = self.inputs()[3]
         rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
-        meas, samples = self.measure(rng_new, last, genie)
-        flags, p_clean, p_int, ref_samples = self.inline(rng_old, genie, last)
-        if genie and last:
-            # A sampled genie episode draws its clean power after the
-            # block's noise, as an unsampled one draws it.
-            p_clean = self.inline(rng_old, genie, False)[1]
+        meas, sums = self.measure(rng_new, last, genie)
+        flags, p_clean, p_int, noiseless, samples = self.inline(rng_old, genie)
         np.testing.assert_array_equal(meas.subbands, subbands)
         np.testing.assert_array_equal(meas.flagged, flags)
         np.testing.assert_allclose(meas.clean_power, p_clean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(meas.interference_power, p_int, rtol=1e-12, atol=0)
         assert meas.noise_power == self.NOISE
-        assert (samples is None) == (genie and not last)
-        if samples is not None:
-            assert_block_close(samples, ref_samples)
+        assert (sums is None) == (not last)
+        if last and not genie:
+            assert_block_close(sums, samples @ self.hop_weights())
+        elif last:
+            # Genie hop sums: the noiseless sums, then the noise of chirp
+            # sums on each of the A subbands, real parts then imaginary parts.
+            sigma = np.sqrt(self.NOISE / 2.0 * np.bincount(subbands, minlength=6))
+            noise = sigma * (rng_old.standard_normal((320, 6))
+                             + 1j * rng_old.standard_normal((320, 6)))
+            assert_block_close(sums, noiseless @ self.hop_weights() + noise)
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
         assert flags.any() and not flags.all()
 
-    def test_sampled_genie_powers_follow_the_block_normals(self):
-        # The sampled block's 2 N K normals come first; its powers are then
-        # exactly those of an unsampled call on a generator past them.
+    def test_hop_sum_normals_follow_the_genie_powers(self):
+        # A final genie episode draws its powers as any other does, then
+        # 2 N_s A normals for the hop sums.
         p = self.inputs()[0]
         rng, skipped = np.random.default_rng(8), np.random.default_rng(8)
-        meas, samples = self.measure(rng, sampled=True)
-        skipped.standard_normal(2 * p.n_samples * self.K)
-        ref, none = self.measure(skipped, sampled=False)
-        assert none is None
+        meas, sums = self.measure(rng, last=True)
+        ref, none = self.measure(skipped, last=False)
+        assert none is None and sums.shape == (p.n_samples, p.n_subbands)
         for field in ("subbands", "clean_power", "interference_power", "flagged"):
             np.testing.assert_array_equal(getattr(meas, field), getattr(ref, field))
+        skipped.standard_normal(2 * p.n_samples * p.n_subbands)
         assert rng.bit_generator.state == skipped.bit_generator.state
-        ref_samples = self.inline(np.random.default_rng(8), True, True)[3]
-        assert_block_close(samples, ref_samples)
+
+
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the ECDFs."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    return np.max(np.abs(np.searchsorted(a, grid, side="right") / a.size
+                         - np.searchsorted(b, grid, side="right") / b.size))
+
+
+class TestGenieHopSumNoise:
+    """Genie hop sums against the hop sums of the oracle's synthesized blocks."""
+
+    TRIALS = 300
+
+    def residuals(self, genie):
+        """(trials, N_s, A) hop sums minus their noiseless value, over sigma sqrt(n_h)."""
+        episode = TestMeasureEpisode()
+        weights = episode.hop_weights()
+        rng = np.random.default_rng(17 if genie else 18)
+        noiseless = episode.inline(np.random.default_rng(0), True)[3] @ weights
+        if genie:
+            sums = [episode.measure(rng, last=True)[1] for _ in range(self.TRIALS)]
+        else:
+            sums = [episode.inline(rng, False)[4] @ weights for _ in range(self.TRIALS)]
+        n_h = np.bincount(episode.inputs()[3], minlength=6)
+        assert n_h.min() >= 4 and np.unique(n_h).size > 2
+        return (np.array(sums) - noiseless) / np.sqrt(episode.NOISE * n_h)
+
+    def test_mean_variance_and_law_match_the_oracle(self):
+        genie, oracle = self.residuals(True), self.residuals(False)
+        n = self.TRIALS * genie.shape[1]
+        for z in (genie, oracle):
+            # per column: mean the noiseless sums, variance n_h sigma^2,
+            # split evenly between the real and imaginary parts
+            assert np.max(np.abs(z.mean(axis=(0, 1)))) < 5.0 / np.sqrt(n)
+            np.testing.assert_allclose(np.mean(np.abs(z) ** 2, axis=(0, 1)), 1.0, atol=0.03)
+            np.testing.assert_allclose(np.mean(z.real ** 2, axis=(0, 1)), 0.5, atol=0.02)
+        # KS at alpha = 0.001 on the normalized real and imaginary parts:
+        # genie against the oracle, and genie against N(0, 1/2)
+        erf = np.vectorize(math.erf)
+        for part in (np.real, np.imag):
+            g = np.sort(part(genie).ravel())
+            assert ks_distance(g, part(oracle).ravel()) < 1.95 * np.sqrt(2.0 / g.size)
+            cdf = 0.5 * (1.0 + erf(g))  # N(0, 1/2): Phi(x sqrt 2)
+            steps = np.arange(1, g.size + 1) / g.size
+            assert max(np.max(steps - cdf), np.max(cdf - steps + 1.0 / g.size)) \
+                < 1.95 / np.sqrt(g.size)
 
 
 class TestSampleWorkspace:
@@ -620,24 +675,25 @@ class TestSampleWorkspace:
     def test_shared_workspace_equals_fresh_calls(self):
         short, long = table1_params(), table1_params(pri_s=40e-6, chirps=256)
         assert short.n_samples * 512 == long.n_samples * 256
-        # (victim, chirps, genie, sampled): both table1 blocks, a smaller
-        # block after them, then final-frame blocks in both modes.
+        # (victim, chirps, genie, last): both table1 blocks, a smaller
+        # block after them, then final-frame episodes in both modes.
         calls = [(short, 512, False, False), (long, 256, False, False),
                  (short, 48, False, False), (short, 512, False, True),
                  (long, 256, True, True), (short, 48, True, True), (long, 256, False, False)]
         ws = sig.SampleWorkspace(short.n_samples * 512)
-        for seed, (victim, k, genie, sampled) in enumerate(calls):
+        for seed, (victim, k, genie, last) in enumerate(calls):
             args, weights = self.episode(victim, k, seed)
             flags = (weights > 0).any(axis=0) if genie else None
+            hop_weights = sig.hop_sum_weights(victim, args[3], -15.0) if last else None
             shared, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
-            meas, x = sig.measure_episode(*args, shared, sampled=sampled,
-                                          genie_flags=flags, workspace=ws)
-            ref, ref_x = sig.measure_episode(*args, fresh, sampled=sampled, genie_flags=flags)
+            meas, sums = sig.measure_episode(*args, shared, genie_flags=flags,
+                                             hop_weights=hop_weights, workspace=ws)
+            ref, ref_sums = sig.measure_episode(*args, fresh, genie_flags=flags,
+                                                hop_weights=hop_weights)
             for field in ("subbands", "clean_power", "interference_power", "flagged"):
                 np.testing.assert_array_equal(getattr(meas, field), getattr(ref, field))
-            np.testing.assert_array_equal(x, ref_x)
+            np.testing.assert_array_equal(sums, ref_sums)
             assert shared.bit_generator.state == fresh.bit_generator.state
-            assert np.shares_memory(x, ws.x)
 
     def test_detector_reads_its_samples_only(self):
         # A single chirp and an odd length after a block, in one workspace.
@@ -685,22 +741,27 @@ def synth_frame(p, tgt, hops, seed=0, noise_power=1.0):
     return echo + nz
 
 
+def profile_of(p, frame, subbands, bins, v, eps):
+    """The simulator's range path: hop sums at v, their range FFT, the phase product."""
+    spectrum = sig.range_fft(frame @ sig.hop_sum_weights(p, subbands, v))
+    return sig.range_profile_at_velocity(spectrum, np.arange(p.n_subbands) * p.subband_hz,
+                                         bins, eps, p)
+
+
 class TestFineRangeDoppler:
     def test_no_hop_flat_in_eps(self):
         p = table1_params(chirps=64)
         tgt = sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=20.0)
-        hops = np.zeros(64)
-        frame = synth_frame(p, tgt, hops, noise_power=0.0)
-        rfft = sig.range_fft(frame)
-        eps = sig.default_eps_grid(p)
-        profile = sig.range_profile_at_velocity(rfft, hops, [20], -15.0, eps, p)
+        subbands = np.zeros(64, dtype=int)
+        frame = synth_frame(p, tgt, subbands * p.subband_hz, noise_power=0.0)
+        profile = profile_of(p, frame, subbands, [20], -15.0, sig.default_eps_grid(p))
         assert np.ptp(profile.mags_db) < 1e-6
 
     def test_grid_bounds_enforced(self):
         p = table1_params(chirps=8)
         with pytest.raises(ValueError):
             sig.range_profile_at_velocity(np.zeros((320, 8), dtype=complex),
-                                          np.zeros(8), [20], 0.0, np.array([1.0]), p)
+                                          np.zeros(8), [20], np.array([1.0]), p)
 
     def test_true_parameters_achieve_argmax(self):
         p = table1_params(chirps=128)
@@ -711,13 +772,12 @@ class TestFineRangeDoppler:
         for trial in range(trials):
             tgt = sig.Target(range_m=20.0 + eps_true, velocity_mps=v_true,
                              snr_db=10.0)
-            hops = rng.integers(0, 6, size=128) * p.subband_hz
-            frame = synth_frame(p, tgt, hops, seed=trial)
-            rfft = sig.range_fft(frame)
+            subbands = rng.integers(0, 6, size=128)
+            frame = synth_frame(p, tgt, subbands * p.subband_hz, seed=trial)
             v_grid = np.linspace(-20, -10, 21)
             eps_grid = sig.default_eps_grid(p)
-            surf = np.stack([sig.range_profile_at_velocity(rfft, hops, [20], v, eps_grid,
-                                                           p).mags_db for v in v_grid])
+            surf = np.stack([profile_of(p, frame, subbands, [20], v, eps_grid).mags_db
+                             for v in v_grid])
             vi, ei = np.unravel_index(np.argmax(surf), surf.shape)
             if abs(v_grid[vi] - v_true) <= 0.5 \
                     and abs(eps_grid[ei] - eps_true) <= oracles.fine_bin_m(p) / 2:
@@ -727,28 +787,27 @@ class TestFineRangeDoppler:
     def test_single_subband_eps_flat(self):
         p = table1_params(chirps=64)
         tgt = sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=20.0)
-        hops = np.full(64, 2 * p.subband_hz)
-        frame = synth_frame(p, tgt, hops, noise_power=0.0)
-        rfft = sig.range_fft(frame)
-        profile = sig.range_profile_at_velocity(rfft, hops, [20], -15.0,
-                                                sig.default_eps_grid(p), p)
+        subbands = np.full(64, 2)
+        frame = synth_frame(p, tgt, subbands * p.subband_hz, noise_power=0.0)
+        profile = profile_of(p, frame, subbands, [20], -15.0, sig.default_eps_grid(p))
         assert np.ptp(profile.mags_db) < 1e-6
 
 
 class TestSweepMatchesPerBinOracle:
-    """The grouped filter against the per-bin einsum matched filter."""
+    """The hop-sum filter against the per-bin einsum matched filter."""
 
     # the two table1 waveforms: K=512 / N_s=320 and K=256 / N_s=640
     WAVEFORMS = [(20e-6, 512), (40e-6, 256)]
 
     def _frame(self, p, hops, seed):
         tgt = sig.Target(range_m=20.3, velocity_mps=-15.0, snr_db=15.0)
-        return sig.range_fft(synth_frame(p, tgt, hops, seed=seed))
+        return synth_frame(p, tgt, hops, seed=seed)
 
-    def _check(self, p, rfft, hops, bins):
+    def _check(self, p, frame, hops, bins, profile_at):
         eps = sig.default_eps_grid(p)
+        rfft = sig.range_fft(frame)
         for v in (-15.0, -14.0, 3.0):
-            profile = sig.range_profile_at_velocity(rfft, hops, bins, v, eps, p)
+            profile = profile_at(v, eps)
             # ascending bins: the profile is in (bin, offset) order
             np.testing.assert_array_equal(
                 profile.ranges_m, (bins[:, None] * p.range_bin_m + eps).ravel())
@@ -762,41 +821,64 @@ class TestSweepMatchesPerBinOracle:
     @pytest.mark.parametrize("pri_s, chirps", WAVEFORMS)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_subband_hops(self, pri_s, chirps, seed):
+        # the simulator's path: sums over the A subbands, then their FFT
         p = table1_params(pri_s=pri_s, chirps=chirps)
         rng = np.random.default_rng(40 + seed)
-        hops = rng.integers(0, p.n_subbands, size=chirps) * p.subband_hz
-        rfft = self._frame(p, hops, seed)
+        subbands = rng.integers(0, p.n_subbands, size=chirps)
+        frame = self._frame(p, subbands * p.subband_hz, seed)
         bins = np.array([0, 5, 19, 20, 21, 33, p.n_samples // 2 - 1, p.n_samples - 1])
-        self._check(p, rfft, hops, bins)
+        self._check(p, frame, subbands * p.subband_hz, bins,
+                    lambda v, eps: profile_of(p, frame, subbands, bins, v, eps))
 
     @pytest.mark.parametrize("pri_s, chirps", WAVEFORMS)
     def test_arbitrary_float_hops(self, pri_s, chirps):
-        # every chirp its own hop: one group per chirp
+        # every chirp its own hop: one sum per chirp
         p = table1_params(pri_s=pri_s, chirps=chirps)
         rng = np.random.default_rng(7)
         hops = rng.uniform(0.0, oracles.total_bandwidth(p), size=chirps)
-        rfft = self._frame(p, hops, 3)
-        self._check(p, rfft, hops, np.array([2, 19, 20, 21, 40]))
+        frame = self._frame(p, hops, 3)
+        bins = np.array([2, 19, 20, 21, 40])
+        self._check(p, frame, hops, bins, lambda v, eps: sig.range_profile_at_velocity(
+            *oracles.grouped_hop_sums(sig.range_fft(frame), hops, v, p), bins, eps, p))
+
+
+class TestHopSumWeights:
+    @pytest.mark.parametrize("k0", [0, 96])
+    def test_match_grouped_template(self, k0):
+        # Chirps k0.. of a frame summed into their subbands' columns, as
+        # the distinct-hop grouping sums them; unused subbands stay zero.
+        p = table1_params()
+        subbands = np.random.default_rng(k0).choice([0, 2, 3, 5], size=48)
+        frame = synth_frame(p, sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=20.0),
+                            subbands * p.subband_hz)
+        weights = sig.hop_sum_weights(p, subbands, -15.0, k0)
+        ref, hops = oracles.grouped_hop_sums(frame, subbands * p.subband_hz, -15.0, p, k0)
+        np.testing.assert_array_equal(hops, np.array([0, 2, 3, 5]) * p.subband_hz)
+        sums = frame @ weights
+        assert_block_close(sums[:, [0, 2, 3, 5]], ref)
+        assert np.all(sums[:, [1, 4]] == 0)
+        np.testing.assert_allclose(np.sum(np.abs(weights) ** 2, axis=0),
+                                   np.bincount(subbands, minlength=6), rtol=1e-12)
 
 
 class TestSweepValidation:
     def _args(self):
         p = table1_params(chirps=8)
-        rfft = np.ones((p.n_samples, 8), dtype=complex)
-        return p, rfft, np.zeros(8)
+        spectrum = np.ones((p.n_samples, 8), dtype=complex)
+        return p, spectrum, np.zeros(8)
 
     @pytest.mark.parametrize("bad", [-1, 320, 10_000])
     def test_coarse_bin_outside_fft_rows(self, bad):
-        p, rfft, hops = self._args()
+        p, spectrum, hops = self._args()
         with pytest.raises(ValueError, match="coarse_bins"):
-            sig.range_profile_at_velocity(rfft, hops, [3, bad], 0.0,
-                                          sig.default_eps_grid(p), p)
+            sig.range_profile_at_velocity(spectrum, hops, [3, bad], sig.default_eps_grid(p), p)
 
     @pytest.mark.parametrize("n_hops", [7, 9])
     def test_hop_count_must_match_chirps(self, n_hops):
-        p, rfft, _ = self._args()
+        # one hop per column of the spectrum
+        p, spectrum, _ = self._args()
         with pytest.raises(ValueError, match="hops_hz"):
-            sig.range_profile_at_velocity(rfft, np.zeros(n_hops), [3], 0.0,
+            sig.range_profile_at_velocity(spectrum, np.zeros(n_hops), [3],
                                           sig.default_eps_grid(p), p)
 
 
@@ -805,12 +887,10 @@ class TestRangeProfile:
                  chirps=256):
         p = table1_params(chirps=chirps)
         rng = np.random.default_rng(seed)
-        hops = rng.choice(hops_choice, size=chirps) * p.subband_hz
+        subbands = rng.choice(hops_choice, size=chirps)
         tgt = sig.Target(range_m=r, velocity_mps=v, snr_db=snr)
-        frame = synth_frame(p, tgt, hops, seed=seed + 1)
-        rfft = sig.range_fft(frame)
-        return sig.range_profile_at_velocity(rfft, hops, np.arange(160), v,
-                                             sig.default_eps_grid(p), p), p
+        frame = synth_frame(p, tgt, subbands * p.subband_hz, seed=seed + 1)
+        return profile_of(p, frame, subbands, np.arange(160), v, sig.default_eps_grid(p)), p
 
     def test_table1_peak_at_truth(self):
         profile, p = self._profile(np.arange(6))
@@ -835,17 +915,17 @@ class TestRangeProfile:
     def test_two_targets_one_fine_bin_apart(self):
         p = table1_params(chirps=512)
         rng = np.random.default_rng(11)
-        hops = rng.integers(0, 6, size=512) * p.subband_hz
+        subbands = rng.integers(0, 6, size=512)
+        hops = subbands * p.subband_hz
         t1 = sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=25.0)
         t2 = sig.Target(range_m=20.0 + oracles.fine_bin_m(p) * 2, velocity_mps=-15.0,
                         snr_db=25.0)
         echo = oracles.echo_frame(p, t1, hops) + oracles.echo_frame(p, t2, hops)
         nz = np.sqrt(0.5) * (rng.standard_normal(echo.shape)
                              + 1j * rng.standard_normal(echo.shape))
-        rfft = sig.range_fft(echo + nz)
         step = p.coarse_bin_m / 24  # twice default_eps_grid's density
         eps = -p.coarse_bin_m / 2.0 + step * (np.arange(24) + 0.5)
-        profile = sig.range_profile_at_velocity(rfft, hops, np.arange(18, 24), -15.0, eps, p)
+        profile = profile_of(p, echo + nz, subbands, np.arange(18, 24), -15.0, eps)
         # both targets appear as local maxima near their true ranges
         for r_true in (20.0, 20.0 + oracles.fine_bin_m(p) * 2):
             near = np.abs(profile.ranges_m - r_true) <= oracles.fine_bin_m(p) / 2

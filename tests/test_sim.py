@@ -36,7 +36,7 @@ from oracles import (
     dense_genie_table,
     dense_mass,
     external_regret_dense,
-    final_frame_profiles,
+    final_frame_profile,
 )
 
 
@@ -157,7 +157,7 @@ class TestValidateConfig:
             sig.measure_episode(ch, (tgt,), [0.0], np.zeros(ch.chirps_per_frame, dtype=int), 0,
                                 np.zeros((0, ch.chirps_per_frame)),
                                 *sig.noiseless_basis(ch, (tgt,), [], 1.0), 1.0,
-                                np.random.default_rng(0), sampled=False,
+                                np.random.default_rng(0),
                                 genie_flags=np.zeros(ch.chirps_per_frame, dtype=bool))
             fails = False
         except ValueError:
@@ -355,9 +355,9 @@ class TestRunScenario:
         np.testing.assert_allclose(m.cumulative_regret_db, 0.0, atol=1e-9)
 
     def test_genie_sinr_matches_snr_in_every_frame(self):
-        # Drawn powers (frames before the last) and sampled ones (the last)
-        # both read 10 log10(1 + SNR), up to the scatter of 32 chirps of
-        # 320 samples (about 0.006 dB).
+        # The drawn powers of every frame, the final one (which also draws
+        # its hop sums) included, read 10 log10(1 + SNR), up to the scatter
+        # of 32 chirps of 320 samples (about 0.006 dB).
         cfg = ScenarioConfig(radars=(
             RadarSpec(chirp=chirp(adc_hz=20e6), targets=(target(),)),),
             frames=4, episodes_per_frame=2, seed=6)
@@ -366,22 +366,24 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("genie", [True, False])
     def test_noise_samples_drawn_only_for_sample_frames(self, monkeypatch, genie):
-        # Genie mode synthesizes noise only in the final frame, for the
-        # range profile, and draws every chirp's clean power; the detector
-        # needs samples in every frame.
+        # Genie mode draws every chirp's clean power and, in the final
+        # frame, the noise of each episode's (N_s, A) hop sums; the detector
+        # synthesizes the (N_s, K) block of every episode.
         log = []
         make = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: CountingRng(make(seed), log))
-        cfg = two_radar_config(frames=3, genie_detection=genie)
+        cfg = two_radar_config(frames=3, genie_detection=genie, episodes_per_frame=2)
         run_scenario(cfg)
         per_frame = sum(2 * spec.chirp.n_samples * spec.chirp.chirps_per_frame
                         for spec in cfg.radars)
+        hop_sums = cfg.episodes_per_frame * sum(2 * spec.chirp.n_samples * spec.chirp.n_subbands
+                                            for spec in cfg.radars)
         chirps = sum(spec.chirp.chirps_per_frame for spec in cfg.radars)
         drawn = {name: sum(size for n, size in log if n == name)
                  for name in ("standard_normal", "noncentral_chisquare")}
         if genie:
-            assert drawn == {"standard_normal": per_frame,
+            assert drawn == {"standard_normal": hop_sums,
                              "noncentral_chisquare": cfg.frames * chirps}
         else:
             assert drawn == {"standard_normal": cfg.frames * per_frame,
@@ -525,34 +527,31 @@ class TestNashCommitTiming:
 
 
 class TestFinalFrameProfiles:
-    """Each final-frame block is range-transformed as soon as it is measured,
-    and each radar's frame is profiled as soon as it completes."""
+    """Each final-frame episode adds its (N_s, A) hop sums to its radar's,
+    and every radar's profile is taken from them after the frame loop."""
 
     @pytest.mark.parametrize("genie", [True, False])
     @pytest.mark.parametrize("episodes_per_frame", [1, 4])
     def test_matches_post_loop_oracle(self, monkeypatch, episodes_per_frame, genie):
         cfg = two_radar_config(("noregret", "uniform"), frames=3, seed=5,
                                episodes_per_frame=episodes_per_frame, genie_detection=genie)
-        blocks = [[] for _ in cfg.radars]
-        actions = [[] for _ in cfg.radars]
-        # (radar) per final-frame block, "fft" per range FFT, "profile" per range profile
+        sums = [[] for _ in cfg.radars]
+        # (radar) per final-frame episode, "fft" per range FFT, "profile" per range profile
         events = []
         measure, range_fft = sig.measure_episode, sig.range_fft
         range_profile = sig.range_profile_at_velocity
 
-        def recording_measure(params, targets, target_phases, subbands, *args, sampled, **kw):
-            meas, samples = measure(params, targets, target_phases, subbands, *args,
-                                    sampled=sampled, **kw)
-            if sampled:  # radars measure in index order within an episode
-                radar = sum(map(len, blocks)) % cfg.n_radars
-                blocks[radar].append(samples.copy())
-                actions[radar].append(subbands.copy())
+        def recording_measure(*args, hop_weights, **kw):
+            meas, hop_sums = measure(*args, hop_weights=hop_weights, **kw)
+            if hop_weights is not None:  # radars measure in index order within an episode
+                radar = sum(map(len, sums)) % cfg.n_radars
+                sums[radar].append(hop_sums.copy())
                 events.append(radar)
-            return meas, samples
+            return meas, hop_sums
 
-        def recording_fft(samples, out=None):
+        def recording_fft(samples):
             events.append("fft")
-            return range_fft(samples, out=out)
+            return range_fft(samples)
 
         def recording_profile(*args):
             events.append("profile")
@@ -564,21 +563,68 @@ class TestFinalFrameProfiles:
         m = run_scenario(cfg)
         monkeypatch.undo()
 
-        # Every block is transformed before the next is measured; the final
-        # episode profiles each radar right after its transform.
-        earlier = [0, "fft", 1, "fft"] * (episodes_per_frame - 1)
-        assert events == earlier + [0, "fft", "profile", 1, "fft", "profile"]
-        expected = final_frame_profiles(cfg, blocks, [np.concatenate(a) for a in actions])
-        assert sorted(m.profiles) == sorted(expected) == [0, 1]
-        for i, want in expected.items():
-            got = m.profiles[i]
-            assert got.ranges_m.tobytes() == want.ranges_m.tobytes()
-            assert got.mags_db.tobytes() == want.mags_db.tobytes()
+        # Only the sums of a complete frame are transformed, one FFT per radar.
+        assert events == [0, 1] * episodes_per_frame + ["fft", "profile"] * 2
+        assert sorted(m.profiles) == [0, 1]
+        for i, ch in enumerate(spec.chirp for spec in cfg.radars):
+            assert all(s.shape == (ch.n_samples, ch.n_subbands) for s in sums[i])
+            want = sig.range_profile_at_velocity(
+                sig.range_fft(sum(sums[i])),
+                np.arange(ch.n_subbands) * ch.subband_hz, np.arange(ch.n_samples // 2),
+                sig.default_eps_grid(ch), ch)
+            assert m.profiles[i].ranges_m.tobytes() == want.ranges_m.tobytes()
+            assert m.profiles[i].mags_db.tobytes() == want.mags_db.tobytes()
 
-    def test_detector_peak_memory_under_two_blocks_above_its_workspace(self):
-        # table1's blocks are 320 x 512 complex samples. The run-scoped
-        # workspace holds the sampled block; the final frame adds its range
-        # spectrum and the profile's coarse-bin rows, not a block copy.
+    @pytest.mark.parametrize("episodes_per_frame", [1, 4])
+    def test_detector_profiles_match_synthesize_then_fft_oracle(self, monkeypatch,
+                                                                episodes_per_frame):
+        # The detector's final-frame blocks, range-transformed chirp by
+        # chirp and then summed by hop, give the profiles to 1e-9 dB.
+        cfg = two_radar_config(("noregret", "uniform"), frames=3, seed=5,
+                               episodes_per_frame=episodes_per_frame, genie_detection=False)
+        blocks, actions = [], []
+        measure, detect = sig.measure_episode, sig.detect_interference
+
+        def recording_measure(params, targets, target_phases, subbands, *args, **kw):
+            actions.append(subbands.copy())
+            return measure(params, targets, target_phases, subbands, *args, **kw)
+
+        def recording_detect(samples, *args):
+            blocks.append(samples.copy())
+            return detect(samples, *args)
+
+        monkeypatch.setattr(sig, "measure_episode", recording_measure)
+        monkeypatch.setattr(sig, "detect_interference", recording_detect)
+        m = run_scenario(cfg)
+        monkeypatch.undo()
+
+        last = -cfg.n_radars * episodes_per_frame  # the final frame, radars alternating
+        for i, spec in enumerate(cfg.radars):
+            ch = spec.chirp
+            want = final_frame_profile(
+                np.concatenate(blocks[last:][i::cfg.n_radars], axis=1),
+                np.concatenate(actions[last:][i::cfg.n_radars]) * ch.subband_hz,
+                np.arange(ch.n_samples // 2), spec.targets[0].velocity_mps,
+                sig.default_eps_grid(ch), ch)
+            np.testing.assert_array_equal(m.profiles[i].ranges_m, want.ranges_m)
+            assert np.max(np.abs(m.profiles[i].mags_db - want.mags_db)) <= 1e-9
+
+    def test_genie_peak_memory_under_one_block(self):
+        # table1's blocks are 320 x 512 complex samples. Genie mode
+        # synthesizes none; the final frame holds only (N_s, A) hop sums.
+        cfg = replace(parse_config(bundled_config_path("table1").read_text()), frames=3)
+        run_scenario(replace(cfg, frames=1))  # warm caches (FFT plans) untraced
+        tracemalloc.start()
+        try:
+            run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 320 * 512 * 16
+
+    def test_detector_peak_memory_under_one_block_above_its_workspace(self):
+        # The run-scoped workspace holds the detector's block; the final
+        # frame adds only its (N_s, A) hop sums and the profile's rows.
         cfg = replace(parse_config(bundled_config_path("table1").read_text()),
                       genie_detection=False, frames=3)
         size = max(spec.chirp.n_samples * spec.chirp.chirps_per_frame for spec in cfg.radars)
@@ -592,7 +638,7 @@ class TestFinalFrameProfiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - workspace < 2 * 320 * 512 * 16
+        assert peak - workspace < 320 * 512 * 16
 
     def test_crowd_peak_memory_does_not_grow_with_radars(self):
         # crowd-8's blocks are 320 x 512 (or 640 x 256) complex samples each.
