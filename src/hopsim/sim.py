@@ -38,7 +38,9 @@ from .hopping import (
     uniform_policy,
 )
 
-# Largest N_s x K block a radar synthesizes per frame (64 MiB, 25x table1's).
+# Largest N_s x K block a radar synthesizes per frame in detector mode (64
+# MiB, 25x table1's); in genie mode, the largest (T + L) x (N_s + K_ep)
+# noiseless rows plus coefficients a radar holds.
 SAMPLE_BLOCK_GUARD = 2 ** 22
 
 _REQUIRED = object()
@@ -147,11 +149,25 @@ def validate_config(config: ScenarioConfig) -> list[str]:
                 f"{label}: chirps per frame {ch.chirps_per_frame} not divisible by "
                 f"{config.episodes_per_frame} episodes")
         durations.append(ch.chirps_per_frame * ch.pri_s)
-        if ch.n_samples * ch.chirps_per_frame > SAMPLE_BLOCK_GUARD:
-            errors.append(
-                f"{label}: {ch.n_samples} samples per chirp x {ch.chirps_per_frame} chirps "
-                f"give {ch.n_samples * ch.chirps_per_frame} samples per frame, above the "
-                f"{SAMPLE_BLOCK_GUARD} allowed")
+        if config.genie_detection is not True:
+            if ch.n_samples * ch.chirps_per_frame > SAMPLE_BLOCK_GUARD:
+                errors.append(
+                    f"{label}: {ch.n_samples} samples per chirp x {ch.chirps_per_frame} chirps "
+                    f"give {ch.n_samples * ch.chirps_per_frame} samples per frame, above the "
+                    f"{SAMPLE_BLOCK_GUARD} allowed")
+        else:
+            # Genie mode builds no sample block, only the noiseless rows
+            # (targets, then linked sources) and their per-chirp coefficients.
+            sources = {link.source for link in config.links if link.victim == idx - 1}
+            n_rows = len(spec.targets) + len(sources - {idx - 1})
+            k_ep = ch.chirps_per_frame // max(config.episodes_per_frame, 1) \
+                if typed["episodes_per_frame"] else ch.chirps_per_frame
+            if n_rows * (ch.n_samples + k_ep) > SAMPLE_BLOCK_GUARD:
+                errors.append(
+                    f"{label}: {n_rows} noiseless rows (targets and linked sources) x "
+                    f"({ch.n_samples} samples per chirp + {k_ep} chirps per episode) give "
+                    f"{n_rows * (ch.n_samples + k_ep)} values, above the "
+                    f"{SAMPLE_BLOCK_GUARD} allowed")
         if spec.policy not in POLICY_PARAMS:
             errors.append(f"{label}: unknown policy {spec.policy!r}")
         else:
@@ -259,6 +275,8 @@ def overlap_geometry(victim: sig.ChirpParams, source: sig.ChirpParams,
     Chirp q of a radar is active on [q*PRI, q*PRI + T_a) from the common
     frame start (zero start offsets). Returns (cand, frac) arrays of shape
     (n_victim, C); frac is 0 where there is no overlap or no valid chirp.
+    Candidate columns whose frac is 0 for every victim chirp are dropped:
+    they add only zeros to every overlap weight.
     """
     q = np.arange(n_victim)
     start_v = q * victim.pri_s
@@ -273,18 +291,45 @@ def overlap_geometry(victim: sig.ChirpParams, source: sig.ChirpParams,
     valid = (cand >= 0) & (cand < n_source)
     frac = np.where(valid, frac, 0.0)
     cand = np.clip(cand, 0, max(n_source - 1, 0))
-    return cand, frac
+    live = frac.any(axis=0)
+    return cand[:, live], frac[:, live]
 
 
-def overlap_weight(geometry, victim_actions: np.ndarray,
-                   source_actions: np.ndarray) -> np.ndarray:
-    """Per victim chirp, the summed overlap fraction of same-subband source chirps.
+def overlap_weights(geometry, victim_actions: np.ndarray,
+                    source_actions: np.ndarray) -> np.ndarray:
+    """Per source and victim chirp, the summed overlap fraction of same-subband chirps.
 
-    ``geometry`` is the pair's ``overlap_geometry``; a weight of 0 means the
-    chirp saw no collision from this source.
+    ``geometry`` is the ``overlap_geometry`` of the victim and the one
+    waveform that every row of ``source_actions`` (L_g, K_src) transmits;
+    the result has shape (L_g, K_v), and a weight of 0 means the chirp saw
+    no collision from that source.
     """
     cand, frac = geometry
-    return (frac * (source_actions[cand] == victim_actions[:, None])).sum(axis=1)
+    return (frac * (source_actions[:, cand] == victim_actions[:, None])).sum(axis=2)
+
+
+def _link_groups(chirps, k_ep, victim: int, sources: list) -> list:
+    """The victim's links grouped by source waveform.
+
+    One (geometry, rows, members) per distinct source ``ChirpParams``:
+    ``members`` are the group's source radars in link order and ``rows``
+    their positions among the victim's ``sources``.
+    """
+    by_wave = {}
+    for row, j in enumerate(sources):
+        by_wave.setdefault(chirps[j], []).append(row)
+    return [(overlap_geometry(chirps[victim], wave, k_ep[victim], k_ep[sources[rows[0]]]),
+             rows, [sources[row] for row in rows])
+            for wave, rows in by_wave.items()]
+
+
+def _link_weights(groups: list, acts: list, victim: int) -> np.ndarray:
+    """The victim's overlap weights (L, K_v) in link order, one gather per source waveform."""
+    weights = np.empty((sum(len(rows) for _, rows, _ in groups), acts[victim].size))
+    for geometry, rows, members in groups:
+        weights[rows] = overlap_weights(geometry, acts[victim],
+                                        np.array([acts[j] for j in members]))
+    return weights
 
 
 def _link_inr_lin(config: ScenarioConfig) -> dict:
@@ -308,11 +353,14 @@ def genie_utility_table(config: ScenarioConfig, rows: np.ndarray,
     """
     snr_lin = sum(sig.db_power(t.snr_db) for t in config.radars[player].targets)
     inr = _link_inr_lin(config)
-    load = np.zeros((len(rows), config.n_subbands))
+    s, a = len(rows), config.n_subbands
+    load = np.zeros(s * a)
+    base = np.arange(0, s * a, a)  # flat index of each row's first cell
     for j in range(config.n_radars):
         if (player, j) in inr:
-            load[np.arange(len(rows)), rows[:, j]] += inr[(player, j)]
-    return 10.0 * np.log10(snr_lin / (load + 1.0))
+            load[base + rows[:, j]] += inr[(player, j)]
+    del base  # freed before the log10's load-sized temporaries
+    return 10.0 * np.log10(snr_lin / (load.reshape(s, a) + 1.0))
 
 
 def _initial_state(spec: RadarSpec, player: int, n_players: int):
@@ -385,9 +433,9 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     bases = [sig.noiseless_basis(chirps[i], spec.targets, [chirps[j] for j in sources[i]], noise)
              for i, spec in enumerate(config.radars)]
     # Episode boundaries align in time across radars, so the per-episode
-    # overlap geometry is identical every episode: precompute it per pair.
-    geometry = {(i, j): overlap_geometry(chirps[i], chirps[j], k_ep[i], k_ep[j])
-                for (i, j) in inr_lin}
+    # overlap geometry is identical every episode: precompute it per victim
+    # and distinct source waveform.
+    link_groups = [_link_groups(chirps, k_ep, i, sources[i]) for i in range(n_radars)]
 
     episodes = config.total_episodes
     strategies = np.zeros((episodes, n_radars, a))
@@ -417,15 +465,19 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
 
             all_stats = []
             for i, spec in enumerate(config.radars):
-                weights = np.array([overlap_weight(geometry[(i, j)], acts[i], acts[j])
-                                    for j in sources[i]]).reshape(len(sources[i]), k_ep[i])
+                weights = _link_weights(link_groups[i], acts, i)
+                # One phase per link and chirp keeps the draw order; a chirp
+                # a source misses has amplitude 0, so only hits need sqrt and exp.
                 phases = rngs[i]["intf"].uniform(0.0, 2.0 * np.pi, size=weights.shape)
-                amps = np.sqrt(link_power[i][:, None] * weights) * np.exp(1j * phases)
+                hit = weights > 0
+                amps = np.zeros(weights.shape, dtype=complex)
+                amps[hit] = np.sqrt((link_power[i][:, None] * weights)[hit]) \
+                    * np.exp(1j * phases[hit])
                 ch, k0 = chirps[i], ep * k_ep[i]
                 meas, sums = sig.measure_episode(
                     ch, spec.targets, target_phases[i], acts[i], k0, amps, *bases[i], noise,
                     rngs[i]["noise"],
-                    genie_flags=(weights > 0).any(axis=0) if config.genie_detection else None,
+                    genie_flags=hit.any(axis=0) if config.genie_detection else None,
                     hop_weights=sig.hop_sum_weights(
                         ch, acts[i], spec.targets[0].velocity_mps, k0) if last else None,
                     detection_factor=config.detection_factor, workspace=workspace)

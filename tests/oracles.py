@@ -430,6 +430,18 @@ def support_enumeration_2p(table: UtilityTable, br_tol: float = 1e-8) -> list[St
     return list(found.values())
 
 
+def overlap_weight(geometry, victim_actions: np.ndarray,
+                   source_actions: np.ndarray) -> np.ndarray:
+    """Per victim chirp, the summed overlap fraction of one source's same-subband chirps.
+
+    ``geometry`` is the pair's ``sim.overlap_geometry``; a weight of 0 means
+    the chirp saw no collision from this source. ``sim.overlap_weights``
+    evaluates every source of one waveform in one gather.
+    """
+    cand, frac = geometry
+    return (frac * (source_actions[cand] == victim_actions[:, None])).sum(axis=1)
+
+
 def from_collisions_dense(weights: np.ndarray, n_subbands: int, utility) -> UtilityTable:
     """``UtilityTable.from_collisions`` on full ``np.indices`` grids."""
     n = weights.shape[0]

@@ -27,7 +27,7 @@ from hopsim.cli import (
 )
 
 from hopsim.game import empirical_joint
-from hopsim.sim import run_scenario
+from hopsim.sim import run_scenario, validate_config
 
 from oracles import (
     bundled_config_path,
@@ -592,12 +592,39 @@ class TestStrictConfig:
         # 819M per 256-chirp frame, about 13 GB of complex samples.
         doc = yaml.safe_load(bundled_config_path("table1").read_text())
         doc["radars"][1]["adc_hz"] = 1.0e11
+        doc["run"]["genie_detection"] = False
         code, err = exit_code_and_errors(tmp_path, capsys, doc)
         assert code == 2
         assert ("radars[2]: 3200000 samples per chirp x 256 chirps give 819200000 "
                 "samples per frame, above the 4194304 allowed") in err
         assert "radars[1]" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_genie_basis_guard(self, tmp_path, capsys):
+        # Genie mode holds radar 2's target row and its one linked source's
+        # residual chirp over 3.2M samples, plus 256 coefficients each.
+        doc = yaml.safe_load(bundled_config_path("table1").read_text())
+        doc["radars"][1]["adc_hz"] = 1.0e11
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert ("radars[2]: 2 noiseless rows (targets and linked sources) x (3200000 "
+                "samples per chirp + 256 chirps per episode) give 6400512 values, above "
+                "the 4194304 allowed") in err
+        assert "radars[1]" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_genie_mode_builds_no_sample_block(self):
+        # 16,384 and 8,192 chirps per frame give 5,242,880-sample frame
+        # blocks: too large for the detector, but genie mode only holds
+        # 2 x (320 + 16,384) and 2 x (640 + 8,192) values per radar.
+        doc = yaml.safe_load(bundled_config_path("table1").read_text())
+        doc["radars"][0]["chirps_per_frame"] = 16384
+        doc["radars"][1]["chirps_per_frame"] = 8192
+        assert validate_config(parse_config(yaml.safe_dump(doc))) == []
+        doc["run"]["genie_detection"] = False
+        with pytest.raises(ConfigError) as err:
+            parse_config(yaml.safe_dump(doc))
+        assert [m.split(":")[0] for m in err.value.messages] == ["radars[1]", "radars[2]"]
 
     def test_numeric_string_still_reads_as_float(self):
         # YAML 1.1 reads 20e6 (no dot) as a string; float fields take it.

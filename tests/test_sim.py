@@ -24,7 +24,7 @@ from hopsim.sim import (
     ScenarioError,
     genie_utility_table,
     overlap_geometry,
-    overlap_weight,
+    overlap_weights,
     run_scenario,
     validate_config,
 )
@@ -37,6 +37,7 @@ from oracles import (
     dense_mass,
     external_regret_dense,
     final_frame_profile,
+    overlap_weight,
 )
 
 
@@ -219,6 +220,49 @@ class TestCollisionTable:
                 got = overlap_weight(geometry, actions[i], actions[j])
                 for q, row in enumerate(want[i]):
                     assert got[q] == pytest.approx(sum(f for _, _, f in row))
+
+    @pytest.mark.parametrize("victim,source", [
+        ((20, 16, 60), (40, 32, 30)),   # table1's waveforms: one live column
+        ((40, 32, 30), (20, 16, 60)),
+        ((30, 24, 40), (20, 16, 60)),   # 20/30 us PRIs: several live columns
+        ((20, 16, 60), (30, 24, 40)),
+        ((40, 39, 30), (10, 3, 120)),   # up to four source chirps per victim chirp
+    ])
+    def test_pruned_geometry_keeps_brute_force_sums(self, victim, source):
+        params = [chirp(*victim[:2], k=victim[2]), chirp(*source[:2], k=source[2])]
+        cand, frac = geometry = overlap_geometry(*params, victim[2], source[2])
+        assert cand.shape == frac.shape and frac.any(axis=0).all()
+        rng = np.random.default_rng(3)
+        for actions in ([np.zeros(victim[2], int), np.zeros(source[2], int)],
+                        [rng.integers(0, 3, size=victim[2]), rng.integers(0, 3, size=source[2])]):
+            want = [sum(f for _, _, f in row) for row in brute_force_collisions(params, actions)[0]]
+            assert overlap_weight(geometry, *actions).tolist() == want
+
+    def test_grouped_weights_match_per_pair_oracle(self):
+        # Three waveforms of one frame duration, a repeated link (0 <- 1)
+        # and one-way links: each victim's weights, one gather per source
+        # waveform, equal the per-pair oracle bit for bit, in link order.
+        waves = [(20, 16, 60), (30, 24, 40), (40, 32, 30)]
+        chirps = [chirp(*waves[w][:2], k=waves[w][2]) for w in (0, 1, 0, 2, 1)]
+        links = ((0, 1, 30.0), (0, 1, 25.0), (0, 2, 30.0), (0, 3, 30.0), (0, 4, 30.0),
+                 (1, 0, 30.0), (2, 4, 30.0), (3, 1, 30.0), (3, 2, 30.0), (4, 2, 30.0))
+        cfg = ScenarioConfig(radars=tuple(RadarSpec(chirp=c, targets=(target(),)) for c in chirps),
+                             links=tuple(LinkSpec(*link) for link in links))
+        inr = sim._link_inr_lin(cfg)
+        k = [c.chirps_per_frame for c in chirps]
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            acts = [rng.integers(0, 3, size=kk) for kk in k]
+            for i in range(len(chirps)):
+                sources = [j for j in range(len(chirps)) if (i, j) in inr]
+                got = sim._link_weights(sim._link_groups(chirps, k, i, sources), acts, i)
+                want = np.array([overlap_weight(overlap_geometry(chirps[i], chirps[j], k[i], k[j]),
+                                                acts[i], acts[j]) for j in sources])
+                assert got.tobytes() == want.reshape(len(sources), k[i]).tobytes()
+                for geometry, _, members in sim._link_groups(chirps, k, i, sources):
+                    stacked = np.array([acts[j] for j in members])
+                    assert overlap_weights(geometry, acts[i], stacked).tobytes() == np.array(
+                        [overlap_weight(geometry, acts[i], row) for row in stacked]).tobytes()
 
     def test_single_radar_never_collides(self):
         # Every chirp on one subband: a radar must not collide with itself.
