@@ -40,8 +40,13 @@ from .hopping import (
 
 # Largest N_s x K block a radar synthesizes per frame in detector mode (64
 # MiB, 25x table1's); in genie mode, the largest (T + L) x (N_s + K_ep)
-# noiseless rows plus coefficients a radar holds.
+# noiseless rows plus coefficients a radar holds. In both modes, also the
+# largest (N_s/2, A, 2A) phase tensor of its final-frame range profile.
 SAMPLE_BLOCK_GUARD = 2 ** 22
+
+# numpy adds fewer than this many terms in order; from this many on it
+# sums pairwise, so dropping zero terms could move a sum's last bit.
+_IN_ORDER_SUM_TERMS = 8
 
 _REQUIRED = object()
 _FINITE = (lambda v, a, episodes: np.isfinite(v), "finite")
@@ -168,6 +173,13 @@ def validate_config(config: ScenarioConfig) -> list[str]:
                     f"({ch.n_samples} samples per chirp + {k_ep} chirps per episode) give "
                     f"{n_rows * (ch.n_samples + k_ep)} values, above the "
                     f"{SAMPLE_BLOCK_GUARD} allowed")
+        # The final frame's (N_s, A) hop sums and their noise are no larger.
+        n_phase = (ch.n_samples // 2) * ch.n_subbands * 2 * ch.n_subbands
+        if n_phase > SAMPLE_BLOCK_GUARD:
+            errors.append(
+                f"{label}: the final-frame range profile's {ch.n_samples // 2} coarse bins x "
+                f"{ch.n_subbands} subbands x {2 * ch.n_subbands} fine offsets give {n_phase} "
+                f"phase terms, above the {SAMPLE_BLOCK_GUARD} allowed")
         if spec.policy not in POLICY_PARAMS:
             errors.append(f"{label}: unknown policy {spec.policy!r}")
         else:
@@ -275,8 +287,9 @@ def overlap_geometry(victim: sig.ChirpParams, source: sig.ChirpParams,
     Chirp q of a radar is active on [q*PRI, q*PRI + T_a) from the common
     frame start (zero start offsets). Returns (cand, frac) arrays of shape
     (n_victim, C); frac is 0 where there is no overlap or no valid chirp.
-    Candidate columns whose frac is 0 for every victim chirp are dropped:
-    they add only zeros to every overlap weight.
+    Candidate columns whose frac is 0 for every victim chirp add only zeros
+    to every overlap weight; they are dropped when there are fewer than
+    ``_IN_ORDER_SUM_TERMS`` columns, so no weight changes by a bit.
     """
     q = np.arange(n_victim)
     start_v = q * victim.pri_s
@@ -291,8 +304,10 @@ def overlap_geometry(victim: sig.ChirpParams, source: sig.ChirpParams,
     valid = (cand >= 0) & (cand < n_source)
     frac = np.where(valid, frac, 0.0)
     cand = np.clip(cand, 0, max(n_source - 1, 0))
-    live = frac.any(axis=0)
-    return cand[:, live], frac[:, live]
+    if n_cand < _IN_ORDER_SUM_TERMS:
+        live = frac.any(axis=0)
+        cand, frac = cand[:, live], frac[:, live]
+    return cand, frac
 
 
 def overlap_weights(geometry, victim_actions: np.ndarray,
@@ -302,10 +317,13 @@ def overlap_weights(geometry, victim_actions: np.ndarray,
     ``geometry`` is the ``overlap_geometry`` of the victim and the one
     waveform that every row of ``source_actions`` (L_g, K_src) transmits;
     the result has shape (L_g, K_v), and a weight of 0 means the chirp saw
-    no collision from that source.
+    no collision from that source. ``np.take`` gathers in C order, so each
+    row is summed as the per-pair (K_v, C) product would be; a fancy-indexed
+    gather's layout makes numpy add 8 or more columns in another order.
     """
     cand, frac = geometry
-    return (frac * (source_actions[:, cand] == victim_actions[:, None])).sum(axis=2)
+    hits = np.take(source_actions, cand, axis=1) == victim_actions[:, None]
+    return (frac * hits).sum(axis=2)
 
 
 def _link_groups(chirps, k_ep, victim: int, sources: list) -> list:
@@ -355,11 +373,9 @@ def genie_utility_table(config: ScenarioConfig, rows: np.ndarray,
     inr = _link_inr_lin(config)
     s, a = len(rows), config.n_subbands
     load = np.zeros(s * a)
-    base = np.arange(0, s * a, a)  # flat index of each row's first cell
     for j in range(config.n_radars):
         if (player, j) in inr:
-            load[base + rows[:, j]] += inr[(player, j)]
-    del base  # freed before the log10's load-sized temporaries
+            load[np.arange(s) * a + rows[:, j]] += inr[(player, j)]
     return 10.0 * np.log10(snr_lin / (load.reshape(s, a) + 1.0))
 
 

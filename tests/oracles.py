@@ -430,6 +430,29 @@ def support_enumeration_2p(table: UtilityTable, br_tol: float = 1e-8) -> list[St
     return list(found.values())
 
 
+def unpruned_overlap_geometry(victim: ChirpParams, source: ChirpParams,
+                              n_victim: int, n_source: int):
+    """``sim.overlap_geometry`` with every candidate column kept, dead ones too.
+
+    The per-pair weights over it are the sums that column pruning must
+    leave unchanged bit for bit.
+    """
+    q = np.arange(n_victim)
+    start_v = q * victim.pri_s
+    end_v = start_v + victim.active_s
+    n_cand = int(np.ceil((victim.active_s + source.active_s) / source.pri_s)) + 2
+    m0 = np.floor((start_v - source.active_s) / source.pri_s).astype(int)
+    cand = m0[:, None] + np.arange(n_cand)[None, :]
+    start_s = cand * source.pri_s
+    overlap = np.minimum(end_v[:, None], start_s + source.active_s) \
+        - np.maximum(start_v[:, None], start_s)
+    frac = np.clip(overlap, 0.0, None) / victim.active_s
+    valid = (cand >= 0) & (cand < n_source)
+    frac = np.where(valid, frac, 0.0)
+    cand = np.clip(cand, 0, max(n_source - 1, 0))
+    return cand, frac
+
+
 def overlap_weight(geometry, victim_actions: np.ndarray,
                    source_actions: np.ndarray) -> np.ndarray:
     """Per victim chirp, the summed overlap fraction of one source's same-subband chirps.

@@ -613,6 +613,20 @@ class TestStrictConfig:
         assert "radars[1]" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_range_profile_guard(self, tmp_path, capsys):
+        # 1.6M samples per chirp: genie mode's 2 x (1.6M + 256) rows and
+        # coefficients pass, but the final frame's profile would hold an
+        # (800k, 6, 12) phase tensor, about 0.9 GB.
+        doc = yaml.safe_load(bundled_config_path("table1").read_text())
+        doc["radars"][1]["adc_hz"] = 5.0e10
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert ("radars[2]: the final-frame range profile's 800000 coarse bins x 6 "
+                "subbands x 12 fine offsets give 57600000 phase terms, above the "
+                "4194304 allowed") in err
+        assert "noiseless rows" not in err and "radars[1]" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_genie_mode_builds_no_sample_block(self):
         # 16,384 and 8,192 chirps per frame give 5,242,880-sample frame
         # blocks: too large for the detector, but genie mode only holds

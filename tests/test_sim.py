@@ -38,6 +38,7 @@ from oracles import (
     external_regret_dense,
     final_frame_profile,
     overlap_weight,
+    unpruned_overlap_geometry,
 )
 
 
@@ -237,6 +238,31 @@ class TestCollisionTable:
                         [rng.integers(0, 3, size=victim[2]), rng.integers(0, 3, size=source[2])]):
             want = [sum(f for _, _, f in row) for row in brute_force_collisions(params, actions)[0]]
             assert overlap_weight(geometry, *actions).tolist() == want
+
+    @pytest.mark.parametrize("victim,source", [
+        ((20, 16, 60), (40, 32, 30)),
+        ((30, 24, 40), (20, 16, 60)),
+        ((40, 39, 30), (10, 3, 120)),     # 7 columns, 4 live: pruned
+        ((160, 150, 30), (20, 19.9, 240)),  # 11 columns, 8 live: kept
+        ((160, 150, 30), (20, 15, 240)),
+    ])
+    def test_geometry_keeps_the_unpruned_sums(self, victim, source):
+        # Dropping dead columns changes no weight by a bit: below 8 columns
+        # numpy adds in order; from 8 on, its pairwise sum would regroup the
+        # live terms (a pruned copy of the 11-column pairs differs), so
+        # those geometries keep every column.
+        params = [chirp(*victim[:2], k=victim[2]), chirp(*source[:2], k=source[2])]
+        full = unpruned_overlap_geometry(*params, victim[2], source[2])
+        geometry = overlap_geometry(*params, victim[2], source[2])
+        n_cand = full[0].shape[1]
+        assert not full[1].any(axis=0).all()
+        assert geometry[0].shape[1] == (n_cand if n_cand >= 8 else full[1].any(axis=0).sum())
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            acts = rng.integers(0, 2, size=victim[2])
+            stacked = rng.integers(0, 2, size=(2, source[2]))
+            want = np.array([overlap_weight(full, acts, row) for row in stacked])
+            assert overlap_weights(geometry, acts, stacked).tobytes() == want.tobytes()
 
     def test_grouped_weights_match_per_pair_oracle(self):
         # Three waveforms of one frame duration, a repeated link (0 <- 1)
