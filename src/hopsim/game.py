@@ -10,7 +10,9 @@ to starting frequency ``f_c + a * B_a``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,14 @@ PURE_ENUM_GUARD = 10**7
 # Guard on float64 cells, about 400 MB at the guard: of one dense
 # (n, A, ..., A) table, n * A**n, and of a run's per-step records.
 TABLE_CELL_GUARD = 5 * 10**7
-# Support pairs per batched solve; bounds the stacked systems' memory.
+# Guard on the equal-size support pairs a 2-player ``auto`` solve
+# enumerates, sum over m of C(A, m)**2 = C(2A, A) - 1: 705,431 at A = 11,
+# a few seconds per solve; A = 12 gives 2.7 million.
+SUPPORT_PAIR_GUARD = 10**6
+# Support pairs per batched solve; bounds the stacked systems' memory. A
+# batch holds max(1, _BATCH_PAIRS // C(A, m)) rows of C(A, m) pairs; under
+# SUPPORT_PAIR_GUARD, C(A, m) <= C(11, 5) = 462 < _BATCH_PAIRS, so that is
+# never more than _BATCH_PAIRS pairs.
 _BATCH_PAIRS = 1 << 14
 
 
@@ -209,7 +218,9 @@ def expected_utility(table: UtilityTable, profile: StrategyProfile, player: int)
     _check_profile_table(profile, table)
     u = table.values[player]
     for s in profile.strategies:
-        u = np.tensordot(s.probs, u, axes=(0, 0))
+        # The (1, A) @ (A, rest) product np.tensordot makes, without its
+        # Python overhead: the same BLAS call, so the same bits.
+        u = np.dot(s.probs[None, :], u.reshape(s.probs.size, -1)).reshape(u.shape[1:])
     return float(u)
 
 
@@ -225,47 +236,98 @@ def enumerate_pure_nash(table: UtilityTable) -> list[StrategyProfile]:
     return [pure_profile(tuple(act), a) for act in np.argwhere(mask)]
 
 
+def _support_layouts(a: int, m: int, batch_pairs: int):
+    """The (sup0, sup1) pairs of support size m, in batches (see _BATCH_PAIRS).
+
+    Each batch is ``(sup0, sup1, flat, template, unit)``: the pairs in
+    ``itertools.combinations`` order; the flat indices into ``u.ravel()``
+    of each pair's sup0 x sup1 block, whose transpose in the last two axes
+    indexes the sup1 x sup0 block; the augmented system with its -1
+    column and normalization row set and the block left at 0; and its
+    unit right-hand side. The arrays are read-only, since a cached layout
+    is shared by every later solve.
+    """
+    sups = np.array(list(itertools.combinations(range(a), m)))
+    template = np.zeros((m + 1, m + 1))
+    template[:m, m] = -1.0
+    template[m, :m] = 1.0
+    unit = np.zeros(m + 1)
+    unit[m] = 1.0
+    step = max(1, batch_pairs // len(sups))
+    for lo in range(0, len(sups), step):
+        sup0 = np.repeat(sups[lo:lo + step], len(sups), axis=0)
+        sup1 = np.tile(sups, (len(sup0) // len(sups), 1))
+        batch = (sup0, sup1, sup0[:, :, None] * a + sup1[:, None, :], template, unit)
+        for arr in batch:
+            arr.flags.writeable = False
+        yield batch
+
+
+# Room for every support size of A = 2..7 at once; one A has at most 11
+# under SUPPORT_PAIR_GUARD.
+@functools.lru_cache(maxsize=32)
+def _cached_support_layouts(a: int, m: int, batch_pairs: int) -> tuple:
+    """``_support_layouts`` kept for the process, for sizes that fit one batch."""
+    return tuple(_support_layouts(a, m, batch_pairs))
+
+
+def _indifference_solutions(template: np.ndarray, unit: np.ndarray, blocks: np.ndarray):
+    """Solve one player's augmented systems; keep the non-negative solutions.
+
+    Returns the indices of the kept systems, their strategies clipped at 0,
+    and their common values.
+    """
+    m = blocks.shape[-1]
+    aug = np.repeat(template[None], len(blocks), axis=0)
+    aug[:, :m, :m] = blocks
+    idx = np.flatnonzero(np.linalg.slogdet(aug)[0] != 0.0)
+    sol = np.linalg.solve(aug[idx], unit)
+    ok = ~(sol[:, :m] < -1e-9).any(axis=1)  # a NaN entry passes, as per pair
+    return idx[ok], np.maximum(sol[ok, :m], 0.0), sol[ok, m]
+
+
 def _support_enumeration_2p(table: UtilityTable, br_tol: float = 1e-8) -> list[StrategyProfile]:
     """All mixed NE of a 2-player game found by equal-size support enumeration.
 
-    Each support size m is solved as one batch of (sup0, sup1) pairs, in
-    ``itertools.combinations`` order, so equilibria are found in that
-    order. Player 1's strategy y makes player 0 indifferent over sup0, and
+    Player 1's strategy y makes player 0 indifferent over sup0, and
     symmetrically for x. Augmented system: utility rows minus the common
-    value v, plus the normalization row. ``slogdet`` gives sign 0 exactly
-    where ``solve`` raises (both use LAPACK's exact-zero-pivot test), so
-    the other systems are solved in one call.
+    value v, plus the normalization row. Each support size m is solved in
+    batches of (sup0, sup1) pairs, in ``itertools.combinations`` order, so
+    equilibria are found in that order. A batch runs in two stages. Stage
+    1 solves player 0's systems for every pair and keeps the pairs whose y
+    is non-negative and passes player 0's best-response check. Stage 2
+    builds and solves player 1's systems only for those pairs, then checks
+    x the same way. In each stage ``slogdet`` gives sign 0 exactly where
+    ``solve`` raises (both use LAPACK's exact-zero-pivot test), so the
+    nonsingular systems are solved in one call. Every kept pair passes the
+    same per-matrix predicates as a per-pair loop. Support sizes whose
+    pairs fit one batch have their layout cached for the process.
     """
     a = table.n_subbands
     u0, u1 = table.values[0], table.values[1]
+    flat_u0, flat_u1 = u0.ravel(), u1.ravel()
     found: dict[tuple, StrategyProfile] = {}
     for m in range(1, a + 1):
-        sups = np.array(list(itertools.combinations(range(a), m)))
-        step = max(1, _BATCH_PAIRS // len(sups))
-        for lo in range(0, len(sups), step):
-            sup0 = np.repeat(sups[lo:lo + step], len(sups), axis=0)
-            sup1 = np.tile(sups, (len(sup0) // len(sups), 1))
-            aug = np.zeros((2, len(sup0), m + 1, m + 1))
-            aug[0, :, :m, :m] = u0[sup0[:, :, None], sup1[:, None, :]]
-            aug[1, :, :m, :m] = u1[sup0[:, None, :], sup1[:, :, None]]
-            aug[:, :, :m, m] = -1.0
-            aug[:, :, m, :m] = 1.0
-            ok = np.all(np.linalg.slogdet(aug)[0] != 0.0, axis=0)
-            sup0, sup1 = sup0[ok], sup1[ok]
-            rhs = np.zeros((2, len(sup0), m + 1, 1))
-            rhs[:, :, m] = 1.0
-            sol = np.linalg.solve(aug[:, ok], rhs)[..., 0]
-            ok = ~np.any(sol[:, :, :m] < -1e-9, axis=(0, 2))
-            sup0, sup1, sol = sup0[ok], sup1[ok], sol[:, ok]
-            y, x = np.clip(sol[:, :, :m], 0.0, None)
-            v0, v1 = sol[:, :, m]
-            # Best-response check against all pure deviations. Both products
+        if math.comb(a, m) ** 2 <= _BATCH_PAIRS:
+            layouts = _cached_support_layouts(a, m, _BATCH_PAIRS)
+        else:
+            layouts = _support_layouts(a, m, _BATCH_PAIRS)
+        for sup0, sup1, flat, template, unit in layouts:
+            kept, y, v0 = _indifference_solutions(template, unit, flat_u0[flat])
+            # Best-response checks against all pure deviations. Both products
             # are vector-matrix: numpy computes (A, m) @ (m,) on the same
             # path, so each batch item equals the per-pair value bit for bit.
-            dev0 = (y[:, None, :] @ u0.T[sup1])[:, 0].max(axis=1)
-            dev1 = (x[:, None, :] @ u1[sup0])[:, 0].max(axis=1)
-            ok = ~(dev0 > v0 + br_tol) & ~(dev1 > v1 + br_tol)
-            for s0, s1, xi, yi in zip(sup0[ok], sup1[ok], x[ok], y[ok]):
+            dev0 = (y[:, None, :] @ u0.T[sup1[kept]])[:, 0].max(axis=1)
+            ok = ~(dev0 > v0 + br_tol)
+            kept, y = kept[ok], y[ok]
+            if not kept.size:
+                continue
+            idx, x, v1 = _indifference_solutions(
+                template, unit, flat_u1[flat[kept]].swapaxes(1, 2))
+            kept, y = kept[idx], y[idx]
+            dev1 = (x[:, None, :] @ u1[sup0[kept]])[:, 0].max(axis=1)
+            ok = ~(dev1 > v1 + br_tol)
+            for s0, s1, xi, yi in zip(sup0[kept[ok]], sup1[kept[ok]], x[ok], y[ok]):
                 p0 = np.zeros(a)
                 p0[s0] = xi / xi.sum()
                 p1 = np.zeros(a)

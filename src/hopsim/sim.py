@@ -7,6 +7,7 @@ range profiles. A run is fully deterministic given its config and seed.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 
@@ -15,6 +16,7 @@ import numpy as np
 from . import signal as sig
 from .game import (
     PURE_ENUM_GUARD,
+    SUPPORT_PAIR_GUARD,
     TABLE_CELL_GUARD,
     JointDistribution,
     MixedStrategy,
@@ -211,6 +213,17 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             f"radars: {config.n_radars} radars on {first.n_subbands} subbands give "
             f"dense game tables of {config.n_radars * joint} cells, above the "
             f"{TABLE_CELL_GUARD} allowed")
+    # A 2-radar 'auto' solve also enumerates every equal-size support pair,
+    # C(2A, A) - 1 of them; counted once the dense tables fit (A <= 3162).
+    pairs = nash and config.n_radars == 2 and joint <= PURE_ENUM_GUARD and (
+        math.comb(2 * first.n_subbands, first.n_subbands) - 1)
+    if pairs > SUPPORT_PAIR_GUARD:
+        errors += [
+            f"radars[{idx}].policy_params.solver_mode: 'auto' on 2 radars and "
+            f"{first.n_subbands} subbands enumerates {pairs} support pairs per solve, "
+            f"above the {SUPPORT_PAIR_GUARD} allowed; use 'pure'"
+            for idx, spec in enumerate(config.radars, start=1)
+            if spec.policy == "nash" and spec.policy_params.get("solver_mode", "auto") == "auto"]
     for li, link in enumerate(config.links, start=1):
         n = config.n_radars
         if not (0 <= link.victim < n and 0 <= link.source < n) or link.victim == link.source:

@@ -365,6 +365,16 @@ def deviation_utilities(table: UtilityTable, profile: StrategyProfile, player: i
     return u
 
 
+def expected_utility_tensordot(table: UtilityTable, profile: StrategyProfile,
+                               player: int) -> float:
+    """Expected utility of ``player``, one ``np.tensordot`` per strategy."""
+    _check_profile_table(profile, table)
+    u = table.values[player]
+    for s in profile.strategies:
+        u = np.tensordot(s.probs, u, axes=(0, 0))
+    return float(u)
+
+
 def is_nash(profile: StrategyProfile, table: UtilityTable, tol: float = EQ_TOL_DB) -> bool:
     """True iff no player has a pure deviation improving by more than tol.
 

@@ -577,6 +577,26 @@ class TestStrictConfig:
             "radars: 16 radars on 6 subbands give 2821109907456 joint actions, "
             "above the 10000000 the dense game tables allow"]
 
+    @pytest.mark.parametrize("subbands,modes,named", [
+        (11, ("auto", "auto"), ()), (12, ("auto", "pure"), (1,)),
+        (12, ("auto", "auto"), (1, 2)), (12, ("pure", "pure"), ())])
+    def test_support_pair_guard(self, tmp_path, capsys, subbands, modes, named):
+        # A 2-radar 'auto' solve enumerates C(2A, A) - 1 support pairs:
+        # 705,431 on 11 subbands (a few seconds per solve), 2,704,155 on 12.
+        doc = crowd_doc(2, "nash", subbands)
+        doc["radars"] = [dict(r, policy_params=dict(r["policy_params"], solver_mode=mode))
+                         for r, mode in zip(doc["radars"], modes)]
+        if not named:
+            assert validate_config(parse_config(yaml.safe_dump(doc))) == []
+            return
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        for i in (1, 2):
+            assert (f"radars[{i}].policy_params.solver_mode: 'auto' on 2 radars and 12 "
+                    "subbands enumerates 2704155 support pairs per solve, above the "
+                    "1000000 allowed; use 'pure'" in err) == (i in named)
+        assert not (tmp_path / "o").exists()
+
     def test_frame_guard(self, tmp_path, capsys):
         # 10**9 frames of table1 would record 6e12 per-step cells.
         doc = yaml.safe_load(bundled_config_path("table1").read_text())

@@ -25,6 +25,7 @@ from hopsim.game import (
 from oracles import (
     dense_arm_utilities,
     deviation_utilities,
+    expected_utility_tensordot,
     from_collisions_dense,
     is_nash,
     joint_from_dense,
@@ -226,6 +227,20 @@ class TestExpectedUtility:
                 expected_utility(table, profile, i))
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_tensordot_oracle(self, n):
+        rng = np.random.default_rng(10 + n)
+        for _ in range(200):
+            a = int(rng.integers(1, 7))
+            table = UtilityTable(rng.normal(size=(n,) + (a,) * n)
+                                 * 10.0 ** rng.uniform(-3, 3))
+            profile = StrategyProfile(tuple(
+                MixedStrategy(rng.dirichlet(np.full(a, 10.0 ** rng.uniform(-3, 3))))
+                for _ in range(n)))
+            for i in range(n):
+                got = expected_utility(table, profile, i)
+                assert got.hex() == expected_utility_tensordot(table, profile, i).hex()
+
 class TestIsNash:
     def test_distinct_pair_is_nash(self):
         table = anti_coordination_table(2, 2)
@@ -390,6 +405,13 @@ class TestBatchedSupportEnumeration:
             assert_same_profiles(game._support_enumeration_2p(table),
                                  support_enumeration_2p(table))
 
+
+    def test_cached_layouts_are_read_only(self):
+        # A cached layout is shared by every later solve in the process.
+        for batch in game._cached_support_layouts(4, 2, game._BATCH_PAIRS):
+            for arr in batch:
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 1
 
 class TestCceDeviationGap:
     def test_point_mass_on_pure_nash_nonpositive(self):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hopsim.signal as sig
-from hopsim import hopping, sim
+from hopsim import game, hopping, sim
 from hopsim.cli import parse_config
 from hopsim.game import cce_deviation_gap, empirical_joint, external_regret
 from hopsim.sim import (
@@ -38,6 +38,7 @@ from oracles import (
     external_regret_dense,
     final_frame_profile,
     overlap_weight,
+    support_enumeration_2p,
     unpruned_overlap_geometry,
 )
 
@@ -559,6 +560,37 @@ class TestNashSolveSharing:
         alone, n_alone = self.run_counting(monkeypatch, cfg, per_agent=True)
         assert n_shared == n_alone == 2 * self.EXPLORE
         np.testing.assert_array_equal(shared.strategies, alone.strategies)
+
+
+class TestStagedSolverOnExploreTables:
+    """The staged support enumeration on the tables a nash run estimates."""
+
+    def test_matches_loop_oracle_end_to_end(self, monkeypatch):
+        cfg = parse_config(bundled_config_path("table1").read_text())
+        cfg = replace(cfg, frames=8, radars=tuple(
+            replace(r, policy="nash", policy_params={"explore_episodes": 6})
+            for r in cfg.radars))
+        solved = []  # (table, equilibria) of every staged solve
+        staged = game._support_enumeration_2p
+
+        def recording(table):
+            solved.append((table, staged(table)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(game, "_support_enumeration_2p", recording)
+        got = run_scenario(cfg)
+        monkeypatch.setattr(game, "_support_enumeration_2p", support_enumeration_2p)
+        want = run_scenario(cfg)
+        for name in ("strategies", "interference_rate", "aligned_actions"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        # Every equilibrium found, not only the welfare-max one the run plays.
+        assert solved
+        for table, found in solved:
+            expected = support_enumeration_2p(table)
+            assert [p.support_key() for p in found] == [p.support_key() for p in expected]
+            for p, q in zip(found, expected):
+                for s, t in zip(p.strategies, q.strategies):
+                    assert s.probs.tobytes() == t.probs.tobytes()
 
 
 class TestNashCommitTiming:
