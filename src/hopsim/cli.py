@@ -293,11 +293,11 @@ class RunManifest:
         path = Path(out_dir) / "manifest.json"
         if not path.is_file():
             raise ReportError(f"missing manifest: {path}")
-        try:
-            doc = json.loads(path.read_text())
+        try:  # ValueError covers bad JSON and bytes that are not UTF-8
+            doc = json.loads(path.read_text(encoding="utf-8"))
             return cls(seeds=doc["seeds"], files=doc["files"],
                        summary=doc["summary"], config=doc["config"])
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ReportError(f"corrupt manifest {path}: {exc}") from exc
 
 
@@ -435,6 +435,10 @@ def cmd_report(run_dirs) -> str:
                         raise ReportError(f"corrupt manifest {path}: seed {seed} has a "
                                           f"mainlobe width for unrun policy {policy!r}")
                     per_policy[policy]["width"].append(width)
+            bad = [v for b in per_policy.values() for xs in b.values() for v in xs
+                   if not has_type(v, float)]
+            if bad:
+                raise TypeError(f"{bad[0]!r} is not a number")
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ReportError(f"corrupt manifest {path}: missing or malformed "
                               f"summary entry {exc}") from exc

@@ -21,6 +21,9 @@ import numpy as np
 PROB_ATOL = 1e-9
 # Welfare ties below this are broken lexicographically on support sets.
 WELFARE_TIE_ATOL = 1e-9
+# A pure deviation must gain more than this (dB) to reject a candidate of
+# support enumeration.
+BEST_RESPONSE_TOL = 1e-8
 # Guard on the joint action space for exhaustive enumeration.
 PURE_ENUM_GUARD = 10**7
 # Guard on float64 cells, about 400 MB at the guard: of one dense
@@ -143,30 +146,6 @@ class UtilityTable:
     def n_subbands(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def from_collisions(cls, weights: np.ndarray, n_subbands: int,
-                        utility) -> "UtilityTable":
-        """Table valued by who shares each player's subband.
-
-        Player i's entry at every joint action is ``utility(i, own, load)``:
-        ``own`` is i's subband and ``load`` the sum of ``weights[i, j]``
-        over the other players j on that subband, accumulated in
-        ascending j. Zero weights are skipped. The index grids are sparse
-        (axis j of ``grids[j]`` alone has length A), so ``own`` broadcasts
-        against ``load``, and only ``load`` and the output are full size.
-        """
-        n = weights.shape[0]
-        shape = (n_subbands,) * n
-        grids = np.indices(shape, sparse=True)
-        values = np.empty((n,) + shape)
-        for i in range(n):
-            load = np.zeros(shape)
-            for j in range(n):
-                if j != i and weights[i, j] != 0.0:
-                    load += weights[i, j] * (grids[j] == grids[i])
-            values[i] = utility(i, grids[i], load)
-        return cls(values)
-
 
 @dataclass(frozen=True)
 class JointDistribution:
@@ -286,7 +265,7 @@ def _indifference_solutions(template: np.ndarray, unit: np.ndarray, blocks: np.n
     return idx[ok], np.maximum(sol[ok, :m], 0.0), sol[ok, m]
 
 
-def _support_enumeration_2p(table: UtilityTable, br_tol: float = 1e-8) -> list[StrategyProfile]:
+def _support_enumeration_2p(table: UtilityTable) -> list[StrategyProfile]:
     """All mixed NE of a 2-player game found by equal-size support enumeration.
 
     Player 1's strategy y makes player 0 indifferent over sup0, and
@@ -318,7 +297,7 @@ def _support_enumeration_2p(table: UtilityTable, br_tol: float = 1e-8) -> list[S
             # are vector-matrix: numpy computes (A, m) @ (m,) on the same
             # path, so each batch item equals the per-pair value bit for bit.
             dev0 = (y[:, None, :] @ u0.T[sup1[kept]])[:, 0].max(axis=1)
-            ok = ~(dev0 > v0 + br_tol)
+            ok = ~(dev0 > v0 + BEST_RESPONSE_TOL)
             kept, y = kept[ok], y[ok]
             if not kept.size:
                 continue
@@ -326,7 +305,7 @@ def _support_enumeration_2p(table: UtilityTable, br_tol: float = 1e-8) -> list[S
                 template, unit, flat_u1[flat[kept]].swapaxes(1, 2))
             kept, y = kept[idx], y[idx]
             dev1 = (x[:, None, :] @ u1[sup0[kept]])[:, 0].max(axis=1)
-            ok = ~(dev1 > v1 + br_tol)
+            ok = ~(dev1 > v1 + BEST_RESPONSE_TOL)
             for s0, s1, xi, yi in zip(sup0[kept[ok]], sup1[kept[ok]], x[ok], y[ok]):
                 p0 = np.zeros(a)
                 p0[s0] = xi / xi.sum()

@@ -129,10 +129,8 @@ def init_noregret(n_subbands: int, **kwargs) -> NoRegretState:
                          strategy=uniform_policy(n_subbands), **kwargs)
 
 
-def noregret_update(state: NoRegretState, stats: EpisodeStats,
-                    eta: float | None = None,
-                    gamma: float | None = None) -> NoRegretState:
-    """One exponential-weights step from the episode that just ended.
+def noregret_update(state: NoRegretState, stats: EpisodeStats) -> NoRegretState:
+    """One exponential-weights step, on the ``schedule_params`` schedule, after an episode.
 
     Subbands played this episode accumulate the importance-weighted loss
     -SINR_db / p(f); unplayed subbands are left unchanged (the 1/p factor
@@ -163,10 +161,7 @@ def noregret_update(state: NoRegretState, stats: EpisodeStats,
             base = float(np.mean(snr[observed])) - state.baseline_delta_db
     inc = (base - np.asarray(stats.sinr_db)[played]) / probs[played]
     loss[played] += np.clip(inc, -state.loss_clip_db, state.loss_clip_db)
-    if eta is None or gamma is None:
-        eta_s, gamma_s = schedule_params(state.tau, n, state.c_eta, state.c_gamma)
-        eta = eta_s if eta is None else eta
-        gamma = gamma_s if gamma is None else gamma
+    eta, gamma = schedule_params(state.tau, n, state.c_eta, state.c_gamma)
     z = -eta * loss
     z -= z.max()  # softmax shift invariance keeps exp() bounded
     w = np.exp(z)
@@ -218,17 +213,25 @@ def init_nash_hopper(player: int, n_players: int, n_subbands: int,
 
 
 def estimated_table(state: NashHopperState) -> UtilityTable:
-    """Utility table assembled from the exchanged per-subband estimates."""
+    """Utility table from the exchanged estimates: player i's collision SINR on its
+    subband where another player shares it, else its SNR (on sparse index grids)."""
     floor = state.floor_db
     snr = np.where(np.isnan(state.snr_est_db), floor, state.snr_est_db)
     hit = np.where(np.isnan(state.hit_sinr_est_db), floor, state.hit_sinr_est_db)
-    return UtilityTable.from_collisions(
-        np.ones((state.n_players, state.n_players)), state.n_subbands,
-        lambda i, own, load: np.where(load > 0, hit[i][own], snr[i][own]))
+    n = state.n_players
+    shape = (state.n_subbands,) * n
+    grids = np.indices(shape, sparse=True)
+    values = np.empty((n,) + shape)
+    for i in range(n):
+        shared = np.zeros(shape, dtype=bool)
+        for j in range(n):
+            if j != i:
+                shared |= grids[j] == grids[i]
+        values[i] = np.where(shared, hit[i][grids[i]], snr[i][grids[i]])
+    return UtilityTable(values)
 
 
-def nash_explore_update(state: NashHopperState, all_stats,
-                        solved: dict | None = None) -> NashHopperState:
+def nash_explore_update(state: NashHopperState, all_stats, solved: dict) -> NashHopperState:
     """Fold one episode of exchanged stats and re-solve the welfare-max NE.
 
     ``solved`` maps (table values, solver mode) to the profile already
@@ -253,7 +256,6 @@ def nash_explore_update(state: NashHopperState, all_stats,
                   episodes_seen=state.episodes_seen + 1)
     table = estimated_table(nxt)
     key = (table.values.shape, table.values.tobytes(), nxt.solver_mode)
-    solved = {} if solved is None else solved
     if key not in solved:
         solved[key] = solve_nash_welfare_max(table, mode=nxt.solver_mode)
     return replace(nxt, profile=solved[key])

@@ -193,8 +193,8 @@ def _abs2(z: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def detect_interference(samples: np.ndarray, noise_power: float,
-                        factor: float = DEFAULT_DETECTION_FACTOR,
-                        workspace: SampleWorkspace | None = None):
+                        factor: float = DEFAULT_DETECTION_FACTOR, *,
+                        workspace: SampleWorkspace):
     """Threshold detector: per chirp, a flag and the clean and interference powers.
 
     ``samples`` is one chirp (N_s,) or a block of chirps (N_s, K); each
@@ -207,16 +207,16 @@ def detect_interference(samples: np.ndarray, noise_power: float,
     |x| > sqrt(envelope) + sqrt(factor x noise). Returns the flags and the
     mean |x|^2 of the samples below (clean) and above (interference) the
     threshold, each counted over all N_s samples. The samples are only read;
-    spectrum, powers and hits go to ``workspace`` (else one made for the call).
+    spectrum, powers and hits go to ``workspace``, which holds at least
+    ``samples.size`` samples.
     """
     if factor <= 1:
         raise ValueError("factor must exceed 1")
     x = np.asarray(samples)
     n = x.shape[0]
-    ws = workspace or SampleWorkspace(x.size)
-    spec = _view(ws.scratch, x.shape[::-1])  # one chirp's spectrum per row
+    spec = _view(workspace.scratch, x.shape[::-1])  # one chirp's spectrum per row
     np.fft.fft(x, axis=0, norm="ortho", out=spec.T)
-    spec2 = _abs2(spec, _view(ws.power, spec.shape))
+    spec2 = _abs2(spec, _view(workspace.power, spec.shape))
     peak = spec2.max(axis=-1)
     half = n // 2  # rank n//2 by one selection; rank (n-1)//2 is the largest below it
     spec2.partition(half, axis=-1)
@@ -224,11 +224,11 @@ def detect_interference(samples: np.ndarray, noise_power: float,
     median = ((upper if n % 2 else spec2[..., :half].max(axis=-1)) + upper) / 2
     envelope = np.clip(peak - median, 0.0, None) / n
     threshold = (np.sqrt(envelope) + np.sqrt(factor * noise_power)) ** 2
-    power = _abs2(x, _view(ws.power, x.shape))
-    hot = np.greater(power, threshold, out=_view(ws.mask, x.shape))
+    power = _abs2(x, _view(workspace.power, x.shape))
+    hot = np.greater(power, threshold, out=_view(workspace.mask, x.shape))
     flag = np.count_nonzero(hot, axis=0) / n > 0.01
     # Zero-filled means, not masked sums: a 1-D sum is pairwise, skipping changes rounding.
-    split = _view(ws.scratch.view(float), x.shape)
+    split = _view(workspace.scratch.view(float), x.shape)
     intf = np.mean(np.multiply(power, hot, out=split), axis=0)
     clean = np.mean(np.multiply(power, np.logical_not(hot, out=hot), out=split), axis=0)
     return flag, clean, intf
@@ -260,8 +260,8 @@ def measure_episode(params: ChirpParams, targets, target_phases, subbands: np.nd
                     noise_power: float, rng: np.random.Generator,
                     genie_flags: np.ndarray | None = None,
                     hop_weights: np.ndarray | None = None,
-                    detection_factor: float = DEFAULT_DETECTION_FACTOR,
-                    workspace: SampleWorkspace | None = None):
+                    detection_factor: float = DEFAULT_DETECTION_FACTOR, *,
+                    workspace: SampleWorkspace | None):
     """One radar's per-chirp measurements over an episode of K chirps.
 
     ``rows``, ``gram`` are the radar's ``noiseless_basis`` over ``targets``
@@ -269,9 +269,9 @@ def measure_episode(params: ChirpParams, targets, target_phases, subbands: np.nd
     amplitude per chirp and ``k0`` is the first chirp's index in its frame.
     The rows' per-chirp coefficients C are the targets' slow-time phases,
     then ``amps``. Detector mode synthesizes x = rows.T @ C plus noise in
-    ``workspace`` (else one made for the call) and detects. Genie mode
-    (``genie_flags`` marks the collided chirps) takes the interference power
-    from the sources' Gram form and draws the clean power. Returns the
+    ``workspace`` and detects. Genie mode (``genie_flags`` marks the collided
+    chirps) takes the interference power from the sources' Gram form and
+    draws the clean power; it reads no workspace, so None will do. Returns the
     measurements and, for ``hop_weights`` W (K, H), the hop sums x @ W, which
     genie mode draws after the clean power as rows.T @ (C @ W) plus noise.
     """
@@ -282,13 +282,13 @@ def measure_episode(params: ChirpParams, targets, target_phases, subbands: np.nd
     coeffs = np.concatenate([slow, amps])
     if genie_flags is None:
         shape = (params.n_samples, hops.size)
-        ws = workspace or SampleWorkspace(hops.size * params.n_samples)
-        x, power = _view(ws.x, shape), _view(ws.power, shape)
+        x, power = _view(workspace.x, shape), _view(workspace.power, shape)
         np.matmul(rows.T, coeffs, out=x)
         sigma = np.sqrt(noise_power / 2.0)  # noise sigma (n_re + j n_im), a part at a time
         for part in (x.real, x.imag):
             part += np.multiply(rng.standard_normal(out=power), sigma, out=power)
-        flags, clean, intf = detect_interference(x, noise_power, detection_factor, ws)
+        flags, clean, intf = detect_interference(x, noise_power, detection_factor,
+                                                 workspace=workspace)
         sums = None if hop_weights is None else x @ hop_weights
     else:
         flags, sums = genie_flags, None

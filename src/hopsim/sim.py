@@ -250,6 +250,19 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         errors.append(f"run.seed: {config.seed} must be non-negative")
     if typed["noise_power"] and not 0 < config.noise_power < np.inf:
         errors.append(f"run.noise_power: {config.noise_power!r} not finite and > 0")
+    elif typed["noise_power"]:
+        # Genie mode's 2 ||e_k||^2 is the largest float a run forms; it is at most
+        # 2 N_s noise (1 + sum sqrt(SNR) + sum sqrt(INR))^2, every term adding coherently.
+        for idx, spec in enumerate(config.radars, start=1):
+            terms = {f"radars[{idx}].targets[{k}]": t.snr_db for k, t in enumerate(spec.targets, 1)}
+            terms |= {f"links[{li}]": link.inr_db
+                      for li, link in enumerate(config.links, 1) if link.victim == idx - 1}
+            amp = 1.0 + sum(math.sqrt(sig.db_power(db)) for db in terms.values())
+            bound = 2.0 * spec.chirp.n_samples * config.noise_power * amp * amp
+            if amp < np.inf and not bound < np.inf:  # a bad INR is reported below
+                errors.append(f"run.noise_power: {config.noise_power!r} with {', '.join(terms)} "
+                              f"gives radars[{idx}] a chirp energy bound 2 N_s noise (1 + sum "
+                              "sqrt(SNR) + sum sqrt(INR))^2 above the largest float")
     if typed["detection_factor"] and (not np.isfinite(config.detection_factor) or (
             not config.genie_detection and not config.detection_factor > 1)):
         errors.append(f"run.detection_factor: {config.detection_factor!r} not finite and > 1")

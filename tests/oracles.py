@@ -476,7 +476,12 @@ def overlap_weight(geometry, victim_actions: np.ndarray,
 
 
 def from_collisions_dense(weights: np.ndarray, n_subbands: int, utility) -> UtilityTable:
-    """``UtilityTable.from_collisions`` on full ``np.indices`` grids."""
+    """Table valued by who shares each player's subband, on full ``np.indices`` grids.
+
+    Player i's entry at every joint action is ``utility(i, own, load)``:
+    ``own`` is i's subband and ``load`` the sum of ``weights[i, j]`` over
+    the other players j on that subband, accumulated in ascending j.
+    """
     n = weights.shape[0]
     grids = np.indices((n_subbands,) * n)
     values = np.empty((n,) + (n_subbands,) * n)
@@ -504,7 +509,7 @@ def dense_genie_table(config: ScenarioConfig) -> UtilityTable:
     weights = np.zeros((n, n))
     for link in config.links:
         weights[link.victim, link.source] += 10.0 ** (link.inr_db / 10.0)
-    return UtilityTable.from_collisions(
+    return from_collisions_dense(
         weights, config.n_subbands,
         lambda i, own, load: 10.0 * np.log10(snr_lin[i] / (load + 1.0)))
 

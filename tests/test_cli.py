@@ -1,6 +1,7 @@
 """Command-line layer tests: config parsing, artifact emission, report."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -345,6 +346,8 @@ class TestReport:
         (lambda doc: doc["summary"]["0"].pop("cce_gap_db"), "summary entry 'cce_gap_db'"),
         (lambda doc: doc["summary"]["0"]["mainlobe_width_m"].update(ghost=1.0),
          "seed 0 has a mainlobe width for unrun policy 'ghost'"),
+        (lambda doc: doc["summary"]["0"]["mainlobe_width_m"].update(noregret="x"),
+         "summary entry 'x' is not a number"),
     ])
     def test_report_rejects_inconsistent_summary(self, tmp_path, capsys, corrupt, message):
         cmd_run(parse_config(SMALL_CFG), tmp_path, [0])
@@ -355,6 +358,19 @@ class TestReport:
         assert main(["report", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert f"corrupt manifest {path}" in err and message in err
+
+    @pytest.mark.parametrize("write", [
+        lambda path, doc: path.write_text("[]"),
+        lambda path, doc: path.write_bytes(json.dumps(doc).encode() + b"\xff"),
+        lambda path, doc: path.write_text(json.dumps(dict(doc, summary={"0": dict(
+            doc["summary"]["0"], final_interference_rate=["x", 0.0])}))),
+    ], ids=["top-level-list", "not-utf8", "string-rate"])
+    def test_report_rejects_malformed_manifest(self, tmp_path, capsys, write):
+        cmd_run(parse_config(SMALL_CFG), tmp_path, [0])
+        path = tmp_path / "manifest.json"
+        write(path, json.loads(path.read_text()))
+        assert main(["report", str(tmp_path)]) == 3
+        assert f"hopsim: corrupt manifest {path}: " in capsys.readouterr().err
 
     def test_report_table(self, tmp_path):
         cmd_run(parse_config(SMALL_CFG), tmp_path, [0])
@@ -809,6 +825,27 @@ class TestStrictConfig:
         assert code == 2
         assert f"{section}[1]" in err and field in err
         assert f"{value!r} dB has a linear power not finite and > 0" in err
+
+    @pytest.mark.parametrize("genie", [True, False])
+    @pytest.mark.parametrize("section, other_db", [("targets", 30.0), ("links", 20.0)])
+    def test_energy_bound(self, tmp_path, capsys, genie, section, other_db):
+        # table1 at noise power 1e300. Radar 2 has 640 samples per chirp, one
+        # target and one link; its 2 N_s noise (1 + sqrt(SNR) + sqrt(INR))^2
+        # reaches the largest float where the varied power's root is ``edge``.
+        doc = yaml.safe_load(bundled_config_path("table1").read_text())
+        doc["run"].update(noise_power=1.0e300, frames=1, genie_detection=genie)
+        field = {"targets": "snr_db", "links": "inr_db"}[section]
+        edge = math.sqrt(sys.float_info.max / (2 * 640 * 1.0e300)) - 1.0 - 10.0 ** (other_db / 20)
+        for delta_db, ok in ((-1e-3, True), (1e-3, False)):
+            doc[section][1][field] = 20.0 * math.log10(edge) + delta_db
+            code, err = exit_code_and_errors(tmp_path, capsys, doc)
+            if ok:
+                assert code == 0 and err == ""
+            else:
+                assert code == 2
+                assert ("run.noise_power: 1e+300 with radars[2].targets[1], links[2] gives "
+                        "radars[2] a chirp energy bound") in err
+                assert "radars[1]" not in err
 
     @pytest.mark.parametrize("old, new, key", [
         ("  frames: 2\n", "  frames: 50\n  frames: 2\n", "frames"),

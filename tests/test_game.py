@@ -1,5 +1,6 @@
 """Game core: strategies, utility tables, equilibria, regret."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hopsim.game import (
     pure_strategy,
     solve_nash_welfare_max,
 )
+from hopsim.hopping import estimated_table, init_nash_hopper
 
 from oracles import (
     dense_arm_utilities,
@@ -151,29 +153,22 @@ class TestUtilityTable:
 
 
 class TestFromCollisions:
-    """Sparse index grids give the same table bits as full ``np.indices``."""
+    """``hopping.estimated_table`` on sparse grids gives the bits of the
+    weight-1 collision table on full ``np.indices`` grids."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("utility", ["genie", "estimated"])
-    def test_matches_dense_grids(self, n, utility):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4], ids="estimated-{}".format)
+    def test_matches_dense_grids(self, n):
         rng = np.random.default_rng(100 + n)
         a = 5 if n < 4 else 3
-        if utility == "genie":
-            # sim.genie_utility_table: INR weights, unlinked pairs zero
-            weights = 10.0 ** (rng.uniform(0.0, 4.0, (n, n)) / 10.0)
-            weights[rng.random((n, n)) < 0.4] = 0.0
-            snr_lin = 10.0 ** (rng.uniform(10.0, 30.0, n) / 10.0)
-            fn = lambda i, own, load: 10.0 * np.log10(snr_lin[i] / (load + 1.0))
-        else:
-            # hopping.estimated_table: weight 1, per-subband lookups by own
-            weights = np.ones((n, n))
-            if n > 2:
-                weights[0, 2] = 0.0
-            snr = np.where(rng.random((n, a)) < 0.2, -10.0, rng.integers(10, 30, (n, a)))
-            hit = np.where(rng.random((n, a)) < 0.5, -10.0, rng.integers(-5, 15, (n, a)))
-            fn = lambda i, own, load: np.where(load > 0, hit[i][own], snr[i][own])
-        got = UtilityTable.from_collisions(weights, a, fn)
-        expected = from_collisions_dense(weights, a, fn)
+        snr = np.where(rng.random((n, a)) < 0.2, -10.0, rng.integers(10, 30, (n, a)))
+        hit = np.where(rng.random((n, a)) < 0.5, -10.0, rng.integers(-5, 15, (n, a)))
+        # The -10 dB entries are unobserved: NaN in the state, the floor in the table.
+        state = replace(init_nash_hopper(0, n, a, explore_episodes=1, floor_db=-10.0),
+                        snr_est_db=np.where(snr == -10.0, np.nan, snr),
+                        hit_sinr_est_db=np.where(hit == -10.0, np.nan, hit))
+        got = estimated_table(state)
+        expected = from_collisions_dense(
+            np.ones((n, n)), a, lambda i, own, load: np.where(load > 0, hit[i][own], snr[i][own]))
         assert got.values.shape == (n,) + (a,) * n
         assert got.values.tobytes() == expected.values.tobytes()
 
@@ -368,7 +363,7 @@ def random_2p_table(family, rng):
     # many indifference systems exactly singular.
     snr = np.where(rng.random((2, a)) < 0.2, -10.0, rng.integers(10, 30, (2, a)))
     hit = np.where(rng.random((2, a)) < 0.5, -10.0, rng.integers(-5, 15, (2, a)))
-    return UtilityTable.from_collisions(
+    return from_collisions_dense(
         np.ones((2, 2)), a, lambda i, own, load: np.where(load > 0, hit[i][own], snr[i][own]))
 
 

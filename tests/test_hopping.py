@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import hopsim.hopping as hopping
 from hopsim.game import MixedStrategy, UtilityTable, pure_strategy, solve_nash_welfare_max
 from hopsim.hopping import (
     EpisodeStats,
@@ -135,6 +136,18 @@ class TestUniformPolicy:
             uniform_policy(0)
 
 
+def pin_schedule(monkeypatch, eta=None, gamma=None):
+    """Make ``noregret_update`` step with ``eta`` and/or ``gamma`` in place
+    of the values its decaying schedule gives."""
+    schedule = hopping.schedule_params
+
+    def pinned(*args):
+        eta_s, gamma_s = schedule(*args)
+        return eta_s if eta is None else eta, gamma_s if gamma is None else gamma
+
+    monkeypatch.setattr(hopping, "schedule_params", pinned)
+
+
 class TestNoRegretUpdate:
     def test_no_plays_stays_uniform(self):
         state = init_noregret(4)
@@ -142,28 +155,31 @@ class TestNoRegretUpdate:
         np.testing.assert_allclose(nxt.strategy.probs, np.full(4, 0.25))
         assert nxt.tau == 2
 
-    def test_hand_evaluated_two_arm_update(self):
+    def test_hand_evaluated_two_arm_update(self, monkeypatch):
         # Only arm 0 played at 20 dB: loss (-40, 0); eta=0.1, gamma=0
         # gives softmax proportional to (e^4, 1).
         state = init_noregret(2, kappa=0.0)
         stats = stats_from([20.0, np.nan])
-        nxt = noregret_update(state, stats, eta=0.1, gamma=0.0)
+        pin_schedule(monkeypatch, eta=0.1, gamma=0.0)
+        nxt = noregret_update(state, stats)
         np.testing.assert_allclose(nxt.loss, [-40.0, 0.0])
         expect = np.array([np.e**4, 1.0])
         np.testing.assert_allclose(nxt.strategy.probs, expect / expect.sum(),
                                    atol=1e-12)
         assert nxt.strategy.probs[0] == pytest.approx(0.982, abs=1e-3)
 
-    def test_gamma_one_forces_uniform(self):
+    def test_gamma_one_forces_uniform(self, monkeypatch):
         state = init_noregret(3, kappa=0.0)
         stats = stats_from([30.0, np.nan, np.nan])
-        nxt = noregret_update(state, stats, gamma=1.0)
+        pin_schedule(monkeypatch, gamma=1.0)
+        nxt = noregret_update(state, stats)
         np.testing.assert_allclose(nxt.strategy.probs, np.full(3, 1 / 3))
 
-    def test_played_zero_probability_arm_is_an_error(self):
+    def test_played_zero_probability_arm_is_an_error(self, monkeypatch):
         state = init_noregret(2, kappa=0.0)
-        state = noregret_update(state, stats_from([60.0, np.nan]), eta=5.0, gamma=0.0)
-        state = noregret_update(state, stats_from([60.0, np.nan]), eta=5.0, gamma=0.0)
+        pin_schedule(monkeypatch, eta=5.0, gamma=0.0)
+        state = noregret_update(state, stats_from([60.0, np.nan]))
+        state = noregret_update(state, stats_from([60.0, np.nan]))
         assert state.strategy.probs[1] < 1e-12
         forced = MixedStrategy(np.array([0.0, 1.0]))
         bad = type(state)(loss=state.loss, strategy=forced, tau=state.tau,
@@ -183,20 +199,22 @@ class TestNoRegretUpdate:
             p = state.strategy.probs
             assert np.all(p >= 0) and p.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_exploration_floor_with_kappa_zero(self):
+    def test_exploration_floor_with_kappa_zero(self, monkeypatch):
         state = init_noregret(4, kappa=0.0)
         stats = stats_from([25.0, np.nan, np.nan, np.nan])
         gamma = 0.2
-        nxt = noregret_update(state, stats, gamma=gamma)
+        pin_schedule(monkeypatch, gamma=gamma)
+        nxt = noregret_update(state, stats)
         assert np.all(nxt.strategy.probs >= gamma / 4 - 1e-12)
 
-    def test_softmax_shift_invariance(self):
+    def test_softmax_shift_invariance(self, monkeypatch):
         base = init_noregret(3, kappa=0.0)
         stats = stats_from([12.0, -3.0, np.nan])
-        a = noregret_update(base, stats, eta=0.3, gamma=0.1)
+        pin_schedule(monkeypatch, eta=0.3, gamma=0.1)
+        a = noregret_update(base, stats)
         shifted = type(base)(loss=base.loss + 500.0, strategy=base.strategy,
                              tau=base.tau, kappa=0.0)
-        b = noregret_update(shifted, stats, eta=0.3, gamma=0.1)
+        b = noregret_update(shifted, stats)
         np.testing.assert_allclose(a.strategy.probs, b.strategy.probs, atol=1e-12)
 
     def test_loss_clip_applies_per_increment(self):
@@ -210,12 +228,13 @@ class TestNoRegretUpdate:
 
 
 class TestBaselineSubtraction:
-    def test_hand_evaluated_offset(self):
+    def test_hand_evaluated_offset(self, monkeypatch):
         # Mean clean SNR 20, delta 1 -> baseline 19; arm 0 at 14 dB gains
         # (19 - 14)/0.5 = +10 loss, unplayed arm 1 unchanged.
         state = init_noregret(2, kappa=0.0, baseline_delta_db=1.0)
         stats = stats_from([14.0, np.nan], snr_db=[20.0, np.nan])
-        nxt = noregret_update(state, stats, eta=0.1, gamma=0.0)
+        pin_schedule(monkeypatch, eta=0.1, gamma=0.0)
+        nxt = noregret_update(state, stats)
         np.testing.assert_allclose(nxt.loss, [10.0, 0.0])
 
     def test_clean_arm_drifts_by_minus_delta(self):
@@ -228,15 +247,14 @@ class TestBaselineSubtraction:
         assert nxt.loss[0] == pytest.approx(-2.0 / 0.25)
         np.testing.assert_allclose(nxt.loss[1:], 0.0)
 
-    def test_no_clean_observation_matches_default(self):
+    def test_no_clean_observation_matches_default(self, monkeypatch):
         # Without any clean-chirp SNR the baseline falls back to zero and
         # the update matches the plain importance-weighted loss.
         stats = stats_from([20.0, np.nan], snr_db=[np.nan, np.nan])
+        pin_schedule(monkeypatch, eta=0.1, gamma=0.0)
         with_base = noregret_update(
-            init_noregret(2, kappa=0.0, baseline_delta_db=1.0),
-            stats, eta=0.1, gamma=0.0)
-        plain = noregret_update(init_noregret(2, kappa=0.0),
-                                stats, eta=0.1, gamma=0.0)
+            init_noregret(2, kappa=0.0, baseline_delta_db=1.0), stats)
+        plain = noregret_update(init_noregret(2, kappa=0.0), stats)
         np.testing.assert_allclose(with_base.loss, plain.loss)
 
     def test_default_state_has_no_baseline(self):
@@ -270,7 +288,7 @@ class TestNashHopper:
         state = init_nash_hopper(0, 2, 2, explore_episodes=1)
         all_stats = [self._explore_stats(2, collided={0: 3.0}),
                      self._explore_stats(2, collided={0: 3.0})]
-        state = nash_explore_update(state, all_stats)
+        state = nash_explore_update(state, all_stats, {})
         table = estimated_table(state)
         assert table.values[0, 0, 0] == pytest.approx(3.0)
         # subband 1 was observed clean, so its collision-free cell holds SNR
@@ -279,7 +297,7 @@ class TestNashHopper:
     def test_all_clean_episode_fills_clean_cells(self):
         state = init_nash_hopper(0, 2, 3, explore_episodes=1)
         state = nash_explore_update(
-            state, [self._explore_stats(3), self._explore_stats(3)])
+            state, [self._explore_stats(3), self._explore_stats(3)], {})
         table = estimated_table(state)
         for i in range(3):
             for j in range(3):
@@ -289,26 +307,26 @@ class TestNashHopper:
     def test_unobserved_collisions_use_pessimistic_floor(self):
         state = init_nash_hopper(0, 2, 2, explore_episodes=1, floor_db=-10.0)
         state = nash_explore_update(
-            state, [self._explore_stats(2), self._explore_stats(2)])
+            state, [self._explore_stats(2), self._explore_stats(2)], {})
         table = estimated_table(state)
         assert table.values[0, 0, 0] == pytest.approx(-10.0)
 
     def test_recomputed_profile_is_distinct_pure_pair(self):
         state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         all_stats = [self._explore_stats(6), self._explore_stats(6)]
-        state = nash_explore_update(state, all_stats)
+        state = nash_explore_update(state, all_stats, {})
         acts = pure_actions(state.profile)
         assert acts is not None and acts[0] != acts[1]
 
     def test_missing_stats_is_communication_error(self):
         state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         with pytest.raises(ValueError):
-            nash_explore_update(state, [self._explore_stats(6)])
+            nash_explore_update(state, [self._explore_stats(6)], {})
 
     def test_commit_requires_exploration_end(self):
         state = init_nash_hopper(0, 2, 6, explore_episodes=2)
         state = nash_explore_update(
-            state, [self._explore_stats(6), self._explore_stats(6)])
+            state, [self._explore_stats(6), self._explore_stats(6)], {})
         assert state.episodes_seen == 1
         with pytest.raises(RuntimeError):
             nash_commit(state)
@@ -316,7 +334,7 @@ class TestNashHopper:
     def test_commit_freezes_own_slice(self):
         state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         state = nash_explore_update(
-            state, [self._explore_stats(6), self._explore_stats(6)])
+            state, [self._explore_stats(6), self._explore_stats(6)], {})
         state = nash_commit(state)
         assert state.committed is not None
         assert pure_action(state.strategy) is not None
@@ -324,7 +342,7 @@ class TestNashHopper:
     def test_symmetric_tie_break_pair(self):
         state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         state = nash_explore_update(
-            state, [self._explore_stats(6), self._explore_stats(6)])
+            state, [self._explore_stats(6), self._explore_stats(6)], {})
         state = nash_commit(state)
         assert pure_actions(state.profile) == (0, 1)
 
@@ -335,7 +353,7 @@ class TestNashHopper:
                              hit_sinr_db=np.full(3, np.nan),
                              count=np.full(3, 5), clean_count=np.full(3, 5),
                              hit_count=np.zeros(3, dtype=int))
-        state = nash_explore_update(state, [stats])
+        state = nash_explore_update(state, [stats], {})
         state = nash_commit(state)
         assert pure_action(state.strategy) == 1
 
@@ -349,7 +367,7 @@ class TestNashHopper:
                 state = nash_explore_update(state, [
                     self._explore_stats(4, snr=rng.uniform(10, 30), collided={
                         int(f): rng.uniform(-5, 15) for f in rng.choice(4, 2)})
-                    for _ in range(2)])
+                    for _ in range(2)], {})
             state = nash_commit(state)
             fresh = solve_nash_welfare_max(estimated_table(state))
             assert state.profile.support_key() == fresh.support_key()
@@ -361,10 +379,10 @@ class TestNashHopper:
     def test_explore_update_after_commit_rejected(self):
         state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         state = nash_explore_update(
-            state, [self._explore_stats(6), self._explore_stats(6)])
+            state, [self._explore_stats(6), self._explore_stats(6)], {})
         state = nash_commit(state)
         with pytest.raises(RuntimeError):
-            nash_explore_update(state, [self._explore_stats(6)] * 2)
+            nash_explore_update(state, [self._explore_stats(6)] * 2, {})
 
 
 class TestEpisodeStatsValidation:

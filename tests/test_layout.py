@@ -1,8 +1,10 @@
-"""Source layout: every definition in the package is used by it.
+"""Source layout: every definition in the package is used by it, and every
+parameter default is overridden by some call in it.
 
 A function, class, method or property that only the tests call belongs
-in ``tests/`` (see ``oracles.py``), so the code the tests check is the
-code the simulator runs; and every oracle there is used by a test.
+in ``tests/`` (see ``oracles.py``), and so does a parameter that only the
+tests pass, so the code the tests check is the code the simulator runs;
+and every oracle there is used by a test.
 """
 import ast
 import sys
@@ -65,6 +67,70 @@ def test_every_definition_is_referenced_in_src():
     unused = [f"{m}.{name}" for m, name in unreferenced_definitions()
               if (m, name) not in ALLOWED]
     assert unused == [], f"defined in src/ but used only outside it: {unused}"
+
+
+def _defaulted(function):
+    """(position or None if keyword-only, name) of each parameter with a default."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def unpassed_parameters():
+    """``module.function.parameter`` for each parameter with a default that
+    no call in src/ outside the function's own body passes.
+
+    The functions and methods are those the definition rule checks. A call
+    reaches a function by its bare name or an attribute access, and a method
+    only by an attribute access, whose positional arguments start after
+    ``self``. A call that unpacks ``*`` or ``**`` passes every parameter.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    out = []
+    for module, tree in trees.items():
+        for qualname, function in _definitions(tree):
+            if isinstance(function, ast.ClassDef):
+                continue
+            method = "." in qualname
+            own = {id(node) for node in ast.walk(function)}
+            reaching = []
+            for call in calls:
+                f = call.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if (name == function.name and id(call) not in own
+                        and (isinstance(f, ast.Attribute) or not method)):
+                    reaching.append(call)
+            for position, param in _defaulted(function):
+                shift = 1 if method and position is not None else 0
+                if not any(any(isinstance(a, ast.Starred) for a in call.args)
+                           or any(k.arg in (None, param) for k in call.keywords)
+                           or (position is not None and position - shift < len(call.args))
+                           for call in reaching):
+                    out.append(f"{module}.{qualname}.{param}")
+    return out
+
+
+# Parameters with a default that no call in src/ passes, each with its reason.
+PARAMETER_ALLOWED = {
+    "cli.main.argv": "the console script calls main() with no argument; "
+                     "None makes argparse read sys.argv",
+}
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    # A default that only a test overrides is a second form of the
+    # function that the simulator never runs.
+    unpassed = [p for p in unpassed_parameters() if p not in PARAMETER_ALLOWED]
+    assert unpassed == [], f"parameters only tests pass: {unpassed}"
+
+
+def test_parameter_allowlist_is_current():
+    assert set(PARAMETER_ALLOWED) <= set(unpassed_parameters())
 
 
 def private_cross_references():

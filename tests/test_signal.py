@@ -18,6 +18,12 @@ def table1_params(pri_s=20e-6, chirps=512):
                            chirps_per_frame=chirps)
 
 
+def detect(samples, noise_power, *args, **kw):
+    """``detect_interference`` in a workspace of its own."""
+    return sig.detect_interference(samples, noise_power, *args, **kw,
+                                   workspace=sig.SampleWorkspace(np.size(samples)))
+
+
 def quadratic_phase_fit(samples, adc_hz):
     """Least-squares fit of unwrapped phase to a + b t + c t^2; returns c."""
     t = np.arange(samples.size) / adc_hz
@@ -267,7 +273,7 @@ class TestDetectInterference:
         for _ in range(1000):
             x = (rng.standard_normal(320) + 1j * rng.standard_normal(320)) \
                 * np.sqrt(0.5)
-            flag, _, _ = sig.detect_interference(x, 1.0)
+            flag, _, _ = detect(x, 1.0)
             flags += flag
         assert flags <= 10
 
@@ -283,20 +289,20 @@ class TestDetectInterference:
             echo = oracles.dechirped_echo(p, tgt, 0, 0.0)
             intf = oracles.dechirped_interference(p, link, source, 0, True, rng)
             x = oracles.compose_received([echo], [intf], 1.0, rng)
-            flag, _, _ = sig.detect_interference(x, 1.0)
+            flag, _, _ = detect(x, 1.0)
             detected += flag
         assert detected >= 0.99 * trials
 
     def test_split_is_a_partition(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        flag, clean, intf = sig.detect_interference(x, 0.01)
+        flag, clean, intf = detect(x, 0.01)
         assert flag and clean > 0 and intf > 0
         np.testing.assert_allclose(clean + intf, np.mean(np.abs(x) ** 2), rtol=1e-12)
 
     def test_factor_validation(self):
         with pytest.raises(ValueError):
-            sig.detect_interference(np.zeros(8, dtype=complex), 1.0, factor=1.0)
+            detect(np.zeros(8, dtype=complex), 1.0, factor=1.0)
 
     @staticmethod
     def mixed_block():
@@ -325,10 +331,10 @@ class TestDetectInterference:
         # exact; a block's per-column mean adds the samples in another
         # order than a 1-D mean does, so the powers agree to rounding.
         block = self.mixed_block()
-        flags, clean, est = sig.detect_interference(block, 1.0)
+        flags, clean, est = detect(block, 1.0)
         assert flags.shape == (40,) and flags.any() and not flags.all()
         for k in range(block.shape[1]):
-            flag_k, clean_k, est_k = sig.detect_interference(block[:, k], 1.0)
+            flag_k, clean_k, est_k = detect(block[:, k], 1.0)
             assert flags[k] == flag_k
             np.testing.assert_allclose(clean[k], clean_k, rtol=1e-12)
             np.testing.assert_allclose(est[k], est_k, rtol=1e-12)
@@ -344,7 +350,7 @@ class TestDetectInterference:
         noise = rng.standard_normal((320, 2000)) + 1j * rng.standard_normal((320, 2000))
         cases += [(noise, 1.1), (noise[:319], 1.1)]
         for x, factor in cases:
-            flags, clean, intf = sig.detect_interference(x, 1.0, factor)
+            flags, clean, intf = detect(x, 1.0, factor)
             ref_flags, ref_clean, ref_est = oracles.detect_interference_samples(x, 1.0, factor)
             np.testing.assert_array_equal(flags, ref_flags)
             np.testing.assert_array_equal(clean, np.mean(np.abs(ref_clean) ** 2, axis=0))
@@ -554,7 +560,8 @@ class TestMeasureEpisode:
             p, targets, phases, subbands, self.K0, amps,
             *sig.noiseless_basis(p, targets, sources, self.NOISE), self.NOISE, rng,
             genie_flags=(weights > 0).any(axis=0) if genie else None,
-            hop_weights=self.hop_weights() if last else None)
+            hop_weights=self.hop_weights() if last else None,
+            workspace=None if genie else sig.SampleWorkspace(self.K * p.n_samples))
 
     def hop_weights(self):
         p, *_, subbands = self.inputs()[:4]
@@ -688,8 +695,9 @@ class TestSampleWorkspace:
             shared, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
             meas, sums = sig.measure_episode(*args, shared, genie_flags=flags,
                                              hop_weights=hop_weights, workspace=ws)
-            ref, ref_sums = sig.measure_episode(*args, fresh, genie_flags=flags,
-                                                hop_weights=hop_weights)
+            ref, ref_sums = sig.measure_episode(
+                *args, fresh, genie_flags=flags, hop_weights=hop_weights,
+                workspace=sig.SampleWorkspace(victim.n_samples * k))
             for field in ("subbands", "clean_power", "interference_power", "flagged"):
                 np.testing.assert_array_equal(getattr(meas, field), getattr(ref, field))
             np.testing.assert_array_equal(sums, ref_sums)
@@ -702,7 +710,7 @@ class TestSampleWorkspace:
         for x in (block, block[:, 3], block[:319], block[:319, 5]):
             before = x.copy()
             got = sig.detect_interference(x, 1.0, workspace=ws)
-            for a, b in zip(got, sig.detect_interference(x, 1.0)):
+            for a, b in zip(got, detect(x, 1.0)):
                 np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(x, before)
 

@@ -161,7 +161,8 @@ class TestValidateConfig:
                                 np.zeros((0, ch.chirps_per_frame)),
                                 *sig.noiseless_basis(ch, (tgt,), [], 1.0), 1.0,
                                 np.random.default_rng(0),
-                                genie_flags=np.zeros(ch.chirps_per_frame, dtype=bool))
+                                genie_flags=np.zeros(ch.chirps_per_frame, dtype=bool),
+                                workspace=None)
             fails = False
         except ValueError:
             fails = True
@@ -537,7 +538,7 @@ class TestNashSolveSharing:
                 # Reference: every agent solves its own table, no sharing.
                 mp.setattr(sim, "nash_explore_update",
                            lambda state, all_stats, solved:
-                           hopping.nash_explore_update(state, all_stats))
+                           hopping.nash_explore_update(state, all_stats, {}))
             return run_scenario(cfg), len(calls)
 
     def nash_config(self, floors):
@@ -691,9 +692,9 @@ class TestFinalFrameProfiles:
             actions.append(subbands.copy())
             return measure(params, targets, target_phases, subbands, *args, **kw)
 
-        def recording_detect(samples, *args):
+        def recording_detect(samples, *args, **kw):
             blocks.append(samples.copy())
-            return detect(samples, *args)
+            return detect(samples, *args, **kw)
 
         monkeypatch.setattr(sig, "measure_episode", recording_measure)
         monkeypatch.setattr(sig, "detect_interference", recording_detect)
