@@ -48,6 +48,24 @@ class SolverIncompleteError(RuntimeError):
     """No equilibrium was found within the solver's mode."""
 
 
+def check_simplex(probs) -> np.ndarray:
+    """``probs`` as floats whose last axis holds probability vectors, clipped at 0.
+
+    Raises ValueError unless every entry is finite, none is below
+    -PROB_ATOL, and every vector sums to 1 within PROB_ATOL.
+    """
+    p = np.asarray(probs, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("strategy entries must be finite")
+    if np.any(p < -PROB_ATOL):
+        raise ValueError("strategy has negative entries")
+    sums = p.sum(axis=-1)
+    off = np.abs(sums - 1.0) > PROB_ATOL
+    if np.any(off):
+        raise ValueError(f"strategy sums to {sums[off].flat[0]!r}, not 1")
+    return np.clip(p, 0.0, None)
+
+
 @dataclass(frozen=True)
 class MixedStrategy:
     """Probability distribution over subband indices."""
@@ -55,17 +73,9 @@ class MixedStrategy:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size < 1:
+        if np.ndim(self.probs) != 1 or np.size(self.probs) < 1:
             raise ValueError("strategy must be a non-empty 1-D probability vector")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("strategy entries must be finite")
-        if np.any(p < -PROB_ATOL):
-            raise ValueError("strategy has negative entries")
-        if abs(p.sum() - 1.0) > PROB_ATOL:
-            raise ValueError(f"strategy sums to {p.sum()!r}, not 1")
-        p = np.clip(p, 0.0, None)
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", check_simplex(self.probs))
 
     @property
     def n_subbands(self) -> int:
@@ -376,19 +386,23 @@ def external_regret(per_arm: np.ndarray, actions: np.ndarray) -> np.ndarray:
     return arm_cum.max(axis=0)
 
 
-def empirical_joint(actions, n_subbands: int) -> JointDistribution:
-    """Empirical distribution of the joint actions played.
+def empirical_joint(actions, n_subbands: int) -> tuple[JointDistribution, np.ndarray]:
+    """Empirical distribution of the joint actions played, and each step's support row.
 
     ``actions`` has one row per step (at least one) and one column per
-    radar; the support comes back in C order.
+    radar; the support comes back in C order. The second result gives,
+    per step, the index of its joint action among the support rows.
     """
     actions = np.asarray(actions, dtype=int)
     if actions.ndim != 2 or actions.shape[0] < 1:
         raise ValueError("need a (steps, radars) array of joint actions with steps >= 1")
     # Same as np.unique(actions, axis=0, return_counts=True), which sorts
     # structured rows about 7x slower than this lexsort at 2 radars.
-    ordered = actions[np.lexsort(actions.T[::-1])]  # first radar is the primary key
+    order = np.lexsort(actions.T[::-1])  # first radar is the primary key
+    ordered = actions[order]
     first = np.ones(len(ordered), dtype=bool)
     first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
     counts = np.diff(np.flatnonzero(np.append(first, True)))
-    return JointDistribution(ordered[first], counts / len(actions), n_subbands)
+    support_row = np.empty(len(actions), dtype=int)
+    support_row[order] = np.cumsum(first) - 1
+    return JointDistribution(ordered[first], counts / len(actions), n_subbands), support_row

@@ -1,15 +1,17 @@
-"""Per-radar subband schedulers.
+"""Subband schedulers.
 
 Four policies: a uniform baseline, a fixed subband, an
 explore-then-commit equilibrium seeker that needs inter-radar stat
 exchange, and a model-free exponential-weights learner with
 importance-weighted losses. The first two are a fixed ``MixedStrategy``;
 the other two keep a state that is updated once per episode and is
-deterministic given its inputs and a seeded random source.
+deterministic given its inputs and a seeded random source. One
+``NoRegretState`` holds every exponential-weights radar of a run as
+rows of (radars, subbands) arrays and steps them together.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from .game import (
     MixedStrategy,
     StrategyProfile,
     UtilityTable,
+    check_simplex,
     solve_nash_welfare_max,
 )
 
@@ -33,13 +36,13 @@ DEFAULT_KAPPA = 0.04
 
 @dataclass(frozen=True)
 class EpisodeStats:
-    """Windowed per-subband estimates for one episode at one radar.
+    """Windowed per-subband estimates of one episode, one row per radar.
 
-    Entries are NaN wherever the corresponding count is zero: missing
-    data is encoded as absent, never as 0 dB. ``sinr_db`` averages every
-    chirp at the subband (interference present or not), ``snr_db`` only
-    the interference-free ones, ``hit_sinr_db`` only the chirps where
-    interference was detected.
+    Every field has shape (radars, subbands). Entries are NaN wherever the
+    corresponding count is zero: missing data is encoded as absent, never
+    as 0 dB. ``sinr_db`` averages every chirp at the subband (interference
+    present or not), ``snr_db`` only the interference-free ones,
+    ``hit_sinr_db`` only the chirps where interference was detected.
     """
 
     sinr_db: np.ndarray
@@ -52,48 +55,36 @@ class EpisodeStats:
     def __post_init__(self):
         arrays = (self.sinr_db, self.snr_db, self.hit_sinr_db,
                   self.count, self.clean_count, self.hit_count)
-        if len({np.asarray(a).shape for a in arrays}) != 1:
-            raise ValueError("per-subband arrays must share one shape")
+        shapes = {np.shape(a) for a in arrays}
+        if len(shapes) != 1 or len(shapes.pop()) != 2:
+            raise ValueError("per-subband arrays must share one (radars, subbands) shape")
+        for name in ("sinr_db", "snr_db", "hit_sinr_db", "count", "clean_count", "hit_count"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
         for name in ("count", "clean_count", "hit_count"):
-            if np.any(np.asarray(getattr(self, name)) < 0):
+            if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name} has negative entries")
 
-    @property
-    def n_subbands(self) -> int:
-        return np.asarray(self.count).size
 
-
-def schedule_params(tau: int, n_subbands: int, c_eta: float = 1.0,
-                    c_gamma: float = 1.0) -> tuple[float, float]:
+def schedule_params(tau: int, n_subbands: int, c_eta=1.0, c_gamma=1.0):
     """Learning rate and exploration mix for episode tau (1-based).
 
-    Both decay as sqrt(log A / (tau * A)); the exploration share is
-    clamped to 1.
+    Both decay as sqrt(log A / (tau * A)), scaled by ``c_eta`` and
+    ``c_gamma`` (scalars, or one entry per radar); the exploration share
+    is clamped to 1.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
     if n_subbands < 2:
         raise ValueError("need at least two subbands")
-    if c_eta <= 0 or c_gamma <= 0:
+    if np.any(np.asarray(c_eta) <= 0) or np.any(np.asarray(c_gamma) <= 0):
         raise ValueError("scales must be positive")
     base = np.sqrt(np.log(n_subbands) / (tau * n_subbands))
-    return c_eta * base, min(1.0, c_gamma * base)
+    return c_eta * base, np.minimum(1.0, c_gamma * base)
 
 
-def hard_threshold(p: MixedStrategy, kappa: float) -> MixedStrategy:
-    """Zero entries at or below kappa, then renormalize."""
-    n = p.n_subbands
-    if not 0.0 <= kappa < 1.0 / n:
-        raise ValueError(f"kappa must lie in [0, 1/{n})")
-    keep = p.probs > kappa
-    if not np.any(keep):
-        raise ValueError("thresholding removed every subband")
-    q = np.where(keep, p.probs, 0.0)
-    return MixedStrategy(q / q.sum())
-
-
-def sample_subbands(p: MixedStrategy, rng: np.random.Generator, size: int) -> np.ndarray:
-    return rng.choice(p.n_subbands, size=size, p=p.probs)
+def sample_subbands(probs: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` subbands drawn from one radar's probability vector."""
+    return rng.choice(probs.size, size=size, p=probs)
 
 
 def uniform_policy(n_subbands: int) -> MixedStrategy:
@@ -102,41 +93,78 @@ def uniform_policy(n_subbands: int) -> MixedStrategy:
     return MixedStrategy(np.full(n_subbands, 1.0 / n_subbands))
 
 
+# The per-radar parameters of a ``NoRegretState``, one (m,) array each.
+NOREGRET_PARAMS = ("c_eta", "c_gamma", "kappa", "loss_clip_db", "baseline_delta_db")
+
+
 @dataclass(frozen=True)
 class NoRegretState:
-    """Exponential-weights learner state for one radar."""
+    """Exponential-weights learner state of a run's m ``noregret`` radars.
 
+    Row r of ``loss`` and ``probs`` (m, A) belongs to the radar whose row
+    in the episode's ``EpisodeStats`` is ``radars[r]``. Each parameter of
+    ``NOREGRET_PARAMS`` is an (m,) array; a ``baseline_delta_db`` of NaN
+    leaves that radar's baseline off. The radars step together, so they
+    share ``tau``.
+    """
+
+    radars: np.ndarray
     loss: np.ndarray
-    strategy: MixedStrategy
+    probs: np.ndarray
+    c_eta: np.ndarray
+    c_gamma: np.ndarray
+    kappa: np.ndarray
+    loss_clip_db: np.ndarray
+    baseline_delta_db: np.ndarray
     tau: int = 1
-    c_eta: float = 1.0
-    c_gamma: float = 1.0
-    kappa: float = DEFAULT_KAPPA
-    loss_clip_db: float = DEFAULT_LOSS_CLIP_DB
-    baseline_delta_db: float | None = None
 
     def __post_init__(self):
+        probs = check_simplex(self.probs)
+        if probs.ndim != 2 or probs.shape[1] < 1:
+            raise ValueError("strategies must be (radars, subbands) probability rows")
         loss = np.asarray(self.loss, dtype=float)
-        if loss.shape != (self.strategy.n_subbands,):
-            raise ValueError("loss vector does not match the strategy length")
+        if loss.shape != probs.shape:
+            raise ValueError("loss rows do not match the strategy rows")
         if not np.all(np.isfinite(loss)):
             raise ValueError("loss entries must be finite")
-        object.__setattr__(self, "loss", loss)
+        m, n = probs.shape
+        radars = np.asarray(self.radars)
+        if radars.shape != (m,) or radars.dtype.kind not in "iu":
+            raise ValueError("need one integer stats row per radar")
+        params = {name: np.asarray(getattr(self, name), dtype=float) for name in NOREGRET_PARAMS}
+        if any(v.shape != (m,) for v in params.values()):
+            raise ValueError(f"need one value per radar of each of {NOREGRET_PARAMS}")
+        if not np.all((params["kappa"] >= 0.0) & (params["kappa"] < 1.0 / n)):
+            raise ValueError(f"kappa must lie in [0, 1/{n})")
+        for name, value in dict(params, radars=radars, loss=loss, probs=probs).items():
+            object.__setattr__(self, name, value)
 
 
-def init_noregret(n_subbands: int, **kwargs) -> NoRegretState:
-    return NoRegretState(loss=np.zeros(n_subbands),
-                         strategy=uniform_policy(n_subbands), **kwargs)
+def init_noregret(n_subbands: int, params: dict) -> NoRegretState:
+    """Zero loss and uniform play for each radar of ``params``.
+
+    ``params`` maps a radar's row in the episode stats to its values of
+    ``NOREGRET_PARAMS``; a ``baseline_delta_db`` of None leaves its
+    baseline off.
+    """
+    m = len(params)
+    columns = {name: [np.nan if p[name] is None else p[name] for p in params.values()]
+               for name in NOREGRET_PARAMS}
+    return NoRegretState(radars=np.fromiter(params, dtype=int, count=m),
+                         loss=np.zeros((m, n_subbands)),
+                         probs=np.full((m, n_subbands), 1.0 / n_subbands), **columns)
 
 
 def noregret_update(state: NoRegretState, stats: EpisodeStats) -> NoRegretState:
-    """One exponential-weights step, on the ``schedule_params`` schedule, after an episode.
+    """One exponential-weights step of every radar, on the ``schedule_params`` schedule.
 
     Subbands played this episode accumulate the importance-weighted loss
     -SINR_db / p(f); unplayed subbands are left unchanged (the 1/p factor
     already makes the played-arm increment an unbiased loss estimate).
+    The new strategy is then thresholded: entries at or below the radar's
+    ``kappa`` are zeroed and the rest renormalized.
 
-    When ``baseline_delta_db`` is set, the episode's mean clean-chirp SNR
+    Where ``baseline_delta_db`` is set, the episode's mean clean-chirp SNR
     minus that offset is subtracted from each SINR before weighting. The
     baseline removes the common loss drift shared by interference-free
     subbands (a control variate; softmax is invariant to constant loss
@@ -144,31 +172,39 @@ def noregret_update(state: NoRegretState, stats: EpisodeStats) -> NoRegretState:
     leaves a uniform negative drift that favours low-probability subbands,
     so a subband eliminated by an unlucky estimate can re-enter while
     persistently interfered subbands still accumulate relative loss.
+
+    Each step is elementwise or reduces along one radar's row, so every
+    row comes out bit for bit as a one-radar update gives it. The
+    baseline is each radar's own ``np.mean`` of its observed SNRs: from 8
+    subbands on, a zero-filled row sum groups numpy's additions differently.
     """
-    n = state.strategy.n_subbands
-    if stats.n_subbands != n:
+    probs, rows = state.probs, state.radars
+    m, n = probs.shape
+    if stats.count.shape[1] != n:
         raise ValueError("stats do not match the strategy length")
-    played = np.asarray(stats.count) > 0
-    probs = state.strategy.probs
+    played = stats.count[rows] > 0
     if np.any(played & (probs <= 0.0)):
         raise RuntimeError("subband reported as played but had probability 0")
+    base = np.zeros(m)
+    snr = stats.snr_db[rows]
+    observed = np.isfinite(snr)
+    for r in np.flatnonzero(~np.isnan(state.baseline_delta_db) & observed.any(axis=1)):
+        base[r] = np.mean(snr[r, observed[r]]) - state.baseline_delta_db[r]
+    inc = (base[:, None] - stats.sinr_db[rows])[played] / probs[played]
+    clip = np.broadcast_to(state.loss_clip_db[:, None], (m, n))[played]
     loss = state.loss.copy()
-    base = 0.0
-    if state.baseline_delta_db is not None:
-        snr = np.asarray(stats.snr_db)
-        observed = np.isfinite(snr)
-        if np.any(observed):
-            base = float(np.mean(snr[observed])) - state.baseline_delta_db
-    inc = (base - np.asarray(stats.sinr_db)[played]) / probs[played]
-    loss[played] += np.clip(inc, -state.loss_clip_db, state.loss_clip_db)
+    loss[played] += np.clip(inc, -clip, clip)
     eta, gamma = schedule_params(state.tau, n, state.c_eta, state.c_gamma)
-    z = -eta * loss
-    z -= z.max()  # softmax shift invariance keeps exp() bounded
+    z = -eta[:, None] * loss
+    z -= z.max(axis=1, keepdims=True)  # softmax shift invariance keeps exp() bounded
     w = np.exp(z)
-    p_tilde = w / w.sum()
-    p = (1.0 - gamma) * p_tilde + gamma / n
-    nxt = hard_threshold(MixedStrategy(p), state.kappa)
-    return replace(state, loss=loss, strategy=nxt, tau=state.tau + 1)
+    p = check_simplex((1.0 - gamma[:, None]) * (w / w.sum(axis=1, keepdims=True))
+                      + (gamma / n)[:, None])
+    keep = p > state.kappa[:, None]
+    if not np.all(np.any(keep, axis=1)):
+        raise ValueError("thresholding removed every subband")
+    q = np.where(keep, p, 0.0)
+    return replace(state, loss=loss, probs=q / q.sum(axis=1, keepdims=True), tau=state.tau + 1)
 
 
 @dataclass(frozen=True)
@@ -231,27 +267,24 @@ def estimated_table(state: NashHopperState) -> UtilityTable:
     return UtilityTable(values)
 
 
-def nash_explore_update(state: NashHopperState, all_stats, solved: dict) -> NashHopperState:
+def nash_explore_update(state: NashHopperState, all_stats: EpisodeStats,
+                        solved: dict) -> NashHopperState:
     """Fold one episode of exchanged stats and re-solve the welfare-max NE.
 
-    ``solved`` maps (table values, solver mode) to the profile already
-    solved for that key. Radars that pass the same dict for one episode
-    build the same table from the common-knowledge stats whenever their
-    floor and mode agree, and then share a single solve.
+    ``all_stats`` holds every radar's row. ``solved`` maps (table values,
+    solver mode) to the profile already solved for that key. Radars that
+    pass the same dict for one episode build the same table from the
+    common-knowledge stats whenever their floor and mode agree, and then
+    share a single solve.
     """
     if state.committed is not None:
         raise RuntimeError("explore update after commit")
-    if len(all_stats) != state.n_players:
+    if all_stats.count.shape[0] != state.n_players:
         raise ValueError(
-            f"need stats from all {state.n_players} radars, got {len(all_stats)}"
+            f"need stats from all {state.n_players} radars, got {all_stats.count.shape[0]}"
         )
-    snr = state.snr_est_db.copy()
-    hit = state.hit_sinr_est_db.copy()
-    for i, st in enumerate(all_stats):
-        clean = np.asarray(st.clean_count) > 0
-        snr[i, clean] = np.asarray(st.snr_db)[clean]
-        hits = np.asarray(st.hit_count) > 0
-        hit[i, hits] = np.asarray(st.hit_sinr_db)[hits]
+    snr = np.where(all_stats.clean_count > 0, all_stats.snr_db, state.snr_est_db)
+    hit = np.where(all_stats.hit_count > 0, all_stats.hit_sinr_db, state.hit_sinr_est_db)
     nxt = replace(state, snr_est_db=snr, hit_sinr_est_db=hit,
                   episodes_seen=state.episodes_seen + 1)
     table = estimated_table(nxt)

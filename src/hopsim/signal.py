@@ -304,34 +304,45 @@ def measure_episode(params: ChirpParams, targets, target_phases, subbands: np.nd
                              flagged=flags, noise_power=noise_power), sums
 
 
-def estimate_episode_sinr(meas: ChirpMeasurements, n_subbands: int,
-                          db_average: bool = False) -> EpisodeStats:
-    """Per-subband windowed SINR/SNR means over one episode.
+def estimate_episode_sinr(meas: list[ChirpMeasurements], n_subbands: int,
+                          db_average: bool) -> EpisodeStats:
+    """Per-radar, per-subband windowed SINR/SNR means over one episode.
 
-    Averages are taken over linear per-chirp ratios and then converted to
-    dB (set ``db_average`` to average the dB values instead). Subbands
-    with no chirps carry NaN, never zero.
+    ``meas`` holds one ``ChirpMeasurements`` per radar; row i of every
+    returned field belongs to ``meas[i]``. Averages are taken over linear
+    per-chirp ratios and then converted to dB (set ``db_average`` to
+    average the dB values instead). Subbands with no chirps carry NaN,
+    never zero. Each statistic is one ``np.bincount`` over the bins
+    radar * A + subband; a bin adds its chirps in their order, as a
+    one-radar bincount over the same chirps does.
     """
-    sub = np.asarray(meas.subbands, dtype=int)
-    flagged = np.asarray(meas.flagged, dtype=bool)
-    per_sinr = np.asarray(meas.clean_power) / (
-        np.asarray(meas.interference_power) + meas.noise_power)
-    per_snr = np.asarray(meas.clean_power) / meas.noise_power
+    sizes = [np.size(m.subbands) for m in meas]
+    sub = np.concatenate([m.subbands for m in meas])
+    if np.any((sub < 0) | (sub >= n_subbands)):
+        raise ValueError(f"chirp subbands must lie in [0, {n_subbands})")
+    bins = sub + np.repeat(np.arange(len(meas)) * n_subbands, sizes)
+    flagged = np.concatenate([m.flagged for m in meas]).astype(bool, copy=False)
+    clean = np.concatenate([m.clean_power for m in meas])
+    noise = np.repeat([m.noise_power for m in meas], sizes)
+    per_sinr = clean / (np.concatenate([m.interference_power for m in meas]) + noise)
+    per_snr = clean / noise
+    shape = (len(meas), n_subbands)
 
-    def mean_by_subband(values, mask):
-        counts = np.bincount(sub[mask], minlength=n_subbands)
-        out = np.full(n_subbands, np.nan)
+    def mean_by_bin(b, values):
+        counts = np.bincount(b, minlength=shape[0] * shape[1])
+        out = np.full(counts.size, np.nan)
         if db_average:
             values = 10.0 * np.log10(np.maximum(values, 1e-300))
-        sums = np.bincount(sub[mask], weights=values[mask], minlength=n_subbands)
+        sums = np.bincount(b, weights=values, minlength=counts.size)
         nz = counts > 0
         means = sums[nz] / counts[nz]
         out[nz] = means if db_average else 10.0 * np.log10(np.maximum(means, 1e-300))
-        return out, counts
+        return out.reshape(shape), counts.reshape(shape)
 
-    sinr_db, count = mean_by_subband(per_sinr, np.ones_like(flagged))
-    snr_db, clean_count = mean_by_subband(per_snr, ~flagged)
-    hit_sinr_db, hit_count = mean_by_subband(per_sinr, flagged)
+    clean_chirp = ~flagged
+    sinr_db, count = mean_by_bin(bins, per_sinr)
+    snr_db, clean_count = mean_by_bin(bins[clean_chirp], per_snr[clean_chirp])
+    hit_sinr_db, hit_count = mean_by_bin(bins[flagged], per_sinr[flagged])
     return EpisodeStats(sinr_db=sinr_db, snr_db=snr_db, hit_sinr_db=hit_sinr_db,
                         count=count, clean_count=clean_count, hit_count=hit_count)
 

@@ -19,7 +19,6 @@ from .game import (
     SUPPORT_PAIR_GUARD,
     TABLE_CELL_GUARD,
     JointDistribution,
-    MixedStrategy,
     empirical_joint,
     external_regret,
     cce_deviation_gap,
@@ -29,8 +28,6 @@ from .hopping import (
     DEFAULT_KAPPA,
     DEFAULT_LOSS_CLIP_DB,
     DEFAULT_PESSIMISTIC_FLOOR_DB,
-    NashHopperState,
-    NoRegretState,
     init_nash_hopper,
     init_noregret,
     nash_commit,
@@ -405,28 +402,11 @@ def genie_utility_table(config: ScenarioConfig, rows: np.ndarray,
     return 10.0 * np.log10(snr_lin / (load.reshape(s, a) + 1.0))
 
 
-def _initial_state(spec: RadarSpec, player: int, n_players: int):
-    """The radar's policy state: a fixed ``MixedStrategy``, or a learner state."""
-    a = spec.chirp.n_subbands
-    params = _resolved_params(spec)
+def _initial_probs(spec: RadarSpec) -> np.ndarray:
+    """The radar's strategy for the first episode: pure for ``fixed``, else uniform."""
     if spec.policy == "fixed":
-        return pure_strategy(params["subband"], a)
-    if spec.policy == "noregret":
-        return init_noregret(a, **params)
-    if spec.policy == "nash":
-        return init_nash_hopper(player, n_players, a, **params)
-    return uniform_policy(a)
-
-
-def _next_state(state, own_stats, all_stats, solved: dict):
-    """The radar's policy state after one episode; a ``MixedStrategy`` stays."""
-    if isinstance(state, NoRegretState):
-        return noregret_update(state, own_stats)
-    if isinstance(state, NashHopperState) and state.committed is None:
-        state = nash_explore_update(state, all_stats, solved)
-        if state.episodes_seen == state.explore_episodes:
-            state = nash_commit(state)
-    return state
+        return pure_strategy(spec.policy_params["subband"], spec.chirp.n_subbands).probs
+    return uniform_policy(spec.chirp.n_subbands).probs
 
 
 @dataclass
@@ -466,7 +446,14 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
         for seq in root.spawn(n_radars)
     ]
 
-    states = [_initial_state(spec, i, n_radars) for i, spec in enumerate(config.radars)]
+    # Every radar's strategy for the coming episode. Rows of ``fixed`` and
+    # ``uniform`` radars never change; the others follow their learners.
+    probs = np.array([_initial_probs(spec) for spec in config.radars])
+    learners = {i: _resolved_params(spec) for i, spec in enumerate(config.radars)
+                if spec.policy == "noregret"}
+    noregret = init_noregret(a, learners) if learners else None
+    nash = {i: init_nash_hopper(i, n_radars, a, **_resolved_params(spec))
+            for i, spec in enumerate(config.radars) if spec.policy == "nash"}
 
     inr_lin = _link_inr_lin(config)
     sources = [[j for j in range(n_radars) if (i, j) in inr_lin] for i in range(n_radars)]
@@ -483,7 +470,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     strategies = np.zeros((episodes, n_radars, a))
     interference_rate = np.zeros((episodes, n_radars))
     mean_sinr_db = np.zeros((episodes, n_radars))
-    aligned_frames = []
+    aligned = np.empty((config.frames * s_frame, n_radars), dtype=int)  # common chirp clock
     hop_sums = [0] * n_radars  # each radar's final-frame hop sums, (N_s, A)
     # Detector mode synthesizes every episode: one workspace serves them all.
     workspace = None if config.genie_detection else sig.SampleWorkspace(
@@ -498,14 +485,13 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
         frame_actions = [np.empty(k, dtype=int) for k in k_frame]
         for ep in range(t_ep):
             e = frame * t_ep + ep
+            strategies[e] = probs
             acts = []
-            for i, state in enumerate(states):
-                strategy = state if isinstance(state, MixedStrategy) else state.strategy
-                strategies[e, i] = strategy.probs
-                acts.append(sample_subbands(strategy, rngs[i]["action"], k_ep[i]))
+            for i in range(n_radars):
+                acts.append(sample_subbands(probs[i], rngs[i]["action"], k_ep[i]))
                 frame_actions[i][ep * k_ep[i]:(ep + 1) * k_ep[i]] = acts[i]
 
-            all_stats = []
+            meas_all = []
             for i, spec in enumerate(config.radars):
                 weights = _link_weights(link_groups[i], acts, i)
                 # One phase per link and chirp keeps the draw order; a chirp
@@ -525,39 +511,51 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                     detection_factor=config.detection_factor, workspace=workspace)
                 if last:  # the final frame feeds the range profile through its hop sums
                     hop_sums[i] += sums
-                all_stats.append(sig.estimate_episode_sinr(meas, a, config.db_average))
+                meas_all.append(meas)
                 interference_rate[e, i] = float(np.mean(meas.flagged))
-                mean_sinr_db[e, i] = 10.0 * np.log10(
-                    np.mean(meas.clean_power / (meas.interference_power + noise)))
+                # Floored as the estimator floors: in detector mode every
+                # sample of a chirp can lie above the threshold.
+                mean_sinr_db[e, i] = 10.0 * np.log10(np.maximum(
+                    np.mean(meas.clean_power / (meas.interference_power + noise)), 1e-300))
 
+            stats = sig.estimate_episode_sinr(meas_all, a, config.db_average)
+            if noregret is not None:
+                noregret = noregret_update(noregret, stats)
+                probs[noregret.radars] = noregret.probs
             solved = {}  # one Nash solve per distinct estimated table
-            states = [_next_state(state, stats, all_stats, solved)
-                      for state, stats in zip(states, all_stats)]
+            for i, state in nash.items():
+                if state.committed is None:
+                    state = nash_explore_update(state, stats, solved)
+                    if state.episodes_seen == state.explore_episodes:
+                        state = nash_commit(state)
+                    nash[i] = state
+                    probs[i] = state.strategy.probs
 
         step_idx = [
             (np.arange(s_frame) * k_frame[i]) // s_frame for i in range(n_radars)
         ]
-        aligned_frames.append(np.stack(
-            [frame_actions[i][step_idx[i]] for i in range(n_radars)], axis=1))
+        for i in range(n_radars):
+            aligned[frame * s_frame:(frame + 1) * s_frame, i] = frame_actions[i][step_idx[i]]
 
     del workspace
     profiles = {i: sig.range_profile_at_velocity(
         sig.range_fft(hop_sums[i]), np.arange(a) * ch.subband_hz, np.arange(ch.n_samples // 2),
         sig.default_eps_grid(ch), ch) for i, ch in enumerate(chirps)}
-    aligned = np.concatenate(aligned_frames, axis=0)  # (steps, radars)
-    joint = empirical_joint(aligned, a)
+    joint, support_row = empirical_joint(aligned, a)
 
-    # Regret after the last aligned step of every episode.
+    # Regret after the last aligned step of every episode. A step's
+    # utilities depend only on its joint action, so they are evaluated on
+    # the support rows and gathered to the steps, value for value.
     bounds = np.arange(1, episodes + 1) * (s_frame // t_ep) - 1
     cumulative_regret = np.zeros((episodes, n_radars))
     ext_regret = np.zeros(n_radars)
     cce_gap = np.zeros(n_radars)
     for i in range(n_radars):
-        running = external_regret(genie_utility_table(config, aligned, i), aligned[:, i])
+        per_arm = genie_utility_table(config, joint.rows, i)
+        running = external_regret(per_arm[support_row], aligned[:, i])
         cumulative_regret[:, i] = running[bounds]
         ext_regret[i] = running[-1]
-        cce_gap[i] = cce_deviation_gap(
-            joint, genie_utility_table(config, joint.rows, i), i)
+        cce_gap[i] = cce_deviation_gap(joint, per_arm, i)
 
     return RunMetrics(
         strategies=strategies,

@@ -18,6 +18,7 @@ import numpy as np
 import yaml
 
 import hopsim
+import hopsim.hopping as hopping
 import hopsim.signal as sig
 from hopsim.cli import (
     RunManifest,
@@ -353,6 +354,154 @@ class EpisodeSchedule:
 
 def sample_subband(p: MixedStrategy, rng: np.random.Generator) -> int:
     return int(rng.choice(p.n_subbands, p=p.probs))
+
+
+@dataclass(frozen=True)
+class RadarEpisodeStats:
+    """One radar's row of ``hopping.EpisodeStats``: (A,) per-subband estimates."""
+
+    sinr_db: np.ndarray
+    snr_db: np.ndarray
+    hit_sinr_db: np.ndarray
+    count: np.ndarray
+    clean_count: np.ndarray
+    hit_count: np.ndarray
+
+    def __post_init__(self):
+        arrays = (self.sinr_db, self.snr_db, self.hit_sinr_db,
+                  self.count, self.clean_count, self.hit_count)
+        if len({np.asarray(a).shape for a in arrays}) != 1:
+            raise ValueError("per-subband arrays must share one shape")
+        for name in ("count", "clean_count", "hit_count"):
+            if np.any(np.asarray(getattr(self, name)) < 0):
+                raise ValueError(f"{name} has negative entries")
+
+    @property
+    def n_subbands(self) -> int:
+        return np.asarray(self.count).size
+
+
+def estimate_episode_sinr(meas: sig.ChirpMeasurements, n_subbands: int,
+                          db_average: bool = False) -> RadarEpisodeStats:
+    """One radar's per-subband windowed SINR/SNR means over one episode."""
+    sub = np.asarray(meas.subbands, dtype=int)
+    flagged = np.asarray(meas.flagged, dtype=bool)
+    per_sinr = np.asarray(meas.clean_power) / (
+        np.asarray(meas.interference_power) + meas.noise_power)
+    per_snr = np.asarray(meas.clean_power) / meas.noise_power
+
+    def mean_by_subband(values, mask):
+        counts = np.bincount(sub[mask], minlength=n_subbands)
+        out = np.full(n_subbands, np.nan)
+        if db_average:
+            values = 10.0 * np.log10(np.maximum(values, 1e-300))
+        sums = np.bincount(sub[mask], weights=values[mask], minlength=n_subbands)
+        nz = counts > 0
+        means = sums[nz] / counts[nz]
+        out[nz] = means if db_average else 10.0 * np.log10(np.maximum(means, 1e-300))
+        return out, counts
+
+    sinr_db, count = mean_by_subband(per_sinr, np.ones_like(flagged))
+    snr_db, clean_count = mean_by_subband(per_snr, ~flagged)
+    hit_sinr_db, hit_count = mean_by_subband(per_sinr, flagged)
+    return RadarEpisodeStats(sinr_db=sinr_db, snr_db=snr_db, hit_sinr_db=hit_sinr_db,
+                             count=count, clean_count=clean_count, hit_count=hit_count)
+
+
+def stack_stats(rows) -> hopping.EpisodeStats:
+    """``hopping.EpisodeStats`` whose row i is ``rows[i]``."""
+    return hopping.EpisodeStats(**{
+        name: np.array([getattr(r, name) for r in rows])
+        for name in ("sinr_db", "snr_db", "hit_sinr_db", "count", "clean_count", "hit_count")})
+
+
+def radar_stats(stats: hopping.EpisodeStats, i: int) -> RadarEpisodeStats:
+    """Row i of stacked stats."""
+    return RadarEpisodeStats(stats.sinr_db[i], stats.snr_db[i], stats.hit_sinr_db[i],
+                             stats.count[i], stats.clean_count[i], stats.hit_count[i])
+
+
+def hard_threshold(p: MixedStrategy, kappa: float) -> MixedStrategy:
+    """Zero entries at or below kappa, then renormalize."""
+    n = p.n_subbands
+    if not 0.0 <= kappa < 1.0 / n:
+        raise ValueError(f"kappa must lie in [0, 1/{n})")
+    keep = p.probs > kappa
+    if not np.any(keep):
+        raise ValueError("thresholding removed every subband")
+    q = np.where(keep, p.probs, 0.0)
+    return MixedStrategy(q / q.sum())
+
+
+@dataclass(frozen=True)
+class RadarNoRegretState:
+    """Exponential-weights learner state for one radar."""
+
+    loss: np.ndarray
+    strategy: MixedStrategy
+    tau: int = 1
+    c_eta: float = 1.0
+    c_gamma: float = 1.0
+    kappa: float = hopping.DEFAULT_KAPPA
+    loss_clip_db: float = hopping.DEFAULT_LOSS_CLIP_DB
+    baseline_delta_db: float | None = None
+
+    def __post_init__(self):
+        loss = np.asarray(self.loss, dtype=float)
+        if loss.shape != (self.strategy.n_subbands,):
+            raise ValueError("loss vector does not match the strategy length")
+        if not np.all(np.isfinite(loss)):
+            raise ValueError("loss entries must be finite")
+        object.__setattr__(self, "loss", loss)
+
+
+def noregret_update(state: RadarNoRegretState, stats: RadarEpisodeStats) -> RadarNoRegretState:
+    """One radar's exponential-weights step, on ``hopping.schedule_params``."""
+    n = state.strategy.n_subbands
+    if stats.n_subbands != n:
+        raise ValueError("stats do not match the strategy length")
+    played = np.asarray(stats.count) > 0
+    probs = state.strategy.probs
+    if np.any(played & (probs <= 0.0)):
+        raise RuntimeError("subband reported as played but had probability 0")
+    loss = state.loss.copy()
+    base = 0.0
+    if state.baseline_delta_db is not None:
+        snr = np.asarray(stats.snr_db)
+        observed = np.isfinite(snr)
+        if np.any(observed):
+            base = float(np.mean(snr[observed])) - state.baseline_delta_db
+    inc = (base - np.asarray(stats.sinr_db)[played]) / probs[played]
+    loss[played] += np.clip(inc, -state.loss_clip_db, state.loss_clip_db)
+    eta, gamma = hopping.schedule_params(state.tau, n, state.c_eta, state.c_gamma)
+    z = -eta * loss
+    z -= z.max()  # softmax shift invariance keeps exp() bounded
+    w = np.exp(z)
+    p_tilde = w / w.sum()
+    p = (1.0 - gamma) * p_tilde + gamma / n
+    nxt = hard_threshold(MixedStrategy(p), state.kappa)
+    return replace(state, loss=loss, strategy=nxt, tau=state.tau + 1)
+
+
+def per_radar_noregret_update(state: hopping.NoRegretState,
+                              stats: hopping.EpisodeStats) -> hopping.NoRegretState:
+    """``hopping.noregret_update`` computed one radar at a time by the oracle."""
+    steps = []
+    for r, i in enumerate(state.radars):
+        delta = state.baseline_delta_db[r]
+        radar = RadarNoRegretState(
+            loss=state.loss[r], strategy=MixedStrategy(state.probs[r]), tau=state.tau,
+            c_eta=float(state.c_eta[r]), c_gamma=float(state.c_gamma[r]),
+            kappa=float(state.kappa[r]), loss_clip_db=float(state.loss_clip_db[r]),
+            baseline_delta_db=None if np.isnan(delta) else float(delta))
+        steps.append(noregret_update(radar, radar_stats(stats, i)))
+    return replace(state, loss=np.array([s.loss for s in steps]),
+                   probs=np.array([s.strategy.probs for s in steps]), tau=state.tau + 1)
+
+
+def per_radar_estimate(meas, n_subbands: int, db_average: bool) -> hopping.EpisodeStats:
+    """``signal.estimate_episode_sinr`` computed one radar at a time by the oracle."""
+    return stack_stats([estimate_episode_sinr(m, n_subbands, db_average) for m in meas])
 
 
 def deviation_utilities(table: UtilityTable, profile: StrategyProfile, player: int) -> np.ndarray:

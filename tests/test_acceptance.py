@@ -132,7 +132,7 @@ def test_criterion_5_estimator_fidelity():
         interference_power=np.mean(np.abs(intf) ** 2, axis=0),
         flagged=subbands == 1,
         noise_power=1.0)
-    stats = sig.estimate_episode_sinr(meas, ch.n_subbands)
+    stats = oracles.radar_stats(sig.estimate_episode_sinr([meas], ch.n_subbands, False), 0)
     want_hit = 10 * np.log10(oracles.theoretical_sinr(100.0, 1000.0, 1.0))
     want_clean = 10 * np.log10(oracles.theoretical_sinr(100.0, 0.0, 1.0))
     err_hit = abs(stats.sinr_db[1] - want_hit)

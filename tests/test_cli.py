@@ -292,7 +292,7 @@ class TestJointCsv:
     @pytest.mark.parametrize("n,a", [(1, 4), (2, 6), (3, 12)])
     def test_random_joints(self, tmp_path, n, a):
         rng = np.random.default_rng(10 * n + a)
-        joint = empirical_joint(rng.integers(0, a, (n, 500)).T, a)
+        joint, _ = empirical_joint(rng.integers(0, a, (n, 500)).T, a)
         lines = self.assert_same_bytes(tmp_path, joint)
         assert len(lines) == 1 + joint.mass.size
         assert lines[0] == "joint_action,mass"
@@ -464,6 +464,35 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["report", str(out)]) == 0
         assert "policy" in capsys.readouterr().out
+
+
+class TestSaturatedDetector:
+    """Every sample above the detector threshold leaves each chirp a clean power
+    of 0; the episode mean SINR is floored at 1e-300 (-3000 dB), never -inf."""
+
+    def test_artifacts_and_manifest_stay_finite(self, tmp_path, capsys):
+        workload = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+        doc = yaml.safe_load((workload / "table1-detector.yaml").read_text())
+        for radar in doc["radars"]:
+            radar.update(policy="fixed", policy_params={"subband": 0})
+        for link in doc["links"]:
+            link["inr_db"] = 60.0
+        doc["run"]["frames"] = 2
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seeds", "1"]) == 0
+        rows = np.loadtxt(out / "seed_0" / "interference.csv", delimiter=",", skiprows=1)
+        assert np.all(rows[:, 2] == 1.0) and np.all(rows[:, 3] == -3000.0)
+
+        def reject(name):
+            raise ValueError(f"manifest holds {name}")
+
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+        assert manifest["summary"]["0"]["final_mean_sinr_db"] == [-3000.0, -3000.0]
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        assert "inf" not in capsys.readouterr().out
 
 
 def crowd_doc(n_radars, policy, subbands=6):

@@ -482,29 +482,32 @@ class TestExternalRegret:
 
 class TestEmpiricalJoint:
     def test_single_chirp_point_mass(self):
-        joint = empirical_joint(np.array([[1, 2]]), 3)
+        joint, _ = empirical_joint(np.array([[1, 2]]), 3)
         np.testing.assert_array_equal(joint.rows, [[1, 2]])
         assert joint.mass.tolist() == [1.0]
 
     def test_half_half_counts(self):
-        joint = empirical_joint(np.array([[0, 1], [0, 1], [1, 0], [1, 0]]), 2)
+        joint, _ = empirical_joint(np.array([[0, 1], [0, 1], [1, 0], [1, 0]]), 2)
         np.testing.assert_array_equal(joint.rows, [[0, 1], [1, 0]])
         np.testing.assert_allclose(joint.mass, [0.5, 0.5])
 
     def test_round_robin_uniform(self):
         a = 3
         pairs = list(itertools.product(range(a), repeat=2))
-        joint = empirical_joint(np.array(pairs[::-1]), a)
+        joint, _ = empirical_joint(np.array(pairs[::-1]), a)
         np.testing.assert_array_equal(joint.rows, pairs)  # C order
         np.testing.assert_allclose(joint.mass, np.full(a**2, 1.0 / a**2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_unique_rows(self, n):
         actions = np.random.default_rng(n).integers(0, 5, size=(300, n))
-        rows, counts = np.unique(actions, axis=0, return_counts=True)
-        joint = empirical_joint(actions, 5)
+        rows, inverse, counts = np.unique(actions, axis=0, return_inverse=True,
+                                          return_counts=True)
+        joint, support_row = empirical_joint(actions, 5)
         np.testing.assert_array_equal(joint.rows, rows)
         assert joint.mass.tobytes() == (counts / 300).tobytes()
+        np.testing.assert_array_equal(support_row, inverse.ravel())
+        np.testing.assert_array_equal(joint.rows[support_row], actions)
 
     def test_ragged_histories_rejected(self):
         with pytest.raises(ValueError):
@@ -553,7 +556,7 @@ class TestRegretGapIdentity:
         n, a, k = 2, 4, 200
         table = UtilityTable(rng.normal(size=(n, a, a)))
         actions = np.stack([rng.integers(0, a, size=k) for _ in range(n)], axis=1)
-        joint = empirical_joint(actions, a)
+        joint, _ = empirical_joint(actions, a)
         for i in range(n):
             gap = cce_deviation_gap(joint, dense_arm_utilities(table, joint.rows, i), i)
             assert gap <= table_regret(table, actions, i)[-1] / k + 1e-9

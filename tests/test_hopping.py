@@ -1,13 +1,17 @@
 """Schedulers: episode bookkeeping, exponential weights, explore-then-commit."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import hopsim.hopping as hopping
 from hopsim.game import MixedStrategy, UtilityTable, pure_strategy, solve_nash_welfare_max
 from hopsim.hopping import (
+    DEFAULT_KAPPA,
+    DEFAULT_LOSS_CLIP_DB,
     EpisodeStats,
+    NoRegretState,
     estimated_table,
-    hard_threshold,
     init_nash_hopper,
     init_noregret,
     nash_commit,
@@ -18,11 +22,21 @@ from hopsim.hopping import (
     uniform_policy,
 )
 
-from oracles import EpisodeSchedule, pure_action, pure_actions, sample_subband
+import oracles
+from oracles import (
+    EpisodeSchedule,
+    RadarEpisodeStats,
+    hard_threshold,
+    pure_action,
+    pure_actions,
+    sample_subband,
+    stack_stats,
+)
 
 
-def stats_from(sinr_db, snr_db=None, hit_sinr_db=None, count=None,
-               clean_count=None, hit_count=None):
+def row_stats(sinr_db, snr_db=None, hit_sinr_db=None, count=None,
+              clean_count=None, hit_count=None) -> RadarEpisodeStats:
+    """One radar's stats; counts default to 1 where the SINR is not NaN."""
     sinr_db = np.asarray(sinr_db, dtype=float)
     a = sinr_db.size
     count = np.asarray(count if count is not None
@@ -35,10 +49,27 @@ def stats_from(sinr_db, snr_db=None, hit_sinr_db=None, count=None,
         clean_count = count
     if hit_count is None:
         hit_count = np.zeros(a, dtype=int)
-    return EpisodeStats(sinr_db=sinr_db, snr_db=np.asarray(snr_db, dtype=float),
-                        hit_sinr_db=np.asarray(hit_sinr_db, dtype=float),
-                        count=count, clean_count=np.asarray(clean_count),
-                        hit_count=np.asarray(hit_count))
+    return RadarEpisodeStats(sinr_db=sinr_db, snr_db=np.asarray(snr_db, dtype=float),
+                             hit_sinr_db=np.asarray(hit_sinr_db, dtype=float),
+                             count=count, clean_count=np.asarray(clean_count),
+                             hit_count=np.asarray(hit_count))
+
+
+def stats_from(*args, **kwargs) -> EpisodeStats:
+    """``row_stats`` as the stacked stats of a one-radar episode."""
+    return stack_stats([row_stats(*args, **kwargs)])
+
+
+def noregret_params(c_eta=1.0, c_gamma=1.0, kappa=DEFAULT_KAPPA,
+                    loss_clip_db=DEFAULT_LOSS_CLIP_DB, baseline_delta_db=None) -> dict:
+    """Every ``NOREGRET_PARAMS`` value of one radar, defaults as in the config."""
+    return dict(c_eta=c_eta, c_gamma=c_gamma, kappa=kappa, loss_clip_db=loss_clip_db,
+                baseline_delta_db=baseline_delta_db)
+
+
+def one_radar(n_subbands, **params) -> NoRegretState:
+    """The stacked learner state of a single ``noregret`` radar."""
+    return init_noregret(n_subbands, {0: noregret_params(**params)})
 
 
 class TestEpisodeSchedule:
@@ -113,12 +144,12 @@ class TestSampling:
 
     def test_uniform_counts_within_binomial_bound(self):
         rng = np.random.default_rng(1)
-        draws = sample_subbands(uniform_policy(6), rng, 60000)
+        draws = sample_subbands(uniform_policy(6).probs, rng, 60000)
         counts = np.bincount(draws, minlength=6)
         assert np.all(counts >= 9500) and np.all(counts <= 10500)
 
     def test_determinism(self):
-        p = MixedStrategy(np.array([0.2, 0.5, 0.3]))
+        p = np.array([0.2, 0.5, 0.3])
         a = sample_subbands(p, np.random.default_rng(42), 100)
         b = sample_subbands(p, np.random.default_rng(42), 100)
         np.testing.assert_array_equal(a, b)
@@ -143,122 +174,116 @@ def pin_schedule(monkeypatch, eta=None, gamma=None):
 
     def pinned(*args):
         eta_s, gamma_s = schedule(*args)
-        return eta_s if eta is None else eta, gamma_s if gamma is None else gamma
+        return (eta_s if eta is None else np.full_like(eta_s, eta),
+                gamma_s if gamma is None else np.full_like(gamma_s, gamma))
 
     monkeypatch.setattr(hopping, "schedule_params", pinned)
 
 
 class TestNoRegretUpdate:
     def test_no_plays_stays_uniform(self):
-        state = init_noregret(4)
+        state = one_radar(4)
         nxt = noregret_update(state, stats_from(np.full(4, np.nan)))
-        np.testing.assert_allclose(nxt.strategy.probs, np.full(4, 0.25))
+        np.testing.assert_allclose(nxt.probs[0], np.full(4, 0.25))
         assert nxt.tau == 2
 
     def test_hand_evaluated_two_arm_update(self, monkeypatch):
         # Only arm 0 played at 20 dB: loss (-40, 0); eta=0.1, gamma=0
         # gives softmax proportional to (e^4, 1).
-        state = init_noregret(2, kappa=0.0)
+        state = one_radar(2, kappa=0.0)
         stats = stats_from([20.0, np.nan])
         pin_schedule(monkeypatch, eta=0.1, gamma=0.0)
         nxt = noregret_update(state, stats)
-        np.testing.assert_allclose(nxt.loss, [-40.0, 0.0])
+        np.testing.assert_allclose(nxt.loss[0], [-40.0, 0.0])
         expect = np.array([np.e**4, 1.0])
-        np.testing.assert_allclose(nxt.strategy.probs, expect / expect.sum(),
-                                   atol=1e-12)
-        assert nxt.strategy.probs[0] == pytest.approx(0.982, abs=1e-3)
+        np.testing.assert_allclose(nxt.probs[0], expect / expect.sum(), atol=1e-12)
+        assert nxt.probs[0, 0] == pytest.approx(0.982, abs=1e-3)
 
     def test_gamma_one_forces_uniform(self, monkeypatch):
-        state = init_noregret(3, kappa=0.0)
+        state = one_radar(3, kappa=0.0)
         stats = stats_from([30.0, np.nan, np.nan])
         pin_schedule(monkeypatch, gamma=1.0)
         nxt = noregret_update(state, stats)
-        np.testing.assert_allclose(nxt.strategy.probs, np.full(3, 1 / 3))
+        np.testing.assert_allclose(nxt.probs[0], np.full(3, 1 / 3))
 
     def test_played_zero_probability_arm_is_an_error(self, monkeypatch):
-        state = init_noregret(2, kappa=0.0)
+        state = one_radar(2, kappa=0.0)
         pin_schedule(monkeypatch, eta=5.0, gamma=0.0)
         state = noregret_update(state, stats_from([60.0, np.nan]))
         state = noregret_update(state, stats_from([60.0, np.nan]))
-        assert state.strategy.probs[1] < 1e-12
-        forced = MixedStrategy(np.array([0.0, 1.0]))
-        bad = type(state)(loss=state.loss, strategy=forced, tau=state.tau,
-                          kappa=state.kappa)
+        assert state.probs[0, 1] < 1e-12
+        bad = replace(state, probs=np.array([[0.0, 1.0]]))
         with pytest.raises(RuntimeError):
             noregret_update(bad, stats_from([20.0, np.nan]))
 
     def test_simplex_preserved(self):
         rng = np.random.default_rng(2)
-        state = init_noregret(6)
+        state = one_radar(6)
         for _ in range(40):
             sinr = np.where(rng.random(6) < 0.5, rng.uniform(-10, 25, 6), np.nan)
-            played = ~np.isnan(sinr)
             # arms with zero probability cannot have been played
-            sinr = np.where(state.strategy.probs > 0, sinr, np.nan)
+            sinr = np.where(state.probs[0] > 0, sinr, np.nan)
             state = noregret_update(state, stats_from(sinr))
-            p = state.strategy.probs
+            p = state.probs[0]
             assert np.all(p >= 0) and p.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_exploration_floor_with_kappa_zero(self, monkeypatch):
-        state = init_noregret(4, kappa=0.0)
+        state = one_radar(4, kappa=0.0)
         stats = stats_from([25.0, np.nan, np.nan, np.nan])
         gamma = 0.2
         pin_schedule(monkeypatch, gamma=gamma)
         nxt = noregret_update(state, stats)
-        assert np.all(nxt.strategy.probs >= gamma / 4 - 1e-12)
+        assert np.all(nxt.probs[0] >= gamma / 4 - 1e-12)
 
     def test_softmax_shift_invariance(self, monkeypatch):
-        base = init_noregret(3, kappa=0.0)
+        base = one_radar(3, kappa=0.0)
         stats = stats_from([12.0, -3.0, np.nan])
         pin_schedule(monkeypatch, eta=0.3, gamma=0.1)
         a = noregret_update(base, stats)
-        shifted = type(base)(loss=base.loss + 500.0, strategy=base.strategy,
-                             tau=base.tau, kappa=0.0)
-        b = noregret_update(shifted, stats)
-        np.testing.assert_allclose(a.strategy.probs, b.strategy.probs, atol=1e-12)
+        b = noregret_update(replace(base, loss=base.loss + 500.0), stats)
+        np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
 
     def test_loss_clip_applies_per_increment(self):
-        state = init_noregret(2, kappa=0.0, loss_clip_db=50.0)
+        state = one_radar(2, kappa=0.0, loss_clip_db=50.0)
         nxt = noregret_update(state, stats_from([200.0, np.nan]))
-        assert nxt.loss[0] == pytest.approx(-50.0)
+        assert nxt.loss[0, 0] == pytest.approx(-50.0)
 
     def test_stats_length_mismatch(self):
         with pytest.raises(ValueError):
-            noregret_update(init_noregret(3), stats_from([1.0, np.nan]))
+            noregret_update(one_radar(3), stats_from([1.0, np.nan]))
 
 
 class TestBaselineSubtraction:
     def test_hand_evaluated_offset(self, monkeypatch):
         # Mean clean SNR 20, delta 1 -> baseline 19; arm 0 at 14 dB gains
         # (19 - 14)/0.5 = +10 loss, unplayed arm 1 unchanged.
-        state = init_noregret(2, kappa=0.0, baseline_delta_db=1.0)
+        state = one_radar(2, kappa=0.0, baseline_delta_db=1.0)
         stats = stats_from([14.0, np.nan], snr_db=[20.0, np.nan])
         pin_schedule(monkeypatch, eta=0.1, gamma=0.0)
         nxt = noregret_update(state, stats)
-        np.testing.assert_allclose(nxt.loss, [10.0, 0.0])
+        np.testing.assert_allclose(nxt.loss[0], [10.0, 0.0])
 
     def test_clean_arm_drifts_by_minus_delta(self):
         # An arm measured exactly at the mean clean SNR accumulates only
         # the -delta/p drift that favours low-probability arms.
-        state = init_noregret(4, kappa=0.0, baseline_delta_db=2.0)
+        state = one_radar(4, kappa=0.0, baseline_delta_db=2.0)
         stats = stats_from([20.0, np.nan, np.nan, np.nan],
                            snr_db=[20.0, np.nan, np.nan, np.nan])
         nxt = noregret_update(state, stats)
-        assert nxt.loss[0] == pytest.approx(-2.0 / 0.25)
-        np.testing.assert_allclose(nxt.loss[1:], 0.0)
+        assert nxt.loss[0, 0] == pytest.approx(-2.0 / 0.25)
+        np.testing.assert_allclose(nxt.loss[0, 1:], 0.0)
 
     def test_no_clean_observation_matches_default(self, monkeypatch):
         # Without any clean-chirp SNR the baseline falls back to zero and
         # the update matches the plain importance-weighted loss.
         stats = stats_from([20.0, np.nan], snr_db=[np.nan, np.nan])
         pin_schedule(monkeypatch, eta=0.1, gamma=0.0)
-        with_base = noregret_update(
-            init_noregret(2, kappa=0.0, baseline_delta_db=1.0), stats)
-        plain = noregret_update(init_noregret(2, kappa=0.0), stats)
+        with_base = noregret_update(one_radar(2, kappa=0.0, baseline_delta_db=1.0), stats)
+        plain = noregret_update(one_radar(2, kappa=0.0), stats)
         np.testing.assert_allclose(with_base.loss, plain.loss)
 
     def test_default_state_has_no_baseline(self):
-        assert init_noregret(3).baseline_delta_db is None
+        assert np.isnan(one_radar(3).baseline_delta_db).all()
 
 
 class TestNashHopper:
@@ -276,9 +301,9 @@ class TestNashHopper:
             hit[f] = v
             hit_count[f] = 10
             clean_count[f] = 0
-        return EpisodeStats(sinr_db=sinr, snr_db=snr_arr, hit_sinr_db=hit,
-                            count=np.full(n_subbands, 10),
-                            clean_count=clean_count, hit_count=hit_count)
+        return RadarEpisodeStats(sinr_db=sinr, snr_db=snr_arr, hit_sinr_db=hit,
+                                 count=np.full(n_subbands, 10),
+                                 clean_count=clean_count, hit_count=hit_count)
 
     def test_initial_strategy_uniform(self):
         state = init_nash_hopper(0, 2, 6, explore_episodes=10)
@@ -288,7 +313,7 @@ class TestNashHopper:
         state = init_nash_hopper(0, 2, 2, explore_episodes=1)
         all_stats = [self._explore_stats(2, collided={0: 3.0}),
                      self._explore_stats(2, collided={0: 3.0})]
-        state = nash_explore_update(state, all_stats, {})
+        state = nash_explore_update(state, stack_stats(all_stats), {})
         table = estimated_table(state)
         assert table.values[0, 0, 0] == pytest.approx(3.0)
         # subband 1 was observed clean, so its collision-free cell holds SNR
@@ -297,7 +322,7 @@ class TestNashHopper:
     def test_all_clean_episode_fills_clean_cells(self):
         state = init_nash_hopper(0, 2, 3, explore_episodes=1)
         state = nash_explore_update(
-            state, [self._explore_stats(3), self._explore_stats(3)], {})
+            state, stack_stats([self._explore_stats(3), self._explore_stats(3)]), {})
         table = estimated_table(state)
         for i in range(3):
             for j in range(3):
@@ -307,26 +332,26 @@ class TestNashHopper:
     def test_unobserved_collisions_use_pessimistic_floor(self):
         state = init_nash_hopper(0, 2, 2, explore_episodes=1, floor_db=-10.0)
         state = nash_explore_update(
-            state, [self._explore_stats(2), self._explore_stats(2)], {})
+            state, stack_stats([self._explore_stats(2), self._explore_stats(2)]), {})
         table = estimated_table(state)
         assert table.values[0, 0, 0] == pytest.approx(-10.0)
 
     def test_recomputed_profile_is_distinct_pure_pair(self):
         state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         all_stats = [self._explore_stats(6), self._explore_stats(6)]
-        state = nash_explore_update(state, all_stats, {})
+        state = nash_explore_update(state, stack_stats(all_stats), {})
         acts = pure_actions(state.profile)
         assert acts is not None and acts[0] != acts[1]
 
     def test_missing_stats_is_communication_error(self):
         state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         with pytest.raises(ValueError):
-            nash_explore_update(state, [self._explore_stats(6)], {})
+            nash_explore_update(state, stack_stats([self._explore_stats(6)]), {})
 
     def test_commit_requires_exploration_end(self):
         state = init_nash_hopper(0, 2, 6, explore_episodes=2)
         state = nash_explore_update(
-            state, [self._explore_stats(6), self._explore_stats(6)], {})
+            state, stack_stats([self._explore_stats(6), self._explore_stats(6)]), {})
         assert state.episodes_seen == 1
         with pytest.raises(RuntimeError):
             nash_commit(state)
@@ -334,7 +359,7 @@ class TestNashHopper:
     def test_commit_freezes_own_slice(self):
         state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         state = nash_explore_update(
-            state, [self._explore_stats(6), self._explore_stats(6)], {})
+            state, stack_stats([self._explore_stats(6), self._explore_stats(6)]), {})
         state = nash_commit(state)
         assert state.committed is not None
         assert pure_action(state.strategy) is not None
@@ -342,18 +367,18 @@ class TestNashHopper:
     def test_symmetric_tie_break_pair(self):
         state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         state = nash_explore_update(
-            state, [self._explore_stats(6), self._explore_stats(6)], {})
+            state, stack_stats([self._explore_stats(6), self._explore_stats(6)]), {})
         state = nash_commit(state)
         assert pure_actions(state.profile) == (0, 1)
 
     def test_single_radar_commits_to_argmax_snr(self):
         state = init_nash_hopper(0, 1, 3, explore_episodes=1)
         snr = np.array([10.0, 30.0, 20.0])
-        stats = EpisodeStats(sinr_db=snr, snr_db=snr,
-                             hit_sinr_db=np.full(3, np.nan),
-                             count=np.full(3, 5), clean_count=np.full(3, 5),
-                             hit_count=np.zeros(3, dtype=int))
-        state = nash_explore_update(state, [stats], {})
+        stats = RadarEpisodeStats(sinr_db=snr, snr_db=snr,
+                                  hit_sinr_db=np.full(3, np.nan),
+                                  count=np.full(3, 5), clean_count=np.full(3, 5),
+                                  hit_count=np.zeros(3, dtype=int))
+        state = nash_explore_update(state, stack_stats([stats]), {})
         state = nash_commit(state)
         assert pure_action(state.strategy) == 1
 
@@ -364,10 +389,10 @@ class TestNashHopper:
         for player in (0, 1):
             state = init_nash_hopper(player, 2, 4, explore_episodes=2)
             for _ in range(2):
-                state = nash_explore_update(state, [
+                state = nash_explore_update(state, stack_stats([
                     self._explore_stats(4, snr=rng.uniform(10, 30), collided={
                         int(f): rng.uniform(-5, 15) for f in rng.choice(4, 2)})
-                    for _ in range(2)], {})
+                    for _ in range(2)]), {})
             state = nash_commit(state)
             fresh = solve_nash_welfare_max(estimated_table(state))
             assert state.profile.support_key() == fresh.support_key()
@@ -379,21 +404,140 @@ class TestNashHopper:
     def test_explore_update_after_commit_rejected(self):
         state = init_nash_hopper(0, 2, 6, explore_episodes=1)
         state = nash_explore_update(
-            state, [self._explore_stats(6), self._explore_stats(6)], {})
+            state, stack_stats([self._explore_stats(6), self._explore_stats(6)]), {})
         state = nash_commit(state)
         with pytest.raises(RuntimeError):
-            nash_explore_update(state, [self._explore_stats(6)] * 2, {})
+            nash_explore_update(state, stack_stats([self._explore_stats(6)] * 2), {})
 
 
 class TestEpisodeStatsValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            EpisodeStats(sinr_db=np.zeros(3), snr_db=np.zeros(2),
-                         hit_sinr_db=np.zeros(3), count=np.zeros(3),
-                         clean_count=np.zeros(3), hit_count=np.zeros(3))
+            EpisodeStats(sinr_db=np.zeros((1, 3)), snr_db=np.zeros((1, 2)),
+                         hit_sinr_db=np.zeros((1, 3)), count=np.zeros((1, 3)),
+                         clean_count=np.zeros((1, 3)), hit_count=np.zeros((1, 3)))
 
     def test_negative_counts(self):
         with pytest.raises(ValueError):
-            EpisodeStats(sinr_db=np.zeros(2), snr_db=np.zeros(2),
-                         hit_sinr_db=np.zeros(2), count=np.array([1, -1]),
-                         clean_count=np.zeros(2), hit_count=np.zeros(2))
+            EpisodeStats(sinr_db=np.zeros((1, 2)), snr_db=np.zeros((1, 2)),
+                         hit_sinr_db=np.zeros((1, 2)), count=np.array([[1, -1]]),
+                         clean_count=np.zeros((1, 2)), hit_count=np.zeros((1, 2)))
+
+
+def random_learners(rng, m, a, n_rows):
+    """A stacked state of m radars on random rows of an n_rows-radar episode:
+    zero-probability subbands, kappa on in some rows and off in others, a
+    loss clip of 5 dB in some rows, the baseline on in some rows."""
+    probs = rng.dirichlet(np.ones(a), size=m)
+    probs[rng.random((m, a)) < 0.2] = 0.0
+    probs[np.arange(m), rng.integers(0, a, m)] += 0.5
+    probs /= probs.sum(axis=1, keepdims=True)
+    on = np.arange(m) % 2 == 0
+    return NoRegretState(
+        radars=rng.permutation(n_rows)[:m], loss=rng.normal(0.0, 50.0, (m, a)), probs=probs,
+        c_eta=rng.uniform(0.1, 2.0, m), c_gamma=np.where(on, rng.uniform(0.05, 1.0, m), 50.0),
+        kappa=np.where(on, 0.9 / a, 0.0), loss_clip_db=np.where(on, 5.0, 600.0),
+        baseline_delta_db=np.where(~on, rng.uniform(0.0, 2.0, m), np.nan), tau=3)
+
+
+def random_episode(rng, state, n_rows):
+    """Stats of one episode in which each radar plays only subbands it gives
+    positive probability: some unplayed (NaN), some rows with no clean chirp."""
+    a = state.probs.shape[1]
+    rows = []
+    for i in range(n_rows):
+        r = np.flatnonzero(state.radars == i)
+        live = state.probs[r[0]] > 0 if r.size else np.ones(a, dtype=bool)
+        count = np.where(live & (rng.random(a) < 0.6), rng.integers(1, 5, a), 0)
+        clean_count = np.zeros(a, dtype=int) if i % 3 == 1 else rng.integers(0, count + 1)
+        sinr = np.where(count > 0, rng.uniform(-20.0, 40.0, a), np.nan)
+        snr = np.where(clean_count > 0, rng.uniform(5.0, 40.0, a), np.nan)
+        hit = count - clean_count
+        rows.append(RadarEpisodeStats(sinr, snr, np.where(hit > 0, sinr - 3.0, np.nan),
+                                      count, clean_count, hit))
+    return stack_stats(rows)
+
+
+class TestStackedStepMatchesPerRadarOracle:
+    """``noregret_update`` on stacked rows against the per-radar oracle, bit for bit."""
+
+    @pytest.mark.parametrize("a", [2, 6, 9, 16])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_random_episodes(self, m, a):
+        rng = np.random.default_rng(100 * m + a)
+        n_rows = m + 1
+        state = random_learners(rng, m, a, n_rows)
+        clipped = zeroed = False
+        for _ in range(15):
+            stats = random_episode(rng, state, n_rows)
+            got = noregret_update(state, stats)
+            want = oracles.per_radar_noregret_update(state, stats)
+            assert got.loss.tobytes() == want.loss.tobytes()
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert got.tau == want.tau == state.tau + 1
+            step = np.abs(got.loss - state.loss)
+            clipped |= bool(np.any(step == state.loss_clip_db[:, None]))
+            zeroed |= bool(np.any((got.probs == 0) & (state.kappa[:, None] > 0)))
+            state = got
+        assert clipped and (zeroed or a == 2)
+
+    def test_rows_follow_their_radars(self):
+        # Radar 1's learner reads stats row 1, whatever its position in the state.
+        rng = np.random.default_rng(0)
+        state = random_learners(rng, 2, 6, 2)
+        stats = random_episode(rng, state, 2)
+        flipped = replace(state, radars=state.radars[::-1], loss=state.loss[::-1],
+                          probs=state.probs[::-1], **{
+                              name: getattr(state, name)[::-1]
+                              for name in hopping.NOREGRET_PARAMS})
+        a, b = noregret_update(state, stats), noregret_update(flipped, stats)
+        assert a.probs.tobytes() == b.probs[::-1].tobytes()
+
+
+def _stacked(**overrides):
+    fields = dict(radars=[0], loss=np.zeros((1, 4)), probs=np.full((1, 4), 0.25),
+                  c_eta=[1.0], c_gamma=[1.0], kappa=[0.0], loss_clip_db=[600.0],
+                  baseline_delta_db=[np.nan])
+    return NoRegretState(**(fields | overrides))
+
+
+def _radar(**overrides):
+    fields = dict(loss=np.zeros(4), strategy=uniform_policy(4), kappa=0.0)
+    return oracles.RadarNoRegretState(**(fields | overrides))
+
+
+# (per-radar oracle call, stacked call, the error both raise)
+VALIDATION_CASES = {
+    "loss-not-finite": (lambda: _radar(loss=[np.inf, 0, 0, 0]),
+                        lambda: _stacked(loss=[[np.inf, 0, 0, 0]]), ValueError),
+    "loss-shape": (lambda: _radar(loss=np.zeros(3)),
+                   lambda: _stacked(loss=np.zeros((1, 3))), ValueError),
+    "strategy-not-finite": (lambda: MixedStrategy(np.array([np.nan, 1.0])),
+                            lambda: _stacked(probs=[[np.nan, 1.0, 0, 0]]), ValueError),
+    "strategy-negative": (lambda: MixedStrategy(np.array([-0.1, 1.1])),
+                          lambda: _stacked(probs=[[-0.1, 1.1, 0, 0]]), ValueError),
+    "strategy-sum": (lambda: MixedStrategy(np.array([0.5, 0.4])),
+                     lambda: _stacked(probs=[[0.5, 0.4, 0, 0]]), ValueError),
+    "kappa-range": (lambda: hard_threshold(uniform_policy(4), 0.25),
+                    lambda: _stacked(kappa=[0.25]), ValueError),
+    "played-at-zero": (
+        lambda: oracles.noregret_update(_radar(strategy=pure_strategy(1, 4)),
+                                        row_stats([20.0, np.nan, np.nan, np.nan])),
+        lambda: noregret_update(_stacked(probs=[[0.0, 1.0, 0.0, 0.0]]),
+                                stats_from([20.0, np.nan, np.nan, np.nan])),
+        RuntimeError),
+    "stats-length": (lambda: oracles.noregret_update(_radar(), row_stats([1.0, np.nan])),
+                     lambda: noregret_update(_stacked(), stats_from([1.0, np.nan])),
+                     ValueError),
+    "negative-count": (lambda: row_stats([1.0, 2.0], count=[1, -1]),
+                       lambda: stats_from([1.0, 2.0], count=[1, -1]), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", VALIDATION_CASES)
+def test_stacked_validation_raises_as_per_radar(case):
+    oracle, stacked, error = VALIDATION_CASES[case]
+    with pytest.raises(error):
+        oracle()
+    with pytest.raises(error):
+        stacked()

@@ -363,45 +363,45 @@ class TestEstimateEpisodeSinr:
             subbands=np.array([2]), clean_power=np.array([100.0]),
             interference_power=np.array([0.0]), flagged=np.array([False]),
             noise_power=1.0)
-        stats = sig.estimate_episode_sinr(meas, 6)
-        assert stats.sinr_db[2] == pytest.approx(20.0)
-        assert stats.snr_db[2] == pytest.approx(20.0)
-        assert stats.count[2] == 1
+        stats = sig.estimate_episode_sinr([meas], 6, False)
+        assert stats.sinr_db[0, 2] == pytest.approx(20.0)
+        assert stats.snr_db[0, 2] == pytest.approx(20.0)
+        assert stats.count[0, 2] == 1
 
     def test_linear_mean_of_two_chirps(self):
         meas = sig.ChirpMeasurements(
             subbands=np.array([0, 0]), clean_power=np.array([10.0, 20.0]),
             interference_power=np.array([0.0, 0.0]),
             flagged=np.array([True, True]), noise_power=1.0)
-        stats = sig.estimate_episode_sinr(meas, 2)
-        assert stats.sinr_db[0] == pytest.approx(10.0 * np.log10(15.0))
+        stats = sig.estimate_episode_sinr([meas], 2, False)
+        assert stats.sinr_db[0, 0] == pytest.approx(10.0 * np.log10(15.0))
 
     def test_db_mean_option(self):
         meas = sig.ChirpMeasurements(
             subbands=np.array([0, 0]), clean_power=np.array([10.0, 1000.0]),
             interference_power=np.array([0.0, 0.0]),
             flagged=np.array([False, False]), noise_power=1.0)
-        stats = sig.estimate_episode_sinr(meas, 1, db_average=True)
-        assert stats.sinr_db[0] == pytest.approx(20.0)  # mean of 10 and 30 dB
+        stats = sig.estimate_episode_sinr([meas], 1, True)
+        assert stats.sinr_db[0, 0] == pytest.approx(20.0)  # mean of 10 and 30 dB
 
     def test_unplayed_subband_is_nan(self):
         meas = sig.ChirpMeasurements(
             subbands=np.array([0]), clean_power=np.array([5.0]),
             interference_power=np.array([0.0]), flagged=np.array([False]),
             noise_power=1.0)
-        stats = sig.estimate_episode_sinr(meas, 3)
-        assert np.isnan(stats.sinr_db[1]) and np.isnan(stats.sinr_db[2])
-        assert stats.count[1] == 0
+        stats = sig.estimate_episode_sinr([meas], 3, False)
+        assert np.isnan(stats.sinr_db[0, 1]) and np.isnan(stats.sinr_db[0, 2])
+        assert stats.count[0, 1] == 0
 
     def test_flag_split_feeds_snr_and_hit_estimates(self):
         meas = sig.ChirpMeasurements(
             subbands=np.array([0, 0]), clean_power=np.array([100.0, 100.0]),
             interference_power=np.array([0.0, 900.0]),
             flagged=np.array([False, True]), noise_power=1.0)
-        stats = sig.estimate_episode_sinr(meas, 1)
-        assert stats.snr_db[0] == pytest.approx(20.0)
-        assert stats.hit_sinr_db[0] == pytest.approx(10.0 * np.log10(100 / 901))
-        assert stats.clean_count[0] == 1 and stats.hit_count[0] == 1
+        stats = sig.estimate_episode_sinr([meas], 1, False)
+        assert stats.snr_db[0, 0] == pytest.approx(20.0)
+        assert stats.hit_sinr_db[0, 0] == pytest.approx(10.0 * np.log10(100 / 901))
+        assert stats.clean_count[0, 0] == 1 and stats.hit_count[0, 0] == 1
 
     def test_estimator_consistency_with_theory(self):
         # >=100 chirps per subband, fixed conditions: estimate within 1 dB
@@ -419,9 +419,41 @@ class TestEstimateEpisodeSinr:
             subbands=np.zeros(n_chirps, dtype=int), clean_power=clean_p,
             interference_power=intf_p, flagged=np.zeros(n_chirps, dtype=bool),
             noise_power=1.0)
-        stats = sig.estimate_episode_sinr(meas, 1)
+        stats = sig.estimate_episode_sinr([meas], 1, False)
         theory = 10.0 * np.log10(oracles.theoretical_sinr(100.0, 0.0, 1.0) + 1.0)
-        assert abs(stats.sinr_db[0] - theory) <= 1.0
+        assert abs(stats.sinr_db[0, 0] - theory) <= 1.0
+
+
+    @pytest.mark.parametrize("db_average", [False, True])
+    def test_stacked_rows_equal_per_radar_oracle(self, db_average):
+        # Radars with different chirp counts, unplayed subbands, all-flagged
+        # and never-flagged radars, and a zero clean power (the floor).
+        rng = np.random.default_rng(3)
+        meas = []
+        for k, flag_share in [(7, 0.5), (40, 1.0), (1, 0.0), (300, 0.3)]:
+            clean = rng.exponential(50.0, k)
+            clean[0] = 0.0
+            meas.append(sig.ChirpMeasurements(
+                subbands=rng.integers(0, 5, k), clean_power=clean,
+                interference_power=rng.exponential(500.0, k) * (rng.random(k) < 0.5),
+                flagged=rng.random(k) < flag_share, noise_power=1.0))
+        got = sig.estimate_episode_sinr(meas, 6, db_average)
+        for i, m in enumerate(meas):
+            want = oracles.estimate_episode_sinr(m, 6, db_average)
+            for name in ("sinr_db", "snr_db", "hit_sinr_db", "count", "clean_count",
+                         "hit_count"):
+                assert getattr(got, name).shape == (4, 6)
+                assert getattr(got, name)[i].tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("subband", [-1, 3])
+    def test_subband_outside_the_band_rejected(self, subband):
+        # A stacked bin past the band would land in the next radar's row.
+        meas = sig.ChirpMeasurements(
+            subbands=np.array([0, subband]), clean_power=np.ones(2),
+            interference_power=np.zeros(2), flagged=np.zeros(2, dtype=bool),
+            noise_power=1.0)
+        with pytest.raises(ValueError, match="subbands must lie"):
+            sig.estimate_episode_sinr([meas, meas], 3, False)
 
 
 def assert_block_close(actual, reference, rtol=1e-12):

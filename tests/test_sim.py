@@ -7,7 +7,7 @@ collisions recomputed independently from the recorded action sequences.
 
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from hopsim.sim import (
     validate_config,
 )
 
+import oracles
 from oracles import (
     bundled_config_path,
     cce_deviation_gap_dense,
@@ -350,10 +351,13 @@ class TestPerLinkEvaluation:
         cfg = linked_config(n)
         table = dense_genie_table(cfg)
         actions = np.random.default_rng(n).integers(0, 4, size=(400, n))
-        joint = empirical_joint(actions, 4)
+        joint, support_row = empirical_joint(actions, 4)
         for i in range(n):
             per_arm = genie_utility_table(cfg, actions, i)
             assert per_arm.tobytes() == dense_arm_utilities(table, actions, i).tobytes()
+            # run_scenario evaluates the support rows and gathers them to the steps
+            gathered = genie_utility_table(cfg, joint.rows, i)[support_row]
+            assert gathered.tobytes() == per_arm.tobytes()
             running = external_regret(per_arm, actions[:, i])
             assert running.tobytes() == external_regret_dense(table, actions, i).tobytes()
             gap = cce_deviation_gap(joint, genie_utility_table(cfg, joint.rows, i), i)
@@ -561,6 +565,58 @@ class TestNashSolveSharing:
         alone, n_alone = self.run_counting(monkeypatch, cfg, per_agent=True)
         assert n_shared == n_alone == 2 * self.EXPLORE
         np.testing.assert_array_equal(shared.strategies, alone.strategies)
+
+
+def assert_metrics_identical(got, want):
+    """Every ``RunMetrics`` array equal bit for bit, profiles included."""
+    for f in fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "joint_distribution":
+            pairs = [(a.rows, b.rows), (a.mass, b.mass)]
+        elif f.name == "profiles":
+            assert a.keys() == b.keys()
+            pairs = [(getattr(a[i], n), getattr(b[i], n))
+                     for i in a for n in ("ranges_m", "mags_db")]
+        elif f.name == "policies":
+            assert a == b
+            continue
+        else:
+            pairs = [(a, b)]
+        for x, y in pairs:
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+
+
+class TestStackedPolicyStep:
+    """One estimate and one no-regret step per episode for all radars, against
+    the per-radar oracles run in their place."""
+
+    POLICIES = [("uniform", {}),
+                ("noregret", {"c_eta": 0.4, "c_gamma": 0.1, "baseline_delta_db": 1.0}),
+                ("fixed", {"subband": 2}),
+                ("noregret", {"kappa": 0.0, "loss_clip_db": 30.0})]
+
+    def config(self, seed, genie):
+        radars = tuple(
+            RadarSpec(chirp=chirp(pri_us=20.0 * (1 + i % 2), active_us=16.0 * (1 + i % 2),
+                                  k=64 // (1 + i % 2)),
+                      policy=policy, policy_params=params, targets=(target(15.0 + 2 * i),))
+            for i, (policy, params) in enumerate(self.POLICIES))
+        links = tuple(LinkSpec(v, s, 20.0 + v + s) for v in range(4) for s in range(4) if v != s)
+        return ScenarioConfig(radars=radars, links=links, frames=6, episodes_per_frame=2,
+                              seed=seed, genie_detection=genie)
+
+    @pytest.mark.parametrize("genie", [True, False])
+    @pytest.mark.parametrize("seed", [4, 13])
+    def test_mixed_policies_match_per_radar_oracles(self, monkeypatch, seed, genie):
+        cfg = self.config(seed, genie)
+        got = run_scenario(cfg)
+        monkeypatch.setattr(sim, "noregret_update", oracles.per_radar_noregret_update)
+        monkeypatch.setattr(sig, "estimate_episode_sinr", oracles.per_radar_estimate)
+        want = run_scenario(cfg)
+        assert_metrics_identical(got, want)
+        # The learners moved, each on its own parameters.
+        learned = got.strategies[-1, [1, 3]]
+        assert not np.allclose(learned, 1 / 6) and not np.allclose(learned[0], learned[1])
 
 
 class TestStagedSolverOnExploreTables:

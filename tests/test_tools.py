@@ -1,0 +1,50 @@
+"""tools/metrics_digest.py: one SHA-256 line per RunMetrics array."""
+import ast
+import importlib.util
+from dataclasses import fields
+from pathlib import Path
+
+from hopsim.sim import RunMetrics
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location(
+        "metrics_digest", ROOT / "tools" / "metrics_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def benchmark_workloads():
+    """The names of ``perfbench/run.py``'s WORKLOADS, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WORKLOADS":
+            return {key.value for key in node.value.keys}
+    raise AssertionError("perfbench/run.py defines no WORKLOADS")
+
+
+def test_reads_the_benchmark_workloads():
+    paths = load_tool().workload_paths()
+    assert set(paths) == benchmark_workloads()
+    assert all(path.is_file() for path in paths.values())
+
+
+def test_one_line_per_array(capsys):
+    tool = load_tool()
+    assert tool.main(["--workload", "table1-genie", "--seeds", "0,1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    by_seed = {}
+    for line in lines:
+        workload, seed, field, *digest = line.split(" ")
+        assert workload == "table1-genie" and len(digest[-1]) == 64
+        by_seed.setdefault(seed, {})[field] = " ".join(digest)
+    assert set(by_seed) == {"seed=0", "seed=1"}
+    # Every RunMetrics field is covered; the joint and the profiles per array.
+    names = {name.split(".")[0].split("[")[0] for name in by_seed["seed=0"]}
+    assert names == {f.name for f in fields(RunMetrics)}
+    assert {"profiles[0].mags_db", "profiles[1].mags_db"} <= set(by_seed["seed=0"])
+    assert by_seed["seed=0"]["strategies"] != by_seed["seed=1"]["strategies"]
+    assert by_seed["seed=0"]["policies"] == by_seed["seed=1"]["policies"]
