@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +28,11 @@ PURE_ENUM_GUARD = 10**7
 # Guard on float64 cells, about 400 MB at the guard: of one dense
 # (n, A, ..., A) table, n * A**n, and of a run's per-step records.
 TABLE_CELL_GUARD = 5 * 10**7
-# Guard on the equal-size support pairs a 2-player ``auto`` solve
-# enumerates, sum over m of C(A, m)**2 = C(2A, A) - 1: 705,431 at A = 11,
-# a few seconds per solve; A = 12 gives 2.7 million.
-SUPPORT_PAIR_GUARD = 10**6
-# Support pairs per batched solve; bounds the stacked systems' memory. A
-# batch holds max(1, _BATCH_PAIRS // C(A, m)) rows of C(A, m) pairs; under
-# SUPPORT_PAIR_GUARD, C(A, m) <= C(11, 5) = 462 < _BATCH_PAIRS, so that is
-# never more than _BATCH_PAIRS pairs.
-_BATCH_PAIRS = 1 << 14
+# Guard on the support pairs a 2-player ``auto`` solve enumerates, those
+# with S = T or |S \ T| = 1: (2**A - 1) + A (A - 1) 2**(A - 2). Where nearly
+# every pair passes both players' checks, a solve at A = 13 (327,679 pairs)
+# peaks at about 360 MB RSS and takes up to 2 s; A = 14 (761,855), 750 MB.
+SUPPORT_PAIR_GUARD = 5 * 10**5
 
 
 class CapacityError(RuntimeError):
@@ -81,10 +76,6 @@ class MixedStrategy:
     def n_subbands(self) -> int:
         return self.probs.size
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.probs > 0.0))
-
 
 def pure_strategy(action: int, n_subbands: int) -> MixedStrategy:
     p = np.zeros(n_subbands)
@@ -114,9 +105,6 @@ class StrategyProfile:
     @property
     def n_subbands(self) -> int:
         return self.strategies[0].n_subbands
-
-    def support_key(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(s.support for s in self.strategies)
 
 
 def pure_profile(actions, n_subbands: int) -> StrategyProfile:
@@ -225,135 +213,145 @@ def enumerate_pure_nash(table: UtilityTable) -> list[StrategyProfile]:
     return [pure_profile(tuple(act), a) for act in np.argwhere(mask)]
 
 
-def _support_layouts(a: int, m: int, batch_pairs: int):
-    """The (sup0, sup1) pairs of support size m, in batches (see _BATCH_PAIRS).
+def collision_table(snr: np.ndarray, hit: np.ndarray) -> UtilityTable:
+    """Dense table of the game where player i earns ``hit[i, a]`` on subband a
+    if another player shares it, else ``snr[i, a]`` (both (n, A))."""
+    n, a = snr.shape
+    shape = (a,) * n
+    grids = np.indices(shape, sparse=True)
+    values = np.empty((n,) + shape)
+    for i in range(n):
+        shared = np.zeros(shape, dtype=bool)
+        for j in range(n):
+            if j != i:
+                shared |= grids[j] == grids[i]
+        values[i] = np.where(shared, hit[i][grids[i]], snr[i][grids[i]])
+    return UtilityTable(values)
 
-    Each batch is ``(sup0, sup1, flat, template, unit)``: the pairs in
-    ``itertools.combinations`` order; the flat indices into ``u.ravel()``
-    of each pair's sup0 x sup1 block, whose transpose in the last two axes
-    indexes the sup1 x sup0 block; the augmented system with its -1
-    column and normalization row set and the block left at 0; and its
-    unit right-hand side. The arrays are read-only, since a cached layout
-    is shared by every later solve.
+
+# One entry per subband count, at most 2 x 2.6 + 0.9 MB under SUPPORT_PAIR_GUARD.
+@functools.lru_cache(maxsize=None)
+def _support_pairs(a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bit masks (subband i at bit A-1-i) of the supports (S, T) of every pair
+    with S = T or |S \\ T| = 1, and the (2**A, A) 0/1 members of each mask.
+
+    Pairs come by size, then S, then T, each in ``itertools.combinations``
+    order (descending masks): the order of equal-size support enumeration.
     """
-    sups = np.array(list(itertools.combinations(range(a), m)))
-    template = np.zeros((m + 1, m + 1))
-    template[:m, m] = -1.0
-    template[m, :m] = 1.0
-    unit = np.zeros(m + 1)
-    unit[m] = 1.0
-    step = max(1, batch_pairs // len(sups))
-    for lo in range(0, len(sups), step):
-        sup0 = np.repeat(sups[lo:lo + step], len(sups), axis=0)
-        sup1 = np.tile(sups, (len(sup0) // len(sups), 1))
-        batch = (sup0, sup1, sup0[:, :, None] * a + sup1[:, None, :], template, unit)
-        for arr in batch:
-            arr.flags.writeable = False
-        yield batch
+    every = np.arange(1 << a)
+    s, t = [every[1:]], [every[1:]]
+    for i, j in itertools.permutations(range(a), 2):
+        bi, bj = 1 << (a - 1 - i), 1 << (a - 1 - j)
+        rest = every[(every & (bi | bj)) == 0]
+        s.append(rest | bi)
+        t.append(rest | bj)
+    s, t = np.concatenate(s), np.concatenate(t)
+    order = np.lexsort((-t, -s, np.bitwise_count(s)))
+    members = ((every[:, None] >> np.arange(a - 1, -1, -1)) & 1).astype(float)
+    out = s[order], t[order], members
+    for arr in out:
+        arr.flags.writeable = False  # shared by every later solve on a subbands
+    return out
 
 
-# Room for every support size of A = 2..7 at once; one A has at most 11
-# under SUPPORT_PAIR_GUARD.
-@functools.lru_cache(maxsize=32)
-def _cached_support_layouts(a: int, m: int, batch_pairs: int) -> tuple:
-    """``_support_layouts`` kept for the process, for sizes that fit one batch."""
-    return tuple(_support_layouts(a, m, batch_pairs))
+def _indifference(own, mixer, members, snr: np.ndarray, d: np.ndarray):
+    """Per pair of supports ``own``, ``mixer`` (bit masks), the mix q over
+    ``mixer`` that makes a player earning snr[a] + d[a] q[a] indifferent
+    over ``own`` at a common value v.
 
-
-def _indifference_solutions(template: np.ndarray, unit: np.ndarray, blocks: np.ndarray):
-    """Solve one player's augmented systems; keep the non-negative solutions.
-
-    Returns the indices of the kept systems, their strategies clipped at 0,
-    and their common values.
+    q[a] = (v - snr[a]) / d[a] on ``own & mixer`` where d != 0. The other k
+    rows of ``own`` pin v to their snr and the other k columns of ``mixer``
+    are free. k >= 2 is singular (two pinned rows differ by a multiple of
+    the normalization row); with k = 1 the free column takes 1 - sum q;
+    with k = 0, v = (1 + sum snr/d) / sum 1/d, singular if sum 1/d = 0.
+    Returns the pairs whose q is >= -1e-9 and admits no deviation better
+    than v + BEST_RESPONSE_TOL, and their q (A, pairs) clipped at 0.
     """
-    m = blocks.shape[-1]
-    aug = np.repeat(template[None], len(blocks), axis=0)
-    aug[:, :m, :m] = blocks
-    idx = np.flatnonzero(np.linalg.slogdet(aug)[0] != 0.0)
-    sol = np.linalg.solve(aug[idx], unit)
-    ok = ~(sol[:, :m] < -1e-9).any(axis=1)  # a NaN entry passes, as per pair
-    return idx[ok], np.maximum(sol[ok, :m], 0.0), sol[ok, m]
+    bits = 1 << np.arange(d.size - 1, -1, -1)
+    nonzero = d != 0.0
+    solved = own & mixer & bits[nonzero].sum()
+    pinned = own & ~solved
+    k = np.bitwise_count(pinned)
+    inv, ratio = (np.divide(x, d, out=np.zeros_like(d), where=nonzero) for x in (1.0, snr))
+    sums = members @ np.stack([inv, ratio, snr], axis=1)  # of 1/d, snr/d and snr, per mask
+    norm = sums[solved, 0]
+    rows = np.flatnonzero((k == 1) | ((k == 0) & (norm != 0.0)))
+    k = k[rows]
+    v = np.divide(1.0 + sums[solved[rows], 1], norm[rows], out=sums[pinned[rows], 2],
+                  where=k == 0)
+    # A deviation off ``mixer`` earns its snr: drop those pairs before forming q.
+    outside = np.where(members == 0.0, snr, -np.inf).max(axis=1)
+    ok = ~(outside[mixer[rows]] > v + BEST_RESPONSE_TOL)
+    rows, k, v = rows[ok], k[ok], v[ok]
+    # (A, pairs) from here: numpy reduces short rows slowly.
+    cells = (bits[:, None] & solved[rows]) != 0
+    q = np.zeros(cells.shape)
+    np.subtract(v, snr[:, None], out=q, where=cells)
+    np.divide(q, d[:, None], out=q, where=cells)
+    q += ((bits[:, None] & mixer[rows] & ~solved[rows]) != 0) * (1.0 - q.sum(axis=0))
+    ok = ~(q < -1e-9).any(axis=0)
+    q, v, rows = np.maximum(q[:, ok], 0.0), v[ok], rows[ok]
+    best = ~((snr[:, None] + d[:, None] * q).max(axis=0) > v + BEST_RESPONSE_TOL)
+    return rows[best], q[:, best]
 
 
-def _support_enumeration_2p(table: UtilityTable) -> list[StrategyProfile]:
-    """All mixed NE of a 2-player game found by equal-size support enumeration.
+def _equilibria_2p(snr: np.ndarray, hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both players' strategies (C, A) at each equilibrium of the two-player
+    ``collision_table(snr, hit)`` that equal-size support enumeration finds,
+    in its order, the first kept of those equal when rounded at 1e-9.
 
-    Player 1's strategy y makes player 0 indifferent over sup0, and
-    symmetrically for x. Augmented system: utility rows minus the common
-    value v, plus the normalization row. Each support size m is solved in
-    batches of (sup0, sup1) pairs, in ``itertools.combinations`` order, so
-    equilibria are found in that order. A batch runs in two stages. Stage
-    1 solves player 0's systems for every pair and keeps the pairs whose y
-    is non-negative and passes player 0's best-response check. Stage 2
-    builds and solves player 1's systems only for those pairs, then checks
-    x the same way. In each stage ``slogdet`` gives sign 0 exactly where
-    ``solve`` raises (both use LAPACK's exact-zero-pivot test), so the
-    nonsingular systems are solved in one call. Every kept pair passes the
-    same per-matrix predicates as a per-pair loop. Support sizes whose
-    pairs fit one batch have their layout cached for the process.
+    Player 1's systems are solved only for the pairs player 0's pass.
     """
-    a = table.n_subbands
-    u0, u1 = table.values[0], table.values[1]
-    flat_u0, flat_u1 = u0.ravel(), u1.ravel()
-    found: dict[tuple, StrategyProfile] = {}
-    for m in range(1, a + 1):
-        if math.comb(a, m) ** 2 <= _BATCH_PAIRS:
-            layouts = _cached_support_layouts(a, m, _BATCH_PAIRS)
-        else:
-            layouts = _support_layouts(a, m, _BATCH_PAIRS)
-        for sup0, sup1, flat, template, unit in layouts:
-            kept, y, v0 = _indifference_solutions(template, unit, flat_u0[flat])
-            # Best-response checks against all pure deviations. Both products
-            # are vector-matrix: numpy computes (A, m) @ (m,) on the same
-            # path, so each batch item equals the per-pair value bit for bit.
-            dev0 = (y[:, None, :] @ u0.T[sup1[kept]])[:, 0].max(axis=1)
-            ok = ~(dev0 > v0 + BEST_RESPONSE_TOL)
-            kept, y = kept[ok], y[ok]
-            if not kept.size:
-                continue
-            idx, x, v1 = _indifference_solutions(
-                template, unit, flat_u1[flat[kept]].swapaxes(1, 2))
-            kept, y = kept[idx], y[idx]
-            dev1 = (x[:, None, :] @ u1[sup0[kept]])[:, 0].max(axis=1)
-            ok = ~(dev1 > v1 + BEST_RESPONSE_TOL)
-            for s0, s1, xi, yi in zip(sup0[kept[ok]], sup1[kept[ok]], x[ok], y[ok]):
-                p0 = np.zeros(a)
-                p0[s0] = xi / xi.sum()
-                p1 = np.zeros(a)
-                p1[s1] = yi / yi.sum()
-                key = (tuple(np.round(p0, 9)), tuple(np.round(p1, 9)))
-                found.setdefault(
-                    key, StrategyProfile((MixedStrategy(p0), MixedStrategy(p1)))
-                )
-    return list(found.values())
+    d = hit - snr
+    s, t, members = _support_pairs(snr.shape[1])
+    kept, y = _indifference(s, t, members, snr[0], d[0])
+    found, x = _indifference(t[kept], s[kept], members, snr[1], d[1])
+    y = y[:, found]
+    x /= x.sum(axis=0)
+    y /= y.sum(axis=0)
+    keys = np.round(np.concatenate([x, y]).T, 9)
+    keys += 0.0  # -0.0 as 0.0
+    first = _first_rows(keys)
+    return x.T[first], y.T[first]
 
 
-def solve_nash_welfare_max(table: UtilityTable, mode: str = "auto") -> StrategyProfile:
-    """The NE maximizing total expected utility, ties broken reproducibly.
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row of ``keys``, ascending."""
+    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    return np.sort(np.unique(rows[:, 0], return_index=True)[1])
 
-    ``mode='auto'`` adds two-player mixed equilibria via support
-    enumeration; ``mode='pure'`` considers pure equilibria only (the only
-    option for three or more players). Ties in welfare are broken by
-    lexicographic order on the support index sets.
+
+def solve_nash_welfare_max(snr: np.ndarray, hit: np.ndarray, mode: str = "auto") -> StrategyProfile:
+    """The NE of ``collision_table(snr, hit)`` maximizing total expected
+    utility; ties within WELFARE_TIE_ATOL go to the least support sets.
+
+    Two players in ``mode='auto'`` consider the equilibria that equal-size
+    support enumeration finds, solved in closed form, the first found with
+    each pair of support sets; ``mode='pure'`` and three or more players
+    consider the pure equilibria of the dense table.
     """
     if mode not in ("auto", "pure"):
         raise ValueError(f"unknown mode {mode!r}")
-    candidates = {p.support_key(): p for p in enumerate_pure_nash(table)}
-    if mode == "auto" and table.n_players == 2:
-        for p in _support_enumeration_2p(table):
-            candidates.setdefault(p.support_key(), p)
-    if not candidates:
-        raise SolverIncompleteError(
-            "no equilibrium found (pure-only enumeration for >2 players, "
-            "equal-size support enumeration for 2)"
-        )
-    welfare = {
-        key: sum(expected_utility(table, p, i) for i in range(table.n_players))
-        for key, p in candidates.items()
-    }
-    best = max(welfare.values())
-    tied = sorted(k for k, w in welfare.items() if w >= best - WELFARE_TIE_ATOL)
-    return candidates[tied[0]]
+    snr, hit = np.asarray(snr, dtype=float), np.asarray(hit, dtype=float)
+    if not (np.all(np.isfinite(snr)) and np.all(np.isfinite(hit))):
+        raise ValueError("snr and hit entries must be finite")
+    if mode == "auto" and snr.shape[0] == 2:
+        x, y = _equilibria_2p(snr, hit)
+        first = _first_rows(np.concatenate([x, y], axis=1) > 0.0)
+        x, y, d = x[first], y[first], hit - snr
+        welfare = (x * (snr[0] + d[0] * y)).sum(axis=1) + (y * (snr[1] + d[1] * x)).sum(axis=1)
+        strategies = np.stack([x, y], axis=1)
+    else:
+        table = collision_table(snr, hit)
+        pure = enumerate_pure_nash(table)
+        strategies = np.array([[s.probs for s in p.strategies] for p in pure])
+        welfare = np.array([sum(expected_utility(table, p, i) for i in range(len(snr)))
+                            for p in pure])
+    if not welfare.size:
+        raise SolverIncompleteError("no equilibrium found")
+    tied = np.flatnonzero(welfare >= welfare.max() - WELFARE_TIE_ATOL)
+    c = min(tied, key=lambda c: tuple(tuple(np.flatnonzero(p > 0.0)) for p in strategies[c]))
+    return StrategyProfile(tuple(MixedStrategy(p) for p in strategies[c]))
 
 
 def cce_deviation_gap(joint: JointDistribution, per_arm: np.ndarray, player: int) -> float:

@@ -18,7 +18,6 @@ import numpy as np
 from .game import (
     MixedStrategy,
     StrategyProfile,
-    UtilityTable,
     check_simplex,
     solve_nash_welfare_max,
 )
@@ -248,34 +247,24 @@ def init_nash_hopper(player: int, n_players: int, n_subbands: int,
         profile=uniform, explore_episodes=explore_episodes, **kwargs)
 
 
-def estimated_table(state: NashHopperState) -> UtilityTable:
-    """Utility table from the exchanged estimates: player i's collision SINR on its
-    subband where another player shares it, else its SNR (on sparse index grids)."""
+def floored_estimates(state: NashHopperState) -> tuple[np.ndarray, np.ndarray]:
+    """The exchanged (snr, hit) estimates, each (players, subbands), with the
+    entries not yet observed at the pessimistic floor: the game is the
+    ``game.collision_table`` of the two."""
     floor = state.floor_db
-    snr = np.where(np.isnan(state.snr_est_db), floor, state.snr_est_db)
-    hit = np.where(np.isnan(state.hit_sinr_est_db), floor, state.hit_sinr_est_db)
-    n = state.n_players
-    shape = (state.n_subbands,) * n
-    grids = np.indices(shape, sparse=True)
-    values = np.empty((n,) + shape)
-    for i in range(n):
-        shared = np.zeros(shape, dtype=bool)
-        for j in range(n):
-            if j != i:
-                shared |= grids[j] == grids[i]
-        values[i] = np.where(shared, hit[i][grids[i]], snr[i][grids[i]])
-    return UtilityTable(values)
+    return (np.where(np.isnan(state.snr_est_db), floor, state.snr_est_db),
+            np.where(np.isnan(state.hit_sinr_est_db), floor, state.hit_sinr_est_db))
 
 
 def nash_explore_update(state: NashHopperState, all_stats: EpisodeStats,
                         solved: dict) -> NashHopperState:
     """Fold one episode of exchanged stats and re-solve the welfare-max NE.
 
-    ``all_stats`` holds every radar's row. ``solved`` maps (table values,
-    solver mode) to the profile already solved for that key. Radars that
-    pass the same dict for one episode build the same table from the
-    common-knowledge stats whenever their floor and mode agree, and then
-    share a single solve.
+    ``all_stats`` holds every radar's row. ``solved`` maps (floored
+    estimates, solver mode) to the profile already solved for that key.
+    Radars that pass the same dict for one episode hold the same estimates
+    from the common-knowledge stats, so whenever their floor and mode
+    agree they share a single solve.
     """
     if state.committed is not None:
         raise RuntimeError("explore update after commit")
@@ -287,10 +276,10 @@ def nash_explore_update(state: NashHopperState, all_stats: EpisodeStats,
     hit = np.where(all_stats.hit_count > 0, all_stats.hit_sinr_db, state.hit_sinr_est_db)
     nxt = replace(state, snr_est_db=snr, hit_sinr_est_db=hit,
                   episodes_seen=state.episodes_seen + 1)
-    table = estimated_table(nxt)
-    key = (table.values.shape, table.values.tobytes(), nxt.solver_mode)
+    snr, hit = floored_estimates(nxt)
+    key = (snr.shape, snr.tobytes(), hit.tobytes(), nxt.solver_mode)
     if key not in solved:
-        solved[key] = solve_nash_welfare_max(table, mode=nxt.solver_mode)
+        solved[key] = solve_nash_welfare_max(snr, hit, mode=nxt.solver_mode)
     return replace(nxt, profile=solved[key])
 
 
@@ -299,7 +288,7 @@ def nash_commit(state: NashHopperState) -> NashHopperState:
 
     The estimates have not changed since the explore update that folded
     the last exploration episode, so that update's profile is the
-    welfare-max NE of ``estimated_table(state)`` and is committed as is.
+    welfare-max NE of ``floored_estimates(state)`` and is committed as is.
     """
     if state.episodes_seen != state.explore_episodes:
         raise RuntimeError(

@@ -118,10 +118,12 @@ def delay_outside_chirp(params: ChirpParams, tgt: Target, ks: np.ndarray) -> np.
 
 
 def _echo_slow(params: ChirpParams, tgt: Target, hops: np.ndarray, phase0: float, k0: int):
-    """Per-chirp phase (K,) of the target's echo: the coefficient of its fast-time tone."""
+    """Per-chirp phase (K,) of the target's echo: the coefficient of its fast-time tone.
+
+    The chirps k0 .. k0 + K - 1 lie in one frame, whose every chirp
+    ``sim.validate_config`` has checked with ``delay_outside_chirp``.
+    """
     ks = k0 + np.arange(hops.size)
-    if delay_outside_chirp(params, tgt, ks).any():
-        raise ValueError("round-trip delay outside the chirp: target beyond unambiguous range")
     rbar, eps0, _, f_d, _ = _echo_terms(params, tgt, 1.0)
     return np.exp(1j * (2.0 * np.pi * f_d * ks
                         - 2.0 * np.pi * (2.0 * rbar / C

@@ -210,15 +210,16 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             f"radars: {config.n_radars} radars on {first.n_subbands} subbands give "
             f"dense game tables of {config.n_radars * joint} cells, above the "
             f"{TABLE_CELL_GUARD} allowed")
-    # A 2-radar 'auto' solve also enumerates every equal-size support pair,
-    # C(2A, A) - 1 of them; counted once the dense tables fit (A <= 3162).
+    # A 2-radar 'auto' solve enumerates the equal-size support pairs with
+    # S = T or |S \ T| = 1; counted once the dense tables fit (A <= 3162).
+    a = first.n_subbands
     pairs = nash and config.n_radars == 2 and joint <= PURE_ENUM_GUARD and (
-        math.comb(2 * first.n_subbands, first.n_subbands) - 1)
+        2**a - 1 + a * (a - 1) * 2**a // 4)
     if pairs > SUPPORT_PAIR_GUARD:
         errors += [
             f"radars[{idx}].policy_params.solver_mode: 'auto' on 2 radars and "
-            f"{first.n_subbands} subbands enumerates {pairs} support pairs per solve, "
-            f"above the {SUPPORT_PAIR_GUARD} allowed; use 'pure'"
+            f"{a} subbands enumerates {pairs} support pairs per solve, above the "
+            f"{SUPPORT_PAIR_GUARD} allowed; use 'pure'"
             for idx, spec in enumerate(config.radars, start=1)
             if spec.policy == "nash" and spec.policy_params.get("solver_mode", "auto") == "auto"]
     for li, link in enumerate(config.links, start=1):
@@ -522,7 +523,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
             if noregret is not None:
                 noregret = noregret_update(noregret, stats)
                 probs[noregret.radars] = noregret.probs
-            solved = {}  # one Nash solve per distinct estimated table
+            solved = {}  # one Nash solve per distinct floored estimate
             for i, state in nash.items():
                 if state.committed is None:
                     state = nash_explore_update(state, stats, solved)

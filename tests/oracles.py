@@ -1,10 +1,10 @@
 """Reference implementations that only the tests call.
 
 The simulator synthesizes and evaluates whole blocks of chirps and solves
-whole batches of support pairs; these are the per-chirp, per-profile and
-per-pair definitions those block operations are checked against, plus
-small helpers that no program path needs. Seeded tests depend on the
-order of each function's random draws: keep it.
+the Nash game on all support pairs at once, in closed form; these are the
+per-chirp, per-profile and per-pair definitions those block operations
+are checked against, plus small helpers that no program path needs.
+Seeded tests depend on the order of each function's random draws: keep it.
 """
 from __future__ import annotations
 
@@ -30,11 +30,14 @@ from hopsim.cli import (
 )
 from hopsim.game import (
     PROB_ATOL,
+    WELFARE_TIE_ATOL,
     JointDistribution,
     MixedStrategy,
     StrategyProfile,
     UtilityTable,
     _check_profile_table,
+    collision_table,
+    enumerate_pure_nash,
     expected_utility,
 )
 from hopsim.signal import C, ChirpParams, Target, _echo_terms
@@ -75,6 +78,12 @@ def pure_action(p: MixedStrategy) -> int | None:
     """Action index if the strategy is a point mass, else None."""
     a = int(np.argmax(p.probs))
     return a if p.probs[a] >= 1.0 - PROB_ATOL else None
+
+
+def support_key(profile: StrategyProfile) -> tuple[tuple[int, ...], ...]:
+    """Each strategy's support, the subbands it plays with probability > 0."""
+    return tuple(tuple(int(i) for i in np.flatnonzero(s.probs > 0.0))
+                 for s in profile.strategies)
 
 
 def pure_actions(profile: StrategyProfile) -> tuple[int, ...] | None:
@@ -587,6 +596,21 @@ def support_enumeration_2p(table: UtilityTable, br_tol: float = 1e-8) -> list[St
                     key, StrategyProfile((MixedStrategy(p0), MixedStrategy(p1)))
                 )
     return list(found.values())
+
+
+def welfare_max_profile(table: UtilityTable, mixed: list[StrategyProfile]) -> StrategyProfile:
+    """The welfare-max of the pure equilibria, then ``mixed``, one per support key.
+
+    Welfare is the sum of ``expected_utility`` over the players; ties within
+    WELFARE_TIE_ATOL go to the least support key.
+    """
+    candidates = {support_key(p): p for p in enumerate_pure_nash(table)}
+    for p in mixed:
+        candidates.setdefault(support_key(p), p)
+    welfare = {key: sum(expected_utility(table, p, i) for i in range(table.n_players))
+               for key, p in candidates.items()}
+    best = max(welfare.values())
+    return candidates[min(k for k, w in welfare.items() if w >= best - WELFARE_TIE_ATOL)]
 
 
 def unpruned_overlap_geometry(victim: ChirpParams, source: ChirpParams,

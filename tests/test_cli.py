@@ -623,11 +623,12 @@ class TestStrictConfig:
             "above the 10000000 the dense game tables allow"]
 
     @pytest.mark.parametrize("subbands,modes,named", [
-        (11, ("auto", "auto"), ()), (12, ("auto", "pure"), (1,)),
-        (12, ("auto", "auto"), (1, 2)), (12, ("pure", "pure"), ())])
+        (13, ("auto", "auto"), ()), (14, ("auto", "pure"), (1,)),
+        (14, ("auto", "auto"), (1, 2)), (14, ("pure", "pure"), ())])
     def test_support_pair_guard(self, tmp_path, capsys, subbands, modes, named):
-        # A 2-radar 'auto' solve enumerates C(2A, A) - 1 support pairs:
-        # 705,431 on 11 subbands (a few seconds per solve), 2,704,155 on 12.
+        # A 2-radar 'auto' solve enumerates (2^A - 1) + A(A - 1) 2^(A - 2)
+        # support pairs: 327,679 on 13 subbands (up to 2 s and 360 MB per
+        # solve), 761,855 on 14.
         doc = crowd_doc(2, "nash", subbands)
         doc["radars"] = [dict(r, policy_params=dict(r["policy_params"], solver_mode=mode))
                          for r, mode in zip(doc["radars"], modes)]
@@ -637,9 +638,9 @@ class TestStrictConfig:
         code, err = exit_code_and_errors(tmp_path, capsys, doc)
         assert code == 2
         for i in (1, 2):
-            assert (f"radars[{i}].policy_params.solver_mode: 'auto' on 2 radars and 12 "
-                    "subbands enumerates 2704155 support pairs per solve, above the "
-                    "1000000 allowed; use 'pure'" in err) == (i in named)
+            assert (f"radars[{i}].policy_params.solver_mode: 'auto' on 2 radars and 14 "
+                    "subbands enumerates 761855 support pairs per solve, above the "
+                    "500000 allowed; use 'pure'" in err) == (i in named)
         assert not (tmp_path / "o").exists()
 
     def test_frame_guard(self, tmp_path, capsys):

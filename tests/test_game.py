@@ -14,6 +14,7 @@ from hopsim.game import (
     StrategyProfile,
     UtilityTable,
     cce_deviation_gap,
+    collision_table,
     empirical_joint,
     enumerate_pure_nash,
     expected_utility,
@@ -22,7 +23,7 @@ from hopsim.game import (
     pure_strategy,
     solve_nash_welfare_max,
 )
-from hopsim.hopping import estimated_table, init_nash_hopper
+from hopsim.hopping import floored_estimates, init_nash_hopper
 
 from oracles import (
     dense_arm_utilities,
@@ -34,6 +35,8 @@ from oracles import (
     pure_action,
     pure_actions,
     support_enumeration_2p,
+    support_key,
+    welfare_max_profile,
 )
 
 
@@ -48,6 +51,12 @@ def anti_coordination_table(n_players, n_subbands, snr_db=20.0, sinr_db=-10.0):
                 collide |= grids[j] == grids[i]
         values[i] = np.where(collide, sinr_db, snr_db)
     return UtilityTable(values)
+
+
+def anti_coordination(n_players, n_subbands, snr_db=20.0, sinr_db=-10.0):
+    """The (snr, hit) estimates that ``anti_coordination_table`` is the game of."""
+    shape = (n_players, n_subbands)
+    return np.full(shape, snr_db), np.full(shape, sinr_db)
 
 
 def brute_force_pure_nash(table):
@@ -104,7 +113,7 @@ class TestMixedStrategy:
     def test_valid_vector_accepted(self):
         s = MixedStrategy(np.array([0.25, 0.75]))
         assert s.n_subbands == 2
-        assert s.support == (0, 1)
+        assert support_key(StrategyProfile((s,))) == ((0, 1),)
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -153,8 +162,9 @@ class TestUtilityTable:
 
 
 class TestFromCollisions:
-    """``hopping.estimated_table`` on sparse grids gives the bits of the
-    weight-1 collision table on full ``np.indices`` grids."""
+    """``game.collision_table`` of the floored estimates, on sparse grids,
+    gives the bits of the weight-1 collision table on full ``np.indices``
+    grids."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4], ids="estimated-{}".format)
     def test_matches_dense_grids(self, n):
@@ -166,7 +176,7 @@ class TestFromCollisions:
         state = replace(init_nash_hopper(0, n, a, explore_episodes=1, floor_db=-10.0),
                         snr_est_db=np.where(snr == -10.0, np.nan, snr),
                         hit_sinr_est_db=np.where(hit == -10.0, np.nan, hit))
-        got = estimated_table(state)
+        got = collision_table(*floored_estimates(state))
         expected = from_collisions_dense(
             np.ones((n, n)), a, lambda i, own, load: np.where(load > 0, hit[i][own], snr[i][own]))
         assert got.values.shape == (n,) + (a,) * n
@@ -309,104 +319,159 @@ class TestEnumeratePureNash:
                     == (joint in members)
 
 
+# Matching pennies as a collision game: player 0 gains by sharing, player 1 by not.
+MATCHING_PENNIES = (np.array([[-1.0, -1.0], [1.0, 1.0]]), np.array([[1.0, 1.0], [-1.0, -1.0]]))
+
+
 class TestSolveNashWelfareMax:
     def test_asymmetric_snr_prefers_better_assignment(self):
         # Radar 1 earns more on subband 0, radar 2 on subband 1.
-        values = np.array([
-            [[-10.0, 25.0], [15.0, -10.0]],
-            [[-10.0, 22.0], [12.0, -10.0]],
-        ])
-        best = solve_nash_welfare_max(UtilityTable(values))
+        snr = np.array([[25.0, 15.0], [12.0, 22.0]])
+        best = solve_nash_welfare_max(snr, np.full((2, 2), -10.0))
         assert pure_actions(best) == (0, 1)
 
     def test_symmetric_tie_breaks_lexicographically(self):
-        best = solve_nash_welfare_max(anti_coordination_table(2, 6))
+        best = solve_nash_welfare_max(*anti_coordination(2, 6))
         assert pure_actions(best) == (0, 1)
 
     def test_matching_pennies_mixed(self):
-        values = np.array([
+        np.testing.assert_array_equal(collision_table(*MATCHING_PENNIES).values, [
             [[1.0, -1.0], [-1.0, 1.0]],
             [[-1.0, 1.0], [1.0, -1.0]],
         ])
-        best = solve_nash_welfare_max(UtilityTable(values))
+        best = solve_nash_welfare_max(*MATCHING_PENNIES)
         for s in best.strategies:
             np.testing.assert_allclose(s.probs, [0.5, 0.5], atol=1e-9)
 
     def test_pure_mode_reports_incomplete_when_no_pure_ne(self):
-        values = np.array([
-            [[1.0, -1.0], [-1.0, 1.0]],
-            [[-1.0, 1.0], [1.0, -1.0]],
-        ])
         with pytest.raises(SolverIncompleteError):
-            solve_nash_welfare_max(UtilityTable(values), mode="pure")
+            solve_nash_welfare_max(*MATCHING_PENNIES, mode="pure")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            solve_nash_welfare_max(anti_coordination_table(2, 2), mode="exotic")
+            solve_nash_welfare_max(*anti_coordination(2, 2), mode="exotic")
 
     def test_three_player_pure_mode(self):
-        table = anti_coordination_table(3, 3)
-        best = solve_nash_welfare_max(table, mode="pure")
+        best = solve_nash_welfare_max(*anti_coordination(3, 3), mode="pure")
         acts = pure_actions(best)
         assert acts is not None and len(set(acts)) == 3
 
+    def test_nonfinite_estimates_rejected(self):
+        snr, hit = anti_coordination(2, 3)
+        snr[1, 2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            solve_nash_welfare_max(snr, hit)
 
-def random_2p_table(family, rng):
-    """A random 2-player table with 2 to 6 subbands from one test family."""
+
+def random_estimates(rng):
+    """(snr, hit) as a nash radar floors them, on 2 to 6 subbands: whole-dB
+    clean SNR and collision SINR, unobserved entries at the -10 dB floor.
+    Repeated values make many indifference systems exactly singular."""
     a = int(rng.integers(2, 7))
-    if family == "gaussian":  # at scales where a determinant cutoff would misfire
-        return UtilityTable(rng.normal(size=(2, a, a)) * 10.0 ** rng.uniform(-4, 4))
-    if family == "integer":  # ties and degenerate games
-        return UtilityTable(rng.integers(-2, 3, size=(2, a, a)).astype(float))
-    # estimated_table shape: whole-dB clean SNR off the diagonal, collision
-    # SINR on it, unobserved cells at the -10 dB floor. Repeated values make
-    # many indifference systems exactly singular.
     snr = np.where(rng.random((2, a)) < 0.2, -10.0, rng.integers(10, 30, (2, a)))
     hit = np.where(rng.random((2, a)) < 0.5, -10.0, rng.integers(-5, 15, (2, a)))
-    return from_collisions_dense(
-        np.ones((2, 2)), a, lambda i, own, load: np.where(load > 0, hit[i][own], snr[i][own]))
+    return snr, hit
 
 
-def assert_same_profiles(got, expected):
-    """Same profiles in the same order, with bitwise-equal probabilities."""
-    assert [p.support_key() for p in got] == [p.support_key() for p in expected]
+def assert_close_profiles(got, expected):
+    """Same supports in the same order, probabilities within 1e-12.
+
+    Where an equilibrium probability is 0 in exact arithmetic, the closed
+    form and LAPACK can leave rounding residues that differ (2e-16 against
+    0 or 2e-17), so supports are compared on probabilities rounded to 12
+    decimals.
+    """
+    def supports(p):
+        return [tuple(np.flatnonzero(np.round(s.probs, 12) > 0)) for s in p.strategies]
+
+    assert [supports(p) for p in got] == [supports(p) for p in expected]
     for p, q in zip(got, expected):
         for s, t in zip(p.strategies, q.strategies):
-            assert s.probs.tobytes() == t.probs.tobytes()
+            np.testing.assert_allclose(s.probs, t.probs, rtol=0, atol=1e-12)
+
+
+def closed_form_equilibria(snr, hit):
+    """``game._equilibria_2p`` as profiles."""
+    return [StrategyProfile((MixedStrategy(x), MixedStrategy(y)))
+            for x, y in zip(*game._equilibria_2p(snr, hit))]
+
+
+def assert_matches_loop_oracle(snr, hit):
+    """The closed form's equilibria and welfare-max choice against the per-pair loop."""
+    snr, hit = np.asarray(snr, dtype=float), np.asarray(hit, dtype=float)
+    table = collision_table(snr, hit)
+    expected = support_enumeration_2p(table)
+    assert_close_profiles(closed_form_equilibria(snr, hit), expected)
+    assert_close_profiles([solve_nash_welfare_max(snr, hit)],
+                          [welfare_max_profile(table, expected)])
 
 
 class TestBatchedSupportEnumeration:
-    """The batched solver against the per-pair loop kept in the oracles."""
+    """The closed-form solve of every support pair at once against the
+    per-pair loop kept in the oracles."""
 
-    @pytest.mark.parametrize("family,seed", [("gaussian", 0), ("integer", 1), ("estimated", 2)])
-    def test_matches_loop_oracle(self, family, seed, monkeypatch):
+    @pytest.mark.parametrize("family,seed", [("estimated", 2)])
+    def test_matches_loop_oracle(self, family, seed):
         rng = np.random.default_rng(seed)
         for _ in range(334):
-            table = random_2p_table(family, rng)
-            expected = support_enumeration_2p(table)
-            assert_same_profiles(game._support_enumeration_2p(table), expected)
-            with monkeypatch.context() as mp:
-                mp.setattr(game, "_support_enumeration_2p", lambda t: expected)
-                want = solve_nash_welfare_max(table)
-            assert_same_profiles([solve_nash_welfare_max(table)], [want])
+            assert_matches_loop_oracle(*random_estimates(rng))
 
-    def test_small_batches_match_loop_oracle(self, monkeypatch):
-        # Support sizes with more pairs than one batch holds are split
-        # into several batches; the result must not depend on the split.
-        monkeypatch.setattr(game, "_BATCH_PAIRS", 7)
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            table = random_2p_table("integer", rng)
-            assert_same_profiles(game._support_enumeration_2p(table),
-                                 support_enumeration_2p(table))
+    @pytest.mark.parametrize("a", range(1, 8))
+    def test_pairs_in_enumeration_order(self, a):
+        # Exactly the equal-size pairs with |S \ T| <= 1, in the order of
+        # the loop: size, then S, then T, each in combinations order.
+        pairs = [(s, t) for m in range(1, a + 1)
+                 for s in itertools.combinations(range(a), m)
+                 for t in itertools.combinations(range(a), m) if len(set(s) - set(t)) <= 1]
+        sup0, sup1, members = game._support_pairs(a)
+        assert [(tuple(np.flatnonzero(members[s])), tuple(np.flatnonzero(members[t])))
+                for s, t in zip(sup0, sup1)] == pairs
+        assert len(pairs) == (2**a - 1) + a * (a - 1) * 2**a // 4
+        for arr in (sup0, sup1, members):  # shared by every later solve on a subbands
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
-    def test_cached_layouts_are_read_only(self):
-        # A cached layout is shared by every later solve in the process.
-        for batch in game._cached_support_layouts(4, 2, game._BATCH_PAIRS):
-            for arr in batch:
-                with pytest.raises(ValueError):
-                    arr[(0,) * arr.ndim] = 1
+class TestDegenerateCells:
+    """Collision games whose indifference systems are singular or tied,
+    against the per-pair loop."""
+
+    def test_everything_at_the_floor(self):
+        # Every explore run starts here: d = hit - snr = 0 on every subband.
+        assert_matches_loop_oracle(np.full((2, 6), -10.0), np.full((2, 6), -10.0))
+
+    def test_hit_equals_snr_on_some_subbands(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            snr, hit = random_estimates(rng)
+            assert_matches_loop_oracle(snr, np.where(rng.random(snr.shape) < 0.4, snr, hit))
+
+    def test_equal_snr_on_several_subbands(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            snr, hit = random_estimates(rng)
+            assert_matches_loop_oracle(rng.choice([15.0, 20.0], size=snr.shape), hit)
+
+    def test_reciprocal_sum_zero(self):
+        # S = T = {0, 1} with d = [2, -2] for player 0: sum 1/d = 0, so the
+        # pair has no solution; with d = [2, -1] it has one.
+        snr = np.array([[0.0, 1.0, -10.0], [3.0, 3.0, 5.0]])
+        for d0 in ([2.0, -2.0, -20.0], [2.0, -1.0, -20.0]):
+            assert_matches_loop_oracle(snr, snr + np.array([d0, [-1.0, -1.0, -20.0]]))
+
+    def test_singular_pairs_lapack_solves(self):
+        # Pairs with two pinned rows are singular in exact arithmetic, yet
+        # LAPACK's pivot on some of them is a rounding residue, not 0.
+        snr = np.array([[27.0, 12.0, 21.0, 24.0], [26.0, 20.0, 17.0, 16.0]])
+        hit = np.array([[-10.0, 2.0, 1.0, -10.0], [0.0, -10.0, 9.0, -10.0]])
+        table = collision_table(snr, hit)
+        sup0, sup1 = (0, 2), (1, 3)  # S and T disjoint: k = 2
+        aug = np.zeros((3, 3))
+        aug[:2, :2] = table.values[0][np.ix_(sup0, sup1)]
+        aug[:2, 2], aug[2, :2] = -1.0, 1.0
+        assert np.linalg.slogdet(aug)[0] != 0.0
+        assert_matches_loop_oracle(snr, hit)
+
 
 class TestCceDeviationGap:
     def test_point_mass_on_pure_nash_nonpositive(self):
@@ -541,10 +606,10 @@ class TestConstantShiftInvariance:
 
     def test_symmetric_shift_keeps_welfare_max_selection(self):
         rng = np.random.default_rng(9)
-        values = rng.normal(size=(2, 3, 3))
-        base = solve_nash_welfare_max(UtilityTable(values))
-        shifted = solve_nash_welfare_max(UtilityTable(values + 7.0))
-        assert base.support_key() == shifted.support_key()
+        snr, hit = rng.normal(size=(2, 2, 3))
+        base = solve_nash_welfare_max(snr, hit)
+        shifted = solve_nash_welfare_max(snr + 7.0, hit + 7.0)
+        assert support_key(base) == support_key(shifted)
 
 
 class TestRegretGapIdentity:

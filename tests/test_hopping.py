@@ -5,13 +5,19 @@ import numpy as np
 import pytest
 
 import hopsim.hopping as hopping
-from hopsim.game import MixedStrategy, UtilityTable, pure_strategy, solve_nash_welfare_max
+from hopsim.game import (
+    MixedStrategy,
+    UtilityTable,
+    collision_table,
+    pure_strategy,
+    solve_nash_welfare_max,
+)
 from hopsim.hopping import (
     DEFAULT_KAPPA,
     DEFAULT_LOSS_CLIP_DB,
     EpisodeStats,
     NoRegretState,
-    estimated_table,
+    floored_estimates,
     init_nash_hopper,
     init_noregret,
     nash_commit,
@@ -31,6 +37,7 @@ from oracles import (
     pure_actions,
     sample_subband,
     stack_stats,
+    support_key,
 )
 
 
@@ -314,7 +321,7 @@ class TestNashHopper:
         all_stats = [self._explore_stats(2, collided={0: 3.0}),
                      self._explore_stats(2, collided={0: 3.0})]
         state = nash_explore_update(state, stack_stats(all_stats), {})
-        table = estimated_table(state)
+        table = collision_table(*floored_estimates(state))
         assert table.values[0, 0, 0] == pytest.approx(3.0)
         # subband 1 was observed clean, so its collision-free cell holds SNR
         assert table.values[0, 1, 0] == pytest.approx(20.0)
@@ -323,7 +330,7 @@ class TestNashHopper:
         state = init_nash_hopper(0, 2, 3, explore_episodes=1)
         state = nash_explore_update(
             state, stack_stats([self._explore_stats(3), self._explore_stats(3)]), {})
-        table = estimated_table(state)
+        table = collision_table(*floored_estimates(state))
         for i in range(3):
             for j in range(3):
                 if i != j:
@@ -333,7 +340,7 @@ class TestNashHopper:
         state = init_nash_hopper(0, 2, 2, explore_episodes=1, floor_db=-10.0)
         state = nash_explore_update(
             state, stack_stats([self._explore_stats(2), self._explore_stats(2)]), {})
-        table = estimated_table(state)
+        table = collision_table(*floored_estimates(state))
         assert table.values[0, 0, 0] == pytest.approx(-10.0)
 
     def test_recomputed_profile_is_distinct_pure_pair(self):
@@ -394,8 +401,8 @@ class TestNashHopper:
                         int(f): rng.uniform(-5, 15) for f in rng.choice(4, 2)})
                     for _ in range(2)]), {})
             state = nash_commit(state)
-            fresh = solve_nash_welfare_max(estimated_table(state))
-            assert state.profile.support_key() == fresh.support_key()
+            fresh = solve_nash_welfare_max(*floored_estimates(state))
+            assert support_key(state.profile) == support_key(fresh)
             for s, t in zip(state.profile.strategies, fresh.strategies):
                 np.testing.assert_array_equal(s.probs, t.probs)
             np.testing.assert_array_equal(state.committed.probs,

@@ -16,7 +16,7 @@ import pytest
 import hopsim.signal as sig
 from hopsim import game, hopping, sim
 from hopsim.cli import parse_config
-from hopsim.game import cce_deviation_gap, empirical_joint, external_regret
+from hopsim.game import cce_deviation_gap, collision_table, empirical_joint, external_regret
 from hopsim.sim import (
     LinkSpec,
     RadarSpec,
@@ -41,6 +41,7 @@ from oracles import (
     overlap_weight,
     support_enumeration_2p,
     unpruned_overlap_geometry,
+    welfare_max_profile,
 )
 
 
@@ -151,19 +152,15 @@ class TestValidateConfig:
         (2399.8, 100.0), (2399.9, 100.0), (2399.99, -100.0), (2400.5, -100.0), (2500.0, 0.0),
     ])
     def test_target_delay_check_matches_synthesis(self, range_m, velocity_mps):
-        # Exactly the targets whose echo synthesis would fail are rejected.
+        # Exactly the targets whose reference echo synthesis fails are
+        # rejected; the simulator's synthesis relies on this check.
         cfg = two_radar_config()
         tgt = sig.Target(range_m=range_m, velocity_mps=velocity_mps, snr_db=20.0)
         cfg = replace(cfg, radars=(replace(cfg.radars[0], targets=(target(), tgt)),
                                    *cfg.radars[1:]))
         ch = cfg.radars[0].chirp
         try:
-            sig.measure_episode(ch, (tgt,), [0.0], np.zeros(ch.chirps_per_frame, dtype=int), 0,
-                                np.zeros((0, ch.chirps_per_frame)),
-                                *sig.noiseless_basis(ch, (tgt,), [], 1.0), 1.0,
-                                np.random.default_rng(0),
-                                genie_flags=np.zeros(ch.chirps_per_frame, dtype=bool),
-                                workspace=None)
+            oracles.echo_frame(ch, tgt, np.zeros(ch.chirps_per_frame))
             fails = False
         except ValueError:
             fails = True
@@ -527,7 +524,7 @@ class TestRunScenario:
 
 
 class TestNashSolveSharing:
-    """Nash agents share one solve per distinct estimated table per episode."""
+    """Nash agents share one solve per distinct floored estimate per episode."""
 
     EXPLORE = 3
 
@@ -537,7 +534,7 @@ class TestNashSolveSharing:
         solve = hopping.solve_nash_welfare_max
         with monkeypatch.context() as mp:
             mp.setattr(hopping, "solve_nash_welfare_max",
-                       lambda table, mode="auto": calls.append(mode) or solve(table, mode))
+                       lambda snr, hit, mode: calls.append(mode) or solve(snr, hit, mode))
             if per_agent:
                 # Reference: every agent solves its own table, no sharing.
                 mp.setattr(sim, "nash_explore_update",
@@ -620,34 +617,41 @@ class TestStackedPolicyStep:
 
 
 class TestStagedSolverOnExploreTables:
-    """The staged support enumeration on the tables a nash run estimates."""
+    """The closed-form solve on the estimates a nash run floors."""
 
     def test_matches_loop_oracle_end_to_end(self, monkeypatch):
         cfg = parse_config(bundled_config_path("table1").read_text())
         cfg = replace(cfg, frames=8, radars=tuple(
             replace(r, policy="nash", policy_params={"explore_episodes": 6})
             for r in cfg.radars))
-        solved = []  # (table, equilibria) of every staged solve
-        staged = game._support_enumeration_2p
+        solved = []  # the (snr, hit) of every solve
+        solve = hopping.solve_nash_welfare_max
 
-        def recording(table):
-            solved.append((table, staged(table)))
-            return solved[-1][1]
+        def recording(snr, hit, mode):
+            solved.append((snr, hit))
+            return solve(snr, hit, mode)
 
-        monkeypatch.setattr(game, "_support_enumeration_2p", recording)
+        def loop_oracle(snr, hit, mode):
+            table = collision_table(snr, hit)
+            return welfare_max_profile(table, support_enumeration_2p(table))
+
+        monkeypatch.setattr(hopping, "solve_nash_welfare_max", recording)
         got = run_scenario(cfg)
-        monkeypatch.setattr(game, "_support_enumeration_2p", support_enumeration_2p)
+        monkeypatch.setattr(hopping, "solve_nash_welfare_max", loop_oracle)
         want = run_scenario(cfg)
         for name in ("strategies", "interference_rate", "aligned_actions"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         # Every equilibrium found, not only the welfare-max one the run plays.
-        assert solved
-        for table, found in solved:
-            expected = support_enumeration_2p(table)
-            assert [p.support_key() for p in found] == [p.support_key() for p in expected]
-            for p, q in zip(found, expected):
-                for s, t in zip(p.strategies, q.strategies):
-                    assert s.probs.tobytes() == t.probs.tobytes()
+        assert len(solved) == 6
+        for snr, hit in solved:
+            expected = support_enumeration_2p(collision_table(snr, hit))
+            found = game._equilibria_2p(snr, hit)
+            assert len(found[0]) == len(expected)
+            for x, y, q in zip(*found, expected):
+                for s, t in zip((x, y), q.strategies):
+                    assert np.flatnonzero(np.round(s, 12)).tolist() \
+                        == np.flatnonzero(np.round(t.probs, 12)).tolist()
+                    np.testing.assert_allclose(s, t.probs, rtol=0, atol=1e-12)
 
 
 class TestNashCommitTiming:
