@@ -1,9 +1,12 @@
 """Game-theoretic core for the subband anti-coordination game.
 
-Mixed strategies, per-player utility tables over joint subband choices,
-Nash equilibrium computation, coarse-correlated-equilibrium certification,
-and external regret accounting. Utilities are in dB throughout. All
-operations are pure functions of their inputs.
+Mixed strategies, Nash equilibrium computation, coarse-correlated-
+equilibrium certification, and external regret accounting. Utilities are
+in dB throughout. All operations are pure functions of their inputs.
+
+The Nash solver plays the collision game of two (players, subbands)
+arrays: player i on subband a earns ``hit[i, a]`` if another player is
+on a too, else ``snr[i, a]``.
 
 Subband indices are 0-based everywhere in this package; index ``a`` maps
 to starting frequency ``f_c + a * B_a``.
@@ -25,8 +28,7 @@ WELFARE_TIE_ATOL = 1e-9
 BEST_RESPONSE_TOL = 1e-8
 # Guard on the joint action space for exhaustive enumeration.
 PURE_ENUM_GUARD = 10**7
-# Guard on float64 cells, about 400 MB at the guard: of one dense
-# (n, A, ..., A) table, n * A**n, and of a run's per-step records.
+# Guard on the float64 cells of a run's per-step records, about 400 MB.
 TABLE_CELL_GUARD = 5 * 10**7
 # Guard on the support pairs a 2-player ``auto`` solve enumerates, those
 # with S = T or |S \ T| = 1: (2**A - 1) + A (A - 1) 2**(A - 2). Where nearly
@@ -107,44 +109,6 @@ class StrategyProfile:
         return self.strategies[0].n_subbands
 
 
-def pure_profile(actions, n_subbands: int) -> StrategyProfile:
-    return StrategyProfile(tuple(pure_strategy(a, n_subbands) for a in actions))
-
-
-@dataclass(frozen=True)
-class UtilityTable:
-    """Per-player utility (dB) for every joint subband choice.
-
-    ``values`` has shape (I, A, ..., A) with one trailing axis per player;
-    ``values[i][f]`` is player i's utility at joint action f.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim < 2:
-            raise ValueError("table must have shape (I, A, ..., A)")
-        n_players = v.ndim - 1
-        if v.shape[0] != n_players:
-            raise ValueError(
-                f"leading axis {v.shape[0]} does not match {n_players} action axes"
-            )
-        if len(set(v.shape[1:])) != 1:
-            raise ValueError("action axes must all have the same length")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("table entries must be finite")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_players(self) -> int:
-        return self.values.ndim - 1
-
-    @property
-    def n_subbands(self) -> int:
-        return self.values.shape[1]
-
-
 @dataclass(frozen=True)
 class JointDistribution:
     """Probability mass on joint subband choices, listed by its support.
@@ -177,56 +141,6 @@ class JointDistribution:
     @property
     def n_players(self) -> int:
         return self.rows.shape[1]
-
-
-def _check_profile_table(profile: StrategyProfile, table: UtilityTable):
-    if profile.n_players != table.n_players:
-        raise ValueError(
-            f"profile has {profile.n_players} players, table {table.n_players}"
-        )
-    if profile.n_subbands != table.n_subbands:
-        raise ValueError(
-            f"profile has {profile.n_subbands} subbands, table {table.n_subbands}"
-        )
-
-
-def expected_utility(table: UtilityTable, profile: StrategyProfile, player: int) -> float:
-    """Expected dB utility of ``player`` under the product distribution."""
-    _check_profile_table(profile, table)
-    u = table.values[player]
-    for s in profile.strategies:
-        # The (1, A) @ (A, rest) product np.tensordot makes, without its
-        # Python overhead: the same BLAS call, so the same bits.
-        u = np.dot(s.probs[None, :], u.reshape(s.probs.size, -1)).reshape(u.shape[1:])
-    return float(u)
-
-
-def enumerate_pure_nash(table: UtilityTable) -> list[StrategyProfile]:
-    """All pure profiles with no strictly improving unilateral deviation."""
-    n, a = table.n_players, table.n_subbands
-    if a**n > PURE_ENUM_GUARD:
-        raise CapacityError(f"joint action space {a}^{n} exceeds enumeration guard")
-    mask = np.ones((a,) * n, dtype=bool)
-    for i in range(n):
-        vi = table.values[i]
-        mask &= vi >= vi.max(axis=i, keepdims=True)
-    return [pure_profile(tuple(act), a) for act in np.argwhere(mask)]
-
-
-def collision_table(snr: np.ndarray, hit: np.ndarray) -> UtilityTable:
-    """Dense table of the game where player i earns ``hit[i, a]`` on subband a
-    if another player shares it, else ``snr[i, a]`` (both (n, A))."""
-    n, a = snr.shape
-    shape = (a,) * n
-    grids = np.indices(shape, sparse=True)
-    values = np.empty((n,) + shape)
-    for i in range(n):
-        shared = np.zeros(shape, dtype=bool)
-        for j in range(n):
-            if j != i:
-                shared |= grids[j] == grids[i]
-        values[i] = np.where(shared, hit[i][grids[i]], snr[i][grids[i]])
-    return UtilityTable(values)
 
 
 # One entry per subband count, at most 2 x 2.6 + 0.9 MB under SUPPORT_PAIR_GUARD.
@@ -265,7 +179,8 @@ def _indifference(own, mixer, members, snr: np.ndarray, d: np.ndarray):
     the normalization row); with k = 1 the free column takes 1 - sum q;
     with k = 0, v = (1 + sum snr/d) / sum 1/d, singular if sum 1/d = 0.
     Returns the pairs whose q is >= -1e-9 and admits no deviation better
-    than v + BEST_RESPONSE_TOL, and their q (A, pairs) clipped at 0.
+    than v + BEST_RESPONSE_TOL, and their q (A, pairs) with the entries
+    <= 1e-9 set to 0, so a rounding residue is not in the support.
     """
     bits = 1 << np.arange(d.size - 1, -1, -1)
     nonzero = d != 0.0
@@ -290,14 +205,15 @@ def _indifference(own, mixer, members, snr: np.ndarray, d: np.ndarray):
     np.divide(q, d[:, None], out=q, where=cells)
     q += ((bits[:, None] & mixer[rows] & ~solved[rows]) != 0) * (1.0 - q.sum(axis=0))
     ok = ~(q < -1e-9).any(axis=0)
-    q, v, rows = np.maximum(q[:, ok], 0.0), v[ok], rows[ok]
+    q, v, rows = q[:, ok], v[ok], rows[ok]
+    q[q <= 1e-9] = 0.0
     best = ~((snr[:, None] + d[:, None] * q).max(axis=0) > v + BEST_RESPONSE_TOL)
     return rows[best], q[:, best]
 
 
 def _equilibria_2p(snr: np.ndarray, hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both players' strategies (C, A) at each equilibrium of the two-player
-    ``collision_table(snr, hit)`` that equal-size support enumeration finds,
+    collision game of ``snr`` and ``hit`` that equal-size support enumeration finds,
     in its order, the first kept of those equal when rounded at 1e-9.
 
     Player 1's systems are solved only for the pairs player 0's pass.
@@ -321,37 +237,63 @@ def _first_rows(keys: np.ndarray) -> np.ndarray:
     return np.sort(np.unique(rows[:, 0], return_index=True)[1])
 
 
+def _pure_welfare_max(snr: np.ndarray, hit: np.ndarray) -> StrategyProfile:
+    """The pure NE of the collision game maximizing total utility, the
+    first in C order (the least supports) of those within WELFARE_TIE_ATOL.
+
+    One pass per player over the joint actions, on sparse grids: the
+    player's utility v, whether v is a best response, and the welfare.
+    """
+    n, a = snr.shape
+    if a**n > PURE_ENUM_GUARD:
+        raise CapacityError(f"joint action space {a}^{n} exceeds enumeration guard")
+    shape = (a,) * n
+    grids = np.indices(shape, sparse=True)
+    nash = np.ones(shape, dtype=bool)
+    # v is filled in place: a fresh np.where per player would briefly hold
+    # a third float array of A**n cells, 80 MB at the guard.
+    welfare, v = np.zeros(shape), np.empty(shape)
+    for i in range(n):
+        shared = np.zeros(shape, dtype=bool)
+        for j in range(n):
+            if j != i:
+                shared |= grids[j] == grids[i]
+        np.copyto(v, snr[i][grids[i]])
+        np.copyto(v, hit[i][grids[i]], where=shared)
+        nash &= v >= v.max(axis=i, keepdims=True)
+        welfare += v
+    if not nash.any():
+        raise SolverIncompleteError("no equilibrium found")
+    welfare[~nash] = -np.inf
+    first = np.argmax(welfare >= welfare.max() - WELFARE_TIE_ATOL)
+    return StrategyProfile(tuple(pure_strategy(f, a) for f in np.unravel_index(first, shape)))
+
+
 def solve_nash_welfare_max(snr: np.ndarray, hit: np.ndarray, mode: str = "auto") -> StrategyProfile:
-    """The NE of ``collision_table(snr, hit)`` maximizing total expected
-    utility; ties within WELFARE_TIE_ATOL go to the least support sets.
+    """The NE of the collision game of ``snr`` and ``hit`` maximizing total
+    expected utility; ties within WELFARE_TIE_ATOL go to the least support sets.
 
     Two players in ``mode='auto'`` consider the equilibria that equal-size
     support enumeration finds, solved in closed form, the first found with
     each pair of support sets; ``mode='pure'`` and three or more players
-    consider the pure equilibria of the dense table.
+    consider the pure equilibria.
     """
     if mode not in ("auto", "pure"):
         raise ValueError(f"unknown mode {mode!r}")
     snr, hit = np.asarray(snr, dtype=float), np.asarray(hit, dtype=float)
     if not (np.all(np.isfinite(snr)) and np.all(np.isfinite(hit))):
         raise ValueError("snr and hit entries must be finite")
-    if mode == "auto" and snr.shape[0] == 2:
-        x, y = _equilibria_2p(snr, hit)
-        first = _first_rows(np.concatenate([x, y], axis=1) > 0.0)
-        x, y, d = x[first], y[first], hit - snr
-        welfare = (x * (snr[0] + d[0] * y)).sum(axis=1) + (y * (snr[1] + d[1] * x)).sum(axis=1)
-        strategies = np.stack([x, y], axis=1)
-    else:
-        table = collision_table(snr, hit)
-        pure = enumerate_pure_nash(table)
-        strategies = np.array([[s.probs for s in p.strategies] for p in pure])
-        welfare = np.array([sum(expected_utility(table, p, i) for i in range(len(snr)))
-                            for p in pure])
+    if mode == "pure" or snr.shape[0] != 2:
+        return _pure_welfare_max(snr, hit)
+    x, y = _equilibria_2p(snr, hit)
+    first = _first_rows(np.concatenate([x, y], axis=1) > 0.0)
+    x, y, d = x[first], y[first], hit - snr
+    welfare = (x * (snr[0] + d[0] * y)).sum(axis=1) + (y * (snr[1] + d[1] * x)).sum(axis=1)
     if not welfare.size:
         raise SolverIncompleteError("no equilibrium found")
     tied = np.flatnonzero(welfare >= welfare.max() - WELFARE_TIE_ATOL)
-    c = min(tied, key=lambda c: tuple(tuple(np.flatnonzero(p > 0.0)) for p in strategies[c]))
-    return StrategyProfile(tuple(MixedStrategy(p) for p in strategies[c]))
+    c = min(tied, key=lambda c: (tuple(np.flatnonzero(x[c])), tuple(np.flatnonzero(y[c]))))
+    return StrategyProfile((MixedStrategy(x[c]), MixedStrategy(y[c])))
 
 
 def cce_deviation_gap(joint: JointDistribution, per_arm: np.ndarray, player: int) -> float:

@@ -249,8 +249,8 @@ def init_nash_hopper(player: int, n_players: int, n_subbands: int,
 
 def floored_estimates(state: NashHopperState) -> tuple[np.ndarray, np.ndarray]:
     """The exchanged (snr, hit) estimates, each (players, subbands), with the
-    entries not yet observed at the pessimistic floor: the game is the
-    ``game.collision_table`` of the two."""
+    entries not yet observed at the pessimistic floor: the collision game
+    that ``game.solve_nash_welfare_max`` solves."""
     floor = state.floor_db
     return (np.where(np.isnan(state.snr_est_db), floor, state.snr_est_db),
             np.where(np.isnan(state.hit_sinr_est_db), floor, state.hit_sinr_est_db))

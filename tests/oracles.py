@@ -1,9 +1,11 @@
 """Reference implementations that only the tests call.
 
 The simulator synthesizes and evaluates whole blocks of chirps and solves
-the Nash game on all support pairs at once, in closed form; these are the
-per-chirp, per-profile and per-pair definitions those block operations
-are checked against, plus small helpers that no program path needs.
+the Nash game on all support pairs at once, in closed form, or on all
+joint actions at once, from the (radars, subbands) estimates; these are
+the per-chirp, per-profile and per-pair definitions and the dense game
+tables those block operations are checked against, plus small helpers
+that no program path needs.
 Seeded tests depend on the order of each function's random draws: keep it.
 """
 from __future__ import annotations
@@ -30,15 +32,13 @@ from hopsim.cli import (
 )
 from hopsim.game import (
     PROB_ATOL,
+    PURE_ENUM_GUARD,
     WELFARE_TIE_ATOL,
+    CapacityError,
     JointDistribution,
     MixedStrategy,
     StrategyProfile,
-    UtilityTable,
-    _check_profile_table,
-    collision_table,
-    enumerate_pure_nash,
-    expected_utility,
+    pure_strategy,
 )
 from hopsim.signal import C, ChirpParams, Target, _echo_terms
 from hopsim.sim import ScenarioConfig, run_scenario
@@ -513,9 +513,86 @@ def per_radar_estimate(meas, n_subbands: int, db_average: bool) -> hopping.Episo
     return stack_stats([estimate_episode_sinr(m, n_subbands, db_average) for m in meas])
 
 
+@dataclass(frozen=True)
+class UtilityTable:
+    """Per-player utility (dB) for every joint subband choice.
+
+    ``values`` has shape (I, A, ..., A) with one trailing axis per player;
+    ``values[i][f]`` is player i's utility at joint action f.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
+        if v.ndim < 2:
+            raise ValueError("table must have shape (I, A, ..., A)")
+        n_players = v.ndim - 1
+        if v.shape[0] != n_players:
+            raise ValueError(
+                f"leading axis {v.shape[0]} does not match {n_players} action axes"
+            )
+        if len(set(v.shape[1:])) != 1:
+            raise ValueError("action axes must all have the same length")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("table entries must be finite")
+        object.__setattr__(self, "values", v)
+
+    @property
+    def n_players(self) -> int:
+        return self.values.ndim - 1
+
+    @property
+    def n_subbands(self) -> int:
+        return self.values.shape[1]
+
+    def check_profile(self, profile: StrategyProfile):
+        if profile.n_players != self.n_players:
+            raise ValueError(
+                f"profile has {profile.n_players} players, table {self.n_players}"
+            )
+        if profile.n_subbands != self.n_subbands:
+            raise ValueError(
+                f"profile has {profile.n_subbands} subbands, table {self.n_subbands}"
+            )
+
+
+def pure_profile(actions, n_subbands: int) -> StrategyProfile:
+    return StrategyProfile(tuple(pure_strategy(a, n_subbands) for a in actions))
+
+
+def collision_table(snr: np.ndarray, hit: np.ndarray) -> UtilityTable:
+    """Dense table of the collision game ``game.solve_nash_welfare_max``
+    solves: player i earns ``hit[i, a]`` on subband a if another player
+    shares it, else ``snr[i, a]`` (both (n, A))."""
+    n, a = snr.shape
+    shape = (a,) * n
+    grids = np.indices(shape, sparse=True)
+    values = np.empty((n,) + shape)
+    for i in range(n):
+        shared = np.zeros(shape, dtype=bool)
+        for j in range(n):
+            if j != i:
+                shared |= grids[j] == grids[i]
+        values[i] = np.where(shared, hit[i][grids[i]], snr[i][grids[i]])
+    return UtilityTable(values)
+
+
+def enumerate_pure_nash(table: UtilityTable) -> list[StrategyProfile]:
+    """All pure profiles with no strictly improving unilateral deviation."""
+    n, a = table.n_players, table.n_subbands
+    if a**n > PURE_ENUM_GUARD:
+        raise CapacityError(f"joint action space {a}^{n} exceeds enumeration guard")
+    mask = np.ones((a,) * n, dtype=bool)
+    for i in range(n):
+        vi = table.values[i]
+        mask &= vi >= vi.max(axis=i, keepdims=True)
+    return [pure_profile(tuple(act), a) for act in np.argwhere(mask)]
+
+
 def deviation_utilities(table: UtilityTable, profile: StrategyProfile, player: int) -> np.ndarray:
     """Expected utility of each pure deviation of ``player``, others fixed."""
-    _check_profile_table(profile, table)
+    table.check_profile(profile)
     u = np.moveaxis(table.values[player], player, 0)
     for j, s in enumerate(profile.strategies):
         if j != player:
@@ -526,7 +603,7 @@ def deviation_utilities(table: UtilityTable, profile: StrategyProfile, player: i
 def expected_utility_tensordot(table: UtilityTable, profile: StrategyProfile,
                                player: int) -> float:
     """Expected utility of ``player``, one ``np.tensordot`` per strategy."""
-    _check_profile_table(profile, table)
+    table.check_profile(profile)
     u = table.values[player]
     for s in profile.strategies:
         u = np.tensordot(s.probs, u, axes=(0, 0))
@@ -542,7 +619,7 @@ def is_nash(profile: StrategyProfile, table: UtilityTable, tol: float = EQ_TOL_D
     if tol < 0:
         raise ValueError("tol must be non-negative")
     for i in range(table.n_players):
-        base = expected_utility(table, profile, i)
+        base = expected_utility_tensordot(table, profile, i)
         if deviation_utilities(table, profile, i).max() > base + tol:
             return False
     return True
@@ -578,7 +655,7 @@ def support_enumeration_2p(table: UtilityTable, br_tol: float = 1e-8) -> list[St
                     if np.any(x[:m] < -1e-9):
                         ok = False
                         break
-                    sol.append((np.clip(x[:m], 0.0, None), x[m]))
+                    sol.append((np.where(x[:m] <= 1e-9, 0.0, x[:m]), x[m]))
                 if not ok:
                     continue
                 (y, v0), (x, v1) = sol
@@ -601,13 +678,13 @@ def support_enumeration_2p(table: UtilityTable, br_tol: float = 1e-8) -> list[St
 def welfare_max_profile(table: UtilityTable, mixed: list[StrategyProfile]) -> StrategyProfile:
     """The welfare-max of the pure equilibria, then ``mixed``, one per support key.
 
-    Welfare is the sum of ``expected_utility`` over the players; ties within
+    Welfare is the sum of ``expected_utility_tensordot`` over the players; ties within
     WELFARE_TIE_ATOL go to the least support key.
     """
     candidates = {support_key(p): p for p in enumerate_pure_nash(table)}
     for p in mixed:
         candidates.setdefault(support_key(p), p)
-    welfare = {key: sum(expected_utility(table, p, i) for i in range(table.n_players))
+    welfare = {key: sum(expected_utility_tensordot(table, p, i) for i in range(table.n_players))
                for key, p in candidates.items()}
     best = max(welfare.values())
     return candidates[min(k for k, w in welfare.items() if w >= best - WELFARE_TIE_ATOL)]

@@ -13,15 +13,11 @@ import pytest
 
 import hopsim.signal as sig
 from hopsim.cli import parse_config
-from hopsim.game import (
-    UtilityTable,
-    cce_deviation_gap,
-    enumerate_pure_nash,
-)
+from hopsim.game import cce_deviation_gap
 from hopsim.sim import RadarSpec, run_scenario
 
 import oracles
-from oracles import bundled_config_path, pure_actions
+from oracles import UtilityTable, bundled_config_path, enumerate_pure_nash, pure_actions
 
 N_SEEDS = 20
 _BASE = parse_config(bundled_config_path("table1").read_text())

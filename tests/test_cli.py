@@ -581,8 +581,8 @@ class TestStrictConfig:
 
     @pytest.mark.parametrize("n_radars,ok", [(8, True), (10, False)])
     def test_joint_action_space_guard(self, n_radars, ok):
-        # Nash radars solve dense game tables: 6**8 joint actions fit;
-        # 6**10 would allocate about 4.8 GB, so it is rejected before
+        # A Nash solve passes over every joint action: 6**8 of them fit;
+        # 6**10 (6e7) is above the guard, so it is rejected before
         # anything runs.
         doc = crowd_doc(n_radars, "nash")
         if ok:
@@ -592,27 +592,27 @@ class TestStrictConfig:
                 parse_config(yaml.safe_dump(doc))
             assert err.value.messages == [
                 "radars: 10 radars on 6 subbands give 60466176 joint actions, "
-                "above the 10000000 the dense game tables allow"]
+                "above the 10000000 the Nash solver enumerates"]
 
     @pytest.mark.parametrize("n_radars,subbands,ok", [
-        (8, 6, True), (21, 2, True), (22, 2, False), (23, 2, False)])
+        (8, 6, True), (21, 2, True), (22, 2, True), (23, 2, True), (24, 2, False)])
     def test_table_cell_guard(self, tmp_path, capsys, n_radars, subbands, ok):
-        # n * A**n table cells: 8 nash radars on 6 subbands hold 1.3e7;
-        # 22 on 2 subbands pass the joint-action guard (2**22 < 1e7) but
-        # would hold 9.2e7.
+        # The Nash solver holds no n * A**n table, so only the joint
+        # actions bound a nash crowd: 23 radars on 2 subbands (8.4e6) fit,
+        # 24 (1.7e7) do not.
         doc = crowd_doc(n_radars, "nash", subbands)
         if ok:
             assert parse_config(yaml.safe_dump(doc)).n_radars == n_radars
             return
         code, err = exit_code_and_errors(tmp_path, capsys, doc)
         assert code == 2
-        cells = n_radars * subbands**n_radars
-        assert (f"radars: {n_radars} radars on {subbands} subbands give dense game "
-                f"tables of {cells} cells, above the 50000000 allowed") in err
+        assert (f"radars: {n_radars} radars on {subbands} subbands give "
+                f"{subbands**n_radars} joint actions, above the 10000000 the Nash "
+                "solver enumerates") in err
         assert not (tmp_path / "o").exists()
 
     def test_dense_table_guards_apply_only_with_nash(self):
-        # noregret crowds are evaluated per link and hold no dense table.
+        # noregret crowds are evaluated per link and enumerate no joint actions.
         assert parse_config(yaml.safe_dump(crowd_doc(16, "noregret"))).n_radars == 16
         doc = crowd_doc(16, "noregret")
         doc["radars"][5] = crowd_doc(1, "nash")["radars"][0]
@@ -620,7 +620,7 @@ class TestStrictConfig:
             parse_config(yaml.safe_dump(doc))
         assert err.value.messages == [
             "radars: 16 radars on 6 subbands give 2821109907456 joint actions, "
-            "above the 10000000 the dense game tables allow"]
+            "above the 10000000 the Nash solver enumerates"]
 
     @pytest.mark.parametrize("subbands,modes,named", [
         (13, ("auto", "auto"), ()), (14, ("auto", "pure"), (1,)),

@@ -12,28 +12,27 @@ from hopsim.game import (
     MixedStrategy,
     SolverIncompleteError,
     StrategyProfile,
-    UtilityTable,
     cce_deviation_gap,
-    collision_table,
     empirical_joint,
-    enumerate_pure_nash,
-    expected_utility,
     external_regret,
-    pure_profile,
     pure_strategy,
     solve_nash_welfare_max,
 )
 from hopsim.hopping import floored_estimates, init_nash_hopper
 
 from oracles import (
+    UtilityTable,
+    collision_table,
     dense_arm_utilities,
     deviation_utilities,
+    enumerate_pure_nash,
     expected_utility_tensordot,
     from_collisions_dense,
     is_nash,
     joint_from_dense,
     pure_action,
     pure_actions,
+    pure_profile,
     support_enumeration_2p,
     support_key,
     welfare_max_profile,
@@ -187,7 +186,7 @@ class TestExpectedUtility:
     def test_pure_profile_selects_single_cell(self):
         table = anti_coordination_table(2, 3)
         profile = pure_profile((0, 2), 3)
-        assert expected_utility(table, profile, 0) == table.values[0, 0, 2]
+        assert expected_utility_tensordot(table, profile, 0) == table.values[0, 0, 2]
 
     def test_uniform_2x2_hand_sum(self):
         values = np.array([[[0.0, 10.0], [10.0, 0.0]],
@@ -195,7 +194,7 @@ class TestExpectedUtility:
         table = UtilityTable(values)
         uniform = MixedStrategy(np.array([0.5, 0.5]))
         profile = StrategyProfile((uniform, uniform))
-        assert expected_utility(table, profile, 0) == pytest.approx(5.0)
+        assert expected_utility_tensordot(table, profile, 0) == pytest.approx(5.0)
 
     @pytest.mark.parametrize("a", [2, 3, 6])
     def test_uniform_anti_coordination_closed_form(self, a):
@@ -205,14 +204,14 @@ class TestExpectedUtility:
         profile = StrategyProfile((uniform, uniform))
         expect = (snr * (a - 1) + sinr) / a
         for i in range(2):
-            assert expected_utility(table, profile, i) == pytest.approx(expect)
+            assert expected_utility_tensordot(table, profile, i) == pytest.approx(expect)
 
     def test_dimension_mismatch(self):
         table = anti_coordination_table(2, 3)
         with pytest.raises(ValueError):
-            expected_utility(table, pure_profile((0, 1), 4), 0)
+            expected_utility_tensordot(table, pure_profile((0, 1), 4), 0)
         with pytest.raises(ValueError):
-            expected_utility(table, pure_profile((0, 1, 2), 3), 0)
+            expected_utility_tensordot(table, pure_profile((0, 1, 2), 3), 0)
 
     def test_enumeration_order_invariance(self):
         # Relabeling subbands consistently relabels the expectation inputs
@@ -228,12 +227,14 @@ class TestExpectedUtility:
         perm_profile = StrategyProfile(
             (MixedStrategy(p0.probs[perm]), MixedStrategy(p1.probs[perm])))
         for i in range(2):
-            assert expected_utility(perm_table, perm_profile, i) == pytest.approx(
-                expected_utility(table, profile, i))
+            assert expected_utility_tensordot(perm_table, perm_profile, i) == pytest.approx(
+                expected_utility_tensordot(table, profile, i))
 
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_tensordot_oracle(self, n):
+        # The expectation as an explicit sum over joint actions, against
+        # the oracle's one tensordot per strategy.
         rng = np.random.default_rng(10 + n)
         for _ in range(200):
             a = int(rng.integers(1, 7))
@@ -243,8 +244,13 @@ class TestExpectedUtility:
                 MixedStrategy(rng.dirichlet(np.full(a, 10.0 ** rng.uniform(-3, 3))))
                 for _ in range(n)))
             for i in range(n):
-                got = expected_utility(table, profile, i)
-                assert got.hex() == expected_utility_tensordot(table, profile, i).hex()
+                explicit = sum(
+                    np.prod([s.probs[f] for s, f in zip(profile.strategies, joint)])
+                    * table.values[(i, *joint)]
+                    for joint in itertools.product(range(a), repeat=n))
+                got = expected_utility_tensordot(table, profile, i)
+                assert got == pytest.approx(explicit, rel=1e-12,
+                                            abs=1e-12 * np.abs(table.values[i]).max())
 
 class TestIsNash:
     def test_distinct_pair_is_nash(self):
@@ -278,7 +284,7 @@ class TestIsNash:
                 strategies = list(profile.strategies)
                 strategies[i] = pure_strategy(f, 3)
                 assert dev[f] == pytest.approx(
-                    expected_utility(table, StrategyProfile(tuple(strategies)), i))
+                    expected_utility_tensordot(table, StrategyProfile(tuple(strategies)), i))
 
 
 class TestEnumeratePureNash:
@@ -299,7 +305,10 @@ class TestEnumeratePureNash:
     def test_capacity_guard(self, monkeypatch):
         monkeypatch.setattr("hopsim.game.PURE_ENUM_GUARD", 10)
         with pytest.raises(CapacityError):
-            enumerate_pure_nash(anti_coordination_table(2, 4))
+            solve_nash_welfare_max(*anti_coordination(2, 4), mode="pure")
+        with pytest.raises(CapacityError):
+            solve_nash_welfare_max(*anti_coordination(3, 3))
+        solve_nash_welfare_max(*anti_coordination(1, 10))
 
     @pytest.mark.parametrize("n,a,seed", [(2, 2, 0), (2, 3, 1), (2, 4, 2),
                                           (3, 2, 3), (3, 3, 4), (3, 4, 5)])
@@ -363,6 +372,68 @@ class TestSolveNashWelfareMax:
             solve_nash_welfare_max(snr, hit)
 
 
+class TestPureWelfareMax:
+    """The pure solve over every joint action at once against the welfare
+    max of the dense table's pure equilibria."""
+
+    FAMILIES = ("floored", "integer-ties", "equal-rows", "sharing-pays")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_dense_oracle(self, family):
+        rng = np.random.default_rng(self.FAMILIES.index(family))
+        incomplete = 0
+        for _ in range(150):
+            snr, hit = random_collision_game(rng, family)
+            table = collision_table(snr, hit)
+            # 'auto' takes the same path unless there are two players.
+            modes = ("pure",) if len(snr) == 2 else ("pure", "auto")
+            if not enumerate_pure_nash(table):
+                incomplete += 1
+                for mode in modes:
+                    with pytest.raises(SolverIncompleteError):
+                        solve_nash_welfare_max(snr, hit, mode=mode)
+                continue
+            want = pure_actions(welfare_max_profile(table, []))
+            for mode in modes:
+                assert pure_actions(solve_nash_welfare_max(snr, hit, mode=mode)) == want
+        if family == "sharing-pays":
+            assert incomplete > 0
+
+    @pytest.mark.parametrize("n,a", [(2, 100), (3, 40)])
+    def test_flat_tie_heavy_games(self, n, a):
+        # Every assignment of distinct subbands is an equilibrium of the
+        # same welfare (9,900 and 59,280 of them): the first in C order wins.
+        best = solve_nash_welfare_max(*anti_coordination(n, a), mode="pure")
+        assert pure_actions(best) == tuple(range(n))
+
+
+def random_collision_game(rng, family):
+    """(snr, hit) of 1 to 4 radars on 2 to 5 subbands (2 or 3 for 4 radars).
+
+    ``floored``: whole-dB estimates, unobserved entries at the -10 dB
+    floor. ``integer-ties``: three values each, so many cells and welfares
+    tie. ``equal-rows``: every radar has the same estimates.
+    ``sharing-pays``: some radars earn more on a shared subband, so
+    matching-pennies cycles leave many games with no pure equilibrium.
+    """
+    n = int(rng.integers(1, 5))
+    a = int(rng.integers(2, 6 if n < 4 else 4))
+    shape = (n, a)
+    if family == "floored":
+        snr = np.where(rng.random(shape) < 0.2, -10.0, rng.integers(10, 30, shape))
+        hit = np.where(rng.random(shape) < 0.5, -10.0, rng.integers(-5, 15, shape))
+    elif family == "integer-ties":
+        snr, hit = rng.integers(0, 3, shape), rng.integers(-2, 1, shape)
+    elif family == "equal-rows":
+        snr = np.repeat(rng.integers(10, 30, (1, a)), n, axis=0)
+        hit = np.repeat(np.where(rng.random((1, a)) < 0.5, -10, rng.integers(-5, 15, (1, a))),
+                        n, axis=0)
+    else:
+        snr = rng.integers(-5, 15, shape)
+        hit = snr + rng.choice([-1, 1], size=(n, 1)) * rng.integers(1, 10, shape)
+    return snr.astype(float), hit.astype(float)
+
+
 def random_estimates(rng):
     """(snr, hit) as a nash radar floors them, on 2 to 6 subbands: whole-dB
     clean SNR and collision SINR, unobserved entries at the -10 dB floor.
@@ -374,15 +445,14 @@ def random_estimates(rng):
 
 
 def assert_close_profiles(got, expected):
-    """Same supports in the same order, probabilities within 1e-12.
+    """Same exact supports in the same order, probabilities within 1e-12.
 
-    Where an equilibrium probability is 0 in exact arithmetic, the closed
-    form and LAPACK can leave rounding residues that differ (2e-16 against
-    0 or 2e-17), so supports are compared on probabilities rounded to 12
-    decimals.
+    Both solvers set probabilities <= 1e-9 to 0, so a rounding residue
+    where an equilibrium probability is 0 in exact arithmetic (2e-16 in
+    the closed form, 2e-17 from LAPACK) is in neither support.
     """
     def supports(p):
-        return [tuple(np.flatnonzero(np.round(s.probs, 12) > 0)) for s in p.strategies]
+        return [tuple(np.flatnonzero(s.probs)) for s in p.strategies]
 
     assert [supports(p) for p in got] == [supports(p) for p in expected]
     for p, q in zip(got, expected):
@@ -458,6 +528,16 @@ class TestDegenerateCells:
         snr = np.array([[0.0, 1.0, -10.0], [3.0, 3.0, 5.0]])
         for d0 in ([2.0, -2.0, -20.0], [2.0, -1.0, -20.0]):
             assert_matches_loop_oracle(snr, snr + np.array([d0, [-1.0, -1.0, -20.0]]))
+
+    def test_rounding_residue_leaves_the_support(self):
+        # The pair S = T = {0, 1} mixes player 0 at [2.4e-16, 1, 0] in
+        # floating point unless the residue is set to 0.
+        snr = np.array([[17.0, 28.0, -10.0], [-10.0, 27.0, -10.0]])
+        hit = np.array([[-10.0, -10.0, -10.0], [12.0, -10.0, -10.0]])
+        x, y = game._equilibria_2p(snr, hit)
+        assert x[3].tolist() == [0.0, 1.0, 0.0]
+        assert np.flatnonzero(y[3]).tolist() == [0, 1]
+        assert_matches_loop_oracle(snr, hit)
 
     def test_singular_pairs_lapack_solves(self):
         # Pairs with two pinned rows are singular in exact arithmetic, yet
@@ -594,8 +674,8 @@ class TestConstantShiftInvariance:
             MixedStrategy(np.array([0.1, 0.8, 0.1])),
         ))
         for i in range(2):
-            assert expected_utility(shifted, profile, i) == pytest.approx(
-                expected_utility(table, profile, i) + 4.2)
+            assert expected_utility_tensordot(shifted, profile, i) == pytest.approx(
+                expected_utility_tensordot(table, profile, i) + 4.2)
         assert is_nash(profile, shifted) == is_nash(profile, table)
         assert sorted(pure_actions(p) for p in enumerate_pure_nash(shifted)) \
             == sorted(pure_actions(p) for p in enumerate_pure_nash(table))

@@ -7,8 +7,6 @@ import pytest
 import hopsim.hopping as hopping
 from hopsim.game import (
     MixedStrategy,
-    UtilityTable,
-    collision_table,
     pure_strategy,
     solve_nash_welfare_max,
 )
@@ -32,6 +30,7 @@ import oracles
 from oracles import (
     EpisodeSchedule,
     RadarEpisodeStats,
+    collision_table,
     hard_threshold,
     pure_action,
     pure_actions,

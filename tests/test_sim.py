@@ -16,7 +16,7 @@ import pytest
 import hopsim.signal as sig
 from hopsim import game, hopping, sim
 from hopsim.cli import parse_config
-from hopsim.game import cce_deviation_gap, collision_table, empirical_joint, external_regret
+from hopsim.game import cce_deviation_gap, empirical_joint, external_regret
 from hopsim.sim import (
     LinkSpec,
     RadarSpec,
@@ -33,6 +33,7 @@ import oracles
 from oracles import (
     bundled_config_path,
     cce_deviation_gap_dense,
+    collision_table,
     dense_arm_utilities,
     dense_genie_table,
     dense_mass,
@@ -652,6 +653,42 @@ class TestStagedSolverOnExploreTables:
                     assert np.flatnonzero(np.round(s, 12)).tolist() \
                         == np.flatnonzero(np.round(t.probs, 12)).tolist()
                     np.testing.assert_allclose(s, t.probs, rtol=0, atol=1e-12)
+
+
+class TestPureSolverEndToEnd:
+    """Runs whose Nash solves take the pure path, three radars in 'auto' mode
+    and two in 'pure' mode, against the welfare max of the dense table's
+    pure equilibria solved in their place."""
+
+    def config(self, n_radars, mode):
+        params = {"explore_episodes": 4, "solver_mode": mode}
+        if n_radars == 2:
+            return two_radar_config(("nash", "nash"), frames=4, seed=5, params=[params] * 2,
+                                    episodes_per_frame=2)
+        radars = tuple(RadarSpec(chirp=chirp(subbands=4), policy="nash", policy_params=params,
+                                 targets=(target(15.0 + 2 * i),)) for i in range(n_radars))
+        links = tuple(LinkSpec(v, s, 20.0 + v + s)
+                      for v in range(n_radars) for s in range(n_radars) if v != s)
+        return ScenarioConfig(radars=radars, links=links, frames=4, episodes_per_frame=2, seed=5)
+
+    @pytest.mark.parametrize("n_radars,mode", [(3, "auto"), (2, "pure")])
+    def test_matches_dense_oracle(self, monkeypatch, n_radars, mode):
+        cfg = self.config(n_radars, mode)
+        solved = []
+
+        def dense_oracle(snr, hit, mode):
+            solved.append(mode)
+            return welfare_max_profile(collision_table(snr, hit), [])
+
+        got = run_scenario(cfg)
+        monkeypatch.setattr(hopping, "solve_nash_welfare_max", dense_oracle)
+        want = run_scenario(cfg)
+        assert solved and set(solved) == {mode}
+        assert_metrics_identical(got, want)
+        # Every radar committed to one subband, none shared.
+        committed = got.strategies[-1]
+        assert np.all(committed.max(axis=1) == 1.0)
+        assert len(set(committed.argmax(axis=1))) == n_radars
 
 
 class TestNashCommitTiming:
