@@ -32,6 +32,7 @@ from .sim import (
     ScenarioConfig,
     ScenarioError,
     has_type,
+    resolved_params,
     run_scenario,
     validate_config,
 )
@@ -152,7 +153,10 @@ _Loader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _mapping
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse a YAML scenario document, collecting every violation at once."""
+    """Parse a YAML scenario document, collecting every violation at once.
+
+    Each radar's policy parameters come back resolved, defaults filled in.
+    """
     try:
         doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
@@ -248,11 +252,13 @@ def parse_config(text: str) -> ScenarioConfig:
     errors = validate_config(config)
     if errors:
         raise ConfigError(errors)
-    return config
+    return replace(config, radars=tuple(replace(spec, policy_params=resolved_params(spec))
+                                        for spec in config.radars))
 
 
 def config_document(config: ScenarioConfig) -> dict:
-    """The config as a plain document, defaults included; its YAML parses back to it."""
+    """The config as a plain document, defaults included, policy parameters
+    too (an unset one as None); its YAML parses back to it."""
     return {
         "radars": [
             {
@@ -264,7 +270,7 @@ def config_document(config: ScenarioConfig) -> dict:
                 "adc_hz": spec.chirp.adc_hz,
                 "chirps_per_frame": spec.chirp.chirps_per_frame,
                 "policy": spec.policy,
-                "policy_params": dict(spec.policy_params),
+                "policy_params": resolved_params(spec),
             }
             for spec in config.radars
         ],

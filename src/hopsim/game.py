@@ -101,10 +101,6 @@ class StrategyProfile:
         object.__setattr__(self, "strategies", strats)
 
     @property
-    def n_players(self) -> int:
-        return len(self.strategies)
-
-    @property
     def n_subbands(self) -> int:
         return self.strategies[0].n_subbands
 
@@ -137,10 +133,6 @@ class JointDistribution:
             raise ValueError(f"mass sums to {m.sum()!r}, not 1")
         object.__setattr__(self, "rows", r)
         object.__setattr__(self, "mass", np.clip(m, 0.0, None))
-
-    @property
-    def n_players(self) -> int:
-        return self.rows.shape[1]
 
 
 # One entry per subband count, at most 2 x 2.6 + 0.9 MB under SUPPORT_PAIR_GUARD.

@@ -7,7 +7,9 @@ importance-weighted losses. The first two are a fixed ``MixedStrategy``;
 the other two keep a state that is updated once per episode and is
 deterministic given its inputs and a seeded random source. One
 ``NoRegretState`` holds every exponential-weights radar of a run as
-rows of (radars, subbands) arrays and steps them together.
+rows of (radars, subbands) arrays and steps them together; one
+``NashHopperState`` holds every explore-then-commit radar's row and the
+estimates they exchange, and solves once per distinct game.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ import numpy as np
 
 from .game import (
     MixedStrategy,
-    StrategyProfile,
     check_simplex,
     solve_nash_welfare_max,
 )
@@ -208,91 +209,86 @@ def noregret_update(state: NoRegretState, stats: EpisodeStats) -> NoRegretState:
 
 @dataclass(frozen=True)
 class NashHopperState:
-    """Explore-then-commit state for one radar.
+    """Explore-then-commit state of a run's m ``nash`` radars.
 
-    Holds the exchanged per-subband estimates for every radar: clean-chirp
-    SNR and collision-conditioned SINR, both NaN until first observed.
-    The estimated utility table maps those onto joint actions; collision
-    cells with no observation yet fall back to a pessimistic floor. The
-    radar explores until ``committed`` is set, which ``nash_commit`` does
-    once ``episodes_seen`` reaches ``explore_episodes``.
+    The radars exchange their per-subband estimates, so they share one
+    copy of them: clean-chirp SNR and collision-conditioned SINR, each
+    (players, subbands) with one row per radar of the run and NaN until
+    first observed. Row r of ``probs`` (m, A) is the strategy of player
+    ``radars[r]``; ``floor_db``, ``explore_episodes``, ``solver_mode`` and
+    ``committed`` are (m,) arrays. A radar explores, re-solving every
+    episode, until ``nash_commit`` freezes its row once ``episodes_seen``
+    reaches its ``explore_episodes``.
     """
 
-    player: int
-    n_players: int
-    n_subbands: int
+    radars: np.ndarray
     snr_est_db: np.ndarray
     hit_sinr_est_db: np.ndarray
-    profile: StrategyProfile
-    explore_episodes: int
+    probs: np.ndarray
+    floor_db: np.ndarray
+    explore_episodes: np.ndarray
+    solver_mode: np.ndarray
+    committed: np.ndarray
     episodes_seen: int = 0
-    committed: MixedStrategy | None = None
-    floor_db: float = DEFAULT_PESSIMISTIC_FLOOR_DB
-    solver_mode: str = "auto"
-
-    @property
-    def strategy(self) -> MixedStrategy:
-        if self.committed is not None:
-            return self.committed
-        return self.profile.strategies[self.player]
 
 
-def init_nash_hopper(player: int, n_players: int, n_subbands: int,
-                     explore_episodes: int, **kwargs) -> NashHopperState:
-    uniform = StrategyProfile(tuple(uniform_policy(n_subbands) for _ in range(n_players)))
+def init_nash_hopper(n_players: int, n_subbands: int, params: dict) -> NashHopperState:
+    """No estimates and uniform play for each radar of ``params``, which maps
+    a radar's row in the episode stats to its ``nash`` policy parameters."""
+    m = len(params)
     nan = np.full((n_players, n_subbands), np.nan)
-    return NashHopperState(
-        player=player, n_players=n_players, n_subbands=n_subbands,
-        snr_est_db=nan.copy(), hit_sinr_est_db=nan.copy(),
-        profile=uniform, explore_episodes=explore_episodes, **kwargs)
+    columns = {name: np.array([p[name] for p in params.values()])
+               for name in ("floor_db", "explore_episodes", "solver_mode")}
+    return NashHopperState(radars=np.fromiter(params, dtype=int, count=m),
+                           snr_est_db=nan, hit_sinr_est_db=nan.copy(),
+                           probs=np.full((m, n_subbands), 1.0 / n_subbands),
+                           committed=np.zeros(m, dtype=bool), **columns)
 
 
-def floored_estimates(state: NashHopperState) -> tuple[np.ndarray, np.ndarray]:
+def floored_estimates(state: NashHopperState, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The exchanged (snr, hit) estimates, each (players, subbands), with the
-    entries not yet observed at the pessimistic floor: the collision game
-    that ``game.solve_nash_welfare_max`` solves."""
-    floor = state.floor_db
+    entries not yet observed at row r's pessimistic floor: the collision game
+    that ``game.solve_nash_welfare_max`` solves for that radar."""
+    floor = state.floor_db[r]
     return (np.where(np.isnan(state.snr_est_db), floor, state.snr_est_db),
             np.where(np.isnan(state.hit_sinr_est_db), floor, state.hit_sinr_est_db))
 
 
-def nash_explore_update(state: NashHopperState, all_stats: EpisodeStats,
-                        solved: dict) -> NashHopperState:
+def nash_explore_update(state: NashHopperState, stats: EpisodeStats) -> NashHopperState:
     """Fold one episode of exchanged stats and re-solve the welfare-max NE.
 
-    ``all_stats`` holds every radar's row. ``solved`` maps (floored
-    estimates, solver mode) to the profile already solved for that key.
-    Radars that pass the same dict for one episode hold the same estimates
-    from the common-knowledge stats, so whenever their floor and mode
-    agree they share a single solve.
+    ``stats`` holds every radar's row. The radars still exploring play
+    their slice of the NE of their floored estimates; those whose floored
+    estimates and solver mode agree share a single solve.
     """
-    if state.committed is not None:
+    if state.committed.all():
         raise RuntimeError("explore update after commit")
-    if all_stats.count.shape[0] != state.n_players:
-        raise ValueError(
-            f"need stats from all {state.n_players} radars, got {all_stats.count.shape[0]}"
-        )
-    snr = np.where(all_stats.clean_count > 0, all_stats.snr_db, state.snr_est_db)
-    hit = np.where(all_stats.hit_count > 0, all_stats.hit_sinr_db, state.hit_sinr_est_db)
-    nxt = replace(state, snr_est_db=snr, hit_sinr_est_db=hit,
-                  episodes_seen=state.episodes_seen + 1)
-    snr, hit = floored_estimates(nxt)
-    key = (snr.shape, snr.tobytes(), hit.tobytes(), nxt.solver_mode)
-    if key not in solved:
-        solved[key] = solve_nash_welfare_max(snr, hit, mode=nxt.solver_mode)
-    return replace(nxt, profile=solved[key])
+    if stats.count.shape[0] != state.snr_est_db.shape[0]:
+        raise ValueError(f"need stats from all {state.snr_est_db.shape[0]} radars, "
+                         f"got {stats.count.shape[0]}")
+    nxt = replace(state,
+                  snr_est_db=np.where(stats.clean_count > 0, stats.snr_db, state.snr_est_db),
+                  hit_sinr_est_db=np.where(stats.hit_count > 0, stats.hit_sinr_db,
+                                           state.hit_sinr_est_db),
+                  probs=state.probs.copy(), episodes_seen=state.episodes_seen + 1)
+    solved = {}
+    for r in np.flatnonzero(~state.committed):
+        snr, hit = floored_estimates(nxt, r)
+        key = (snr.tobytes(), hit.tobytes(), state.solver_mode[r])
+        if key not in solved:
+            solved[key] = solve_nash_welfare_max(snr, hit, mode=state.solver_mode[r])
+        nxt.probs[r] = solved[key].strategies[state.radars[r]].probs
+    return nxt
 
 
 def nash_commit(state: NashHopperState) -> NashHopperState:
-    """Freeze this radar's slice of the welfare-max NE for the rest of the run.
+    """Freeze, for the rest of the run, the rows whose exploration just ended.
 
     The estimates have not changed since the explore update that folded
-    the last exploration episode, so that update's profile is the
-    welfare-max NE of ``floored_estimates(state)`` and is committed as is.
+    the last exploration episode, so that update's row is the radar's
+    slice of the welfare-max NE of its floored estimates, committed as is.
     """
-    if state.episodes_seen != state.explore_episodes:
-        raise RuntimeError(
-            f"commit after {state.episodes_seen} exploration episodes, "
-            f"expected {state.explore_episodes}"
-        )
-    return replace(state, committed=state.profile.strategies[state.player])
+    ending = ~state.committed & (state.explore_episodes == state.episodes_seen)
+    if not ending.any():
+        raise RuntimeError(f"no exploration ends after {state.episodes_seen} episodes")
+    return replace(state, committed=state.committed | ending)

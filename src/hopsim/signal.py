@@ -63,6 +63,11 @@ class ChirpParams:
         """Range per FFT bin; equals coarse_bin_m when f_s*T_a is integral."""
         return (self.adc_hz / self.n_samples) * C / (2.0 * self.slope)
 
+    def doppler_cycles(self, velocity_mps: float) -> float:
+        """Doppler phase advance per chirp, -2 v PRI f_c / c cycles; infinite
+        where the product overflows before the division."""
+        return -2.0 * velocity_mps * self.pri_s * self.f_c / C
+
 
 @dataclass(frozen=True)
 class Target:
@@ -106,7 +111,7 @@ def coarse_decompose(params: ChirpParams, range_m: float) -> tuple[float, float]
 def _echo_terms(params: ChirpParams, tgt: Target, noise_power: float):
     rbar, eps0 = coarse_decompose(params, tgt.range_m)
     f_r = 2.0 * tgt.range_m * params.slope / C
-    f_d = -2.0 * tgt.velocity_mps * params.pri_s * params.f_c / C
+    f_d = params.doppler_cycles(tgt.velocity_mps)
     amp = np.sqrt(noise_power * db_power(tgt.snr_db))
     return rbar, eps0, f_r, f_d, amp
 
@@ -236,27 +241,6 @@ def detect_interference(samples: np.ndarray, noise_power: float,
     return flag, clean, intf
 
 
-@dataclass(frozen=True)
-class ChirpMeasurements:
-    """Per-chirp detection outputs feeding the episode estimator."""
-
-    subbands: np.ndarray            # (K,) subband index per chirp
-    clean_power: np.ndarray         # (K,) mean |clean|^2
-    interference_power: np.ndarray  # (K,) mean |interference estimate|^2
-    flagged: np.ndarray             # (K,) bool, interference detected
-    noise_power: float
-
-    def __post_init__(self):
-        shapes = {np.asarray(a).shape for a in
-                  (self.subbands, self.clean_power, self.interference_power, self.flagged)}
-        if len(shapes) != 1 or np.asarray(self.subbands).ndim != 1:
-            raise ValueError("per-chirp arrays must share one 1-D shape")
-        if np.asarray(self.subbands).size < 1:
-            raise ValueError("need at least one chirp")
-        if self.noise_power <= 0:
-            raise ValueError("noise power must be positive")
-
-
 def measure_episode(params: ChirpParams, targets, target_phases, subbands: np.ndarray,
                     k0: int, amps: np.ndarray, rows: np.ndarray, gram: np.ndarray,
                     noise_power: float, rng: np.random.Generator,
@@ -273,9 +257,11 @@ def measure_episode(params: ChirpParams, targets, target_phases, subbands: np.nd
     then ``amps``. Detector mode synthesizes x = rows.T @ C plus noise in
     ``workspace`` and detects. Genie mode (``genie_flags`` marks the collided
     chirps) takes the interference power from the sources' Gram form and
-    draws the clean power; it reads no workspace, so None will do. Returns the
-    measurements and, for ``hop_weights`` W (K, H), the hop sums x @ W, which
-    genie mode draws after the clean power as rows.T @ (C @ W) plus noise.
+    draws the clean power; it reads no workspace, so None will do. Returns,
+    each (K,), the interference flags, the mean clean power and the mean
+    interference power per chirp, then for ``hop_weights`` W (K, H) the hop
+    sums x @ W, which genie mode draws after the clean power as
+    rows.T @ (C @ W) plus noise (else None).
     """
     hops = subbands * params.subband_hz
     n_t = len(targets)
@@ -302,33 +288,31 @@ def measure_episode(params: ChirpParams, targets, target_phases, subbands: np.nd
             sums = rows.T @ (coeffs @ hop_weights)
             sigma = np.sqrt(noise_power / 2.0 * np.sum(np.abs(hop_weights) ** 2, axis=0))
             sums += sigma * (rng.standard_normal(sums.shape) + 1j * rng.standard_normal(sums.shape))
-    return ChirpMeasurements(subbands=subbands, clean_power=clean, interference_power=intf,
-                             flagged=flags, noise_power=noise_power), sums
+    return flags, clean, intf, sums
 
 
-def estimate_episode_sinr(meas: list[ChirpMeasurements], n_subbands: int,
+def estimate_episode_sinr(subbands: np.ndarray, flagged: np.ndarray, clean_power: np.ndarray,
+                          interference_power: np.ndarray, chirps: list[int],
+                          noise_power: float, n_subbands: int,
                           db_average: bool) -> EpisodeStats:
     """Per-radar, per-subband windowed SINR/SNR means over one episode.
 
-    ``meas`` holds one ``ChirpMeasurements`` per radar; row i of every
-    returned field belongs to ``meas[i]``. Averages are taken over linear
-    per-chirp ratios and then converted to dB (set ``db_average`` to
-    average the dB values instead). Subbands with no chirps carry NaN,
-    never zero. Each statistic is one ``np.bincount`` over the bins
-    radar * A + subband; a bin adds its chirps in their order, as a
-    one-radar bincount over the same chirps does.
+    The four per-chirp arrays hold every radar's chirps, radar after
+    radar, ``chirps[i]`` of them for radar i, whose row of every returned
+    field they fill: each chirp's subband, interference flag, clean power
+    and interference power, all measured against ``noise_power``.
+    Averages are taken over linear per-chirp ratios and then converted to
+    dB (set ``db_average`` to average the dB values instead). Subbands
+    with no chirps carry NaN, never zero. Each statistic is one
+    ``np.bincount`` over the bins radar * A + subband; a bin adds its
+    chirps in their order, as a one-radar bincount over the same chirps does.
     """
-    sizes = [np.size(m.subbands) for m in meas]
-    sub = np.concatenate([m.subbands for m in meas])
-    if np.any((sub < 0) | (sub >= n_subbands)):
+    if np.any((subbands < 0) | (subbands >= n_subbands)):
         raise ValueError(f"chirp subbands must lie in [0, {n_subbands})")
-    bins = sub + np.repeat(np.arange(len(meas)) * n_subbands, sizes)
-    flagged = np.concatenate([m.flagged for m in meas]).astype(bool, copy=False)
-    clean = np.concatenate([m.clean_power for m in meas])
-    noise = np.repeat([m.noise_power for m in meas], sizes)
-    per_sinr = clean / (np.concatenate([m.interference_power for m in meas]) + noise)
-    per_snr = clean / noise
-    shape = (len(meas), n_subbands)
+    bins = subbands + np.repeat(np.arange(len(chirps)) * n_subbands, chirps)
+    per_sinr = clean_power / (interference_power + noise_power)
+    per_snr = clean_power / noise_power
+    shape = (len(chirps), n_subbands)
 
     def mean_by_bin(b, values):
         counts = np.bincount(b, minlength=shape[0] * shape[1])
@@ -367,7 +351,7 @@ def hop_sum_weights(params: ChirpParams, subbands: np.ndarray, v: float,
     part v_k = exp(j2pi f_d k - j2pi (2/c) k v T_pri h_k) of the template.
     """
     k = k0 + np.arange(subbands.size)
-    f_d = -2.0 * v * params.pri_s * params.f_c / C
+    f_d = params.doppler_cycles(v)
     vk = np.exp(1j * (2.0 * np.pi * (f_d * k) - 2.0 * np.pi * (2.0 / C) * params.pri_s
                       * (v * (k * (subbands * params.subband_hz)))))
     weights = np.zeros((subbands.size, params.n_subbands), dtype=complex)

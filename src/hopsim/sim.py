@@ -188,6 +188,10 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         if not spec.targets:
             errors.append(f"{label}: needs at least one target (genie utility evaluation)")
         for ti, tgt in enumerate(spec.targets, start=1):
+            if not np.isfinite(ch.doppler_cycles(tgt.velocity_mps)):
+                errors.append(
+                    f"{label}.targets[{ti}]: velocity {tgt.velocity_mps} m/s gives a Doppler "
+                    f"product 2 v PRI f_c above the largest float")
             outside = np.flatnonzero(
                 sig.delay_outside_chirp(ch, tgt, np.arange(ch.chirps_per_frame)))
             if outside.size:
@@ -294,7 +298,7 @@ def _policy_param_errors(spec: RadarSpec, label: str, episodes: int | None) -> l
     return errors
 
 
-def _resolved_params(spec: RadarSpec) -> dict:
+def resolved_params(spec: RadarSpec) -> dict:
     """The radar's policy parameters, table defaults filled in."""
     return {key: spec.policy_params.get(key, default)
             for key, (_, default, _, _) in POLICY_PARAMS[spec.policy].items()}
@@ -446,11 +450,10 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     # Every radar's strategy for the coming episode. Rows of ``fixed`` and
     # ``uniform`` radars never change; the others follow their learners.
     probs = np.array([_initial_probs(spec) for spec in config.radars])
-    learners = {i: _resolved_params(spec) for i, spec in enumerate(config.radars)
-                if spec.policy == "noregret"}
+    learners, seekers = ({i: resolved_params(spec) for i, spec in enumerate(config.radars)
+                          if spec.policy == policy} for policy in ("noregret", "nash"))
     noregret = init_noregret(a, learners) if learners else None
-    nash = {i: init_nash_hopper(i, n_radars, a, **_resolved_params(spec))
-            for i, spec in enumerate(config.radars) if spec.policy == "nash"}
+    nash = init_nash_hopper(n_radars, a, seekers) if seekers else None
 
     inr_lin = _link_inr_lin(config)
     sources = [[j for j in range(n_radars) if (i, j) in inr_lin] for i in range(n_radars)]
@@ -469,6 +472,13 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     mean_sinr_db = np.zeros((episodes, n_radars))
     aligned = np.empty((config.frames * s_frame, n_radars), dtype=int)  # common chirp clock
     hop_sums = [0] * n_radars  # each radar's final-frame hop sums, (N_s, A)
+    # Every radar's chirps of the episode, radar after radar: subbands,
+    # flags, clean and interference powers, each radar's a view of its span.
+    ends = np.cumsum(k_ep)
+    spans = [slice(end - k, end) for k, end in zip(k_ep, ends)]
+    subbands, flagged = np.empty(ends[-1], dtype=int), np.empty(ends[-1], dtype=bool)
+    clean, intf = np.empty(ends[-1]), np.empty(ends[-1])
+    acts = [subbands[span] for span in spans]
     # Detector mode synthesizes every episode: one workspace serves them all.
     workspace = None if config.genie_detection else sig.SampleWorkspace(
         max(ch.n_samples * k for ch, k in zip(chirps, k_ep)))
@@ -483,12 +493,10 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
         for ep in range(t_ep):
             e = frame * t_ep + ep
             strategies[e] = probs
-            acts = []
             for i in range(n_radars):
-                acts.append(sample_subbands(probs[i], rngs[i]["action"], k_ep[i]))
+                acts[i][:] = sample_subbands(probs[i], rngs[i]["action"], k_ep[i])
                 frame_actions[i][ep * k_ep[i]:(ep + 1) * k_ep[i]] = acts[i]
 
-            meas_all = []
             for i, spec in enumerate(config.radars):
                 weights = _link_weights(link_groups[i], acts, i)
                 # One phase per link and chirp keeps the draw order; a chirp
@@ -498,8 +506,8 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                 amps = np.zeros(weights.shape, dtype=complex)
                 amps[hit] = np.sqrt((link_power[i][:, None] * weights)[hit]) \
                     * np.exp(1j * phases[hit])
-                ch, k0 = chirps[i], ep * k_ep[i]
-                meas, sums = sig.measure_episode(
+                ch, k0, span = chirps[i], ep * k_ep[i], spans[i]
+                flagged[span], clean[span], intf[span], sums = sig.measure_episode(
                     ch, spec.targets, target_phases[i], acts[i], k0, amps, *bases[i], noise,
                     rngs[i]["noise"],
                     genie_flags=hit.any(axis=0) if config.genie_detection else None,
@@ -508,25 +516,22 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                     detection_factor=config.detection_factor, workspace=workspace)
                 if last:  # the final frame feeds the range profile through its hop sums
                     hop_sums[i] += sums
-                meas_all.append(meas)
-                interference_rate[e, i] = float(np.mean(meas.flagged))
+                interference_rate[e, i] = float(np.mean(flagged[span]))
                 # Floored as the estimator floors: in detector mode every
                 # sample of a chirp can lie above the threshold.
                 mean_sinr_db[e, i] = 10.0 * np.log10(np.maximum(
-                    np.mean(meas.clean_power / (meas.interference_power + noise)), 1e-300))
+                    np.mean(clean[span] / (intf[span] + noise)), 1e-300))
 
-            stats = sig.estimate_episode_sinr(meas_all, a, config.db_average)
+            stats = sig.estimate_episode_sinr(subbands, flagged, clean, intf, k_ep, noise, a,
+                                              config.db_average)
             if noregret is not None:
                 noregret = noregret_update(noregret, stats)
                 probs[noregret.radars] = noregret.probs
-            solved = {}  # one Nash solve per distinct floored estimate
-            for i, state in nash.items():
-                if state.committed is None:
-                    state = nash_explore_update(state, stats, solved)
-                    if state.episodes_seen == state.explore_episodes:
-                        state = nash_commit(state)
-                    nash[i] = state
-                    probs[i] = state.strategy.probs
+            if nash is not None and not nash.committed.all():
+                nash = nash_explore_update(nash, stats)
+                if np.any(nash.explore_episodes == nash.episodes_seen):
+                    nash = nash_commit(nash)
+                probs[nash.radars] = nash.probs
 
         step_idx = [
             (np.arange(s_frame) * k_frame[i]) // s_frame for i in range(n_radars)

@@ -1,9 +1,10 @@
 """Reference implementations that only the tests call.
 
-The simulator synthesizes and evaluates whole blocks of chirps and solves
-the Nash game on all support pairs at once, in closed form, or on all
-joint actions at once, from the (radars, subbands) estimates; these are
-the per-chirp, per-profile and per-pair definitions and the dense game
+The simulator synthesizes and evaluates whole blocks of chirps, steps
+every radar's policy at once on stacked rows, and solves the Nash game
+on all support pairs at once, in closed form, or on all joint actions at
+once, from the (radars, subbands) estimates; these are the per-chirp,
+per-radar, per-profile and per-pair definitions and the dense game
 tables those block operations are checked against, plus small helpers
 that no program path needs.
 Seeded tests depend on the order of each function's random draws: keep it.
@@ -390,7 +391,28 @@ class RadarEpisodeStats:
         return np.asarray(self.count).size
 
 
-def estimate_episode_sinr(meas: sig.ChirpMeasurements, n_subbands: int,
+@dataclass(frozen=True)
+class ChirpMeasurements:
+    """One radar's per-chirp detection outputs over one episode."""
+
+    subbands: np.ndarray            # (K,) subband index per chirp
+    clean_power: np.ndarray         # (K,) mean |clean|^2
+    interference_power: np.ndarray  # (K,) mean |interference estimate|^2
+    flagged: np.ndarray             # (K,) bool, interference detected
+    noise_power: float
+
+    def __post_init__(self):
+        shapes = {np.asarray(a).shape for a in
+                  (self.subbands, self.clean_power, self.interference_power, self.flagged)}
+        if len(shapes) != 1 or np.asarray(self.subbands).ndim != 1:
+            raise ValueError("per-chirp arrays must share one 1-D shape")
+        if np.asarray(self.subbands).size < 1:
+            raise ValueError("need at least one chirp")
+        if self.noise_power <= 0:
+            raise ValueError("noise power must be positive")
+
+
+def estimate_episode_sinr(meas: ChirpMeasurements, n_subbands: int,
                           db_average: bool = False) -> RadarEpisodeStats:
     """One radar's per-subband windowed SINR/SNR means over one episode."""
     sub = np.asarray(meas.subbands, dtype=int)
@@ -508,9 +530,139 @@ def per_radar_noregret_update(state: hopping.NoRegretState,
                    probs=np.array([s.strategy.probs for s in steps]), tau=state.tau + 1)
 
 
-def per_radar_estimate(meas, n_subbands: int, db_average: bool) -> hopping.EpisodeStats:
-    """``signal.estimate_episode_sinr`` computed one radar at a time by the oracle."""
-    return stack_stats([estimate_episode_sinr(m, n_subbands, db_average) for m in meas])
+@dataclass(frozen=True)
+class RadarNashState:
+    """Explore-then-commit state for one radar, with its own copy of the
+    exchanged estimates: ``hopping.NashHopperState`` one radar at a time.
+
+    Holds the clean-chirp SNR and collision-conditioned SINR estimates of
+    every radar, both NaN until first observed. The radar explores until
+    ``committed`` is set, which ``radar_nash_commit`` does once
+    ``episodes_seen`` reaches ``explore_episodes``.
+    """
+
+    player: int
+    n_players: int
+    n_subbands: int
+    snr_est_db: np.ndarray
+    hit_sinr_est_db: np.ndarray
+    profile: StrategyProfile
+    explore_episodes: int
+    episodes_seen: int = 0
+    committed: MixedStrategy | None = None
+    floor_db: float = hopping.DEFAULT_PESSIMISTIC_FLOOR_DB
+    solver_mode: str = "auto"
+
+    @property
+    def strategy(self) -> MixedStrategy:
+        if self.committed is not None:
+            return self.committed
+        return self.profile.strategies[self.player]
+
+    @classmethod
+    def initial(cls, player: int, n_players: int, n_subbands: int,
+                explore_episodes: int, **kwargs) -> "RadarNashState":
+        """No estimates and the uniform profile."""
+        uniform = StrategyProfile(
+            tuple(hopping.uniform_policy(n_subbands) for _ in range(n_players)))
+        nan = np.full((n_players, n_subbands), np.nan)
+        return cls(player=player, n_players=n_players, n_subbands=n_subbands,
+                   snr_est_db=nan.copy(), hit_sinr_est_db=nan.copy(),
+                   profile=uniform, explore_episodes=explore_episodes, **kwargs)
+
+
+def radar_floored_estimates(state: RadarNashState) -> tuple[np.ndarray, np.ndarray]:
+    """The radar's (snr, hit) estimates with the entries not yet observed at its floor."""
+    floor = state.floor_db
+    return (np.where(np.isnan(state.snr_est_db), floor, state.snr_est_db),
+            np.where(np.isnan(state.hit_sinr_est_db), floor, state.hit_sinr_est_db))
+
+
+def radar_nash_explore_update(state: RadarNashState, all_stats: hopping.EpisodeStats,
+                              solved: dict) -> RadarNashState:
+    """Fold one episode of exchanged stats into the radar's copy and re-solve.
+
+    ``solved`` maps (floored estimates, solver mode) to the profile already
+    solved for that key; radars that pass the same dict for one episode
+    share a solve whenever their keys agree. Solves go through
+    ``hopping.solve_nash_welfare_max``, where the simulator's go.
+    """
+    if state.committed is not None:
+        raise RuntimeError("explore update after commit")
+    if all_stats.count.shape[0] != state.n_players:
+        raise ValueError(
+            f"need stats from all {state.n_players} radars, got {all_stats.count.shape[0]}"
+        )
+    snr = np.where(all_stats.clean_count > 0, all_stats.snr_db, state.snr_est_db)
+    hit = np.where(all_stats.hit_count > 0, all_stats.hit_sinr_db, state.hit_sinr_est_db)
+    nxt = replace(state, snr_est_db=snr, hit_sinr_est_db=hit,
+                  episodes_seen=state.episodes_seen + 1)
+    snr, hit = radar_floored_estimates(nxt)
+    key = (snr.shape, snr.tobytes(), hit.tobytes(), nxt.solver_mode)
+    if key not in solved:
+        solved[key] = hopping.solve_nash_welfare_max(snr, hit, mode=nxt.solver_mode)
+    return replace(nxt, profile=solved[key])
+
+
+def radar_nash_commit(state: RadarNashState) -> RadarNashState:
+    """Freeze the radar's slice of its last explore update's profile."""
+    if state.episodes_seen != state.explore_episodes:
+        raise RuntimeError(
+            f"commit after {state.episodes_seen} exploration episodes, "
+            f"expected {state.explore_episodes}"
+        )
+    return replace(state, committed=state.profile.strategies[state.player])
+
+
+class PerRadarNash:
+    """The per-radar Nash loop, run in place of ``sim.nash_explore_update``
+    (``explore_update``) and ``sim.nash_commit`` (``commit``).
+
+    On its first update it gives each row of the stacked state its own
+    ``RadarNashState``, then keeps them across the run and returns the
+    stacked state with their strategies and commit flags. Each episode's
+    updates share one ``solved`` dict; ``keys`` lists its size, the
+    distinct (floored estimate, mode) keys, and ``updates`` the number of
+    radars that explored, per episode.
+    """
+
+    def __init__(self):
+        self.radars, self.keys, self.updates = None, [], []
+
+    def explore_update(self, state: hopping.NashHopperState,
+                       stats: hopping.EpisodeStats) -> hopping.NashHopperState:
+        n, a = state.snr_est_db.shape
+        if self.radars is None:
+            self.radars = [RadarNashState.initial(
+                int(i), n, a, int(state.explore_episodes[r]), floor_db=float(state.floor_db[r]),
+                solver_mode=str(state.solver_mode[r])) for r, i in enumerate(state.radars)]
+        solved = {}
+        exploring = [r for r, radar in enumerate(self.radars) if radar.committed is None]
+        for r in exploring:
+            self.radars[r] = radar_nash_explore_update(self.radars[r], stats, solved)
+        self.keys.append(len(solved))
+        self.updates.append(len(exploring))
+        return self.stacked(replace(state, episodes_seen=state.episodes_seen + 1))
+
+    def commit(self, state: hopping.NashHopperState) -> hopping.NashHopperState:
+        self.radars = [radar_nash_commit(radar) if radar.committed is None
+                       and radar.episodes_seen == radar.explore_episodes else radar
+                       for radar in self.radars]
+        return self.stacked(state)
+
+    def stacked(self, state: hopping.NashHopperState) -> hopping.NashHopperState:
+        return replace(state, probs=np.array([r.strategy.probs for r in self.radars]),
+                       committed=np.array([r.committed is not None for r in self.radars]))
+
+
+def per_radar_estimate(subbands, flagged, clean_power, interference_power, chirps,
+                       noise_power, n_subbands: int, db_average: bool) -> hopping.EpisodeStats:
+    """``signal.estimate_episode_sinr`` computed one radar at a time by the oracle,
+    each radar's chirps checked as its own ``ChirpMeasurements``."""
+    spans = np.split(np.arange(subbands.size), np.cumsum(chirps)[:-1])
+    return stack_stats([estimate_episode_sinr(
+        ChirpMeasurements(subbands[s], clean_power[s], interference_power[s], flagged[s],
+                          noise_power), n_subbands, db_average) for s in spans])
 
 
 @dataclass(frozen=True)
@@ -547,9 +699,9 @@ class UtilityTable:
         return self.values.shape[1]
 
     def check_profile(self, profile: StrategyProfile):
-        if profile.n_players != self.n_players:
+        if len(profile.strategies) != self.n_players:
             raise ValueError(
-                f"profile has {profile.n_players} players, table {self.n_players}"
+                f"profile has {len(profile.strategies)} players, table {self.n_players}"
             )
         if profile.n_subbands != self.n_subbands:
             raise ValueError(
@@ -804,7 +956,7 @@ def joint_from_dense(mass: np.ndarray) -> JointDistribution:
 
 def dense_mass(joint: JointDistribution) -> np.ndarray:
     """The (A, ..., A) mass array of a support-listed joint distribution."""
-    mass = np.zeros((joint.n_subbands,) * joint.n_players)
+    mass = np.zeros((joint.n_subbands,) * joint.rows.shape[1])
     mass[tuple(joint.rows.T)] = joint.mass
     return mass
 

@@ -122,13 +122,9 @@ def test_criterion_5_estimator_fidelity():
     intf = np.stack([
         oracles.dechirped_interference(ch, link, ch, i, subbands[i] == 1, rng)
         for i in range(k)], axis=1)
-    meas = sig.ChirpMeasurements(
-        subbands=subbands,
-        clean_power=np.mean(np.abs(clean) ** 2, axis=0),
-        interference_power=np.mean(np.abs(intf) ** 2, axis=0),
-        flagged=subbands == 1,
-        noise_power=1.0)
-    stats = oracles.radar_stats(sig.estimate_episode_sinr([meas], ch.n_subbands, False), 0)
+    stats = oracles.radar_stats(sig.estimate_episode_sinr(
+        subbands, subbands == 1, np.mean(np.abs(clean) ** 2, axis=0),
+        np.mean(np.abs(intf) ** 2, axis=0), [k], 1.0, ch.n_subbands, False), 0)
     want_hit = 10 * np.log10(oracles.theoretical_sinr(100.0, 1000.0, 1.0))
     want_clean = 10 * np.log10(oracles.theoretical_sinr(100.0, 0.0, 1.0))
     err_hit = abs(stats.sinr_db[1] - want_hit)

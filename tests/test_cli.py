@@ -80,6 +80,16 @@ run:
 """
 
 
+def defaulted_document() -> str:
+    """SMALL_CFG with a nash and a noregret radar, every parameter left at its
+    default, over the default exploration's 10 frames."""
+    doc = yaml.safe_load(SMALL_CFG)
+    doc["radars"][0]["policy"] = "nash"
+    del doc["radars"][1]["policy_params"]
+    doc["run"]["frames"] = 10
+    return yaml.safe_dump(doc)
+
+
 class TestParseConfig:
     def test_small_document(self):
         cfg = parse_config(SMALL_CFG)
@@ -99,15 +109,27 @@ class TestParseConfig:
         again = parse_config(render_config(cfg))
         assert again == cfg
 
-    @pytest.mark.parametrize("source", ["small", "table1", "crowd-8"])
+    @pytest.mark.parametrize("source", ["small", "table1", "crowd-8", "defaulted"])
     def test_document_matches_rendered_yaml(self, source):
         # The manifest stores config_document; its YAML round trip is the reference.
         crowd = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "crowd-8.yaml"
         text = {"small": SMALL_CFG, "table1": bundled_config_path("table1").read_text(),
-                "crowd-8": crowd.read_text()}[source]
+                "crowd-8": crowd.read_text(), "defaulted": defaulted_document()}[source]
         cfg = parse_config(text)
         assert json.dumps(config_document(cfg), sort_keys=True) == json.dumps(
             yaml.safe_load(render_config(cfg)), sort_keys=True)
+
+    def test_defaulted_parameters_written_resolved(self):
+        # The manifest's config is the resolved one: every policy parameter
+        # with its value, an unset baseline as null, which parses back as off.
+        cfg = parse_config(defaulted_document())
+        params = [radar["policy_params"] for radar in config_document(cfg)["radars"]]
+        assert params == [
+            {"explore_episodes": 10, "floor_db": -10.0, "solver_mode": "auto"},
+            {"c_eta": 1.0, "c_gamma": 1.0, "kappa": 0.04, "loss_clip_db": 600.0,
+             "baseline_delta_db": None}]
+        assert "baseline_delta_db: null" in render_config(cfg)
+        assert parse_config(render_config(cfg)) == cfg
 
     def test_bundled_table1(self):
         path = bundled_config_path("table1")
@@ -327,7 +349,7 @@ class TestJointCsv:
         doc["targets"].append(dict(doc["targets"][1], radar=3))
         doc["links"].append({"victim": 3, "source": 1, "inr_db": 20.0})
         joint = run_scenario(parse_config(yaml.safe_dump(doc))).joint_distribution
-        assert joint.n_players == 3 and 6 < joint.mass.size < 6**3
+        assert joint.rows.shape[1] == 3 and 6 < joint.mass.size < 6**3
         self.assert_same_bytes(tmp_path, joint)
 
 
@@ -842,6 +864,19 @@ class TestStrictConfig:
         assert code == 2
         assert "radars[1].targets[1]: target at 1.0 m moving at -100.0 m/s" in err
         assert "from chirp 502 of 512" in err
+
+    def test_doppler_product_beyond_float_range_rejected(self, tmp_path, capsys):
+        # 2 v PRI f_c = 2 x 5e4 m/s x 20 us x 1.7e308 Hz overflows a float
+        # before the division by c would bring it back in range.
+        doc = yaml.safe_load(SMALL_CFG)
+        for radar in doc["radars"]:
+            radar["carrier_hz"] = 1.7e308
+        doc["targets"][0].update(range_m=1500.0, velocity_mps=-5.0e4)
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert ("radars[1].targets[1]: velocity -50000.0 m/s gives a Doppler product "
+                "2 v PRI f_c above the largest float") in err
+        assert "radars[2]" not in err
 
     @pytest.mark.parametrize("section,field", [("targets", "snr_db"), ("links", "inr_db")])
     @pytest.mark.parametrize("value", [4000.0, -4000.0])

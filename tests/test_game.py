@@ -135,7 +135,7 @@ class TestMixedStrategy:
 class TestJointDistribution:
     def test_support_rows_and_masses(self):
         joint = JointDistribution(np.array([[0, 1], [1, 0]]), np.array([0.25, 0.75]), 2)
-        assert joint.n_players == 2 and joint.n_subbands == 2
+        assert joint.rows.shape[1] == 2 and joint.n_subbands == 2
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -172,10 +172,11 @@ class TestFromCollisions:
         snr = np.where(rng.random((n, a)) < 0.2, -10.0, rng.integers(10, 30, (n, a)))
         hit = np.where(rng.random((n, a)) < 0.5, -10.0, rng.integers(-5, 15, (n, a)))
         # The -10 dB entries are unobserved: NaN in the state, the floor in the table.
-        state = replace(init_nash_hopper(0, n, a, explore_episodes=1, floor_db=-10.0),
+        params = {"explore_episodes": 1, "floor_db": -10.0, "solver_mode": "auto"}
+        state = replace(init_nash_hopper(n, a, {0: params}),
                         snr_est_db=np.where(snr == -10.0, np.nan, snr),
                         hit_sinr_est_db=np.where(hit == -10.0, np.nan, hit))
-        got = collision_table(*floored_estimates(state))
+        got = collision_table(*floored_estimates(state, 0))
         expected = from_collisions_dense(
             np.ones((n, n)), a, lambda i, own, load: np.where(load > 0, hit[i][own], snr[i][own]))
         assert got.values.shape == (n,) + (a,) * n

@@ -7,6 +7,7 @@ import pytest
 import hopsim.hopping as hopping
 from hopsim.game import (
     MixedStrategy,
+    StrategyProfile,
     pure_strategy,
     solve_nash_welfare_max,
 )
@@ -292,6 +293,18 @@ class TestBaselineSubtraction:
         assert np.isnan(one_radar(3).baseline_delta_db).all()
 
 
+def nash_state(n_players, n_subbands, explore_episodes, radars=(0,), **params):
+    """A nash state for the players ``radars``, all on the same parameters."""
+    defaults = {"explore_episodes": explore_episodes, "solver_mode": "auto",
+                "floor_db": hopping.DEFAULT_PESSIMISTIC_FLOOR_DB}
+    return init_nash_hopper(n_players, n_subbands, {i: defaults | params for i in radars})
+
+
+def nash_profile(state) -> StrategyProfile:
+    """The state's rows as a profile."""
+    return StrategyProfile(tuple(MixedStrategy(p) for p in state.probs))
+
+
 class TestNashHopper:
     def _explore_stats(self, n_subbands, snr=20.0, collided=None):
         """All subbands observed clean at snr except entries in collided,
@@ -312,108 +325,167 @@ class TestNashHopper:
                                  clean_count=clean_count, hit_count=hit_count)
 
     def test_initial_strategy_uniform(self):
-        state = init_nash_hopper(0, 2, 6, explore_episodes=10)
-        np.testing.assert_allclose(state.strategy.probs, np.full(6, 1 / 6))
+        state = nash_state(2, 6, 10)
+        np.testing.assert_allclose(state.probs[0], np.full(6, 1 / 6))
 
     def test_collision_measurement_lands_in_colliding_cells(self):
-        state = init_nash_hopper(0, 2, 2, explore_episodes=1)
+        state = nash_state(2, 2, 1)
         all_stats = [self._explore_stats(2, collided={0: 3.0}),
                      self._explore_stats(2, collided={0: 3.0})]
-        state = nash_explore_update(state, stack_stats(all_stats), {})
-        table = collision_table(*floored_estimates(state))
+        state = nash_explore_update(state, stack_stats(all_stats))
+        table = collision_table(*floored_estimates(state, 0))
         assert table.values[0, 0, 0] == pytest.approx(3.0)
         # subband 1 was observed clean, so its collision-free cell holds SNR
         assert table.values[0, 1, 0] == pytest.approx(20.0)
 
     def test_all_clean_episode_fills_clean_cells(self):
-        state = init_nash_hopper(0, 2, 3, explore_episodes=1)
+        state = nash_state(2, 3, 1)
         state = nash_explore_update(
-            state, stack_stats([self._explore_stats(3), self._explore_stats(3)]), {})
-        table = collision_table(*floored_estimates(state))
+            state, stack_stats([self._explore_stats(3), self._explore_stats(3)]))
+        table = collision_table(*floored_estimates(state, 0))
         for i in range(3):
             for j in range(3):
                 if i != j:
                     assert table.values[0, i, j] == pytest.approx(20.0)
 
     def test_unobserved_collisions_use_pessimistic_floor(self):
-        state = init_nash_hopper(0, 2, 2, explore_episodes=1, floor_db=-10.0)
+        state = nash_state(2, 2, 1, floor_db=-10.0)
         state = nash_explore_update(
-            state, stack_stats([self._explore_stats(2), self._explore_stats(2)]), {})
-        table = collision_table(*floored_estimates(state))
+            state, stack_stats([self._explore_stats(2), self._explore_stats(2)]))
+        table = collision_table(*floored_estimates(state, 0))
         assert table.values[0, 0, 0] == pytest.approx(-10.0)
 
     def test_recomputed_profile_is_distinct_pure_pair(self):
-        state = init_nash_hopper(0, 2, 6, explore_episodes=1)
+        state = nash_state(2, 6, 1, radars=(0, 1))
         all_stats = [self._explore_stats(6), self._explore_stats(6)]
-        state = nash_explore_update(state, stack_stats(all_stats), {})
-        acts = pure_actions(state.profile)
+        state = nash_explore_update(state, stack_stats(all_stats))
+        acts = pure_actions(nash_profile(state))
         assert acts is not None and acts[0] != acts[1]
 
     def test_missing_stats_is_communication_error(self):
-        state = init_nash_hopper(0, 2, 6, explore_episodes=1)
+        state = nash_state(2, 6, 1)
         with pytest.raises(ValueError):
-            nash_explore_update(state, stack_stats([self._explore_stats(6)]), {})
+            nash_explore_update(state, stack_stats([self._explore_stats(6)]))
 
     def test_commit_requires_exploration_end(self):
-        state = init_nash_hopper(0, 2, 6, explore_episodes=2)
+        state = nash_state(2, 6, 2)
         state = nash_explore_update(
-            state, stack_stats([self._explore_stats(6), self._explore_stats(6)]), {})
+            state, stack_stats([self._explore_stats(6), self._explore_stats(6)]))
         assert state.episodes_seen == 1
         with pytest.raises(RuntimeError):
             nash_commit(state)
 
     def test_commit_freezes_own_slice(self):
-        state = init_nash_hopper(0, 2, 6, explore_episodes=1)
+        state = nash_state(2, 6, 1)
         state = nash_explore_update(
-            state, stack_stats([self._explore_stats(6), self._explore_stats(6)]), {})
+            state, stack_stats([self._explore_stats(6), self._explore_stats(6)]))
         state = nash_commit(state)
-        assert state.committed is not None
-        assert pure_action(state.strategy) is not None
+        assert state.committed[0]
+        assert pure_action(MixedStrategy(state.probs[0])) is not None
 
     def test_symmetric_tie_break_pair(self):
-        state = init_nash_hopper(0, 2, 6, explore_episodes=1)
+        state = nash_state(2, 6, 1, radars=(0, 1))
         state = nash_explore_update(
-            state, stack_stats([self._explore_stats(6), self._explore_stats(6)]), {})
+            state, stack_stats([self._explore_stats(6), self._explore_stats(6)]))
         state = nash_commit(state)
-        assert pure_actions(state.profile) == (0, 1)
+        assert pure_actions(nash_profile(state)) == (0, 1)
 
     def test_single_radar_commits_to_argmax_snr(self):
-        state = init_nash_hopper(0, 1, 3, explore_episodes=1)
+        state = nash_state(1, 3, 1)
         snr = np.array([10.0, 30.0, 20.0])
         stats = RadarEpisodeStats(sinr_db=snr, snr_db=snr,
                                   hit_sinr_db=np.full(3, np.nan),
                                   count=np.full(3, 5), clean_count=np.full(3, 5),
                                   hit_count=np.zeros(3, dtype=int))
-        state = nash_explore_update(state, stack_stats([stats]), {})
+        state = nash_explore_update(state, stack_stats([stats]))
         state = nash_commit(state)
-        assert pure_action(state.strategy) == 1
+        assert pure_action(MixedStrategy(state.probs[0])) == 1
 
     def test_commit_profile_is_fresh_solve(self):
-        # The commit takes the last explore update's profile; it must be
-        # the welfare-max NE of the estimates it commits from.
+        # The commit takes the last explore update's rows; they must be
+        # the welfare-max NE of the estimates they are committed from.
         rng = np.random.default_rng(5)
-        for player in (0, 1):
-            state = init_nash_hopper(player, 2, 4, explore_episodes=2)
-            for _ in range(2):
-                state = nash_explore_update(state, stack_stats([
-                    self._explore_stats(4, snr=rng.uniform(10, 30), collided={
-                        int(f): rng.uniform(-5, 15) for f in rng.choice(4, 2)})
-                    for _ in range(2)]), {})
-            state = nash_commit(state)
-            fresh = solve_nash_welfare_max(*floored_estimates(state))
-            assert support_key(state.profile) == support_key(fresh)
-            for s, t in zip(state.profile.strategies, fresh.strategies):
-                np.testing.assert_array_equal(s.probs, t.probs)
-            np.testing.assert_array_equal(state.committed.probs,
-                                          fresh.strategies[player].probs)
+        state = nash_state(2, 4, 2, radars=(0, 1))
+        for _ in range(2):
+            state = nash_explore_update(state, stack_stats([
+                self._explore_stats(4, snr=rng.uniform(10, 30), collided={
+                    int(f): rng.uniform(-5, 15) for f in rng.choice(4, 2)})
+                for _ in range(2)]))
+        state = nash_commit(state)
+        assert state.committed.all()
+        fresh = solve_nash_welfare_max(*floored_estimates(state, 0))
+        assert support_key(nash_profile(state)) == support_key(fresh)
+        for row, s in zip(state.probs, fresh.strategies):
+            np.testing.assert_array_equal(row, s.probs)
 
     def test_explore_update_after_commit_rejected(self):
-        state = init_nash_hopper(0, 2, 6, explore_episodes=1)
+        state = nash_state(2, 6, 1)
         state = nash_explore_update(
-            state, stack_stats([self._explore_stats(6), self._explore_stats(6)]), {})
+            state, stack_stats([self._explore_stats(6), self._explore_stats(6)]))
         state = nash_commit(state)
         with pytest.raises(RuntimeError):
-            nash_explore_update(state, stack_stats([self._explore_stats(6)] * 2), {})
+            nash_explore_update(state, stack_stats([self._explore_stats(6)] * 2))
+
+
+def random_exchange(rng, n_rows, a):
+    """Exchanged stats of one episode: some subbands unplayed, some observed
+    only clean or only collided, integer dB values so that estimates tie."""
+    count = np.where(rng.random((n_rows, a)) < 0.7, rng.integers(1, 5, (n_rows, a)), 0)
+    clean_count = rng.integers(0, count + 1)
+    hit_count = count - clean_count
+    snr = np.where(clean_count > 0, rng.integers(5, 30, (n_rows, a)), np.nan)
+    hit = np.where(hit_count > 0, rng.integers(-10, 15, (n_rows, a)), np.nan)
+    sinr = np.where(count > 0, np.fmax(snr, hit), np.nan)
+    return EpisodeStats(sinr, snr, hit, count, clean_count, hit_count)
+
+
+class TestStackedNashMatchesPerRadarOracle:
+    """One stacked ``NashHopperState`` against the oracle's per-radar states,
+    which share one ``solved`` dict per episode, bit for bit."""
+
+    # Per player: floor_db, explore_episodes, solver_mode. Players 0 and 2
+    # agree on floor and mode, so they share their solves while both explore.
+    PARAMS = [(-10.0, 4, "auto"), (-20.0, 2, "pure"), (-10.0, 6, "auto"), (-15.0, 6, "pure")]
+
+    @pytest.mark.parametrize("n_rows, a", [(2, 4), (3, 3), (4, 3)])
+    def test_random_episodes(self, monkeypatch, n_rows, a):
+        rng = np.random.default_rng(10 * n_rows + a)
+        players = rng.permutation(n_rows)  # rows in shuffled player order
+        params = {int(i): dict(zip(("floor_db", "explore_episodes", "solver_mode"),
+                                   self.PARAMS[i])) for i in players}
+        state = init_nash_hopper(n_rows, a, params)
+        radars = {i: oracles.RadarNashState.initial(i, n_rows, a, **p) for i, p in params.items()}
+        solves = []
+        solve = hopping.solve_nash_welfare_max
+        monkeypatch.setattr(hopping, "solve_nash_welfare_max",
+                            lambda snr, hit, mode: solves.append(mode) or solve(snr, hit, mode))
+        shared = 0
+        while not state.committed.all():
+            stats = random_exchange(rng, n_rows, a)
+            exploring = [i for i, radar in radars.items() if radar.committed is None]
+            solved = {}
+            for i in exploring:
+                radars[i] = oracles.radar_nash_explore_update(radars[i], stats, solved)
+            before = len(solves)
+            state = nash_explore_update(state, stats)
+            assert len(solves) - before == len(solved)
+            shared += len(exploring) - len(solved)
+            for r, i in enumerate(state.radars):
+                if i in exploring:
+                    for got, want in zip(floored_estimates(state, r),
+                                         oracles.radar_floored_estimates(radars[i])):
+                        assert got.tobytes() == want.tobytes()
+            if np.any(state.explore_episodes == state.episodes_seen):
+                state = nash_commit(state)
+                radars = {i: oracles.radar_nash_commit(radar)
+                          if radar.committed is None
+                          and radar.episodes_seen == radar.explore_episodes else radar
+                          for i, radar in radars.items()}
+            for r, i in enumerate(state.radars):
+                assert state.probs[r].tobytes() == radars[i].strategy.probs.tobytes()
+                assert state.committed[r] == (radars[i].committed is not None)
+        assert state.episodes_seen == max(p["explore_episodes"] for p in params.values())
+        assert shared > 0 or n_rows == 2
 
 
 class TestEpisodeStatsValidation:

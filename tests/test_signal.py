@@ -357,48 +357,57 @@ class TestDetectInterference:
             np.testing.assert_array_equal(intf, np.mean(np.abs(ref_est) ** 2, axis=0))
 
 
+def estimate(n_subbands, db_average, *radars):
+    """``estimate_episode_sinr`` of radars, each an ``oracles.ChirpMeasurements``
+    at noise power 1, their chirps concatenated in order."""
+    return sig.estimate_episode_sinr(
+        *(np.concatenate([getattr(m, name) for m in radars])
+          for name in ("subbands", "flagged", "clean_power", "interference_power")),
+        [m.subbands.size for m in radars], 1.0, n_subbands, db_average)
+
+
 class TestEstimateEpisodeSinr:
     def test_single_clean_chirp(self):
-        meas = sig.ChirpMeasurements(
+        meas = oracles.ChirpMeasurements(
             subbands=np.array([2]), clean_power=np.array([100.0]),
             interference_power=np.array([0.0]), flagged=np.array([False]),
             noise_power=1.0)
-        stats = sig.estimate_episode_sinr([meas], 6, False)
+        stats = estimate(6, False, meas)
         assert stats.sinr_db[0, 2] == pytest.approx(20.0)
         assert stats.snr_db[0, 2] == pytest.approx(20.0)
         assert stats.count[0, 2] == 1
 
     def test_linear_mean_of_two_chirps(self):
-        meas = sig.ChirpMeasurements(
+        meas = oracles.ChirpMeasurements(
             subbands=np.array([0, 0]), clean_power=np.array([10.0, 20.0]),
             interference_power=np.array([0.0, 0.0]),
             flagged=np.array([True, True]), noise_power=1.0)
-        stats = sig.estimate_episode_sinr([meas], 2, False)
+        stats = estimate(2, False, meas)
         assert stats.sinr_db[0, 0] == pytest.approx(10.0 * np.log10(15.0))
 
     def test_db_mean_option(self):
-        meas = sig.ChirpMeasurements(
+        meas = oracles.ChirpMeasurements(
             subbands=np.array([0, 0]), clean_power=np.array([10.0, 1000.0]),
             interference_power=np.array([0.0, 0.0]),
             flagged=np.array([False, False]), noise_power=1.0)
-        stats = sig.estimate_episode_sinr([meas], 1, True)
+        stats = estimate(1, True, meas)
         assert stats.sinr_db[0, 0] == pytest.approx(20.0)  # mean of 10 and 30 dB
 
     def test_unplayed_subband_is_nan(self):
-        meas = sig.ChirpMeasurements(
+        meas = oracles.ChirpMeasurements(
             subbands=np.array([0]), clean_power=np.array([5.0]),
             interference_power=np.array([0.0]), flagged=np.array([False]),
             noise_power=1.0)
-        stats = sig.estimate_episode_sinr([meas], 3, False)
+        stats = estimate(3, False, meas)
         assert np.isnan(stats.sinr_db[0, 1]) and np.isnan(stats.sinr_db[0, 2])
         assert stats.count[0, 1] == 0
 
     def test_flag_split_feeds_snr_and_hit_estimates(self):
-        meas = sig.ChirpMeasurements(
+        meas = oracles.ChirpMeasurements(
             subbands=np.array([0, 0]), clean_power=np.array([100.0, 100.0]),
             interference_power=np.array([0.0, 900.0]),
             flagged=np.array([False, True]), noise_power=1.0)
-        stats = sig.estimate_episode_sinr([meas], 1, False)
+        stats = estimate(1, False, meas)
         assert stats.snr_db[0, 0] == pytest.approx(20.0)
         assert stats.hit_sinr_db[0, 0] == pytest.approx(10.0 * np.log10(100 / 901))
         assert stats.clean_count[0, 0] == 1 and stats.hit_count[0, 0] == 1
@@ -415,11 +424,11 @@ class TestEstimateEpisodeSinr:
             echo = oracles.dechirped_echo(p, tgt, 0, 0.0)
             x = oracles.compose_received([echo], [], 1.0, rng)
             clean_p[k] = np.mean(np.abs(x) ** 2)
-        meas = sig.ChirpMeasurements(
+        meas = oracles.ChirpMeasurements(
             subbands=np.zeros(n_chirps, dtype=int), clean_power=clean_p,
             interference_power=intf_p, flagged=np.zeros(n_chirps, dtype=bool),
             noise_power=1.0)
-        stats = sig.estimate_episode_sinr([meas], 1, False)
+        stats = estimate(1, False, meas)
         theory = 10.0 * np.log10(oracles.theoretical_sinr(100.0, 0.0, 1.0) + 1.0)
         assert abs(stats.sinr_db[0, 0] - theory) <= 1.0
 
@@ -433,11 +442,11 @@ class TestEstimateEpisodeSinr:
         for k, flag_share in [(7, 0.5), (40, 1.0), (1, 0.0), (300, 0.3)]:
             clean = rng.exponential(50.0, k)
             clean[0] = 0.0
-            meas.append(sig.ChirpMeasurements(
+            meas.append(oracles.ChirpMeasurements(
                 subbands=rng.integers(0, 5, k), clean_power=clean,
                 interference_power=rng.exponential(500.0, k) * (rng.random(k) < 0.5),
                 flagged=rng.random(k) < flag_share, noise_power=1.0))
-        got = sig.estimate_episode_sinr(meas, 6, db_average)
+        got = estimate(6, db_average, *meas)
         for i, m in enumerate(meas):
             want = oracles.estimate_episode_sinr(m, 6, db_average)
             for name in ("sinr_db", "snr_db", "hit_sinr_db", "count", "clean_count",
@@ -448,12 +457,12 @@ class TestEstimateEpisodeSinr:
     @pytest.mark.parametrize("subband", [-1, 3])
     def test_subband_outside_the_band_rejected(self, subband):
         # A stacked bin past the band would land in the next radar's row.
-        meas = sig.ChirpMeasurements(
+        meas = oracles.ChirpMeasurements(
             subbands=np.array([0, subband]), clean_power=np.ones(2),
             interference_power=np.zeros(2), flagged=np.zeros(2, dtype=bool),
             noise_power=1.0)
         with pytest.raises(ValueError, match="subbands must lie"):
-            sig.estimate_episode_sinr([meas, meas], 3, False)
+            estimate(3, False, meas, meas)
 
 
 def assert_block_close(actual, reference, rtol=1e-12):
@@ -614,13 +623,11 @@ class TestMeasureEpisode:
         # random draws, and so the generator state, are the same.
         subbands = self.inputs()[3]
         rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
-        meas, sums = self.measure(rng_new, last, genie)
+        flagged, clean, intf, sums = self.measure(rng_new, last, genie)
         flags, p_clean, p_int, noiseless, samples = self.inline(rng_old, genie)
-        np.testing.assert_array_equal(meas.subbands, subbands)
-        np.testing.assert_array_equal(meas.flagged, flags)
-        np.testing.assert_allclose(meas.clean_power, p_clean, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(meas.interference_power, p_int, rtol=1e-12, atol=0)
-        assert meas.noise_power == self.NOISE
+        np.testing.assert_array_equal(flagged, flags)
+        np.testing.assert_allclose(clean, p_clean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(intf, p_int, rtol=1e-12, atol=0)
         assert (sums is None) == (not last)
         if last and not genie:
             assert_block_close(sums, samples @ self.hop_weights())
@@ -639,11 +646,11 @@ class TestMeasureEpisode:
         # 2 N_s A normals for the hop sums.
         p = self.inputs()[0]
         rng, skipped = np.random.default_rng(8), np.random.default_rng(8)
-        meas, sums = self.measure(rng, last=True)
-        ref, none = self.measure(skipped, last=False)
+        *meas, sums = self.measure(rng, last=True)
+        *ref, none = self.measure(skipped, last=False)
         assert none is None and sums.shape == (p.n_samples, p.n_subbands)
-        for field in ("subbands", "clean_power", "interference_power", "flagged"):
-            np.testing.assert_array_equal(getattr(meas, field), getattr(ref, field))
+        for got, want in zip(meas, ref):  # flags, clean and interference powers
+            np.testing.assert_array_equal(got, want)
         skipped.standard_normal(2 * p.n_samples * p.n_subbands)
         assert rng.bit_generator.state == skipped.bit_generator.state
 
@@ -668,7 +675,7 @@ class TestGenieHopSumNoise:
         rng = np.random.default_rng(17 if genie else 18)
         noiseless = episode.inline(np.random.default_rng(0), True)[3] @ weights
         if genie:
-            sums = [episode.measure(rng, last=True)[1] for _ in range(self.TRIALS)]
+            sums = [episode.measure(rng, last=True)[3] for _ in range(self.TRIALS)]
         else:
             sums = [episode.inline(rng, False)[4] @ weights for _ in range(self.TRIALS)]
         n_h = np.bincount(episode.inputs()[3], minlength=6)
@@ -725,13 +732,13 @@ class TestSampleWorkspace:
             flags = (weights > 0).any(axis=0) if genie else None
             hop_weights = sig.hop_sum_weights(victim, args[3], -15.0) if last else None
             shared, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
-            meas, sums = sig.measure_episode(*args, shared, genie_flags=flags,
-                                             hop_weights=hop_weights, workspace=ws)
-            ref, ref_sums = sig.measure_episode(
+            *meas, sums = sig.measure_episode(*args, shared, genie_flags=flags,
+                                              hop_weights=hop_weights, workspace=ws)
+            *ref, ref_sums = sig.measure_episode(
                 *args, fresh, genie_flags=flags, hop_weights=hop_weights,
                 workspace=sig.SampleWorkspace(victim.n_samples * k))
-            for field in ("subbands", "clean_power", "interference_power", "flagged"):
-                np.testing.assert_array_equal(getattr(meas, field), getattr(ref, field))
+            for got, want in zip(meas, ref):  # flags, clean and interference powers
+                np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(sums, ref_sums)
             assert shared.bit_generator.state == fresh.bit_generator.state
 

@@ -525,23 +525,32 @@ class TestRunScenario:
 
 
 class TestNashSolveSharing:
-    """Nash agents share one solve per distinct floored estimate per episode."""
+    """Nash radars share one solve per distinct floored estimate and mode per
+    episode, and whole runs equal those of the per-radar oracle bit for bit."""
 
     EXPLORE = 3
 
-    def run_counting(self, monkeypatch, cfg, per_agent=False):
-        """Metrics and the number of solves through hopping's solver."""
+    def run_counting(self, monkeypatch, cfg, reference=None):
+        """Metrics and the number of solves through hopping's solver; with a
+        ``PerRadarNash`` reference, its updates and commits run in place of sim's."""
         calls = []
         solve = hopping.solve_nash_welfare_max
         with monkeypatch.context() as mp:
             mp.setattr(hopping, "solve_nash_welfare_max",
                        lambda snr, hit, mode: calls.append(mode) or solve(snr, hit, mode))
-            if per_agent:
-                # Reference: every agent solves its own table, no sharing.
-                mp.setattr(sim, "nash_explore_update",
-                           lambda state, all_stats, solved:
-                           hopping.nash_explore_update(state, all_stats, {}))
+            if reference is not None:
+                mp.setattr(sim, "nash_explore_update", reference.explore_update)
+                mp.setattr(sim, "nash_commit", reference.commit)
             return run_scenario(cfg), len(calls)
+
+    def matching_reference(self, monkeypatch, cfg):
+        """The run's solve count, checked against the per-radar oracle's run, and the oracle."""
+        got, n_got = self.run_counting(monkeypatch, cfg)
+        reference = oracles.PerRadarNash()
+        want, n_want = self.run_counting(monkeypatch, cfg, reference)
+        assert_metrics_identical(got, want)
+        assert n_got == n_want == sum(reference.keys)
+        return n_got, reference
 
     def nash_config(self, floors):
         return two_radar_config(
@@ -549,20 +558,43 @@ class TestNashSolveSharing:
             params=[{"explore_episodes": self.EXPLORE, "floor_db": f} for f in floors])
 
     def test_equal_tables_solve_once_per_episode(self, monkeypatch):
-        cfg = self.nash_config((-10.0, -10.0))
-        shared, n_shared = self.run_counting(monkeypatch, cfg)
-        alone, n_alone = self.run_counting(monkeypatch, cfg, per_agent=True)
-        assert (n_shared, n_alone) == (self.EXPLORE, 2 * self.EXPLORE)
-        np.testing.assert_array_equal(shared.strategies, alone.strategies)
+        n, reference = self.matching_reference(monkeypatch, self.nash_config((-10.0, -10.0)))
+        # Each radar solving its own table would solve twice per episode.
+        assert (n, sum(reference.updates)) == (self.EXPLORE, 2 * self.EXPLORE)
 
     def test_different_floors_solve_separately(self, monkeypatch):
         # Without links no collision is ever observed, so each radar's
         # collision cells keep its own floor and the two tables differ.
         cfg = replace(self.nash_config((-10.0, -20.0)), links=())
-        shared, n_shared = self.run_counting(monkeypatch, cfg)
-        alone, n_alone = self.run_counting(monkeypatch, cfg, per_agent=True)
-        assert n_shared == n_alone == 2 * self.EXPLORE
-        np.testing.assert_array_equal(shared.strategies, alone.strategies)
+        n, reference = self.matching_reference(monkeypatch, cfg)
+        assert n == sum(reference.updates) == 2 * self.EXPLORE
+
+    def test_radars_on_their_own_parameters(self, monkeypatch):
+        # Different floors and modes: two solves per episode while both
+        # radars explore, then one for the radar that explores 5 episodes.
+        cfg = two_radar_config(
+            ("nash", "nash"), frames=4, seed=2, episodes_per_frame=2,
+            params=[{"explore_episodes": 2, "floor_db": -20.0, "solver_mode": "pure"},
+                    {"explore_episodes": 5, "floor_db": -10.0}])
+        n, reference = self.matching_reference(monkeypatch, cfg)
+        assert reference.updates == [2, 2, 1, 1, 1]
+        assert n == 7
+
+    def test_three_nash_radars_beside_a_noregret_radar(self, monkeypatch):
+        # The first two nash radars agree on floor and mode, so they share
+        # a solve while both explore; the last one solves on its own.
+        params = [{"explore_episodes": 3}, {"explore_episodes": 5},
+                  {"c_eta": 0.4, "c_gamma": 0.1},
+                  {"explore_episodes": 4, "floor_db": -15.0, "solver_mode": "pure"}]
+        radars = tuple(RadarSpec(chirp=chirp(subbands=4),
+                                 policy="noregret" if i == 2 else "nash",
+                                 policy_params=p, targets=(target(15.0 + 2 * i),))
+                       for i, p in enumerate(params))
+        links = tuple(LinkSpec(v, s, 20.0 + v + s) for v in range(4) for s in range(4) if v != s)
+        cfg = ScenarioConfig(radars=radars, links=links, frames=4, episodes_per_frame=2, seed=6)
+        n, reference = self.matching_reference(monkeypatch, cfg)
+        assert reference.updates == [3, 3, 3, 2, 1]
+        assert reference.keys == [2, 2, 2, 2, 1] and n == 9
 
 
 def assert_metrics_identical(got, want):
@@ -695,13 +727,13 @@ class TestNashCommitTiming:
     """A nash radar plays its explore profiles, then its committed slice."""
 
     def played_and_profiles(self, monkeypatch, explore, frames, episodes_per_frame):
-        """Radar 0's strategy per episode and its profile after each explore update."""
+        """Radar 0's strategy per episode and its row after each explore update."""
         profiles = []
         update = sim.nash_explore_update
 
-        def recording(state, all_stats, solved):
-            nxt = update(state, all_stats, solved)
-            profiles.append(nxt.profile)
+        def recording(state, stats):
+            nxt = update(state, stats)
+            profiles.append(nxt.probs[0].copy())
             return nxt
 
         monkeypatch.setattr(sim, "nash_explore_update", recording)
@@ -720,8 +752,8 @@ class TestNashCommitTiming:
         assert len(profiles) == explore
         np.testing.assert_array_equal(played[0], np.full(6, 1 / 6))
         for e in range(1, explore):
-            np.testing.assert_array_equal(played[e], profiles[e - 1].strategies[0].probs)
-        committed = profiles[-1].strategies[0].probs
+            np.testing.assert_array_equal(played[e], profiles[e - 1])
+        committed = profiles[-1]
         for e in range(explore, frames * episodes_per_frame):
             np.testing.assert_array_equal(played[e], committed)
 
@@ -742,12 +774,12 @@ class TestFinalFrameProfiles:
         range_profile = sig.range_profile_at_velocity
 
         def recording_measure(*args, hop_weights, **kw):
-            meas, hop_sums = measure(*args, hop_weights=hop_weights, **kw)
+            *meas, hop_sums = measure(*args, hop_weights=hop_weights, **kw)
             if hop_weights is not None:  # radars measure in index order within an episode
                 radar = sum(map(len, sums)) % cfg.n_radars
                 sums[radar].append(hop_sums.copy())
                 events.append(radar)
-            return meas, hop_sums
+            return *meas, hop_sums
 
         def recording_fft(samples):
             events.append("fft")
