@@ -1,8 +1,8 @@
 """Signal-level simulator for decentralized frequency-hopping FMCW radars.
 
 Modules:
-  game     anti-coordination game types, equilibrium solvers, regret metrics
-  hopping  per-radar subband schedulers (uniform, explore-then-commit, no-regret)
+  game     anti-coordination equilibrium solver, regret and CCE metrics
+  hopping  explore-then-commit and no-regret schedulers, each radar one stacked row
   signal   chirp synthesis, interference, SINR estimation, fine-range recovery
   sim      multi-radar scenario orchestration
   cli      command-line runner and report generator

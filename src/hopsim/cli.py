@@ -51,14 +51,6 @@ FIELDS = {
 }
 
 
-class ConfigError(ValueError):
-    """Config document malformed or invalid; carries every problem found."""
-
-    def __init__(self, messages):
-        self.messages = list(messages)
-        super().__init__("invalid config:\n  " + "\n  ".join(self.messages))
-
-
 class ReportError(RuntimeError):
     pass
 
@@ -160,9 +152,9 @@ def parse_config(text: str) -> ScenarioConfig:
     try:
         doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
-        raise ConfigError([f"YAML parse error: {exc}"]) from exc
+        raise ScenarioError([f"YAML parse error: {exc}"]) from exc
     if not isinstance(doc, dict):
-        raise ConfigError(["document must be a mapping with sections radars/targets/links/run"])
+        raise ScenarioError(["document must be a mapping with sections radars/targets/links/run"])
 
     errors: list[str] = []
     radar_docs = _mappings(doc, "radars", errors)
@@ -247,11 +239,11 @@ def parse_config(text: str) -> ScenarioConfig:
     config_kwargs = {key: _get(run, key, errors, "run", cast=kind, default=default)
                      for key, (kind, default) in FIELDS["run"].items()}
     if errors:
-        raise ConfigError(errors)
+        raise ScenarioError(errors)
     config = ScenarioConfig(radars=tuple(radars), links=tuple(links), **config_kwargs)
     errors = validate_config(config)
     if errors:
-        raise ConfigError(errors)
+        raise ScenarioError(errors)
     return replace(config, radars=tuple(replace(spec, policy_params=resolved_params(spec))
                                         for spec in config.radars))
 
@@ -520,15 +512,15 @@ def main(argv=None) -> int:
             try:
                 text = Path(args.config).read_text(encoding="utf-8")
             except UnicodeDecodeError as exc:
-                raise ConfigError([f"{args.config}: not UTF-8 text "
-                                   f"({exc.reason} at byte {exc.start})"]) from None
+                raise ScenarioError([f"{args.config}: not UTF-8 text "
+                                     f"({exc.reason} at byte {exc.start})"]) from None
             config = parse_config(text)
             cmd_run(config, args.out, seeds)
             return 0
         if args.command == "report":
             print(cmd_report(args.run_dirs))
             return 0
-    except (ConfigError, ScenarioError) as exc:
+    except ScenarioError as exc:
         print(f"hopsim: {exc}", file=sys.stderr)
         return 2
     except (ReportError, OSError, RuntimeError) as exc:

@@ -1,8 +1,10 @@
 """Game-theoretic core for the subband anti-coordination game.
 
-Mixed strategies, Nash equilibrium computation, coarse-correlated-
-equilibrium certification, and external regret accounting. Utilities are
-in dB throughout. All operations are pure functions of their inputs.
+Nash equilibrium computation, coarse-correlated-equilibrium
+certification, and external regret accounting. A strategy is a
+probability vector over subbands; a profile is a (players, subbands)
+array of them. Utilities are in dB throughout. All operations are pure
+functions of their inputs.
 
 The Nash solver plays the collision game of two (players, subbands)
 arrays: player i on subband a earns ``hit[i, a]`` if another player is
@@ -61,48 +63,6 @@ def check_simplex(probs) -> np.ndarray:
     if np.any(off):
         raise ValueError(f"strategy sums to {sums[off].flat[0]!r}, not 1")
     return np.clip(p, 0.0, None)
-
-
-@dataclass(frozen=True)
-class MixedStrategy:
-    """Probability distribution over subband indices."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        if np.ndim(self.probs) != 1 or np.size(self.probs) < 1:
-            raise ValueError("strategy must be a non-empty 1-D probability vector")
-        object.__setattr__(self, "probs", check_simplex(self.probs))
-
-    @property
-    def n_subbands(self) -> int:
-        return self.probs.size
-
-
-def pure_strategy(action: int, n_subbands: int) -> MixedStrategy:
-    p = np.zeros(n_subbands)
-    p[action] = 1.0
-    return MixedStrategy(p)
-
-
-@dataclass(frozen=True)
-class StrategyProfile:
-    """One mixed strategy per radar."""
-
-    strategies: tuple[MixedStrategy, ...]
-
-    def __post_init__(self):
-        strats = tuple(self.strategies)
-        if len(strats) < 1:
-            raise ValueError("profile needs at least one strategy")
-        sizes = {s.n_subbands for s in strats}
-        if len(sizes) != 1:
-            raise ValueError("strategies disagree on the number of subbands")
-        object.__setattr__(self, "strategies", strats)
-
-    @property
-    def n_subbands(self) -> int:
-        return self.strategies[0].n_subbands
 
 
 @dataclass(frozen=True)
@@ -229,7 +189,7 @@ def _first_rows(keys: np.ndarray) -> np.ndarray:
     return np.sort(np.unique(rows[:, 0], return_index=True)[1])
 
 
-def _pure_welfare_max(snr: np.ndarray, hit: np.ndarray) -> StrategyProfile:
+def _pure_welfare_max(snr: np.ndarray, hit: np.ndarray) -> np.ndarray:
     """The pure NE of the collision game maximizing total utility, the
     first in C order (the least supports) of those within WELFARE_TIE_ATOL.
 
@@ -258,12 +218,13 @@ def _pure_welfare_max(snr: np.ndarray, hit: np.ndarray) -> StrategyProfile:
         raise SolverIncompleteError("no equilibrium found")
     welfare[~nash] = -np.inf
     first = np.argmax(welfare >= welfare.max() - WELFARE_TIE_ATOL)
-    return StrategyProfile(tuple(pure_strategy(f, a) for f in np.unravel_index(first, shape)))
+    return np.eye(a)[list(np.unravel_index(first, shape))]
 
 
-def solve_nash_welfare_max(snr: np.ndarray, hit: np.ndarray, mode: str = "auto") -> StrategyProfile:
+def solve_nash_welfare_max(snr: np.ndarray, hit: np.ndarray, mode: str = "auto") -> np.ndarray:
     """The NE of the collision game of ``snr`` and ``hit`` maximizing total
-    expected utility; ties within WELFARE_TIE_ATOL go to the least support sets.
+    expected utility, as (players, subbands) strategy rows; ties within
+    WELFARE_TIE_ATOL go to the least support sets.
 
     Two players in ``mode='auto'`` consider the equilibria that equal-size
     support enumeration finds, solved in closed form, the first found with
@@ -276,7 +237,7 @@ def solve_nash_welfare_max(snr: np.ndarray, hit: np.ndarray, mode: str = "auto")
     if not (np.all(np.isfinite(snr)) and np.all(np.isfinite(hit))):
         raise ValueError("snr and hit entries must be finite")
     if mode == "pure" or snr.shape[0] != 2:
-        return _pure_welfare_max(snr, hit)
+        return check_simplex(_pure_welfare_max(snr, hit))
     x, y = _equilibria_2p(snr, hit)
     first = _first_rows(np.concatenate([x, y], axis=1) > 0.0)
     x, y, d = x[first], y[first], hit - snr
@@ -285,7 +246,7 @@ def solve_nash_welfare_max(snr: np.ndarray, hit: np.ndarray, mode: str = "auto")
         raise SolverIncompleteError("no equilibrium found")
     tied = np.flatnonzero(welfare >= welfare.max() - WELFARE_TIE_ATOL)
     c = min(tied, key=lambda c: (tuple(np.flatnonzero(x[c])), tuple(np.flatnonzero(y[c]))))
-    return StrategyProfile((MixedStrategy(x[c]), MixedStrategy(y[c])))
+    return check_simplex(np.stack([x[c], y[c]]))
 
 
 def cce_deviation_gap(joint: JointDistribution, per_arm: np.ndarray, player: int) -> float:

@@ -3,11 +3,11 @@
 Four policies: a uniform baseline, a fixed subband, an
 explore-then-commit equilibrium seeker that needs inter-radar stat
 exchange, and a model-free exponential-weights learner with
-importance-weighted losses. The first two are a fixed ``MixedStrategy``;
-the other two keep a state that is updated once per episode and is
-deterministic given its inputs and a seeded random source. One
-``NoRegretState`` holds every exponential-weights radar of a run as
-rows of (radars, subbands) arrays and steps them together; one
+importance-weighted losses. The first two are a fixed probability row,
+which ``sim`` keeps; the other two keep a state that is updated once
+per episode and is deterministic given its inputs and a seeded random
+source. One ``NoRegretState`` holds every exponential-weights radar of
+a run as rows of (radars, subbands) arrays and steps them together; one
 ``NashHopperState`` holds every explore-then-commit radar's row and the
 estimates they exchange, and solves once per distinct game.
 """
@@ -17,11 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .game import (
-    MixedStrategy,
-    check_simplex,
-    solve_nash_welfare_max,
-)
+from .game import check_simplex, solve_nash_welfare_max
 
 # Per-episode cap on importance-weighted loss increments. Wide on purpose:
 # softmax stabilization already bounds exp(), so the clip only guards
@@ -85,12 +81,6 @@ def schedule_params(tau: int, n_subbands: int, c_eta=1.0, c_gamma=1.0):
 def sample_subbands(probs: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` subbands drawn from one radar's probability vector."""
     return rng.choice(probs.size, size=size, p=probs)
-
-
-def uniform_policy(n_subbands: int) -> MixedStrategy:
-    if n_subbands < 1:
-        raise ValueError("need at least one subband")
-    return MixedStrategy(np.full(n_subbands, 1.0 / n_subbands))
 
 
 # The per-radar parameters of a ``NoRegretState``, one (m,) array each.
@@ -277,7 +267,7 @@ def nash_explore_update(state: NashHopperState, stats: EpisodeStats) -> NashHopp
         key = (snr.tobytes(), hit.tobytes(), state.solver_mode[r])
         if key not in solved:
             solved[key] = solve_nash_welfare_max(snr, hit, mode=state.solver_mode[r])
-        nxt.probs[r] = solved[key].strategies[state.radars[r]].probs
+        nxt.probs[r] = solved[key][state.radars[r]]
     return nxt
 
 

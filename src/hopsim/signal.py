@@ -39,6 +39,9 @@ class ChirpParams:
                 raise ValueError(f"chirp {name} {getattr(self, name)!r} not finite and > 0")
         if self.active_s >= self.pri_s:
             raise ValueError("need active time < PRI")
+        if not self.slope < np.inf:
+            raise ValueError(f"chirp slope subband_hz / active_s {self.slope!r} above the "
+                             "largest float")
         for name in ("n_subbands", "chirps_per_frame"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
@@ -63,10 +66,26 @@ class ChirpParams:
         """Range per FFT bin; equals coarse_bin_m when f_s*T_a is integral."""
         return (self.adc_hz / self.n_samples) * C / (2.0 * self.slope)
 
+    def beat_hz(self, range_m: float) -> float:
+        """Beat frequency 2 R slope / c of a target at range R; infinite where
+        the product overflows before the division."""
+        return 2.0 * range_m * self.slope / C
+
     def doppler_cycles(self, velocity_mps: float) -> float:
         """Doppler phase advance per chirp, -2 v PRI f_c / c cycles; infinite
         where the product overflows before the division."""
         return -2.0 * velocity_mps * self.pri_s * self.f_c / C
+
+    def residual_phase(self, source: "ChirpParams", t):
+        """Phase pi (a_v - a_j) t^2, rad, of ``source``'s chirp at fast time t
+        after dechirping by this one; infinite or NaN where it overflows."""
+        return np.pi * (self.slope - source.slope) * t * t
+
+    def hop_phase(self, velocity_mps: float, k, subbands):
+        """Phase 2pi (2/c) PRI v k a B_a that chirp k on subband a adds at velocity
+        v, rad; infinite or NaN where the product overflows."""
+        return (2.0 * np.pi * (2.0 / C) * self.pri_s
+                * (velocity_mps * (k * (subbands * self.subband_hz))))
 
 
 @dataclass(frozen=True)
@@ -110,7 +129,7 @@ def coarse_decompose(params: ChirpParams, range_m: float) -> tuple[float, float]
 
 def _echo_terms(params: ChirpParams, tgt: Target, noise_power: float):
     rbar, eps0 = coarse_decompose(params, tgt.range_m)
-    f_r = 2.0 * tgt.range_m * params.slope / C
+    f_r = params.beat_hz(tgt.range_m)
     f_d = params.doppler_cycles(tgt.velocity_mps)
     amp = np.sqrt(noise_power * db_power(tgt.snr_db))
     return rbar, eps0, f_r, f_d, amp
@@ -172,8 +191,8 @@ def noiseless_basis(victim: ChirpParams, targets, sources,
     t = np.arange(victim.n_samples) / victim.adc_hz
     tones = [amp * np.exp(-2j * np.pi * f_r * t)
              for _, _, f_r, _, amp in (_echo_terms(victim, tgt, noise_power) for tgt in targets)]
-    rates = np.array([victim.slope - src.slope for src in sources]).reshape(-1, 1)
-    rows = np.concatenate([np.reshape(tones, (-1, t.size)), np.exp(1j * np.pi * rates * t * t)])
+    residual = np.reshape([victim.residual_phase(src, t) for src in sources], (-1, t.size))
+    rows = np.concatenate([np.reshape(tones, (-1, t.size)), np.exp(1j * residual)])
     return rows, np.conj(rows) @ rows.T
 
 
@@ -352,8 +371,7 @@ def hop_sum_weights(params: ChirpParams, subbands: np.ndarray, v: float,
     """
     k = k0 + np.arange(subbands.size)
     f_d = params.doppler_cycles(v)
-    vk = np.exp(1j * (2.0 * np.pi * (f_d * k) - 2.0 * np.pi * (2.0 / C) * params.pri_s
-                      * (v * (k * (subbands * params.subband_hz)))))
+    vk = np.exp(1j * (2.0 * np.pi * (f_d * k) - params.hop_phase(v, k, subbands)))
     weights = np.zeros((subbands.size, params.n_subbands), dtype=complex)
     weights[np.arange(subbands.size), subbands] = np.conj(vk)
     return weights

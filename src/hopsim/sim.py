@@ -22,7 +22,6 @@ from .game import (
     empirical_joint,
     external_regret,
     cce_deviation_gap,
-    pure_strategy,
 )
 from .hopping import (
     DEFAULT_KAPPA,
@@ -34,7 +33,6 @@ from .hopping import (
     nash_explore_update,
     noregret_update,
     sample_subbands,
-    uniform_policy,
 )
 
 # Largest N_s x K block a radar synthesizes per frame in detector mode (64
@@ -79,7 +77,7 @@ POLICY_PARAMS = {
 
 
 class ScenarioError(ValueError):
-    """Config validation failure; carries every violated invariant."""
+    """Config document malformed or invalid; carries every problem found."""
 
     def __init__(self, messages):
         self.messages = list(messages)
@@ -188,10 +186,19 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         if not spec.targets:
             errors.append(f"{label}: needs at least one target (genie utility evaluation)")
         for ti, tgt in enumerate(spec.targets, start=1):
+            if not np.isfinite(ch.beat_hz(tgt.range_m)):
+                errors.append(f"{label}.targets[{ti}]: range {tgt.range_m} m gives a beat "
+                              "product 2 R slope above the largest float")
             if not np.isfinite(ch.doppler_cycles(tgt.velocity_mps)):
                 errors.append(
                     f"{label}.targets[{ti}]: velocity {tgt.velocity_mps} m/s gives a Doppler "
                     f"product 2 v PRI f_c above the largest float")
+            if not np.isfinite(ch.hop_phase(tgt.velocity_mps, ch.chirps_per_frame - 1,
+                                            ch.n_subbands - 1)):
+                errors.append(
+                    f"{label}.targets[{ti}]: velocity {tgt.velocity_mps} m/s gives a hop phase "
+                    f"2 pi (2/c) PRI v k a B_a above the largest float at the frame's last "
+                    f"chirp and subband")
             outside = np.flatnonzero(
                 sig.delay_outside_chirp(ch, tgt, np.arange(ch.chirps_per_frame)))
             if outside.size:
@@ -226,6 +233,14 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         n = config.n_radars
         if not (0 <= link.victim < n and 0 <= link.source < n) or link.victim == link.source:
             errors.append(f"links[{li}]: victim/source indices invalid")
+        else:
+            victim = config.radars[link.victim].chirp
+            t_end = (victim.n_samples - 1) / victim.adc_hz  # the chirp's last sample
+            if not np.isfinite(victim.residual_phase(config.radars[link.source].chirp, t_end)):
+                errors.append(
+                    f"links[{li}]: the slopes of radars[{link.victim + 1}] and "
+                    f"radars[{link.source + 1}] give a residual chirp phase pi (a_v - a_s) t^2 "
+                    "above the largest float")
         if not np.isfinite(link.inr_db):
             errors.append(f"links[{li}].inr_db: {link.inr_db!r} not finite")
         elif not 0 < sig.db_power(link.inr_db) < np.inf:
@@ -403,13 +418,6 @@ def genie_utility_table(config: ScenarioConfig, rows: np.ndarray,
     return 10.0 * np.log10(snr_lin / (load.reshape(s, a) + 1.0))
 
 
-def _initial_probs(spec: RadarSpec) -> np.ndarray:
-    """The radar's strategy for the first episode: pure for ``fixed``, else uniform."""
-    if spec.policy == "fixed":
-        return pure_strategy(spec.policy_params["subband"], spec.chirp.n_subbands).probs
-    return uniform_policy(spec.chirp.n_subbands).probs
-
-
 @dataclass
 class RunMetrics:
     """Everything a run records; arrays are episode-indexed where noted."""
@@ -447,9 +455,13 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
         for seq in root.spawn(n_radars)
     ]
 
-    # Every radar's strategy for the coming episode. Rows of ``fixed`` and
-    # ``uniform`` radars never change; the others follow their learners.
-    probs = np.array([_initial_probs(spec) for spec in config.radars])
+    # Every radar's strategy for the coming episode, uniform at first and
+    # one-hot for ``fixed`` radars. Rows of ``fixed`` and ``uniform`` radars
+    # never change; the others follow their learners.
+    probs = np.full((n_radars, a), 1.0 / a)
+    for i, spec in enumerate(config.radars):
+        if spec.policy == "fixed":
+            probs[i] = np.eye(a)[spec.policy_params["subband"]]
     learners, seekers = ({i: resolved_params(spec) for i, spec in enumerate(config.radars)
                           if spec.policy == policy} for policy in ("noregret", "nash"))
     noregret = init_noregret(a, learners) if learners else None

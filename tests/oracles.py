@@ -6,7 +6,9 @@ on all support pairs at once, in closed form, or on all joint actions at
 once, from the (radars, subbands) estimates; these are the per-chirp,
 per-radar, per-profile and per-pair definitions and the dense game
 tables those block operations are checked against, plus small helpers
-that no program path needs.
+that no program path needs. The program passes strategies as
+(players, subbands) probability rows; the per-strategy objects here
+(``MixedStrategy``, ``StrategyProfile``) serve only these references.
 Seeded tests depend on the order of each function's random draws: keep it.
 """
 from __future__ import annotations
@@ -37,9 +39,7 @@ from hopsim.game import (
     WELFARE_TIE_ATOL,
     CapacityError,
     JointDistribution,
-    MixedStrategy,
-    StrategyProfile,
-    pure_strategy,
+    check_simplex,
 )
 from hopsim.signal import C, ChirpParams, Target, _echo_terms
 from hopsim.sim import ScenarioConfig, run_scenario
@@ -73,6 +73,64 @@ def total_bandwidth(params: ChirpParams) -> float:
 def fine_bin_m(params: ChirpParams) -> float:
     """Range resolution of the synthetic bandwidth of all subbands."""
     return C / (2.0 * total_bandwidth(params))
+
+
+@dataclass(frozen=True)
+class MixedStrategy:
+    """Probability distribution over subband indices."""
+
+    probs: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.probs) != 1 or np.size(self.probs) < 1:
+            raise ValueError("strategy must be a non-empty 1-D probability vector")
+        object.__setattr__(self, "probs", check_simplex(self.probs))
+
+    @property
+    def n_subbands(self) -> int:
+        return self.probs.size
+
+
+def pure_strategy(action: int, n_subbands: int) -> MixedStrategy:
+    p = np.zeros(n_subbands)
+    p[action] = 1.0
+    return MixedStrategy(p)
+
+
+@dataclass(frozen=True)
+class StrategyProfile:
+    """One mixed strategy per radar."""
+
+    strategies: tuple[MixedStrategy, ...]
+
+    def __post_init__(self):
+        strats = tuple(self.strategies)
+        if len(strats) < 1:
+            raise ValueError("profile needs at least one strategy")
+        sizes = {s.n_subbands for s in strats}
+        if len(sizes) != 1:
+            raise ValueError("strategies disagree on the number of subbands")
+        object.__setattr__(self, "strategies", strats)
+
+    @property
+    def n_subbands(self) -> int:
+        return self.strategies[0].n_subbands
+
+
+def uniform_policy(n_subbands: int) -> MixedStrategy:
+    if n_subbands < 1:
+        raise ValueError("need at least one subband")
+    return MixedStrategy(np.full(n_subbands, 1.0 / n_subbands))
+
+
+def profile_rows(profile: StrategyProfile) -> np.ndarray:
+    """The profile as (players, subbands) strategy rows, as the solver returns it."""
+    return np.array([s.probs for s in profile.strategies])
+
+
+def rows_profile(rows: np.ndarray) -> StrategyProfile:
+    """(players, subbands) strategy rows as a profile."""
+    return StrategyProfile(tuple(MixedStrategy(p) for p in rows))
 
 
 def pure_action(p: MixedStrategy) -> int | None:
@@ -564,7 +622,7 @@ class RadarNashState:
                 explore_episodes: int, **kwargs) -> "RadarNashState":
         """No estimates and the uniform profile."""
         uniform = StrategyProfile(
-            tuple(hopping.uniform_policy(n_subbands) for _ in range(n_players)))
+            tuple(uniform_policy(n_subbands) for _ in range(n_players)))
         nan = np.full((n_players, n_subbands), np.nan)
         return cls(player=player, n_players=n_players, n_subbands=n_subbands,
                    snr_est_db=nan.copy(), hit_sinr_est_db=nan.copy(),
@@ -600,7 +658,8 @@ def radar_nash_explore_update(state: RadarNashState, all_stats: hopping.EpisodeS
     snr, hit = radar_floored_estimates(nxt)
     key = (snr.shape, snr.tobytes(), hit.tobytes(), nxt.solver_mode)
     if key not in solved:
-        solved[key] = hopping.solve_nash_welfare_max(snr, hit, mode=nxt.solver_mode)
+        rows = hopping.solve_nash_welfare_max(snr, hit, mode=nxt.solver_mode)
+        solved[key] = rows_profile(rows)
     return replace(nxt, profile=solved[key])
 
 

@@ -15,7 +15,6 @@ import yaml
 import hopsim
 from hopsim.cli import (
     FIELDS,
-    ConfigError,
     ReportError,
     RunManifest,
     _parse_seeds,
@@ -28,7 +27,7 @@ from hopsim.cli import (
 )
 
 from hopsim.game import empirical_joint
-from hopsim.sim import run_scenario, validate_config
+from hopsim.sim import ScenarioError, run_scenario, validate_config
 
 from oracles import (
     bundled_config_path,
@@ -154,7 +153,7 @@ targets:
     range_m: -5.0
     snr_db: 20.0
 """
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ScenarioError) as err:
             parse_config(bad)
         msgs = err.value.messages
         assert any("subband_hz" in m for m in msgs)
@@ -162,15 +161,15 @@ targets:
         assert any("targets[1]" in m for m in msgs)
 
     def test_not_yaml(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ScenarioError):
             parse_config(": {{{")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ScenarioError):
             parse_config("- just\n- a list\n")
 
     def test_scenario_invariants_surface_as_config_errors(self):
         doc = yaml.safe_load(SMALL_CFG)
         doc["run"]["episodes_per_frame"] = 3   # 64 % 3 != 0
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ScenarioError) as err:
             parse_config(yaml.safe_dump(doc))
         assert any("not divisible" in m for m in err.value.messages)
 
@@ -610,7 +609,7 @@ class TestStrictConfig:
         if ok:
             assert parse_config(yaml.safe_dump(doc)).n_radars == n_radars
         else:
-            with pytest.raises(ConfigError) as err:
+            with pytest.raises(ScenarioError) as err:
                 parse_config(yaml.safe_dump(doc))
             assert err.value.messages == [
                 "radars: 10 radars on 6 subbands give 60466176 joint actions, "
@@ -638,7 +637,7 @@ class TestStrictConfig:
         assert parse_config(yaml.safe_dump(crowd_doc(16, "noregret"))).n_radars == 16
         doc = crowd_doc(16, "noregret")
         doc["radars"][5] = crowd_doc(1, "nash")["radars"][0]
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ScenarioError) as err:
             parse_config(yaml.safe_dump(doc))
         assert err.value.messages == [
             "radars: 16 radars on 6 subbands give 2821109907456 joint actions, "
@@ -724,7 +723,7 @@ class TestStrictConfig:
         doc["radars"][1]["chirps_per_frame"] = 8192
         assert validate_config(parse_config(yaml.safe_dump(doc))) == []
         doc["run"]["genie_detection"] = False
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ScenarioError) as err:
             parse_config(yaml.safe_dump(doc))
         assert [m.split(":")[0] for m in err.value.messages] == ["radars[1]", "radars[2]"]
 
@@ -877,6 +876,51 @@ class TestStrictConfig:
         assert ("radars[1].targets[1]: velocity -50000.0 m/s gives a Doppler product "
                 "2 v PRI f_c above the largest float") in err
         assert "radars[2]" not in err
+
+    @pytest.mark.parametrize("radar, target, message", [
+        # subband_hz / active_s = 1e305 / 16 us overflows.
+        ({"subband_hz": 1.0e305, "pri_s": 20e-6, "active_s": 16e-6}, {},
+         "radars[1]: chirp slope subband_hz / active_s inf above the largest float"),
+        # The slope is finite, but v (k (a B_a)) = 10 x 63 x 5e305 is not.
+        ({"subband_hz": 1.0e305, "pri_s": 2.0, "active_s": 1.0, "adc_hz": 4.0},
+         {"velocity_mps": 10.0},
+         "radars[1].targets[1]: velocity 10.0 m/s gives a hop phase 2 pi (2/c) PRI v k a B_a "
+         "above the largest float at the frame's last chirp and subband"),
+        # The slope is 1e307 and a still target has no hop phase, but 2 R slope overflows.
+        ({"subband_hz": 1.0e305, "pri_s": 2e-2, "active_s": 1e-2, "adc_hz": 1e4},
+         {"velocity_mps": 0.0},
+         "radars[1].targets[1]: range 20.0 m gives a beat product 2 R slope above the "
+         "largest float"),
+    ])
+    def test_chirp_phase_beyond_float_range_rejected(self, tmp_path, capsys, radar, target,
+                                                     message):
+        # Each once ran with NaN phases and wrote NaN into manifest.json.
+        doc = yaml.safe_load(SMALL_CFG)
+        doc["radars"], doc["links"] = doc["radars"][:1], []
+        doc["targets"] = doc["targets"][:1]
+        doc["radars"][0].update(radar)
+        doc["targets"][0].update(target)
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert err == f"hopsim: invalid scenario config:\n  {message}\n"
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_residual_chirp_phase_beyond_float_range_rejected(self, tmp_path, capsys):
+        # Slopes 1.6e308 and 8e307 Hz/s: pi (a_1 - a_2) overflows, and the
+        # residual chirps of both links were NaN (a traceback from noregret).
+        doc = yaml.safe_load(SMALL_CFG)
+        for radar, scale in zip(doc["radars"], (1, 2)):
+            radar.update(subband_hz=1.6e305, pri_s=2e-3 * scale, active_s=1e-3 * scale,
+                         adc_hz=4e3)
+        for tgt in doc["targets"]:
+            tgt.update(range_m=0.5, velocity_mps=0.0)
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert err == "hopsim: invalid scenario config:\n" + "".join(
+            f"  links[{li}]: the slopes of radars[{v}] and radars[{s}] give a residual chirp "
+            "phase pi (a_v - a_s) t^2 above the largest float\n"
+            for li, v, s in ((1, 1, 2), (2, 2, 1)))
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("section,field", [("targets", "snr_db"), ("links", "inr_db")])
     @pytest.mark.parametrize("value", [4000.0, -4000.0])

@@ -9,18 +9,17 @@ from hopsim import game
 from hopsim.game import (
     CapacityError,
     JointDistribution,
-    MixedStrategy,
     SolverIncompleteError,
-    StrategyProfile,
     cce_deviation_gap,
     empirical_joint,
     external_regret,
-    pure_strategy,
     solve_nash_welfare_max,
 )
 from hopsim.hopping import floored_estimates, init_nash_hopper
 
 from oracles import (
+    MixedStrategy,
+    StrategyProfile,
     UtilityTable,
     collision_table,
     dense_arm_utilities,
@@ -33,6 +32,8 @@ from oracles import (
     pure_action,
     pure_actions,
     pure_profile,
+    pure_strategy,
+    rows_profile,
     support_enumeration_2p,
     support_key,
     welfare_max_profile,
@@ -338,11 +339,11 @@ class TestSolveNashWelfareMax:
         # Radar 1 earns more on subband 0, radar 2 on subband 1.
         snr = np.array([[25.0, 15.0], [12.0, 22.0]])
         best = solve_nash_welfare_max(snr, np.full((2, 2), -10.0))
-        assert pure_actions(best) == (0, 1)
+        assert pure_actions(rows_profile(best)) == (0, 1)
 
     def test_symmetric_tie_breaks_lexicographically(self):
         best = solve_nash_welfare_max(*anti_coordination(2, 6))
-        assert pure_actions(best) == (0, 1)
+        assert pure_actions(rows_profile(best)) == (0, 1)
 
     def test_matching_pennies_mixed(self):
         np.testing.assert_array_equal(collision_table(*MATCHING_PENNIES).values, [
@@ -350,8 +351,8 @@ class TestSolveNashWelfareMax:
             [[-1.0, 1.0], [1.0, -1.0]],
         ])
         best = solve_nash_welfare_max(*MATCHING_PENNIES)
-        for s in best.strategies:
-            np.testing.assert_allclose(s.probs, [0.5, 0.5], atol=1e-9)
+        for row in best:
+            np.testing.assert_allclose(row, [0.5, 0.5], atol=1e-9)
 
     def test_pure_mode_reports_incomplete_when_no_pure_ne(self):
         with pytest.raises(SolverIncompleteError):
@@ -363,7 +364,7 @@ class TestSolveNashWelfareMax:
 
     def test_three_player_pure_mode(self):
         best = solve_nash_welfare_max(*anti_coordination(3, 3), mode="pure")
-        acts = pure_actions(best)
+        acts = pure_actions(rows_profile(best))
         assert acts is not None and len(set(acts)) == 3
 
     def test_nonfinite_estimates_rejected(self):
@@ -396,7 +397,8 @@ class TestPureWelfareMax:
                 continue
             want = pure_actions(welfare_max_profile(table, []))
             for mode in modes:
-                assert pure_actions(solve_nash_welfare_max(snr, hit, mode=mode)) == want
+                got = solve_nash_welfare_max(snr, hit, mode=mode)
+                assert pure_actions(rows_profile(got)) == want
         if family == "sharing-pays":
             assert incomplete > 0
 
@@ -405,7 +407,7 @@ class TestPureWelfareMax:
         # Every assignment of distinct subbands is an equilibrium of the
         # same welfare (9,900 and 59,280 of them): the first in C order wins.
         best = solve_nash_welfare_max(*anti_coordination(n, a), mode="pure")
-        assert pure_actions(best) == tuple(range(n))
+        assert pure_actions(rows_profile(best)) == tuple(range(n))
 
 
 def random_collision_game(rng, family):
@@ -473,7 +475,7 @@ def assert_matches_loop_oracle(snr, hit):
     table = collision_table(snr, hit)
     expected = support_enumeration_2p(table)
     assert_close_profiles(closed_form_equilibria(snr, hit), expected)
-    assert_close_profiles([solve_nash_welfare_max(snr, hit)],
+    assert_close_profiles([rows_profile(solve_nash_welfare_max(snr, hit))],
                           [welfare_max_profile(table, expected)])
 
 
@@ -690,7 +692,7 @@ class TestConstantShiftInvariance:
         snr, hit = rng.normal(size=(2, 2, 3))
         base = solve_nash_welfare_max(snr, hit)
         shifted = solve_nash_welfare_max(snr + 7.0, hit + 7.0)
-        assert support_key(base) == support_key(shifted)
+        assert support_key(rows_profile(base)) == support_key(rows_profile(shifted))
 
 
 class TestRegretGapIdentity:

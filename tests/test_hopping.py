@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 import hopsim.hopping as hopping
-from hopsim.game import (
-    MixedStrategy,
-    StrategyProfile,
-    pure_strategy,
-    solve_nash_welfare_max,
-)
+from hopsim.game import solve_nash_welfare_max
 from hopsim.hopping import (
     DEFAULT_KAPPA,
     DEFAULT_LOSS_CLIP_DB,
@@ -24,20 +19,23 @@ from hopsim.hopping import (
     noregret_update,
     sample_subbands,
     schedule_params,
-    uniform_policy,
 )
 
 import oracles
 from oracles import (
     EpisodeSchedule,
+    MixedStrategy,
     RadarEpisodeStats,
     collision_table,
     hard_threshold,
     pure_action,
     pure_actions,
+    pure_strategy,
+    rows_profile,
     sample_subband,
     stack_stats,
     support_key,
+    uniform_policy,
 )
 
 
@@ -300,11 +298,6 @@ def nash_state(n_players, n_subbands, explore_episodes, radars=(0,), **params):
     return init_nash_hopper(n_players, n_subbands, {i: defaults | params for i in radars})
 
 
-def nash_profile(state) -> StrategyProfile:
-    """The state's rows as a profile."""
-    return StrategyProfile(tuple(MixedStrategy(p) for p in state.probs))
-
-
 class TestNashHopper:
     def _explore_stats(self, n_subbands, snr=20.0, collided=None):
         """All subbands observed clean at snr except entries in collided,
@@ -359,7 +352,7 @@ class TestNashHopper:
         state = nash_state(2, 6, 1, radars=(0, 1))
         all_stats = [self._explore_stats(6), self._explore_stats(6)]
         state = nash_explore_update(state, stack_stats(all_stats))
-        acts = pure_actions(nash_profile(state))
+        acts = pure_actions(rows_profile(state.probs))
         assert acts is not None and acts[0] != acts[1]
 
     def test_missing_stats_is_communication_error(self):
@@ -388,7 +381,7 @@ class TestNashHopper:
         state = nash_explore_update(
             state, stack_stats([self._explore_stats(6), self._explore_stats(6)]))
         state = nash_commit(state)
-        assert pure_actions(nash_profile(state)) == (0, 1)
+        assert pure_actions(rows_profile(state.probs)) == (0, 1)
 
     def test_single_radar_commits_to_argmax_snr(self):
         state = nash_state(1, 3, 1)
@@ -414,9 +407,9 @@ class TestNashHopper:
         state = nash_commit(state)
         assert state.committed.all()
         fresh = solve_nash_welfare_max(*floored_estimates(state, 0))
-        assert support_key(nash_profile(state)) == support_key(fresh)
-        for row, s in zip(state.probs, fresh.strategies):
-            np.testing.assert_array_equal(row, s.probs)
+        assert support_key(rows_profile(state.probs)) == support_key(rows_profile(fresh))
+        for row, s in zip(state.probs, fresh):
+            np.testing.assert_array_equal(row, s)
 
     def test_explore_update_after_commit_rejected(self):
         state = nash_state(2, 6, 1)

@@ -40,6 +40,7 @@ from oracles import (
     external_regret_dense,
     final_frame_profile,
     overlap_weight,
+    profile_rows,
     support_enumeration_2p,
     unpruned_overlap_geometry,
     welfare_max_profile,
@@ -644,6 +645,9 @@ class TestStackedPolicyStep:
         monkeypatch.setattr(sig, "estimate_episode_sinr", oracles.per_radar_estimate)
         want = run_scenario(cfg)
         assert_metrics_identical(got, want)
+        # Every episode's rows of the radars that never learn, bit for bit.
+        for i, row in ((0, np.full(6, 1 / 6)), (2, np.eye(6)[2])):
+            assert got.strategies[:, i].tobytes() == np.tile(row, (12, 1)).tobytes()
         # The learners moved, each on its own parameters.
         learned = got.strategies[-1, [1, 3]]
         assert not np.allclose(learned, 1 / 6) and not np.allclose(learned[0], learned[1])
@@ -666,7 +670,7 @@ class TestStagedSolverOnExploreTables:
 
         def loop_oracle(snr, hit, mode):
             table = collision_table(snr, hit)
-            return welfare_max_profile(table, support_enumeration_2p(table))
+            return profile_rows(welfare_max_profile(table, support_enumeration_2p(table)))
 
         monkeypatch.setattr(hopping, "solve_nash_welfare_max", recording)
         got = run_scenario(cfg)
@@ -710,7 +714,7 @@ class TestPureSolverEndToEnd:
 
         def dense_oracle(snr, hit, mode):
             solved.append(mode)
-            return welfare_max_profile(collision_table(snr, hit), [])
+            return profile_rows(welfare_max_profile(collision_table(snr, hit), []))
 
         got = run_scenario(cfg)
         monkeypatch.setattr(hopping, "solve_nash_welfare_max", dense_oracle)
