@@ -79,8 +79,15 @@ def schedule_params(tau: int, n_subbands: int, c_eta=1.0, c_gamma=1.0):
 
 
 def sample_subbands(probs: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` subbands drawn from one radar's probability vector."""
-    return rng.choice(probs.size, size=size, p=probs)
+    """``size`` subbands drawn from one radar's probability vector.
+
+    The steps ``rng.choice(probs.size, size, p=probs)`` takes, so the
+    draws and the generator state equal its own, without its second
+    validation of a row that ``check_simplex`` has checked.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 # The per-radar parameters of a ``NoRegretState``, one (m,) array each.

@@ -141,19 +141,41 @@ def delay_outside_chirp(params: ChirpParams, tgt: Target, ks: np.ndarray) -> np.
     return (delays < 0) | (delays >= params.active_s)
 
 
-def _echo_slow(params: ChirpParams, tgt: Target, hops: np.ndarray, phase0: float, k0: int):
-    """Per-chirp phase (K,) of the target's echo: the coefficient of its fast-time tone.
+def echo_constants(params: ChirpParams, targets) -> np.ndarray:
+    """(4, R, T, 1) echo constants of R radars' T targets each on one waveform.
 
-    The chirps k0 .. k0 + K - 1 lie in one frame, whose every chirp
-    ``sim.validate_config`` has checked with ``delay_outside_chirp``.
+    ``targets`` lists each radar's targets. Per target: its Doppler phase
+    step 2 pi f_d per chirp, its coarse range bin center's term 2 rbar / c,
+    its fine offset and its velocity, as ``echo_slow`` reads them every
+    episode.
     """
-    ks = k0 + np.arange(hops.size)
-    rbar, eps0, _, f_d, _ = _echo_terms(params, tgt, 1.0)
-    return np.exp(1j * (2.0 * np.pi * f_d * ks
-                        - 2.0 * np.pi * (2.0 * rbar / C
-                                         + 2.0 * (eps0 + ks * tgt.velocity_mps * params.pri_s) / C)
-                        * hops
-                        + phase0))
+    def terms(tgt):
+        rbar, eps0 = coarse_decompose(params, tgt.range_m)
+        return (2.0 * np.pi * params.doppler_cycles(tgt.velocity_mps), 2.0 * rbar / C, eps0,
+                tgt.velocity_mps)
+
+    table = np.array([[terms(tgt) for tgt in radar] for radar in targets], dtype=float)
+    return np.moveaxis(table, -1, 0)[..., None]
+
+
+def echo_slow(params: ChirpParams, echo: np.ndarray, subbands: np.ndarray,
+              phases: np.ndarray, k0: int) -> np.ndarray:
+    """Per-chirp phases (R, T, K) of R radars' target echoes: the coefficients of their tones.
+
+    ``echo`` holds the radars' ``echo_constants``, ``subbands`` (R, K) their
+    hops and ``phases`` (R, T) each echo's start phase. The chirps k0 ..
+    k0 + K - 1 lie in one frame, whose every chirp ``sim.validate_config``
+    has checked with ``delay_outside_chirp``. The phase is
+    2 pi f_d k - 2 pi (2 rbar / c + 2 (eps0 + k v PRI) / c) h_k + phase,
+    each product and sum taken in the order that gives one target's (K,)
+    phases, so every radar's rows equal them bit for bit.
+    """
+    doppler, coarse, eps0, v = echo
+    ks = k0 + np.arange(subbands.shape[1])
+    hops = (subbands * params.subband_hz)[:, None, :]
+    return np.exp(1j * (doppler * ks
+                        - 2.0 * np.pi * (coarse + 2.0 * (eps0 + ks * v * params.pri_s) / C) * hops
+                        + phases[:, :, None]))
 
 
 def _clean_power_draw(energy: np.ndarray, n_samples: int, noise_power: float,
@@ -169,9 +191,13 @@ def _clean_power_draw(energy: np.ndarray, n_samples: int, noise_power: float,
         2 * n_samples, 2.0 * np.asarray(energy) / noise_power)
 
 
-def _column_energy(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Re(c_k^H gram c_k) for every column c_k of ``coeffs`` (R, K)."""
-    return np.real(np.einsum("rk,rk->k", np.conj(coeffs), gram @ coeffs))
+def column_energy(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Re(c_k^H gram_r c_k) for every column c_k of each radar's ``coeffs`` (R, n, K).
+
+    ``gram`` (R, n, n) stacks the radars' Gram blocks. The batched product
+    and the sum over the n rows are numpy's per-radar ones, radar by radar.
+    """
+    return np.real(np.einsum("grk,grk->gk", np.conj(coeffs), gram @ coeffs))
 
 
 def noiseless_basis(victim: ChirpParams, targets, sources,
@@ -260,35 +286,30 @@ def detect_interference(samples: np.ndarray, noise_power: float,
     return flag, clean, intf
 
 
-def measure_episode(params: ChirpParams, targets, target_phases, subbands: np.ndarray,
-                    k0: int, amps: np.ndarray, rows: np.ndarray, gram: np.ndarray,
-                    noise_power: float, rng: np.random.Generator,
-                    genie_flags: np.ndarray | None = None,
+def measure_episode(rows: np.ndarray, coeffs: np.ndarray, noise_power: float,
+                    rng: np.random.Generator, genie: tuple | None = None,
                     hop_weights: np.ndarray | None = None,
                     detection_factor: float = DEFAULT_DETECTION_FACTOR, *,
                     workspace: SampleWorkspace | None):
     """One radar's per-chirp measurements over an episode of K chirps.
 
-    ``rows``, ``gram`` are the radar's ``noiseless_basis`` over ``targets``
-    and its L linked sources, ``amps`` (L, K) holds each source's complex
-    amplitude per chirp and ``k0`` is the first chirp's index in its frame.
-    The rows' per-chirp coefficients C are the targets' slow-time phases,
-    then ``amps``. Detector mode synthesizes x = rows.T @ C plus noise in
-    ``workspace`` and detects. Genie mode (``genie_flags`` marks the collided
-    chirps) takes the interference power from the sources' Gram form and
-    draws the clean power; it reads no workspace, so None will do. Returns,
-    each (K,), the interference flags, the mean clean power and the mean
-    interference power per chirp, then for ``hop_weights`` W (K, H) the hop
-    sums x @ W, which genie mode draws after the clean power as
-    rows.T @ (C @ W) plus noise (else None).
+    ``rows`` (T + L, N_s) is the radar's ``noiseless_basis`` over its T
+    targets and L linked sources, and ``coeffs`` (T + L, K) the rows'
+    per-chirp coefficients: the targets' slow-time phases (``echo_slow``),
+    then each source's complex amplitude. Detector mode (``genie`` None)
+    synthesizes x = rows.T @ coeffs plus noise in ``workspace`` and
+    detects. Genie mode passes ``genie`` = (flags, energy, interference
+    power), each (K,): the collided chirps, the targets' Gram-form energy
+    ||e_k||^2 and the sources' Gram-form power; it draws the clean power
+    and reads no workspace, so None will do. Returns, each (K,), the
+    interference flags, the mean clean power and the mean interference
+    power per chirp, then for ``hop_weights`` W (K, H) the hop sums
+    x @ W, which genie mode draws after the clean power as
+    rows.T @ (coeffs @ W) plus noise (else None).
     """
-    hops = subbands * params.subband_hz
-    n_t = len(targets)
-    slow = np.reshape([_echo_slow(params, tgt, hops, float(ph), k0)
-                       for tgt, ph in zip(targets, target_phases)], (n_t, hops.size))
-    coeffs = np.concatenate([slow, amps])
-    if genie_flags is None:
-        shape = (params.n_samples, hops.size)
+    n_samples = rows.shape[1]
+    if genie is None:
+        shape = (n_samples, coeffs.shape[1])
         x, power = _view(workspace.x, shape), _view(workspace.power, shape)
         np.matmul(rows.T, coeffs, out=x)
         sigma = np.sqrt(noise_power / 2.0)  # noise sigma (n_re + j n_im), a part at a time
@@ -298,10 +319,8 @@ def measure_episode(params: ChirpParams, targets, target_phases, subbands: np.nd
                                                  workspace=workspace)
         sums = None if hop_weights is None else x @ hop_weights
     else:
-        flags, sums = genie_flags, None
-        intf = _column_energy(gram[n_t:, n_t:], amps) / params.n_samples
-        clean = _clean_power_draw(_column_energy(gram[:n_t, :n_t], slow), params.n_samples,
-                                  noise_power, rng)
+        (flags, energy, intf), sums = genie, None
+        clean = _clean_power_draw(energy, n_samples, noise_power, rng)
         if hop_weights is not None:
             # Each chirp in one column: x @ W has noise CN(0, sigma^2 sum_k |W[k, h]|^2).
             sums = rows.T @ (coeffs @ hop_weights)

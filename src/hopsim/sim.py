@@ -36,10 +36,17 @@ from .hopping import (
 )
 
 # Largest N_s x K block a radar synthesizes per frame in detector mode (64
-# MiB, 25x table1's); in genie mode, the largest (T + L) x (N_s + K_ep)
-# noiseless rows plus coefficients a radar holds. In both modes, also the
-# largest (N_s/2, A, 2A) phase tensor of its final-frame range profile.
+# MiB, 25x table1's). In both modes, also the most (T + L) x (N_s + K_ep)
+# noiseless rows plus coefficients that one radar, and that all radars of a
+# run together, hold; and the largest (N_s/2, A, 2A) phase tensor of a
+# radar's final-frame range profile.
 SAMPLE_BLOCK_GUARD = 2 ** 22
+
+# Most float-sized elements of one chunk of a radar group's stacked episode
+# arrays (8 MiB). Larger chunks fall out of cache between the steps of an
+# episode: crowd-32's groups of 16 radars (about 20 MiB) ran a seed about
+# 20% slower than chunks of 6 radars.
+GROUP_CHUNK_ELEMENTS = SAMPLE_BLOCK_GUARD // 4
 
 # numpy adds fewer than this many terms in order; from this many on it
 # sums pairwise, so dropping zero terms could move a sum's last bit.
@@ -139,7 +146,7 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     typed = {name: has_type(getattr(config, name), kind) for name, (kind, _) in RUN_FIELDS.items()}
     episodes = config.total_episodes if typed["frames"] and typed["episodes_per_frame"] else None
     first = config.radars[0].chirp
-    durations = []
+    durations, basis_values = [], []
     for idx, spec in enumerate(config.radars, start=1):
         ch = spec.chirp
         label = f"radars[{idx}]"
@@ -151,25 +158,24 @@ def validate_config(config: ScenarioConfig) -> list[str]:
                 f"{label}: chirps per frame {ch.chirps_per_frame} not divisible by "
                 f"{config.episodes_per_frame} episodes")
         durations.append(ch.chirps_per_frame * ch.pri_s)
-        if config.genie_detection is not True:
-            if ch.n_samples * ch.chirps_per_frame > SAMPLE_BLOCK_GUARD:
-                errors.append(
-                    f"{label}: {ch.n_samples} samples per chirp x {ch.chirps_per_frame} chirps "
-                    f"give {ch.n_samples * ch.chirps_per_frame} samples per frame, above the "
-                    f"{SAMPLE_BLOCK_GUARD} allowed")
-        else:
-            # Genie mode builds no sample block, only the noiseless rows
-            # (targets, then linked sources) and their per-chirp coefficients.
-            sources = {link.source for link in config.links if link.victim == idx - 1}
-            n_rows = len(spec.targets) + len(sources - {idx - 1})
-            k_ep = ch.chirps_per_frame // max(config.episodes_per_frame, 1) \
-                if typed["episodes_per_frame"] else ch.chirps_per_frame
-            if n_rows * (ch.n_samples + k_ep) > SAMPLE_BLOCK_GUARD:
-                errors.append(
-                    f"{label}: {n_rows} noiseless rows (targets and linked sources) x "
-                    f"({ch.n_samples} samples per chirp + {k_ep} chirps per episode) give "
-                    f"{n_rows * (ch.n_samples + k_ep)} values, above the "
-                    f"{SAMPLE_BLOCK_GUARD} allowed")
+        if config.genie_detection is not True and \
+                ch.n_samples * ch.chirps_per_frame > SAMPLE_BLOCK_GUARD:
+            errors.append(
+                f"{label}: {ch.n_samples} samples per chirp x {ch.chirps_per_frame} chirps "
+                f"give {ch.n_samples * ch.chirps_per_frame} samples per frame, above the "
+                f"{SAMPLE_BLOCK_GUARD} allowed")
+        # Both modes hold the noiseless rows (targets, then linked sources)
+        # for the whole run, and their per-chirp coefficients each episode.
+        sources = {link.source for link in config.links if link.victim == idx - 1}
+        n_rows = len(spec.targets) + len(sources - {idx - 1})
+        k_ep = ch.chirps_per_frame // max(config.episodes_per_frame, 1) \
+            if typed["episodes_per_frame"] else ch.chirps_per_frame
+        basis_values.append(n_rows * (ch.n_samples + k_ep))
+        if basis_values[-1] > SAMPLE_BLOCK_GUARD:
+            errors.append(
+                f"{label}: {n_rows} noiseless rows (targets and linked sources) x "
+                f"({ch.n_samples} samples per chirp + {k_ep} chirps per episode) give "
+                f"{basis_values[-1]} values, above the {SAMPLE_BLOCK_GUARD} allowed")
         # The final frame's (N_s, A) hop sums and their noise are no larger.
         n_phase = (ch.n_samples // 2) * ch.n_subbands * 2 * ch.n_subbands
         if n_phase > SAMPLE_BLOCK_GUARD:
@@ -208,6 +214,11 @@ def validate_config(config: ScenarioConfig) -> list[str]:
                     f"{ch.active_s}) s from chirp {outside[0] + 1} of {ch.chirps_per_frame}")
     if durations and max(durations) - min(durations) > 1e-12 * max(durations):
         errors.append("radars: frame durations K*PRI must agree across radars")
+    if max(basis_values) <= SAMPLE_BLOCK_GUARD < sum(basis_values):
+        errors.append(
+            f"radars: the {config.n_radars} radars' noiseless rows x (samples per chirp + "
+            f"chirps per episode) give {sum(basis_values)} values in all, above the "
+            f"{SAMPLE_BLOCK_GUARD} allowed")
     # Only the Nash solver enumerates joint actions: a pure solve passes
     # once per radar over all A**n of them.
     nash = any(spec.policy == "nash" for spec in config.radars)
@@ -349,44 +360,164 @@ def overlap_geometry(victim: sig.ChirpParams, source: sig.ChirpParams,
     return cand, frac
 
 
-def overlap_weights(geometry, victim_actions: np.ndarray,
-                    source_actions: np.ndarray) -> np.ndarray:
-    """Per source and victim chirp, the summed overlap fraction of same-subband chirps.
+@dataclass(frozen=True)
+class _Group:
+    """Radars that share a waveform, a target count and an incoming-link count.
 
-    ``geometry`` is the ``overlap_geometry`` of the victim and the one
-    waveform that every row of ``source_actions`` (L_g, K_src) transmits;
-    the result has shape (L_g, K_v), and a weight of 0 means the chirp saw
-    no collision from that source. ``np.take`` gathers in C order, so each
-    row is summed as the per-pair (K_v, C) product would be; a fancy-indexed
-    gather's layout makes numpy add 8 or more columns in another order.
+    Row r of every array belongs to radar ``radars[r]``, whose L links are
+    in ascending source order. ``links`` holds one entry per source
+    waveform: its ``overlap_geometry`` (cand, frac) against the group's
+    waveform, the positions (n_w, K_w) of its radars' chirps in the
+    episode's flat arrays, and for each (victim, link) pair it serves the
+    victim's row, the source's row among those radars and the link's slot
+    r * L + l.
     """
-    cand, frac = geometry
-    hits = np.take(source_actions, cand, axis=1) == victim_actions[:, None]
-    return (frac * hits).sum(axis=2)
+
+    radars: np.ndarray
+    chirp: sig.ChirpParams
+    chirps: slice | np.ndarray   # the radars' chirps in the episode's flat arrays
+    power: np.ndarray            # (R, L, 1) linear link powers
+    echo: np.ndarray             # the targets' sig.echo_constants
+    rows: tuple                  # each radar's noiseless_basis rows
+    gram_t: np.ndarray           # (R, T, T) target blocks of the Gram matrices
+    gram_s: np.ndarray           # (R, L, L) source blocks
+    links: tuple
 
 
-def _link_groups(chirps, k_ep, victim: int, sources: list) -> list:
-    """The victim's links grouped by source waveform.
+def _chirp_positions(spans: list, radars: list):
+    """Where ``radars``' chirps lie in the episode's flat arrays, radar after
+    radar: one slice when their spans adjoin, else an index array."""
+    if all(spans[a].stop == spans[b].start for a, b in zip(radars, radars[1:])):
+        return slice(spans[radars[0]].start, spans[radars[-1]].stop)
+    return np.concatenate([np.arange(spans[i].start, spans[i].stop) for i in radars])
 
-    One (geometry, rows, members) per distinct source ``ChirpParams``:
-    ``members`` are the group's source radars in link order and ``rows``
-    their positions among the victim's ``sources``.
+
+def _episode_spans(config: ScenarioConfig) -> tuple[list, list]:
+    """Each radar's chirps per episode and its slice of the episode's flat
+    per-chirp arrays, which hold every radar's chirps, radar after radar."""
+    k_ep = [spec.chirp.chirps_per_frame // config.episodes_per_frame for spec in config.radars]
+    ends = np.cumsum(k_ep)
+    return k_ep, [slice(end - k, end) for k, end in zip(k_ep, ends)]
+
+
+def _radar_groups(config: ScenarioConfig) -> list:
+    """The run's ``_Group``s, each a chunk of the radars sharing a waveform, a
+    target count and a link count, in order of their first radar.
+
+    Episode boundaries align in time across radars, so a group's overlap
+    geometry, link powers, Gram blocks and echo constants hold for every
+    episode of the run. A chunk's stacked episode arrays hold at most
+    ``GROUP_CHUNK_ELEMENTS`` float-sized elements: per radar and chirp, two
+    for each column of its link weight tensor (the int gather, then the
+    bool hits and their float products) and eight for each row of its
+    (T + L) link and echo arrays (weights, phases, complex coefficients
+    and the Gram products).
     """
-    by_wave = {}
-    for row, j in enumerate(sources):
-        by_wave.setdefault(chirps[j], []).append(row)
-    return [(overlap_geometry(chirps[victim], wave, k_ep[victim], k_ep[sources[rows[0]]]),
-             rows, [sources[row] for row in rows])
-            for wave, rows in by_wave.items()]
+    n_radars, noise = config.n_radars, config.noise_power
+    k_ep, spans = _episode_spans(config)
+    inr_lin = _link_inr_lin(config)
+    sources = [[j for j in range(n_radars) if (i, j) in inr_lin] for i in range(n_radars)]
+    chirps = [spec.chirp for spec in config.radars]
+    waves, keyed = {}, {}  # waveform -> its radars; group key -> its radars
+    for i, spec in enumerate(config.radars):
+        waves.setdefault(chirps[i], []).append(i)
+        keyed.setdefault((chirps[i], len(spec.targets), len(sources[i])), []).append(i)
+    wave_chirps = {wave: np.concatenate([np.arange(spans[i].start, spans[i].stop)
+                                         for i in radars]).reshape(len(radars), -1)
+                   for wave, radars in waves.items()}
+    row_in_wave = {i: r for radars in waves.values() for r, i in enumerate(radars)}
+    groups = []
+    for (wave, n_t, n_l), members in keyed.items():
+        k = k_ep[members[0]]
+        geometry = {src: overlap_geometry(wave, src, k, k_ep[waves[src][0]])
+                    for src in {chirps[j] for i in members for j in sources[i]}}
+        columns = max(sum(geometry[chirps[j]][0].shape[1] for j in sources[i]) for i in members)
+        size = max(1, GROUP_CHUNK_ELEMENTS // (k * (2 * columns + 8 * (n_t + n_l))))
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            bases = [sig.noiseless_basis(wave, config.radars[i].targets,
+                                         [chirps[j] for j in sources[i]], noise) for i in chunk]
+            pairs = {}  # source waveform -> (victim row, source row, slot) per pair
+            for r, i in enumerate(chunk):
+                for l, j in enumerate(sources[i]):
+                    pairs.setdefault(chirps[j], []).append((r, row_in_wave[j], r * n_l + l))
+            links = tuple((geometry[src], wave_chirps[src], *np.array(served).T)
+                          for src, served in pairs.items())
+            groups.append(_Group(
+                radars=np.array(chunk), chirp=wave, chirps=_chirp_positions(spans, chunk),
+                power=noise * np.reshape([[inr_lin[(i, j)] for j in sources[i]] for i in chunk],
+                                         (len(chunk), n_l, 1)),
+                echo=sig.echo_constants(wave, [config.radars[i].targets for i in chunk]),
+                rows=tuple(rows for rows, _ in bases),
+                gram_t=np.array([gram[:n_t, :n_t] for _, gram in bases]),
+                gram_s=np.reshape([gram[n_t:, n_t:] for _, gram in bases], (len(chunk), n_l, n_l)),
+                links=links))
+    return groups
 
 
-def _link_weights(groups: list, acts: list, victim: int) -> np.ndarray:
-    """The victim's overlap weights (L, K_v) in link order, one gather per source waveform."""
-    weights = np.empty((sum(len(rows) for _, rows, _ in groups), acts[victim].size))
-    for geometry, rows, members in groups:
-        weights[rows] = overlap_weights(geometry, acts[victim],
-                                        np.array([acts[j] for j in members]))
-    return weights
+def _group_weights(group: _Group, subbands: np.ndarray) -> np.ndarray:
+    """The group's overlap weights (R, L, K_v) on the episode's flat ``subbands``.
+
+    Per source waveform one C-ordered ``np.take`` gathers every served
+    pair's candidate source chirps, (pairs, K_v, C), so each weight is
+    summed as the per-pair (K_v, C) product is, in order below 8 columns
+    and pairwise from 8 on.
+    """
+    n_r, n_l = group.power.shape[:2]
+    acts = subbands[group.chirps].reshape(n_r, -1)
+    weights = np.empty((n_r * n_l, acts.shape[1]))
+    for (cand, frac), wave_chirps, vic, rows, slots in group.links:
+        hits = np.take(subbands[wave_chirps[rows]], cand, axis=1) == acts[vic][:, :, None]
+        weights[slots] = (frac * hits).sum(axis=2)
+    return weights.reshape(n_r, n_l, acts.shape[1])
+
+
+def _measure_group(group: _Group, subbands: np.ndarray, target_phases: np.ndarray, ep: int,
+                   rngs: list, config: ScenarioConfig, last: bool, workspace):
+    """One episode of a group's radars: the (R, K) interference flags, clean and
+    interference powers, then in the final frame each radar's hop sums.
+
+    Links, echo phases and genie mode's Gram energies are stacked arrays;
+    each radar's own generators draw its link phases and its measurement,
+    which ``signal.measure_episode`` takes from its rows of those arrays.
+    """
+    ch, noise = group.chirp, config.noise_power
+    n_r, n_l = group.power.shape[:2]
+    n_t = group.gram_t.shape[1]
+    acts = subbands[group.chirps].reshape(n_r, -1)
+    k = acts.shape[1]
+    k0 = ep * k
+    weights = _group_weights(group, subbands)
+    # One phase per link and chirp keeps each radar's draw order; a chirp
+    # a source misses has amplitude 0, so only hits need sqrt and exp. The
+    # hits' flat (R, L, K) indices serve every gather, and shifted past the
+    # target rows, the scatter into the (R, T + L, K) coefficients.
+    phases = np.empty(weights.shape)
+    for r, i in enumerate(group.radars):
+        phases[r] = rngs[i]["intf"].uniform(0.0, 2.0 * np.pi, size=(n_l, k))
+    hit = np.flatnonzero(weights > 0)
+    coeffs = np.zeros((n_r, n_t + n_l, k), dtype=complex)
+    coeffs.reshape(-1)[hit + n_t * k * (hit // (n_l * k) + 1)] = (
+        np.sqrt(group.power.reshape(-1)[hit // k] * weights.reshape(-1)[hit])
+        * np.exp(1j * phases.reshape(-1)[hit]))
+    coeffs[:, :n_t] = sig.echo_slow(ch, group.echo, acts, target_phases, k0)
+    clean = np.empty((n_r, k))
+    if config.genie_detection:
+        flags = np.any(weights, axis=1)
+        energy = sig.column_energy(group.gram_t, coeffs[:, :n_t])
+        intf = sig.column_energy(group.gram_s, coeffs[:, n_t:]) / ch.n_samples
+    else:
+        flags, intf = np.empty((n_r, k), dtype=bool), np.empty((n_r, k))
+    sums = []
+    for r, i in enumerate(group.radars):
+        flags[r], clean[r], intf[r], radar_sums = sig.measure_episode(
+            group.rows[r], coeffs[r], noise, rngs[i]["noise"],
+            genie=(flags[r], energy[r], intf[r]) if config.genie_detection else None,
+            hop_weights=sig.hop_sum_weights(
+                ch, acts[r], config.radars[i].targets[0].velocity_mps, k0) if last else None,
+            detection_factor=config.detection_factor, workspace=workspace)
+        sums.append(radar_sums)
+    return flags, clean, intf, sums
 
 
 def _link_inr_lin(config: ScenarioConfig) -> dict:
@@ -445,7 +576,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     noise = config.noise_power
     chirps = [spec.chirp for spec in config.radars]
     k_frame = [ch.chirps_per_frame for ch in chirps]
-    k_ep = [k // t_ep for k in k_frame]
+    k_ep, spans = _episode_spans(config)
     s_frame = max(k_frame)  # aligned steps per frame (finest chirp clock)
 
     root = np.random.SeedSequence(config.seed)
@@ -467,30 +598,18 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     noregret = init_noregret(a, learners) if learners else None
     nash = init_nash_hopper(n_radars, a, seekers) if seekers else None
 
-    inr_lin = _link_inr_lin(config)
-    sources = [[j for j in range(n_radars) if (i, j) in inr_lin] for i in range(n_radars)]
-    link_power = [noise * np.array([inr_lin[(i, j)] for j in sources[i]])
-                  for i in range(n_radars)]
-    bases = [sig.noiseless_basis(chirps[i], spec.targets, [chirps[j] for j in sources[i]], noise)
-             for i, spec in enumerate(config.radars)]
-    # Episode boundaries align in time across radars, so the per-episode
-    # overlap geometry is identical every episode: precompute it per victim
-    # and distinct source waveform.
-    link_groups = [_link_groups(chirps, k_ep, i, sources[i]) for i in range(n_radars)]
-
     episodes = config.total_episodes
     strategies = np.zeros((episodes, n_radars, a))
     interference_rate = np.zeros((episodes, n_radars))
     mean_sinr_db = np.zeros((episodes, n_radars))
     aligned = np.empty((config.frames * s_frame, n_radars), dtype=int)  # common chirp clock
     hop_sums = [0] * n_radars  # each radar's final-frame hop sums, (N_s, A)
-    # Every radar's chirps of the episode, radar after radar: subbands,
-    # flags, clean and interference powers, each radar's a view of its span.
-    ends = np.cumsum(k_ep)
-    spans = [slice(end - k, end) for k, end in zip(k_ep, ends)]
-    subbands, flagged = np.empty(ends[-1], dtype=int), np.empty(ends[-1], dtype=bool)
-    clean, intf = np.empty(ends[-1]), np.empty(ends[-1])
-    acts = [subbands[span] for span in spans]
+    # Every radar's chirps of the episode: subbands, flags, clean and
+    # interference powers.
+    n_chirps = sum(k_ep)
+    subbands, flagged = np.empty(n_chirps, dtype=int), np.empty(n_chirps, dtype=bool)
+    clean, intf = np.empty(n_chirps), np.empty(n_chirps)
+    groups = _radar_groups(config)
     # Detector mode synthesizes every episode: one workspace serves them all.
     workspace = None if config.genie_detection else sig.SampleWorkspace(
         max(ch.n_samples * k for ch, k in zip(chirps, k_ep)))
@@ -501,38 +620,29 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
             rngs[i]["target"].uniform(0.0, 2.0 * np.pi, size=len(spec.targets))
             for i, spec in enumerate(config.radars)
         ]
-        frame_actions = [np.empty(k, dtype=int) for k in k_frame]
+        frame_subbands = np.empty((t_ep, n_chirps), dtype=int)
         for ep in range(t_ep):
             e = frame * t_ep + ep
             strategies[e] = probs
             for i in range(n_radars):
-                acts[i][:] = sample_subbands(probs[i], rngs[i]["action"], k_ep[i])
-                frame_actions[i][ep * k_ep[i]:(ep + 1) * k_ep[i]] = acts[i]
+                subbands[spans[i]] = sample_subbands(probs[i], rngs[i]["action"], k_ep[i])
+            frame_subbands[ep] = subbands
 
-            for i, spec in enumerate(config.radars):
-                weights = _link_weights(link_groups[i], acts, i)
-                # One phase per link and chirp keeps the draw order; a chirp
-                # a source misses has amplitude 0, so only hits need sqrt and exp.
-                phases = rngs[i]["intf"].uniform(0.0, 2.0 * np.pi, size=weights.shape)
-                hit = weights > 0
-                amps = np.zeros(weights.shape, dtype=complex)
-                amps[hit] = np.sqrt((link_power[i][:, None] * weights)[hit]) \
-                    * np.exp(1j * phases[hit])
-                ch, k0, span = chirps[i], ep * k_ep[i], spans[i]
-                flagged[span], clean[span], intf[span], sums = sig.measure_episode(
-                    ch, spec.targets, target_phases[i], acts[i], k0, amps, *bases[i], noise,
-                    rngs[i]["noise"],
-                    genie_flags=hit.any(axis=0) if config.genie_detection else None,
-                    hop_weights=sig.hop_sum_weights(
-                        ch, acts[i], spec.targets[0].velocity_mps, k0) if last else None,
-                    detection_factor=config.detection_factor, workspace=workspace)
+            for group in groups:
+                flags, p_clean, p_intf, sums = _measure_group(
+                    group, subbands, np.array([target_phases[i] for i in group.radars]), ep,
+                    rngs, config, last, workspace)
                 if last:  # the final frame feeds the range profile through its hop sums
-                    hop_sums[i] += sums
-                interference_rate[e, i] = float(np.mean(flagged[span]))
+                    for i, radar_sums in zip(group.radars, sums):
+                        hop_sums[i] += radar_sums
+                flagged[group.chirps] = flags.reshape(-1)
+                clean[group.chirps], intf[group.chirps] = p_clean.reshape(-1), p_intf.reshape(-1)
+                # Each row's mean, summed along the row as np.mean sums it.
+                interference_rate[e, group.radars] = flags.sum(axis=1) / flags.shape[1]
                 # Floored as the estimator floors: in detector mode every
                 # sample of a chirp can lie above the threshold.
-                mean_sinr_db[e, i] = 10.0 * np.log10(np.maximum(
-                    np.mean(clean[span] / (intf[span] + noise)), 1e-300))
+                mean_sinr_db[e, group.radars] = 10.0 * np.log10(np.maximum(
+                    (p_clean / (p_intf + noise)).sum(axis=1) / flags.shape[1], 1e-300))
 
             stats = sig.estimate_episode_sinr(subbands, flagged, clean, intf, k_ep, noise, a,
                                               config.db_average)
@@ -545,11 +655,10 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                     nash = nash_commit(nash)
                 probs[nash.radars] = nash.probs
 
-        step_idx = [
-            (np.arange(s_frame) * k_frame[i]) // s_frame for i in range(n_radars)
-        ]
         for i in range(n_radars):
-            aligned[frame * s_frame:(frame + 1) * s_frame, i] = frame_actions[i][step_idx[i]]
+            steps = (np.arange(s_frame) * k_frame[i]) // s_frame
+            aligned[frame * s_frame:(frame + 1) * s_frame, i] = \
+                frame_subbands[:, spans[i]].reshape(-1)[steps]
 
     del workspace
     profiles = {i: sig.range_profile_at_velocity(

@@ -25,6 +25,7 @@ import yaml
 import hopsim
 import hopsim.hopping as hopping
 import hopsim.signal as sig
+import hopsim.sim as sim
 from hopsim.cli import (
     RunManifest,
     _emit_seed,
@@ -42,7 +43,7 @@ from hopsim.game import (
     check_simplex,
 )
 from hopsim.signal import C, ChirpParams, Target, _echo_terms
-from hopsim.sim import ScenarioConfig, run_scenario
+from hopsim.sim import ScenarioConfig, overlap_geometry, run_scenario
 
 # Default tolerance (dB) for equilibrium checks.
 EQ_TOL_DB = 1e-6
@@ -278,6 +279,39 @@ def detect_interference_samples(samples: np.ndarray, noise_power: float,
     flag = hot.mean(axis=0) > 0.01
     clean = np.where(hot, 0.0, x)
     return flag, clean, x - clean
+
+
+def echo_slow(params: ChirpParams, tgt: Target, hops: np.ndarray, phase0: float, k0: int):
+    """Per-chirp phase (K,) of one target's echo: the coefficient of its fast-time tone.
+
+    The per-target form of ``signal.echo_slow``, which stacks radars and
+    targets and must equal it bit for bit.
+    """
+    ks = k0 + np.arange(hops.size)
+    rbar, eps0, _, f_d, _ = _echo_terms(params, tgt, 1.0)
+    return np.exp(1j * (2.0 * np.pi * f_d * ks
+                        - 2.0 * np.pi * (2.0 * rbar / C
+                                         + 2.0 * (eps0 + ks * tgt.velocity_mps * params.pri_s) / C)
+                        * hops
+                        + phase0))
+
+
+def radar_measure_episode(params, targets, target_phases, subbands, k0, amps, rows, gram,
+                          noise_power, rng, genie_flags=None, hop_weights=None,
+                          detection_factor=sig.DEFAULT_DETECTION_FACTOR, *, workspace):
+    """``signal.measure_episode`` of one radar from its targets, phases and link
+    amplitudes, building the coefficients and Gram energies as ``run_scenario``
+    builds a one-radar group's."""
+    n_t = len(targets)
+    slow = sig.echo_slow(params, sig.echo_constants(params, [targets]), subbands[None],
+                         np.asarray(target_phases, dtype=float)[None], k0)[0]
+    coeffs = np.concatenate([slow, amps])
+    genie = None if genie_flags is None else (
+        genie_flags, sig.column_energy(gram[None, :n_t, :n_t], slow[None])[0],
+        sig.column_energy(gram[None, n_t:, n_t:], np.asarray(amps)[None])[0] / params.n_samples)
+    return sig.measure_episode(rows, coeffs, noise_power, rng, genie=genie,
+                               hop_weights=hop_weights, detection_factor=detection_factor,
+                               workspace=workspace)
 
 
 def measure_episode_inline(ch, targets, target_phases, hops, k0, k_ep, collided, amps,
@@ -929,11 +963,92 @@ def overlap_weight(geometry, victim_actions: np.ndarray,
     """Per victim chirp, the summed overlap fraction of one source's same-subband chirps.
 
     ``geometry`` is the pair's ``sim.overlap_geometry``; a weight of 0 means
-    the chirp saw no collision from this source. ``sim.overlap_weights``
+    the chirp saw no collision from this source. ``overlap_weights``
     evaluates every source of one waveform in one gather.
     """
     cand, frac = geometry
     return (frac * (source_actions[cand] == victim_actions[:, None])).sum(axis=1)
+
+
+def overlap_weights(geometry, victim_actions: np.ndarray,
+                    source_actions: np.ndarray) -> np.ndarray:
+    """Per source and victim chirp, the summed overlap fraction of same-subband chirps.
+
+    ``geometry`` is the ``sim.overlap_geometry`` of the victim and the one
+    waveform that every row of ``source_actions`` (L_g, K_src) transmits;
+    the result has shape (L_g, K_v). ``np.take`` gathers in C order, so each
+    row is summed as the per-pair (K_v, C) product would be.
+    """
+    cand, frac = geometry
+    hits = np.take(source_actions, cand, axis=1) == victim_actions[:, None]
+    return (frac * hits).sum(axis=2)
+
+
+def link_groups(chirps, k_ep, victim: int, sources: list) -> list:
+    """The victim's links grouped by source waveform.
+
+    One (geometry, rows, members) per distinct source ``ChirpParams``:
+    ``members`` are the group's source radars in link order and ``rows``
+    their positions among the victim's ``sources``.
+    """
+    by_wave = {}
+    for row, j in enumerate(sources):
+        by_wave.setdefault(chirps[j], []).append(row)
+    return [(overlap_geometry(chirps[victim], wave, k_ep[victim], k_ep[sources[rows[0]]]),
+             rows, [sources[row] for row in rows])
+            for wave, rows in by_wave.items()]
+
+
+def link_weights(groups: list, acts: list, victim: int) -> np.ndarray:
+    """The victim's overlap weights (L, K_v) in link order, one gather per source waveform."""
+    weights = np.empty((sum(len(rows) for _, rows, _ in groups), acts[victim].size))
+    for geometry, rows, members in groups:
+        weights[rows] = overlap_weights(geometry, acts[victim],
+                                        np.array([acts[j] for j in members]))
+    return weights
+
+
+class PerRadarLinks:
+    """The victim-at-a-time link weights, echo phases and Gram energies that
+    ``run_scenario`` computed before it stacked radars into groups.
+
+    ``install`` puts them in place of the group functions, radar by radar:
+    ``sim._group_weights`` by ``link_weights`` per victim, ``signal.echo_slow``
+    by ``echo_slow`` per target (``signal.echo_constants`` then passes the
+    targets through) and ``signal.column_energy`` by one (n, n) Gram form
+    per radar.
+    """
+
+    def __init__(self, config: ScenarioConfig):
+        chirps = [spec.chirp for spec in config.radars]
+        k_ep, self.spans = sim._episode_spans(config)
+        inr = sim._link_inr_lin(config)
+        n = config.n_radars
+        self.groups = [link_groups(chirps, k_ep, i, [j for j in range(n) if (i, j) in inr])
+                       for i in range(n)]
+
+    def weights(self, group, subbands: np.ndarray) -> np.ndarray:
+        acts = [subbands[span] for span in self.spans]
+        k = acts[group.radars[0]].size
+        return np.array([link_weights(self.groups[i], acts, i)
+                         for i in group.radars]).reshape(len(group.radars), -1, k)
+
+    @staticmethod
+    def echo_slow(params, targets, subbands, phases, k0):
+        hops = subbands * params.subband_hz
+        return np.array([[echo_slow(params, tgt, h, float(ph), k0) for tgt, ph in zip(tt, pp)]
+                         for tt, h, pp in zip(targets, hops, phases)])
+
+    @staticmethod
+    def column_energy(gram, coeffs):
+        return np.array([np.real(np.einsum("rk,rk->k", np.conj(c), g @ c))
+                         for g, c in zip(gram, coeffs)])
+
+    def install(self, monkeypatch):
+        monkeypatch.setattr(sim, "_group_weights", self.weights)
+        monkeypatch.setattr(sig, "echo_constants", lambda params, targets: targets)
+        monkeypatch.setattr(sig, "echo_slow", self.echo_slow)
+        monkeypatch.setattr(sig, "column_energy", self.column_energy)
 
 
 def from_collisions_dense(weights: np.ndarray, n_subbands: int, utility) -> UtilityTable:

@@ -27,7 +27,15 @@ from hopsim.cli import (
 )
 
 from hopsim.game import empirical_joint
-from hopsim.sim import ScenarioError, run_scenario, validate_config
+from hopsim.signal import ChirpParams, Target
+from hopsim.sim import (
+    LinkSpec,
+    RadarSpec,
+    ScenarioConfig,
+    ScenarioError,
+    run_scenario,
+    validate_config,
+)
 
 from oracles import (
     bundled_config_path,
@@ -699,6 +707,49 @@ class TestStrictConfig:
                 "the 4194304 allowed") in err
         assert "radars[1]" not in err
         assert not (tmp_path / "o").exists()
+
+    @staticmethod
+    def linked_crowd(n_radars, adc_hz, genie):
+        """n uniform radars on one subband, one 16 us chirp per frame, all pairs linked."""
+        ch = ChirpParams(f_c=77e9, subband_hz=150e6, n_subbands=1, pri_s=20e-6, active_s=16e-6,
+                         adc_hz=adc_hz, chirps_per_frame=1)
+        return ScenarioConfig(
+            radars=(RadarSpec(chirp=ch, targets=(Target(20.0, 0.0, 20.0),)),) * n_radars,
+            links=tuple(LinkSpec(v, s, 30.0) for v in range(n_radars) for s in range(n_radars)
+                        if v != s),
+            genie_detection=genie)
+
+    @staticmethod
+    def rendered_exit_code_and_errors(tmp_path, capsys, config):
+        (tmp_path / "c.yaml").write_text(render_config(config))
+        code = main(["run", "--config", str(tmp_path / "c.yaml"), "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("genie", [True, False])
+    def test_noiseless_rows_bounded_in_both_modes(self, tmp_path, capsys, genie):
+        # Each of 11 radars would hold its target row and 10 residual chirps
+        # of 2^22 samples: 738 MB a radar, 8.1 GB for the run, in either mode.
+        cfg = self.linked_crowd(11, 2**22 / 16.0e-6, genie)
+        messages = validate_config(cfg)
+        assert messages == [
+            f"radars[{i}]: 11 noiseless rows (targets and linked sources) x (4194304 samples "
+            "per chirp + 1 chirps per episode) give 46137355 values, above the 4194304 allowed"
+            for i in range(1, 12)]
+        code, err = self.rendered_exit_code_and_errors(tmp_path, capsys, cfg)
+        assert code == 2 and messages[0] in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("genie", [True, False])
+    def test_noiseless_rows_bounded_over_the_run(self, tmp_path, capsys, genie):
+        # 2^18 samples: each radar's 11 rows fit, the run's 121 do not.
+        cfg = self.linked_crowd(11, 2**18 / 16.0e-6, genie)
+        message = ("radars: the 11 radars' noiseless rows x (samples per chirp + chirps per "
+                   "episode) give 31719545 values in all, above the 4194304 allowed")
+        assert validate_config(cfg) == [message]
+        code, err = self.rendered_exit_code_and_errors(tmp_path, capsys, cfg)
+        assert code == 2 and message in err
+        assert not (tmp_path / "o").exists()
+        assert validate_config(self.linked_crowd(3, 2**18 / 16.0e-6, genie)) == []  # 9 rows fit
 
     def test_range_profile_guard(self, tmp_path, capsys):
         # 1.6M samples per chirp: genie mode's 2 x (1.6M + 256) rows and

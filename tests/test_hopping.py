@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hopsim.hopping as hopping
-from hopsim.game import solve_nash_welfare_max
+from hopsim.game import check_simplex, solve_nash_welfare_max
 from hopsim.hopping import (
     DEFAULT_KAPPA,
     DEFAULT_LOSS_CLIP_DB,
@@ -158,6 +158,24 @@ class TestSampling:
         a = sample_subbands(p, np.random.default_rng(42), 100)
         b = sample_subbands(p, np.random.default_rng(42), 100)
         np.testing.assert_array_equal(a, b)
+
+    def test_matches_generator_choice(self):
+        # rng.choice(A, size, p) is the oracle: the same draws, dtype and
+        # generator state, on rows with zero entries, 2-13 subbands and
+        # 1-699 draws.
+        g = np.random.default_rng(2024)
+        for _ in range(200):
+            a = int(g.integers(2, 14))
+            p = g.random(a) * (g.random(a) < 0.7)
+            p[g.integers(a)] += 0.1
+            p = check_simplex(p / p.sum())
+            size = int(g.integers(1, 700))
+            seed = int(g.integers(2**32))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_subbands(p, got_rng, size)
+            want = want_rng.choice(a, size=size, p=p)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestUniformPolicy:

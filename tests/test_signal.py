@@ -504,7 +504,7 @@ class TestNoiselessBasis:
                 if collide[j, kk]:
                     amps[j, kk] = np.sqrt(noise * 10.0 ** (link.inr_db / 10.0)) * np.exp(
                         1j * drawn.uniform(0.0, 2.0 * np.pi))
-        slow = [sig._echo_slow(p, tgt, hops, ph, k0) for tgt, ph in zip(targets, phases)]
+        slow = [oracles.echo_slow(p, tgt, hops, ph, k0) for tgt, ph in zip(targets, phases)]
         block = rows.T @ np.concatenate([slow, amps])
         ref = np.stack([
             sum(oracles.dechirped_echo(p, tgt, k0 + kk, hops[kk], noise, ph)
@@ -531,8 +531,8 @@ class TestGenieStatistics:
         assert abs(gram[0, 1]) > 0.5 * np.sqrt(gram[0, 0].real * gram[1, 1].real)
         block = sum(oracles.echo_frame(p, t, hops, noise_power=2.0, phase0=ph, k0=5)
                     for t, ph in zip(targets, phases))
-        slow = np.array([sig._echo_slow(p, t, hops, ph, 5) for t, ph in zip(targets, phases)])
-        energy = sig._column_energy(gram, slow)
+        slow = np.array([oracles.echo_slow(p, t, hops, ph, 5) for t, ph in zip(targets, phases)])
+        energy = sig.column_energy(gram[None], slow[None])[0]
         np.testing.assert_allclose(energy, np.sum(np.abs(block) ** 2, axis=0), rtol=1e-9)
 
     def test_interference_gram_equals_sample_mean(self):
@@ -543,7 +543,7 @@ class TestGenieStatistics:
         amps = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
         bases, gram = sig.noiseless_basis(victim, (), sources, 1.0)
         samples = sum(np.outer(b, a) for b, a in zip(bases, amps))
-        power = sig._column_energy(gram, amps) / victim.n_samples
+        power = sig.column_energy(gram[None], amps[None])[0] / victim.n_samples
         np.testing.assert_allclose(power, np.mean(np.abs(samples) ** 2, axis=0), rtol=1e-9)
         link_power = np.sum(np.abs(amps) ** 2, axis=0)
         assert np.max(np.abs(power / link_power - 1.0)) > 0.1
@@ -555,7 +555,8 @@ class TestGenieStatistics:
         n, noise, draws, chunk = p.n_samples, 1.0, 20_000, 1_000
         hops = np.zeros(chunk)
         _, gram = sig.noiseless_basis(p, (tgt,), [], noise)
-        energy = sig._column_energy(gram, sig._echo_slow(p, tgt, hops, 0.0, 0)[None])
+        slow = oracles.echo_slow(p, tgt, hops, 0.0, 0)
+        energy = sig.column_energy(gram[None], slow[None, None])[0]
         rng = np.random.default_rng(2024)
         drawn = np.concatenate([sig._clean_power_draw(energy, n, noise, rng)
                                 for _ in range(draws // chunk)])
@@ -597,7 +598,7 @@ class TestMeasureEpisode:
 
     def measure(self, rng, last, genie=True):
         p, targets, phases, subbands, weights, amps, sources = self.inputs()
-        return sig.measure_episode(
+        return oracles.radar_measure_episode(
             p, targets, phases, subbands, self.K0, amps,
             *sig.noiseless_basis(p, targets, sources, self.NOISE), self.NOISE, rng,
             genie_flags=(weights > 0).any(axis=0) if genie else None,
@@ -732,9 +733,9 @@ class TestSampleWorkspace:
             flags = (weights > 0).any(axis=0) if genie else None
             hop_weights = sig.hop_sum_weights(victim, args[3], -15.0) if last else None
             shared, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
-            *meas, sums = sig.measure_episode(*args, shared, genie_flags=flags,
+            *meas, sums = oracles.radar_measure_episode(*args, shared, genie_flags=flags,
                                               hop_weights=hop_weights, workspace=ws)
-            *ref, ref_sums = sig.measure_episode(
+            *ref, ref_sums = oracles.radar_measure_episode(
                 *args, fresh, genie_flags=flags, hop_weights=hop_weights,
                 workspace=sig.SampleWorkspace(victim.n_samples * k))
             for got, want in zip(meas, ref):  # flags, clean and interference powers

@@ -24,7 +24,6 @@ from hopsim.sim import (
     ScenarioError,
     genie_utility_table,
     overlap_geometry,
-    overlap_weights,
     run_scenario,
     validate_config,
 )
@@ -40,6 +39,7 @@ from oracles import (
     external_regret_dense,
     final_frame_profile,
     overlap_weight,
+    overlap_weights,
     profile_rows,
     support_enumeration_2p,
     unpruned_overlap_geometry,
@@ -268,8 +268,9 @@ class TestCollisionTable:
 
     def test_grouped_weights_match_per_pair_oracle(self):
         # Three waveforms of one frame duration, a repeated link (0 <- 1)
-        # and one-way links: each victim's weights, one gather per source
-        # waveform, equal the per-pair oracle bit for bit, in link order.
+        # and one-way links: each victim's weights, stacked by group and
+        # gathered once per source waveform, equal the per-pair oracle and
+        # the per-victim oracle bit for bit, in link order.
         waves = [(20, 16, 60), (30, 24, 40), (40, 32, 30)]
         chirps = [chirp(*waves[w][:2], k=waves[w][2]) for w in (0, 1, 0, 2, 1)]
         links = ((0, 1, 30.0), (0, 1, 25.0), (0, 2, 30.0), (0, 3, 30.0), (0, 4, 30.0),
@@ -278,19 +279,26 @@ class TestCollisionTable:
                              links=tuple(LinkSpec(*link) for link in links))
         inr = sim._link_inr_lin(cfg)
         k = [c.chirps_per_frame for c in chirps]
+        groups = sim._radar_groups(cfg)
+        # radars 1 and 4 share a waveform and a link count; 0 and 2 differ in link count
+        assert [g.radars.tolist() for g in groups] == [[0], [1, 4], [2], [3]]
         rng = np.random.default_rng(5)
         for _ in range(10):
             acts = [rng.integers(0, 3, size=kk) for kk in k]
-            for i in range(len(chirps)):
-                sources = [j for j in range(len(chirps)) if (i, j) in inr]
-                got = sim._link_weights(sim._link_groups(chirps, k, i, sources), acts, i)
-                want = np.array([overlap_weight(overlap_geometry(chirps[i], chirps[j], k[i], k[j]),
-                                                acts[i], acts[j]) for j in sources])
-                assert got.tobytes() == want.reshape(len(sources), k[i]).tobytes()
-                for geometry, _, members in sim._link_groups(chirps, k, i, sources):
-                    stacked = np.array([acts[j] for j in members])
-                    assert overlap_weights(geometry, acts[i], stacked).tobytes() == np.array(
-                        [overlap_weight(geometry, acts[i], row) for row in stacked]).tobytes()
+            for group in groups:
+                got = sim._group_weights(group, np.concatenate(acts))
+                for r, i in enumerate(group.radars):
+                    sources = [j for j in range(len(chirps)) if (i, j) in inr]
+                    want = np.array([overlap_weight(
+                        overlap_geometry(chirps[i], chirps[j], k[i], k[j]), acts[i], acts[j])
+                        for j in sources])
+                    assert got[r].tobytes() == want.reshape(len(sources), k[i]).tobytes()
+                    per_victim = oracles.link_groups(chirps, k, i, sources)
+                    assert got[r].tobytes() == oracles.link_weights(per_victim, acts, i).tobytes()
+                    for geometry, _, members in per_victim:
+                        stacked = np.array([acts[j] for j in members])
+                        assert overlap_weights(geometry, acts[i], stacked).tobytes() == np.array(
+                            [overlap_weight(geometry, acts[i], row) for row in stacked]).tobytes()
 
     def test_single_radar_never_collides(self):
         # Every chirp on one subband: a radar must not collide with itself.
@@ -653,6 +661,109 @@ class TestStackedPolicyStep:
         assert not np.allclose(learned, 1 / 6) and not np.allclose(learned[0], learned[1])
 
 
+class TestRadarGroups:
+    """Whole runs on stacked radar groups against the per-radar link weights,
+    echo phases and Gram energies (``oracles.PerRadarLinks``) run in their place."""
+
+    @staticmethod
+    def run_both(monkeypatch, cfg):
+        got = run_scenario(cfg)
+        with monkeypatch.context() as mp:
+            oracles.PerRadarLinks(cfg).install(mp)
+            want = run_scenario(cfg)
+        assert_metrics_identical(got, want)
+        return got
+
+    @staticmethod
+    def crowd(genie, episodes_per_frame):
+        """Eight radars alternating two waveforms, as crowd-8 does. Radars 0 and 6
+        form one group; radar 2 has two targets and radar 4 no incoming link,
+        so each is its own group on the same waveform; radars 5 and 7 have 3
+        links from sources of both waveforms, in different orders, so they
+        group apart from 1 and 3, which hear every other radar."""
+        policies = ["noregret", "uniform"] * 4
+        radars = tuple(
+            RadarSpec(chirp=chirp(pri_us=20.0 * (1 + i % 2), active_us=16.0 * (1 + i % 2),
+                                  k=64 // (1 + i % 2)),
+                      policy=policies[i], policy_params={"c_eta": 0.4} if i % 2 == 0 else {},
+                      targets=(sig.Target(15.0 + 2 * i, -15.0, 20.0),)
+                      + ((sig.Target(33.0, 5.0, 12.0),) if i == 2 else ()))
+            for i in range(8))
+        heard = {0: range(8), 1: range(8), 2: range(8), 3: range(8), 4: (), 5: (0, 1, 2),
+                 6: range(8), 7: (1, 2, 4)}
+        links = tuple(LinkSpec(v, s, 20.0 + v + s) for v in range(8) for s in heard[v] if s != v)
+        return ScenarioConfig(radars=radars, links=links + (LinkSpec(0, 1, 25.0),), frames=3,
+                              episodes_per_frame=episodes_per_frame, seed=3,
+                              genie_detection=genie)
+
+    @pytest.mark.parametrize("genie", [True, False])
+    @pytest.mark.parametrize("episodes_per_frame", [1, 2])
+    def test_crowd_matches_per_radar_oracles(self, monkeypatch, genie, episodes_per_frame):
+        cfg = self.crowd(genie, episodes_per_frame)
+        groups = sim._radar_groups(cfg)
+        assert [g.radars.tolist() for g in groups] == [[0, 6], [1, 3], [2], [4], [5, 7]]
+        m = self.run_both(monkeypatch, cfg)
+        assert m.interference_rate[:, 4].max() == 0.0 < m.interference_rate[:, 5].max()
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 129, 512])
+    def test_row_means_equal_per_radar_means(self, k):
+        # run_scenario takes each group's interference rates and mean SINRs
+        # as row sums over K; numpy sums each contiguous row as it sums the
+        # radar's own (K,) vector, so the means equal np.mean's bit for bit.
+        rng = np.random.default_rng(k)
+        ratio, flags = rng.lognormal(0.0, 3.0, (5, k)), rng.random((5, k)) < 0.3
+        assert (ratio.sum(axis=1) / k).tolist() == [np.mean(row) for row in ratio]
+        assert (flags.sum(axis=1) / k).tolist() == [float(np.mean(row)) for row in flags]
+
+    def test_single_radar_matches_per_radar_oracles(self, monkeypatch):
+        cfg = ScenarioConfig(radars=(RadarSpec(
+            chirp=chirp(), policy="noregret",
+            targets=(target(), sig.Target(31.0, 4.0, 9.0))),), frames=3, seed=8)
+        self.run_both(monkeypatch, cfg)
+
+    def test_geometry_of_eight_columns_matches_per_radar_oracles(self, monkeypatch):
+        # 160/150 us victims against 20/19.9 us sources: 11 candidate columns,
+        # all kept, so numpy sums each weight pairwise. On 2 subbands about
+        # half of a victim chirp's 8 overlapping source chirps collide, so
+        # the order of the sum shows in its last bits.
+        waves = [(160, 150, 30), (20, 19.9, 240), (20, 19.9, 240), (160, 150, 30)]
+        radars = tuple(RadarSpec(chirp=chirp(*w[:2], k=w[2], subbands=2), policy="uniform",
+                                 targets=(target(),)) for w in waves)
+        links = tuple(LinkSpec(v, s, 30.0) for v in range(4) for s in range(4) if v != s)
+        cfg = ScenarioConfig(radars=radars, links=links, frames=2, seed=4)
+        victims = sim._radar_groups(cfg)[0]
+        assert victims.radars.tolist() == [0, 3]
+        assert max(cand.shape[1] for (cand, _), *_ in victims.links) >= 8
+        self.run_both(monkeypatch, cfg)
+
+    def test_chunked_crowd_matches_per_radar_oracles_in_bounded_memory(self, monkeypatch):
+        # 16 radars on table1's 20 us waveform, all 240 links: one group
+        # whose stacked arrays need two chunks. The chunks hold at most one
+        # SAMPLE_BLOCK_GUARD float block above the per-radar run's peak.
+        table1 = parse_config(bundled_config_path("table1").read_text())
+        spec = replace(table1.radars[0], policy="uniform", policy_params={})
+        cfg = ScenarioConfig(
+            radars=tuple(replace(spec, targets=(replace(spec.targets[0], range_m=15.0 + i),))
+                         for i in range(16)),
+            links=tuple(LinkSpec(v, s, 30.0) for v in range(16) for s in range(16) if v != s),
+            frames=2, seed=2)
+        assert [len(g.radars) for g in sim._radar_groups(cfg)] == [12, 4]
+
+        def traced(run):
+            tracemalloc.start()
+            try:
+                return run(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        got, peak = traced(lambda: run_scenario(cfg))
+        with monkeypatch.context() as mp:
+            oracles.PerRadarLinks(cfg).install(mp)
+            want, oracle_peak = traced(lambda: run_scenario(cfg))
+        assert_metrics_identical(got, want)
+        assert peak - oracle_peak < 8 * sim.SAMPLE_BLOCK_GUARD
+
+
 class TestStagedSolverOnExploreTables:
     """The closed-form solve on the estimates a nash run floors."""
 
@@ -819,17 +930,17 @@ class TestFinalFrameProfiles:
         cfg = two_radar_config(("noregret", "uniform"), frames=3, seed=5,
                                episodes_per_frame=episodes_per_frame, genie_detection=False)
         blocks, actions = [], []
-        measure, detect = sig.measure_episode, sig.detect_interference
+        sample, detect = sim.sample_subbands, sig.detect_interference
 
-        def recording_measure(params, targets, target_phases, subbands, *args, **kw):
-            actions.append(subbands.copy())
-            return measure(params, targets, target_phases, subbands, *args, **kw)
+        def recording_sample(probs, rng, size):  # radars draw in index order
+            actions.append(sample(probs, rng, size))
+            return actions[-1].copy()
 
         def recording_detect(samples, *args, **kw):
             blocks.append(samples.copy())
             return detect(samples, *args, **kw)
 
-        monkeypatch.setattr(sig, "measure_episode", recording_measure)
+        monkeypatch.setattr(sim, "sample_subbands", recording_sample)
         monkeypatch.setattr(sig, "detect_interference", recording_detect)
         m = run_scenario(cfg)
         monkeypatch.undo()

@@ -48,3 +48,17 @@ def test_one_line_per_array(capsys):
     assert {"profiles[0].mags_db", "profiles[1].mags_db"} <= set(by_seed["seed=0"])
     assert by_seed["seed=0"]["strategies"] != by_seed["seed=1"]["strategies"]
     assert by_seed["seed=0"]["policies"] == by_seed["seed=1"]["policies"]
+
+
+def test_config_files_beside_workloads(tmp_path, capsys):
+    # A config outside the benchmark digests as the same scenario does
+    # under its workload name, and its lines are named by its path.
+    path = tmp_path / "copy.cfg"
+    path.write_text(load_tool().workload_paths()["table1-genie"].read_text())
+    tool = load_tool()
+    assert tool.main(["--config", str(path), "--seeds", "3"]) == 0
+    alone = capsys.readouterr().out.splitlines()
+    assert alone and all(line.startswith(f"{path} seed=3 ") for line in alone)
+    assert tool.main(["--workload", "table1-genie", "--config", str(path), "--seeds", "3"]) == 0
+    both = capsys.readouterr().out.splitlines()
+    assert both == [line.replace(str(path), "table1-genie", 1) for line in alone] + alone

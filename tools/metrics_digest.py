@@ -1,15 +1,17 @@
-"""SHA-256 of every ``RunMetrics`` array, per benchmark workload and seed.
+"""SHA-256 of every ``RunMetrics`` array, per benchmark workload or config and seed.
 
-    python3 tools/metrics_digest.py [--workload NAME ...] [--seeds 0,7,11]
+    python3 tools/metrics_digest.py [--workload NAME ...] [--config PATH ...]
+                                    [--seeds 0,7,11]
 
 Runs ``hopsim.sim.run_scenario`` in process on the configs that
 ``perfbench/run.py`` reads (the bundled ``table1.cfg`` as ``table1-genie``,
-then ``perfbench/workloads/*.yaml``), with the run seed replaced, and
-prints one line per array: workload, seed, field, dtype and shape, and the
-SHA-256 of the array's bytes in C order. The final-frame profiles are
-listed per radar. A change that claims bit-identical results shows the
-same lines before and after; ``diff`` the two outputs. The configs are
-only read, and no artifact is written.
+then ``perfbench/workloads/*.yaml``), or on the named ones: each
+``--workload`` and each ``--config`` file, which is named by its path as
+given. Every run has its seed replaced. Prints one line per array: name,
+seed, field, dtype and shape, and the SHA-256 of the array's bytes in C
+order. The final-frame profiles are listed per radar. A change that claims
+bit-identical results shows the same lines before and after; ``diff`` the
+two outputs. The configs are only read, and no artifact is written.
 """
 from __future__ import annotations
 
@@ -60,18 +62,22 @@ def main(argv=None) -> int:
     paths = workload_paths()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", action="append", choices=sorted(paths),
-                        help="workload to run (repeatable; default: all)")
+                        help="workload to run (repeatable; default: all, or none with --config)")
+    parser.add_argument("--config", action="append", default=[], metavar="PATH",
+                        help="scenario config file to run (repeatable)")
     parser.add_argument("--seeds", default="0,7,11",
                         help="comma-separated run seeds (default: 0,7,11)")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
+    runs = {name: paths[name] for name in args.workload or ([] if args.config else sorted(paths))}
+    runs |= {path: Path(path) for path in args.config}
 
     sys.path.insert(0, str(SRC))
     from hopsim.cli import parse_config
     from hopsim.sim import run_scenario
 
-    for name in args.workload or sorted(paths):
-        config = parse_config(paths[name].read_text())
+    for name, path in runs.items():
+        config = parse_config(path.read_text())
         for seed in seeds:
             digests = metrics_digests(run_scenario(dataclasses.replace(config, seed=seed)))
             for field, digest in digests.items():
