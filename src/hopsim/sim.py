@@ -142,6 +142,7 @@ def validate_config(config: ScenarioConfig) -> list[str]:
     if not config.radars:
         errors.append("radars: list must not be empty")
         return errors
+    table = link_table(config)
     # A mistyped run field is reported once; checks that read it are skipped.
     typed = {name: has_type(getattr(config, name), kind) for name, (kind, _) in RUN_FIELDS.items()}
     episodes = config.total_episodes if typed["frames"] and typed["episodes_per_frame"] else None
@@ -166,8 +167,7 @@ def validate_config(config: ScenarioConfig) -> list[str]:
                 f"{SAMPLE_BLOCK_GUARD} allowed")
         # Both modes hold the noiseless rows (targets, then linked sources)
         # for the whole run, and their per-chirp coefficients each episode.
-        sources = {link.source for link in config.links if link.victim == idx - 1}
-        n_rows = len(spec.targets) + len(sources - {idx - 1})
+        n_rows = len(spec.targets) + np.count_nonzero(table[idx - 1])
         k_ep = ch.chirps_per_frame // max(config.episodes_per_frame, 1) \
             if typed["episodes_per_frame"] else ch.chirps_per_frame
         basis_values.append(n_rows * (ch.n_samples + k_ep))
@@ -240,19 +240,18 @@ def validate_config(config: ScenarioConfig) -> list[str]:
             f"{SUPPORT_PAIR_GUARD} allowed; use 'pure'"
             for idx, spec in enumerate(config.radars, start=1)
             if spec.policy == "nash" and spec.policy_params.get("solver_mode", "auto") == "auto"]
+    n, chirps = config.n_radars, [spec.chirp for spec in config.radars]
+    t_end = [(ch.n_samples - 1) / ch.adc_hz for ch in chirps]  # each chirp's last sample
     for li, link in enumerate(config.links, start=1):
-        n = config.n_radars
         if not (0 <= link.victim < n and 0 <= link.source < n) or link.victim == link.source:
             errors.append(f"links[{li}]: victim/source indices invalid")
-        else:
-            victim = config.radars[link.victim].chirp
-            t_end = (victim.n_samples - 1) / victim.adc_hz  # the chirp's last sample
-            if not np.isfinite(victim.residual_phase(config.radars[link.source].chirp, t_end)):
-                errors.append(
-                    f"links[{li}]: the slopes of radars[{link.victim + 1}] and "
-                    f"radars[{link.source + 1}] give a residual chirp phase pi (a_v - a_s) t^2 "
-                    "above the largest float")
-        if not np.isfinite(link.inr_db):
+        elif not math.isfinite(chirps[link.victim].residual_phase(chirps[link.source],
+                                                                  t_end[link.victim])):
+            errors.append(
+                f"links[{li}]: the slopes of radars[{link.victim + 1}] and "
+                f"radars[{link.source + 1}] give a residual chirp phase pi (a_v - a_s) t^2 "
+                "above the largest float")
+        if not math.isfinite(link.inr_db):
             errors.append(f"links[{li}].inr_db: {link.inr_db!r} not finite")
         elif not 0 < sig.db_power(link.inr_db) < np.inf:
             errors.append(f"links[{li}].inr_db: {link.inr_db!r} dB has a linear power "
@@ -276,14 +275,16 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         errors.append(f"run.noise_power: {config.noise_power!r} not finite and > 0")
     elif typed["noise_power"]:
         # Genie mode's 2 ||e_k||^2 is the largest float a run forms; it is at most
-        # 2 N_s noise (1 + sum sqrt(SNR) + sum sqrt(INR))^2, every term adding coherently.
+        # 2 N_s noise (1 + sum sqrt(SNR) + sum sqrt(INR))^2, every term adding
+        # coherently. Repeated links of a pair form one amplitude, sqrt of their sum.
         for idx, spec in enumerate(config.radars, start=1):
-            terms = {f"radars[{idx}].targets[{k}]": t.snr_db for k, t in enumerate(spec.targets, 1)}
-            terms |= {f"links[{li}]": link.inr_db
-                      for li, link in enumerate(config.links, 1) if link.victim == idx - 1}
-            amp = 1.0 + sum(math.sqrt(sig.db_power(db)) for db in terms.values())
+            amp = 1.0 + sum([math.sqrt(sig.db_power(t.snr_db)) for t in spec.targets]
+                            + np.sqrt(table[idx - 1]).tolist())
             bound = 2.0 * spec.chirp.n_samples * config.noise_power * amp * amp
             if amp < np.inf and not bound < np.inf:  # a bad INR is reported below
+                terms = [f"radars[{idx}].targets[{k}]" for k in range(1, len(spec.targets) + 1)]
+                terms += [f"links[{li}]"
+                          for li, link in enumerate(config.links, 1) if link.victim == idx - 1]
                 errors.append(f"run.noise_power: {config.noise_power!r} with {', '.join(terms)} "
                               f"gives radars[{idx}] a chirp energy bound 2 N_s noise (1 + sum "
                               "sqrt(SNR) + sum sqrt(INR))^2 above the largest float")
@@ -367,29 +368,20 @@ class _Group:
     Row r of every array belongs to radar ``radars[r]``, whose L links are
     in ascending source order. ``links`` holds one entry per source
     waveform: its ``overlap_geometry`` (cand, frac) against the group's
-    waveform, the positions (n_w, K_w) of its radars' chirps in the
-    episode's flat arrays, and for each (victim, link) pair it serves the
-    victim's row, the source's row among those radars and the link's slot
-    r * L + l.
+    waveform and, for each (victim, link) pair it serves, the source's
+    chirp positions in the episode's flat arrays (pairs, K_w), the victim's
+    row and the link's slot r * L + l.
     """
 
     radars: np.ndarray
     chirp: sig.ChirpParams
-    chirps: slice | np.ndarray   # the radars' chirps in the episode's flat arrays
+    chirps: np.ndarray           # (R, K) positions of the radars' chirps in the flat arrays
     power: np.ndarray            # (R, L, 1) linear link powers
     echo: np.ndarray             # the targets' sig.echo_constants
     rows: tuple                  # each radar's noiseless_basis rows
     gram_t: np.ndarray           # (R, T, T) target blocks of the Gram matrices
     gram_s: np.ndarray           # (R, L, L) source blocks
     links: tuple
-
-
-def _chirp_positions(spans: list, radars: list):
-    """Where ``radars``' chirps lie in the episode's flat arrays, radar after
-    radar: one slice when their spans adjoin, else an index array."""
-    if all(spans[a].stop == spans[b].start for a, b in zip(radars, radars[1:])):
-        return slice(spans[radars[0]].start, spans[radars[-1]].stop)
-    return np.concatenate([np.arange(spans[i].start, spans[i].stop) for i in radars])
 
 
 def _episode_spans(config: ScenarioConfig) -> tuple[list, list]:
@@ -400,9 +392,10 @@ def _episode_spans(config: ScenarioConfig) -> tuple[list, list]:
     return k_ep, [slice(end - k, end) for k, end in zip(k_ep, ends)]
 
 
-def _radar_groups(config: ScenarioConfig) -> list:
+def _radar_groups(config: ScenarioConfig, table: np.ndarray) -> list:
     """The run's ``_Group``s, each a chunk of the radars sharing a waveform, a
-    target count and a link count, in order of their first radar.
+    target count and a link count, in order of their first radar; ``table``
+    is the run's ``link_table``.
 
     Episode boundaries align in time across radars, so a group's overlap
     geometry, link powers, Gram blocks and echo constants hold for every
@@ -413,39 +406,35 @@ def _radar_groups(config: ScenarioConfig) -> list:
     (T + L) link and echo arrays (weights, phases, complex coefficients
     and the Gram products).
     """
-    n_radars, noise = config.n_radars, config.noise_power
+    noise = config.noise_power
     k_ep, spans = _episode_spans(config)
-    inr_lin = _link_inr_lin(config)
-    sources = [[j for j in range(n_radars) if (i, j) in inr_lin] for i in range(n_radars)]
+    positions = [np.arange(span.start, span.stop) for span in spans]
+    sources = [np.flatnonzero(row).tolist() for row in table]
     chirps = [spec.chirp for spec in config.radars]
-    waves, keyed = {}, {}  # waveform -> its radars; group key -> its radars
+    keyed = {}  # group key -> its radars
     for i, spec in enumerate(config.radars):
-        waves.setdefault(chirps[i], []).append(i)
         keyed.setdefault((chirps[i], len(spec.targets), len(sources[i])), []).append(i)
-    wave_chirps = {wave: np.concatenate([np.arange(spans[i].start, spans[i].stop)
-                                         for i in radars]).reshape(len(radars), -1)
-                   for wave, radars in waves.items()}
-    row_in_wave = {i: r for radars in waves.values() for r, i in enumerate(radars)}
     groups = []
     for (wave, n_t, n_l), members in keyed.items():
         k = k_ep[members[0]]
-        geometry = {src: overlap_geometry(wave, src, k, k_ep[waves[src][0]])
-                    for src in {chirps[j] for i in members for j in sources[i]}}
+        heard = {chirps[j]: j for i in members for j in sources[i]}  # waveform -> a source
+        geometry = {src: overlap_geometry(wave, src, k, k_ep[j]) for src, j in heard.items()}
         columns = max(sum(geometry[chirps[j]][0].shape[1] for j in sources[i]) for i in members)
         size = max(1, GROUP_CHUNK_ELEMENTS // (k * (2 * columns + 8 * (n_t + n_l))))
         for start in range(0, len(members), size):
             chunk = members[start:start + size]
             bases = [sig.noiseless_basis(wave, config.radars[i].targets,
                                          [chirps[j] for j in sources[i]], noise) for i in chunk]
-            pairs = {}  # source waveform -> (victim row, source row, slot) per pair
+            pairs = {}  # source waveform -> (source chirps, victim row, slot) per pair
             for r, i in enumerate(chunk):
                 for l, j in enumerate(sources[i]):
-                    pairs.setdefault(chirps[j], []).append((r, row_in_wave[j], r * n_l + l))
-            links = tuple((geometry[src], wave_chirps[src], *np.array(served).T)
+                    pairs.setdefault(chirps[j], []).append((positions[j], r, r * n_l + l))
+            links = tuple((geometry[src], *(np.array(column) for column in zip(*served)))
                           for src, served in pairs.items())
             groups.append(_Group(
-                radars=np.array(chunk), chirp=wave, chirps=_chirp_positions(spans, chunk),
-                power=noise * np.reshape([[inr_lin[(i, j)] for j in sources[i]] for i in chunk],
+                radars=np.array(chunk), chirp=wave,
+                chirps=np.array([positions[i] for i in chunk]),
+                power=noise * np.reshape([table[i, sources[i]] for i in chunk],
                                          (len(chunk), n_l, 1)),
                 echo=sig.echo_constants(wave, [config.radars[i].targets for i in chunk]),
                 rows=tuple(rows for rows, _ in bases),
@@ -464,10 +453,10 @@ def _group_weights(group: _Group, subbands: np.ndarray) -> np.ndarray:
     and pairwise from 8 on.
     """
     n_r, n_l = group.power.shape[:2]
-    acts = subbands[group.chirps].reshape(n_r, -1)
+    acts = subbands[group.chirps]
     weights = np.empty((n_r * n_l, acts.shape[1]))
-    for (cand, frac), wave_chirps, vic, rows, slots in group.links:
-        hits = np.take(subbands[wave_chirps[rows]], cand, axis=1) == acts[vic][:, :, None]
+    for (cand, frac), source_chirps, vic, slots in group.links:
+        hits = np.take(subbands[source_chirps], cand, axis=1) == acts[vic][:, :, None]
         weights[slots] = (frac * hits).sum(axis=2)
     return weights.reshape(n_r, n_l, acts.shape[1])
 
@@ -484,7 +473,7 @@ def _measure_group(group: _Group, subbands: np.ndarray, target_phases: np.ndarra
     ch, noise = group.chirp, config.noise_power
     n_r, n_l = group.power.shape[:2]
     n_t = group.gram_t.shape[1]
-    acts = subbands[group.chirps].reshape(n_r, -1)
+    acts = subbands[group.chirps]
     k = acts.shape[1]
     k0 = ep * k
     weights = _group_weights(group, subbands)
@@ -520,32 +509,36 @@ def _measure_group(group: _Group, subbands: np.ndarray, target_phases: np.ndarra
     return flags, clean, intf, sums
 
 
-def _link_inr_lin(config: ScenarioConfig) -> dict:
-    """Linear INR per (victim, source) pair, summed over repeated links."""
-    inr = {}
+def link_table(config: ScenarioConfig) -> np.ndarray:
+    """Linear INR (n, n) of every link, victim by row and source by column.
+
+    Repeated links of a pair add in config order. A link whose victim is its
+    source or out of range is left out (``validate_config`` reports it).
+    Victim i's sources are ``np.flatnonzero(table[i])``, in ascending order.
+    """
+    n = config.n_radars
+    table = np.zeros((n, n))
     for link in config.links:
-        key = (link.victim, link.source)
-        inr[key] = inr.get(key, 0.0) + sig.db_power(link.inr_db)
-    return inr
+        if 0 <= link.victim < n and 0 <= link.source < n and link.victim != link.source:
+            table[link.victim, link.source] += sig.db_power(link.inr_db)
+    return table
 
 
-def genie_utility_table(config: ScenarioConfig, rows: np.ndarray,
-                        player: int) -> np.ndarray:
+def genie_utility_table(config: ScenarioConfig, rows: np.ndarray, player: int,
+                        table: np.ndarray) -> np.ndarray:
     """Evaluation-side utility (dB) of each of ``player``'s subbands per row.
 
-    ``rows`` holds joint actions, shape (S, n); the result has shape
-    (S, A). A subband that linked sources play in that row is valued at
-    the theoretical SINR with their summed INR, added in ascending source
-    order; any other subband at the SNR. Never shown to the policies in
-    model-free runs.
+    ``rows`` holds joint actions, shape (S, n); ``table`` is the run's
+    ``link_table``. The result has shape (S, A). A subband that linked
+    sources play in that row is valued at the theoretical SINR with their
+    summed INR, added in ascending source order; any other subband at the
+    SNR. Never shown to the policies in model-free runs.
     """
     snr_lin = sum(sig.db_power(t.snr_db) for t in config.radars[player].targets)
-    inr = _link_inr_lin(config)
     s, a = len(rows), config.n_subbands
     load = np.zeros(s * a)
-    for j in range(config.n_radars):
-        if (player, j) in inr:
-            load[np.arange(s) * a + rows[:, j]] += inr[(player, j)]
+    for j in np.flatnonzero(table[player]):
+        load[np.arange(s) * a + rows[:, j]] += table[player, j]
     return 10.0 * np.log10(snr_lin / (load.reshape(s, a) + 1.0))
 
 
@@ -609,7 +602,8 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     n_chirps = sum(k_ep)
     subbands, flagged = np.empty(n_chirps, dtype=int), np.empty(n_chirps, dtype=bool)
     clean, intf = np.empty(n_chirps), np.empty(n_chirps)
-    groups = _radar_groups(config)
+    table = link_table(config)
+    groups = _radar_groups(config, table)
     # Detector mode synthesizes every episode: one workspace serves them all.
     workspace = None if config.genie_detection else sig.SampleWorkspace(
         max(ch.n_samples * k for ch, k in zip(chirps, k_ep)))
@@ -635,8 +629,8 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                 if last:  # the final frame feeds the range profile through its hop sums
                     for i, radar_sums in zip(group.radars, sums):
                         hop_sums[i] += radar_sums
-                flagged[group.chirps] = flags.reshape(-1)
-                clean[group.chirps], intf[group.chirps] = p_clean.reshape(-1), p_intf.reshape(-1)
+                flagged[group.chirps], clean[group.chirps] = flags, p_clean
+                intf[group.chirps] = p_intf
                 # Each row's mean, summed along the row as np.mean sums it.
                 interference_rate[e, group.radars] = flags.sum(axis=1) / flags.shape[1]
                 # Floored as the estimator floors: in detector mode every
@@ -674,7 +668,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     ext_regret = np.zeros(n_radars)
     cce_gap = np.zeros(n_radars)
     for i in range(n_radars):
-        per_arm = genie_utility_table(config, joint.rows, i)
+        per_arm = genie_utility_table(config, joint.rows, i, table)
         running = external_regret(per_arm[support_row], aligned[:, i])
         cumulative_regret[:, i] = running[bounds]
         ext_regret[i] = running[-1]

@@ -1022,10 +1022,8 @@ class PerRadarLinks:
     def __init__(self, config: ScenarioConfig):
         chirps = [spec.chirp for spec in config.radars]
         k_ep, self.spans = sim._episode_spans(config)
-        inr = sim._link_inr_lin(config)
-        n = config.n_radars
-        self.groups = [link_groups(chirps, k_ep, i, [j for j in range(n) if (i, j) in inr])
-                       for i in range(n)]
+        self.groups = [link_groups(chirps, k_ep, i, np.flatnonzero(row).tolist())
+                       for i, row in enumerate(sim.link_table(config))]
 
     def weights(self, group, subbands: np.ndarray) -> np.ndarray:
         acts = [subbands[span] for span in self.spans]

@@ -1007,6 +1007,31 @@ class TestStrictConfig:
                         "radars[2] a chirp energy bound") in err
                 assert "radars[1]" not in err
 
+    @pytest.mark.parametrize("genie", [True, False])
+    def test_energy_bound_sums_repeated_links(self, tmp_path, capsys, genie):
+        # Radar 2's INR split over two links 2 <- 1 whose linear powers sum
+        # to the edge of test_energy_bound: the pair forms one amplitude,
+        # sqrt of the summed power, so the bound holds it, not the sum of roots.
+        doc = yaml.safe_load(bundled_config_path("table1").read_text())
+        doc["run"].update(noise_power=1.0e300, frames=1, genie_detection=genie)
+        doc["links"].append(dict(doc["links"][1]))
+        edge = math.sqrt(sys.float_info.max / (2 * 640 * 1.0e300)) - 1.0 - 10.0
+        for delta_db, ok in ((-1e-3, True), (1e-3, False)):
+            for link in doc["links"][1:]:
+                link["inr_db"] = 20.0 * math.log10(edge) + delta_db - 10.0 * math.log10(2.0)
+            code, err = exit_code_and_errors(tmp_path, capsys, doc)
+            if ok:
+                assert code == 0 and err == ""
+                m = run_scenario(parse_config(yaml.safe_dump(doc)))
+                for values in (m.strategies, m.interference_rate, m.mean_sinr_db,
+                               m.cumulative_regret_db, m.cce_gap_db, m.profiles[1].mags_db):
+                    assert np.isfinite(values).all()
+            else:
+                assert code == 2
+                assert ("run.noise_power: 1e+300 with radars[2].targets[1], links[2], links[3] "
+                        "gives radars[2] a chirp energy bound") in err
+                assert "radars[1]" not in err
+
     @pytest.mark.parametrize("old, new, key", [
         ("  frames: 2\n", "  frames: 50\n  frames: 2\n", "frames"),
         ("    subbands: 6\n", "    subbands: 6\n    subbands: 4\n", "subbands"),

@@ -209,6 +209,17 @@ def brute_force_collisions(params_list, actions):
     return out
 
 
+def three_waveform_config():
+    """Five radars on three waveforms of one frame duration, with a repeated
+    link (0 <- 1) and one-way links."""
+    waves = [(20, 16, 60), (30, 24, 40), (40, 32, 30)]
+    chirps = [chirp(*waves[w][:2], k=waves[w][2]) for w in (0, 1, 0, 2, 1)]
+    links = ((0, 1, 30.0), (0, 1, 25.0), (0, 2, 30.0), (0, 3, 30.0), (0, 4, 30.0),
+             (1, 0, 30.0), (2, 4, 30.0), (3, 1, 30.0), (3, 2, 30.0), (4, 2, 30.0))
+    return ScenarioConfig(radars=tuple(RadarSpec(chirp=c, targets=(target(),)) for c in chirps),
+                          links=tuple(LinkSpec(*link) for link in links))
+
+
 class TestCollisionTable:
     def test_matches_brute_force_on_random_actions(self):
         rng = np.random.default_rng(7)
@@ -271,15 +282,10 @@ class TestCollisionTable:
         # and one-way links: each victim's weights, stacked by group and
         # gathered once per source waveform, equal the per-pair oracle and
         # the per-victim oracle bit for bit, in link order.
-        waves = [(20, 16, 60), (30, 24, 40), (40, 32, 30)]
-        chirps = [chirp(*waves[w][:2], k=waves[w][2]) for w in (0, 1, 0, 2, 1)]
-        links = ((0, 1, 30.0), (0, 1, 25.0), (0, 2, 30.0), (0, 3, 30.0), (0, 4, 30.0),
-                 (1, 0, 30.0), (2, 4, 30.0), (3, 1, 30.0), (3, 2, 30.0), (4, 2, 30.0))
-        cfg = ScenarioConfig(radars=tuple(RadarSpec(chirp=c, targets=(target(),)) for c in chirps),
-                             links=tuple(LinkSpec(*link) for link in links))
-        inr = sim._link_inr_lin(cfg)
+        cfg = three_waveform_config()
+        chirps = [spec.chirp for spec in cfg.radars]
         k = [c.chirps_per_frame for c in chirps]
-        groups = sim._radar_groups(cfg)
+        groups = sim._radar_groups(cfg, sim.link_table(cfg))
         # radars 1 and 4 share a waveform and a link count; 0 and 2 differ in link count
         assert [g.radars.tolist() for g in groups] == [[0], [1, 4], [2], [3]]
         rng = np.random.default_rng(5)
@@ -288,7 +294,7 @@ class TestCollisionTable:
             for group in groups:
                 got = sim._group_weights(group, np.concatenate(acts))
                 for r, i in enumerate(group.radars):
-                    sources = [j for j in range(len(chirps)) if (i, j) in inr]
+                    sources = sorted({link.source for link in cfg.links if link.victim == i})
                     want = np.array([overlap_weight(
                         overlap_geometry(chirps[i], chirps[j], k[i], k[j]), acts[i], acts[j])
                         for j in sources])
@@ -315,19 +321,56 @@ class TestGenieUtilityTable:
     def test_clean_and_colliding_cells(self):
         cfg = two_radar_config()
         rows = np.array([[0, 1], [2, 2]])
-        u0 = genie_utility_table(cfg, rows, 0)
+        table = sim.link_table(cfg)
+        u0 = genie_utility_table(cfg, rows, 0, table)
         # distinct subbands: pure SNR
         assert u0[0, 0] == pytest.approx(20.0)
         # same subband at INR 30: 10*log10(100/1001) = -10.004 dB
         assert u0[1, 2] == pytest.approx(-10.004, abs=1e-3)
-        assert genie_utility_table(cfg, rows, 1)[1, 2] == pytest.approx(-10.004, abs=1e-3)
+        assert genie_utility_table(cfg, rows, 1, table)[1, 2] == pytest.approx(-10.004, abs=1e-3)
 
     def test_single_radar_all_snr(self):
         cfg = ScenarioConfig(radars=(
             RadarSpec(chirp=chirp(), targets=(target(),)),))
-        u = genie_utility_table(cfg, np.arange(6)[:, None], 0)
+        u = genie_utility_table(cfg, np.arange(6)[:, None], 0, sim.link_table(cfg))
         for a in range(6):
             assert u[a] == pytest.approx(20.0)
+
+
+class TestLinkTable:
+    def test_repeated_links_add_in_config_order(self):
+        cfg = replace(two_radar_config(), links=(LinkSpec(0, 1, 30.0), LinkSpec(0, 1, 25.0)))
+        table = sim.link_table(cfg)
+        assert table[0, 1] == sig.db_power(30.0) + sig.db_power(25.0)
+        assert table.tolist() == [[0.0, table[0, 1]], [0.0, 0.0]]
+
+    def test_self_and_out_of_range_links_absent(self):
+        # Each of these is reported by validate_config and never synthesized.
+        cfg = replace(two_radar_config(), links=(
+            LinkSpec(1, 1, 30.0), LinkSpec(0, 2, 30.0), LinkSpec(-1, 0, 30.0),
+            LinkSpec(2, 1, 30.0), LinkSpec(1, 0, 20.0)))
+        assert sim.link_table(cfg).tolist() == [[0.0, 0.0], [sig.db_power(20.0), 0.0]]
+        assert validate_config(cfg) == [
+            f"links[{li}]: victim/source indices invalid" for li in (1, 2, 3, 4)]
+
+    def test_unlinked_victims_have_zero_rows(self):
+        # Of three radars, radar 1 is a source only.
+        table = sim.link_table(linked_config(3))
+        assert table[1].tolist() == [0.0, 0.0, 0.0]
+        assert np.count_nonzero(table, axis=1).tolist() == [2, 0, 1]
+        assert sim.link_table(linked_config(1)).tolist() == [[0.0]]
+        assert not sim.link_table(replace(linked_config(4), links=())).any()
+
+    def test_sources_are_those_the_per_radar_oracle_links(self):
+        cfg = three_waveform_config()
+        table = sim.link_table(cfg)
+        for i, groups in enumerate(oracles.PerRadarLinks(cfg).groups):
+            sources = [0] * sum(len(rows) for _, rows, _ in groups)
+            for _, rows, members in groups:
+                for row, j in zip(rows, members):
+                    sources[row] = j
+            want = sorted({link.source for link in cfg.links if link.victim == i})
+            assert np.flatnonzero(table[i]).tolist() == sources == want
 
 
 # Directed (victim, source, INR dB) links per radar count: unlinked pairs,
@@ -357,17 +400,18 @@ class TestPerLinkEvaluation:
     def test_matches_dense_table_on_random_play(self, n):
         cfg = linked_config(n)
         table = dense_genie_table(cfg)
+        links = sim.link_table(cfg)
         actions = np.random.default_rng(n).integers(0, 4, size=(400, n))
         joint, support_row = empirical_joint(actions, 4)
         for i in range(n):
-            per_arm = genie_utility_table(cfg, actions, i)
+            per_arm = genie_utility_table(cfg, actions, i, links)
             assert per_arm.tobytes() == dense_arm_utilities(table, actions, i).tobytes()
             # run_scenario evaluates the support rows and gathers them to the steps
-            gathered = genie_utility_table(cfg, joint.rows, i)[support_row]
+            gathered = genie_utility_table(cfg, joint.rows, i, links)[support_row]
             assert gathered.tobytes() == per_arm.tobytes()
             running = external_regret(per_arm, actions[:, i])
             assert running.tobytes() == external_regret_dense(table, actions, i).tobytes()
-            gap = cce_deviation_gap(joint, genie_utility_table(cfg, joint.rows, i), i)
+            gap = cce_deviation_gap(joint, genie_utility_table(cfg, joint.rows, i, links), i)
             assert gap == pytest.approx(
                 cce_deviation_gap_dense(dense_mass(joint), table, i), rel=0, abs=1e-12)
 
@@ -519,13 +563,14 @@ class TestRunScenario:
         m = run_scenario(cfg)
         steps = m.aligned_actions.shape[0]
         joint = m.joint_distribution
+        table = sim.link_table(cfg)
         for i in range(2):
-            running = external_regret(genie_utility_table(cfg, m.aligned_actions, i),
+            running = external_regret(genie_utility_table(cfg, m.aligned_actions, i, table),
                                       m.aligned_actions[:, i])
             assert m.external_regret_db[i] == running[-1]
             np.testing.assert_array_equal(m.cumulative_regret_db[:, i],
                                           running[[63, 127, 191]])
-            gap = cce_deviation_gap(joint, genie_utility_table(cfg, joint.rows, i), i)
+            gap = cce_deviation_gap(joint, genie_utility_table(cfg, joint.rows, i, table), i)
             assert gap == pytest.approx(m.external_regret_db[i] / steps, rel=0, abs=1e-9)
 
     def test_policies_recorded(self):
@@ -700,7 +745,7 @@ class TestRadarGroups:
     @pytest.mark.parametrize("episodes_per_frame", [1, 2])
     def test_crowd_matches_per_radar_oracles(self, monkeypatch, genie, episodes_per_frame):
         cfg = self.crowd(genie, episodes_per_frame)
-        groups = sim._radar_groups(cfg)
+        groups = sim._radar_groups(cfg, sim.link_table(cfg))
         assert [g.radars.tolist() for g in groups] == [[0, 6], [1, 3], [2], [4], [5, 7]]
         m = self.run_both(monkeypatch, cfg)
         assert m.interference_rate[:, 4].max() == 0.0 < m.interference_rate[:, 5].max()
@@ -731,7 +776,7 @@ class TestRadarGroups:
                                  targets=(target(),)) for w in waves)
         links = tuple(LinkSpec(v, s, 30.0) for v in range(4) for s in range(4) if v != s)
         cfg = ScenarioConfig(radars=radars, links=links, frames=2, seed=4)
-        victims = sim._radar_groups(cfg)[0]
+        victims = sim._radar_groups(cfg, sim.link_table(cfg))[0]
         assert victims.radars.tolist() == [0, 3]
         assert max(cand.shape[1] for (cand, _), *_ in victims.links) >= 8
         self.run_both(monkeypatch, cfg)
@@ -747,7 +792,7 @@ class TestRadarGroups:
                          for i in range(16)),
             links=tuple(LinkSpec(v, s, 30.0) for v in range(16) for s in range(16) if v != s),
             frames=2, seed=2)
-        assert [len(g.radars) for g in sim._radar_groups(cfg)] == [12, 4]
+        assert [len(g.radars) for g in sim._radar_groups(cfg, sim.link_table(cfg))] == [12, 4]
 
         def traced(run):
             tracemalloc.start()

@@ -1,17 +1,18 @@
-"""tools/metrics_digest.py: one SHA-256 line per RunMetrics array."""
+"""tools/metrics_digest.py: one SHA-256 line per RunMetrics array; tools/crowd_config.py:
+an N-radar crowd scenario."""
 import ast
 import importlib.util
 from dataclasses import fields
 from pathlib import Path
 
+from hopsim.cli import parse_config
 from hopsim.sim import RunMetrics
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location(
-        "metrics_digest", ROOT / "tools" / "metrics_digest.py")
+def load_tool(name="metrics_digest"):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -62,3 +63,10 @@ def test_config_files_beside_workloads(tmp_path, capsys):
     assert tool.main(["--workload", "table1-genie", "--config", str(path), "--seeds", "3"]) == 0
     both = capsys.readouterr().out.splitlines()
     assert both == [line.replace(str(path), "table1-genie", 1) for line in alone] + alone
+
+
+def test_crowd_config_of_eight_is_the_crowd_workload(capsys):
+    assert load_tool("crowd_config").main(["8"]) == 0
+    crowd = parse_config(capsys.readouterr().out)
+    assert crowd == parse_config((ROOT / "perfbench" / "workloads" / "crowd-8.yaml").read_text())
+    assert load_tool("crowd_config").main(["0"]) == 1
