@@ -127,14 +127,6 @@ def coarse_decompose(params: ChirpParams, range_m: float) -> tuple[float, float]
     return float(rbar), float(range_m - rbar)
 
 
-def _echo_terms(params: ChirpParams, tgt: Target, noise_power: float):
-    rbar, eps0 = coarse_decompose(params, tgt.range_m)
-    f_r = params.beat_hz(tgt.range_m)
-    f_d = params.doppler_cycles(tgt.velocity_mps)
-    amp = np.sqrt(noise_power * db_power(tgt.snr_db))
-    return rbar, eps0, f_r, f_d, amp
-
-
 def delay_outside_chirp(params: ChirpParams, tgt: Target, ks: np.ndarray) -> np.ndarray:
     """Per chirp index in ``ks``, whether the target's round-trip delay leaves [0, T_a)."""
     delays = (2.0 / C) * (tgt.range_m + ks * tgt.velocity_mps * params.pri_s)
@@ -215,8 +207,8 @@ def noiseless_basis(victim: ChirpParams, targets, sources,
     add coherently. Nothing here depends on the episode.
     """
     t = np.arange(victim.n_samples) / victim.adc_hz
-    tones = [amp * np.exp(-2j * np.pi * f_r * t)
-             for _, _, f_r, _, amp in (_echo_terms(victim, tgt, noise_power) for tgt in targets)]
+    tones = [np.sqrt(noise_power * db_power(tgt.snr_db))
+             * np.exp(-2j * np.pi * victim.beat_hz(tgt.range_m) * t) for tgt in targets]
     residual = np.reshape([victim.residual_phase(src, t) for src in sources], (-1, t.size))
     rows = np.concatenate([np.reshape(tones, (-1, t.size)), np.exp(1j * residual)])
     return rows, np.conj(rows) @ rows.T

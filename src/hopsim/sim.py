@@ -35,11 +35,11 @@ from .hopping import (
     sample_subbands,
 )
 
-# Largest N_s x K block a radar synthesizes per frame in detector mode (64
-# MiB, 25x table1's). In both modes, also the most (T + L) x (N_s + K_ep)
-# noiseless rows plus coefficients that one radar, and that all radars of a
-# run together, hold; and the largest (N_s/2, A, 2A) phase tensor of a
-# radar's final-frame range profile.
+# Largest N_s x K_ep block a radar synthesizes per episode in detector
+# mode (64 MiB, 25x table1's). In both modes, also the most (T + L) x
+# (N_s + K_ep) noiseless rows plus coefficients that one radar, and that all
+# radars of a run together, hold; and the largest (N_s/2, A, 2A) phase
+# tensor of a radar's final-frame range profile.
 SAMPLE_BLOCK_GUARD = 2 ** 22
 
 # Most float-sized elements of one chunk of a radar group's stacked episode
@@ -159,17 +159,16 @@ def validate_config(config: ScenarioConfig) -> list[str]:
                 f"{label}: chirps per frame {ch.chirps_per_frame} not divisible by "
                 f"{config.episodes_per_frame} episodes")
         durations.append(ch.chirps_per_frame * ch.pri_s)
-        if config.genie_detection is not True and \
-                ch.n_samples * ch.chirps_per_frame > SAMPLE_BLOCK_GUARD:
+        k_ep = ch.chirps_per_frame // max(config.episodes_per_frame, 1) \
+            if typed["episodes_per_frame"] else ch.chirps_per_frame
+        if config.genie_detection is not True and ch.n_samples * k_ep > SAMPLE_BLOCK_GUARD:
             errors.append(
-                f"{label}: {ch.n_samples} samples per chirp x {ch.chirps_per_frame} chirps "
-                f"give {ch.n_samples * ch.chirps_per_frame} samples per frame, above the "
+                f"{label}: {ch.n_samples} samples per chirp x {k_ep} chirps per episode "
+                f"give {ch.n_samples * k_ep} samples per episode, above the "
                 f"{SAMPLE_BLOCK_GUARD} allowed")
         # Both modes hold the noiseless rows (targets, then linked sources)
         # for the whole run, and their per-chirp coefficients each episode.
         n_rows = len(spec.targets) + np.count_nonzero(table[idx - 1])
-        k_ep = ch.chirps_per_frame // max(config.episodes_per_frame, 1) \
-            if typed["episodes_per_frame"] else ch.chirps_per_frame
         basis_values.append(n_rows * (ch.n_samples + k_ep))
         if basis_values[-1] > SAMPLE_BLOCK_GUARD:
             errors.append(
@@ -571,6 +570,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     k_frame = [ch.chirps_per_frame for ch in chirps]
     k_ep, spans = _episode_spans(config)
     s_frame = max(k_frame)  # aligned steps per frame (finest chirp clock)
+    s_ep = s_frame // t_ep
 
     root = np.random.SeedSequence(config.seed)
     rngs = [
@@ -607,25 +607,27 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     # Detector mode synthesizes every episode: one workspace serves them all.
     workspace = None if config.genie_detection else sig.SampleWorkspace(
         max(ch.n_samples * k for ch, k in zip(chirps, k_ep)))
+    # The episode's chirp of each radar on every aligned step, (s_ep, n).
+    clock = np.stack([span.start + (np.arange(s_ep) * k) // s_frame
+                      for span, k in zip(spans, k_frame)], axis=1)
 
     for frame in range(config.frames):
         last = frame == config.frames - 1
-        target_phases = [
-            rngs[i]["target"].uniform(0.0, 2.0 * np.pi, size=len(spec.targets))
-            for i, spec in enumerate(config.radars)
-        ]
-        frame_subbands = np.empty((t_ep, n_chirps), dtype=int)
+        target_phases = [  # (R, T) per group
+            np.array([rngs[i]["target"].uniform(0.0, 2.0 * np.pi,
+                                                size=len(config.radars[i].targets))
+                      for i in group.radars])
+            for group in groups]
         for ep in range(t_ep):
             e = frame * t_ep + ep
             strategies[e] = probs
             for i in range(n_radars):
                 subbands[spans[i]] = sample_subbands(probs[i], rngs[i]["action"], k_ep[i])
-            frame_subbands[ep] = subbands
+            aligned[e * s_ep:(e + 1) * s_ep] = subbands[clock]
 
-            for group in groups:
+            for group, phases in zip(groups, target_phases):
                 flags, p_clean, p_intf, sums = _measure_group(
-                    group, subbands, np.array([target_phases[i] for i in group.radars]), ep,
-                    rngs, config, last, workspace)
+                    group, subbands, phases, ep, rngs, config, last, workspace)
                 if last:  # the final frame feeds the range profile through its hop sums
                     for i, radar_sums in zip(group.radars, sums):
                         hop_sums[i] += radar_sums
@@ -649,11 +651,6 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                     nash = nash_commit(nash)
                 probs[nash.radars] = nash.probs
 
-        for i in range(n_radars):
-            steps = (np.arange(s_frame) * k_frame[i]) // s_frame
-            aligned[frame * s_frame:(frame + 1) * s_frame, i] = \
-                frame_subbands[:, spans[i]].reshape(-1)[steps]
-
     del workspace
     profiles = {i: sig.range_profile_at_velocity(
         sig.range_fft(hop_sums[i]), np.arange(a) * ch.subband_hz, np.arange(ch.n_samples // 2),
@@ -663,7 +660,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     # Regret after the last aligned step of every episode. A step's
     # utilities depend only on its joint action, so they are evaluated on
     # the support rows and gathered to the steps, value for value.
-    bounds = np.arange(1, episodes + 1) * (s_frame // t_ep) - 1
+    bounds = np.arange(1, episodes + 1) * s_ep - 1
     cumulative_regret = np.zeros((episodes, n_radars))
     ext_regret = np.zeros(n_radars)
     cce_gap = np.zeros(n_radars)

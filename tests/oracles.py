@@ -40,9 +40,10 @@ from hopsim.game import (
     WELFARE_TIE_ATOL,
     CapacityError,
     JointDistribution,
+    _candidates_2p,
     check_simplex,
 )
-from hopsim.signal import C, ChirpParams, Target, _echo_terms
+from hopsim.signal import C, ChirpParams, Target
 from hopsim.sim import ScenarioConfig, overlap_geometry, run_scenario
 
 # Default tolerance (dB) for equilibrium checks.
@@ -171,13 +172,21 @@ def tx_chirp_phase(params: ChirpParams, f_k: float, t) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+def echo_terms(params: ChirpParams, tgt: Target, noise_power: float):
+    rbar, eps0 = sig.coarse_decompose(params, tgt.range_m)
+    f_r = params.beat_hz(tgt.range_m)
+    f_d = params.doppler_cycles(tgt.velocity_mps)
+    amp = np.sqrt(noise_power * sig.db_power(tgt.snr_db))
+    return rbar, eps0, f_r, f_d, amp
+
+
 def dechirped_echo(params: ChirpParams, tgt: Target, k: int, db_k: float,
                    noise_power: float = 1.0, phase0: float = 0.0) -> np.ndarray:
     """Post-mixer echo samples of one chirp; ``db_k`` is the hop offset (Hz)."""
     delay = (2.0 / C) * (tgt.range_m + k * tgt.velocity_mps * params.pri_s)
     if not 0.0 <= delay < params.active_s:
         raise ValueError("round-trip delay outside the chirp: target beyond unambiguous range")
-    rbar, eps0, f_r, f_d, amp = _echo_terms(params, tgt, noise_power)
+    rbar, eps0, f_r, f_d, amp = echo_terms(params, tgt, noise_power)
     t = np.arange(params.n_samples) / params.adc_hz
     hop = -2.0 * np.pi * (2.0 * rbar / C
                           + 2.0 * (eps0 + k * tgt.velocity_mps * params.pri_s) / C) * db_k
@@ -197,7 +206,7 @@ def echo_frame(params: ChirpParams, tgt: Target, hops_hz: np.ndarray,
     delays = (2.0 / C) * (tgt.range_m + ks * tgt.velocity_mps * params.pri_s)
     if np.any(delays < 0) or np.any(delays >= params.active_s):
         raise ValueError("round-trip delay outside the chirp: target beyond unambiguous range")
-    rbar, eps0, f_r, f_d, amp = _echo_terms(params, tgt, noise_power)
+    rbar, eps0, f_r, f_d, amp = echo_terms(params, tgt, noise_power)
     t = np.arange(params.n_samples) / params.adc_hz
     fast = amp * np.exp(-2j * np.pi * f_r * t)
     slow = np.exp(1j * (2.0 * np.pi * f_d * ks
@@ -288,7 +297,7 @@ def echo_slow(params: ChirpParams, tgt: Target, hops: np.ndarray, phase0: float,
     targets and must equal it bit for bit.
     """
     ks = k0 + np.arange(hops.size)
-    rbar, eps0, _, f_d, _ = _echo_terms(params, tgt, 1.0)
+    rbar, eps0, _, f_d, _ = echo_terms(params, tgt, 1.0)
     return np.exp(1j * (2.0 * np.pi * f_d * ks
                         - 2.0 * np.pi * (2.0 * rbar / C
                                          + 2.0 * (eps0 + ks * tgt.velocity_mps * params.pri_s) / C)
@@ -918,6 +927,38 @@ def support_enumeration_2p(table: UtilityTable, br_tol: float = 1e-8) -> list[St
                     key, StrategyProfile((MixedStrategy(p0), MixedStrategy(p1)))
                 )
     return list(found.values())
+
+
+def closed_form_equilibria_2p(snr: np.ndarray, hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both players' strategies (C, A) at each equilibrium of the two-player
+    collision game of ``snr`` and ``hit`` that equal-size support enumeration finds,
+    in its order, the first kept of those equal when rounded at 1e-9.
+    """
+    x, y = _candidates_2p(snr, hit)
+    x /= x.sum(axis=0)
+    y /= y.sum(axis=0)
+    keys = np.round(np.concatenate([x, y]).T, 9)
+    keys += 0.0  # -0.0 as 0.0
+    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    first = np.sort(np.unique(rows[:, 0], return_index=True)[1])
+    return x.T[first], y.T[first]
+
+
+def closed_form_welfare_max(snr: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """``game.solve_nash_welfare_max`` of two players in 'auto' mode, chosen
+    from ``closed_form_equilibria_2p``: the first equilibrium of each pair
+    of supports, then the welfare max, ties to the least supports."""
+    snr, hit = np.asarray(snr, dtype=float), np.asarray(hit, dtype=float)
+    x, y = closed_form_equilibria_2p(snr, hit)
+    first = {}
+    for c in range(len(x)):
+        first.setdefault((tuple(np.flatnonzero(x[c])), tuple(np.flatnonzero(y[c]))), c)
+    first = sorted(first.values())
+    x, y, d = x[first], y[first], hit - snr
+    welfare = (x * (snr[0] + d[0] * y)).sum(axis=1) + (y * (snr[1] + d[1] * x)).sum(axis=1)
+    tied = np.flatnonzero(welfare >= welfare.max() - WELFARE_TIE_ATOL)
+    c = min(tied, key=lambda c: (tuple(np.flatnonzero(x[c])), tuple(np.flatnonzero(y[c]))))
+    return check_simplex(np.stack([x[c], y[c]]))
 
 
 def welfare_max_profile(table: UtilityTable, mixed: list[StrategyProfile]) -> StrategyProfile:

@@ -29,6 +29,7 @@ from hopsim.cli import (
 from hopsim.game import empirical_joint
 from hopsim.signal import ChirpParams, Target
 from hopsim.sim import (
+    SAMPLE_BLOCK_GUARD,
     LinkSpec,
     RadarSpec,
     ScenarioConfig,
@@ -656,7 +657,7 @@ class TestStrictConfig:
         (14, ("auto", "auto"), (1, 2)), (14, ("pure", "pure"), ())])
     def test_support_pair_guard(self, tmp_path, capsys, subbands, modes, named):
         # A 2-radar 'auto' solve enumerates (2^A - 1) + A(A - 1) 2^(A - 2)
-        # support pairs: 327,679 on 13 subbands (up to 2 s and 360 MB per
+        # support pairs: 327,679 on 13 subbands (about 0.5 s and 200 MB per
         # solve), 761,855 on 14.
         doc = crowd_doc(2, "nash", subbands)
         doc["radars"] = [dict(r, policy_params=dict(r["policy_params"], solver_mode=mode))
@@ -690,8 +691,28 @@ class TestStrictConfig:
         doc["run"]["genie_detection"] = False
         code, err = exit_code_and_errors(tmp_path, capsys, doc)
         assert code == 2
-        assert ("radars[2]: 3200000 samples per chirp x 256 chirps give 819200000 "
-                "samples per frame, above the 4194304 allowed") in err
+        assert ("radars[2]: 3200000 samples per chirp x 256 chirps per episode give "
+                "819200000 samples per episode, above the 4194304 allowed") in err
+        assert "radars[1]" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_sample_block_guard_is_per_episode(self, tmp_path, capsys):
+        # At 700 MHz sampling radar 2's frame holds 22,400 x 256 samples,
+        # above the guard, but detector mode synthesizes one episode at a
+        # time: two episodes per frame need half that block.
+        doc = yaml.safe_load(bundled_config_path("table1").read_text())
+        doc["radars"][1]["adc_hz"] = 7.0e8
+        doc["run"]["genie_detection"] = False
+        doc["run"]["episodes_per_frame"] = 2
+        config = parse_config(yaml.safe_dump(doc))
+        n_s = config.radars[1].chirp.n_samples
+        assert n_s * 128 <= SAMPLE_BLOCK_GUARD < n_s * 256
+        assert validate_config(config) == []
+        doc["run"]["episodes_per_frame"] = 1
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert (f"radars[2]: {n_s} samples per chirp x 256 chirps per episode give "
+                f"{n_s * 256} samples per episode, above the 4194304 allowed") in err
         assert "radars[1]" not in err
         assert not (tmp_path / "o").exists()
 

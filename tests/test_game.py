@@ -1,5 +1,6 @@
 """Game core: strategies, utility tables, equilibria, regret."""
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,8 @@ from oracles import (
     MixedStrategy,
     StrategyProfile,
     UtilityTable,
+    closed_form_equilibria_2p,
+    closed_form_welfare_max,
     collision_table,
     dense_arm_utilities,
     deviation_utilities,
@@ -464,9 +467,9 @@ def assert_close_profiles(got, expected):
 
 
 def closed_form_equilibria(snr, hit):
-    """``game._equilibria_2p`` as profiles."""
+    """``closed_form_equilibria_2p`` as profiles."""
     return [StrategyProfile((MixedStrategy(x), MixedStrategy(y)))
-            for x, y in zip(*game._equilibria_2p(snr, hit))]
+            for x, y in zip(*closed_form_equilibria_2p(snr, hit))]
 
 
 def assert_matches_loop_oracle(snr, hit):
@@ -537,7 +540,7 @@ class TestDegenerateCells:
         # floating point unless the residue is set to 0.
         snr = np.array([[17.0, 28.0, -10.0], [-10.0, 27.0, -10.0]])
         hit = np.array([[-10.0, -10.0, -10.0], [12.0, -10.0, -10.0]])
-        x, y = game._equilibria_2p(snr, hit)
+        x, y = closed_form_equilibria_2p(snr, hit)
         assert x[3].tolist() == [0.0, 1.0, 0.0]
         assert np.flatnonzero(y[3]).tolist() == [0, 1]
         assert_matches_loop_oracle(snr, hit)
@@ -554,6 +557,64 @@ class TestDegenerateCells:
         aug[:2, 2], aug[2, :2] = -1.0, 1.0
         assert np.linalg.slogdet(aug)[0] != 0.0
         assert_matches_loop_oracle(snr, hit)
+
+
+class TestFirstCandidatePerSupportPair:
+    """The solve keeps the first candidate of each pair of supports, keyed by
+    bit masks, against the choice made from the oracles' list of distinct
+    equilibria."""
+
+    def test_exact_agreement_with_rounded_list(self):
+        rng = np.random.default_rng(6)
+        games = [random_estimates(rng) for _ in range(300)]
+        for a in range(1, 9):
+            games += [(np.full((2, a), -10.0), np.full((2, a), -10.0)),
+                      anti_coordination(2, a), (np.full((2, a), 5.0), np.full((2, a), 7.0))]
+        for _ in range(50):
+            snr, hit = random_estimates(rng)
+            games += [(snr, np.where(rng.random(snr.shape) < 0.4, snr, hit)),
+                      (rng.choice([15.0, 20.0], size=snr.shape), hit)]
+        games.append(MATCHING_PENNIES)
+        for snr, hit in games:
+            assert solve_nash_welfare_max(snr, hit).tobytes() \
+                == closed_form_welfare_max(snr, hit).tobytes()
+
+    def test_distinct_equilibria_share_a_support_pair(self):
+        # The 68th game of the seed-2 estimated family has two equilibria on
+        # the supports ({0, 2}, {0, 1, 3}) that differ in player 1's mix.
+        rng = np.random.default_rng(2)
+        for _ in range(68):
+            snr, hit = random_estimates(rng)
+        x, y = closed_form_equilibria_2p(snr, hit)
+        shared = [c for c in range(len(x))
+                  if (np.flatnonzero(x[c]).tolist(), np.flatnonzero(y[c]).tolist())
+                  == ([0, 2], [0, 1, 3])]
+        assert len(shared) == 2
+        assert np.abs(y[shared[0]] - y[shared[1]]).max() > 0.1
+        assert solve_nash_welfare_max(snr, hit).tobytes() \
+            == closed_form_welfare_max(snr, hit).tobytes()
+
+    def test_later_candidate_on_kept_supports_is_not_compared(self, monkeypatch):
+        # Two candidates on the supports ({0, 1}, {0, 1}): the second has
+        # the higher welfare (29 against 5), but only the first is compared.
+        snr, hit = np.array([[20.0, 10.0], [10.0, 20.0]]), np.full((2, 2), -10.0)
+        monkeypatch.setattr(game, "_candidates_2p", lambda snr, hit: (
+            np.array([[0.5, 0.9], [0.5, 0.1]]), np.array([[0.5, 0.1], [0.5, 0.9]])))
+        np.testing.assert_array_equal(solve_nash_welfare_max(snr, hit), np.full((2, 2), 0.5))
+
+    def test_worst_case_solve_memory(self):
+        # Anti-coordination at 12 subbands: 135,169 of the 139,263 support
+        # pairs pass both checks. The traced peak of one solve was 102 MiB
+        # while rounded probabilities deduplicated it first, 61 MiB now.
+        snr, hit = anti_coordination(2, 12)
+        game._support_pairs(12)
+        tracemalloc.start()
+        try:
+            solve_nash_welfare_max(snr, hit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * 2**20
 
 
 class TestCceDeviationGap:

@@ -517,6 +517,17 @@ class TestNoiselessBasis:
         assert collide.any(axis=1).all() and not collide.all()
 
 
+    def test_tones_are_the_echo_terms(self):
+        # Each target row is its amplitude times its beat tone, bit for bit.
+        p = table1_params()
+        targets = (sig.Target(range_m=20.0, velocity_mps=-15.0, snr_db=20.0),
+                   sig.Target(range_m=35.3, velocity_mps=-10.0, snr_db=5.0))
+        rows, _ = sig.noiseless_basis(p, targets, [table1_params()], 2.0)
+        t = np.arange(p.n_samples) / p.adc_hz
+        for row, tgt in zip(rows, targets):
+            _, _, f_r, _, amp = oracles.echo_terms(p, tgt, 2.0)
+            assert row.tobytes() == (amp * np.exp(-2j * np.pi * f_r * t)).tobytes()
+
 class TestGenieStatistics:
     """The per-chirp powers genie mode draws instead of synthesizing samples."""
 

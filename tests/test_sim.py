@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hopsim.signal as sig
-from hopsim import game, hopping, sim
+from hopsim import hopping, sim
 from hopsim.cli import parse_config
 from hopsim.game import cce_deviation_gap, empirical_joint, external_regret
 from hopsim.sim import (
@@ -32,6 +32,7 @@ import oracles
 from oracles import (
     bundled_config_path,
     cce_deviation_gap_dense,
+    closed_form_equilibria_2p,
     collision_table,
     dense_arm_utilities,
     dense_genie_table,
@@ -473,6 +474,32 @@ class TestRunScenario:
                 rate = np.mean([len(r) > 0 for r in table[i]])
                 assert m.interference_rate[frame, i] == pytest.approx(rate)
 
+    @pytest.mark.parametrize("episodes_per_frame,k", [(1, (64, 32)), (4, (64, 16))])
+    def test_aligned_actions_follow_each_radars_chirp_clock(self, monkeypatch,
+                                                            episodes_per_frame, k):
+        # Aligned step s of a frame shows radar i's chirp (s K_i) // S of
+        # the subbands it drew over the frame's episodes.
+        cfg = two_radar_config(("noregret", "uniform"), frames=3, seed=4, k=k,
+                               episodes_per_frame=episodes_per_frame)
+        actions, sample = [], sim.sample_subbands
+
+        def recording_sample(probs, rng, size):  # radars draw in index order
+            actions.append(sample(probs, rng, size))
+            return actions[-1].copy()
+
+        monkeypatch.setattr(sim, "sample_subbands", recording_sample)
+        m = run_scenario(cfg)
+        per_episode = len(actions) // (cfg.frames * episodes_per_frame)
+        s_frame = max(k)
+        for frame in range(cfg.frames):
+            drawn = actions[frame * episodes_per_frame * per_episode:][
+                :episodes_per_frame * per_episode]
+            for i, k_i in enumerate(k):
+                steps = (np.arange(s_frame) * k_i) // s_frame
+                want = np.concatenate(drawn[i::per_episode])[steps]
+                np.testing.assert_array_equal(
+                    m.aligned_actions[frame * s_frame:(frame + 1) * s_frame, i], want)
+
     def test_single_radar_interference_free(self):
         cfg = ScenarioConfig(radars=(
             RadarSpec(chirp=chirp(), targets=(target(),)),), frames=3)
@@ -838,7 +865,7 @@ class TestStagedSolverOnExploreTables:
         assert len(solved) == 6
         for snr, hit in solved:
             expected = support_enumeration_2p(collision_table(snr, hit))
-            found = game._equilibria_2p(snr, hit)
+            found = closed_form_equilibria_2p(snr, hit)
             assert len(found[0]) == len(expected)
             for x, y, q in zip(*found, expected):
                 for s, t in zip((x, y), q.strategies):
