@@ -121,7 +121,19 @@ def _mappings(doc: dict, section: str, errors: list) -> list:
 
 
 class _Loader(yaml.SafeLoader):
-    """YAML's safe loader, with mappings built by ``_mapping_without_repeats``."""
+    """YAML's safe loader, with mappings built by ``_mapping_without_repeats``.
+
+    Its pure-Python scanner quotes the offending line, with a caret under
+    the column, in every parse error.
+    """
+
+
+class _FastLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """``_Loader`` on libyaml's scanner and parser where PyYAML has them.
+
+    Its errors name the line and column but quote nothing, so a document
+    it rejects is parsed again by ``_Loader`` for the message.
+    """
 
 
 def _mapping_without_repeats(loader: _Loader, node: yaml.MappingNode) -> dict:
@@ -141,7 +153,9 @@ def _mapping_without_repeats(loader: _Loader, node: yaml.MappingNode) -> dict:
     return loader.construct_mapping(node, deep=True)
 
 
-_Loader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _mapping_without_repeats)
+for _loader in (_Loader, _FastLoader):
+    _loader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG,
+                            _mapping_without_repeats)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -150,9 +164,12 @@ def parse_config(text: str) -> ScenarioConfig:
     Each radar's policy parameters come back resolved, defaults filled in.
     """
     try:
-        doc = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        raise ScenarioError([f"YAML parse error: {exc}"]) from exc
+        doc = yaml.load(text, Loader=_FastLoader)
+    except yaml.YAMLError:
+        try:
+            doc = yaml.load(text, Loader=_Loader)
+        except yaml.YAMLError as exc:
+            raise ScenarioError([f"YAML parse error: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ScenarioError(["document must be a mapping with sections radars/targets/links/run"])
 
@@ -303,10 +320,9 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(str(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+def _write_lines(path: Path, header: str, lines: list[str]):
+    """A CSV file: the header, then one formatted line per row."""
+    path.write_text("\n".join([header, *lines]) + "\n")
 
 
 def _write_joint_csv(path: Path, joint: JointDistribution):
@@ -315,32 +331,33 @@ def _write_joint_csv(path: Path, joint: JointDistribution):
     Joint actions are labelled 1-based, as ``"3"`` for one radar and
     ``"1-10-4"`` for three.
     """
-    rows = [("-".join(str(a + 1) for a in row), repr(float(m)))
-            for row, m in zip(joint.rows.tolist(), joint.mass)]
-    _write_csv(path, ["joint_action", "mass"], rows)
+    _write_lines(path, "joint_action,mass",
+                 [f"{'-'.join(map(str, row))},{m!r}"
+                  for row, m in zip((joint.rows + 1).tolist(), joint.mass.tolist())])
 
 
 def _emit_seed(out_dir: Path, seed: int, metrics: RunMetrics) -> tuple[dict, dict]:
+    """Write one seed's CSVs; return their digests and the seed's summary.
+
+    Every value is a Python float from ``tolist``, written as its ``repr``,
+    which is the ``repr`` of ``float`` of the array's float64.
+    """
     seed_dir = out_dir / f"seed_{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
-    episodes, n_radars, n_sub = metrics.strategies.shape
 
-    rows = [(e + 1, i + 1, a + 1, repr(float(metrics.strategies[e, i, a])))
-            for e in range(episodes) for i in range(n_radars) for a in range(n_sub)]
-    _write_csv(seed_dir / "strategies.csv",
-               ["episode", "radar", "subband", "probability"], rows)
-
-    rows = [(e + 1, i + 1, repr(float(metrics.interference_rate[e, i])),
-             repr(float(metrics.mean_sinr_db[e, i])))
-            for e in range(episodes) for i in range(n_radars)]
-    _write_csv(seed_dir / "interference.csv",
-               ["episode", "radar", "rate", "mean_sinr_db"], rows)
-
-    rows = [(e + 1, i + 1, repr(float(metrics.cumulative_regret_db[e, i])))
-            for e in range(episodes) for i in range(n_radars)]
-    _write_csv(seed_dir / "regret.csv",
-               ["episode", "radar", "cumulative_regret_db"], rows)
-
+    _write_lines(seed_dir / "strategies.csv", "episode,radar,subband,probability",
+                 [f"{e},{i},{a},{p!r}"
+                  for e, radars in enumerate(metrics.strategies.tolist(), 1)
+                  for i, row in enumerate(radars, 1) for a, p in enumerate(row, 1)])
+    _write_lines(seed_dir / "interference.csv", "episode,radar,rate,mean_sinr_db",
+                 [f"{e},{i},{rate!r},{sinr!r}"
+                  for e, rows in enumerate(zip(metrics.interference_rate.tolist(),
+                                               metrics.mean_sinr_db.tolist()), 1)
+                  for i, (rate, sinr) in enumerate(zip(*rows), 1)])
+    _write_lines(seed_dir / "regret.csv", "episode,radar,cumulative_regret_db",
+                 [f"{e},{i},{v!r}"
+                  for e, row in enumerate(metrics.cumulative_regret_db.tolist(), 1)
+                  for i, v in enumerate(row, 1)])
     _write_joint_csv(seed_dir / "joint_dist.csv", metrics.joint_distribution)
 
     widths = {}
@@ -348,9 +365,9 @@ def _emit_seed(out_dir: Path, seed: int, metrics: RunMetrics) -> tuple[dict, dic
         if policy in widths or i not in metrics.profiles:
             continue
         profile = metrics.profiles[i]
-        rows = [(f"{r:.4f}", repr(float(m)))
-                for r, m in zip(profile.ranges_m, profile.mags_db)]
-        _write_csv(seed_dir / f"profile_{policy}.csv", ["range_m", "magnitude_db"], rows)
+        _write_lines(seed_dir / f"profile_{policy}.csv", "range_m,magnitude_db",
+                     [f"{r:.4f},{m!r}"
+                      for r, m in zip(profile.ranges_m.tolist(), profile.mags_db.tolist())])
         widths[policy] = sig.mainlobe_width(profile)
 
     # The files written here only: a reused directory may hold other runs' profiles.

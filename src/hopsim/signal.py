@@ -194,17 +194,21 @@ def column_energy(gram: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 def noiseless_basis(victim: ChirpParams, targets, sources,
                     noise_power: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fast-time rows of the victim's noiseless block, (T + L, N_s), and their Gram matrix.
+    """Fast-time rows of the victim's noiseless block, (T + D, N_s), and their Gram matrix.
 
     After dechirping every noiseless term is rank-1 in (fast time, chirp):
     target t's echo is its tone amp_t exp(-j2pi f_r t) times a per-chirp
     phase (the hop term has no fast-time part), and source j's interference
     is its residual chirp b_j = exp(j pi (a_v - a_j) t^2) times a per-chirp
-    amplitude. Rows hold the T tones, then the L residual chirps. For
-    per-chirp coefficients C (T + L, K) the block is rows.T @ C, and chirp
+    amplitude. Rows hold the T tones, then one residual chirp per entry of
+    ``sources``. b_j depends only on source j's slope, so sources of one
+    slope share a row whose coefficient is the sum of their amplitudes; the
+    simulator passes one source per slope class, D rows in all. For
+    per-chirp coefficients C (T + D, K) the block is rows.T @ C, and chirp
     k's energy sum_n |x_k[n]|^2 is Re(c_k^H gram c_k) with the summed Gram
-    matrix gram = conj(rows) @ rows.T. Same-slope sources share b = 1 and
-    add coherently. Nothing here depends on the episode.
+    matrix gram = conj(rows) @ rows.T, whose (T + D)^2 blocks hold the
+    targets' and the classes' cross terms. Nothing here depends on the
+    episode.
     """
     t = np.arange(victim.n_samples) / victim.adc_hz
     tones = [np.sqrt(noise_power * db_power(tgt.snr_db))
@@ -285,10 +289,10 @@ def measure_episode(rows: np.ndarray, coeffs: np.ndarray, noise_power: float,
                     workspace: SampleWorkspace | None):
     """One radar's per-chirp measurements over an episode of K chirps.
 
-    ``rows`` (T + L, N_s) is the radar's ``noiseless_basis`` over its T
-    targets and L linked sources, and ``coeffs`` (T + L, K) the rows'
+    ``rows`` (T + D, N_s) is the radar's ``noiseless_basis`` over its T
+    targets and D source slope classes, and ``coeffs`` (T + D, K) the rows'
     per-chirp coefficients: the targets' slow-time phases (``echo_slow``),
-    then each source's complex amplitude. Detector mode (``genie`` None)
+    then each class's summed complex amplitude. Detector mode (``genie`` None)
     synthesizes x = rows.T @ coeffs plus noise in ``workspace`` and
     detects. Genie mode passes ``genie`` = (flags, energy, interference
     power), each (K,): the collided chirps, the targets' Gram-form energy

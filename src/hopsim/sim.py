@@ -38,8 +38,9 @@ from .hopping import (
 # Largest N_s x K_ep block a radar synthesizes per episode in detector
 # mode (64 MiB, 25x table1's). In both modes, also the most (T + L) x
 # (N_s + K_ep) noiseless rows plus coefficients that one radar, and that all
-# radars of a run together, hold; and the largest (N_s/2, A, 2A) phase
-# tensor of a radar's final-frame range profile.
+# radars of a run together, may hold (T targets and L linked sources bound
+# the T + D rows of D source slopes held); and the largest (N_s/2, A, 2A)
+# phase tensor of a radar's final-frame range profile.
 SAMPLE_BLOCK_GUARD = 2 ** 22
 
 # Most float-sized elements of one chunk of a radar group's stacked episode
@@ -166,8 +167,9 @@ def validate_config(config: ScenarioConfig) -> list[str]:
                 f"{label}: {ch.n_samples} samples per chirp x {k_ep} chirps per episode "
                 f"give {ch.n_samples * k_ep} samples per episode, above the "
                 f"{SAMPLE_BLOCK_GUARD} allowed")
-        # Both modes hold the noiseless rows (targets, then linked sources)
-        # for the whole run, and their per-chirp coefficients each episode.
+        # Both modes hold the noiseless rows (targets, then one per source
+        # slope, at most one per linked source) for the whole run, and their
+        # per-chirp coefficients each episode.
         n_rows = len(spec.targets) + np.count_nonzero(table[idx - 1])
         basis_values.append(n_rows * (ch.n_samples + k_ep))
         if basis_values[-1] > SAMPLE_BLOCK_GUARD:
@@ -362,24 +364,29 @@ def overlap_geometry(victim: sig.ChirpParams, source: sig.ChirpParams,
 
 @dataclass(frozen=True)
 class _Group:
-    """Radars that share a waveform, a target count and an incoming-link count.
+    """Radars that share a waveform, a target count, an incoming-link count and
+    the set of their sources' slopes.
 
     Row r of every array belongs to radar ``radars[r]``, whose L links are
     in ascending source order. ``links`` holds one entry per source
     waveform: its ``overlap_geometry`` (cand, frac) against the group's
     waveform and, for each (victim, link) pair it serves, the source's
     chirp positions in the episode's flat arrays (pairs, K_w), the victim's
-    row and the link's slot r * L + l.
+    row and the link's slot r * L + l. A source's residual chirp depends
+    only on its slope, so the group's D <= L source slopes are its classes:
+    each radar has one noiseless row per class, whose coefficient sums the
+    amplitudes of the radar's links of that slope.
     """
 
     radars: np.ndarray
     chirp: sig.ChirpParams
     chirps: np.ndarray           # (R, K) positions of the radars' chirps in the flat arrays
     power: np.ndarray            # (R, L, 1) linear link powers
+    classes: np.ndarray          # (R * L,) each link's flat (radar, class) offset r * D + d
     echo: np.ndarray             # the targets' sig.echo_constants
-    rows: tuple                  # each radar's noiseless_basis rows
+    rows: tuple                  # each radar's noiseless_basis rows, (T + D, N_s)
     gram_t: np.ndarray           # (R, T, T) target blocks of the Gram matrices
-    gram_s: np.ndarray           # (R, L, L) source blocks
+    gram_s: np.ndarray           # (R, D, D) source class blocks
     links: tuple
 
 
@@ -393,17 +400,19 @@ def _episode_spans(config: ScenarioConfig) -> tuple[list, list]:
 
 def _radar_groups(config: ScenarioConfig, table: np.ndarray) -> list:
     """The run's ``_Group``s, each a chunk of the radars sharing a waveform, a
-    target count and a link count, in order of their first radar; ``table``
-    is the run's ``link_table``.
+    target count, a link count and a set of source slopes, in order of their
+    first radar; ``table`` is the run's ``link_table``.
 
     Episode boundaries align in time across radars, so a group's overlap
     geometry, link powers, Gram blocks and echo constants hold for every
-    episode of the run. A chunk's stacked episode arrays hold at most
+    episode of the run. A chunk's classes are its source slopes in the
+    order its links first reach them, each row built from one source of
+    that slope. A chunk's stacked episode arrays hold at most
     ``GROUP_CHUNK_ELEMENTS`` float-sized elements: per radar and chirp, two
     for each column of its link weight tensor (the int gather, then the
-    bool hits and their float products) and eight for each row of its
-    (T + L) link and echo arrays (weights, phases, complex coefficients
-    and the Gram products).
+    bool hits and their float products) and eight for each of its T + L
+    targets and links (weights, phases, complex coefficients and the Gram
+    products; there are no more than T + D <= T + L coefficient rows).
     """
     noise = config.noise_power
     k_ep, spans = _episode_spans(config)
@@ -412,9 +421,10 @@ def _radar_groups(config: ScenarioConfig, table: np.ndarray) -> list:
     chirps = [spec.chirp for spec in config.radars]
     keyed = {}  # group key -> its radars
     for i, spec in enumerate(config.radars):
-        keyed.setdefault((chirps[i], len(spec.targets), len(sources[i])), []).append(i)
+        slopes = frozenset(chirps[j].slope for j in sources[i])
+        keyed.setdefault((chirps[i], len(spec.targets), len(sources[i]), slopes), []).append(i)
     groups = []
-    for (wave, n_t, n_l), members in keyed.items():
+    for (wave, n_t, n_l, _), members in keyed.items():
         k = k_ep[members[0]]
         heard = {chirps[j]: j for i in members for j in sources[i]}  # waveform -> a source
         geometry = {src: overlap_geometry(wave, src, k, k_ep[j]) for src, j in heard.items()}
@@ -422,8 +432,13 @@ def _radar_groups(config: ScenarioConfig, table: np.ndarray) -> list:
         size = max(1, GROUP_CHUNK_ELEMENTS // (k * (2 * columns + 8 * (n_t + n_l))))
         for start in range(0, len(members), size):
             chunk = members[start:start + size]
-            bases = [sig.noiseless_basis(wave, config.radars[i].targets,
-                                         [chirps[j] for j in sources[i]], noise) for i in chunk]
+            by_slope = {}  # source slope -> a source waveform of that slope, in class order
+            for i in chunk:
+                for j in sources[i]:
+                    by_slope.setdefault(chirps[j].slope, chirps[j])
+            cls = {slope: d for d, slope in enumerate(by_slope)}
+            bases = [sig.noiseless_basis(wave, config.radars[i].targets, list(by_slope.values()),
+                                         noise) for i in chunk]
             pairs = {}  # source waveform -> (source chirps, victim row, slot) per pair
             for r, i in enumerate(chunk):
                 for l, j in enumerate(sources[i]):
@@ -435,10 +450,13 @@ def _radar_groups(config: ScenarioConfig, table: np.ndarray) -> list:
                 chirps=np.array([positions[i] for i in chunk]),
                 power=noise * np.reshape([table[i, sources[i]] for i in chunk],
                                          (len(chunk), n_l, 1)),
+                classes=np.array([r * len(cls) + cls[chirps[j].slope]
+                                  for r, i in enumerate(chunk) for j in sources[i]], dtype=np.intp),
                 echo=sig.echo_constants(wave, [config.radars[i].targets for i in chunk]),
                 rows=tuple(rows for rows, _ in bases),
                 gram_t=np.array([gram[:n_t, :n_t] for _, gram in bases]),
-                gram_s=np.reshape([gram[n_t:, n_t:] for _, gram in bases], (len(chunk), n_l, n_l)),
+                gram_s=np.reshape([gram[n_t:, n_t:] for _, gram in bases],
+                                  (len(chunk), len(cls), len(cls))),
                 links=links))
     return groups
 
@@ -446,17 +464,25 @@ def _radar_groups(config: ScenarioConfig, table: np.ndarray) -> list:
 def _group_weights(group: _Group, subbands: np.ndarray) -> np.ndarray:
     """The group's overlap weights (R, L, K_v) on the episode's flat ``subbands``.
 
-    Per source waveform one C-ordered ``np.take`` gathers every served
-    pair's candidate source chirps, (pairs, K_v, C), so each weight is
-    summed as the per-pair (K_v, C) product is, in order below 8 columns
-    and pairwise from 8 on.
+    Per source waveform, every served pair at once. Below
+    ``_IN_ORDER_SUM_TERMS`` candidate columns, each column's (pairs, K_v)
+    hits are gathered and their overlaps added in column order, as numpy
+    adds so few terms. From 8 on, one C-ordered ``np.take`` gathers the
+    (pairs, K_v, C) hits, summed pairwise as the per-pair product is.
     """
     n_r, n_l = group.power.shape[:2]
     acts = subbands[group.chirps]
     weights = np.empty((n_r * n_l, acts.shape[1]))
     for (cand, frac), source_chirps, vic, slots in group.links:
-        hits = np.take(subbands[source_chirps], cand, axis=1) == acts[vic][:, :, None]
-        weights[slots] = (frac * hits).sum(axis=2)
+        played, heard = subbands[source_chirps], acts[vic]
+        if cand.shape[1] < _IN_ORDER_SUM_TERMS:
+            total = np.zeros(heard.shape)
+            for c in range(cand.shape[1]):
+                total += frac[:, c] * (np.take(played, cand[:, c], axis=1) == heard)
+            weights[slots] = total
+        else:
+            hits = np.take(played, cand, axis=1) == heard[:, :, None]
+            weights[slots] = (frac * hits).sum(axis=2)
     return weights.reshape(n_r, n_l, acts.shape[1])
 
 
@@ -471,23 +497,27 @@ def _measure_group(group: _Group, subbands: np.ndarray, target_phases: np.ndarra
     """
     ch, noise = group.chirp, config.noise_power
     n_r, n_l = group.power.shape[:2]
-    n_t = group.gram_t.shape[1]
+    n_t, n_d = group.gram_t.shape[1], group.gram_s.shape[1]
     acts = subbands[group.chirps]
     k = acts.shape[1]
     k0 = ep * k
     weights = _group_weights(group, subbands)
     # One phase per link and chirp keeps each radar's draw order; a chirp
     # a source misses has amplitude 0, so only hits need sqrt and exp. The
-    # hits' flat (R, L, K) indices serve every gather, and shifted past the
-    # target rows, the scatter into the (R, T + L, K) coefficients.
+    # hits' flat (R, L, K) indices serve every gather, and moved to their
+    # link's (radar, class) offset, they bin each class's amplitudes, in
+    # link order, into the (R, D, K) source coefficients.
     phases = np.empty(weights.shape)
     for r, i in enumerate(group.radars):
         phases[r] = rngs[i]["intf"].uniform(0.0, 2.0 * np.pi, size=(n_l, k))
     hit = np.flatnonzero(weights > 0)
-    coeffs = np.zeros((n_r, n_t + n_l, k), dtype=complex)
-    coeffs.reshape(-1)[hit + n_t * k * (hit // (n_l * k) + 1)] = (
-        np.sqrt(group.power.reshape(-1)[hit // k] * weights.reshape(-1)[hit])
-        * np.exp(1j * phases.reshape(-1)[hit]))
+    link = hit // k
+    amps = (np.sqrt(group.power.reshape(-1)[link] * weights.reshape(-1)[hit])
+            * np.exp(1j * phases.reshape(-1)[hit]))
+    bins = hit + (group.classes[link] - link) * k
+    coeffs = np.empty((n_r, n_t + n_d, k), dtype=complex)
+    for part, values in ((coeffs.real, amps.real), (coeffs.imag, amps.imag)):
+        part[:, n_t:] = np.bincount(bins, values, n_r * n_d * k).reshape(n_r, n_d, k)
     coeffs[:, :n_t] = sig.echo_slow(ch, group.echo, acts, target_phases, k0)
     clean = np.empty((n_r, k))
     if config.genie_detection:

@@ -31,7 +31,6 @@ from hopsim.cli import (
     _emit_seed,
     _sha256,
     _worker_count,
-    _write_csv,
     config_document,
 )
 from hopsim.game import (
@@ -1090,6 +1089,87 @@ class PerRadarLinks:
         monkeypatch.setattr(sig, "column_energy", self.column_energy)
 
 
+def summed_group_weights(group, subbands: np.ndarray) -> np.ndarray:
+    """``sim._group_weights`` with every geometry's (pairs, K_v, C) hits gathered
+    by one ``np.take`` and weighted overlaps summed over the last axis."""
+    n_r, n_l = group.power.shape[:2]
+    acts = subbands[group.chirps]
+    weights = np.empty((n_r * n_l, acts.shape[1]))
+    for (cand, frac), source_chirps, vic, slots in group.links:
+        hits = np.take(subbands[source_chirps], cand, axis=1) == acts[vic][:, :, None]
+        weights[slots] = (frac * hits).sum(axis=2)
+    return weights.reshape(n_r, n_l, acts.shape[1])
+
+
+class PerLinkRows:
+    """The one-row-per-link synthesis that ``run_scenario`` ran before it summed
+    each victim's sources by slope class.
+
+    Each radar's noiseless rows are its T target tones, then one residual
+    chirp per link in source order, (T + L, N_s), with an (L, L) source
+    Gram block. ``install`` puts these groups (the simulator's chunks, rows
+    and Gram blocks rebuilt) in place of ``sim._radar_groups`` and
+    ``measure_group`` in place of ``sim._measure_group``.
+    """
+
+    def __init__(self, config: ScenarioConfig):
+        table = sim.link_table(config)
+        chirps = [spec.chirp for spec in config.radars]
+        self.groups = []
+        for group in sim._radar_groups(config, table):
+            n_t = group.gram_t.shape[1]
+            bases = [sig.noiseless_basis(group.chirp, config.radars[i].targets,
+                                         [chirps[j] for j in np.flatnonzero(table[i])],
+                                         config.noise_power) for i in group.radars]
+            self.groups.append(replace(
+                group, rows=tuple(rows for rows, _ in bases),
+                gram_t=np.array([gram[:n_t, :n_t] for _, gram in bases]),
+                gram_s=np.array([gram[n_t:, n_t:] for _, gram in bases]).reshape(
+                    (len(bases),) + (group.power.shape[1],) * 2)))
+
+    @staticmethod
+    def measure_group(group, subbands, target_phases, ep, rngs, config, last, workspace):
+        """``sim._measure_group`` on these groups: every link's hit amplitudes
+        scattered into its own coefficient row of (R, T + L, K)."""
+        ch, noise = group.chirp, config.noise_power
+        n_r, n_l = group.power.shape[:2]
+        n_t = group.gram_t.shape[1]
+        acts = subbands[group.chirps]
+        k = acts.shape[1]
+        k0 = ep * k
+        weights = summed_group_weights(group, subbands)
+        phases = np.empty(weights.shape)
+        for r, i in enumerate(group.radars):
+            phases[r] = rngs[i]["intf"].uniform(0.0, 2.0 * np.pi, size=(n_l, k))
+        hit = np.flatnonzero(weights > 0)
+        coeffs = np.zeros((n_r, n_t + n_l, k), dtype=complex)
+        coeffs.reshape(-1)[hit + n_t * k * (hit // (n_l * k) + 1)] = (
+            np.sqrt(group.power.reshape(-1)[hit // k] * weights.reshape(-1)[hit])
+            * np.exp(1j * phases.reshape(-1)[hit]))
+        coeffs[:, :n_t] = sig.echo_slow(ch, group.echo, acts, target_phases, k0)
+        clean = np.empty((n_r, k))
+        if config.genie_detection:
+            flags = np.any(weights, axis=1)
+            energy = sig.column_energy(group.gram_t, coeffs[:, :n_t])
+            intf = sig.column_energy(group.gram_s, coeffs[:, n_t:]) / ch.n_samples
+        else:
+            flags, intf = np.empty((n_r, k), dtype=bool), np.empty((n_r, k))
+        sums = []
+        for r, i in enumerate(group.radars):
+            flags[r], clean[r], intf[r], radar_sums = sig.measure_episode(
+                group.rows[r], coeffs[r], noise, rngs[i]["noise"],
+                genie=(flags[r], energy[r], intf[r]) if config.genie_detection else None,
+                hop_weights=sig.hop_sum_weights(
+                    ch, acts[r], config.radars[i].targets[0].velocity_mps, k0) if last else None,
+                detection_factor=config.detection_factor, workspace=workspace)
+            sums.append(radar_sums)
+        return flags, clean, intf, sums
+
+    def install(self, monkeypatch):
+        monkeypatch.setattr(sim, "_radar_groups", lambda config, table: self.groups)
+        monkeypatch.setattr(sim, "_measure_group", self.measure_group)
+
+
 def from_collisions_dense(weights: np.ndarray, n_subbands: int, utility) -> UtilityTable:
     """Table valued by who shares each player's subband, on full ``np.indices`` grids.
 
@@ -1176,9 +1256,54 @@ def dense_mass(joint: JointDistribution) -> np.ndarray:
 
 def write_joint_csv_rows(path: Path, mass: np.ndarray):
     """``joint_dist.csv`` built row by row over ``np.ndindex``."""
-    rows = [("-".join(str(a + 1) for a in idx), repr(float(mass[idx])))
-            for idx in np.ndindex(mass.shape)]
-    _write_csv(path, ["joint_action", "mass"], rows)
+    lines = ["joint_action,mass"]
+    lines += ["-".join(str(a + 1) for a in idx) + "," + repr(float(mass[idx]))
+              for idx in np.ndindex(mass.shape)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def emit_seed_per_value(out_dir: Path, seed: int, metrics) -> None:
+    """The CSVs of ``cli._emit_seed``, each value indexed out of its array and
+    formatted as ``repr(float(value))``, each row joined from its values' ``str``."""
+    seed_dir = out_dir / f"seed_{seed}"
+    seed_dir.mkdir(parents=True, exist_ok=True)
+    episodes, n_radars, n_sub = metrics.strategies.shape
+
+    def write_csv(path, header, rows):
+        lines = [",".join(header)]
+        lines += [",".join(str(v) for v in row) for row in rows]
+        path.write_text("\n".join(lines) + "\n")
+
+    rows = [(e + 1, i + 1, a + 1, repr(float(metrics.strategies[e, i, a])))
+            for e in range(episodes) for i in range(n_radars) for a in range(n_sub)]
+    write_csv(seed_dir / "strategies.csv",
+              ["episode", "radar", "subband", "probability"], rows)
+
+    rows = [(e + 1, i + 1, repr(float(metrics.interference_rate[e, i])),
+             repr(float(metrics.mean_sinr_db[e, i])))
+            for e in range(episodes) for i in range(n_radars)]
+    write_csv(seed_dir / "interference.csv",
+              ["episode", "radar", "rate", "mean_sinr_db"], rows)
+
+    rows = [(e + 1, i + 1, repr(float(metrics.cumulative_regret_db[e, i])))
+            for e in range(episodes) for i in range(n_radars)]
+    write_csv(seed_dir / "regret.csv",
+              ["episode", "radar", "cumulative_regret_db"], rows)
+
+    joint = metrics.joint_distribution
+    rows = [("-".join(str(a + 1) for a in row), repr(float(m)))
+            for row, m in zip(joint.rows.tolist(), joint.mass)]
+    write_csv(seed_dir / "joint_dist.csv", ["joint_action", "mass"], rows)
+
+    written = set()
+    for i, policy in enumerate(metrics.policies):
+        if policy in written or i not in metrics.profiles:
+            continue
+        profile = metrics.profiles[i]
+        rows = [(f"{r:.4f}", repr(float(m)))
+                for r, m in zip(profile.ranges_m, profile.mags_db)]
+        write_csv(seed_dir / f"profile_{policy}.csv", ["range_m", "magnitude_db"], rows)
+        written.add(policy)
 
 
 def cmd_run_collect_then_emit(config, out_dir, seeds) -> RunManifest:

@@ -13,10 +13,12 @@ import pytest
 import yaml
 
 import hopsim
+from hopsim import cli
 from hopsim.cli import (
     FIELDS,
     ReportError,
     RunManifest,
+    _emit_seed,
     _parse_seeds,
     _write_joint_csv,
     cmd_report,
@@ -42,6 +44,7 @@ from oracles import (
     bundled_config_path,
     cmd_run_collect_then_emit,
     dense_mass,
+    emit_seed_per_value,
     joint_from_dense,
     render_config,
     write_joint_csv_rows,
@@ -98,6 +101,16 @@ def defaulted_document() -> str:
     return yaml.safe_dump(doc)
 
 
+def named_document(source: str) -> str:
+    """A config document by name: SMALL_CFG, the bundled table1, the crowd-8
+    workload, or ``defaulted_document``."""
+    if source == "crowd-8":
+        return (Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+                / "crowd-8.yaml").read_text()
+    return {"small": SMALL_CFG, "table1": bundled_config_path("table1").read_text(),
+            "defaulted": defaulted_document()}[source]
+
+
 class TestParseConfig:
     def test_small_document(self):
         cfg = parse_config(SMALL_CFG)
@@ -120,10 +133,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("source", ["small", "table1", "crowd-8", "defaulted"])
     def test_document_matches_rendered_yaml(self, source):
         # The manifest stores config_document; its YAML round trip is the reference.
-        crowd = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / "crowd-8.yaml"
-        text = {"small": SMALL_CFG, "table1": bundled_config_path("table1").read_text(),
-                "crowd-8": crowd.read_text(), "defaulted": defaulted_document()}[source]
-        cfg = parse_config(text)
+        cfg = parse_config(named_document(source))
         assert json.dumps(config_document(cfg), sort_keys=True) == json.dumps(
             yaml.safe_load(render_config(cfg)), sort_keys=True)
 
@@ -174,6 +184,31 @@ targets:
             parse_config(": {{{")
         with pytest.raises(ScenarioError):
             parse_config("- just\n- a list\n")
+
+    def test_parse_error_messages_quote_the_line(self):
+        # libyaml parses first and quotes nothing; a document it rejects is
+        # parsed again by the pure-Python loader, whose message carries the
+        # line and a caret under the column.
+        with pytest.raises(ScenarioError) as err:
+            parse_config("a: b: c")
+        assert err.value.messages == [
+            "YAML parse error: mapping values are not allowed here\n"
+            '  in "<unicode string>", line 1, column 5:\n'
+            "    a: b: c\n"
+            "        ^"]
+        with pytest.raises(ScenarioError) as err:
+            parse_config("run:\n  frames: 2\n  frames: 3\n")
+        assert err.value.messages == ["YAML parse error: key 'frames' on line 3 repeats line 2"]
+
+    @pytest.mark.parametrize("source", ["small", "table1", "crowd-8", "defaulted"])
+    def test_both_loaders_agree(self, source):
+        # The fast loader rejects repeated keys itself and builds the same
+        # documents as the pure-Python one.
+        text = named_document(source)
+        doc = yaml.load(text, Loader=cli._FastLoader)
+        assert repr(doc) == repr(yaml.load(text, Loader=cli._Loader))
+        with pytest.raises(yaml.constructor.ConstructorError, match="repeats line 2"):
+            yaml.load("run:\n  frames: 2\n  frames: 3\n", Loader=cli._FastLoader)
 
     def test_scenario_invariants_surface_as_config_errors(self):
         doc = yaml.safe_load(SMALL_CFG)
@@ -264,6 +299,25 @@ class TestCmdRun:
                                                "profile_uniform", "regret", "strategies")]
         listed = json.loads((tmp_path / "manifest.json").read_text())["files"]
         assert listed == manifest.files
+
+    @pytest.mark.parametrize("variant", ["genie", "detector", "nash"])
+    def test_artifacts_equal_the_per_value_formatting(self, tmp_path, variant):
+        # _emit_seed formats tolist() floats; the oracle indexes each value
+        # out of its array and formats repr(float(value)). Byte for byte.
+        doc = yaml.safe_load(SMALL_CFG)
+        doc["run"]["frames"] = 4
+        if variant == "detector":
+            doc["run"]["genie_detection"] = False
+        if variant == "nash":
+            doc["radars"][0].update(policy="nash", policy_params={"explore_episodes": 2})
+        metrics = run_scenario(parse_config(yaml.safe_dump(doc)))
+        files, _ = _emit_seed(tmp_path / "new", 5, metrics)
+        emit_seed_per_value(tmp_path / "old", 5, metrics)
+        names = sorted(path.name for path in (tmp_path / "old" / "seed_5").iterdir())
+        assert sorted(Path(rel).name for rel in files) == names and len(names) == 6
+        for name in names:
+            assert (tmp_path / "new" / "seed_5" / name).read_bytes() == (
+                tmp_path / "old" / "seed_5" / name).read_bytes(), name
 
     def test_manifest_loads_back(self, run_dir):
         out, manifest = run_dir

@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -306,6 +307,28 @@ class TestCollisionTable:
                         stacked = np.array([acts[j] for j in members])
                         assert overlap_weights(geometry, acts[i], stacked).tobytes() == np.array(
                             [overlap_weight(geometry, acts[i], row) for row in stacked]).tobytes()
+
+    @pytest.mark.parametrize("columns", range(1, 8))
+    def test_in_order_weights_equal_the_summed_product(self, columns):
+        # Below 8 columns _group_weights adds each column's weighted hits in
+        # turn; that equals numpy's sum over the (pairs, K_v, C) product's
+        # last axis bit for bit. Random overlaps in (0, 1], some columns
+        # dead for a chirp, 3 victims of 2 links each on 2 subbands.
+        rng = np.random.default_rng(columns)
+        n_r, n_l, k_v, k_s = 3, 2, 40, 30
+        subbands = rng.integers(0, 2, size=n_r * k_v + n_r * n_l * k_s)
+        frac = np.where(rng.random((k_v, columns)) < 0.2, 0.0, 1.0 - rng.random((k_v, columns)))
+        group = SimpleNamespace(
+            power=np.ones((n_r, n_l, 1)),
+            chirps=np.arange(n_r * k_v).reshape(n_r, k_v),
+            links=(((rng.integers(0, k_s, size=(k_v, columns)), frac),
+                    n_r * k_v + np.arange(n_r * n_l * k_s).reshape(n_r * n_l, k_s),
+                    np.repeat(np.arange(n_r), n_l), rng.permutation(n_r * n_l)),))
+        for _ in range(5):
+            got = sim._group_weights(group, subbands)
+            assert got.tobytes() == oracles.summed_group_weights(group, subbands).tobytes()
+            assert 0 < np.count_nonzero(got) < got.size
+            subbands = rng.permutation(subbands)
 
     def test_single_radar_never_collides(self):
         # Every chirp on one subband: a radar must not collide with itself.
@@ -834,6 +857,99 @@ class TestRadarGroups:
             want, oracle_peak = traced(lambda: run_scenario(cfg))
         assert_metrics_identical(got, want)
         assert peak - oracle_peak < 8 * sim.SAMPLE_BLOCK_GUARD
+
+
+class TestSlopeClasses:
+    """Each victim's sources summed by slope class against the one-row-per-link
+    synthesis (``oracles.PerLinkRows``) run in its place."""
+
+    # Three waveforms of one frame duration, each its own slope.
+    WAVES = {"a": (20, 16, 60), "b": (40, 32, 30), "c": (30, 24, 40)}
+
+    def config(self, waves, links, genie, policy="uniform"):
+        radars = tuple(
+            RadarSpec(chirp=chirp(*self.WAVES[w][:2], k=self.WAVES[w][2]), policy=policy,
+                      targets=(sig.Target(15.0 + 2 * i, -15.0, 20.0),))
+            for i, w in enumerate(waves))
+        return ScenarioConfig(radars=radars, links=tuple(LinkSpec(*link) for link in links),
+                              frames=3, episodes_per_frame=2, seed=6, genie_detection=genie)
+
+    @staticmethod
+    def recorded(monkeypatch, cfg):
+        """The run's metrics and every ``_measure_group`` call's outputs."""
+        calls = []
+        measure = sim._measure_group
+
+        def record(group, *args):
+            flags, clean, intf, sums = measure(group, *args)
+            calls.append((group.radars.tolist(), flags.copy(), clean.copy(), intf.copy(),
+                          [None if s is None else s.copy() for s in sums]))
+            return flags, clean, intf, sums
+
+        monkeypatch.setattr(sim, "_measure_group", record)
+        return run_scenario(cfg), calls
+
+    def run_both(self, monkeypatch, cfg):
+        with monkeypatch.context() as mp:
+            got = self.recorded(mp, cfg)
+        with monkeypatch.context() as mp:
+            oracles.PerLinkRows(cfg).install(mp)
+            want = self.recorded(mp, cfg)
+        return got, want
+
+    @pytest.mark.parametrize("genie", [True, False])
+    def test_classes_match_per_link_rows(self, monkeypatch, genie):
+        # Radars on waveforms a, b, a, b, c, every pair linked at 20-34 dB:
+        # victims on a and b hear 4 sources of 3 slopes, the c victim 4 of
+        # 2. Uniform play keeps both runs' actions and draws in step, so
+        # each episode's outputs differ only by rounding.
+        links = [(v, s, 20.0 + 2 * v + s) for v in range(5) for s in range(5) if v != s]
+        cfg = self.config("ababc", links, genie)
+        groups = sim._radar_groups(cfg, sim.link_table(cfg))
+        assert [(g.radars.tolist(), g.power.shape[1], g.gram_s.shape[1]) for g in groups] == [
+            ([0, 2], 4, 3), ([1, 3], 4, 3), ([4], 4, 2)]
+        (got, calls), (want, oracle_calls) = self.run_both(monkeypatch, cfg)
+        assert got.aligned_actions.tobytes() == want.aligned_actions.tobytes()
+        assert len(calls) == len(oracle_calls) == 3 * 2 * len(groups)
+        for (radars, flags, clean, intf, sums), (radars0, flags0, clean0, intf0, sums0) in zip(
+                calls, oracle_calls):
+            assert radars == radars0 and flags.tobytes() == flags0.tobytes()
+            np.testing.assert_allclose(clean, clean0, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(intf, intf0, rtol=1e-12, atol=0)
+            if genie:  # exactly 0 where no link hits, and only there
+                assert ((intf == 0) == ~flags).all() and ((intf0 == 0) == ~flags).all()
+            for s, s0 in zip(sums, sums0):
+                assert (s is None) == (s0 is None)
+                if s is not None:
+                    assert np.abs(s - s0).max() <= 1e-12 * np.abs(s0).max()
+        assert any(s is not None for *_, sums in calls for s in sums)
+        assert 0 < got.interference_rate.mean() < 1
+
+    @pytest.mark.parametrize("genie", [True, False])
+    def test_one_source_per_slope_is_bit_for_bit(self, monkeypatch, genie):
+        # Every victim hears one source of each slope, in the order its
+        # links first reach the slopes: each class row is one link's row.
+        links = [(v, s, 25.0 + v - s) for v in range(3) for s in range(3) if v != s]
+        cfg = self.config("abc", links, genie, policy="noregret")
+        assert [g.gram_s.shape[1] for g in sim._radar_groups(cfg, sim.link_table(cfg))] == [2] * 3
+        (got, calls), (want, _) = self.run_both(monkeypatch, cfg)
+        assert_metrics_identical(got, want)
+        assert 0 < got.interference_rate.mean() < 1
+
+    def test_radars_hearing_other_slopes_group_apart(self):
+        # Radars 0 and 1 share a waveform, a target and a link count, but
+        # hear sources of different slopes: each keeps its one class row,
+        # so no radar holds more than T + L rows.
+        cfg = self.config("aabc", [(0, 2, 30.0), (1, 3, 30.0)], genie=True)
+        groups = sim._radar_groups(cfg, sim.link_table(cfg))
+        assert [(g.radars.tolist(), g.gram_s.shape[1]) for g in groups] == [
+            ([0], 1), ([1], 1), ([2], 0), ([3], 0)]
+        assert [rows.shape[0] for g in groups for rows in g.rows] == [2, 2, 1, 1]
+
+    def test_table1_is_bit_for_bit(self, monkeypatch):
+        cfg = replace(parse_config(bundled_config_path("table1").read_text()), frames=6)
+        (got, _), (want, _) = self.run_both(monkeypatch, cfg)
+        assert_metrics_identical(got, want)
 
 
 class TestStagedSolverOnExploreTables:
