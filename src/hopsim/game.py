@@ -55,15 +55,15 @@ def check_simplex(probs) -> np.ndarray:
     -PROB_ATOL, and every vector sums to 1 within PROB_ATOL.
     """
     p = np.asarray(probs, dtype=float)
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("strategy entries must be finite")
-    if np.any(p < -PROB_ATOL):
+    if (p < -PROB_ATOL).any():
         raise ValueError("strategy has negative entries")
     sums = p.sum(axis=-1)
     off = np.abs(sums - 1.0) > PROB_ATOL
-    if np.any(off):
+    if off.any():
         raise ValueError(f"strategy sums to {sums[off].flat[0]!r}, not 1")
-    return np.clip(p, 0.0, None)
+    return np.maximum(p, 0.0)  # what np.clip(p, 0.0, None) calls
 
 
 @dataclass(frozen=True)
@@ -258,21 +258,24 @@ def cce_deviation_gap(joint: JointDistribution, per_arm: np.ndarray, player: int
     return float(np.max(joint.mass @ per_arm) - joint.mass @ played)
 
 
-def external_regret(per_arm: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Hindsight gap (dB x steps) to the best fixed subband after every step.
+def external_regret(per_arm: np.ndarray, support_row: np.ndarray, actions: np.ndarray,
+                    bounds: np.ndarray) -> np.ndarray:
+    """Hindsight gap (dB x steps) to the best fixed subband after each step of ``bounds``.
 
-    ``per_arm[k, a]`` is the utility subband a would have earned at step k
-    against the others' play, and ``actions[k]`` the subband played. Entry
-    k is the regret over steps 0..k: the best arm's cumulative utility
-    minus the realized one. The last entry covers the horizon.
+    ``per_arm[s, a]`` is the utility subband a earns against the others'
+    play in support row s, ``support_row[k]`` the row of step k and
+    ``actions[k]`` the subband played. Entry b is the regret over steps
+    0..bounds[b]: the best arm's cumulative utility minus the realized
+    one. Each arm's utilities are gathered to the steps once and summed in
+    step order; the max over arms is taken at ``bounds`` only.
     """
-    actions = np.asarray(actions)
-    if per_arm.ndim != 2 or actions.shape != per_arm.shape[:1]:
-        raise ValueError("need (steps, A) per-arm utilities and (steps,) actions")
-    # (A, steps) in C order: numpy's max over short rows is ~40x slower.
-    arm_cum = np.cumsum(np.ascontiguousarray(per_arm.T), axis=1)
-    arm_cum -= np.cumsum(per_arm[np.arange(actions.size), actions])
-    return arm_cum.max(axis=0)
+    support_row, actions = np.asarray(support_row), np.asarray(actions)
+    if per_arm.ndim != 2 or actions.ndim != 1 or support_row.shape != actions.shape:
+        raise ValueError("need (rows, A) per-arm utilities and (steps,) support rows and actions")
+    # (A, steps) in C order: numpy's cumsum along short rows is slow.
+    arm_cum = np.cumsum(np.take(np.ascontiguousarray(per_arm.T), support_row, axis=1), axis=1)
+    realized = np.cumsum(per_arm.ravel().take(support_row * per_arm.shape[1] + actions))
+    return (arm_cum[:, bounds] - realized[bounds]).max(axis=0)
 
 
 def empirical_joint(actions, n_subbands: int) -> tuple[JointDistribution, np.ndarray]:
@@ -281,17 +284,31 @@ def empirical_joint(actions, n_subbands: int) -> tuple[JointDistribution, np.nda
     ``actions`` has one row per step (at least one) and one column per
     radar; the support comes back in C order. The second result gives,
     per step, the index of its joint action among the support rows.
+
+    Each step's row is one int64 key, read in base A with the first radar
+    most significant, so the keys sort as the rows do. Before a column
+    whose key could pass 2**63, the keys are replaced by their dense rank,
+    which keeps their order. Keys fewer than the steps are counted by
+    ``np.bincount``, others by ``np.unique``.
     """
     actions = np.asarray(actions, dtype=int)
-    if actions.ndim != 2 or actions.shape[0] < 1:
+    if actions.ndim != 2 or actions.shape[0] < 1 or actions.shape[1] < 1:
         raise ValueError("need a (steps, radars) array of joint actions with steps >= 1")
-    # Same as np.unique(actions, axis=0, return_counts=True), which sorts
-    # structured rows about 7x slower than this lexsort at 2 radars.
-    order = np.lexsort(actions.T[::-1])  # first radar is the primary key
-    ordered = actions[order]
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    counts = np.diff(np.flatnonzero(np.append(first, True)))
-    support_row = np.empty(len(actions), dtype=int)
-    support_row[order] = np.cumsum(first) - 1
-    return JointDistribution(ordered[first], counts / len(actions), n_subbands), support_row
+    if actions.min() < 0 or actions.max() >= n_subbands:
+        raise ValueError(f"joint actions must lie in [0, {n_subbands})")
+    key, bound = np.zeros(len(actions), dtype=np.int64), 1  # keys lie in [0, bound)
+    for column in actions.T:
+        if bound * n_subbands > 2**63:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = distinct.size
+        key = key * n_subbands + column
+        bound *= n_subbands
+    if bound <= len(actions):
+        counts = np.bincount(key, minlength=bound)
+        live = counts > 0
+        support_row, counts = (np.cumsum(live) - 1)[key], counts[live]
+    else:
+        _, support_row, counts = np.unique(key, return_inverse=True, return_counts=True)
+    step = np.empty(counts.size, dtype=np.intp)
+    step[support_row] = np.arange(len(actions))  # any one step of each support row
+    return JointDistribution(actions[step], counts / len(actions), n_subbands), support_row

@@ -28,6 +28,11 @@ DEFAULT_LOSS_CLIP_DB = 600.0
 # presumed safe.
 DEFAULT_PESSIMISTIC_FLOOR_DB = -10.0
 DEFAULT_KAPPA = 0.04
+# numpy adds fewer than this many terms in order; from this many on it
+# sums pairwise, so dropping zero terms could move a sum's last bit.
+IN_ORDER_SUM_TERMS = 8
+# The fields of ``EpisodeStats``: three estimates, then their counts.
+_STATS_FIELDS = ("sinr_db", "snr_db", "hit_sinr_db", "count", "clean_count", "hit_count")
 
 
 @dataclass(frozen=True)
@@ -49,15 +54,14 @@ class EpisodeStats:
     hit_count: np.ndarray
 
     def __post_init__(self):
-        arrays = (self.sinr_db, self.snr_db, self.hit_sinr_db,
-                  self.count, self.clean_count, self.hit_count)
-        shapes = {np.shape(a) for a in arrays}
-        if len(shapes) != 1 or len(shapes.pop()) != 2:
+        arrays = [np.asarray(getattr(self, name)) for name in _STATS_FIELDS]
+        shape = arrays[0].shape
+        if len(shape) != 2 or any(a.shape != shape for a in arrays):
             raise ValueError("per-subband arrays must share one (radars, subbands) shape")
-        for name in ("sinr_db", "snr_db", "hit_sinr_db", "count", "clean_count", "hit_count"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
-        for name in ("count", "clean_count", "hit_count"):
-            if np.any(getattr(self, name) < 0):
+        for name, a in zip(_STATS_FIELDS, arrays):
+            object.__setattr__(self, name, a)
+        for name, a in zip(_STATS_FIELDS[3:], arrays[3:]):
+            if (a < 0).any():
                 raise ValueError(f"{name} has negative entries")
 
 
@@ -72,7 +76,7 @@ def schedule_params(tau: int, n_subbands: int, c_eta=1.0, c_gamma=1.0):
         raise ValueError("tau must be >= 1")
     if n_subbands < 2:
         raise ValueError("need at least two subbands")
-    if np.any(np.asarray(c_eta) <= 0) or np.any(np.asarray(c_gamma) <= 0):
+    if (np.asarray(c_eta) <= 0).any() or (np.asarray(c_gamma) <= 0).any():
         raise ValueError("scales must be positive")
     base = np.sqrt(np.log(n_subbands) / (tau * n_subbands))
     return c_eta * base, np.minimum(1.0, c_gamma * base)
@@ -172,25 +176,36 @@ def noregret_update(state: NoRegretState, stats: EpisodeStats) -> NoRegretState:
 
     Each step is elementwise or reduces along one radar's row, so every
     row comes out bit for bit as a one-radar update gives it. The
-    baseline is each radar's own ``np.mean`` of its observed SNRs: from 8
-    subbands on, a zero-filled row sum groups numpy's additions differently.
+    baseline is each radar's ``np.mean`` of its observed SNRs. Below
+    ``IN_ORDER_SUM_TERMS`` subbands a zero-filled row sum adds them in the
+    same order; from there on it groups numpy's additions differently, so
+    each radar's mean is taken on its own.
     """
     probs, rows = state.probs, state.radars
     m, n = probs.shape
     if stats.count.shape[1] != n:
         raise ValueError("stats do not match the strategy length")
     played = stats.count[rows] > 0
-    if np.any(played & (probs <= 0.0)):
+    if (played & (probs <= 0.0)).any():
         raise RuntimeError("subband reported as played but had probability 0")
-    base = np.zeros(m)
     snr = stats.snr_db[rows]
     observed = np.isfinite(snr)
-    for r in np.flatnonzero(~np.isnan(state.baseline_delta_db) & observed.any(axis=1)):
-        base[r] = np.mean(snr[r, observed[r]]) - state.baseline_delta_db[r]
-    inc = (base[:, None] - stats.sinr_db[rows])[played] / probs[played]
-    clip = np.broadcast_to(state.loss_clip_db[:, None], (m, n))[played]
+    on = ~np.isnan(state.baseline_delta_db) & observed.any(axis=1)
+    base = np.zeros(m)
+    if n < IN_ORDER_SUM_TERMS:  # a zero-filled row adds its SNRs in np.mean's order
+        np.divide(np.where(observed, snr, 0.0).sum(axis=1), observed.sum(axis=1), out=base,
+                  where=on)
+    else:
+        for r in np.flatnonzero(on):
+            base[r] = np.mean(snr[r, observed[r]])
+    np.subtract(base, state.baseline_delta_db, out=base, where=on)
+    inc = np.divide(base[:, None] - stats.sinr_db[rows], probs, out=np.zeros((m, n)),
+                    where=played)
+    clip = state.loss_clip_db[:, None]
     loss = state.loss.copy()
-    loss[played] += np.clip(inc, -clip, clip)
+    np.add(loss, np.clip(inc, -clip, clip), out=loss, where=played)
+    if not np.isfinite(loss).all():
+        raise ValueError("loss entries must be finite")
     eta, gamma = schedule_params(state.tau, n, state.c_eta, state.c_gamma)
     z = -eta[:, None] * loss
     z -= z.max(axis=1, keepdims=True)  # softmax shift invariance keeps exp() bounded
@@ -198,10 +213,22 @@ def noregret_update(state: NoRegretState, stats: EpisodeStats) -> NoRegretState:
     p = check_simplex((1.0 - gamma[:, None]) * (w / w.sum(axis=1, keepdims=True))
                       + (gamma / n)[:, None])
     keep = p > state.kappa[:, None]
-    if not np.all(np.any(keep, axis=1)):
+    if not keep.any(axis=1).all():
         raise ValueError("thresholding removed every subband")
     q = np.where(keep, p, 0.0)
-    return replace(state, loss=loss, probs=q / q.sum(axis=1, keepdims=True), tau=state.tau + 1)
+    return _successor(state, loss, q / q.sum(axis=1, keepdims=True))
+
+
+def _successor(state: NoRegretState, loss: np.ndarray, probs: np.ndarray) -> NoRegretState:
+    """``state`` one step on, holding ``loss`` and ``probs``.
+
+    The constructor's checks are not run again: the other fields are
+    ``state``'s own, and ``noregret_update`` has checked the loss it summed
+    and the strategy it normalized.
+    """
+    nxt = object.__new__(NoRegretState)
+    nxt.__dict__.update(state.__dict__, loss=loss, probs=probs, tau=state.tau + 1)
+    return nxt
 
 
 @dataclass(frozen=True)

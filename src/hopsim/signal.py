@@ -138,8 +138,8 @@ def echo_constants(params: ChirpParams, targets) -> np.ndarray:
 
     ``targets`` lists each radar's targets. Per target: its Doppler phase
     step 2 pi f_d per chirp, its coarse range bin center's term 2 rbar / c,
-    its fine offset and its velocity, as ``echo_slow`` reads them every
-    episode.
+    its fine offset and its velocity, from which ``echo_chirp_terms`` forms
+    the terms that ``echo_slow`` reads.
     """
     def terms(tgt):
         rbar, eps0 = coarse_decompose(params, tgt.range_m)
@@ -150,24 +150,35 @@ def echo_constants(params: ChirpParams, targets) -> np.ndarray:
     return np.moveaxis(table, -1, 0)[..., None]
 
 
-def echo_slow(params: ChirpParams, echo: np.ndarray, subbands: np.ndarray,
-              phases: np.ndarray, k0: int) -> np.ndarray:
-    """Per-chirp phases (R, T, K) of R radars' target echoes: the coefficients of their tones.
+def echo_chirp_terms(params: ChirpParams, echo: np.ndarray, k0: int,
+                     k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chirp-index terms (R, T, K) of ``echo_slow`` over chirps k0 .. k0 + K - 1.
 
-    ``echo`` holds the radars' ``echo_constants``, ``subbands`` (R, K) their
-    hops and ``phases`` (R, T) each echo's start phase. The chirps k0 ..
-    k0 + K - 1 lie in one frame, whose every chirp ``sim.validate_config``
-    has checked with ``delay_outside_chirp``. The phase is
-    2 pi f_d k - 2 pi (2 rbar / c + 2 (eps0 + k v PRI) / c) h_k + phase,
-    each product and sum taken in the order that gives one target's (K,)
-    phases, so every radar's rows equal them bit for bit.
+    ``echo`` holds R radars' ``echo_constants``. Per echo and chirp k: the
+    Doppler phase 2 pi f_d k, and the delay term 2 pi (2 rbar / c + 2 (eps0
+    + k v PRI) / c) that multiplies the chirp's hop. Neither depends on the
+    hops, so an episode offset's terms serve every frame.
     """
     doppler, coarse, eps0, v = echo
-    ks = k0 + np.arange(subbands.shape[1])
+    ks = k0 + np.arange(k)
+    return doppler * ks, 2.0 * np.pi * (coarse + 2.0 * (eps0 + ks * v * params.pri_s) / C)
+
+
+def echo_slow(params: ChirpParams, terms: tuple, subbands: np.ndarray,
+              phases: np.ndarray) -> np.ndarray:
+    """Per-chirp phases (R, T, K) of R radars' target echoes: the coefficients of their tones.
+
+    ``terms`` holds the radars' ``echo_chirp_terms`` of the episode's
+    chirps, ``subbands`` (R, K) their hops and ``phases`` (R, T) each
+    echo's start phase. The chirps lie in one frame, whose every chirp
+    ``sim.validate_config`` has checked with ``delay_outside_chirp``. The
+    phase is 2 pi f_d k - 2 pi (2 rbar / c + 2 (eps0 + k v PRI) / c) h_k +
+    phase, each product and sum taken in the order that gives one target's
+    (K,) phases, so every radar's rows equal them bit for bit.
+    """
+    doppler, delay = terms
     hops = (subbands * params.subband_hz)[:, None, :]
-    return np.exp(1j * (doppler * ks
-                        - 2.0 * np.pi * (coarse + 2.0 * (eps0 + ks * v * params.pri_s) / C) * hops
-                        + phases[:, :, None]))
+    return np.exp(1j * (doppler - delay * hops + phases[:, :, None]))
 
 
 def _clean_power_draw(energy: np.ndarray, n_samples: int, noise_power: float,
@@ -337,34 +348,35 @@ def estimate_episode_sinr(subbands: np.ndarray, flagged: np.ndarray, clean_power
     and interference power, all measured against ``noise_power``.
     Averages are taken over linear per-chirp ratios and then converted to
     dB (set ``db_average`` to average the dB values instead). Subbands
-    with no chirps carry NaN, never zero. Each statistic is one
-    ``np.bincount`` over the bins radar * A + subband; a bin adds its
-    chirps in their order, as a one-radar bincount over the same chirps does.
+    with no chirps carry NaN, never zero. The bins are radar * A + subband,
+    and a flagged chirp's bin is moved up by m * A for m radars; four
+    ``np.bincount`` calls over them give every count and sum. A bin adds
+    its chirps in their order, as a one-radar bincount over the same
+    chirps does, and one log pass converts the chirps (``db_average``) or
+    the means to dB.
     """
-    if np.any((subbands < 0) | (subbands >= n_subbands)):
+    if ((subbands < 0) | (subbands >= n_subbands)).any():
         raise ValueError(f"chirp subbands must lie in [0, {n_subbands})")
-    bins = subbands + np.repeat(np.arange(len(chirps)) * n_subbands, chirps)
-    per_sinr = clean_power / (interference_power + noise_power)
-    per_snr = clean_power / noise_power
+    size = len(chirps) * n_subbands
+    bins = subbands + np.repeat(np.arange(0, size, n_subbands), chirps)
+    split = bins + flagged * size
+    ratios = np.empty((2, subbands.size))  # per chirp: SINR, then SNR
+    np.divide(clean_power, interference_power + noise_power, out=ratios[0])
+    np.divide(clean_power, noise_power, out=ratios[1])
+    if db_average:
+        ratios = 10.0 * np.log10(np.maximum(ratios, 1e-300))
+    counts, sums = np.empty((3, size), dtype=np.intp), np.empty((3, size))  # all, clean, hit
+    counts[1:] = np.bincount(split, minlength=2 * size).reshape(2, size)
+    np.add(counts[1], counts[2], out=counts[0])
+    sums[0] = np.bincount(bins, ratios[0], size)
+    sums[1] = np.bincount(split, ratios[1], 2 * size)[:size]
+    sums[2] = np.bincount(split, ratios[0], 2 * size)[size:]
+    means = np.divide(sums, counts, out=np.full((3, size), np.nan), where=counts > 0)
+    if not db_average:
+        means = 10.0 * np.log10(np.maximum(means, 1e-300))
     shape = (len(chirps), n_subbands)
-
-    def mean_by_bin(b, values):
-        counts = np.bincount(b, minlength=shape[0] * shape[1])
-        out = np.full(counts.size, np.nan)
-        if db_average:
-            values = 10.0 * np.log10(np.maximum(values, 1e-300))
-        sums = np.bincount(b, weights=values, minlength=counts.size)
-        nz = counts > 0
-        means = sums[nz] / counts[nz]
-        out[nz] = means if db_average else 10.0 * np.log10(np.maximum(means, 1e-300))
-        return out.reshape(shape), counts.reshape(shape)
-
-    clean_chirp = ~flagged
-    sinr_db, count = mean_by_bin(bins, per_sinr)
-    snr_db, clean_count = mean_by_bin(bins[clean_chirp], per_snr[clean_chirp])
-    hit_sinr_db, hit_count = mean_by_bin(bins[flagged], per_sinr[flagged])
-    return EpisodeStats(sinr_db=sinr_db, snr_db=snr_db, hit_sinr_db=hit_sinr_db,
-                        count=count, clean_count=clean_count, hit_count=hit_count)
+    return EpisodeStats(*(row.reshape(shape) for row in means),
+                        *(row.reshape(shape) for row in counts))
 
 
 def range_fft(samples: np.ndarray) -> np.ndarray:

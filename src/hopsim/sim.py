@@ -27,6 +27,7 @@ from .hopping import (
     DEFAULT_KAPPA,
     DEFAULT_LOSS_CLIP_DB,
     DEFAULT_PESSIMISTIC_FLOOR_DB,
+    IN_ORDER_SUM_TERMS,
     init_nash_hopper,
     init_noregret,
     nash_commit,
@@ -48,10 +49,6 @@ SAMPLE_BLOCK_GUARD = 2 ** 22
 # episode: crowd-32's groups of 16 radars (about 20 MiB) ran a seed about
 # 20% slower than chunks of 6 radars.
 GROUP_CHUNK_ELEMENTS = SAMPLE_BLOCK_GUARD // 4
-
-# numpy adds fewer than this many terms in order; from this many on it
-# sums pairwise, so dropping zero terms could move a sum's last bit.
-_IN_ORDER_SUM_TERMS = 8
 
 _REQUIRED = object()
 _FINITE = (lambda v, a, episodes: np.isfinite(v), "finite")
@@ -341,7 +338,7 @@ def overlap_geometry(victim: sig.ChirpParams, source: sig.ChirpParams,
     (n_victim, C); frac is 0 where there is no overlap or no valid chirp.
     Candidate columns whose frac is 0 for every victim chirp add only zeros
     to every overlap weight; they are dropped when there are fewer than
-    ``_IN_ORDER_SUM_TERMS`` columns, so no weight changes by a bit.
+    ``IN_ORDER_SUM_TERMS`` columns, so no weight changes by a bit.
     """
     q = np.arange(n_victim)
     start_v = q * victim.pri_s
@@ -356,7 +353,7 @@ def overlap_geometry(victim: sig.ChirpParams, source: sig.ChirpParams,
     valid = (cand >= 0) & (cand < n_source)
     frac = np.where(valid, frac, 0.0)
     cand = np.clip(cand, 0, max(n_source - 1, 0))
-    if n_cand < _IN_ORDER_SUM_TERMS:
+    if n_cand < IN_ORDER_SUM_TERMS:
         live = frac.any(axis=0)
         cand, frac = cand[:, live], frac[:, live]
     return cand, frac
@@ -384,6 +381,7 @@ class _Group:
     power: np.ndarray            # (R, L, 1) linear link powers
     classes: np.ndarray          # (R * L,) each link's flat (radar, class) offset r * D + d
     echo: np.ndarray             # the targets' sig.echo_constants
+    echo_terms: list             # [k0, sig.echo_chirp_terms] of the last episode offset run
     rows: tuple                  # each radar's noiseless_basis rows, (T + D, N_s)
     gram_t: np.ndarray           # (R, T, T) target blocks of the Gram matrices
     gram_s: np.ndarray           # (R, D, D) source class blocks
@@ -453,6 +451,7 @@ def _radar_groups(config: ScenarioConfig, table: np.ndarray) -> list:
                 classes=np.array([r * len(cls) + cls[chirps[j].slope]
                                   for r, i in enumerate(chunk) for j in sources[i]], dtype=np.intp),
                 echo=sig.echo_constants(wave, [config.radars[i].targets for i in chunk]),
+                echo_terms=[None, None],
                 rows=tuple(rows for rows, _ in bases),
                 gram_t=np.array([gram[:n_t, :n_t] for _, gram in bases]),
                 gram_s=np.reshape([gram[n_t:, n_t:] for _, gram in bases],
@@ -465,7 +464,7 @@ def _group_weights(group: _Group, subbands: np.ndarray) -> np.ndarray:
     """The group's overlap weights (R, L, K_v) on the episode's flat ``subbands``.
 
     Per source waveform, every served pair at once. Below
-    ``_IN_ORDER_SUM_TERMS`` candidate columns, each column's (pairs, K_v)
+    ``IN_ORDER_SUM_TERMS`` candidate columns, each column's (pairs, K_v)
     hits are gathered and their overlaps added in column order, as numpy
     adds so few terms. From 8 on, one C-ordered ``np.take`` gathers the
     (pairs, K_v, C) hits, summed pairwise as the per-pair product is.
@@ -475,7 +474,7 @@ def _group_weights(group: _Group, subbands: np.ndarray) -> np.ndarray:
     weights = np.empty((n_r * n_l, acts.shape[1]))
     for (cand, frac), source_chirps, vic, slots in group.links:
         played, heard = subbands[source_chirps], acts[vic]
-        if cand.shape[1] < _IN_ORDER_SUM_TERMS:
+        if cand.shape[1] < IN_ORDER_SUM_TERMS:
             total = np.zeros(heard.shape)
             for c in range(cand.shape[1]):
                 total += frac[:, c] * (np.take(played, cand[:, c], axis=1) == heard)
@@ -518,10 +517,16 @@ def _measure_group(group: _Group, subbands: np.ndarray, target_phases: np.ndarra
     coeffs = np.empty((n_r, n_t + n_d, k), dtype=complex)
     for part, values in ((coeffs.real, amps.real), (coeffs.imag, amps.imag)):
         part[:, n_t:] = np.bincount(bins, values, n_r * n_d * k).reshape(n_r, n_d, k)
-    coeffs[:, :n_t] = sig.echo_slow(ch, group.echo, acts, target_phases, k0)
+    # The echoes' chirp-index terms are the same at an episode offset in
+    # every frame: with one episode per frame they are formed once a run.
+    offset, terms = group.echo_terms
+    if offset != k0:
+        terms = sig.echo_chirp_terms(ch, group.echo, k0, k)
+        group.echo_terms[:] = k0, terms
+    coeffs[:, :n_t] = sig.echo_slow(ch, terms, acts, target_phases)
     clean = np.empty((n_r, k))
     if config.genie_detection:
-        flags = np.any(weights, axis=1)
+        flags = weights.any(axis=1)
         energy = sig.column_energy(group.gram_t, coeffs[:, :n_t])
         intf = sig.column_energy(group.gram_s, coeffs[:, n_t:]) / ch.n_samples
     else:
@@ -624,7 +629,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     episodes = config.total_episodes
     strategies = np.zeros((episodes, n_radars, a))
     interference_rate = np.zeros((episodes, n_radars))
-    mean_sinr_db = np.zeros((episodes, n_radars))
+    mean_sinr = np.zeros((episodes, n_radars))  # linear, converted to dB after the run
     aligned = np.empty((config.frames * s_frame, n_radars), dtype=int)  # common chirp clock
     hop_sums = [0] * n_radars  # each radar's final-frame hop sums, (N_s, A)
     # Every radar's chirps of the episode: subbands, flags, clean and
@@ -664,11 +669,9 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                 flagged[group.chirps], clean[group.chirps] = flags, p_clean
                 intf[group.chirps] = p_intf
                 # Each row's mean, summed along the row as np.mean sums it.
-                interference_rate[e, group.radars] = flags.sum(axis=1) / flags.shape[1]
-                # Floored as the estimator floors: in detector mode every
-                # sample of a chirp can lie above the threshold.
-                mean_sinr_db[e, group.radars] = 10.0 * np.log10(np.maximum(
-                    (p_clean / (p_intf + noise)).sum(axis=1) / flags.shape[1], 1e-300))
+                k = flags.shape[1]
+                interference_rate[e, group.radars] = flags.sum(axis=1) / k
+                mean_sinr[e, group.radars] = (p_clean / (p_intf + noise)).sum(axis=1) / k
 
             stats = sig.estimate_episode_sinr(subbands, flagged, clean, intf, k_ep, noise, a,
                                               config.db_average)
@@ -687,26 +690,25 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
         sig.default_eps_grid(ch), ch) for i, ch in enumerate(chirps)}
     joint, support_row = empirical_joint(aligned, a)
 
-    # Regret after the last aligned step of every episode. A step's
-    # utilities depend only on its joint action, so they are evaluated on
-    # the support rows and gathered to the steps, value for value.
+    # Regret after the last aligned step of every episode; the last covers
+    # the horizon. A step's utilities depend only on its joint action, so
+    # they are evaluated on the support rows and gathered to the steps.
     bounds = np.arange(1, episodes + 1) * s_ep - 1
     cumulative_regret = np.zeros((episodes, n_radars))
-    ext_regret = np.zeros(n_radars)
     cce_gap = np.zeros(n_radars)
     for i in range(n_radars):
         per_arm = genie_utility_table(config, joint.rows, i, table)
-        running = external_regret(per_arm[support_row], aligned[:, i])
-        cumulative_regret[:, i] = running[bounds]
-        ext_regret[i] = running[-1]
+        cumulative_regret[:, i] = external_regret(per_arm, support_row, aligned[:, i], bounds)
         cce_gap[i] = cce_deviation_gap(joint, per_arm, i)
 
     return RunMetrics(
         strategies=strategies,
         interference_rate=interference_rate,
-        mean_sinr_db=mean_sinr_db,
+        # Floored as the estimator floors: in detector mode every sample of
+        # a chirp can lie above the threshold.
+        mean_sinr_db=10.0 * np.log10(np.maximum(mean_sinr, 1e-300)),
         cumulative_regret_db=cumulative_regret,
-        external_regret_db=ext_regret,
+        external_regret_db=cumulative_regret[-1].copy(),
         cce_gap_db=cce_gap,
         joint_distribution=joint,
         aligned_actions=aligned,

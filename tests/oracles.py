@@ -311,8 +311,10 @@ def radar_measure_episode(params, targets, target_phases, subbands, k0, amps, ro
     amplitudes, building the coefficients and Gram energies as ``run_scenario``
     builds a one-radar group's."""
     n_t = len(targets)
-    slow = sig.echo_slow(params, sig.echo_constants(params, [targets]), subbands[None],
-                         np.asarray(target_phases, dtype=float)[None], k0)[0]
+    terms = sig.echo_chirp_terms(params, sig.echo_constants(params, [targets]), k0,
+                                 subbands.size)
+    slow = sig.echo_slow(params, terms, subbands[None],
+                         np.asarray(target_phases, dtype=float)[None])[0]
     coeffs = np.concatenate([slow, amps])
     genie = None if genie_flags is None else (
         genie_flags, sig.column_energy(gram[None, :n_t, :n_t], slow[None])[0],
@@ -1055,8 +1057,9 @@ class PerRadarLinks:
     ``install`` puts them in place of the group functions, radar by radar:
     ``sim._group_weights`` by ``link_weights`` per victim, ``signal.echo_slow``
     by ``echo_slow`` per target (``signal.echo_constants`` then passes the
-    targets through) and ``signal.column_energy`` by one (n, n) Gram form
-    per radar.
+    targets through, and ``signal.echo_chirp_terms`` the targets and the
+    episode's first chirp) and ``signal.column_energy`` by one (n, n) Gram
+    form per radar.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -1072,7 +1075,8 @@ class PerRadarLinks:
                          for i in group.radars]).reshape(len(group.radars), -1, k)
 
     @staticmethod
-    def echo_slow(params, targets, subbands, phases, k0):
+    def echo_slow(params, terms, subbands, phases):
+        targets, k0 = terms
         hops = subbands * params.subband_hz
         return np.array([[echo_slow(params, tgt, h, float(ph), k0) for tgt, ph in zip(tt, pp)]
                          for tt, h, pp in zip(targets, hops, phases)])
@@ -1085,6 +1089,7 @@ class PerRadarLinks:
     def install(self, monkeypatch):
         monkeypatch.setattr(sim, "_group_weights", self.weights)
         monkeypatch.setattr(sig, "echo_constants", lambda params, targets: targets)
+        monkeypatch.setattr(sig, "echo_chirp_terms", lambda params, targets, k0, k: (targets, k0))
         monkeypatch.setattr(sig, "echo_slow", self.echo_slow)
         monkeypatch.setattr(sig, "column_energy", self.column_energy)
 
@@ -1146,7 +1151,8 @@ class PerLinkRows:
         coeffs.reshape(-1)[hit + n_t * k * (hit // (n_l * k) + 1)] = (
             np.sqrt(group.power.reshape(-1)[hit // k] * weights.reshape(-1)[hit])
             * np.exp(1j * phases.reshape(-1)[hit]))
-        coeffs[:, :n_t] = sig.echo_slow(ch, group.echo, acts, target_phases, k0)
+        coeffs[:, :n_t] = sig.echo_slow(ch, sig.echo_chirp_terms(ch, group.echo, k0, k), acts,
+                                        target_phases)
         clean = np.empty((n_r, k))
         if config.genie_detection:
             flags = np.any(weights, axis=1)
@@ -1229,6 +1235,36 @@ def external_regret_dense(table: UtilityTable, actions: np.ndarray, player: int)
     arm_cum = np.cumsum(per_arm, axis=1)
     arm_cum -= np.cumsum(realized_db)
     return arm_cum.max(axis=0)
+
+
+def external_regret(per_arm: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Hindsight gap (dB x steps) to the best fixed subband after every step.
+
+    ``per_arm[k, a]`` is the utility subband a would have earned at step k
+    and ``actions[k]`` the subband played; entry k is the regret over steps
+    0..k, and the last covers the horizon. ``game.external_regret`` reads
+    the same sums at episode bounds only.
+    """
+    actions = np.asarray(actions)
+    if per_arm.ndim != 2 or actions.shape != per_arm.shape[:1]:
+        raise ValueError("need (steps, A) per-arm utilities and (steps,) actions")
+    arm_cum = np.cumsum(np.ascontiguousarray(per_arm.T), axis=1)
+    arm_cum -= np.cumsum(per_arm[np.arange(actions.size), actions])
+    return arm_cum.max(axis=0)
+
+
+def empirical_joint(actions, n_subbands: int) -> tuple[JointDistribution, np.ndarray]:
+    """``game.empirical_joint`` by a lexsort of the (steps, n) rows, first radar
+    the primary key: the support in C order and each step's support row."""
+    actions = np.asarray(actions, dtype=int)
+    order = np.lexsort(actions.T[::-1])
+    ordered = actions[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    counts = np.diff(np.flatnonzero(np.append(first, True)))
+    support_row = np.empty(len(actions), dtype=int)
+    support_row[order] = np.cumsum(first) - 1
+    return JointDistribution(ordered[first], counts / len(actions), n_subbands), support_row
 
 
 def cce_deviation_gap_dense(mass: np.ndarray, table: UtilityTable, player: int) -> float:

@@ -18,6 +18,7 @@ from hopsim.game import (
 )
 from hopsim.hopping import floored_estimates, init_nash_hopper
 
+import oracles
 from oracles import (
     MixedStrategy,
     StrategyProfile,
@@ -107,9 +108,10 @@ def table_gap(mass, table, player):
 
 
 def table_regret(table, actions, player=0):
-    """Running ``external_regret`` of ``player`` on (steps, n) joint actions."""
+    """Running ``oracles.external_regret`` of ``player`` on (steps, n) joint actions."""
     actions = np.asarray(actions)
-    return external_regret(dense_arm_utilities(table, actions, player), actions[:, player])
+    return oracles.external_regret(dense_arm_utilities(table, actions, player),
+                                   actions[:, player])
 
 
 class TestMixedStrategy:
@@ -686,7 +688,10 @@ class TestExternalRegret:
         table = anti_coordination_table(2, 2)
         actions = np.array([[0, 1]])
         with pytest.raises(ValueError):
-            external_regret(dense_arm_utilities(table, actions, 0), actions)
+            external_regret(dense_arm_utilities(table, actions, 0), np.zeros(1, dtype=int),
+                            actions, np.zeros(1, dtype=int))
+        with pytest.raises(ValueError):
+            oracles.external_regret(dense_arm_utilities(table, actions, 0), actions)
 
 
 class TestEmpiricalJoint:
@@ -725,6 +730,52 @@ class TestEmpiricalJoint:
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             empirical_joint(np.empty((0, 2), dtype=int), 2)
+        with pytest.raises(ValueError, match="steps >= 1"):  # no radar
+            empirical_joint(np.empty((3, 0), dtype=int), 2)
+
+
+class TestEvaluationMatchesOracles:
+    """``empirical_joint`` by mixed-radix keys and ``external_regret`` at
+    bounds against the lexsort and full-horizon oracles, exactly."""
+
+    @staticmethod
+    def assert_joint_equal(actions, a):
+        got, got_row = empirical_joint(actions, a)
+        want, want_row = oracles.empirical_joint(actions, a)
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert got.mass.tobytes() == want.mass.tobytes()
+        assert got_row.tobytes() == want_row.tobytes()
+        return got, got_row
+
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("steps", [1, 7, 3000])
+    def test_random_actions(self, n, steps):
+        rng = np.random.default_rng(10 * n + steps)
+        actions = rng.integers(0, 6, (steps, n))
+        joint, support_row = self.assert_joint_equal(actions, 6)
+        bounds = np.unique(np.append(rng.integers(0, steps, 5), steps - 1))
+        for i in range(n):
+            per_arm = rng.normal(0.0, 10.0, (joint.mass.size, 6))
+            running = oracles.external_regret(per_arm[support_row], actions[:, i])
+            got = external_regret(per_arm, support_row, actions[:, i], bounds)
+            assert got.tobytes() == running[bounds].tobytes()
+
+    def test_thirty_two_radars_take_the_rank_path(self):
+        # 6**32 keys pass 2**63: the keys are ranked before the last columns.
+        assert 6**32 > 2**63 > 6**24
+        rng = np.random.default_rng(32)
+        rows = rng.integers(0, 6, (40, 32))
+        rows[1::2, :20] = rows[0, :20]  # shared leading columns, told apart after the rank
+        actions = rows[rng.integers(0, 40, 2000)]
+        joint, _ = self.assert_joint_equal(actions, 6)
+        assert joint.mass.size == len(np.unique(rows, axis=0))
+        self.assert_joint_equal(rng.integers(0, 6, (500, 32)), 6)
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_actions_outside_the_band_rejected(self, bad):
+        # A key of an out-of-band action could equal another row's.
+        with pytest.raises(ValueError):
+            empirical_joint(np.array([[1, 1], [0, bad]]), 6)
 
 
 class TestConstantShiftInvariance:

@@ -1,4 +1,5 @@
 """Schedulers: episode bookkeeping, exponential weights, explore-then-commit."""
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -581,6 +582,32 @@ class TestStackedStepMatchesPerRadarOracle:
                               for name in hopping.NOREGRET_PARAMS})
         a, b = noregret_update(state, stats), noregret_update(flipped, stats)
         assert a.probs.tobytes() == b.probs[::-1].tobytes()
+
+
+def test_successor_states_equal_rebuilt_states():
+    # The step skips the constructor's checks on the fields it copies; a
+    # chain that rebuilds NoRegretState(**fields) after every step (every
+    # check run again) holds the same fields, bit for bit, for 50 episodes.
+    rng = np.random.default_rng(50)
+    names = [f.name for f in dataclasses.fields(NoRegretState)]
+    fast = rebuilt = random_learners(rng, 3, 6, 4)
+    start = fast.tau
+    for _ in range(50):
+        stats = random_episode(rng, fast, 4)
+        fast = noregret_update(fast, stats)
+        step = noregret_update(rebuilt, stats)
+        rebuilt = NoRegretState(**{name: getattr(step, name) for name in names})
+        for name in names:
+            a, b = np.asarray(getattr(fast, name)), np.asarray(getattr(rebuilt, name))
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert fast.tau == start + 50
+
+
+def test_step_rejects_a_loss_that_is_not_finite():
+    # A played subband whose SINR is NaN would make the loss NaN.
+    with pytest.raises(ValueError, match="loss entries must be finite"):
+        noregret_update(_stacked(), stats_from([np.nan, 1.0, np.nan, np.nan],
+                                                count=[1, 1, 0, 0]))
 
 
 def _stacked(**overrides):

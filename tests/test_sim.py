@@ -433,8 +433,12 @@ class TestPerLinkEvaluation:
             # run_scenario evaluates the support rows and gathers them to the steps
             gathered = genie_utility_table(cfg, joint.rows, i, links)[support_row]
             assert gathered.tobytes() == per_arm.tobytes()
-            running = external_regret(per_arm, actions[:, i])
+            running = oracles.external_regret(per_arm, actions[:, i])
             assert running.tobytes() == external_regret_dense(table, actions, i).tobytes()
+            bounds = np.arange(9, 400, 10)
+            at_bounds = external_regret(genie_utility_table(cfg, joint.rows, i, links),
+                                        support_row, actions[:, i], bounds)
+            assert at_bounds.tobytes() == running[bounds].tobytes()
             gap = cce_deviation_gap(joint, genie_utility_table(cfg, joint.rows, i, links), i)
             assert gap == pytest.approx(
                 cce_deviation_gap_dense(dense_mass(joint), table, i), rel=0, abs=1e-12)
@@ -452,6 +456,29 @@ class TestPerLinkEvaluation:
             np.testing.assert_array_equal(m.cumulative_regret_db[:, i], running[15::16])
             assert m.cce_gap_db[i] == pytest.approx(
                 cce_deviation_gap_dense(mass, table, i), rel=0, abs=1e-12)
+
+
+class TestEvaluationAtEpisodeBounds:
+    """A run's joint and regret curves against the lexsort joint and the
+    full-horizon running regret of ``oracles``, read at the episode bounds."""
+
+    @pytest.mark.parametrize("workload", ["table1", "crowd-8"])
+    def test_bundled_runs(self, workload):
+        path = (bundled_config_path("table1") if workload == "table1" else Path(__file__)
+                .resolve().parents[1] / "perfbench" / "workloads" / f"{workload}.yaml")
+        cfg = replace(parse_config(path.read_text()), seed=5)
+        m = run_scenario(cfg)
+        joint, support_row = oracles.empirical_joint(m.aligned_actions, cfg.n_subbands)
+        assert m.joint_distribution.rows.tobytes() == joint.rows.tobytes()
+        assert m.joint_distribution.mass.tobytes() == joint.mass.tobytes()
+        table = sim.link_table(cfg)
+        steps = m.aligned_actions.shape[0]
+        bounds = np.arange(1, cfg.total_episodes + 1) * (steps // cfg.total_episodes) - 1
+        for i in range(cfg.n_radars):
+            per_arm = genie_utility_table(cfg, joint.rows, i, table)[support_row]
+            running = oracles.external_regret(per_arm, m.aligned_actions[:, i])
+            assert m.cumulative_regret_db[:, i].tobytes() == running[bounds].tobytes()
+            assert m.external_regret_db[i] == running[-1]
 
 
 class CountingRng:
@@ -615,8 +642,8 @@ class TestRunScenario:
         joint = m.joint_distribution
         table = sim.link_table(cfg)
         for i in range(2):
-            running = external_regret(genie_utility_table(cfg, m.aligned_actions, i, table),
-                                      m.aligned_actions[:, i])
+            running = oracles.external_regret(
+                genie_utility_table(cfg, m.aligned_actions, i, table), m.aligned_actions[:, i])
             assert m.external_regret_db[i] == running[-1]
             np.testing.assert_array_equal(m.cumulative_regret_db[:, i],
                                           running[[63, 127, 191]])
@@ -857,6 +884,44 @@ class TestRadarGroups:
             want, oracle_peak = traced(lambda: run_scenario(cfg))
         assert_metrics_identical(got, want)
         assert peak - oracle_peak < 8 * sim.SAMPLE_BLOCK_GUARD
+
+
+class TestEchoTermsAcrossEpisodes:
+    """Each group keeps ``signal.echo_chirp_terms`` of the last episode offset
+    it ran: with one episode per frame they are formed once a run."""
+
+    @pytest.mark.parametrize("episodes_per_frame", [1, 2, 4])
+    def test_group_holds_one_offset(self, monkeypatch, episodes_per_frame):
+        cfg = replace(TestRadarGroups.crowd(True, 1), episodes_per_frame=episodes_per_frame)
+        built, formed = [], []
+        radar_groups, chirp_terms = sim._radar_groups, sig.echo_chirp_terms
+
+        def record_groups(config, table):
+            built.extend(radar_groups(config, table))
+            return built
+
+        def record_terms(params, echo, k0, k):
+            formed.append(k0)
+            return chirp_terms(params, echo, k0, k)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sim, "_radar_groups", record_groups)
+            mp.setattr(sig, "echo_chirp_terms", record_terms)
+            got = run_scenario(cfg)
+        runs = 1 if episodes_per_frame == 1 else cfg.total_episodes
+        assert len(formed) == len(built) * runs
+        for group in built:
+            k = group.chirps.shape[1]
+            k0, terms = group.echo_terms
+            assert k0 == (episodes_per_frame - 1) * k
+            want = chirp_terms(group.chirp, group.echo, k0, k)
+            assert [t.shape for t in terms] == [group.echo.shape[1:3] + (k,)] * 2
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(terms, want))
+        # The coefficients equal the per-radar, per-target oracle's.
+        with monkeypatch.context() as mp:
+            oracles.PerRadarLinks(cfg).install(mp)
+            want = run_scenario(cfg)
+        assert_metrics_identical(got, want)
 
 
 class TestSlopeClasses:

@@ -1,6 +1,7 @@
 """tools/metrics_digest.py: one SHA-256 line per RunMetrics array; tools/crowd_config.py:
-an N-radar crowd scenario."""
+an N-radar crowd scenario; tools/ab.py: alternating in-process timings of two trees."""
 import ast
+import json
 import importlib.util
 from dataclasses import fields
 from pathlib import Path
@@ -70,3 +71,33 @@ def test_crowd_config_of_eight_is_the_crowd_workload(capsys):
     crowd = parse_config(capsys.readouterr().out)
     assert crowd == parse_config((ROOT / "perfbench" / "workloads" / "crowd-8.yaml").read_text())
     assert load_tool("crowd_config").main(["0"]) == 1
+
+
+def test_ab_aa_run_alternates_and_writes_its_summary(tmp_path, capsys):
+    # An A/A of this checkout on a 2-frame table1: the fields and the
+    # alternation order, not the timings.
+    text = (ROOT / "src" / "hopsim" / "data" / "table1.cfg").read_text()
+    assert "  frames: 50\n" in text
+    config = tmp_path / "table1-2.cfg"
+    config.write_text(text.replace("  frames: 50\n", "  frames: 2\n"))
+    out = tmp_path / "bench.json"
+    out.write_text('{"kept": 1}\n')
+    tool = load_tool("ab")
+    assert tool.main(["--base", str(ROOT), "--config", str(config), "--seeds", "3", "--aa",
+                      "--json", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in printed[1:4]] == [["0", "base"], ["1", "change"],
+                                                          ["2", "base"]]
+    assert printed[-1].startswith("change wins ")
+    saved = json.loads(out.read_text())
+    assert set(saved) == {"kept", f"{config} aa"}
+    run = saved[f"{config} aa"]
+    assert run["config"] == str(config) and run["change"] == "copy of base"
+    assert run["seeds"] == [0, 1, 2]
+    assert run["order"] == [["base", "change"], ["change", "base"], ["base", "change"]]
+    assert all(len(run["seconds"][side]) == 3 and min(run["seconds"][side]) > 0
+               for side in ("base", "change"))
+    summary = run["summary"]
+    assert summary["pairs"] == 3 and 0 <= summary["wins"] <= 3 and summary["median_ratio"] > 0
+    for side in ("base", "change"):
+        assert summary[side]["q1"] <= summary[side]["median"] <= summary[side]["q3"]

@@ -1,0 +1,177 @@
+"""In-process A/B timing of ``run_scenario`` between two source trees.
+
+    python3 tools/ab.py --base REF|DIR (--workload NAME | --config PATH)
+                        [--seeds N] [--aa] [--json PATH]
+
+The change is this checkout's ``src/``. The base is a directory that
+holds a checkout, or a git ref of this repository, which is ``git
+archive``d into a temporary directory. ``--aa`` times the base against a
+second copy of itself, which is the noise floor.
+
+Each side runs in one long-lived worker process. The worker imports its
+own ``hopsim``, parses the config once and runs one untimed warm-up, so
+interpreter start-up and parsing stay out of the timings. Seeds 0 .. N-1
+run on both sides in turn, and the side that runs first alternates from
+one seed to the next. Every process is pinned to one thread, as
+``perfbench/run.py`` pins them. Prints each seed's seconds, each side's
+median and quartiles, the change's wins and the median per-seed ratio
+change / base. ``--json`` merges the result into that file under the key
+"<workload or config> ab" (or "aa").
+"""
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from metrics_digest import workload_paths  # noqa: E402
+
+PINNED_ENV = {"HOPSIM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+# argv: src directory, config path. Reads one seed per line from stdin and
+# answers each with the seconds its run took.
+WORKER = """\
+import dataclasses, sys, time
+sys.path.insert(0, sys.argv[1])
+from hopsim.cli import parse_config
+from hopsim.sim import run_scenario
+config = parse_config(open(sys.argv[2]).read())
+run_scenario(config)
+print("ready", flush=True)
+for line in sys.stdin:
+    run = dataclasses.replace(config, seed=int(line))
+    start = time.perf_counter()
+    run_scenario(run)
+    print(repr(time.perf_counter() - start), flush=True)
+"""
+
+
+class Worker:
+    """One side's long-lived worker process."""
+
+    def __init__(self, label: str, src: Path, config: Path):
+        self.label = label
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", WORKER, str(src), str(config)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=os.environ | PINNED_ENV)
+        self._expect("ready")
+
+    def _expect(self, what: str) -> str:
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"{self.label} worker exited before answering {what}")
+        return line.strip()
+
+    def run(self, seed: int) -> float:
+        self.proc.stdin.write(f"{seed}\n")
+        self.proc.stdin.flush()
+        return float(self._expect(f"seed {seed}"))
+
+    def close(self):
+        self.proc.stdin.close()  # the worker's loop ends at end of input
+        self.proc.wait(timeout=60)
+        self.proc.stdout.close()
+
+
+def base_src(base: str, tmp: Path) -> Path:
+    """The base's ``src`` directory: ``base`` itself if a directory, else the
+    ``git archive`` of that ref of this repository, unpacked under ``tmp``."""
+    if Path(base).is_dir():
+        return Path(base) / "src"
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", base, "src"],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tmp / "base", filter="data")
+    return tmp / "base" / "src"
+
+
+def summary(seconds: dict[str, list[float]]) -> dict:
+    """Median and quartiles per side, the change's wins and the median ratio."""
+    out = {}
+    for side, values in seconds.items():
+        q1, median, q3 = np.percentile(values, [25, 50, 75])
+        out[side] = {"median": float(median), "q1": float(q1), "q3": float(q3)}
+    base, change = (np.array(seconds[side]) for side in ("base", "change"))
+    out["wins"] = int(np.count_nonzero(change < base))
+    out["pairs"] = int(base.size)
+    out["median_ratio"] = float(np.median(change / base))
+    return out
+
+
+def main(argv=None) -> int:
+    paths = workload_paths()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, metavar="REF|DIR",
+                        help="checkout directory or git ref to time against")
+    which = parser.add_mutually_exclusive_group(required=True)
+    which.add_argument("--workload", choices=sorted(paths), help="benchmark workload")
+    which.add_argument("--config", metavar="PATH", help="scenario config file")
+    parser.add_argument("--seeds", type=int, default=10, metavar="N",
+                        help="seeds 0 .. N-1, each timed once per side (default: 10)")
+    parser.add_argument("--aa", action="store_true",
+                        help="time the base against a copy of itself")
+    parser.add_argument("--json", metavar="PATH", help="merge the result into this file")
+    args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
+    config = paths[args.workload] if args.workload else Path(args.config)
+    name = args.workload or args.config
+
+    with tempfile.TemporaryDirectory(prefix="hopsim-ab-") as tmp:
+        base = base_src(args.base, Path(tmp))
+        change = ROOT / "src"
+        if args.aa:
+            change = Path(shutil.copytree(base, Path(tmp) / "copy" / "src"))
+        workers, seconds, order = [], {"base": [], "change": []}, []
+        try:
+            for label, src in (("base", base), ("change", change)):
+                workers.append(Worker(label, src, config))
+            print("seed  first   base_s   change_s  ratio")
+            for seed in range(args.seeds):
+                turn = workers if seed % 2 == 0 else workers[::-1]
+                for worker in turn:
+                    seconds[worker.label].append(worker.run(seed))
+                order.append([worker.label for worker in turn])
+                b, c = seconds["base"][-1], seconds["change"][-1]
+                print(f"{seed:<5} {turn[0].label:<7} {b:.5f}  {c:.5f}   {c / b:.3f}", flush=True)
+        finally:
+            for worker in workers:
+                worker.close()
+
+    stats = summary(seconds)
+    for side in ("base", "change"):
+        s = stats[side]
+        print(f"{side:<7} median {s['median']:.5f} s, quartiles {s['q1']:.5f} .. {s['q3']:.5f}")
+    print(f"change wins {stats['wins']}/{stats['pairs']}, "
+          f"median ratio change/base {stats['median_ratio']:.3f}")
+    if args.json:
+        mode = "aa" if args.aa else "ab"
+        result = {"config": name, "base": args.base,
+                  "change": "copy of base" if args.aa else "working tree",
+                  "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                           "python": platform.python_version(), "numpy": np.__version__},
+                  "seeds": list(range(args.seeds)), "order": order, "seconds": seconds,
+                  "summary": stats}
+        path = Path(args.json)
+        merged = json.loads(path.read_text()) if path.exists() else {}
+        merged[f"{name} {mode}"] = result
+        path.write_text(json.dumps(merged, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
