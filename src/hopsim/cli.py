@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from collections import Counter
 from collections.abc import Hashable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -387,33 +385,19 @@ def _emit_seed(out_dir: Path, seed: int, metrics: RunMetrics) -> tuple[dict, dic
     return files, summary
 
 
-def _worker_count(n_jobs: int) -> int:
-    """Pool size: ``n_jobs`` capped by HOPSIM_THREADS, or else by the CPU count."""
-    cap = os.environ.get("HOPSIM_THREADS") or str(os.cpu_count() or 1)
-    if not cap.isdecimal() or int(cap) < 1:
-        raise ValueError(f"HOPSIM_THREADS must be a positive integer, got {cap!r}")
-    return max(1, min(n_jobs, int(cap)))
-
-
 def cmd_run(config: ScenarioConfig, out_dir, seeds) -> RunManifest:
     """Run the scenario once per seed and write CSVs plus manifest.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = list(seeds)
-
-    def one(seed):
-        return run_scenario(replace(config, seed=seed))
-
     files = {}
     summary = {}
-    # Emit each seed in order as soon as its run is done, then drop its
-    # metrics, which hold every step's actions.
-    with ThreadPoolExecutor(max_workers=_worker_count(len(seeds))) as pool:
-        for seed, metrics in zip(seeds, pool.map(one, seeds)):
-            seed_files, seed_summary = _emit_seed(out, seed, metrics)
-            del metrics
-            files.update(seed_files)
-            summary[str(seed)] = seed_summary
+    # Emit each seed as soon as its run is done, then drop its metrics,
+    # which hold every step's actions, before the next seed starts.
+    for seed in seeds:
+        seed_files, summary[str(seed)] = _emit_seed(
+            out, seed, run_scenario(replace(config, seed=seed)))
+        files.update(seed_files)
 
     manifest = RunManifest(seeds=seeds, files=files,
                            summary=summary, config=config_document(config))
@@ -520,11 +504,6 @@ def main(argv=None) -> int:
                 seeds = _parse_seeds(args.seeds)
             except ValueError as exc:
                 print(f"hopsim: error: --seeds: {exc}", file=sys.stderr)
-                return 1
-            try:
-                _worker_count(len(seeds))
-            except ValueError as exc:
-                print(f"hopsim: error: {exc}", file=sys.stderr)
                 return 1
             try:
                 text = Path(args.config).read_text(encoding="utf-8")

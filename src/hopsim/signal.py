@@ -127,10 +127,26 @@ def coarse_decompose(params: ChirpParams, range_m: float) -> tuple[float, float]
     return float(rbar), float(range_m - rbar)
 
 
-def delay_outside_chirp(params: ChirpParams, tgt: Target, ks: np.ndarray) -> np.ndarray:
-    """Per chirp index in ``ks``, whether the target's round-trip delay leaves [0, T_a)."""
-    delays = (2.0 / C) * (tgt.range_m + ks * tgt.velocity_mps * params.pri_s)
-    return (delays < 0) | (delays >= params.active_s)
+def first_chirp_outside(params: ChirpParams, tgt: Target) -> int | None:
+    """The frame's first chirp k whose delay (2/c) (R + k v PRI) leaves [0, T_a), or None.
+
+    Each float operation of the delay is monotone in k, so the chirps inside
+    are one run from chirp 0. Bisecting it takes O(log K) scalar delays, each
+    rounded as an elementwise test over the frame rounds it: same answer.
+    """
+    def outside(k: int) -> bool:
+        delay = (2.0 / C) * (tgt.range_m + k * tgt.velocity_mps * params.pri_s)
+        return delay < 0 or delay >= params.active_s
+
+    if outside(0):
+        return 0
+    lo, hi = 0, params.chirps_per_frame - 1  # inside at lo; outside at hi, if anywhere
+    if not outside(hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if outside(mid) else (mid, hi)
+    return hi
 
 
 def echo_constants(params: ChirpParams, targets) -> np.ndarray:
@@ -170,8 +186,8 @@ def echo_slow(params: ChirpParams, terms: tuple, subbands: np.ndarray,
 
     ``terms`` holds the radars' ``echo_chirp_terms`` of the episode's
     chirps, ``subbands`` (R, K) their hops and ``phases`` (R, T) each
-    echo's start phase. The chirps lie in one frame, whose every chirp
-    ``sim.validate_config`` has checked with ``delay_outside_chirp``. The
+    echo's start phase. The chirps lie in one frame, in which
+    ``sim.validate_config`` has found no ``first_chirp_outside``. The
     phase is 2 pi f_d k - 2 pi (2 rbar / c + 2 (eps0 + k v PRI) / c) h_k +
     phase, each product and sum taken in the order that gives one target's
     (K,) phases, so every radar's rows equal them bit for bit.

@@ -167,7 +167,7 @@ def validate_config(config: ScenarioConfig) -> list[str]:
         # Both modes hold the noiseless rows (targets, then one per source
         # slope, at most one per linked source) for the whole run, and their
         # per-chirp coefficients each episode.
-        n_rows = len(spec.targets) + np.count_nonzero(table[idx - 1])
+        n_rows = len(spec.targets) + int(np.count_nonzero(table[idx - 1]))
         basis_values.append(n_rows * (ch.n_samples + k_ep))
         if basis_values[-1] > SAMPLE_BLOCK_GUARD:
             errors.append(
@@ -203,13 +203,12 @@ def validate_config(config: ScenarioConfig) -> list[str]:
                     f"{label}.targets[{ti}]: velocity {tgt.velocity_mps} m/s gives a hop phase "
                     f"2 pi (2/c) PRI v k a B_a above the largest float at the frame's last "
                     f"chirp and subband")
-            outside = np.flatnonzero(
-                sig.delay_outside_chirp(ch, tgt, np.arange(ch.chirps_per_frame)))
-            if outside.size:
+            outside = sig.first_chirp_outside(ch, tgt)
+            if outside is not None:
                 errors.append(
                     f"{label}.targets[{ti}]: target at {tgt.range_m} m moving at "
                     f"{tgt.velocity_mps} m/s has its round-trip delay outside [0, "
-                    f"{ch.active_s}) s from chirp {outside[0] + 1} of {ch.chirps_per_frame}")
+                    f"{ch.active_s}) s from chirp {outside + 1} of {ch.chirps_per_frame}")
     if durations and max(durations) - min(durations) > 1e-12 * max(durations):
         errors.append("radars: frame durations K*PRI must agree across radars")
     if max(basis_values) <= SAMPLE_BLOCK_GUARD < sum(basis_values):

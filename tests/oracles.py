@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -30,7 +29,6 @@ from hopsim.cli import (
     RunManifest,
     _emit_seed,
     _sha256,
-    _worker_count,
     config_document,
 )
 from hopsim.game import (
@@ -287,6 +285,16 @@ def detect_interference_samples(samples: np.ndarray, noise_power: float,
     flag = hot.mean(axis=0) > 0.01
     clean = np.where(hot, 0.0, x)
     return flag, clean, x - clean
+
+
+def delay_outside_chirp(params: ChirpParams, tgt: Target, ks: np.ndarray) -> np.ndarray:
+    """Per chirp index in ``ks``, whether the target's round-trip delay leaves [0, T_a).
+
+    The elementwise form of ``signal.first_chirp_outside``, whose answer
+    must be this test's first True over a whole frame.
+    """
+    delays = (2.0 / C) * (tgt.range_m + ks * tgt.velocity_mps * params.pri_s)
+    return (delays < 0) | (delays >= params.active_s)
 
 
 def echo_slow(params: ChirpParams, tgt: Target, hops: np.ndarray, phase0: float, k0: int):
@@ -1347,12 +1355,7 @@ def cmd_run_collect_then_emit(config, out_dir, seeds) -> RunManifest:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = list(seeds)
-
-    def one(seed):
-        return run_scenario(replace(config, seed=seed))
-
-    with ThreadPoolExecutor(max_workers=_worker_count(len(seeds))) as pool:
-        results = list(pool.map(one, seeds))
+    results = [run_scenario(replace(config, seed=seed)) for seed in seeds]
 
     files = {}
     summary = {}

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -327,27 +328,20 @@ class TestCmdRun:
         assert loaded.config == yaml.safe_load(render_config(parse_config(SMALL_CFG)))
 
 
-    def test_emitting_per_seed_keeps_the_manifest(self, tmp_path, monkeypatch):
-        # Seeds are emitted as their runs finish, on two threads, in the
-        # given (unsorted) order; the result equals emitting after all runs.
-        self.assert_streamed_equals_collected(tmp_path, monkeypatch, parse_config(SMALL_CFG))
+    def test_emitting_per_seed_keeps_the_manifest(self, tmp_path):
+        # Seeds are emitted as their runs finish, in the given (unsorted)
+        # order; the result equals emitting after all runs.
+        self.assert_streamed_equals_collected(tmp_path, parse_config(SMALL_CFG))
 
-    def test_emitting_per_seed_keeps_the_manifest_in_detector_mode(self, tmp_path, monkeypatch):
+    def test_emitting_per_seed_keeps_the_manifest_in_detector_mode(self, tmp_path):
         # Detector mode synthesizes every episode in a run's sample
-        # workspace; concurrent runs must not share one. A short switch
-        # interval interleaves the two threads inside their episodes.
+        # workspace; one seed's run must leave nothing in it for the next.
         config = parse_config(SMALL_CFG.replace("  seed: 0", "  seed: 0\n  genie_detection: false"))
         assert not config.genie_detection
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            self.assert_streamed_equals_collected(tmp_path, monkeypatch, config)
-        finally:
-            sys.setswitchinterval(interval)
+        self.assert_streamed_equals_collected(tmp_path, config)
 
     @staticmethod
-    def assert_streamed_equals_collected(tmp_path, monkeypatch, config):
-        monkeypatch.setenv("HOPSIM_THREADS", "2")
+    def assert_streamed_equals_collected(tmp_path, config):
         seeds = [2, 0, 1]
         got = cmd_run(config, tmp_path / "streamed", seeds)
         expected = cmd_run_collect_then_emit(config, tmp_path / "collected", seeds)
@@ -505,16 +499,6 @@ class TestMainExitCodes:
                      "--seeds", count]) == 1
         assert capsys.readouterr().err.startswith(
             f"hopsim: error: --seeds: seed count {count} not in [1, 1000000]")
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
-    def test_bad_thread_count_is_usage_error(self, tmp_path, capsys, monkeypatch, threads):
-        monkeypatch.setenv("HOPSIM_THREADS", threads)
-        cfg = tmp_path / "c.yaml"
-        cfg.write_text(SMALL_CFG)
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert (f"HOPSIM_THREADS must be a positive integer, got {threads!r}"
-                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     def test_repeated_seed_is_usage_error(self, tmp_path, capsys):
@@ -1123,3 +1107,106 @@ class TestStrictConfig:
         assert code == 2
         assert f"key {key!r} on line {line + 1} repeats line {line}" in err
         assert "must share" not in err
+
+
+# Runs cli.main on each argv of the JSON list in argv[2] under an address
+# space limit of argv[1] bytes; prints each exit code, or the traceback of
+# an exception main let through, then the process's peak RSS in kB. A
+# process's ru_maxrss starts at the peak RSS of the process it was spawned
+# from (here the test runner), so the runs go to a fork of this fresh
+# interpreter, whose ru_maxrss starts at the interpreter's few MB.
+UNDER_LIMIT = """\
+import os, sys
+pid = os.fork()
+if pid:
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+import contextlib, io, json, resource, traceback
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)
+from hopsim.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            results.append([main(argv), err.getvalue()])
+    except BaseException:
+        results.append([None, err.getvalue() + traceback.format_exc()])
+print(json.dumps([results, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+ADDRESS_LIMIT = 2 << 30
+
+
+def main_under_limit(argvs):
+    """``main`` on each argv in one child process under ``ADDRESS_LIMIT``:
+    the (exit code or None, stderr) of each, and the child's peak RSS in MB."""
+    src = str(Path(hopsim.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", UNDER_LIMIT, str(ADDRESS_LIMIT),
+                           json.dumps(argvs)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    results, max_rss_kb = json.loads(done.stdout.splitlines()[-1])
+    return results, max_rss_kb / 1024
+
+
+def leaf_paths(node, path=()):
+    """The key/index path of every scalar in a YAML document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+class TestConfigsUnderAnAddressLimit:
+    """No config, however large or malformed, gets past ``main`` as a
+    traceback or an allocation: each exits 0 or 2."""
+
+    def test_oversized_frames_rejected_before_allocating(self, tmp_path):
+        # One frame of 2**32 and 2**31 chirps: a per-chirp array of either
+        # radar's frame would need 16 GiB or more.
+        doc = yaml.safe_load(bundled_config_path("table1").read_text())
+        doc["radars"][0]["chirps_per_frame"] = 2**32
+        doc["radars"][1]["chirps_per_frame"] = 2**31
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        [(code, err)], max_rss_mb = main_under_limit(
+            [["run", "--config", str(cfg), "--out", str(tmp_path / "o")]])
+        assert code == 2, err
+        assert "radars[1]: " in err and "radars[2]: " in err
+        assert "from chirp 66668 of 4294967296" in err
+        assert max_rss_mb < 100
+        assert not (tmp_path / "o").exists()
+
+    def test_mutated_configs_exit_0_or_2(self, tmp_path):
+        # 200 seeded mutations of SMALL_CFG's leaves (2 frames) to values
+        # that are out of range, huge, not numbers or not scalars.
+        doc = yaml.safe_load(SMALL_CFG)
+        values = [0, -1, 1e300, -1e300, 2**31, "nan", None, []]
+        cases = random.Random(31).sample(
+            [(path, value) for path in leaf_paths(doc) for value in values], 200)
+        argvs = []
+        for i, (path, value) in enumerate(cases):
+            mutated = yaml.safe_load(SMALL_CFG)
+            node = mutated
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            cfg = tmp_path / f"c{i}.yaml"
+            cfg.write_text(yaml.safe_dump(mutated))
+            argvs.append(["run", "--config", str(cfg), "--out", str(tmp_path / f"o{i}")])
+        results, _ = main_under_limit(argvs)
+
+        def reject(name):
+            raise ValueError(f"manifest holds {name}")
+
+        codes = []
+        for (path, value), argv, (code, err) in zip(cases, argvs, results):
+            assert code in (0, 2), (path, value, err)
+            if code == 0:
+                manifest = json.loads((Path(argv[-1]) / "manifest.json").read_text(),
+                                      parse_constant=reject)
+                assert manifest["seeds"] == [0]
+            codes.append(code)
+        assert 0 < codes.count(0) < codes.count(2)

@@ -18,6 +18,9 @@ def table1_params(pri_s=20e-6, chirps=512):
                            chirps_per_frame=chirps)
 
 
+C_HALF = sig.C / 2.0
+
+
 def detect(samples, noise_power, *args, **kw):
     """``detect_interference`` in a workspace of its own."""
     return sig.detect_interference(samples, noise_power, *args, **kw,
@@ -99,6 +102,57 @@ class TestTargetValidation:
         for value in (3000.0, -3000.0):
             assert 0 < sig.db_power(value) < np.inf
             sig.Target(range_m=20.0, velocity_mps=0.0, snr_db=value)
+
+
+def first_outside_elementwise(params, tgt):
+    """The first chirp of the frame the elementwise oracle flags, or None."""
+    outside = np.flatnonzero(
+        oracles.delay_outside_chirp(params, tgt, np.arange(params.chirps_per_frame)))
+    return int(outside[0]) if outside.size else None
+
+
+class TestFirstChirpOutside:
+    def test_matches_the_elementwise_test_on_random_targets(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            p = table1_params(pri_s=rng.uniform(5e-6, 80e-6), chirps=int(rng.integers(1, 3000)))
+            reach = C_HALF * p.active_s  # the range whose delay is T_a
+            tgt = sig.Target(range_m=rng.uniform(0.01, 1.2) * reach,
+                             velocity_mps=rng.choice([-1, 1]) * 10.0 ** rng.uniform(-2, 5),
+                             snr_db=20.0)
+            assert sig.first_chirp_outside(p, tgt) == first_outside_elementwise(p, tgt)
+
+    @pytest.mark.parametrize("edge", ["zero", "active"])
+    def test_matches_the_elementwise_test_at_the_edges(self, edge):
+        # Targets a few ulps either side of a delay of exactly 0 or T_a at
+        # chirp j, including the frame's last chirp and chirp 0.
+        rng = np.random.default_rng(7)
+        found = set()
+        for _ in range(40):
+            p = table1_params(pri_s=rng.uniform(5e-6, 80e-6), chirps=int(rng.integers(2, 3000)))
+            last = p.chirps_per_frame - 1
+            for j in (0, 1, last, int(rng.integers(0, last + 1))):
+                v = rng.uniform(1.0, 400.0)
+                if edge == "zero":
+                    v, r = -v, j * v * p.pri_s
+                else:
+                    r = C_HALF * p.active_s - j * v * p.pri_s
+                if not r > 0:
+                    continue
+                for steps in range(-3, 4):
+                    tgt = sig.Target(range_m=float(r + steps * math.ulp(r)), velocity_mps=v,
+                                     snr_db=20.0)
+                    got = sig.first_chirp_outside(p, tgt)
+                    assert got == first_outside_elementwise(p, tgt)
+                    found.add(got == last)
+        assert found == {True, False}  # the frame's last chirp was the first outside
+
+    def test_overflowing_delay_is_outside(self):
+        p = table1_params(chirps=2**31)
+        tgt = sig.Target(range_m=20.0, velocity_mps=1e300, snr_db=20.0)
+        assert sig.first_chirp_outside(p, tgt) == 1
+        assert sig.first_chirp_outside(p, replace(tgt, velocity_mps=-1e300)) == 1
+        assert sig.first_chirp_outside(p, replace(tgt, velocity_mps=0.0)) is None
 
 
 class TestTxChirpPhase:

@@ -12,8 +12,8 @@ Each side runs in one long-lived worker process. The worker imports its
 own ``hopsim``, parses the config once and runs one untimed warm-up, so
 interpreter start-up and parsing stay out of the timings. Seeds 0 .. N-1
 run on both sides in turn, and the side that runs first alternates from
-one seed to the next. Every process is pinned to one thread, as
-``perfbench/run.py`` pins them. Prints each seed's seconds, each side's
+one seed to the next. Every process runs its OpenMP and BLAS pools on
+one thread, as ``perfbench/run.py`` does. Prints each seed's seconds, each side's
 median and quartiles, the change's wins and the median per-seed ratio
 change / base. ``--json`` merges the result into that file under the key
 "<workload or config> ab" (or "aa").
@@ -38,8 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from metrics_digest import workload_paths  # noqa: E402
 
-PINNED_ENV = {"HOPSIM_THREADS": "1", "OMP_NUM_THREADS": "1",
-              "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+PINNED_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 # argv: src directory, config path. Reads one seed per line from stdin and
 # answers each with the seconds its run took.
