@@ -453,9 +453,11 @@ def cmd_report(run_dirs) -> str:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty seed specification")
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) > 1 and not parts[-1]:
+        parts.pop()  # one trailing comma: "7," lists seed 7 alone
+    if "" in parts:
+        raise ValueError(f"empty entry in seed specification {text!r}")
     if len(parts) == 1 and "," not in text:
         n = int(parts[0])
         if not 0 < n <= SEED_COUNT_GUARD:
@@ -486,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="scenario YAML path")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--seeds", default="1",
-                       help="seed count N (seeds 0..N-1) or comma-separated list")
+                       help="seed count N (seeds 0..N-1) or comma-separated list "
+                            "('N,' runs seed N alone)")
 
     rep_p = sub.add_parser("report", help="summarize run directories")
     rep_p.add_argument("run_dirs", nargs="+", help="directories with manifest.json")

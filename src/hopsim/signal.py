@@ -246,7 +246,7 @@ def noiseless_basis(victim: ChirpParams, targets, sources,
 
 
 class SampleWorkspace:
-    """Flat buffers of ``size`` samples that one thread's episodes reuse as views.
+    """Flat buffers of ``size`` samples that every episode of a run reuses as views.
 
     Complex ``x`` (received block) and ``scratch`` (detector spectrum),
     float ``power`` and bool ``mask`` (detector hits).
@@ -352,44 +352,33 @@ def measure_episode(rows: np.ndarray, coeffs: np.ndarray, noise_power: float,
     return flags, clean, intf, sums
 
 
-def estimate_episode_sinr(subbands: np.ndarray, flagged: np.ndarray, clean_power: np.ndarray,
-                          interference_power: np.ndarray, chirps: list[int],
-                          noise_power: float, n_subbands: int,
-                          db_average: bool) -> EpisodeStats:
+def estimate_episode_sinr(subbands: np.ndarray, flagged: np.ndarray, sinr: np.ndarray,
+                          snr: np.ndarray, chirps: list[int], n_subbands: int) -> EpisodeStats:
     """Per-radar, per-subband windowed SINR/SNR means over one episode.
 
     The four per-chirp arrays hold every radar's chirps, radar after
     radar, ``chirps[i]`` of them for radar i, whose row of every returned
-    field they fill: each chirp's subband, interference flag, clean power
-    and interference power, all measured against ``noise_power``.
-    Averages are taken over linear per-chirp ratios and then converted to
-    dB (set ``db_average`` to average the dB values instead). Subbands
-    with no chirps carry NaN, never zero. The bins are radar * A + subband,
-    and a flagged chirp's bin is moved up by m * A for m radars; four
-    ``np.bincount`` calls over them give every count and sum. A bin adds
-    its chirps in their order, as a one-radar bincount over the same
-    chirps does, and one log pass converts the chirps (``db_average``) or
-    the means to dB.
+    field they fill: each chirp's subband, interference flag and linear
+    SINR and SNR. The means of those ratios are converted to dB; subbands
+    with no chirps carry NaN, never zero. The bins are radar * A +
+    subband, and a flagged chirp's bin is moved up by m * A for m radars;
+    four ``np.bincount`` calls over them give every count and sum. A bin
+    adds its chirps in their order, as a one-radar bincount over the same
+    chirps does.
     """
     if ((subbands < 0) | (subbands >= n_subbands)).any():
         raise ValueError(f"chirp subbands must lie in [0, {n_subbands})")
     size = len(chirps) * n_subbands
     bins = subbands + np.repeat(np.arange(0, size, n_subbands), chirps)
     split = bins + flagged * size
-    ratios = np.empty((2, subbands.size))  # per chirp: SINR, then SNR
-    np.divide(clean_power, interference_power + noise_power, out=ratios[0])
-    np.divide(clean_power, noise_power, out=ratios[1])
-    if db_average:
-        ratios = 10.0 * np.log10(np.maximum(ratios, 1e-300))
     counts, sums = np.empty((3, size), dtype=np.intp), np.empty((3, size))  # all, clean, hit
     counts[1:] = np.bincount(split, minlength=2 * size).reshape(2, size)
     np.add(counts[1], counts[2], out=counts[0])
-    sums[0] = np.bincount(bins, ratios[0], size)
-    sums[1] = np.bincount(split, ratios[1], 2 * size)[:size]
-    sums[2] = np.bincount(split, ratios[0], 2 * size)[size:]
+    sums[0] = np.bincount(bins, sinr, size)
+    sums[1] = np.bincount(split, snr, 2 * size)[:size]
+    sums[2] = np.bincount(split, sinr, 2 * size)[size:]
     means = np.divide(sums, counts, out=np.full((3, size), np.nan), where=counts > 0)
-    if not db_average:
-        means = 10.0 * np.log10(np.maximum(means, 1e-300))
+    means = 10.0 * np.log10(np.maximum(means, 1e-300))
     shape = (len(chirps), n_subbands)
     return EpisodeStats(*(row.reshape(shape) for row in means),
                         *(row.reshape(shape) for row in counts))

@@ -114,7 +114,6 @@ class ScenarioConfig:
     genie_detection: bool = True
     noise_power: float = 1.0
     detection_factor: float = sig.DEFAULT_DETECTION_FACTOR
-    db_average: bool = False
 
     @property
     def n_radars(self) -> int:
@@ -631,11 +630,10 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     mean_sinr = np.zeros((episodes, n_radars))  # linear, converted to dB after the run
     aligned = np.empty((config.frames * s_frame, n_radars), dtype=int)  # common chirp clock
     hop_sums = [0] * n_radars  # each radar's final-frame hop sums, (N_s, A)
-    # Every radar's chirps of the episode: subbands, flags, clean and
-    # interference powers.
+    # Every radar's chirps of the episode: subbands, flags, linear SINR and SNR.
     n_chirps = sum(k_ep)
     subbands, flagged = np.empty(n_chirps, dtype=int), np.empty(n_chirps, dtype=bool)
-    clean, intf = np.empty(n_chirps), np.empty(n_chirps)
+    sinr, snr = np.empty(n_chirps), np.empty(n_chirps)
     table = link_table(config)
     groups = _radar_groups(config, table)
     # Detector mode synthesizes every episode: one workspace serves them all.
@@ -665,15 +663,15 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
                 if last:  # the final frame feeds the range profile through its hop sums
                     for i, radar_sums in zip(group.radars, sums):
                         hop_sums[i] += radar_sums
-                flagged[group.chirps], clean[group.chirps] = flags, p_clean
-                intf[group.chirps] = p_intf
+                p_sinr = p_clean / (p_intf + noise)
+                flagged[group.chirps], sinr[group.chirps] = flags, p_sinr
+                snr[group.chirps] = p_clean / noise
                 # Each row's mean, summed along the row as np.mean sums it.
                 k = flags.shape[1]
                 interference_rate[e, group.radars] = flags.sum(axis=1) / k
-                mean_sinr[e, group.radars] = (p_clean / (p_intf + noise)).sum(axis=1) / k
+                mean_sinr[e, group.radars] = p_sinr.sum(axis=1) / k
 
-            stats = sig.estimate_episode_sinr(subbands, flagged, clean, intf, k_ep, noise, a,
-                                              config.db_average)
+            stats = sig.estimate_episode_sinr(subbands, flagged, sinr, snr, k_ep, a)
             if noregret is not None:
                 noregret = noregret_update(noregret, stats)
                 probs[noregret.radars] = noregret.probs

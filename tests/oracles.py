@@ -17,6 +17,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -521,30 +522,38 @@ class ChirpMeasurements:
         if self.noise_power <= 0:
             raise ValueError("noise power must be positive")
 
+    @property
+    def sinr(self) -> np.ndarray:
+        """(K,) linear SINR clean / (interference + noise) per chirp."""
+        return np.asarray(self.clean_power) / (
+            np.asarray(self.interference_power) + self.noise_power)
 
-def estimate_episode_sinr(meas: ChirpMeasurements, n_subbands: int,
-                          db_average: bool = False) -> RadarEpisodeStats:
-    """One radar's per-subband windowed SINR/SNR means over one episode."""
+    @property
+    def snr(self) -> np.ndarray:
+        """(K,) linear SNR clean / noise per chirp."""
+        return np.asarray(self.clean_power) / self.noise_power
+
+
+def estimate_episode_sinr(meas: ChirpMeasurements, n_subbands: int) -> RadarEpisodeStats:
+    """One radar's per-subband windowed SINR/SNR means over one episode.
+
+    ``meas`` is a ``ChirpMeasurements``, or any record of one radar's chirp
+    subbands, flags and linear ``sinr`` and ``snr``.
+    """
     sub = np.asarray(meas.subbands, dtype=int)
     flagged = np.asarray(meas.flagged, dtype=bool)
-    per_sinr = np.asarray(meas.clean_power) / (
-        np.asarray(meas.interference_power) + meas.noise_power)
-    per_snr = np.asarray(meas.clean_power) / meas.noise_power
 
     def mean_by_subband(values, mask):
         counts = np.bincount(sub[mask], minlength=n_subbands)
         out = np.full(n_subbands, np.nan)
-        if db_average:
-            values = 10.0 * np.log10(np.maximum(values, 1e-300))
         sums = np.bincount(sub[mask], weights=values[mask], minlength=n_subbands)
         nz = counts > 0
-        means = sums[nz] / counts[nz]
-        out[nz] = means if db_average else 10.0 * np.log10(np.maximum(means, 1e-300))
+        out[nz] = 10.0 * np.log10(np.maximum(sums[nz] / counts[nz], 1e-300))
         return out, counts
 
-    sinr_db, count = mean_by_subband(per_sinr, np.ones_like(flagged))
-    snr_db, clean_count = mean_by_subband(per_snr, ~flagged)
-    hit_sinr_db, hit_count = mean_by_subband(per_sinr, flagged)
+    sinr_db, count = mean_by_subband(meas.sinr, np.ones_like(flagged))
+    snr_db, clean_count = mean_by_subband(meas.snr, ~flagged)
+    hit_sinr_db, hit_count = mean_by_subband(meas.sinr, flagged)
     return RadarEpisodeStats(sinr_db=sinr_db, snr_db=snr_db, hit_sinr_db=hit_sinr_db,
                              count=count, clean_count=clean_count, hit_count=hit_count)
 
@@ -766,14 +775,13 @@ class PerRadarNash:
                        committed=np.array([r.committed is not None for r in self.radars]))
 
 
-def per_radar_estimate(subbands, flagged, clean_power, interference_power, chirps,
-                       noise_power, n_subbands: int, db_average: bool) -> hopping.EpisodeStats:
-    """``signal.estimate_episode_sinr`` computed one radar at a time by the oracle,
-    each radar's chirps checked as its own ``ChirpMeasurements``."""
+def per_radar_estimate(subbands, flagged, sinr, snr, chirps,
+                       n_subbands: int) -> hopping.EpisodeStats:
+    """``signal.estimate_episode_sinr`` computed one radar at a time by the oracle."""
     spans = np.split(np.arange(subbands.size), np.cumsum(chirps)[:-1])
-    return stack_stats([estimate_episode_sinr(
-        ChirpMeasurements(subbands[s], clean_power[s], interference_power[s], flagged[s],
-                          noise_power), n_subbands, db_average) for s in spans])
+    return stack_stats([estimate_episode_sinr(SimpleNamespace(
+        subbands=subbands[s], flagged=flagged[s], sinr=sinr[s], snr=snr[s]), n_subbands)
+        for s in spans])
 
 
 @dataclass(frozen=True)

@@ -122,9 +122,9 @@ def test_criterion_5_estimator_fidelity():
     intf = np.stack([
         oracles.dechirped_interference(ch, link, ch, i, subbands[i] == 1, rng)
         for i in range(k)], axis=1)
+    clean, intf = np.mean(np.abs(clean) ** 2, axis=0), np.mean(np.abs(intf) ** 2, axis=0)
     stats = oracles.radar_stats(sig.estimate_episode_sinr(
-        subbands, subbands == 1, np.mean(np.abs(clean) ** 2, axis=0),
-        np.mean(np.abs(intf) ** 2, axis=0), [k], 1.0, ch.n_subbands, False), 0)
+        subbands, subbands == 1, clean / (intf + 1.0), clean / 1.0, [k], ch.n_subbands), 0)
     want_hit = 10 * np.log10(oracles.theoretical_sinr(100.0, 1000.0, 1.0))
     want_clean = 10 * np.log10(oracles.theoretical_sinr(100.0, 0.0, 1.0))
     err_hit = abs(stats.sinr_db[1] - want_hit)

@@ -1,5 +1,6 @@
 """Command-line layer tests: config parsing, artifact emission, report."""
 
+import copy
 import json
 import math
 import os
@@ -233,6 +234,15 @@ class TestParseSeeds:
             _parse_seeds("0")
         with pytest.raises(ValueError, match="non-negative"):
             _parse_seeds("-1,2")
+
+    @pytest.mark.parametrize("text", ["1,,2", ",4", "7,,", ",", "3, ,5"])
+    def test_rejects_empty_entry(self, text):
+        with pytest.raises(ValueError, match="empty entry"):
+            _parse_seeds(text)
+
+    def test_one_trailing_comma_lists_one_seed(self):
+        assert _parse_seeds("7,") == [7]
+        assert _parse_seeds("0, 5,9 ,") == [0, 5, 9]
 
     def test_rejects_repeated_seed(self):
         with pytest.raises(ValueError, match="seed 3 is repeated"):
@@ -509,6 +519,23 @@ class TestMainExitCodes:
         assert "--seeds: seed 3 is repeated" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("seeds", ["1,,2", ",4"])
+    def test_empty_seed_entry_is_usage_error(self, tmp_path, capsys, seeds):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(SMALL_CFG)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--seeds", seeds]) == 1
+        assert f"--seeds: empty entry in seed specification {seeds!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_trailing_comma_runs_one_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(SMALL_CFG)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seeds", "7,"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seeds"] == [7]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "seed_7"]
+
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
         cfg.write_bytes(b"\xff\xfe\x00bad")
@@ -586,8 +613,6 @@ class TestStrictConfig:
 
     @pytest.mark.parametrize("section,field,value", [
         ("run", "genie_detection", "false"),
-        ("run", "db_average", "true"),
-        ("run", "db_average", 1),
         ("run", "frames", 2.7),
         ("run", "frames", 2.0),
         ("run", "frames", True),
@@ -964,6 +989,14 @@ class TestStrictConfig:
         accepted = ", ".join(FIELDS[where[0]] if where else FIELDS)
         assert f"{label}: unknown field (accepted: {accepted})" in err
 
+    def test_removed_db_average_is_unknown(self, tmp_path, capsys):
+        # The estimator averages linear ratios only; the dB-average switch is gone.
+        doc = yaml.safe_load(SMALL_CFG)
+        doc["run"] = {"db_average": True}
+        code, err = exit_code_and_errors(tmp_path, capsys, doc)
+        assert code == 2
+        assert "run.db_average: unknown field" in err
+
     def test_target_reaching_the_radar_within_a_frame_rejected(self, tmp_path, capsys):
         # At 100 m/s a target 1 m away reaches the radar before table1's
         # 512-chirp frame ends; the delay would leave the chirp mid-run.
@@ -1149,6 +1182,40 @@ def main_under_limit(argvs):
     return results, max_rss_kb / 1024
 
 
+FUZZ_VALUES = [0, -1, 1e300, -1e300, 2**31, "nan", None, []]
+
+
+def exit_codes_of_mutations(tmp_path, cases):
+    """Each (name, document, leaf path, value) case's document with that leaf
+    set to the value, run through ``main`` under the limit. Asserts that each
+    exits 0 or 2 and that each exit 0 leaves seed 0's manifest free of NaN and
+    Infinity; returns the exit codes."""
+    argvs = []
+    for i, (_, doc, path, value) in enumerate(cases):
+        mutated = copy.deepcopy(doc)
+        node = mutated
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = tmp_path / f"c{i}.yaml"
+        cfg.write_text(yaml.safe_dump(mutated))
+        argvs.append(["run", "--config", str(cfg), "--out", str(tmp_path / f"o{i}")])
+    results, _ = main_under_limit(argvs)
+
+    def reject(name):
+        raise ValueError(f"manifest holds {name}")
+
+    codes = []
+    for (name, _, path, value), argv, (code, err) in zip(cases, argvs, results):
+        assert code in (0, 2), (name, path, value, err)
+        if code == 0:
+            manifest = json.loads((Path(argv[-1]) / "manifest.json").read_text(),
+                                  parse_constant=reject)
+            assert manifest["seeds"] == [0]
+        codes.append(code)
+    return codes
+
+
 def leaf_paths(node, path=()):
     """The key/index path of every scalar in a YAML document."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -1183,30 +1250,27 @@ class TestConfigsUnderAnAddressLimit:
         # 200 seeded mutations of SMALL_CFG's leaves (2 frames) to values
         # that are out of range, huge, not numbers or not scalars.
         doc = yaml.safe_load(SMALL_CFG)
-        values = [0, -1, 1e300, -1e300, 2**31, "nan", None, []]
         cases = random.Random(31).sample(
-            [(path, value) for path in leaf_paths(doc) for value in values], 200)
-        argvs = []
-        for i, (path, value) in enumerate(cases):
-            mutated = yaml.safe_load(SMALL_CFG)
-            node = mutated
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
-            cfg = tmp_path / f"c{i}.yaml"
-            cfg.write_text(yaml.safe_dump(mutated))
-            argvs.append(["run", "--config", str(cfg), "--out", str(tmp_path / f"o{i}")])
-        results, _ = main_under_limit(argvs)
+            [("small", doc, path, value) for path in leaf_paths(doc) for value in FUZZ_VALUES],
+            200)
+        codes = exit_codes_of_mutations(tmp_path, cases)
+        assert 0 < codes.count(0) < codes.count(2)
 
-        def reject(name):
-            raise ValueError(f"manifest holds {name}")
-
-        codes = []
-        for (path, value), argv, (code, err) in zip(cases, argvs, results):
-            assert code in (0, 2), (path, value, err)
-            if code == 0:
-                manifest = json.loads((Path(argv[-1]) / "manifest.json").read_text(),
-                                      parse_constant=reject)
-                assert manifest["seeds"] == [0]
-            codes.append(code)
+    def test_mutated_shipped_configs_exit_0_or_2(self, tmp_path):
+        # 25 seeded mutations of each shipped config's leaves: the bundled
+        # table1 and the benchmark workloads, which are only read, cut to 2
+        # frames. Nash radars explore for those 2 episodes, or every config
+        # of theirs would fail the exploration bound.
+        workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+        rng = random.Random(2)
+        cases = []
+        for path in [bundled_config_path("table1"), *sorted(workloads.glob("*.yaml"))]:
+            doc = yaml.safe_load(path.read_text())
+            doc["run"]["frames"] = 2
+            for radar in doc["radars"]:
+                if "explore_episodes" in radar.get("policy_params", {}):
+                    radar["policy_params"]["explore_episodes"] = 2
+            cases += [(path.name, doc, *case) for case in rng.sample(
+                [(leaf, value) for leaf in leaf_paths(doc) for value in FUZZ_VALUES], 25)]
+        codes = exit_codes_of_mutations(tmp_path, cases)
         assert 0 < codes.count(0) < codes.count(2)

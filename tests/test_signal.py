@@ -411,13 +411,13 @@ class TestDetectInterference:
             np.testing.assert_array_equal(intf, np.mean(np.abs(ref_est) ** 2, axis=0))
 
 
-def estimate(n_subbands, db_average, *radars):
-    """``estimate_episode_sinr`` of radars, each an ``oracles.ChirpMeasurements``
-    at noise power 1, their chirps concatenated in order."""
+def estimate(n_subbands, *radars):
+    """``estimate_episode_sinr`` of radars, each an ``oracles.ChirpMeasurements``,
+    their chirps' subbands, flags and ratios concatenated in order."""
     return sig.estimate_episode_sinr(
         *(np.concatenate([getattr(m, name) for m in radars])
-          for name in ("subbands", "flagged", "clean_power", "interference_power")),
-        [m.subbands.size for m in radars], 1.0, n_subbands, db_average)
+          for name in ("subbands", "flagged", "sinr", "snr")),
+        [m.subbands.size for m in radars], n_subbands)
 
 
 class TestEstimateEpisodeSinr:
@@ -426,7 +426,7 @@ class TestEstimateEpisodeSinr:
             subbands=np.array([2]), clean_power=np.array([100.0]),
             interference_power=np.array([0.0]), flagged=np.array([False]),
             noise_power=1.0)
-        stats = estimate(6, False, meas)
+        stats = estimate(6, meas)
         assert stats.sinr_db[0, 2] == pytest.approx(20.0)
         assert stats.snr_db[0, 2] == pytest.approx(20.0)
         assert stats.count[0, 2] == 1
@@ -436,23 +436,15 @@ class TestEstimateEpisodeSinr:
             subbands=np.array([0, 0]), clean_power=np.array([10.0, 20.0]),
             interference_power=np.array([0.0, 0.0]),
             flagged=np.array([True, True]), noise_power=1.0)
-        stats = estimate(2, False, meas)
+        stats = estimate(2, meas)
         assert stats.sinr_db[0, 0] == pytest.approx(10.0 * np.log10(15.0))
-
-    def test_db_mean_option(self):
-        meas = oracles.ChirpMeasurements(
-            subbands=np.array([0, 0]), clean_power=np.array([10.0, 1000.0]),
-            interference_power=np.array([0.0, 0.0]),
-            flagged=np.array([False, False]), noise_power=1.0)
-        stats = estimate(1, True, meas)
-        assert stats.sinr_db[0, 0] == pytest.approx(20.0)  # mean of 10 and 30 dB
 
     def test_unplayed_subband_is_nan(self):
         meas = oracles.ChirpMeasurements(
             subbands=np.array([0]), clean_power=np.array([5.0]),
             interference_power=np.array([0.0]), flagged=np.array([False]),
             noise_power=1.0)
-        stats = estimate(3, False, meas)
+        stats = estimate(3, meas)
         assert np.isnan(stats.sinr_db[0, 1]) and np.isnan(stats.sinr_db[0, 2])
         assert stats.count[0, 1] == 0
 
@@ -461,7 +453,7 @@ class TestEstimateEpisodeSinr:
             subbands=np.array([0, 0]), clean_power=np.array([100.0, 100.0]),
             interference_power=np.array([0.0, 900.0]),
             flagged=np.array([False, True]), noise_power=1.0)
-        stats = estimate(1, False, meas)
+        stats = estimate(1, meas)
         assert stats.snr_db[0, 0] == pytest.approx(20.0)
         assert stats.hit_sinr_db[0, 0] == pytest.approx(10.0 * np.log10(100 / 901))
         assert stats.clean_count[0, 0] == 1 and stats.hit_count[0, 0] == 1
@@ -482,13 +474,12 @@ class TestEstimateEpisodeSinr:
             subbands=np.zeros(n_chirps, dtype=int), clean_power=clean_p,
             interference_power=intf_p, flagged=np.zeros(n_chirps, dtype=bool),
             noise_power=1.0)
-        stats = estimate(1, False, meas)
+        stats = estimate(1, meas)
         theory = 10.0 * np.log10(oracles.theoretical_sinr(100.0, 0.0, 1.0) + 1.0)
         assert abs(stats.sinr_db[0, 0] - theory) <= 1.0
 
 
-    @pytest.mark.parametrize("db_average", [False, True])
-    def test_stacked_rows_equal_per_radar_oracle(self, db_average):
+    def test_stacked_rows_equal_per_radar_oracle(self):
         # Radars with different chirp counts, unplayed subbands, all-flagged
         # and never-flagged radars, and a zero clean power (the floor).
         rng = np.random.default_rng(3)
@@ -500,9 +491,9 @@ class TestEstimateEpisodeSinr:
                 subbands=rng.integers(0, 5, k), clean_power=clean,
                 interference_power=rng.exponential(500.0, k) * (rng.random(k) < 0.5),
                 flagged=rng.random(k) < flag_share, noise_power=1.0))
-        got = estimate(6, db_average, *meas)
+        got = estimate(6, *meas)
         for i, m in enumerate(meas):
-            want = oracles.estimate_episode_sinr(m, 6, db_average)
+            want = oracles.estimate_episode_sinr(m, 6)
             for name in ("sinr_db", "snr_db", "hit_sinr_db", "count", "clean_count",
                          "hit_count"):
                 assert getattr(got, name).shape == (4, 6)
@@ -516,7 +507,7 @@ class TestEstimateEpisodeSinr:
             interference_power=np.zeros(2), flagged=np.zeros(2, dtype=bool),
             noise_power=1.0)
         with pytest.raises(ValueError, match="subbands must lie"):
-            estimate(3, False, meas, meas)
+            estimate(3, meas, meas)
 
 
 def assert_block_close(actual, reference, rtol=1e-12):

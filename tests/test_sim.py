@@ -174,8 +174,7 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("name, value, kind", [
         ("frames", 2.5, "int"), ("seed", 1.5, "int"), ("episodes_per_frame", 1.0, "int"),
-        ("genie_detection", 0, "bool"), ("db_average", "yes", "bool"),
-        ("noise_power", "1", "float")])
+        ("genie_detection", 0, "bool"), ("noise_power", "1", "float")])
     def test_run_field_type_named(self, name, value, kind):
         # Only the type is reported: the field's value checks are skipped.
         cfg = replace(two_radar_config(), **{name: value})

@@ -101,3 +101,9 @@ def test_ab_aa_run_alternates_and_writes_its_summary(tmp_path, capsys):
     assert summary["pairs"] == 3 and 0 <= summary["wins"] <= 3 and summary["median_ratio"] > 0
     for side in ("base", "change"):
         assert summary[side]["q1"] <= summary[side]["median"] <= summary[side]["q3"]
+    # Each side's digest lines of every seed, as tools/metrics_digest.py prints
+    # them; an A/A agrees.
+    assert printed[-2] == "digests equal on every seed: True"
+    assert run["digests_equal"] is True and run["digests"]["base"] == run["digests"]["change"]
+    assert load_tool().main(["--config", str(config), "--seeds", "0,1,2"]) == 0
+    assert run["digests"]["base"] == capsys.readouterr().out.splitlines()

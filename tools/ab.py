@@ -12,10 +12,13 @@ Each side runs in one long-lived worker process. The worker imports its
 own ``hopsim``, parses the config once and runs one untimed warm-up, so
 interpreter start-up and parsing stay out of the timings. Seeds 0 .. N-1
 run on both sides in turn, and the side that runs first alternates from
-one seed to the next. Every process runs its OpenMP and BLAS pools on
-one thread, as ``perfbench/run.py`` does. Prints each seed's seconds, each side's
-median and quartiles, the change's wins and the median per-seed ratio
-change / base. ``--json`` merges the result into that file under the key
+one seed to the next. After each timed run the worker takes the
+``tools/metrics_digest.py`` lines of its metrics, outside the timing.
+Every process runs its OpenMP and BLAS pools on one thread, as
+``perfbench/run.py`` does. Prints each seed's seconds, each side's median
+and quartiles, whether the two sides' digests agree on every seed, the
+change's wins and the median per-seed ratio change / base. ``--json``
+merges the result, digest lines included, into that file under the key
 "<workload or config> ab" (or "aa").
 """
 from __future__ import annotations
@@ -40,31 +43,37 @@ from metrics_digest import workload_paths  # noqa: E402
 
 PINNED_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-# argv: src directory, config path. Reads one seed per line from stdin and
-# answers each with the seconds its run took.
+# argv: src directory, tools directory, config path, config name. Reads one
+# seed per line from stdin and answers each with a JSON line: the seconds its
+# run took, then the run's digest lines.
 WORKER = """\
-import dataclasses, sys, time
-sys.path.insert(0, sys.argv[1])
+import dataclasses, json, sys, time
+sys.path[:0] = sys.argv[1:3]
 from hopsim.cli import parse_config
 from hopsim.sim import run_scenario
-config = parse_config(open(sys.argv[2]).read())
+from metrics_digest import metrics_digests
+config = parse_config(open(sys.argv[3]).read())
 run_scenario(config)
 print("ready", flush=True)
 for line in sys.stdin:
     run = dataclasses.replace(config, seed=int(line))
     start = time.perf_counter()
-    run_scenario(run)
-    print(repr(time.perf_counter() - start), flush=True)
+    metrics = run_scenario(run)
+    seconds = time.perf_counter() - start
+    digests = [f"{sys.argv[4]} seed={run.seed} {field} {digest}"
+               for field, digest in metrics_digests(metrics).items()]
+    del metrics  # freed before the next timed run
+    print(json.dumps([seconds, digests]), flush=True)
 """
 
 
 class Worker:
     """One side's long-lived worker process."""
 
-    def __init__(self, label: str, src: Path, config: Path):
+    def __init__(self, label: str, src: Path, config: Path, name: str):
         self.label = label
         self.proc = subprocess.Popen(
-            [sys.executable, "-c", WORKER, str(src), str(config)],
+            [sys.executable, "-c", WORKER, str(src), str(ROOT / "tools"), str(config), name],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
             env=os.environ | PINNED_ENV)
         self._expect("ready")
@@ -75,10 +84,11 @@ class Worker:
             raise RuntimeError(f"{self.label} worker exited before answering {what}")
         return line.strip()
 
-    def run(self, seed: int) -> float:
+    def run(self, seed: int) -> tuple[float, list[str]]:
+        """The seed's run seconds and its digest lines."""
         self.proc.stdin.write(f"{seed}\n")
         self.proc.stdin.flush()
-        return float(self._expect(f"seed {seed}"))
+        return tuple(json.loads(self._expect(f"seed {seed}")))
 
     def close(self):
         self.proc.stdin.close()  # the worker's loop ends at end of input
@@ -135,15 +145,18 @@ def main(argv=None) -> int:
         change = ROOT / "src"
         if args.aa:
             change = Path(shutil.copytree(base, Path(tmp) / "copy" / "src"))
-        workers, seconds, order = [], {"base": [], "change": []}, []
+        workers, order = [], []
+        seconds, digests = {"base": [], "change": []}, {"base": [], "change": []}
         try:
             for label, src in (("base", base), ("change", change)):
-                workers.append(Worker(label, src, config))
+                workers.append(Worker(label, src, config, name))
             print("seed  first   base_s   change_s  ratio")
             for seed in range(args.seeds):
                 turn = workers if seed % 2 == 0 else workers[::-1]
                 for worker in turn:
-                    seconds[worker.label].append(worker.run(seed))
+                    run_s, lines = worker.run(seed)
+                    seconds[worker.label].append(run_s)
+                    digests[worker.label] += lines
                 order.append([worker.label for worker in turn])
                 b, c = seconds["base"][-1], seconds["change"][-1]
                 print(f"{seed:<5} {turn[0].label:<7} {b:.5f}  {c:.5f}   {c / b:.3f}", flush=True)
@@ -155,6 +168,8 @@ def main(argv=None) -> int:
     for side in ("base", "change"):
         s = stats[side]
         print(f"{side:<7} median {s['median']:.5f} s, quartiles {s['q1']:.5f} .. {s['q3']:.5f}")
+    digests_equal = digests["base"] == digests["change"]
+    print(f"digests equal on every seed: {digests_equal}")
     print(f"change wins {stats['wins']}/{stats['pairs']}, "
           f"median ratio change/base {stats['median_ratio']:.3f}")
     if args.json:
@@ -164,7 +179,7 @@ def main(argv=None) -> int:
                   "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                            "python": platform.python_version(), "numpy": np.__version__},
                   "seeds": list(range(args.seeds)), "order": order, "seconds": seconds,
-                  "summary": stats}
+                  "summary": stats, "digests": digests, "digests_equal": digests_equal}
         path = Path(args.json)
         merged = json.loads(path.read_text()) if path.exists() else {}
         merged[f"{name} {mode}"] = result
