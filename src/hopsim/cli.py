@@ -453,16 +453,23 @@ def cmd_report(run_dirs) -> str:
 
 
 def _parse_seeds(text: str) -> list[int]:
+    """``--seeds``: a count N for seeds 0 .. N-1, or a ``seed_list``."""
+    if "," in text or not text.strip():
+        return seed_list(text)
+    n = int(text)
+    if not 0 < n <= SEED_COUNT_GUARD:
+        raise ValueError(f"seed count {n} not in [1, {SEED_COUNT_GUARD}]")
+    return list(range(n))
+
+
+def seed_list(text: str) -> list[int]:
+    """The seeds of a comma-separated list, each non-negative and listed once.
+    One trailing comma is allowed; an empty entry is an error."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) > 1 and not parts[-1]:
         parts.pop()  # one trailing comma: "7," lists seed 7 alone
     if "" in parts:
         raise ValueError(f"empty entry in seed specification {text!r}")
-    if len(parts) == 1 and "," not in text:
-        n = int(parts[0])
-        if not 0 < n <= SEED_COUNT_GUARD:
-            raise ValueError(f"seed count {n} not in [1, {SEED_COUNT_GUARD}]")
-        return list(range(n))
     seeds = [int(p) for p in parts]
     if any(seed < 0 for seed in seeds):
         raise ValueError("seeds must be non-negative")

@@ -9,6 +9,7 @@ a uniform grid, so this phase product replaces an FFT.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -19,6 +20,11 @@ from .hopping import EpisodeStats
 C = 3.0e8  # m/s
 
 DEFAULT_DETECTION_FACTOR = 16.0  # ~12 dB over the noise-plus-signal floor
+
+# Samples per chunk in which detector mode synthesizes (runs of fast-time
+# rows) and detects (runs of chirps) a block: a chunk's terms, spectrum,
+# powers and hits stay in cache, and only chunk-sized buffers are held.
+DETECT_CHUNK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -246,15 +252,31 @@ def noiseless_basis(victim: ChirpParams, targets, sources,
 
 
 class SampleWorkspace:
-    """Flat buffers of ``size`` samples that every episode of a run reuses as views.
+    """Flat buffers that every episode of a run reuses as views, for blocks of the
+    given (N_s, K) ``shapes`` (or (N_s,) chirps).
 
-    Complex ``x`` (received block) and ``scratch`` (detector spectrum),
-    float ``power`` and bool ``mask`` (detector hits).
+    Complex ``x`` (received block) holds the largest block. The rest hold one
+    ``chunk`` of samples: ``DETECT_CHUNK``, but at least one fast-time row
+    and three chirps of every shape, and at most a block. They are complex
+    ``scratch`` (a synthesis term, a scaled noise part, then the detector
+    spectrum), float ``power`` and bool ``mask`` (detector hits).
     """
 
-    def __init__(self, size: int):
-        self.x, self.scratch = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-        self.power, self.mask = np.empty(size), np.empty(size, dtype=bool)
+    def __init__(self, *shapes):
+        blocks = [(shape[0], math.prod(shape[1:])) for shape in shapes]
+        size = max(n * k for n, k in blocks)
+        self.chunk = min(size, max([DETECT_CHUNK] + [max(3 * n, k) for n, k in blocks]))
+        self.x, self.scratch = np.empty(size, dtype=complex), np.empty(self.chunk, dtype=complex)
+        self.power, self.mask = np.empty(self.chunk), np.empty(self.chunk, dtype=bool)
+
+
+def _chunks(total: int, step: int) -> list[slice]:
+    """``total`` indices in near-equal runs of at most ``step``: with a step of 3
+    or more, each run of more than one is at least 2 long. Detection needs
+    that, since numpy sums a 1-chirp column pairwise and wider ones row by
+    row: the means would change."""
+    m = -(-total // step)
+    return [slice(j * total // m, (j + 1) * total // m) for j in range(m)]
 
 
 def _view(buffer: np.ndarray, shape) -> np.ndarray:
@@ -282,35 +304,41 @@ def detect_interference(samples: np.ndarray, noise_power: float,
     |x| > sqrt(envelope) + sqrt(factor x noise). Returns the flags and the
     mean |x|^2 of the samples below (clean) and above (interference) the
     threshold, each counted over all N_s samples. The samples are only read;
-    spectrum, powers and hits go to ``workspace``, which holds at least
-    ``samples.size`` samples.
+    spectrum, powers and hits go to ``workspace``, made for a block of this
+    shape or larger ones. It detects a chunk of chirps at a time, each
+    column as one pass over the whole block would: bit for bit.
     """
     if factor <= 1:
         raise ValueError("factor must exceed 1")
     x = np.asarray(samples)
     n = x.shape[0]
-    spec = _view(workspace.scratch, x.shape[::-1])  # one chirp's spectrum per row
-    np.fft.fft(x, axis=0, norm="ortho", out=spec.T)
-    spec2 = _abs2(spec, _view(workspace.power, spec.shape))
-    peak = spec2.max(axis=-1)
+    block = x.reshape(n, -1)
+    k = block.shape[1]
+    flag, clean, intf = np.empty(k, dtype=bool), np.empty(k), np.empty(k)
     half = n // 2  # rank n//2 by one selection; rank (n-1)//2 is the largest below it
-    spec2.partition(half, axis=-1)
-    upper = spec2[..., half]
-    median = ((upper if n % 2 else spec2[..., :half].max(axis=-1)) + upper) / 2
-    envelope = np.clip(peak - median, 0.0, None) / n
-    threshold = (np.sqrt(envelope) + np.sqrt(factor * noise_power)) ** 2
-    power = _abs2(x, _view(workspace.power, x.shape))
-    hot = np.greater(power, threshold, out=_view(workspace.mask, x.shape))
-    flag = np.count_nonzero(hot, axis=0) / n > 0.01
-    # Zero-filled means, not masked sums: a 1-D sum is pairwise, skipping changes rounding.
-    split = _view(workspace.scratch.view(float), x.shape)
-    intf = np.mean(np.multiply(power, hot, out=split), axis=0)
-    clean = np.mean(np.multiply(power, np.logical_not(hot, out=hot), out=split), axis=0)
-    return flag, clean, intf
+    for cols in _chunks(k, workspace.chunk // n):
+        part = block[:, cols]
+        spec = _view(workspace.scratch, part.shape[::-1])  # one chirp's spectrum per row
+        np.fft.fft(part, axis=0, norm="ortho", out=spec.T)
+        spec2 = _abs2(spec, _view(workspace.power, spec.shape))
+        peak = spec2.max(axis=-1)
+        spec2.partition(half, axis=-1)
+        upper = spec2[..., half]
+        median = ((upper if n % 2 else spec2[..., :half].max(axis=-1)) + upper) / 2
+        envelope = np.clip(peak - median, 0.0, None) / n
+        threshold = (np.sqrt(envelope) + np.sqrt(factor * noise_power)) ** 2
+        power = _abs2(part, _view(workspace.power, part.shape))
+        hot = np.greater(power, threshold, out=_view(workspace.mask, part.shape))
+        flag[cols] = np.count_nonzero(hot, axis=0) / n > 0.01
+        # Zero-filled means, not masked sums: a 1-D sum is pairwise, skipping changes rounding.
+        split = _view(workspace.scratch.view(float), part.shape)
+        intf[cols] = np.mean(np.multiply(power, hot, out=split), axis=0)
+        clean[cols] = np.mean(np.multiply(power, np.logical_not(hot, out=hot), out=split), axis=0)
+    return (flag, clean, intf) if x.ndim > 1 else (flag[0], clean[0], intf[0])
 
 
 def measure_episode(rows: np.ndarray, coeffs: np.ndarray, noise_power: float,
-                    rng: np.random.Generator, genie: tuple | None = None,
+                    draws, genie: tuple | None = None,
                     hop_weights: np.ndarray | None = None,
                     detection_factor: float = DEFAULT_DETECTION_FACTOR, *,
                     workspace: SampleWorkspace | None):
@@ -319,36 +347,47 @@ def measure_episode(rows: np.ndarray, coeffs: np.ndarray, noise_power: float,
     ``rows`` (T + D, N_s) is the radar's ``noiseless_basis`` over its T
     targets and D source slope classes, and ``coeffs`` (T + D, K) the rows'
     per-chirp coefficients: the targets' slow-time phases (``echo_slow``),
-    then each class's summed complex amplitude. Detector mode (``genie`` None)
-    synthesizes x = rows.T @ coeffs plus noise in ``workspace`` and
-    detects. Genie mode passes ``genie`` = (flags, energy, interference
-    power), each (K,): the collided chirps, the targets' Gram-form energy
-    ||e_k||^2 and the sources' Gram-form power; it draws the clean power
-    and reads no workspace, so None will do. Returns, each (K,), the
-    interference flags, the mean clean power and the mean interference
-    power per chirp, then for ``hop_weights`` W (K, H) the hop sums
-    x @ W, which genie mode draws after the clean power as
-    rows.T @ (coeffs @ W) plus noise (else None).
+    then each class's summed complex amplitude. Detector mode (``genie``
+    None) takes ``draws``, a (2, N_s, K) block of standard normals (the
+    real parts, then the imaginary parts), synthesizes x = rows.T @ coeffs
+    plus sigma times that noise in ``workspace`` and detects. The product
+    is the sum of the rows' outer products, added elementwise a chunk of
+    fast-time rows at a time, with no BLAS call. Genie mode passes
+    ``genie`` = (flags, energy, interference power), each (K,): the
+    collided chirps, the targets' Gram-form energy ||e_k||^2 and the
+    sources' Gram-form power; it draws the clean power from the generator
+    ``draws`` and reads no workspace, so None will do. Returns, each (K,),
+    the interference flags, the mean clean power and the mean interference
+    power per chirp, then for ``hop_weights`` W (K, H) the hop sums x @ W,
+    which genie mode draws after the clean power as rows.T @ (coeffs @ W)
+    plus noise (else None).
     """
     n_samples = rows.shape[1]
     if genie is None:
         shape = (n_samples, coeffs.shape[1])
-        x, power = _view(workspace.x, shape), _view(workspace.power, shape)
-        np.matmul(rows.T, coeffs, out=x)
+        x = _view(workspace.x, shape)
         sigma = np.sqrt(noise_power / 2.0)  # noise sigma (n_re + j n_im), a part at a time
-        for part in (x.real, x.imag):
-            part += np.multiply(rng.standard_normal(out=power), sigma, out=power)
+        for run in _chunks(n_samples, workspace.chunk // shape[1]):
+            part = x[run]
+            term = _view(workspace.scratch, part.shape)
+            np.multiply(rows[0, run, None], coeffs[0], out=part)
+            for row, coeff in zip(rows[1:], coeffs[1:]):
+                part += np.multiply(row[run, None], coeff, out=term)
+            term = _view(workspace.scratch.view(float), part.shape)
+            for plane, normals in zip((part.real, part.imag), draws):
+                plane += np.multiply(normals[run], sigma, out=term)
         flags, clean, intf = detect_interference(x, noise_power, detection_factor,
                                                  workspace=workspace)
         sums = None if hop_weights is None else x @ hop_weights
     else:
         (flags, energy, intf), sums = genie, None
-        clean = _clean_power_draw(energy, n_samples, noise_power, rng)
+        clean = _clean_power_draw(energy, n_samples, noise_power, draws)
         if hop_weights is not None:
             # Each chirp in one column: x @ W has noise CN(0, sigma^2 sum_k |W[k, h]|^2).
             sums = rows.T @ (coeffs @ hop_weights)
             sigma = np.sqrt(noise_power / 2.0 * np.sum(np.abs(hop_weights) ** 2, axis=0))
-            sums += sigma * (rng.standard_normal(sums.shape) + 1j * rng.standard_normal(sums.shape))
+            sums += sigma * (draws.standard_normal(sums.shape)
+                             + 1j * draws.standard_normal(sums.shape))
     return flags, clean, intf, sums
 
 

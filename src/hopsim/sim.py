@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -37,11 +38,16 @@ from .hopping import (
 )
 
 # Largest N_s x K_ep block a radar synthesizes per episode in detector
-# mode (64 MiB, 25x table1's). In both modes, also the most (T + L) x
-# (N_s + K_ep) noiseless rows plus coefficients that one radar, and that all
-# radars of a run together, may hold (T targets and L linked sources bound
-# the T + D rows of D source slopes held); and the largest (N_s/2, A, 2A)
-# phase tensor of a radar's final-frame range profile.
+# mode, 25x table1's. At the guard a detector episode holds the complex
+# block (64 MiB), the noise worker's two (2, N_s, K_ep) float blocks of
+# standard normals (128 MiB) and the detector's chunk buffers, 25 bytes a
+# sample: 0.8 MiB at signal.DETECT_CHUNK, at most 100 MiB where three
+# chirps or one fast-time row of the block are longer. In both modes, also
+# the most (T + L) x (N_s + K_ep) noiseless rows plus coefficients that
+# one radar, and that all radars of a run together, may hold (T targets
+# and L linked sources bound the T + D rows of D source slopes held); and
+# the largest (N_s/2, A, 2A) phase tensor of a radar's final-frame range
+# profile.
 SAMPLE_BLOCK_GUARD = 2 ** 22
 
 # Most float-sized elements of one chunk of a radar group's stacked episode
@@ -484,13 +490,15 @@ def _group_weights(group: _Group, subbands: np.ndarray) -> np.ndarray:
 
 
 def _measure_group(group: _Group, subbands: np.ndarray, target_phases: np.ndarray, ep: int,
-                   rngs: list, config: ScenarioConfig, last: bool, workspace):
+                   rngs: list, config: ScenarioConfig, last: bool, workspace, normals):
     """One episode of a group's radars: the (R, K) interference flags, clean and
     interference powers, then in the final frame each radar's hop sums.
 
     Links, echo phases and genie mode's Gram energies are stacked arrays;
-    each radar's own generators draw its link phases and its measurement,
-    which ``signal.measure_episode`` takes from its rows of those arrays.
+    each radar's own generators draw its link phases and, in genie mode, its
+    measurement, which ``signal.measure_episode`` takes from its rows of
+    those arrays. In detector mode the measurement's noise is the radar's
+    next block from ``normals``, a ``_NoiseWorker``.
     """
     ch, noise = group.chirp, config.noise_power
     n_r, n_l = group.power.shape[:2]
@@ -532,13 +540,68 @@ def _measure_group(group: _Group, subbands: np.ndarray, target_phases: np.ndarra
     sums = []
     for r, i in enumerate(group.radars):
         flags[r], clean[r], intf[r], radar_sums = sig.measure_episode(
-            group.rows[r], coeffs[r], noise, rngs[i]["noise"],
+            group.rows[r], coeffs[r], noise,
+            rngs[i]["noise"] if config.genie_detection else normals.take(),
             genie=(flags[r], energy[r], intf[r]) if config.genie_detection else None,
             hop_weights=sig.hop_sum_weights(
                 ch, acts[r], config.radars[i].targets[0].velocity_mps, k0) if last else None,
             detection_factor=config.detection_factor, workspace=workspace)
         sums.append(radar_sums)
     return flags, clean, intf, sums
+
+
+class _NoiseWorker:
+    """Draws a detector run's noise blocks on a thread of its own, one block ahead.
+
+    ``order`` lists an episode's (generator, (N_s, K)) per radar, in the order
+    ``_measure_group`` measures them; every episode repeats it. Block b is
+    that radar's (2, N_s, K) standard normals, real parts then imaginary
+    parts: the draws of two fills on the calling thread. Blocks alternate
+    between two buffers, so the worker draws block b + 1 while the caller
+    measures with block b; ``take`` hands over the next block and gives the
+    buffer of the one before back. The worker calls only the generators and
+    draws nothing after the last block. ``take`` raises again what the
+    worker raised; ``close`` stops it after its current draw and joins it.
+    """
+
+    def __init__(self, order: list, episodes: int):
+        size = 2 * max(n * k for _, (n, k) in order)
+        self._buffers, self._blocks = (np.empty(size), np.empty(size)), [None, None]
+        self._drawn, self._free = threading.Semaphore(0), threading.Semaphore(2)
+        self._taken, self._error, self._stop = 0, None, False
+        self._thread = threading.Thread(target=self._draw, args=(order, episodes),
+                                        name="hopsim-noise", daemon=True)
+        self._thread.start()
+
+    def _draw(self, order: list, episodes: int):
+        try:
+            for b in range(episodes * len(order)):
+                rng, (n, k) = order[b % len(order)]
+                self._free.acquire()
+                if self._stop:
+                    return
+                block = self._buffers[b % 2][:2 * n * k].reshape(2, n, k)
+                rng.standard_normal(out=block)
+                self._blocks[b % 2] = block
+                self._drawn.release()
+        except BaseException as exc:  # raised again on the calling thread by take
+            self._error = exc
+            self._drawn.release()
+
+    def take(self) -> np.ndarray:
+        if self._taken:
+            self._free.release()
+        self._drawn.acquire()
+        if self._error is not None:
+            raise self._error
+        block = self._blocks[self._taken % 2]
+        self._taken += 1
+        return block
+
+    def close(self):
+        self._stop = True
+        self._free.release()
+        self._thread.join()
 
 
 def link_table(config: ScenarioConfig) -> np.ndarray:
@@ -636,52 +699,60 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     sinr, snr = np.empty(n_chirps), np.empty(n_chirps)
     table = link_table(config)
     groups = _radar_groups(config, table)
-    # Detector mode synthesizes every episode: one workspace serves them all.
-    workspace = None if config.genie_detection else sig.SampleWorkspace(
-        max(ch.n_samples * k for ch, k in zip(chirps, k_ep)))
+    # Detector mode synthesizes every episode: one workspace serves them all,
+    # and a worker draws every radar-episode's noise one block ahead.
+    workspace = normals = None
+    if not config.genie_detection:
+        workspace = sig.SampleWorkspace(*((ch.n_samples, k) for ch, k in zip(chirps, k_ep)))
     # The episode's chirp of each radar on every aligned step, (s_ep, n).
     clock = np.stack([span.start + (np.arange(s_ep) * k) // s_frame
                       for span, k in zip(spans, k_frame)], axis=1)
 
-    for frame in range(config.frames):
-        last = frame == config.frames - 1
-        target_phases = [  # (R, T) per group
-            np.array([rngs[i]["target"].uniform(0.0, 2.0 * np.pi,
-                                                size=len(config.radars[i].targets))
-                      for i in group.radars])
-            for group in groups]
-        for ep in range(t_ep):
-            e = frame * t_ep + ep
-            strategies[e] = probs
-            for i in range(n_radars):
-                subbands[spans[i]] = sample_subbands(probs[i], rngs[i]["action"], k_ep[i])
-            aligned[e * s_ep:(e + 1) * s_ep] = subbands[clock]
+    try:
+        if not config.genie_detection:
+            normals = _NoiseWorker([(rngs[i]["noise"], (chirps[i].n_samples, k_ep[i]))
+                                    for group in groups for i in group.radars], episodes)
+        for frame in range(config.frames):
+            last = frame == config.frames - 1
+            target_phases = [  # (R, T) per group
+                np.array([rngs[i]["target"].uniform(0.0, 2.0 * np.pi,
+                                                    size=len(config.radars[i].targets))
+                          for i in group.radars])
+                for group in groups]
+            for ep in range(t_ep):
+                e = frame * t_ep + ep
+                strategies[e] = probs
+                for i in range(n_radars):
+                    subbands[spans[i]] = sample_subbands(probs[i], rngs[i]["action"], k_ep[i])
+                aligned[e * s_ep:(e + 1) * s_ep] = subbands[clock]
 
-            for group, phases in zip(groups, target_phases):
-                flags, p_clean, p_intf, sums = _measure_group(
-                    group, subbands, phases, ep, rngs, config, last, workspace)
-                if last:  # the final frame feeds the range profile through its hop sums
-                    for i, radar_sums in zip(group.radars, sums):
-                        hop_sums[i] += radar_sums
-                p_sinr = p_clean / (p_intf + noise)
-                flagged[group.chirps], sinr[group.chirps] = flags, p_sinr
-                snr[group.chirps] = p_clean / noise
-                # Each row's mean, summed along the row as np.mean sums it.
-                k = flags.shape[1]
-                interference_rate[e, group.radars] = flags.sum(axis=1) / k
-                mean_sinr[e, group.radars] = p_sinr.sum(axis=1) / k
+                for group, phases in zip(groups, target_phases):
+                    flags, p_clean, p_intf, sums = _measure_group(
+                        group, subbands, phases, ep, rngs, config, last, workspace, normals)
+                    if last:  # the final frame feeds the range profile through its hop sums
+                        for i, radar_sums in zip(group.radars, sums):
+                            hop_sums[i] += radar_sums
+                    p_sinr = p_clean / (p_intf + noise)
+                    flagged[group.chirps], sinr[group.chirps] = flags, p_sinr
+                    snr[group.chirps] = p_clean / noise
+                    # Each row's mean, summed along the row as np.mean sums it.
+                    k = flags.shape[1]
+                    interference_rate[e, group.radars] = flags.sum(axis=1) / k
+                    mean_sinr[e, group.radars] = p_sinr.sum(axis=1) / k
 
-            stats = sig.estimate_episode_sinr(subbands, flagged, sinr, snr, k_ep, a)
-            if noregret is not None:
-                noregret = noregret_update(noregret, stats)
-                probs[noregret.radars] = noregret.probs
-            if nash is not None and not nash.committed.all():
-                nash = nash_explore_update(nash, stats)
-                if np.any(nash.explore_episodes == nash.episodes_seen):
-                    nash = nash_commit(nash)
-                probs[nash.radars] = nash.probs
-
-    del workspace
+                stats = sig.estimate_episode_sinr(subbands, flagged, sinr, snr, k_ep, a)
+                if noregret is not None:
+                    noregret = noregret_update(noregret, stats)
+                    probs[noregret.radars] = noregret.probs
+                if nash is not None and not nash.committed.all():
+                    nash = nash_explore_update(nash, stats)
+                    if np.any(nash.explore_episodes == nash.episodes_seen):
+                        nash = nash_commit(nash)
+                    probs[nash.radars] = nash.probs
+    finally:
+        if normals is not None:
+            normals.close()
+    del workspace, normals
     profiles = {i: sig.range_profile_at_velocity(
         sig.range_fft(hop_sums[i]), np.arange(a) * ch.subband_hz, np.arange(ch.n_samples // 2),
         sig.default_eps_grid(ch), ch) for i, ch in enumerate(chirps)}

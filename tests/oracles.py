@@ -318,7 +318,8 @@ def radar_measure_episode(params, targets, target_phases, subbands, k0, amps, ro
                           detection_factor=sig.DEFAULT_DETECTION_FACTOR, *, workspace):
     """``signal.measure_episode`` of one radar from its targets, phases and link
     amplitudes, building the coefficients and Gram energies as ``run_scenario``
-    builds a one-radar group's."""
+    builds a one-radar group's. Detector mode draws the episode's (2, N_s, K)
+    noise block from ``rng`` first."""
     n_t = len(targets)
     terms = sig.echo_chirp_terms(params, sig.echo_constants(params, [targets]), k0,
                                  subbands.size)
@@ -328,9 +329,36 @@ def radar_measure_episode(params, targets, target_phases, subbands, k0, amps, ro
     genie = None if genie_flags is None else (
         genie_flags, sig.column_energy(gram[None, :n_t, :n_t], slow[None])[0],
         sig.column_energy(gram[None, n_t:, n_t:], np.asarray(amps)[None])[0] / params.n_samples)
-    return sig.measure_episode(rows, coeffs, noise_power, rng, genie=genie,
+    draws = rng if genie is not None else rng.standard_normal((2, params.n_samples, subbands.size))
+    return sig.measure_episode(rows, coeffs, noise_power, draws, genie=genie,
                                hop_weights=hop_weights, detection_factor=detection_factor,
                                workspace=workspace)
+
+
+class InThreadNoise:
+    """``sim._NoiseWorker`` without its thread: ``take`` draws the next block on
+    the calling thread, as ``measure_episode`` once filled its noise, the real
+    parts with one call and then the imaginary parts with another.
+
+    ``install`` puts it in place of the worker.
+    """
+
+    def __init__(self, order: list, episodes: int):
+        self._blocks = itertools.chain.from_iterable(itertools.repeat(order, episodes))
+
+    def take(self) -> np.ndarray:
+        rng, shape = next(self._blocks)
+        block = np.empty((2, *shape))
+        for part in block:
+            rng.standard_normal(out=part)
+        return block
+
+    def close(self):
+        pass
+
+    @classmethod
+    def install(cls, monkeypatch):
+        monkeypatch.setattr(sim, "_NoiseWorker", cls)
 
 
 def measure_episode_inline(ch, targets, target_phases, hops, k0, k_ep, collided, amps,
@@ -1149,7 +1177,8 @@ class PerLinkRows:
                     (len(bases),) + (group.power.shape[1],) * 2)))
 
     @staticmethod
-    def measure_group(group, subbands, target_phases, ep, rngs, config, last, workspace):
+    def measure_group(group, subbands, target_phases, ep, rngs, config, last, workspace,
+                      normals):
         """``sim._measure_group`` on these groups: every link's hit amplitudes
         scattered into its own coefficient row of (R, T + L, K)."""
         ch, noise = group.chirp, config.noise_power
@@ -1179,7 +1208,8 @@ class PerLinkRows:
         sums = []
         for r, i in enumerate(group.radars):
             flags[r], clean[r], intf[r], radar_sums = sig.measure_episode(
-                group.rows[r], coeffs[r], noise, rngs[i]["noise"],
+                group.rows[r], coeffs[r], noise,
+                rngs[i]["noise"] if config.genie_detection else normals.take(),
                 genie=(flags[r], energy[r], intf[r]) if config.genie_detection else None,
                 hop_weights=sig.hop_sum_weights(
                     ch, acts[r], config.radars[i].targets[0].velocity_mps, k0) if last else None,

@@ -1246,6 +1246,20 @@ class TestConfigsUnderAnAddressLimit:
         assert max_rss_mb < 100
         assert not (tmp_path / "o").exists()
 
+    def test_detector_run_exits_0(self, tmp_path):
+        # A detector run draws its noise on a thread of its own, under the
+        # limit as anywhere else.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+        doc = yaml.safe_load((path / "table1-detector.yaml").read_text())
+        doc["run"]["frames"] = 2
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        [(code, err)], _ = main_under_limit(
+            [["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seeds", "2"]])
+        assert code == 0, err
+        assert (tmp_path / "o" / "manifest.json").is_file()
+        assert (tmp_path / "o" / "seed_1" / "interference.csv").is_file()
+
     def test_mutated_configs_exit_0_or_2(self, tmp_path):
         # 200 seeded mutations of SMALL_CFG's leaves (2 frames) to values
         # that are out of range, huge, not numbers or not scalars.

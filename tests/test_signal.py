@@ -24,7 +24,7 @@ C_HALF = sig.C / 2.0
 def detect(samples, noise_power, *args, **kw):
     """``detect_interference`` in a workspace of its own."""
     return sig.detect_interference(samples, noise_power, *args, **kw,
-                                   workspace=sig.SampleWorkspace(np.size(samples)))
+                                   workspace=sig.SampleWorkspace(np.shape(samples)))
 
 
 def quadratic_phase_fit(samples, adc_hz):
@@ -659,7 +659,7 @@ class TestMeasureEpisode:
             *sig.noiseless_basis(p, targets, sources, self.NOISE), self.NOISE, rng,
             genie_flags=(weights > 0).any(axis=0) if genie else None,
             hop_weights=self.hop_weights() if last else None,
-            workspace=None if genie else sig.SampleWorkspace(self.K * p.n_samples))
+            workspace=None if genie else sig.SampleWorkspace((p.n_samples, self.K)))
 
     def hop_weights(self):
         p, *_, subbands = self.inputs()[:4]
@@ -783,7 +783,7 @@ class TestSampleWorkspace:
         calls = [(short, 512, False, False), (long, 256, False, False),
                  (short, 48, False, False), (short, 512, False, True),
                  (long, 256, True, True), (short, 48, True, True), (long, 256, False, False)]
-        ws = sig.SampleWorkspace(short.n_samples * 512)
+        ws = sig.SampleWorkspace((short.n_samples, 512), (long.n_samples, 256))
         for seed, (victim, k, genie, last) in enumerate(calls):
             args, weights = self.episode(victim, k, seed)
             flags = (weights > 0).any(axis=0) if genie else None
@@ -793,7 +793,7 @@ class TestSampleWorkspace:
                                               hop_weights=hop_weights, workspace=ws)
             *ref, ref_sums = oracles.radar_measure_episode(
                 *args, fresh, genie_flags=flags, hop_weights=hop_weights,
-                workspace=sig.SampleWorkspace(victim.n_samples * k))
+                workspace=sig.SampleWorkspace((victim.n_samples, k)))
             for got, want in zip(meas, ref):  # flags, clean and interference powers
                 np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(sums, ref_sums)
@@ -802,13 +802,55 @@ class TestSampleWorkspace:
     def test_detector_reads_its_samples_only(self):
         # A single chirp and an odd length after a block, in one workspace.
         block = TestDetectInterference.mixed_block()
-        ws = sig.SampleWorkspace(block.size)
+        ws = sig.SampleWorkspace(block.shape)
         for x in (block, block[:, 3], block[:319], block[:319, 5]):
             before = x.copy()
             got = sig.detect_interference(x, 1.0, workspace=ws)
             for a, b in zip(got, detect(x, 1.0)):
                 np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(x, before)
+
+    def test_chunk_runs_are_near_equal_and_never_one_wide(self):
+        for total in range(1, 200):
+            for step in range(3, 24):
+                runs = [run.stop - run.start for run in sig._chunks(total, step)]
+                assert sum(runs) == total and max(runs) <= step and max(runs) - min(runs) <= 1
+                assert total == 1 or min(runs) >= 2
+
+    @pytest.mark.parametrize("chirps", [40, 37])
+    def test_chunked_detector_equals_one_pass(self, monkeypatch, chirps):
+        # Chunks of 2 or 3 chirps, the fewest a workspace holds, which do not
+        # divide the block's width: every column as one pass over the block.
+        block = TestDetectInterference.mixed_block()[:, :chirps]
+        whole = sig.SampleWorkspace(block.shape)
+        monkeypatch.setattr(sig, "DETECT_CHUNK", 1)
+        chunked = sig.SampleWorkspace(block.shape)
+        assert whole.chunk == block.size and chunked.chunk == 3 * len(block)
+        got = sig.detect_interference(block, 1.0, workspace=chunked)
+        want = sig.detect_interference(block, 1.0, workspace=whole)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert got[0].any() and not got[0].all()
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_chunked_episode_equals_one_pass(self, monkeypatch, last):
+        # Synthesis in runs of 20 fast-time rows, detection in runs of 2 or 3
+        # chirps: the measurements and hop sums of one pass, bit for bit.
+        victim, k = table1_params(), 47
+        args, _ = self.episode(victim, k, 3)
+        hop_weights = sig.hop_sum_weights(victim, args[3], -15.0) if last else None
+        whole = sig.SampleWorkspace((victim.n_samples, k))
+        monkeypatch.setattr(sig, "DETECT_CHUNK", 1)
+        chunked = sig.SampleWorkspace((victim.n_samples, k))
+        assert chunked.chunk // k == 20 and whole.chunk == victim.n_samples * k
+        (*got, sums), (*want, want_sums) = (
+            oracles.radar_measure_episode(*args, np.random.default_rng(3),
+                                          hop_weights=hop_weights, workspace=ws)
+            for ws in (chunked, whole))
+        for a, b in zip(got, want):  # flags, clean and interference powers
+            assert a.tobytes() == b.tobytes()
+        assert (sums is None) == (want_sums is None) == (not last)
+        assert not last or sums.tobytes() == want_sums.tobytes()
 
 
 class TestRangeFft:

@@ -5,6 +5,8 @@ simulator computes, and genie-mode runs are cross-checked against
 collisions recomputed independently from the recorded action sequences.
 """
 
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -1222,13 +1224,16 @@ class TestFinalFrameProfiles:
         assert peak < 320 * 512 * 16
 
     def test_detector_peak_memory_under_one_block_above_its_workspace(self):
-        # The run-scoped workspace holds the detector's block; the final
-        # frame adds only its (N_s, A) hop sums and the profile's rows.
+        # The run-scoped workspace holds the detector's block and the noise
+        # worker two (2, N_s, K) noise blocks; the final frame adds only its
+        # (N_s, A) hop sums and the profile's rows.
         cfg = replace(parse_config(bundled_config_path("table1").read_text()),
                       genie_detection=False, frames=3)
         size = max(spec.chirp.n_samples * spec.chirp.chirps_per_frame for spec in cfg.radars)
-        ws = sig.SampleWorkspace(size)
+        ws = sig.SampleWorkspace(*((spec.chirp.n_samples, spec.chirp.chirps_per_frame)
+                                   for spec in cfg.radars))
         workspace = sum(buf.nbytes for buf in (ws.x, ws.scratch, ws.power, ws.mask))
+        workspace += 2 * np.empty((2, size)).nbytes
         del ws
         run_scenario(replace(cfg, frames=1))  # warm caches (FFT plans) untraced
         tracemalloc.start()
@@ -1260,3 +1265,92 @@ class TestFinalFrameProfiles:
                 tracemalloc.stop()
 
         assert peak(crowd) - peak(pair) < 2 * block
+
+
+class TestNoiseWorker:
+    """Detector runs draw each radar-episode's noise block on a worker thread,
+    one block ahead of the episode that adds it."""
+
+    @staticmethod
+    def config():
+        # Two radars of one waveform that hear each other: one group of two.
+        cfg = two_radar_config(("noregret", "noregret"), frames=3, seed=4, k=(64, 64),
+                               episodes_per_frame=2, genie_detection=False)
+        assert [g.radars.tolist() for g in sim._radar_groups(cfg, sim.link_table(cfg))] == [[0, 1]]
+        return cfg
+
+    def test_worker_equals_in_thread_fills(self, monkeypatch):
+        # The worker's blocks are the two fills a radar once made on the
+        # calling thread, even with the threads switching every microsecond;
+        # chunked synthesis and detection change no bit.
+        cfg = self.config()
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            with monkeypatch.context() as mp:
+                mp.setattr(sig, "DETECT_CHUNK", 1)
+                got = run_scenario(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        with monkeypatch.context() as mp:
+            oracles.InThreadNoise.install(mp)
+            want = run_scenario(cfg)
+        assert_metrics_identical(got, want)
+        assert 0 < got.interference_rate.mean() < 1
+
+    def test_worker_joined_after_a_run(self, monkeypatch):
+        before = threading.active_count()
+        during = []
+        update = sim.noregret_update
+
+        def counting_update(*args):
+            during.append(threading.active_count())
+            return update(*args)
+
+        monkeypatch.setattr(sim, "noregret_update", counting_update)
+        run_scenario(self.config())
+        assert during and set(during) <= {before, before + 1} and before + 1 in during
+        assert threading.active_count() == before
+
+    def test_worker_joined_after_a_failed_episode(self, monkeypatch):
+        before = threading.active_count()
+        update, calls = sim.noregret_update, []
+
+        def failing_update(*args):
+            calls.append(threading.active_count())
+            if len(calls) == 3:
+                raise KeyError("episode 3")
+            return update(*args)
+
+        monkeypatch.setattr(sim, "noregret_update", failing_update)
+        with pytest.raises(KeyError, match="episode 3"):
+            run_scenario(self.config())
+        assert calls[-1] == before + 1 and threading.active_count() == before
+
+    def test_failed_fill_raises_from_run_scenario(self, monkeypatch):
+        # Only the worker draws standard normals in detector mode; the fifth
+        # fill raises, and the run raises that exception object.
+        raised, fills = [], []
+        make = np.random.default_rng
+
+        class FailingFills:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def standard_normal(self, *args, **kwargs):
+                fills.append(threading.current_thread())
+                if len(fills) == 5:
+                    raised.append(FloatingPointError("fill 5"))
+                    raise raised[-1]
+                return self._rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingFills(make(seed)))
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError) as info:
+            run_scenario(self.config())
+        assert info.value is raised[0]
+        assert len(fills) == 5 and threading.main_thread() not in fills
+        assert threading.active_count() == before

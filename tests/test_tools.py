@@ -1,10 +1,13 @@
 """tools/metrics_digest.py: one SHA-256 line per RunMetrics array; tools/crowd_config.py:
-an N-radar crowd scenario; tools/ab.py: alternating in-process timings of two trees."""
+an N-radar crowd scenario; tools/ab.py: alternating in-process timings of two trees,
+for one or several configs per call."""
 import ast
 import json
 import importlib.util
 from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 from hopsim.cli import parse_config
 from hopsim.sim import RunMetrics
@@ -107,3 +110,55 @@ def test_ab_aa_run_alternates_and_writes_its_summary(tmp_path, capsys):
     assert run["digests_equal"] is True and run["digests"]["base"] == run["digests"]["change"]
     assert load_tool().main(["--config", str(config), "--seeds", "0,1,2"]) == 0
     assert run["digests"]["base"] == capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("seeds", ["1,,2", ",4", "7,,", "3,3", "-1"])
+def test_bad_seed_lists_are_usage_errors(seeds, capsys):
+    # As for hopsim run --seeds: an empty entry, a repeated or a negative
+    # seed exits 2 with a usage message, before any run.
+    with pytest.raises(SystemExit) as exit_info:
+        load_tool().main(["--workload", "table1-genie", "--seeds", seeds])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: --seeds: " in captured.err and captured.out == ""
+
+
+def test_one_trailing_comma_is_one_seed(capsys):
+    tool = load_tool()
+    assert tool.main(["--workload", "table1-genie", "--seeds", "7,"]) == 0
+    trailing = capsys.readouterr().out.splitlines()
+    assert tool.main(["--workload", "table1-genie", "--seeds", "7"]) == 0
+    assert trailing == capsys.readouterr().out.splitlines()
+    assert trailing and all(line.startswith("table1-genie seed=7 ") for line in trailing)
+
+
+def test_ab_times_several_configs_in_one_call(tmp_path, capsys):
+    # Two configs, one A/B each, in the order given: two summaries in the
+    # output and two keys in the file, beside what it held.
+    text = (ROOT / "src" / "hopsim" / "data" / "table1.cfg").read_text()
+    detector = (ROOT / "perfbench" / "workloads" / "table1-detector.yaml").read_text()
+    assert "  frames: 50\n" in text and "  frames: 50\n" in detector
+    configs = [tmp_path / "genie.cfg", tmp_path / "detector.yaml"]
+    for path, body in zip(configs, (text, detector)):
+        path.write_text(body.replace("  frames: 50\n", "  frames: 2\n"))
+    out = tmp_path / "bench.json"
+    out.write_text('{"kept": 1}\n')
+    tool = load_tool("ab")
+    assert tool.main(["--base", str(ROOT), "--config", str(configs[0]), "--config",
+                      str(configs[1]), "--seeds", "2", "--json", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    headers = [line for line in printed if line.startswith("seed  first")]
+    assert headers == [f"seed  first   base_s   change_s  ratio  ({path})" for path in configs]
+    assert sum(line.startswith("change wins ") for line in printed) == 2
+    saved = json.loads(out.read_text())
+    assert set(saved) == {"kept"} | {f"{path} ab" for path in configs}
+    for path in configs:
+        run = saved[f"{path} ab"]
+        assert run["config"] == str(path) and run["change"] == "working tree"
+        assert run["seeds"] == [0, 1] and run["summary"]["pairs"] == 2
+        assert run["digests_equal"] is True
+    genie, detector = (saved[f"{path} ab"]["digests"]["base"] for path in configs)
+    assert genie != detector
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main(["--base", str(ROOT)])
+    assert exit_info.value.code == 2

@@ -1,25 +1,27 @@
 """In-process A/B timing of ``run_scenario`` between two source trees.
 
-    python3 tools/ab.py --base REF|DIR (--workload NAME | --config PATH)
+    python3 tools/ab.py --base REF|DIR (--workload NAME | --config PATH)...
                         [--seeds N] [--aa] [--json PATH]
 
 The change is this checkout's ``src/``. The base is a directory that
 holds a checkout, or a git ref of this repository, which is ``git
 archive``d into a temporary directory. ``--aa`` times the base against a
-second copy of itself, which is the noise floor.
+second copy of itself, which is the noise floor. ``--workload`` and
+``--config`` may each be given several times; the configs are timed one
+after another, workloads first, each in the order given.
 
-Each side runs in one long-lived worker process. The worker imports its
-own ``hopsim``, parses the config once and runs one untimed warm-up, so
-interpreter start-up and parsing stay out of the timings. Seeds 0 .. N-1
-run on both sides in turn, and the side that runs first alternates from
-one seed to the next. After each timed run the worker takes the
-``tools/metrics_digest.py`` lines of its metrics, outside the timing.
-Every process runs its OpenMP and BLAS pools on one thread, as
-``perfbench/run.py`` does. Prints each seed's seconds, each side's median
-and quartiles, whether the two sides' digests agree on every seed, the
-change's wins and the median per-seed ratio change / base. ``--json``
-merges the result, digest lines included, into that file under the key
-"<workload or config> ab" (or "aa").
+For each config, each side runs in one long-lived worker process. The
+worker imports its own ``hopsim``, parses the config once and runs one
+untimed warm-up, so interpreter start-up and parsing stay out of the
+timings. Seeds 0 .. N-1 run on both sides in turn, and the side that runs
+first alternates from one seed to the next. After each timed run the
+worker takes the ``tools/metrics_digest.py`` lines of its metrics, outside
+the timing. Every process runs its OpenMP and BLAS pools on one thread,
+as ``perfbench/run.py`` does. Prints, per config, each seed's seconds,
+each side's median and quartiles, whether the two sides' digests agree on
+every seed, the change's wins and the median per-seed ratio change /
+base. ``--json`` merges each config's result, digest lines included, into
+that file under the key "<workload or config> ab" (or "aa").
 """
 from __future__ import annotations
 
@@ -121,48 +123,26 @@ def summary(seconds: dict[str, list[float]]) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    paths = workload_paths()
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True, metavar="REF|DIR",
-                        help="checkout directory or git ref to time against")
-    which = parser.add_mutually_exclusive_group(required=True)
-    which.add_argument("--workload", choices=sorted(paths), help="benchmark workload")
-    which.add_argument("--config", metavar="PATH", help="scenario config file")
-    parser.add_argument("--seeds", type=int, default=10, metavar="N",
-                        help="seeds 0 .. N-1, each timed once per side (default: 10)")
-    parser.add_argument("--aa", action="store_true",
-                        help="time the base against a copy of itself")
-    parser.add_argument("--json", metavar="PATH", help="merge the result into this file")
-    args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error("--seeds must be at least 1")
-    config = paths[args.workload] if args.workload else Path(args.config)
-    name = args.workload or args.config
-
-    with tempfile.TemporaryDirectory(prefix="hopsim-ab-") as tmp:
-        base = base_src(args.base, Path(tmp))
-        change = ROOT / "src"
-        if args.aa:
-            change = Path(shutil.copytree(base, Path(tmp) / "copy" / "src"))
-        workers, order = [], []
-        seconds, digests = {"base": [], "change": []}, {"base": [], "change": []}
-        try:
-            for label, src in (("base", base), ("change", change)):
-                workers.append(Worker(label, src, config, name))
-            print("seed  first   base_s   change_s  ratio")
-            for seed in range(args.seeds):
-                turn = workers if seed % 2 == 0 else workers[::-1]
-                for worker in turn:
-                    run_s, lines = worker.run(seed)
-                    seconds[worker.label].append(run_s)
-                    digests[worker.label] += lines
-                order.append([worker.label for worker in turn])
-                b, c = seconds["base"][-1], seconds["change"][-1]
-                print(f"{seed:<5} {turn[0].label:<7} {b:.5f}  {c:.5f}   {c / b:.3f}", flush=True)
-        finally:
-            for worker in workers:
-                worker.close()
+def compare(name: str, config: Path, base: Path, change: Path, seeds: int) -> dict:
+    """Time ``seeds`` seeds of one config on both sides; print and return the result."""
+    workers, order = [], []
+    seconds, digests = {"base": [], "change": []}, {"base": [], "change": []}
+    try:
+        for label, src in (("base", base), ("change", change)):
+            workers.append(Worker(label, src, config, name))
+        print(f"seed  first   base_s   change_s  ratio  ({name})")
+        for seed in range(seeds):
+            turn = workers if seed % 2 == 0 else workers[::-1]
+            for worker in turn:
+                run_s, lines = worker.run(seed)
+                seconds[worker.label].append(run_s)
+                digests[worker.label] += lines
+            order.append([worker.label for worker in turn])
+            b, c = seconds["base"][-1], seconds["change"][-1]
+            print(f"{seed:<5} {turn[0].label:<7} {b:.5f}  {c:.5f}   {c / b:.3f}", flush=True)
+    finally:
+        for worker in workers:
+            worker.close()
 
     stats = summary(seconds)
     for side in ("base", "change"):
@@ -172,17 +152,51 @@ def main(argv=None) -> int:
     print(f"digests equal on every seed: {digests_equal}")
     print(f"change wins {stats['wins']}/{stats['pairs']}, "
           f"median ratio change/base {stats['median_ratio']:.3f}")
+    return {"config": name, "seeds": list(range(seeds)), "order": order, "seconds": seconds,
+            "summary": stats, "digests": digests, "digests_equal": digests_equal}
+
+
+def main(argv=None) -> int:
+    paths = workload_paths()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, metavar="REF|DIR",
+                        help="checkout directory or git ref to time against")
+    parser.add_argument("--workload", action="append", default=[], choices=sorted(paths),
+                        help="benchmark workload (repeatable)")
+    parser.add_argument("--config", action="append", default=[], metavar="PATH",
+                        help="scenario config file (repeatable)")
+    parser.add_argument("--seeds", type=int, default=10, metavar="N",
+                        help="seeds 0 .. N-1, each timed once per side (default: 10)")
+    parser.add_argument("--aa", action="store_true",
+                        help="time the base against a copy of itself")
+    parser.add_argument("--json", metavar="PATH", help="merge the results into this file")
+    args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
+    runs = {name: paths[name] for name in args.workload} | {path: Path(path)
+                                                            for path in args.config}
+    if not runs:
+        parser.error("give at least one --workload or --config")
+
+    results = {}
+    with tempfile.TemporaryDirectory(prefix="hopsim-ab-") as tmp:
+        base = base_src(args.base, Path(tmp))
+        change = ROOT / "src"
+        if args.aa:
+            change = Path(shutil.copytree(base, Path(tmp) / "copy" / "src"))
+        for name, config in runs.items():
+            results[name] = compare(name, config, base, change, args.seeds)
     if args.json:
         mode = "aa" if args.aa else "ab"
-        result = {"config": name, "base": args.base,
-                  "change": "copy of base" if args.aa else "working tree",
-                  "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
-                           "python": platform.python_version(), "numpy": np.__version__},
-                  "seeds": list(range(args.seeds)), "order": order, "seconds": seconds,
-                  "summary": stats, "digests": digests, "digests_equal": digests_equal}
+        host = {"machine": platform.machine(), "cpus": os.cpu_count(),
+                "python": platform.python_version(), "numpy": np.__version__}
         path = Path(args.json)
         merged = json.loads(path.read_text()) if path.exists() else {}
-        merged[f"{name} {mode}"] = result
+        for name, result in results.items():
+            merged[f"{name} {mode}"] = {
+                "config": name, "base": args.base,
+                "change": "copy of base" if args.aa else "working tree", "host": host,
+                **{key: value for key, value in result.items() if key != "config"}}
         path.write_text(json.dumps(merged, indent=1) + "\n")
     return 0
 

@@ -7,9 +7,12 @@ Runs ``hopsim.sim.run_scenario`` in process on the configs that
 ``perfbench/run.py`` reads (the bundled ``table1.cfg`` as ``table1-genie``,
 then ``perfbench/workloads/*.yaml``), or on the named ones: each
 ``--workload`` and each ``--config`` file, which is named by its path as
-given. Every run has its seed replaced. Prints one line per array: name,
-seed, field, dtype and shape, and the SHA-256 of the array's bytes in C
-order. The final-frame profiles are listed per radar. A change that claims
+given. Every run has its seed replaced by each of ``--seeds``, a list as
+``hopsim run --seeds`` reads one: ``7,`` is seed 7 alone, and an empty
+entry, a repeated or a negative seed is a usage error (exit 2). Prints
+one line per array: name, seed, field, dtype and shape, and the SHA-256
+of the array's bytes in C order. The final-frame profiles are listed per
+radar. A change that claims
 bit-identical results shows the same lines before and after; ``diff`` the
 two outputs. The configs are only read, and no artifact is written.
 """
@@ -66,15 +69,19 @@ def main(argv=None) -> int:
     parser.add_argument("--config", action="append", default=[], metavar="PATH",
                         help="scenario config file to run (repeatable)")
     parser.add_argument("--seeds", default="0,7,11",
-                        help="comma-separated run seeds (default: 0,7,11)")
+                        help="comma-separated run seeds, as a list for hopsim run's --seeds "
+                             "(default: 0,7,11)")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    sys.path.insert(0, str(SRC))
+    from hopsim.cli import parse_config, seed_list
+    from hopsim.sim import run_scenario
+
+    try:
+        seeds = seed_list(args.seeds)
+    except ValueError as exc:
+        parser.error(f"--seeds: {exc}")
     runs = {name: paths[name] for name in args.workload or ([] if args.config else sorted(paths))}
     runs |= {path: Path(path) for path in args.config}
-
-    sys.path.insert(0, str(SRC))
-    from hopsim.cli import parse_config
-    from hopsim.sim import run_scenario
 
     for name, path in runs.items():
         config = parse_config(path.read_text())
