@@ -21,11 +21,6 @@ C = 3.0e8  # m/s
 
 DEFAULT_DETECTION_FACTOR = 16.0  # ~12 dB over the noise-plus-signal floor
 
-# Samples per chunk in which detector mode synthesizes (runs of fast-time
-# rows) and detects (runs of chirps) a block: a chunk's terms, spectrum,
-# powers and hits stay in cache, and only chunk-sized buffers are held.
-DETECT_CHUNK = 2 ** 15
-
 
 @dataclass(frozen=True)
 class ChirpParams:
@@ -252,36 +247,21 @@ def noiseless_basis(victim: ChirpParams, targets, sources,
 
 
 class SampleWorkspace:
-    """Flat buffers that every episode of a run reuses as views, for blocks of the
-    given (N_s, K) ``shapes`` (or (N_s,) chirps).
-
-    Complex ``x`` (received block) holds the largest block. The rest hold one
-    ``chunk`` of samples: ``DETECT_CHUNK``, but at least one fast-time row
-    and three chirps of every shape, and at most a block. They are complex
-    ``scratch`` (a synthesis term, a scaled noise part, then the detector
-    spectrum), float ``power`` and bool ``mask`` (detector hits).
-    """
+    """Flat buffers that every episode of a run reuses as views, each the size of
+    the largest of the given (N_s, K) ``shapes`` (or (N_s,) chirps): complex
+    ``x`` (received block) and ``scratch`` (a synthesis term, the scaled
+    noise, then the detector spectrum), float ``power`` and bool ``mask``
+    (detector hits)."""
 
     def __init__(self, *shapes):
-        blocks = [(shape[0], math.prod(shape[1:])) for shape in shapes]
-        size = max(n * k for n, k in blocks)
-        self.chunk = min(size, max([DETECT_CHUNK] + [max(3 * n, k) for n, k in blocks]))
-        self.x, self.scratch = np.empty(size, dtype=complex), np.empty(self.chunk, dtype=complex)
-        self.power, self.mask = np.empty(self.chunk), np.empty(self.chunk, dtype=bool)
-
-
-def _chunks(total: int, step: int) -> list[slice]:
-    """``total`` indices in near-equal runs of at most ``step``: with a step of 3
-    or more, each run of more than one is at least 2 long. Detection needs
-    that, since numpy sums a 1-chirp column pairwise and wider ones row by
-    row: the means would change."""
-    m = -(-total // step)
-    return [slice(j * total // m, (j + 1) * total // m) for j in range(m)]
+        size = max(math.prod(shape) for shape in shapes)
+        self.x, self.scratch = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+        self.power, self.mask = np.empty(size), np.empty(size, dtype=bool)
 
 
 def _view(buffer: np.ndarray, shape) -> np.ndarray:
     """The leading elements of a flat workspace buffer as a C-ordered ``shape`` block."""
-    return buffer[:int(np.prod(shape))].reshape(shape)
+    return buffer[:math.prod(shape)].reshape(shape)
 
 
 def _abs2(z: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -305,36 +285,30 @@ def detect_interference(samples: np.ndarray, noise_power: float,
     mean |x|^2 of the samples below (clean) and above (interference) the
     threshold, each counted over all N_s samples. The samples are only read;
     spectrum, powers and hits go to ``workspace``, made for a block of this
-    shape or larger ones. It detects a chunk of chirps at a time, each
-    column as one pass over the whole block would: bit for bit.
+    shape or larger ones.
     """
     if factor <= 1:
         raise ValueError("factor must exceed 1")
     x = np.asarray(samples)
     n = x.shape[0]
-    block = x.reshape(n, -1)
-    k = block.shape[1]
-    flag, clean, intf = np.empty(k, dtype=bool), np.empty(k), np.empty(k)
+    spec = _view(workspace.scratch, x.shape[::-1])  # one chirp's spectrum per row
+    np.fft.fft(x, axis=0, norm="ortho", out=spec.T)
+    spec2 = _abs2(spec, _view(workspace.power, spec.shape))
+    peak = spec2.max(axis=-1)
     half = n // 2  # rank n//2 by one selection; rank (n-1)//2 is the largest below it
-    for cols in _chunks(k, workspace.chunk // n):
-        part = block[:, cols]
-        spec = _view(workspace.scratch, part.shape[::-1])  # one chirp's spectrum per row
-        np.fft.fft(part, axis=0, norm="ortho", out=spec.T)
-        spec2 = _abs2(spec, _view(workspace.power, spec.shape))
-        peak = spec2.max(axis=-1)
-        spec2.partition(half, axis=-1)
-        upper = spec2[..., half]
-        median = ((upper if n % 2 else spec2[..., :half].max(axis=-1)) + upper) / 2
-        envelope = np.clip(peak - median, 0.0, None) / n
-        threshold = (np.sqrt(envelope) + np.sqrt(factor * noise_power)) ** 2
-        power = _abs2(part, _view(workspace.power, part.shape))
-        hot = np.greater(power, threshold, out=_view(workspace.mask, part.shape))
-        flag[cols] = np.count_nonzero(hot, axis=0) / n > 0.01
-        # Zero-filled means, not masked sums: a 1-D sum is pairwise, skipping changes rounding.
-        split = _view(workspace.scratch.view(float), part.shape)
-        intf[cols] = np.mean(np.multiply(power, hot, out=split), axis=0)
-        clean[cols] = np.mean(np.multiply(power, np.logical_not(hot, out=hot), out=split), axis=0)
-    return (flag, clean, intf) if x.ndim > 1 else (flag[0], clean[0], intf[0])
+    spec2.partition(half, axis=-1)
+    upper = spec2[..., half]
+    median = ((upper if n % 2 else spec2[..., :half].max(axis=-1)) + upper) / 2
+    envelope = np.clip(peak - median, 0.0, None) / n
+    threshold = (np.sqrt(envelope) + np.sqrt(factor * noise_power)) ** 2
+    power = _abs2(x, _view(workspace.power, x.shape))
+    hot = np.greater(power, threshold, out=_view(workspace.mask, x.shape))
+    flag = np.count_nonzero(hot, axis=0) / n > 0.01
+    # Zero-filled means, not masked sums: a 1-D sum is pairwise, skipping changes rounding.
+    split = _view(workspace.scratch.view(float), x.shape)
+    intf = np.mean(np.multiply(power, hot, out=split), axis=0)
+    clean = np.mean(np.multiply(power, np.logical_not(hot, out=hot), out=split), axis=0)
+    return flag, clean, intf
 
 
 def measure_episode(rows: np.ndarray, coeffs: np.ndarray, noise_power: float,
@@ -351,31 +325,27 @@ def measure_episode(rows: np.ndarray, coeffs: np.ndarray, noise_power: float,
     None) takes ``draws``, a (2, N_s, K) block of standard normals (the
     real parts, then the imaginary parts), synthesizes x = rows.T @ coeffs
     plus sigma times that noise in ``workspace`` and detects. The product
-    is the sum of the rows' outer products, added elementwise a chunk of
-    fast-time rows at a time, with no BLAS call. Genie mode passes
-    ``genie`` = (flags, energy, interference power), each (K,): the
-    collided chirps, the targets' Gram-form energy ||e_k||^2 and the
-    sources' Gram-form power; it draws the clean power from the generator
-    ``draws`` and reads no workspace, so None will do. Returns, each (K,),
-    the interference flags, the mean clean power and the mean interference
-    power per chirp, then for ``hop_weights`` W (K, H) the hop sums x @ W,
-    which genie mode draws after the clean power as rows.T @ (coeffs @ W)
-    plus noise (else None).
+    is the sum of the rows' outer products, added elementwise, with no
+    BLAS call. Genie mode passes ``genie`` = (flags, energy, interference
+    power), each (K,): the collided chirps, the targets' Gram-form energy
+    ||e_k||^2 and the sources' Gram-form power; it draws the clean power
+    from the generator ``draws`` and reads no workspace, so None will do.
+    Returns, each (K,), the interference flags, the mean clean power and
+    the mean interference power per chirp, then for ``hop_weights`` W
+    (K, H) the hop sums x @ W, which genie mode draws after the clean power
+    as rows.T @ (coeffs @ W) plus noise (else None).
     """
     n_samples = rows.shape[1]
     if genie is None:
         shape = (n_samples, coeffs.shape[1])
-        x = _view(workspace.x, shape)
+        x, term = _view(workspace.x, shape), _view(workspace.scratch, shape)
+        np.multiply(rows[0, :, None], coeffs[0], out=x)
+        for row, coeff in zip(rows[1:], coeffs[1:]):
+            x += np.multiply(row[:, None], coeff, out=term)
         sigma = np.sqrt(noise_power / 2.0)  # noise sigma (n_re + j n_im), a part at a time
-        for run in _chunks(n_samples, workspace.chunk // shape[1]):
-            part = x[run]
-            term = _view(workspace.scratch, part.shape)
-            np.multiply(rows[0, run, None], coeffs[0], out=part)
-            for row, coeff in zip(rows[1:], coeffs[1:]):
-                part += np.multiply(row[run, None], coeff, out=term)
-            term = _view(workspace.scratch.view(float), part.shape)
-            for plane, normals in zip((part.real, part.imag), draws):
-                plane += np.multiply(normals[run], sigma, out=term)
+        term = _view(workspace.scratch.view(float), shape)
+        for plane, normals in zip((x.real, x.imag), draws):
+            plane += np.multiply(normals, sigma, out=term)
         flags, clean, intf = detect_interference(x, noise_power, detection_factor,
                                                  workspace=workspace)
         sums = None if hop_weights is None else x @ hop_weights

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -39,10 +38,9 @@ from .hopping import (
 
 # Largest N_s x K_ep block a radar synthesizes per episode in detector
 # mode, 25x table1's. At the guard a detector episode holds the complex
-# block (64 MiB), the noise worker's two (2, N_s, K_ep) float blocks of
-# standard normals (128 MiB) and the detector's chunk buffers, 25 bytes a
-# sample: 0.8 MiB at signal.DETECT_CHUNK, at most 100 MiB where three
-# chirps or one fast-time row of the block are longer. In both modes, also
+# block x (64 MiB), the workspace's scratch, power and mask buffers (25
+# bytes a sample, 100 MiB) and the noise worker's two (2, N_s, K_ep) float
+# blocks of standard normals (128 MiB): about 292 MiB. In both modes, also
 # the most (T + L) x (N_s + K_ep) noiseless rows plus coefficients that
 # one radar, and that all radars of a run together, may hold (T targets
 # and L linked sources bound the T + D rows of D source slopes held); and
@@ -384,8 +382,7 @@ class _Group:
     chirps: np.ndarray           # (R, K) positions of the radars' chirps in the flat arrays
     power: np.ndarray            # (R, L, 1) linear link powers
     classes: np.ndarray          # (R * L,) each link's flat (radar, class) offset r * D + d
-    echo: np.ndarray             # the targets' sig.echo_constants
-    echo_terms: list             # [k0, sig.echo_chirp_terms] of the last episode offset run
+    echo_terms: tuple            # the targets' sig.echo_chirp_terms at each episode offset
     rows: tuple                  # each radar's noiseless_basis rows, (T + D, N_s)
     gram_t: np.ndarray           # (R, T, T) target blocks of the Gram matrices
     gram_s: np.ndarray           # (R, D, D) source class blocks
@@ -406,8 +403,9 @@ def _radar_groups(config: ScenarioConfig, table: np.ndarray) -> list:
     first radar; ``table`` is the run's ``link_table``.
 
     Episode boundaries align in time across radars, so a group's overlap
-    geometry, link powers, Gram blocks and echo constants hold for every
-    episode of the run. A chunk's classes are its source slopes in the
+    geometry, link powers and Gram blocks hold for every episode of the
+    run, and the echoes' chirp-index terms at an episode offset for that
+    offset in every frame. A chunk's classes are its source slopes in the
     order its links first reach them, each row built from one source of
     that slope. A chunk's stacked episode arrays hold at most
     ``GROUP_CHUNK_ELEMENTS`` float-sized elements: per radar and chirp, two
@@ -439,6 +437,7 @@ def _radar_groups(config: ScenarioConfig, table: np.ndarray) -> list:
                 for j in sources[i]:
                     by_slope.setdefault(chirps[j].slope, chirps[j])
             cls = {slope: d for d, slope in enumerate(by_slope)}
+            echo = sig.echo_constants(wave, [config.radars[i].targets for i in chunk])
             bases = [sig.noiseless_basis(wave, config.radars[i].targets, list(by_slope.values()),
                                          noise) for i in chunk]
             pairs = {}  # source waveform -> (source chirps, victim row, slot) per pair
@@ -454,8 +453,8 @@ def _radar_groups(config: ScenarioConfig, table: np.ndarray) -> list:
                                          (len(chunk), n_l, 1)),
                 classes=np.array([r * len(cls) + cls[chirps[j].slope]
                                   for r, i in enumerate(chunk) for j in sources[i]], dtype=np.intp),
-                echo=sig.echo_constants(wave, [config.radars[i].targets for i in chunk]),
-                echo_terms=[None, None],
+                echo_terms=tuple(sig.echo_chirp_terms(wave, echo, ep * k, k)
+                                 for ep in range(config.episodes_per_frame)),
                 rows=tuple(rows for rows, _ in bases),
                 gram_t=np.array([gram[:n_t, :n_t] for _, gram in bases]),
                 gram_s=np.reshape([gram[n_t:, n_t:] for _, gram in bases],
@@ -498,14 +497,13 @@ def _measure_group(group: _Group, subbands: np.ndarray, target_phases: np.ndarra
     each radar's own generators draw its link phases and, in genie mode, its
     measurement, which ``signal.measure_episode`` takes from its rows of
     those arrays. In detector mode the measurement's noise is the radar's
-    next block from ``normals``, a ``_NoiseWorker``.
+    next block from ``normals``, a ``_prefetched_noise`` generator.
     """
     ch, noise = group.chirp, config.noise_power
     n_r, n_l = group.power.shape[:2]
     n_t, n_d = group.gram_t.shape[1], group.gram_s.shape[1]
     acts = subbands[group.chirps]
     k = acts.shape[1]
-    k0 = ep * k
     weights = _group_weights(group, subbands)
     # One phase per link and chirp keeps each radar's draw order; a chirp
     # a source misses has amplitude 0, so only hits need sqrt and exp. The
@@ -523,13 +521,7 @@ def _measure_group(group: _Group, subbands: np.ndarray, target_phases: np.ndarra
     coeffs = np.empty((n_r, n_t + n_d, k), dtype=complex)
     for part, values in ((coeffs.real, amps.real), (coeffs.imag, amps.imag)):
         part[:, n_t:] = np.bincount(bins, values, n_r * n_d * k).reshape(n_r, n_d, k)
-    # The echoes' chirp-index terms are the same at an episode offset in
-    # every frame: with one episode per frame they are formed once a run.
-    offset, terms = group.echo_terms
-    if offset != k0:
-        terms = sig.echo_chirp_terms(ch, group.echo, k0, k)
-        group.echo_terms[:] = k0, terms
-    coeffs[:, :n_t] = sig.echo_slow(ch, terms, acts, target_phases)
+    coeffs[:, :n_t] = sig.echo_slow(ch, group.echo_terms[ep], acts, target_phases)
     clean = np.empty((n_r, k))
     if config.genie_detection:
         flags = weights.any(axis=1)
@@ -541,67 +533,42 @@ def _measure_group(group: _Group, subbands: np.ndarray, target_phases: np.ndarra
     for r, i in enumerate(group.radars):
         flags[r], clean[r], intf[r], radar_sums = sig.measure_episode(
             group.rows[r], coeffs[r], noise,
-            rngs[i]["noise"] if config.genie_detection else normals.take(),
+            rngs[i]["noise"] if config.genie_detection else next(normals),
             genie=(flags[r], energy[r], intf[r]) if config.genie_detection else None,
             hop_weights=sig.hop_sum_weights(
-                ch, acts[r], config.radars[i].targets[0].velocity_mps, k0) if last else None,
+                ch, acts[r], config.radars[i].targets[0].velocity_mps, ep * k) if last else None,
             detection_factor=config.detection_factor, workspace=workspace)
         sums.append(radar_sums)
     return flags, clean, intf, sums
 
 
-class _NoiseWorker:
-    """Draws a detector run's noise blocks on a thread of its own, one block ahead.
+def _prefetched_noise(order: list, episodes: int):
+    """Yields a detector run's noise blocks, each drawn on a worker thread while
+    the caller measures with the block before.
 
     ``order`` lists an episode's (generator, (N_s, K)) per radar, in the order
     ``_measure_group`` measures them; every episode repeats it. Block b is
     that radar's (2, N_s, K) standard normals, real parts then imaginary
-    parts: the draws of two fills on the calling thread. Blocks alternate
-    between two buffers, so the worker draws block b + 1 while the caller
-    measures with block b; ``take`` hands over the next block and gives the
-    buffer of the one before back. The worker calls only the generators and
-    draws nothing after the last block. ``take`` raises again what the
-    worker raised; ``close`` stops it after its current draw and joins it.
+    parts: the draws of two fills on the calling thread. Asking for block b
+    submits block b + 1 into block b - 1's buffer; nothing is drawn after
+    the last block. A failed fill is raised again, as the same object, by
+    the request for its block. Closing the generator joins the worker.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: detector runs only
 
-    def __init__(self, order: list, episodes: int):
-        size = 2 * max(n * k for _, (n, k) in order)
-        self._buffers, self._blocks = (np.empty(size), np.empty(size)), [None, None]
-        self._drawn, self._free = threading.Semaphore(0), threading.Semaphore(2)
-        self._taken, self._error, self._stop = 0, None, False
-        self._thread = threading.Thread(target=self._draw, args=(order, episodes),
-                                        name="hopsim-noise", daemon=True)
-        self._thread.start()
+    buffers = [np.empty(2 * max(n * k for _, (n, k) in order)) for _ in range(2)]
 
-    def _draw(self, order: list, episodes: int):
-        try:
-            for b in range(episodes * len(order)):
-                rng, (n, k) = order[b % len(order)]
-                self._free.acquire()
-                if self._stop:
-                    return
-                block = self._buffers[b % 2][:2 * n * k].reshape(2, n, k)
-                rng.standard_normal(out=block)
-                self._blocks[b % 2] = block
-                self._drawn.release()
-        except BaseException as exc:  # raised again on the calling thread by take
-            self._error = exc
-            self._drawn.release()
+    def fill(b: int) -> np.ndarray:
+        rng, (n, k) = order[b % len(order)]
+        return rng.standard_normal(out=buffers[b % 2][:2 * n * k].reshape(2, n, k))
 
-    def take(self) -> np.ndarray:
-        if self._taken:
-            self._free.release()
-        self._drawn.acquire()
-        if self._error is not None:
-            raise self._error
-        block = self._blocks[self._taken % 2]
-        self._taken += 1
-        return block
-
-    def close(self):
-        self._stop = True
-        self._free.release()
-        self._thread.join()
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="hopsim-noise") as pool:
+        pending = pool.submit(fill, 0)
+        for b in range(1, episodes * len(order)):
+            block = pending.result()
+            pending = pool.submit(fill, b)
+            yield block
+        yield pending.result()
 
 
 def link_table(config: ScenarioConfig) -> np.ndarray:
@@ -700,18 +667,18 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     table = link_table(config)
     groups = _radar_groups(config, table)
     # Detector mode synthesizes every episode: one workspace serves them all,
-    # and a worker draws every radar-episode's noise one block ahead.
+    # and a worker thread, started by the first request, draws every
+    # radar-episode's noise one block ahead.
     workspace = normals = None
     if not config.genie_detection:
         workspace = sig.SampleWorkspace(*((ch.n_samples, k) for ch, k in zip(chirps, k_ep)))
+        normals = _prefetched_noise([(rngs[i]["noise"], (chirps[i].n_samples, k_ep[i]))
+                                     for group in groups for i in group.radars], episodes)
     # The episode's chirp of each radar on every aligned step, (s_ep, n).
     clock = np.stack([span.start + (np.arange(s_ep) * k) // s_frame
                       for span, k in zip(spans, k_frame)], axis=1)
 
     try:
-        if not config.genie_detection:
-            normals = _NoiseWorker([(rngs[i]["noise"], (chirps[i].n_samples, k_ep[i]))
-                                    for group in groups for i in group.radars], episodes)
         for frame in range(config.frames):
             last = frame == config.frames - 1
             target_phases = [  # (R, T) per group

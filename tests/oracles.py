@@ -335,30 +335,16 @@ def radar_measure_episode(params, targets, target_phases, subbands, k0, amps, ro
                                workspace=workspace)
 
 
-class InThreadNoise:
-    """``sim._NoiseWorker`` without its thread: ``take`` draws the next block on
-    the calling thread, as ``measure_episode`` once filled its noise, the real
-    parts with one call and then the imaginary parts with another.
-
-    ``install`` puts it in place of the worker.
-    """
-
-    def __init__(self, order: list, episodes: int):
-        self._blocks = itertools.chain.from_iterable(itertools.repeat(order, episodes))
-
-    def take(self) -> np.ndarray:
-        rng, shape = next(self._blocks)
+def in_thread_noise(order: list, episodes: int):
+    """``sim._prefetched_noise`` without its thread: each block is drawn on the
+    calling thread when it is asked for, as ``measure_episode`` once filled
+    its noise, the real parts with one call and then the imaginary parts
+    with another; a fresh array per block."""
+    for rng, shape in itertools.chain.from_iterable(itertools.repeat(order, episodes)):
         block = np.empty((2, *shape))
         for part in block:
             rng.standard_normal(out=part)
-        return block
-
-    def close(self):
-        pass
-
-    @classmethod
-    def install(cls, monkeypatch):
-        monkeypatch.setattr(sim, "_NoiseWorker", cls)
+        yield block
 
 
 def measure_episode_inline(ch, targets, target_phases, hops, k0, k_ep, collided, amps,
@@ -1196,8 +1182,7 @@ class PerLinkRows:
         coeffs.reshape(-1)[hit + n_t * k * (hit // (n_l * k) + 1)] = (
             np.sqrt(group.power.reshape(-1)[hit // k] * weights.reshape(-1)[hit])
             * np.exp(1j * phases.reshape(-1)[hit]))
-        coeffs[:, :n_t] = sig.echo_slow(ch, sig.echo_chirp_terms(ch, group.echo, k0, k), acts,
-                                        target_phases)
+        coeffs[:, :n_t] = sig.echo_slow(ch, group.echo_terms[ep], acts, target_phases)
         clean = np.empty((n_r, k))
         if config.genie_detection:
             flags = np.any(weights, axis=1)
@@ -1209,7 +1194,7 @@ class PerLinkRows:
         for r, i in enumerate(group.radars):
             flags[r], clean[r], intf[r], radar_sums = sig.measure_episode(
                 group.rows[r], coeffs[r], noise,
-                rngs[i]["noise"] if config.genie_detection else normals.take(),
+                rngs[i]["noise"] if config.genie_detection else next(normals),
                 genie=(flags[r], energy[r], intf[r]) if config.genie_detection else None,
                 hop_weights=sig.hop_sum_weights(
                     ch, acts[r], config.radars[i].targets[0].velocity_mps, k0) if last else None,

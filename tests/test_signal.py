@@ -810,48 +810,6 @@ class TestSampleWorkspace:
                 np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(x, before)
 
-    def test_chunk_runs_are_near_equal_and_never_one_wide(self):
-        for total in range(1, 200):
-            for step in range(3, 24):
-                runs = [run.stop - run.start for run in sig._chunks(total, step)]
-                assert sum(runs) == total and max(runs) <= step and max(runs) - min(runs) <= 1
-                assert total == 1 or min(runs) >= 2
-
-    @pytest.mark.parametrize("chirps", [40, 37])
-    def test_chunked_detector_equals_one_pass(self, monkeypatch, chirps):
-        # Chunks of 2 or 3 chirps, the fewest a workspace holds, which do not
-        # divide the block's width: every column as one pass over the block.
-        block = TestDetectInterference.mixed_block()[:, :chirps]
-        whole = sig.SampleWorkspace(block.shape)
-        monkeypatch.setattr(sig, "DETECT_CHUNK", 1)
-        chunked = sig.SampleWorkspace(block.shape)
-        assert whole.chunk == block.size and chunked.chunk == 3 * len(block)
-        got = sig.detect_interference(block, 1.0, workspace=chunked)
-        want = sig.detect_interference(block, 1.0, workspace=whole)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-        assert got[0].any() and not got[0].all()
-
-    @pytest.mark.parametrize("last", [False, True])
-    def test_chunked_episode_equals_one_pass(self, monkeypatch, last):
-        # Synthesis in runs of 20 fast-time rows, detection in runs of 2 or 3
-        # chirps: the measurements and hop sums of one pass, bit for bit.
-        victim, k = table1_params(), 47
-        args, _ = self.episode(victim, k, 3)
-        hop_weights = sig.hop_sum_weights(victim, args[3], -15.0) if last else None
-        whole = sig.SampleWorkspace((victim.n_samples, k))
-        monkeypatch.setattr(sig, "DETECT_CHUNK", 1)
-        chunked = sig.SampleWorkspace((victim.n_samples, k))
-        assert chunked.chunk // k == 20 and whole.chunk == victim.n_samples * k
-        (*got, sums), (*want, want_sums) = (
-            oracles.radar_measure_episode(*args, np.random.default_rng(3),
-                                          hop_weights=hop_weights, workspace=ws)
-            for ws in (chunked, whole))
-        for a, b in zip(got, want):  # flags, clean and interference powers
-            assert a.tobytes() == b.tobytes()
-        assert (sums is None) == (want_sums is None) == (not last)
-        assert not last or sums.tobytes() == want_sums.tobytes()
-
 
 class TestRangeFft:
     def test_tone_peak_bin(self):

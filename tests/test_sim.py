@@ -5,6 +5,8 @@ simulator computes, and genie-mode runs are cross-checked against
 collisions recomputed independently from the recorded action sequences.
 """
 
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -888,8 +890,8 @@ class TestRadarGroups:
 
 
 class TestEchoTermsAcrossEpisodes:
-    """Each group keeps ``signal.echo_chirp_terms`` of the last episode offset
-    it ran: with one episode per frame they are formed once a run."""
+    """Each group holds ``signal.echo_chirp_terms`` for every episode offset,
+    formed once a run; every frame's episode at an offset reads them."""
 
     @pytest.mark.parametrize("episodes_per_frame", [1, 2, 4])
     def test_group_holds_one_offset(self, monkeypatch, episodes_per_frame):
@@ -909,15 +911,15 @@ class TestEchoTermsAcrossEpisodes:
             mp.setattr(sim, "_radar_groups", record_groups)
             mp.setattr(sig, "echo_chirp_terms", record_terms)
             got = run_scenario(cfg)
-        runs = 1 if episodes_per_frame == 1 else cfg.total_episodes
-        assert len(formed) == len(built) * runs
+        assert len(formed) == len(built) * episodes_per_frame
         for group in built:
             k = group.chirps.shape[1]
-            k0, terms = group.echo_terms
-            assert k0 == (episodes_per_frame - 1) * k
-            want = chirp_terms(group.chirp, group.echo, k0, k)
-            assert [t.shape for t in terms] == [group.echo.shape[1:3] + (k,)] * 2
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(terms, want))
+            echo = sig.echo_constants(group.chirp, [cfg.radars[i].targets for i in group.radars])
+            assert len(group.echo_terms) == episodes_per_frame
+            for ep, terms in enumerate(group.echo_terms):
+                want = chirp_terms(group.chirp, echo, ep * k, k)
+                assert [t.shape for t in terms] == [echo.shape[1:3] + (k,)] * 2
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(terms, want))
         # The coefficients equal the per-radar, per-target oracle's.
         with monkeypatch.context() as mp:
             oracles.PerRadarLinks(cfg).install(mp)
@@ -1269,7 +1271,7 @@ class TestFinalFrameProfiles:
 
 class TestNoiseWorker:
     """Detector runs draw each radar-episode's noise block on a worker thread,
-    one block ahead of the episode that adds it."""
+    one block ahead of the episode that adds it (``sim._prefetched_noise``)."""
 
     @staticmethod
     def config():
@@ -1281,22 +1283,35 @@ class TestNoiseWorker:
 
     def test_worker_equals_in_thread_fills(self, monkeypatch):
         # The worker's blocks are the two fills a radar once made on the
-        # calling thread, even with the threads switching every microsecond;
-        # chunked synthesis and detection change no bit.
-        cfg = self.config()
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
-            with monkeypatch.context() as mp:
-                mp.setattr(sig, "DETECT_CHUNK", 1)
+        # calling thread, even with the threads switching every microsecond:
+        # one group of two 64-chirp blocks, and table1-detector's 320 x 512
+        # and 640 x 256 blocks, which alternate in the same two buffers.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+        table1 = replace(parse_config((path / "table1-detector.yaml").read_text()), frames=3)
+        for cfg in (self.config(), table1):
+            interval = sys.getswitchinterval()
+            try:
+                sys.setswitchinterval(1e-6)
                 got = run_scenario(cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        with monkeypatch.context() as mp:
-            oracles.InThreadNoise.install(mp)
-            want = run_scenario(cfg)
-        assert_metrics_identical(got, want)
-        assert 0 < got.interference_rate.mean() < 1
+            finally:
+                sys.setswitchinterval(interval)
+            with monkeypatch.context() as mp:
+                mp.setattr(sim, "_prefetched_noise", oracles.in_thread_noise)
+                want = run_scenario(cfg)
+            assert_metrics_identical(got, want)
+            assert 0 < got.interference_rate.mean() < 1
+
+    def test_import_leaves_the_executor_out(self):
+        # The worker's executor imports concurrent.futures and logging, about
+        # 8 ms that only detector runs pay: importing the CLI loads neither.
+        src = str(Path(sim.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, hopsim.cli; print(sorted({'concurrent.futures', "
+             "'logging'} & sys.modules.keys()))"], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_worker_joined_after_a_run(self, monkeypatch):
         before = threading.active_count()
